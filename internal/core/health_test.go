@@ -173,8 +173,8 @@ func TestIngestCapsPerKeyBuffer(t *testing.T) {
 	eng.mu.RLock()
 	defer eng.mu.RUnlock()
 	for _, m := range eng.buf[key].ms {
-		if m.T < 500 {
-			t.Fatalf("old record t=%v survived eviction", m.T)
+		if m.t < 500 {
+			t.Fatalf("old record t=%v survived eviction", m.t)
 		}
 	}
 }

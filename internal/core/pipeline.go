@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"taxilight/internal/dsp"
@@ -38,76 +39,6 @@ func (c StopExtractConfig) Validate() error {
 	return nil
 }
 
-// ExtractStops finds per-taxi stationary runs in one partition's matched
-// records (already time-sorted per mapmatch.Partition contract). A run is
-// a maximal sequence of consecutive reports from the same plate whose
-// pairwise displacement stays within MaxDisplacement — pairwise rather
-// than anchored, so taxis creeping forward as a queue discharges stay in
-// one run. A run is flagged as a passenger stop when the occupancy flag
-// flips inside the run or relative to the report just before it: the flip
-// happens when the taxi pulls over, i.e. before the stationary run's
-// first report, so the lookback is what actually catches kerbside dwells.
-func ExtractStops(ms []mapmatch.Matched, cfg StopExtractConfig) ([]StopEvent, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	byPlate := make(map[string][]mapmatch.Matched)
-	for _, m := range ms {
-		byPlate[m.Rec.Plate] = append(byPlate[m.Rec.Plate], m)
-	}
-	plates := make([]string, 0, len(byPlate))
-	for p := range byPlate {
-		plates = append(plates, p)
-	}
-	sort.Strings(plates) // deterministic output order
-	var out []StopEvent
-	for _, plate := range plates {
-		rs := byPlate[plate]
-		sort.SliceStable(rs, func(i, j int) bool { return rs[i].T < rs[j].T })
-		i := 0
-		for i < len(rs) {
-			// Grow a stationary run starting at rs[i].
-			j := i + 1
-			occChanged := false
-			for j < len(rs) {
-				if rs[j].T-rs[j-1].T > cfg.MaxGap {
-					break
-				}
-				if rs[j].Snapped.Sub(rs[j-1].Snapped).Norm() > cfg.MaxDisplacement {
-					break
-				}
-				if rs[j].Rec.Occupied != rs[j-1].Rec.Occupied {
-					occChanged = true
-				}
-				j++
-			}
-			if j-i >= 2 {
-				// Lookback: occupancy flip between the previous report
-				// and the run start marks a pick-up/drop-off stop.
-				if i > 0 && rs[i].T-rs[i-1].T <= cfg.MaxGap &&
-					rs[i-1].Rec.Occupied != rs[i].Rec.Occupied {
-					occChanged = true
-				}
-				if rs[j-1].DistToStop <= cfg.MaxStopDist {
-					out = append(out, StopEvent{
-						Plate:            plate,
-						Start:            rs[i].T,
-						End:              rs[j-1].T,
-						OccupancyChanged: occChanged,
-						Records:          j - i,
-					})
-				}
-			}
-			if j == i+1 {
-				i++
-			} else {
-				i = j
-			}
-		}
-	}
-	return out, nil
-}
-
 // SpeedSamples converts matched records into (time, speed km/h) samples
 // for the frequency-domain stages.
 func SpeedSamples(ms []mapmatch.Matched) []dsp.Sample {
@@ -121,14 +52,22 @@ func SpeedSamples(ms []mapmatch.Matched) []dsp.Sample {
 // SpeedSamplesNear is SpeedSamples restricted to records within maxDist
 // metres of the stop line.
 func SpeedSamplesNear(ms []mapmatch.Matched, maxDist float64) []dsp.Sample {
-	return appendSpeedSamplesNear(make([]dsp.Sample, 0, len(ms)), ms, maxDist)
-}
-
-// appendSpeedSamplesNear appends the near-stop-line speed samples to dst.
-func appendSpeedSamplesNear(dst []dsp.Sample, ms []mapmatch.Matched, maxDist float64) []dsp.Sample {
+	out := make([]dsp.Sample, 0, len(ms))
 	for _, m := range ms {
 		if m.DistToStop <= maxDist {
-			dst = append(dst, dsp.Sample{T: m.T, V: m.Rec.SpeedKMH})
+			out = append(out, dsp.Sample{T: m.T, V: m.Rec.SpeedKMH})
+		}
+	}
+	return out
+}
+
+// appendSpeedSamples appends the speed samples of the observations that
+// lie within maxDist metres of the stop line and outside every dwell
+// interval of the index.
+func appendSpeedSamples(dst []dsp.Sample, ms []obs, idx *StopIndex, maxDist float64) []dsp.Sample {
+	for i := range ms {
+		if o := &ms[i]; o.dist <= maxDist && !idx.isDwell(o.plate, o.t) {
+			dst = append(dst, dsp.Sample{T: o.t, V: o.speed})
 		}
 	}
 	return dst
@@ -230,75 +169,77 @@ type Result struct {
 // parallel once the data is partitioned (Section IV). The result map has
 // one entry per input partition key.
 func RunPipeline(part mapmatch.Partition, t0, t1 float64, cfg PipelineConfig) (map[mapmatch.Key]Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	var rm roundMem
+	rm.load(part)
 	keys := make([]mapmatch.Key, 0, len(part))
 	for k := range part {
 		keys = append(keys, k)
 	}
 	sortKeys(keys)
-	return runPipelineKeys(part, keys, t0, t1, cfg)
+	// Stop extraction is global (see StopIndex) and shared, read-only,
+	// by all workers.
+	rm.index.build(rm.view, cfg.Stops)
+	results := rm.identify(keys, t0, t1, cfg)
+	out := make(map[mapmatch.Key]Result, len(keys))
+	for i, k := range keys {
+		out[k] = results[i]
+	}
+	return out, nil
 }
 
 // sortKeys orders approach keys deterministically (light, then approach).
 func sortKeys(keys []mapmatch.Key) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Light != keys[j].Light {
-			return keys[i].Light < keys[j].Light
+	slices.SortFunc(keys, func(a, b mapmatch.Key) int {
+		if a.Light != b.Light {
+			return cmp.Compare(a.Light, b.Light)
 		}
-		return keys[i].Approach < keys[j].Approach
+		return cmp.Compare(a.Approach, b.Approach)
 	})
 }
 
-// runPipelineKeys identifies only the listed approach keys against the
-// partition. The partition may contain more keys than are identified —
-// the incremental engine passes the perpendicular approaches of dirty
-// keys as enhancement/stop-index context without recomputing them. The
-// result map has one entry per listed key.
-func runPipelineKeys(part mapmatch.Partition, keys []mapmatch.Key, t0, t1 float64, cfg PipelineConfig) (map[mapmatch.Key]Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// identify runs identification for the listed approach keys against the
+// view and its already built stop index, and returns one result per key,
+// in key order, in rm.results. The view may contain more keys than are
+// identified — the incremental engine passes the perpendicular
+// approaches of dirty keys as enhancement/stop-index context without
+// recomputing them.
+func (rm *roundMem) identify(keys []mapmatch.Key, t0, t1 float64, cfg PipelineConfig) []Result {
 	workers := effectiveWorkers(cfg.Workers, len(keys))
-	// Stop extraction is global (see BuildStopIndex) and shared,
-	// read-only, by all workers.
-	stopIdx, err := BuildStopIndex(part, cfg.Stops)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]Result, len(keys))
+	results := reuse(rm.results, len(keys))[:len(keys)]
+	rm.results = results
 	if workers == 1 {
 		// Serial fast path: no goroutine, channel, or scheduler traffic,
 		// so workers=1 is a true baseline for the scaling benches and the
 		// cheapest shape for the tiny rounds of a quiet shard.
 		sc := getScratch()
 		for i := range keys {
-			results[i] = identifyOneSafe(part, stopIdx, keys[i], t0, t1, cfg, sc)
+			results[i] = identifyOneSafe(rm.view, &rm.index, keys[i], t0, t1, cfg, sc)
 		}
 		putScratch(sc)
-	} else {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := getScratch()
-				defer putScratch(sc)
-				for i := range jobs {
-					results[i] = identifyOneSafe(part, stopIdx, keys[i], t0, t1, cfg, sc)
-				}
-			}()
-		}
-		for i := range keys {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
+		return results
 	}
-	out := make(map[mapmatch.Key]Result, len(keys))
-	for i, k := range keys {
-		out[k] = results[i]
+	var wg sync.WaitGroup
+	jobs := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := getScratch()
+			defer putScratch(sc)
+			for i := range jobs {
+				results[i] = identifyOneSafe(rm.view, &rm.index, keys[i], t0, t1, cfg, sc)
+			}
+		}()
 	}
-	return out, nil
+	for i := range keys {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+	return results
 }
 
 // effectiveWorkers resolves a configured worker count (0 = GOMAXPROCS)
@@ -328,7 +269,7 @@ var identifyHook func(key mapmatch.Key)
 // estimation round for every other light. The panic is converted into
 // the approach's Result.Err, which the realtime engine's quarantine
 // ledger then handles like any other per-approach failure.
-func identifyOneSafe(part mapmatch.Partition, stopIdx *StopIndex, key mapmatch.Key, t0, t1 float64, cfg PipelineConfig, sc *identifyScratch) (res Result) {
+func identifyOneSafe(view map[mapmatch.Key][]obs, stopIdx *StopIndex, key mapmatch.Key, t0, t1 float64, cfg PipelineConfig, sc *identifyScratch) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{
@@ -340,29 +281,25 @@ func identifyOneSafe(part mapmatch.Partition, stopIdx *StopIndex, key mapmatch.K
 	if identifyHook != nil {
 		identifyHook(key)
 	}
-	return identifyOne(part, stopIdx, key, t0, t1, cfg, sc)
+	return identifyOne(view, stopIdx, key, t0, t1, cfg, sc)
 }
 
 // identifyOne runs the full single-light procedure for one approach. All
 // intermediates live in the worker's scratch: the windowed speed series
 // is computed once and reused by the enhancement gate, the fold-quality
 // score and the superposition (it used to be recomputed for each).
-func identifyOne(part mapmatch.Partition, stopIdx *StopIndex, key mapmatch.Key, t0, t1 float64, cfg PipelineConfig, sc *identifyScratch) Result {
-	ms := part[key]
+func identifyOne(view map[mapmatch.Key][]obs, stopIdx *StopIndex, key mapmatch.Key, t0, t1 float64, cfg PipelineConfig, sc *identifyScratch) Result {
+	ms := view[key]
 	res := Result{Key: key, WindowStart: t0, WindowEnd: t1, Records: len(ms)}
 
-	clean := stopIdx.filterDwellRecordsInto(sc.clean[:0], ms)
-	sc.clean = clean
-	primary := appendSpeedSamplesNear(sc.primary[:0], clean, cfg.MaxSpeedDist)
+	primary := appendSpeedSamples(sc.primary[:0], ms, stopIdx, cfg.MaxSpeedDist)
 	sc.primary = primary
 	win := appendWindowed(sc.win[:0], primary, t0, t1)
 	sc.win = win
 	var cycle float64
 	var err error
 	if cfg.UseEnhancement && len(win) < cfg.EnhanceBelow {
-		perpClean := stopIdx.filterDwellRecordsInto(sc.perpClean[:0], part[key.PerpendicularKey()])
-		sc.perpClean = perpClean
-		perp := appendSpeedSamplesNear(sc.perp[:0], perpClean, cfg.MaxSpeedDist)
+		perp := appendSpeedSamples(sc.perp[:0], view[key.PerpendicularKey()], stopIdx, cfg.MaxSpeedDist)
 		sc.perp = perp
 		cycle, err = identifyCycleSc(sc, enhanceSc(sc, primary, perp), t0, t1, cfg.Cycle)
 		res.Enhanced = true

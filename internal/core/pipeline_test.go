@@ -22,6 +22,28 @@ func matched(plate string, t float64, pos geo.XY, occupied bool, distToStop floa
 	}
 }
 
+// extractStops runs the stop index's run extractor over one partition's
+// records and returns every run that ends within MaxStopDist of the stop
+// line, passenger stops included (flagged), in plate order.
+func extractStops(ms []mapmatch.Matched, cfg StopExtractConfig) ([]StopEvent, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	var rm roundMem
+	rm.load(mapmatch.Partition{{}: ms})
+	var si StopIndex
+	si.gather(rm.view)
+	var out []StopEvent
+	for _, g := range si.groups {
+		for _, r := range appendRuns(nil, si.refs[g.lo:g.hi], si.recs, cfg) {
+			if si.recs[r.last.key][r.last.idx].dist <= cfg.MaxStopDist {
+				out = append(out, r.ev)
+			}
+		}
+	}
+	return out, nil
+}
+
 func TestExtractStopsBasic(t *testing.T) {
 	// Taxi reports from the same spot at t=0,20,40,60: one stop of 60 s.
 	ms := []mapmatch.Matched{
@@ -31,7 +53,7 @@ func TestExtractStopsBasic(t *testing.T) {
 		matched("B1", 60, geo.XY{X: 0, Y: 2}, false, 30),
 		matched("B1", 80, geo.XY{X: 200, Y: 0}, false, 200), // moved off
 	}
-	stops, err := ExtractStops(ms, DefaultStopExtractConfig())
+	stops, err := extractStops(ms, DefaultStopExtractConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +74,7 @@ func TestExtractStopsOccupancyFlag(t *testing.T) {
 		matched("B1", 20, geo.XY{X: 1, Y: 1}, true, 30), // passenger boards
 		matched("B1", 40, geo.XY{X: 0, Y: 1}, true, 30),
 	}
-	stops, err := ExtractStops(ms, DefaultStopExtractConfig())
+	stops, err := extractStops(ms, DefaultStopExtractConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +92,7 @@ func TestExtractStopsBreaksOnGapAndDistance(t *testing.T) {
 		matched("B1", 220, geo.XY{X: 0, Y: 1}, false, 30),
 		matched("B1", 240, geo.XY{X: 1, Y: 1}, false, 30),
 	}
-	stops, err := ExtractStops(ms, cfg)
+	stops, err := extractStops(ms, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +106,7 @@ func TestExtractStopsIgnoresFarFromStopLine(t *testing.T) {
 		matched("B1", 0, geo.XY{X: 0, Y: 0}, false, 400), // mid-block dwell
 		matched("B1", 20, geo.XY{X: 1, Y: 0}, false, 400),
 	}
-	stops, err := ExtractStops(ms, DefaultStopExtractConfig())
+	stops, err := extractStops(ms, DefaultStopExtractConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +122,11 @@ func TestExtractStopsMultiplePlatesDeterministic(t *testing.T) {
 		matched("B1", 5, geo.XY{X: 50, Y: 0}, false, 40),
 		matched("B1", 30, geo.XY{X: 51, Y: 0}, false, 40),
 	}
-	a, err := ExtractStops(ms, DefaultStopExtractConfig())
+	a, err := extractStops(ms, DefaultStopExtractConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := ExtractStops(ms, DefaultStopExtractConfig())
+	b, _ := extractStops(ms, DefaultStopExtractConfig())
 	if len(a) != 2 || len(b) != 2 {
 		t.Fatalf("stops = %d/%d, want 2", len(a), len(b))
 	}
@@ -119,7 +141,7 @@ func TestExtractStopsMultiplePlatesDeterministic(t *testing.T) {
 }
 
 func TestExtractStopsValidation(t *testing.T) {
-	if _, err := ExtractStops(nil, StopExtractConfig{}); err == nil {
+	if _, err := extractStops(nil, StopExtractConfig{}); err == nil {
 		t.Fatal("zero config accepted")
 	}
 }

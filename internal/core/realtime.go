@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -132,19 +134,26 @@ type KeyedChange struct {
 // folding, refinement) runs outside the lock, so Ingest, Snapshot and
 // StateOf never wait on pipeline work. Rounds themselves are serialized
 // by estMu.
+//
+// Records are held as compact observations (obs), converted once in
+// Ingest; the round's working memory (roundMem) belongs to the engine
+// and is reused by every round.
 type Engine struct {
 	cfg RealtimeConfig
 
 	// estMu serializes estimation rounds: Advance holds it for the whole
 	// catch-up loop so rounds never interleave, while e.mu is only taken
-	// for the snapshot and publish sections inside each round.
+	// for the snapshot and publish sections inside each round. It also
+	// guards round, which only a running round touches.
 	estMu         sync.Mutex
 	roundObserver func(RoundStats)
+	round         roundMem
 
 	mu        sync.RWMutex
 	buf       map[mapmatch.Key]*keyBuffer
+	plates    plateTable // counts the observations buffered per plate
 	dirty     map[mapmatch.Key]struct{}
-	mergeBuf  []mapmatch.Matched // normalize scratch, guarded by mu
+	mergeBuf  []obs // normalize scratch, guarded by mu
 	now       float64
 	nextRun   float64
 	version   uint64
@@ -166,7 +175,7 @@ type Engine struct {
 // sorts only the suffix and merges — replacing the whole-buffer stable
 // sort each round used to pay.
 type keyBuffer struct {
-	ms     []mapmatch.Matched
+	ms     []obs
 	sorted int
 }
 
@@ -178,6 +187,7 @@ func NewEngine(cfg RealtimeConfig) (*Engine, error) {
 	return &Engine{
 		cfg:       cfg,
 		buf:       map[mapmatch.Key]*keyBuffer{},
+		plates:    newPlateTable(),
 		dirty:     map[mapmatch.Key]struct{}{},
 		estimates: map[mapmatch.Key]Result{},
 		monitors:  map[mapmatch.Key]*Monitor{},
@@ -210,7 +220,8 @@ func (e *Engine) Ingest(ms []mapmatch.Matched) {
 		dirtyFrom = e.nextRun - e.cfg.Window
 	}
 	maxPerKey := e.cfg.Faults.MaxBufferPerKey
-	for _, m := range ms {
+	for i := range ms {
+		m := &ms[i]
 		if m.T < cutoff {
 			e.droppedOld++
 			continue
@@ -224,10 +235,12 @@ func (e *Engine) Ingest(ms []mapmatch.Matched) {
 		if maxPerKey > 0 && len(kb.ms) >= maxPerKey {
 			e.evictOldestLocked(kb, maxPerKey)
 		}
-		if kb.sorted == len(kb.ms) && (len(kb.ms) == 0 || m.T >= kb.ms[len(kb.ms)-1].T) {
+		if kb.sorted == len(kb.ms) && (len(kb.ms) == 0 || m.T >= kb.ms[len(kb.ms)-1].t) {
 			kb.sorted = len(kb.ms) + 1
 		}
-		kb.ms = append(kb.ms, m)
+		o := e.plates.observe(m)
+		o.plate.refs++
+		kb.ms = append(kb.ms, o)
 		if m.T >= dirtyFrom {
 			e.dirty[k] = struct{}{}
 		}
@@ -246,19 +259,19 @@ func (e *Engine) normalizeLocked(kb *keyBuffer) {
 		return
 	}
 	suffix := kb.ms[kb.sorted:]
-	sort.SliceStable(suffix, func(i, j int) bool { return suffix[i].T < suffix[j].T })
+	slices.SortStableFunc(suffix, func(a, b obs) int { return cmp.Compare(a.t, b.t) })
 	if kb.sorted == 0 {
 		kb.sorted = len(kb.ms)
 		return
 	}
 	prefix := kb.ms[:kb.sorted]
 	if cap(e.mergeBuf) < len(kb.ms) {
-		e.mergeBuf = make([]mapmatch.Matched, 0, len(kb.ms)*2)
+		e.mergeBuf = make([]obs, 0, len(kb.ms)*2)
 	}
 	out := e.mergeBuf[:0]
 	i, j := 0, 0
 	for i < len(prefix) && j < len(suffix) {
-		if suffix[j].T < prefix[i].T {
+		if suffix[j].t < prefix[i].t {
 			out = append(out, suffix[j])
 			j++
 		} else {
@@ -287,10 +300,24 @@ func (e *Engine) evictOldestLocked(kb *keyBuffer, maxPerKey int) {
 		drop = len(ms)
 	}
 	e.droppedOverflow += int64(drop)
-	// Compact in place: estimation rounds work on copied views, so no
-	// reader can alias the buffer's backing array.
-	kb.ms = ms[:copy(ms, ms[drop:])]
-	kb.sorted = len(kb.ms)
+	e.dropOldestLocked(kb, drop)
+}
+
+// dropOldestLocked removes the n oldest observations of a normalized
+// buffer and releases their plates. It compacts in place — estimation
+// rounds work on copied views, so no reader can alias the backing array
+// — clears the vacated tail so it pins no plate, and gives the array
+// back once the buffer has shrunk to a fraction of it.
+func (e *Engine) dropOldestLocked(kb *keyBuffer, n int) {
+	ms := kb.ms
+	e.plates.release(ms[:n])
+	kept := copy(ms, ms[n:])
+	clear(ms[kept:])
+	kb.ms = ms[:kept]
+	if oversized(cap(ms), kept) {
+		kb.ms = append(make([]obs, 0, kept+kept/2), kb.ms...)
+	}
+	kb.sorted = kept
 }
 
 // Advance moves the stream clock to t (seconds), running identification
@@ -356,6 +383,12 @@ type RoundStats struct {
 	// e.mu was held across the snapshot and publish sections — the only
 	// part during which readers and ingest wait.
 	Duration, LockHold time.Duration
+	// Snapshot, StopIndex, Identify and Publish split Duration into the
+	// round's four stages and sum to it exactly: copying the window views
+	// out under e.mu, building the stop index over them, identifying the
+	// recomputed keys, and folding the results into the served state
+	// under e.mu again.
+	Snapshot, StopIndex, Identify, Publish time.Duration
 	// Published lists the keys whose estimate was updated by this round —
 	// the delta a push read path fans out to subscribers. Keys whose
 	// identification failed or whose result lost the version fence are
@@ -380,38 +413,85 @@ func (e *Engine) SetRoundObserver(fn func(RoundStats)) {
 }
 
 // estimateRound runs one estimation round at stream time at: snapshot
-// the dirty keys' window views under e.mu, identify outside any lock,
-// publish under e.mu again. Quarantined approaches are skipped and stay
-// dirty — their buffers keep filling, so a recovered approach
-// re-estimates immediately on release, but no pipeline work is spent on
-// a key that keeps failing.
+// the dirty keys' window views under e.mu, index stops and identify
+// outside any lock, publish under e.mu again. Quarantined approaches are
+// skipped and stay dirty — their buffers keep filling, so a recovered
+// approach re-estimates immediately on release, but no pipeline work is
+// spent on a key that keeps failing.
 func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats, error) {
-	roundStart := time.Now()
 	t0 := at - e.cfg.Window
+	rm := &e.round
+	stats := RoundStats{At: at}
 
-	// --- Snapshot: copy the in-window views of the keys to recompute.
-	lockStart := time.Now()
+	start := time.Now()
 	e.mu.Lock()
-	stats := RoundStats{At: at, Dirty: len(e.dirty)}
-	todo := make([]mapmatch.Key, 0, len(e.dirty))
+	stats.Dirty = len(e.dirty)
+	earliest := e.snapshotLocked(rm, t0, at)
+	e.mu.Unlock()
+	snapped := time.Now()
+
+	// Monitors only see estimates from sufficiently covered windows.
+	covered := !math.IsInf(earliest, 1) && at-earliest >= e.cfg.MinCoverage*e.cfg.Window
+
+	// The expensive part, outside every engine lock. Stop extraction is
+	// global (see StopIndex) and shared, read-only, by all workers.
+	pcfg := e.cfg.Pipeline
+	if e.cfg.RoundWorkers != 0 {
+		pcfg.Workers = e.cfg.RoundWorkers
+	}
+	rm.index.build(rm.view, pcfg.Stops)
+	indexed := time.Now()
+	sortKeys(rm.recompute)
+	stats.Workers = effectiveWorkers(pcfg.Workers, len(rm.recompute))
+	stats.Recomputed = len(rm.recompute)
+	results := rm.identify(rm.recompute, t0, at, pcfg)
+	identified := time.Now()
+
+	out, err := e.publishRound(at, rm.recompute, results, covered, &stats)
+	done := time.Now()
+
+	stats.Snapshot = snapped.Sub(start)
+	stats.StopIndex = indexed.Sub(snapped)
+	stats.Identify = identified.Sub(indexed)
+	stats.Publish = done.Sub(identified)
+	stats.Duration = done.Sub(start)
+	stats.LockHold = stats.Snapshot + stats.Publish
+	return out, stats, err
+}
+
+// snapshotLocked copies the in-window views of the keys to recompute,
+// plus their perpendicular context, into rm, and lists the keys to
+// recompute in rm.recompute. It returns the earliest record time among
+// the recomputed keys (+Inf when there is none).
+func (e *Engine) snapshotLocked(rm *roundMem, t0, at float64) (earliest float64) {
+	rm.todo = rm.todo[:0]
 	if e.cfg.FullReestimate {
 		for k := range e.buf {
-			todo = append(todo, k)
+			rm.todo = append(rm.todo, k)
 		}
 	} else {
 		for k := range e.dirty {
-			todo = append(todo, k)
+			rm.todo = append(rm.todo, k)
 		}
 	}
-	type span struct {
-		k      mapmatch.Key
-		lo, hi int
+	// The view map doubles as the set of keys already spanned. Its
+	// buckets are reused unless a burst left it far larger than a round
+	// needs.
+	if rm.view == nil || oversized(len(rm.view), len(rm.todo)) {
+		rm.view = make(map[mapmatch.Key][]obs, 2*len(rm.todo))
+	} else {
+		clear(rm.view)
 	}
-	spans := make([]span, 0, len(todo)*2)
-	recompute := make([]mapmatch.Key, 0, len(todo))
+	rm.spans = rm.spans[:0]
+	rm.recompute = rm.recompute[:0]
 	total := 0
-	earliest := math.Inf(1)
-	for _, k := range todo {
+	window := func(ms []obs) (lo, hi int) {
+		lo = sort.Search(len(ms), func(i int) bool { return ms[i].t >= t0 })
+		hi = sort.Search(len(ms), func(i int) bool { return ms[i].t > at })
+		return lo, hi
+	}
+	earliest = math.Inf(1)
+	for _, k := range rm.todo {
 		kb := e.buf[k]
 		if kb == nil || len(kb.ms) == 0 {
 			delete(e.dirty, k)
@@ -421,20 +501,19 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats, error) {
 			continue // stays dirty: recompute on release
 		}
 		e.normalizeLocked(kb)
-		ms := kb.ms
-		lo := sort.Search(len(ms), func(i int) bool { return ms[i].T >= t0 })
-		hi := sort.Search(len(ms), func(i int) bool { return ms[i].T > at })
-		if hi == len(ms) {
+		lo, hi := window(kb.ms)
+		if hi == len(kb.ms) {
 			// No records beyond this window: the key is clean until new
 			// data arrives. Keys with buffered future records stay dirty
 			// for the round that will see them.
 			delete(e.dirty, k)
 		}
 		if hi > lo {
-			spans = append(spans, span{k, lo, hi})
-			recompute = append(recompute, k)
-			if ms[lo].T < earliest {
-				earliest = ms[lo].T
+			rm.spans = append(rm.spans, viewSpan{k, lo, hi})
+			rm.view[k] = nil
+			rm.recompute = append(rm.recompute, k)
+			if kb.ms[lo].t < earliest {
+				earliest = kb.ms[lo].t
 			}
 			total += hi - lo
 		}
@@ -443,13 +522,9 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats, error) {
 	// approach's samples and the stop index reads its dwell runs, so the
 	// view must carry those records even though the perpendicular key
 	// itself is not re-identified.
-	inView := make(map[mapmatch.Key]bool, len(recompute)*2)
-	for _, s := range spans {
-		inView[s.k] = true
-	}
-	for _, k := range recompute {
+	for _, k := range rm.recompute {
 		pk := k.PerpendicularKey()
-		if inView[pk] {
+		if _, spanned := rm.view[pk]; spanned {
 			continue
 		}
 		kb := e.buf[pk]
@@ -457,78 +532,35 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats, error) {
 			continue
 		}
 		e.normalizeLocked(kb)
-		ms := kb.ms
-		lo := sort.Search(len(ms), func(i int) bool { return ms[i].T >= t0 })
-		hi := sort.Search(len(ms), func(i int) bool { return ms[i].T > at })
-		if hi > lo {
-			spans = append(spans, span{pk, lo, hi})
-			inView[pk] = true
+		if lo, hi := window(kb.ms); hi > lo {
+			rm.spans = append(rm.spans, viewSpan{pk, lo, hi})
+			rm.view[pk] = nil
 			total += hi - lo
 		}
 	}
 	// One arena holds every copied record; views slice into it.
-	arena := make([]mapmatch.Matched, 0, total)
-	view := make(mapmatch.Partition, len(spans))
-	for _, s := range spans {
+	arena := reuse(rm.arena, total)
+	for _, s := range rm.spans {
 		start := len(arena)
 		arena = append(arena, e.buf[s.k].ms[s.lo:s.hi]...)
-		view[s.k] = arena[start:len(arena):len(arena)]
+		rm.view[s.k] = arena[start:len(arena):len(arena)]
 	}
-	e.mu.Unlock()
-	lockHold := time.Since(lockStart)
-
-	// Monitors only see estimates from sufficiently covered windows.
-	covered := !math.IsInf(earliest, 1) && at-earliest >= e.cfg.MinCoverage*e.cfg.Window
-
-	// --- Identify: the expensive part, outside every engine lock.
-	sortKeys(recompute)
-	pcfg := e.cfg.Pipeline
-	if e.cfg.RoundWorkers != 0 {
-		pcfg.Workers = e.cfg.RoundWorkers
-	}
-	stats.Workers = effectiveWorkers(pcfg.Workers, len(recompute))
-	results, err := runPipelineKeys(view, recompute, t0, at, pcfg)
-	if err != nil {
-		return nil, stats, err
-	}
-
-	// --- Publish: fold the results into the served state.
-	pubStart := time.Now()
-	out, published, err := e.publishRound(at, recompute, results, covered)
-	lockHold += time.Since(pubStart)
-
-	stats.Recomputed = len(recompute)
-	stats.Published = published
-	stats.Duration = time.Since(roundStart)
-	stats.LockHold = lockHold
-	redone := make(map[mapmatch.Key]bool, len(recompute))
-	for _, k := range recompute {
-		redone[k] = true
-	}
-	e.mu.RLock()
-	carried := 0
-	for k := range e.estimates {
-		if !redone[k] {
-			carried++
-		}
-	}
-	e.mu.RUnlock()
-	stats.Carried = carried
-	return out, stats, err
+	rm.arena = arena
+	return earliest
 }
 
 // publishRound applies one round's results under e.mu: failure ledger,
-// history correction, estimate publication and monitor feeding. A result
-// never overwrites an estimate from a newer window (version fencing) —
-// estMu makes overlapping rounds impossible today, but the fence keeps
-// publication safe even if rounds ever race.
-func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results map[mapmatch.Key]Result, covered bool) ([]KeyedChange, []mapmatch.Key, error) {
+// history correction, estimate publication and monitor feeding, and
+// fills stats.Published and stats.Carried. A result never overwrites an
+// estimate from a newer window (version fencing) — estMu makes
+// overlapping rounds impossible today, but the fence keeps publication
+// safe even if rounds ever race.
+func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results []Result, covered bool, stats *RoundStats) ([]KeyedChange, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var out []KeyedChange
-	var published []mapmatch.Key
-	for _, k := range keys {
-		res := results[k]
+	for i, k := range keys {
+		res := results[i]
 		if res.Err != nil {
 			// Contained failure: the ledger decides whether this key is
 			// quarantined; every other approach proceeds untouched and
@@ -548,7 +580,7 @@ func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results map[mapma
 				var err error
 				h, err = NewHistory(e.cfg.History)
 				if err != nil {
-					return out, published, err
+					return out, err
 				}
 				e.histories[k] = h
 			}
@@ -558,7 +590,7 @@ func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results map[mapma
 			}
 		}
 		e.estimates[k] = res
-		published = append(published, k)
+		stats.Published = append(stats.Published, k)
 		if !covered || res.Quality < e.cfg.MinQuality {
 			continue
 		}
@@ -567,7 +599,7 @@ func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results map[mapma
 			var err error
 			mon, err = NewMonitor(e.cfg.Monitor)
 			if err != nil {
-				return out, published, err
+				return out, err
 			}
 			e.monitors[k] = mon
 		}
@@ -575,7 +607,14 @@ func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results map[mapma
 			out = append(out, KeyedChange{Key: k, Change: c})
 		}
 	}
-	return out, published, nil
+	// Carried: every published estimate this round did not recompute.
+	stats.Carried = len(e.estimates)
+	for _, k := range keys {
+		if _, ok := e.estimates[k]; ok {
+			stats.Carried--
+		}
+	}
+	return out, nil
 }
 
 // trimLocked drops buffered records that can no longer enter any window.
@@ -584,13 +623,11 @@ func (e *Engine) trimLocked() {
 	for _, kb := range e.buf {
 		e.normalizeLocked(kb)
 		ms := kb.ms
-		lo := sort.Search(len(ms), func(i int) bool { return ms[i].T >= cutoff })
-		if lo > 0 {
-			// Compact in place; rounds work on copied views.
-			kb.ms = ms[:copy(ms, ms[lo:])]
-			kb.sorted = len(kb.ms)
+		if lo := sort.Search(len(ms), func(i int) bool { return ms[i].t >= cutoff }); lo > 0 {
+			e.dropOldestLocked(kb, lo)
 		}
 	}
+	e.plates.compact()
 }
 
 // Estimate is one published approach estimate together with its serving

@@ -220,4 +220,12 @@ func TestQuietRoundCarriesEstimatesForward(t *testing.T) {
 	if last.Duration <= 0 || last.LockHold <= 0 {
 		t.Fatalf("round stats not populated: %+v", last)
 	}
+	if first := rounds[0]; first.Recomputed != nKeys || first.Carried != 0 {
+		t.Fatalf("dense first round recomputed %d and carried %d, want %d and 0", first.Recomputed, first.Carried, nKeys)
+	}
+	for _, st := range rounds {
+		if sum := st.Snapshot + st.StopIndex + st.Identify + st.Publish; sum != st.Duration {
+			t.Fatalf("stages sum to %v, round took %v: %+v", sum, st.Duration, st)
+		}
+	}
 }

@@ -236,8 +236,8 @@ func TestEngineTrimsOldRecords(t *testing.T) {
 	defer eng.mu.RUnlock()
 	for k, buf := range eng.buf {
 		for _, m := range buf.ms {
-			if m.T < 10000-2*cfg.Window {
-				t.Fatalf("key %v still holds record at t=%v", k, m.T)
+			if m.t < 10000-2*cfg.Window {
+				t.Fatalf("key %v still holds record at t=%v", k, m.t)
 			}
 		}
 	}

@@ -1,0 +1,158 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"unsafe"
+
+	"taxilight/internal/mapmatch"
+	"taxilight/internal/trace"
+)
+
+func TestObsIsCompact(t *testing.T) {
+	if sz := unsafe.Sizeof(obs{}); sz > 64 {
+		t.Fatalf("obs is %d bytes, want <= 64", sz)
+	}
+}
+
+// TestSteadyRoundAllocs holds a warm, dense round on a 40-approach engine
+// to an object and byte budget. A round that copies its window into a
+// fresh arena, or rebuilds its stop index from fresh maps, costs
+// megabytes here (40 approaches x 600 in-window records). What a warm
+// round does allocate — about 430 objects and 20-70 KB at the time of
+// writing — is the per-key sort, monitor and history bookkeeping of
+// identification and publishing; the budget leaves room for that and
+// for nothing the size of a window.
+func TestSteadyRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so identification rebuilds its scratch at random")
+	}
+	// A collection would empty the scratch pool mid-measurement.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const nKeys = 40
+	const warm, measured = 8, 5
+	cfg := DefaultRealtimeConfig()
+	cfg.RoundWorkers = 1 // no goroutine or channel noise in the count
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nKeys; i++ {
+		eng.Ingest(benchRecords(i, 0, 1800))
+	}
+	if _, err := eng.Advance(1800); err != nil {
+		t.Fatal(err)
+	}
+	tm := 1800.0
+	// Every round's input is made before the measured section.
+	feed := make([][][]mapmatch.Matched, warm+measured+1)
+	for r := range feed {
+		feed[r] = make([][]mapmatch.Matched, nKeys)
+		at := tm + 300*float64(r)
+		for j := range feed[r] {
+			feed[r][j] = benchRecords(j, at, at+300)
+		}
+	}
+	next := 0
+	var lastStats RoundStats
+	eng.SetRoundObserver(func(st RoundStats) { lastStats = st })
+	round := func() {
+		for _, batch := range feed[next] {
+			eng.Ingest(batch)
+		}
+		next++
+		tm += 300
+		if _, err := eng.Advance(tm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < warm; r++ {
+		round()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	objects := testing.AllocsPerRun(measured-1, round) // runs the round measured times
+	runtime.ReadMemStats(&after)
+	bytesPerRound := float64(after.TotalAlloc-before.TotalAlloc) / measured
+
+	if lastStats.Recomputed != nKeys {
+		t.Fatalf("measured round recomputed %d keys, want a dense %d", lastStats.Recomputed, nKeys)
+	}
+	t.Logf("steady dense round: %.0f objects, %.0f bytes", objects, bytesPerRound)
+	if objects > 600 {
+		t.Errorf("steady round allocates %.0f objects, budget 600", objects)
+	}
+	if bytesPerRound > 128<<10 {
+		t.Errorf("steady round allocates %.0f bytes, budget %d", bytesPerRound, 128<<10)
+	}
+}
+
+// TestPlateInterningBounded: a hostile feed mints plates. 200 k distinct
+// ones pass through Ingest and a round; once the clock is past 2xWindow
+// and the records are trimmed, the plates, the buffers and the round's
+// working memory sized by the burst must all be gone.
+func TestPlateInterningBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates a 200k-record burst")
+	}
+	const nKeys = 40
+	const nPlates = 200_000
+	heap := func() float64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / (1 << 20)
+	}
+	cfg := DefaultRealtimeConfig()
+	cfg.Faults.MaxBufferPerKey = 0 // the cap must not be what bounds the test
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := heap()
+
+	batch := make([]mapmatch.Matched, 0, 1000)
+	for p := 0; p < nPlates; p++ {
+		k := benchApproachKey(p % nKeys)
+		batch = append(batch, mapmatch.Matched{
+			Rec:      trace.Record{Plate: fmt.Sprintf("MINT-%06d", p), SpeedKMH: 20},
+			Light:    k.Light,
+			Approach: k.Approach,
+			T:        1800 * float64(p) / nPlates,
+		})
+		if len(batch) == cap(batch) {
+			eng.Ingest(batch)
+			batch = batch[:0]
+		}
+	}
+	batch = nil
+	if _, err := eng.Advance(1800); err != nil { // a round with every plate in view
+		t.Fatal(err)
+	}
+	burst := heap()
+	if n := len(eng.plates.byName); n != nPlates {
+		t.Fatalf("%d plates interned, want %d", n, nPlates)
+	}
+	if burst-baseline < 10 {
+		t.Fatalf("burst holds only %.1f MB over baseline; the test measures nothing", burst-baseline)
+	}
+
+	if _, err := eng.Advance(1800 + 2*cfg.Window + cfg.Interval); err != nil {
+		t.Fatal(err)
+	}
+	if rep := eng.Health(); rep.BufferedRecords != 0 {
+		t.Fatalf("%d records still buffered past 2xWindow", rep.BufferedRecords)
+	}
+	if n := len(eng.plates.byName); n != 0 {
+		t.Fatalf("%d plates still interned with nothing buffered", n)
+	}
+	after := heap()
+	t.Logf("heap: baseline %.1f MB, burst %.1f MB, after trim %.1f MB", baseline, burst, after)
+	if after-baseline > 4 {
+		t.Errorf("heap %.1f MB over baseline after the burst was trimmed, want <= 4 MB", after-baseline)
+	}
+	runtime.KeepAlive(eng)
+}

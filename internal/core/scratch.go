@@ -22,10 +22,7 @@ type identifyScratch struct {
 	plans     map[int]*dsp.FFTPlan // keyed by grid length
 	resampler dsp.Resampler
 
-	clean     []mapmatch.Matched // dwell-filtered records of the approach
-	perpClean []mapmatch.Matched // same, perpendicular approach
-
-	primary  []dsp.Sample // speed samples near the stop line
+	primary  []dsp.Sample // non-dwell speed samples near the stop line
 	perp     []dsp.Sample // perpendicular speed samples (enhancement)
 	win      []dsp.Sample // windowed primary samples
 	cycIn    []dsp.Sample // windowed+merged IdentifyCycle input
@@ -48,6 +45,51 @@ type identifyScratch struct {
 	redCounts    []float64   // red histogram bins
 	redDurations []float64   // corrected stop durations
 	stops        []StopEvent // FilterStops output
+}
+
+// roundMem is the working memory of one estimation round: the arena the
+// window views are copied into, the views themselves, the stop index
+// built over them, the per-key result slots and the snapshot
+// bookkeeping. An Engine owns one and reuses it round after round —
+// rounds are serialized by estMu, and nothing a round publishes (Result,
+// RoundStats) holds a slice into it — so a steady-state round allocates
+// little beyond what it publishes. The batch entry points fill a fresh
+// one per call.
+type roundMem struct {
+	arena   []obs
+	view    map[mapmatch.Key][]obs // per-approach slices of arena, time-sorted
+	index   StopIndex
+	results []Result // results[i] belongs to the i-th identified key
+
+	// Snapshot bookkeeping of Engine.snapshotLocked.
+	todo, recompute []mapmatch.Key
+	spans           []viewSpan
+}
+
+// viewSpan is the in-window range of one key's buffer.
+type viewSpan struct {
+	k      mapmatch.Key
+	lo, hi int
+}
+
+// load fills a fresh roundMem from a partition, interning plates into a
+// table of its own, which it returns.
+func (rm *roundMem) load(part mapmatch.Partition) plateTable {
+	total := 0
+	for _, ms := range part {
+		total += len(ms)
+	}
+	plates := newPlateTable()
+	rm.arena = make([]obs, 0, total)
+	rm.view = make(map[mapmatch.Key][]obs, len(part))
+	for k, ms := range part {
+		start := len(rm.arena)
+		for i := range ms {
+			rm.arena = append(rm.arena, plates.observe(&ms[i]))
+		}
+		rm.view[k] = rm.arena[start:len(rm.arena):len(rm.arena)]
+	}
+	return plates
 }
 
 type specPeak struct {
@@ -83,6 +125,20 @@ func (sc *identifyScratch) plan(n int) (*dsp.FFTPlan, error) {
 	sc.plans[n] = p
 	return p, nil
 }
+
+// reuse returns buf emptied with room for n elements. The backing array
+// is kept unless it is too small — the new one then has half as much
+// again, so a filling window does not regrow it every round — or more
+// than four times too large: a burst must not size long-lived working
+// memory for good.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n || oversized(cap(buf), n) {
+		return make([]T, 0, n+n/2)
+	}
+	return buf[:0]
+}
+
+func oversized(capacity, n int) bool { return capacity > 4*n+1024 }
 
 // growF64 returns buf resized to n elements, reusing the backing array
 // when capacity allows. Contents are unspecified.

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 
 	"taxilight/internal/mapmatch"
 )
@@ -13,85 +16,214 @@ import (
 // run, and that record is often matched to a different light — a
 // per-partition scan cannot see it and lets kerbside dwells masquerade as
 // red-light stops.
+//
+// An index is rebuilt in place: build keeps the slices and maps it grew
+// (see reuse for the exception), so the engine's per-round index
+// allocates only when a round outgrows the last one.
 type StopIndex struct {
+	// stops holds each approach's red-light stop candidates. Slices are
+	// truncated, not dropped, between builds, so an approach without
+	// stops may map to an empty slice.
 	stops map[mapmatch.Key][]StopEvent
-	// dwell maps plate -> sorted [start, end] intervals of runs flagged
-	// as passenger stops; records inside them are excluded from the
-	// frequency-domain speed series.
-	dwell map[string][][2]float64
+	// dwell holds the [start, end] interval of every run flagged as a
+	// passenger stop, grouped by plate and chronological within one;
+	// dwellOf maps a plate to its range. Records inside an interval are
+	// excluded from the frequency-domain speed series.
+	dwell   [][2]float64
+	dwellOf map[*plate][2]int
+	// byName resolves the exported, string-keyed queries. Only indexes
+	// returned by BuildStopIndex carry it.
+	byName map[string]*plate
+
+	// Builder working memory.
+	keys   []mapmatch.Key // view keys in sortKeys order
+	recs   [][]obs        // recs[i] is the view of keys[i]
+	refs   []stopRef
+	groups []plateGroup
+	runs   []stopRun
+}
+
+// stopRef points at one observation of the view: recs[key][idx]. Sorting
+// references instead of records moves 24 bytes per swap and leaves the
+// view untouched.
+type stopRef struct {
+	id       uint64 // plate id
+	t        float64
+	key, idx uint32
+}
+
+// plateGroup is one plate's contiguous range of the sorted references.
+type plateGroup struct {
+	p      *plate
+	lo, hi int
+}
+
+// stopRun is one stationary run and the reference of its final record,
+// whose approach and distance decide which light the run belongs to.
+type stopRun struct {
+	ev   StopEvent
+	last stopRef
 }
 
 // BuildStopIndex scans every record in the partition, reassembles the
-// per-plate timelines, extracts stationary runs (pairwise displacement,
-// as in ExtractStops) and assigns each run to the light controlling the
-// run's records. Runs whose occupancy flag flips inside the run or on
-// the lookback record are indexed as dwell intervals instead.
+// per-plate timelines, extracts stationary runs and assigns each run to
+// the light controlling the run's final record. Runs whose occupancy
+// flag flips inside the run or on the lookback record are indexed as
+// dwell intervals instead.
 func BuildStopIndex(part mapmatch.Partition, cfg StopExtractConfig) (*StopIndex, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	byPlate := make(map[string][]mapmatch.Matched)
-	for _, ms := range part {
-		for _, m := range ms {
-			byPlate[m.Rec.Plate] = append(byPlate[m.Rec.Plate], m)
-		}
-	}
-	plates := make([]string, 0, len(byPlate))
-	for p := range byPlate {
-		plates = append(plates, p)
-	}
-	sort.Strings(plates) // deterministic output order
-	idx := &StopIndex{
-		stops: make(map[mapmatch.Key][]StopEvent),
-		dwell: make(map[string][][2]float64),
-	}
-	for _, plate := range plates {
-		rs := byPlate[plate]
-		sort.SliceStable(rs, func(i, j int) bool { return rs[i].T < rs[j].T })
-		i := 0
-		for i < len(rs) {
-			j := i + 1
-			occChanged := false
-			for j < len(rs) {
-				if rs[j].T-rs[j-1].T > cfg.MaxGap {
-					break
-				}
-				if rs[j].Snapped.Sub(rs[j-1].Snapped).Norm() > cfg.MaxDisplacement {
-					break
-				}
-				if rs[j].Rec.Occupied != rs[j-1].Rec.Occupied {
-					occChanged = true
-				}
-				j++
-			}
-			if j-i >= 2 {
-				if i > 0 && rs[i].T-rs[i-1].T <= cfg.MaxGap &&
-					rs[i-1].Rec.Occupied != rs[i].Rec.Occupied {
-					occChanged = true
-				}
-				ev := StopEvent{
-					Plate:            plate,
-					Start:            rs[i].T,
-					End:              rs[j-1].T,
-					OccupancyChanged: occChanged,
-					Records:          j - i,
-				}
-				last := rs[j-1]
-				if occChanged {
-					idx.dwell[plate] = append(idx.dwell[plate], [2]float64{ev.Start, ev.End})
-				} else if last.DistToStop <= cfg.MaxStopDist {
-					key := mapmatch.Key{Light: last.Light, Approach: last.Approach}
-					idx.stops[key] = append(idx.stops[key], ev)
-				}
-			}
-			if j == i+1 {
-				i++
-			} else {
-				i = j
-			}
-		}
-	}
+	var rm roundMem
+	plates := rm.load(part)
+	idx := &StopIndex{byName: plates.byName}
+	idx.build(rm.view, cfg)
 	return idx, nil
+}
+
+// build indexes the view, replacing whatever the index held.
+func (si *StopIndex) build(view map[mapmatch.Key][]obs, cfg StopExtractConfig) {
+	if si.stops == nil {
+		si.stops = map[mapmatch.Key][]StopEvent{}
+		si.dwellOf = map[*plate][2]int{}
+	}
+	for k, evs := range si.stops {
+		if oversized(cap(evs), len(evs)) {
+			delete(si.stops, k)
+		} else {
+			si.stops[k] = evs[:0]
+		}
+	}
+	si.dwell = reuse(si.dwell, len(si.dwell))
+	if len(si.dwellOf) > 1024 {
+		// clear would keep a burst's buckets for good.
+		si.dwellOf = map[*plate][2]int{}
+	} else {
+		clear(si.dwellOf)
+	}
+	si.gather(view)
+	for _, g := range si.groups {
+		si.runs = appendRuns(si.runs[:0], si.refs[g.lo:g.hi], si.recs, cfg)
+		lo := len(si.dwell)
+		for _, r := range si.runs {
+			if r.ev.OccupancyChanged {
+				si.dwell = append(si.dwell, [2]float64{r.ev.Start, r.ev.End})
+			} else if si.recs[r.last.key][r.last.idx].dist <= cfg.MaxStopDist {
+				k := si.keys[r.last.key]
+				si.stops[k] = append(si.stops[k], r.ev)
+			}
+		}
+		if len(si.dwell) > lo {
+			si.dwellOf[g.p] = [2]int{lo, len(si.dwell)}
+		}
+	}
+}
+
+// gather references every observation of the view, sorts the references
+// by (plate, time, key, index) and lists the per-plate groups in
+// plate-name order, the order stops are emitted in. Keys are numbered in
+// sortKeys order and indexes follow the buffer, so the sort is the stable
+// sort by (plate, time) of a reproducible gathering order — equal-time
+// records of one plate on two approaches no longer fall as map iteration
+// left them — at the price of an unstable sort.
+func (si *StopIndex) gather(view map[mapmatch.Key][]obs) {
+	si.keys = si.keys[:0]
+	for k := range view {
+		si.keys = append(si.keys, k)
+	}
+	sortKeys(si.keys)
+	clear(si.recs) // a stale header would pin the arena it points into
+	si.recs = si.recs[:0]
+	total := 0
+	for _, k := range si.keys {
+		si.recs = append(si.recs, view[k])
+		total += len(view[k])
+	}
+	refs := reuse(si.refs, total)
+	for ki, ms := range si.recs {
+		for i := range ms {
+			refs = append(refs, stopRef{id: ms[i].plate.id, t: ms[i].t, key: uint32(ki), idx: uint32(i)})
+		}
+	}
+	slices.SortFunc(refs, func(a, b stopRef) int {
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	si.refs = refs
+	plates := 0
+	for i := range refs {
+		if i == 0 || refs[i].id != refs[i-1].id {
+			plates++
+		}
+	}
+	si.groups = reuse(si.groups, plates)
+	for lo := 0; lo < len(refs); {
+		hi := lo + 1
+		for hi < len(refs) && refs[hi].id == refs[lo].id {
+			hi++
+		}
+		si.groups = append(si.groups, plateGroup{p: si.recs[refs[lo].key][refs[lo].idx].plate, lo: lo, hi: hi})
+		lo = hi
+	}
+	slices.SortFunc(si.groups, func(a, b plateGroup) int { return strings.Compare(a.p.name, b.p.name) })
+}
+
+// appendRuns extracts the stationary runs of one plate's time-sorted
+// references. A run is a maximal sequence of consecutive reports whose
+// pairwise displacement stays within MaxDisplacement — pairwise rather
+// than anchored, so taxis creeping forward as a queue discharges stay in
+// one run — and whose gaps stay within MaxGap. A run is flagged as a
+// passenger stop when the occupancy flag flips inside it or relative to
+// the report just before it: the flip happens when the taxi pulls over,
+// i.e. before the run's first report, so the lookback is what actually
+// catches kerbside dwells.
+func appendRuns(dst []stopRun, refs []stopRef, recs [][]obs, cfg StopExtractConfig) []stopRun {
+	at := func(r stopRef) *obs { return &recs[r.key][r.idx] }
+	for i := 0; i < len(refs); {
+		first := at(refs[i])
+		prev := first
+		occChanged := false
+		j := i + 1
+		for ; j < len(refs); j++ {
+			cur := at(refs[j])
+			if cur.t-prev.t > cfg.MaxGap || cur.pos.Sub(prev.pos).Norm() > cfg.MaxDisplacement {
+				break
+			}
+			if cur.occupied != prev.occupied {
+				occChanged = true
+			}
+			prev = cur
+		}
+		if j-i < 2 {
+			i++
+			continue
+		}
+		if i > 0 {
+			if before := at(refs[i-1]); first.t-before.t <= cfg.MaxGap && before.occupied != first.occupied {
+				occChanged = true
+			}
+		}
+		dst = append(dst, stopRun{
+			ev: StopEvent{
+				Plate:            first.plate.name,
+				Start:            first.t,
+				End:              prev.t,
+				OccupancyChanged: occChanged,
+				Records:          j - i,
+			},
+			last: refs[j-1],
+		})
+		i = j
+	}
+	return dst
 }
 
 // Stops returns the red-light stop candidates attributed to one signal
@@ -101,7 +233,16 @@ func (si *StopIndex) Stops(key mapmatch.Key) []StopEvent { return si.stops[key] 
 // IsDwell reports whether the record of the given plate at time t falls
 // inside a flagged passenger-stop interval.
 func (si *StopIndex) IsDwell(plate string, t float64) bool {
-	iv := si.dwell[plate]
+	p := si.byName[plate]
+	return p != nil && si.isDwell(p, t)
+}
+
+func (si *StopIndex) isDwell(p *plate, t float64) bool {
+	r, ok := si.dwellOf[p]
+	if !ok {
+		return false
+	}
+	iv := si.dwell[r[0]:r[1]]
 	i := sort.Search(len(iv), func(i int) bool { return iv[i][1] >= t })
 	return i < len(iv) && iv[i][0] <= t
 }
@@ -109,15 +250,11 @@ func (si *StopIndex) IsDwell(plate string, t float64) bool {
 // FilterDwellRecords returns the matched records of ms that do not fall
 // inside a flagged dwell interval.
 func (si *StopIndex) FilterDwellRecords(ms []mapmatch.Matched) []mapmatch.Matched {
-	return si.filterDwellRecordsInto(make([]mapmatch.Matched, 0, len(ms)), ms)
-}
-
-// filterDwellRecordsInto appends the non-dwell records of ms to dst.
-func (si *StopIndex) filterDwellRecordsInto(dst []mapmatch.Matched, ms []mapmatch.Matched) []mapmatch.Matched {
+	out := make([]mapmatch.Matched, 0, len(ms))
 	for _, m := range ms {
 		if !si.IsDwell(m.Rec.Plate, m.T) {
-			dst = append(dst, m)
+			out = append(out, m)
 		}
 	}
-	return dst
+	return out
 }

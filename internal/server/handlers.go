@@ -671,6 +671,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.estimateRound.write(w, "lightd_estimate_round_seconds", "")
 	fmt.Fprintln(w, "# TYPE lightd_estimate_lock_hold_seconds histogram")
 	m.estimateLockHold.write(w, "lightd_estimate_lock_hold_seconds", "")
+	fmt.Fprintln(w, "# TYPE lightd_estimate_stage_seconds histogram")
+	for i, stage := range roundStages {
+		m.estimateStage[i].write(w, "lightd_estimate_stage_seconds", fmt.Sprintf(`stage=%q`, stage))
+	}
 	fmt.Fprintln(w, "# TYPE lightd_estimate_keys_total counter")
 	writeSample(w, "lightd_estimate_keys_total", `outcome="recomputed"`, float64(m.keysRecomputed.Load()))
 	writeSample(w, "lightd_estimate_keys_total", `outcome="carried"`, float64(m.keysCarried.Load()))

@@ -79,18 +79,10 @@ func (s *Server) ingestReader(ctx context.Context, r io.Reader) error {
 // least every FlushEvery even when no new record arrives — a paused
 // feed must not hold matched records hostage in a partial batch.
 func (s *Server) ingestScanner(ctx context.Context, sc *trace.Scanner, admit func(trace.Record) bool) error {
-	batches := make([][]mapmatch.Matched, len(s.shards))
+	b := s.newBatcher()
 	var prevStats trace.SkipStats
-	flush := func(idx int) {
-		if len(batches[idx]) > 0 {
-			s.sendBatch(ctx, idx, batches[idx])
-			batches[idx] = nil
-		}
-	}
 	flushAll := func() {
-		for idx := range batches {
-			flush(idx)
-		}
+		b.flushAll(ctx)
 		s.syncScanStats(&prevStats, sc.Stats())
 	}
 	defer flushAll()
@@ -132,11 +124,7 @@ func (s *Server) ingestScanner(ctx context.Context, sc *trace.Scanner, admit fun
 					s.met.ingestFiltered.Add(1)
 					continue
 				}
-				idx := shardIndex(mapmatch.Key{Light: m.Light, Approach: m.Approach}, len(s.shards))
-				batches[idx] = append(batches[idx], m)
-				if len(batches[idx]) >= s.cfg.BatchSize {
-					flush(idx)
-				}
+				b.add(ctx, m)
 			} else {
 				s.met.ingestUnmatched.Add(1)
 			}
@@ -145,6 +133,44 @@ func (s *Server) ingestScanner(ctx context.Context, sc *trace.Scanner, admit fun
 		case <-ctx.Done():
 			return ctx.Err()
 		}
+	}
+}
+
+// batcher accumulates matched records per shard and sends a shard's
+// batch when it reaches BatchSize. Batch slices come from the shard's
+// free list and go back to it once the engine has copied the records
+// out (shard.ingest), so a steady feed stops allocating them. A batcher
+// belongs to one goroutine.
+type batcher struct {
+	s       *Server
+	batches [][]mapmatch.Matched
+}
+
+func (s *Server) newBatcher() *batcher {
+	return &batcher{s: s, batches: make([][]mapmatch.Matched, len(s.shards))}
+}
+
+func (b *batcher) add(ctx context.Context, m mapmatch.Matched) {
+	idx := shardIndex(mapmatch.Key{Light: m.Light, Approach: m.Approach}, len(b.batches))
+	if b.batches[idx] == nil {
+		b.batches[idx] = b.s.shards[idx].takeBatch(b.s.cfg.BatchSize)
+	}
+	b.batches[idx] = append(b.batches[idx], m)
+	if len(b.batches[idx]) >= b.s.cfg.BatchSize {
+		b.flush(ctx, idx)
+	}
+}
+
+func (b *batcher) flush(ctx context.Context, idx int) {
+	if len(b.batches[idx]) > 0 {
+		b.s.sendBatch(ctx, idx, b.batches[idx])
+		b.batches[idx] = nil
+	}
+}
+
+func (b *batcher) flushAll(ctx context.Context) {
+	for idx := range b.batches {
+		b.flush(ctx, idx)
 	}
 }
 

@@ -115,6 +115,15 @@ var roundBuckets = []float64{.0001, .0005, .001, .005, .01, .05, .1, .25, .5, 1,
 // non-blocking design.
 var lockHoldBuckets = []float64{.000005, .00001, .000025, .00005, .0001, .00025, .0005, .001, .0025, .005, .01, .05}
 
+// stageBuckets covers one stage of a round: the snapshot and publish
+// sections take microseconds, stop indexing and identification up to
+// seconds on a dense shard.
+var stageBuckets = []float64{.00001, .00005, .0001, .0005, .001, .005, .01, .05, .1, .5, 1, 5}
+
+// roundStages labels lightd_estimate_stage_seconds, in the order a round
+// runs its stages (core.RoundStats: the four sum to the round duration).
+var roundStages = [...]string{"snapshot", "stop_index", "identify", "publish"}
+
 // metrics is the daemon-wide metric set. Per-endpoint and per-class
 // series are pre-registered so every scrape shows the full matrix from
 // the first request on.
@@ -134,13 +143,14 @@ type metrics struct {
 	estimateAge *histogram // observed at every snapshot rebuild
 
 	// Incremental-estimation series, fed by the engines' round observer:
-	// wall time per round, engine-lock hold per round, how many
+	// wall time per round and per stage, engine-lock hold per round, how many
 	// approaches each round recomputed vs carried forward unchanged,
 	// round count, and the effective identification parallelism of the
 	// most recent round (the resolved -round-workers value after
 	// clamping to the round's dirty-key count).
 	estimateRound    *histogram
 	estimateLockHold *histogram
+	estimateStage    [len(roundStages)]*histogram
 	keysRecomputed   counter
 	keysCarried      counter
 	estimateRounds   counter
@@ -191,6 +201,9 @@ func newMetrics(endpoints []string) *metrics {
 		walFsyncLat:         newHistogram(walBuckets...),
 		watchPublishToWrite: newHistogram(latencyBuckets...),
 		latencies:           make(map[string]*histogram, len(endpoints)),
+	}
+	for i := range m.estimateStage {
+		m.estimateStage[i] = newHistogram(stageBuckets...)
 	}
 	for _, c := range trace.Classes() {
 		m.skipByClass[c] = 0

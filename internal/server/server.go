@@ -305,6 +305,9 @@ func New(matcher *mapmatch.Matcher, cfg Config) (*Server, error) {
 		eng.SetRoundObserver(func(st core.RoundStats) {
 			s.met.estimateRound.Observe(st.Duration.Seconds())
 			s.met.estimateLockHold.Observe(st.LockHold.Seconds())
+			for i, d := range [...]time.Duration{st.Snapshot, st.StopIndex, st.Identify, st.Publish} {
+				s.met.estimateStage[i].Observe(d.Seconds())
+			}
 			s.met.keysRecomputed.Add(int64(st.Recomputed))
 			s.met.keysCarried.Add(int64(st.Carried))
 			s.met.estimateRounds.Add(1)
@@ -319,6 +322,7 @@ func New(matcher *mapmatch.Matcher, cfg Config) (*Server, error) {
 			id:            i,
 			engine:        eng,
 			in:            make(chan []mapmatch.Matched, cfg.ShardBuffer),
+			free:          make(chan []mapmatch.Matched, freeBatches),
 			tickPhase:     tickPhase,
 			lastPersisted: make(map[mapmatch.Key]float64),
 		})
@@ -495,14 +499,11 @@ func (s *Server) Dispatch(ctx context.Context, ms []mapmatch.Matched) {
 	if len(ms) == 0 {
 		return
 	}
-	batches := make(map[int][]mapmatch.Matched)
+	b := s.newBatcher()
 	for _, m := range ms {
-		idx := shardIndex(mapmatch.Key{Light: m.Light, Approach: m.Approach}, len(s.shards))
-		batches[idx] = append(batches[idx], m)
+		b.add(ctx, m)
 	}
-	for idx, batch := range batches {
-		s.sendBatch(ctx, idx, batch)
-	}
+	b.flushAll(ctx)
 }
 
 // sendBatch delivers one batch to one shard, counting it as dropped if

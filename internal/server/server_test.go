@@ -394,6 +394,17 @@ func TestIngestSharded(t *testing.T) {
 	if !strings.Contains(text, want) {
 		t.Errorf("metrics missing %q", want)
 	}
+	// Every round observes each of its four stages once.
+	if rounds := s.met.estimateRounds.Load(); rounds == 0 {
+		t.Error("no estimation round ran")
+	} else {
+		for _, stage := range roundStages {
+			want := fmt.Sprintf(`lightd_estimate_stage_seconds_count{stage=%q} %d`, stage, rounds)
+			if !strings.Contains(text, want) {
+				t.Errorf("metrics missing %q", want)
+			}
+		}
+	}
 	var doc healthzJSON
 	if err := json.Unmarshal(get(t, s, "/healthz", nil).Body.Bytes(), &doc); err != nil {
 		t.Fatal(err)

@@ -23,6 +23,9 @@ type shard struct {
 	// channel is bounded: a shard that cannot keep up pushes back on the
 	// ingest source instead of growing without bound.
 	in chan []mapmatch.Matched
+	// free holds batch slices the engine is done with, emptied, for the
+	// dispatchers to refill.
+	free chan []mapmatch.Matched
 	// maxT is the latest record time (stream seconds, float64 bits) seen
 	// by this shard; the tick loop advances the engine clock to it.
 	maxT atomic.Uint64
@@ -40,6 +43,21 @@ type shard struct {
 	// is appended to the WAL exactly once.
 	lastVersion   uint64
 	lastPersisted map[mapmatch.Key]float64
+}
+
+// freeBatches is how many spare batch slices a shard keeps. A few cover
+// the dispatchers feeding it in step; a backlog's worth is not kept, so a
+// drained burst does not stay on the heap.
+const freeBatches = 8
+
+// takeBatch returns an empty batch slice, recycled if one is spare.
+func (sh *shard) takeBatch(size int) []mapmatch.Matched {
+	select {
+	case b := <-sh.free:
+		return b
+	default:
+		return make([]mapmatch.Matched, 0, size)
+	}
 }
 
 // shardIndex hashes a partition key onto one of n shards (FNV-1a over
@@ -145,13 +163,21 @@ func (sh *shard) persist(s *Server) {
 	}
 }
 
-// ingest feeds one batch to the engine and updates the shard's clocks.
+// ingest feeds one batch to the engine, updates the shard's clocks and
+// recycles the batch slice: the engine keeps its own compact copy of
+// every record, so the slice is cleared (it must not pin the records'
+// source lines) and offered back to the dispatchers.
 func (sh *shard) ingest(s *Server, batch []mapmatch.Matched) {
 	sh.engine.Ingest(batch)
-	for _, m := range batch {
-		sh.noteMaxT(m.T)
+	for i := range batch {
+		sh.noteMaxT(batch[i].T)
 	}
 	sh.lastIngestWall.Store(time.Now().UnixNano())
+	clear(batch)
+	select {
+	case sh.free <- batch[:0]:
+	default:
+	}
 }
 
 // advance moves the engine clock to the shard's newest record time. The
