@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -159,6 +162,57 @@ func TestAdmitWithoutDedup(t *testing.T) {
 	st := src.Status()
 	if st.Records != 2 || st.DedupDropped != 0 {
 		t.Fatalf("records=%d dedup=%d, want 2 and 0", st.Records, st.DedupDropped)
+	}
+}
+
+// TestAdmitHashesWithoutGarbage pins the frontier's fingerprint to what it
+// has always been — FNV-1a over the strings.Join rendering of the record —
+// and checks that computing it on every record of a dial source costs no
+// allocation: at the watermark second, and across new seconds too.
+func TestAdmitHashesWithoutGarbage(t *testing.T) {
+	bit := func(b bool) string {
+		if b {
+			return "1"
+		}
+		return "0"
+	}
+	src := newSource(Spec{Name: "d", Kind: KindDial, Addr: "x"}, true)
+	for i := 0; i < 50; i++ {
+		r := testRec(i%7, i)
+		r.Overspeed, r.Occupied = i%2 == 0, i%3 == 0
+		old := strings.Join([]string{
+			r.Plate,
+			strconv.FormatInt(int64(math.Round(r.Lon*1e6)), 10),
+			strconv.FormatInt(int64(math.Round(r.Lat*1e6)), 10),
+			r.Time.Format(trace.TimeLayout),
+			strconv.FormatInt(r.DeviceID, 10),
+			strconv.FormatFloat(r.SpeedKMH, 'f', 1, 64),
+			strconv.FormatFloat(r.Heading, 'f', 1, 64),
+			bit(r.GPSOK), bit(r.Overspeed), r.SIM, bit(r.Occupied), r.Color,
+		}, ",")
+		want := fnv.New64a()
+		want.Write([]byte(old))
+		src.mu.Lock()
+		got := src.lineHash(r)
+		src.mu.Unlock()
+		if got != want.Sum64() {
+			t.Fatalf("record %d: hash %x, want %x over %q", i, got, want.Sum64(), old)
+		}
+	}
+
+	r := testRec(100, 0)
+	src.Admit(r)
+	if allocs := testing.AllocsPerRun(200, func() { src.Admit(r) }); allocs != 0 {
+		t.Fatalf("Admit at the watermark second: %v allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		r.Time = r.Time.Add(time.Second)
+		src.Admit(r)
+	}); allocs != 0 {
+		t.Fatalf("Admit on a new second: %v allocations, want 0", allocs)
+	}
+	if st := src.Status(); st.DedupDropped != 0 {
+		t.Fatalf("dedup dropped %d without a resume", st.DedupDropped)
 	}
 }
 

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
@@ -122,6 +121,7 @@ type Source struct {
 	frontier        map[uint64]struct{}
 	resuming        bool
 	resumeThreshold time.Time
+	line            []byte // lineHash's rendering scratch
 
 	connects      int64
 	reconnects    int64
@@ -179,12 +179,16 @@ func (s *Source) State() State {
 	return s.state
 }
 
-// lineHash fingerprints a record by its canonical CSV rendering, so the
-// frontier distinguishes different records sharing one report second.
-func lineHash(rec trace.Record) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(rec.MarshalCSV()))
-	return h.Sum64()
+// lineHash fingerprints a record by the FNV-1a hash of its canonical CSV
+// rendering, so the frontier distinguishes different records sharing one
+// report second. The caller holds s.mu.
+func (s *Source) lineHash(rec trace.Record) uint64 {
+	s.line = rec.AppendCSV(s.line[:0])
+	h := uint64(14695981039346656037)
+	for _, c := range s.line {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
 }
 
 // Admit is the exactly-once gate: it returns false for records the
@@ -209,7 +213,7 @@ func (s *Source) Admit(rec trace.Record) bool {
 			s.dedupDropped++
 			return false
 		case rec.Time.Equal(s.resumeThreshold):
-			h, hashed = lineHash(rec), true
+			h, hashed = s.lineHash(rec), true
 			if _, dup := s.frontier[h]; dup {
 				s.dedupDropped++
 				return false
@@ -221,13 +225,17 @@ func (s *Source) Admit(rec trace.Record) bool {
 	switch {
 	case rec.Time.After(s.watermark):
 		if !hashed {
-			h = lineHash(rec)
+			h = s.lineHash(rec)
 		}
 		s.watermark = rec.Time
-		s.frontier = map[uint64]struct{}{h: {}}
+		if s.frontier == nil {
+			s.frontier = map[uint64]struct{}{}
+		}
+		clear(s.frontier)
+		s.frontier[h] = struct{}{}
 	case rec.Time.Equal(s.watermark):
 		if !hashed {
-			h = lineHash(rec)
+			h = s.lineHash(rec)
 		}
 		s.frontier[h] = struct{}{}
 	}

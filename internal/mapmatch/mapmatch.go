@@ -118,43 +118,8 @@ func New(net *roadnet.Network, epoch time.Time, cfg Config) (*Matcher, error) {
 // marked unavailable, invalid fields, no segment within range, or no
 // signalised downstream node within MaxLightDist.
 func (m *Matcher) Match(rec trace.Record) (Matched, bool) {
-	if !rec.GPSOK || rec.Validate() != nil {
-		return Matched{}, false
-	}
-	q := m.net.Projection().Forward(geo.Point{Lat: rec.Lat, Lon: rec.Lon})
-	// usable accepts only segments a light-identification job can use:
-	// downstream node signalised and snapped position within
-	// MaxLightDist of the stop line.
-	usable := func(s *roadnet.Segment) bool {
-		if !m.net.Node(s.To).Signalised() {
-			return false
-		}
-		_, tfrac := s.Geom().ClosestPoint(q)
-		return (1-tfrac)*s.Length() <= m.cfg.MaxLightDist
-	}
-	// Fig. 5: prefer the nearest heading-consistent segment; fall back to
-	// ignoring the heading only when the taxi is stopped (heading is
-	// stale noise at speed zero).
-	seg, _, ok := m.net.NearestSegmentFiltered(q, m.cfg.MaxMatchDist, func(s *roadnet.Segment) bool {
-		return usable(s) && geo.HeadingDiff(s.Heading(), rec.Heading) <= m.cfg.MaxHeadingDiff
-	})
-	if !ok && rec.SpeedKMH == 0 {
-		seg, _, ok = m.net.NearestSegmentFiltered(q, m.cfg.MaxMatchDist, usable)
-	}
-	if !ok {
-		return Matched{}, false
-	}
-	snapped, tfrac := seg.Geom().ClosestPoint(q)
-	distToStop := (1 - tfrac) * seg.Length()
-	return Matched{
-		Rec:        rec,
-		Seg:        seg,
-		Light:      seg.To,
-		Approach:   seg.Approach(),
-		T:          rec.Time.Sub(m.epoch).Seconds(),
-		DistToStop: distToStop,
-		Snapped:    snapped,
-	}, true
+	var stats MatchStats
+	return m.MatchWithStats(rec, &stats)
 }
 
 // PartitionRecords matches every record in parallel and groups the
@@ -254,6 +219,9 @@ func (m *Matcher) MatchWithStats(rec trace.Record, stats *MatchStats) (Matched, 
 		return Matched{}, false
 	}
 	q := m.net.Projection().Forward(geo.Point{Lat: rec.Lat, Lon: rec.Lon})
+	// usable accepts only segments a light-identification job can use:
+	// downstream node signalised and snapped position within
+	// MaxLightDist of the stop line.
 	usable := func(s *roadnet.Segment) bool {
 		if !m.net.Node(s.To).Signalised() {
 			return false
@@ -261,6 +229,9 @@ func (m *Matcher) MatchWithStats(rec trace.Record, stats *MatchStats) (Matched, 
 		_, tfrac := s.Geom().ClosestPoint(q)
 		return (1-tfrac)*s.Length() <= m.cfg.MaxLightDist
 	}
+	// Fig. 5: prefer the nearest heading-consistent segment; fall back to
+	// ignoring the heading only when the taxi is stopped (heading is
+	// stale noise at speed zero).
 	seg, _, ok := m.net.NearestSegmentFiltered(q, m.cfg.MaxMatchDist, func(s *roadnet.Segment) bool {
 		return usable(s) && geo.HeadingDiff(s.Heading(), rec.Heading) <= m.cfg.MaxHeadingDiff
 	})

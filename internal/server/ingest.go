@@ -11,12 +11,6 @@ import (
 	"taxilight/internal/trace"
 )
 
-// RunSource ingests a single source; it is RunSources with one spec.
-// Kept for callers that predate multi-source ingest.
-func (s *Server) RunSource(ctx context.Context, src string) error {
-	return s.RunSources(ctx, src)
-}
-
 // RunSources ingests every feed named in the comma-separated specs
 // under the ingest supervisor and blocks until all finite sources have
 // drained and ctx has ended:
@@ -73,11 +67,25 @@ func (s *Server) ingestReader(ctx context.Context, r io.Reader) error {
 	return s.ingestScanner(ctx, trace.NewLenientScanner(r, s.cfg.Lenient), nil)
 }
 
+// Records cross from the scan goroutine to the dispatch loop in blocks:
+// one channel operation and one round of counter updates per block
+// instead of per record. Four blocks are ever in flight — one filling,
+// two queued, one being walked — so they come from a free list of that
+// many and a steady feed allocates none.
+const (
+	blockRecords = 64
+	blocksQueued = 2 // the 128 records of slack the scanner may run ahead
+)
+
 // ingestScanner is the dispatch loop: parse → admit → map-match → batch
 // by shard → send. Scanning runs in its own goroutine feeding a channel
 // so the loop can select a flush ticker: batches flush when full and at
 // least every FlushEvery even when no new record arrives — a paused
-// feed must not hold matched records hostage in a partial batch.
+// feed must not hold matched records hostage in a partial batch. The
+// same holds one stage earlier: the scan goroutine hands its block over
+// when it is full or when the scanner has nothing more buffered, so a
+// block never waits across a read that may block and a slow feed sees
+// blocks of one record.
 func (s *Server) ingestScanner(ctx context.Context, sc *trace.Scanner, admit func(trace.Record) bool) error {
 	b := s.newBatcher()
 	var prevStats trace.SkipStats
@@ -87,16 +95,47 @@ func (s *Server) ingestScanner(ctx context.Context, sc *trace.Scanner, admit fun
 	}
 	defer flushAll()
 
-	// The scan goroutine owns sc until it closes recs; scErr is buffered
+	// The scan goroutine owns sc until it closes blocks; scErr is buffered
 	// and written before the close, so the drain below always finds it.
-	recs := make(chan trace.Record, 128)
+	blocks := make(chan []trace.Record, blocksQueued)
+	free := make(chan []trace.Record, blocksQueued+2)
 	scErr := make(chan error, 1)
 	go func() {
-		defer close(recs)
-		for sc.Scan() {
+		defer close(blocks)
+		take := func() []trace.Record {
 			select {
-			case recs <- sc.Record():
+			case blk := <-free:
+				return blk
+			default:
+				return make([]trace.Record, 0, blockRecords)
+			}
+		}
+		blk := take()
+		// send hands a non-empty blk over; false means ctx ended first.
+		send := func() bool {
+			if len(blk) == 0 {
+				return true
+			}
+			select {
+			case blocks <- blk:
+				blk = take()
+				return true
 			case <-ctx.Done():
+				return false
+			}
+		}
+		for {
+			if !sc.ScanBuffered() {
+				if !send() {
+					scErr <- ctx.Err()
+					return
+				}
+				if !sc.Scan() {
+					break
+				}
+			}
+			blk = append(blk, sc.Record())
+			if len(blk) == cap(blk) && !send() {
 				scErr <- ctx.Err()
 				return
 			}
@@ -108,16 +147,22 @@ func (s *Server) ingestScanner(ctx context.Context, sc *trace.Scanner, admit fun
 	defer ticker.Stop()
 	for {
 		select {
-		case rec, ok := <-recs:
+		case blk, ok := <-blocks:
 			if !ok {
 				return <-scErr
 			}
-			s.met.ingestRecords.Add(1)
-			if admit != nil && !admit(rec) {
-				continue
-			}
-			if m, matched := s.matcher.Match(rec); matched {
-				s.met.ingestMatched.Add(1)
+			matched, unmatched := int64(0), int64(0)
+			for i := range blk {
+				rec := blk[i]
+				if admit != nil && !admit(rec) {
+					continue
+				}
+				m, ok := s.matcher.Match(rec)
+				if !ok {
+					unmatched++
+					continue
+				}
+				matched++
 				// In a cluster every node sees the whole feed but ingests
 				// only the keys the ring assigns it.
 				if own := s.hooks.KeyOwned; own != nil && !own(mapmatch.Key{Light: m.Light, Approach: m.Approach}) {
@@ -125,9 +170,11 @@ func (s *Server) ingestScanner(ctx context.Context, sc *trace.Scanner, admit fun
 					continue
 				}
 				b.add(ctx, m)
-			} else {
-				s.met.ingestUnmatched.Add(1)
 			}
+			s.met.ingestRecords.Add(int64(len(blk)))
+			s.met.ingestMatched.Add(matched)
+			s.met.ingestUnmatched.Add(unmatched)
+			free <- blk[:0]
 		case <-ticker.C:
 			flushAll()
 		case <-ctx.Done():

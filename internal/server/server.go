@@ -198,7 +198,7 @@ func (c Config) Validate() error {
 
 // Server shards trace ingest across engines and serves the HTTP API.
 // Construct with New, launch shard loops with Start, feed it via
-// RunSource (or Dispatch), and serve the handler from ListenAndServe.
+// RunSources (or Dispatch), and serve the handler from ListenAndServe.
 type Server struct {
 	cfg     Config
 	matcher *mapmatch.Matcher
@@ -347,7 +347,7 @@ func shardRoundOffset(i, n int, interval float64) float64 {
 
 // Start launches the shard loops and, with a configured Store, the
 // persistence writer and checkpoint timer. It must be called before
-// Dispatch or RunSource; handlers work without it (they read the engines
+// Dispatch or RunSources; handlers work without it (they read the engines
 // directly).
 func (s *Server) Start() {
 	if s.started {

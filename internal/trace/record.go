@@ -13,7 +13,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -61,30 +60,37 @@ func (r Record) Validate() error {
 	return nil
 }
 
-func boolDigit(b bool) string {
+func boolDigit(b bool) byte {
 	if b {
-		return "1"
+		return '1'
 	}
-	return "0"
+	return '0'
+}
+
+// AppendCSV appends the record's Table-I CSV line (no newline) to dst
+// and returns the extended slice.
+func (r Record) AppendCSV(dst []byte) []byte {
+	dst = append(dst, r.Plate...)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(math.Round(r.Lon*coordScale)), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(math.Round(r.Lat*coordScale)), 10)
+	dst = append(dst, ',')
+	dst = r.Time.AppendFormat(dst, TimeLayout)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, r.DeviceID, 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendFloat(dst, r.SpeedKMH, 'f', 1, 64)
+	dst = append(dst, ',')
+	dst = strconv.AppendFloat(dst, r.Heading, 'f', 1, 64)
+	dst = append(dst, ',', boolDigit(r.GPSOK), ',', boolDigit(r.Overspeed), ',')
+	dst = append(dst, r.SIM...)
+	dst = append(dst, ',', boolDigit(r.Occupied), ',')
+	return append(dst, r.Color...)
 }
 
 // MarshalCSV renders the record as one Table-I CSV line (no newline).
-func (r Record) MarshalCSV() string {
-	return strings.Join([]string{
-		r.Plate,
-		strconv.FormatInt(int64(math.Round(r.Lon*coordScale)), 10),
-		strconv.FormatInt(int64(math.Round(r.Lat*coordScale)), 10),
-		r.Time.Format(TimeLayout),
-		strconv.FormatInt(r.DeviceID, 10),
-		strconv.FormatFloat(r.SpeedKMH, 'f', 1, 64),
-		strconv.FormatFloat(r.Heading, 'f', 1, 64),
-		boolDigit(r.GPSOK),
-		boolDigit(r.Overspeed),
-		r.SIM,
-		boolDigit(r.Occupied),
-		r.Color,
-	}, ",")
-}
+func (r Record) MarshalCSV() string { return string(r.AppendCSV(nil)) }
 
 // Parse-error classes. Every malformed line maps to exactly one class so
 // lenient consumers (Scanner in lenient mode) can account for skipped
@@ -136,73 +142,19 @@ func parseErr(class, format string, args ...any) error {
 }
 
 // UnmarshalCSV parses one Table-I CSV line into the record. Failures are
-// *ParseError values classified by failure mode.
+// *ParseError values classified by failure mode, and leave the record as
+// it was. The text fields share the line's memory.
 func (r *Record) UnmarshalCSV(line string) error {
-	f := strings.Split(line, ",")
-	if len(f) != 12 {
-		return parseErr(ClassFields, "trace: %d fields, want 12", len(f))
-	}
-	lonI, err := strconv.ParseInt(f[1], 10, 64)
-	if err != nil {
-		return parseErr(ClassCoord, "trace: longitude: %w", err)
-	}
-	latI, err := strconv.ParseInt(f[2], 10, 64)
-	if err != nil {
-		return parseErr(ClassCoord, "trace: latitude: %w", err)
-	}
-	ts, err := time.Parse(TimeLayout, f[3])
-	if err != nil {
-		return parseErr(ClassTime, "trace: time: %w", err)
-	}
-	dev, err := strconv.ParseInt(f[4], 10, 64)
-	if err != nil {
-		return parseErr(ClassDevice, "trace: device: %w", err)
-	}
-	speed, err := strconv.ParseFloat(f[5], 64)
-	if err != nil {
-		return parseErr(ClassNumber, "trace: speed: %w", err)
-	}
-	heading, err := strconv.ParseFloat(f[6], 64)
-	if err != nil {
-		return parseErr(ClassNumber, "trace: heading: %w", err)
-	}
-	parseBit := func(s, name string) (bool, error) {
-		switch s {
-		case "0":
-			return false, nil
-		case "1":
-			return true, nil
-		}
-		return false, parseErr(ClassFlag, "trace: %s flag %q", name, s)
-	}
-	gps, err := parseBit(f[7], "gps")
-	if err != nil {
-		return err
-	}
-	over, err := parseBit(f[8], "overspeed")
-	if err != nil {
-		return err
-	}
-	occ, err := parseBit(f[10], "passenger")
-	if err != nil {
-		return err
-	}
-	*r = Record{
-		Plate: f[0], Lon: float64(lonI) / coordScale, Lat: float64(latI) / coordScale,
-		Time: ts, DeviceID: dev, SpeedKMH: speed, Heading: heading,
-		GPSOK: gps, Overspeed: over, SIM: f[9], Occupied: occ, Color: f[11],
-	}
-	return nil
+	return parseRecord(r, line, func(s string) string { return s })
 }
 
 // WriteCSV streams records to w, one per line.
 func WriteCSV(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for i, r := range recs {
-		if _, err := bw.WriteString(r.MarshalCSV()); err != nil {
-			return fmt.Errorf("trace: write record %d: %w", i, err)
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line = append(r.AppendCSV(line[:0]), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return fmt.Errorf("trace: write record %d: %w", i, err)
 		}
 	}
@@ -213,21 +165,10 @@ func WriteCSV(w io.Writer, recs []Record) error {
 // lines abort with a positional error: trace files are machine-generated,
 // so damage signals a real problem rather than dirty input to skip.
 func ReadCSV(r io.Reader) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	var out []Record
-	lineNo := 0
+	sc := NewScanner(r)
 	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var rec Record
-		if err := rec.UnmarshalCSV(line); err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		out = append(out, rec)
+		out = append(out, sc.Record())
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

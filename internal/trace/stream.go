@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // LenientConfig tunes the scanner's tolerant mode: malformed lines are
@@ -65,26 +67,48 @@ type SkipStats struct {
 //	    ...
 //	}
 //	if err := sc.Err(); err != nil { ... }
+//
+// The scanner owns its line buffer and parses each line in place, so a
+// steady feed costs no allocation per record: the only strings a record
+// holds (plate, SIM, colour) come from a bounded intern table.
 type Scanner struct {
-	sc     *bufio.Scanner
+	r io.Reader
+	// buf[start:end] is input not yet consumed; buf[start:searched] is
+	// known to hold no newline. readErr is the reader's first error,
+	// io.EOF included, after which it is not read again.
+	buf                  []byte
+	start, searched, end int
+	readErr              error
+
 	rec    Record
 	err    error
 	lineNo int
+	intern internTable
 
 	lenient bool
 	lcfg    LenientConfig
-	// statsMu guards stats so a serving layer can poll Stats from a
-	// metrics endpoint while the ingest goroutine is mid-Scan.
+	// Stats may be polled from a metrics endpoint while the ingest
+	// goroutine is mid-Scan: lines is atomic so a good line takes no
+	// lock, statsMu guards the skip accounting. A line is counted before
+	// its skip, so a poll never sees more skips than lines.
+	lines   atomic.Int64
 	statsMu sync.Mutex
-	stats   SkipStats
+	skipped int
+	byClass map[string]int
 }
+
+// Line buffer bounds: a line, terminator included, must fit in
+// maxLineBytes or the scan fails with bufio.ErrTooLong.
+const (
+	startLineBytes = 64 * 1024
+	maxLineBytes   = 4 * 1024 * 1024
+	maxEmptyReads  = 100
+)
 
 // NewScanner returns a strict streaming reader over r: the first
 // malformed line stops the scan with an error.
 func NewScanner(r io.Reader) *Scanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	return &Scanner{sc: sc}
+	return &Scanner{r: r, buf: make([]byte, startLineBytes), intern: internTable{}}
 }
 
 // NewLenientScanner returns a corruption-tolerant streaming reader: see
@@ -100,8 +124,8 @@ func NewLenientScanner(r io.Reader, cfg LenientConfig) *Scanner {
 func (s *Scanner) SetLenient(cfg LenientConfig) {
 	s.lenient = true
 	s.lcfg = cfg
-	if s.stats.ByClass == nil {
-		s.stats.ByClass = map[string]int{}
+	if s.byClass == nil {
+		s.byClass = map[string]int{}
 	}
 }
 
@@ -111,9 +135,12 @@ func (s *Scanner) SetLenient(cfg LenientConfig) {
 func (s *Scanner) Stats() SkipStats {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	out := s.stats
-	out.ByClass = make(map[string]int, len(s.stats.ByClass))
-	for k, v := range s.stats.ByClass {
+	out := SkipStats{
+		Lines:   int(s.lines.Load()),
+		Skipped: s.skipped,
+		ByClass: make(map[string]int, len(s.byClass)),
+	}
+	for k, v := range s.byClass {
 		out.ByClass[k] = v
 	}
 	return out
@@ -123,54 +150,131 @@ func (s *Scanner) Stats() SkipStats {
 // fatal error; Err distinguishes the two. In strict mode the first
 // malformed line is fatal; in lenient mode malformed lines are skipped
 // and counted, and only blowing the malformed-fraction budget is fatal.
-func (s *Scanner) Scan() bool {
-	if s.err != nil {
-		return false
-	}
-	for s.sc.Scan() {
+func (s *Scanner) Scan() bool { return s.scan(true) }
+
+// ScanBuffered is Scan restricted to input the scanner already holds: it
+// never reads, so it never blocks. False means the stream ended, failed
+// (Err is set), or the next record needs a read — Scan tells which. A
+// consumer that batches records uses it to hand a partial batch on
+// before a read that may wait.
+func (s *Scanner) ScanBuffered() bool { return s.scan(false) }
+
+func (s *Scanner) scan(mayRead bool) bool {
+	for s.err == nil {
+		line, ok := s.nextLine(mayRead)
+		if !ok {
+			break
+		}
 		s.lineNo++
-		line := strings.TrimSpace(s.sc.Text())
-		if line == "" {
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
 			continue
 		}
-		s.statsMu.Lock()
-		s.stats.Lines++
-		s.statsMu.Unlock()
-		err := s.rec.UnmarshalCSV(line)
+		lines := s.lines.Add(1)
+		err := parseRecord(&s.rec, line, s.intern.get)
 		if err == nil && s.lenient && s.lcfg.Validate {
 			if verr := s.rec.Validate(); verr != nil {
 				err = &ParseError{Class: ClassInvalid, Err: verr}
 			}
 		}
-		if err != nil {
-			if !s.lenient {
-				s.err = fmt.Errorf("line %d: %w", s.lineNo, err)
-				return false
-			}
-			s.statsMu.Lock()
-			s.stats.Skipped++
-			s.stats.ByClass[ClassOf(err)]++
-			blown := s.stats.Lines >= s.lcfg.MinLines &&
-				float64(s.stats.Skipped) > s.lcfg.MaxBadFraction*float64(s.stats.Lines)
-			skipped, lines := s.stats.Skipped, s.stats.Lines
-			s.statsMu.Unlock()
-			if blown {
-				s.err = fmt.Errorf("%w: %d of %d lines malformed (budget %.1f%%), last at line %d: %v",
-					ErrBadLineBudget, skipped, lines,
-					100*s.lcfg.MaxBadFraction, s.lineNo, err)
-				return false
-			}
-			continue
+		if err == nil {
+			return true
 		}
-		return true
+		if !s.lenient {
+			s.err = fmt.Errorf("line %d: %w", s.lineNo, err)
+			break
+		}
+		s.statsMu.Lock()
+		s.skipped++
+		s.byClass[ClassOf(err)]++
+		skipped := s.skipped
+		s.statsMu.Unlock()
+		if int(lines) >= s.lcfg.MinLines && float64(skipped) > s.lcfg.MaxBadFraction*float64(lines) {
+			s.err = fmt.Errorf("%w: %d of %d lines malformed (budget %.1f%%), last at line %d: %v",
+				ErrBadLineBudget, skipped, lines,
+				100*s.lcfg.MaxBadFraction, s.lineNo, err)
+		}
 	}
-	s.err = s.sc.Err()
 	return false
 }
 
+// nextLine returns the next line of input without its terminator. Once
+// the reader has failed or ended, what is left unterminated is the last
+// line. ok is false when there is none: the input is used up, the line
+// is over-long (s.err is set), or a read is needed and mayRead forbids it.
+func (s *Scanner) nextLine(mayRead bool) (line []byte, ok bool) {
+	for s.err == nil {
+		if i := bytes.IndexByte(s.buf[s.searched:s.end], '\n'); i >= 0 {
+			line = s.buf[s.start : s.searched+i]
+			s.start = s.searched + i + 1
+			s.searched = s.start
+			return line, true
+		}
+		s.searched = s.end
+		if s.readErr != nil {
+			if s.start == s.end {
+				if s.readErr != io.EOF {
+					s.err = s.readErr
+				}
+				return nil, false
+			}
+			line = s.buf[s.start:s.end]
+			s.start = s.end
+			return line, true
+		}
+		if !mayRead {
+			break
+		}
+		s.fill()
+	}
+	return nil, false
+}
+
+// fill reads more input behind the partial line the buffer holds, moving
+// that line to the front and doubling the buffer up to maxLineBytes when
+// it is full. It sets readErr when the reader is done and err when the
+// line cannot fit.
+func (s *Scanner) fill() {
+	if s.start > 0 {
+		copy(s.buf, s.buf[s.start:s.end])
+		s.end -= s.start
+		s.searched -= s.start
+		s.start = 0
+	}
+	if s.end == len(s.buf) {
+		if len(s.buf) >= maxLineBytes {
+			s.err = bufio.ErrTooLong
+			return
+		}
+		grown := make([]byte, min(2*len(s.buf), maxLineBytes))
+		copy(grown, s.buf[:s.end])
+		s.buf = grown
+	}
+	for empty := 0; ; empty++ {
+		n, err := s.r.Read(s.buf[s.end:])
+		if n < 0 || n > len(s.buf)-s.end {
+			s.readErr = bufio.ErrBadReadCount
+			return
+		}
+		s.end += n
+		if err != nil {
+			s.readErr = err
+			return
+		}
+		if n > 0 {
+			return
+		}
+		if empty >= maxEmptyReads {
+			s.readErr = io.ErrNoProgress
+			return
+		}
+	}
+}
+
 // Record returns the record parsed by the last successful Scan. The
-// value is overwritten by the next Scan; copy it if it must outlive the
-// iteration step.
+// scanner overwrites its copy on the next Scan, but the returned value
+// is the caller's own: it holds no reference to the scanner's buffer and
+// stays valid for as long as it is kept.
 func (s *Scanner) Record() Record { return s.rec }
 
 // Err returns the first error encountered, or nil at clean EOF.
