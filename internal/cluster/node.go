@@ -15,6 +15,7 @@ import (
 
 	"taxilight/internal/core"
 	"taxilight/internal/mapmatch"
+	"taxilight/internal/metrics"
 	"taxilight/internal/server"
 	"taxilight/internal/store"
 )
@@ -123,19 +124,16 @@ type peerReplica struct {
 	nudge   chan struct{}
 }
 
-// nodeMetrics are the cluster-layer counters rendered into /metrics via
-// the server's ExtraMetrics hook.
+// nodeMetrics are the cluster-layer counters, registered on the server's
+// metrics registry by registerMetrics.
 type nodeMetrics struct {
-	forwards      atomic.Int64
-	forwardErrors atomic.Int64
-	pulls         atomic.Int64
-	pullErrors    atomic.Int64
-	promotions    atomic.Int64
-	// handoffKeys counts keys adopted at a join cutover.
-	handoffKeys atomic.Int64
-	// watchRedirects counts /v1/watch subscriptions bounced to their
-	// key's owner (long-lived streams are redirected, never proxied).
-	watchRedirects atomic.Int64
+	forwards       *metrics.Counter
+	forwardErrors  *metrics.Counter
+	pulls          *metrics.Counter
+	pullErrors     *metrics.Counter
+	promotions     *metrics.Counter
+	handoffKeys    *metrics.Counter
+	watchRedirects *metrics.Counter
 }
 
 // Node wires one server into the cluster: it owns the ring, the
@@ -186,8 +184,9 @@ type Node struct {
 
 // NewNode builds a cluster node around a not-yet-started server and its
 // open store, and installs the server's cluster hooks: ingest ownership
-// filtering, the promoted-key health cap, the /healthz cluster section,
-// the /metrics cluster series and the persist notification trigger.
+// filtering, the promoted-key health cap, the /healthz cluster section
+// and the persist notification trigger; its own series go on the
+// server's metrics registry.
 func NewNode(srv *server.Server, st *store.Store, cfg Config) (*Node, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
@@ -227,9 +226,9 @@ func NewNode(srv *server.Server, st *store.Store, cfg Config) (*Node, error) {
 		KeyOwned:       n.ownsKey,
 		HealthOverride: n.healthOverride,
 		Health:         n.healthSection,
-		ExtraMetrics:   n.writeMetrics,
 		OnPersist:      n.onPersist,
 	})
+	n.registerMetrics(srv.Metrics())
 	n.inner = srv.Handler()
 	return n, nil
 }
@@ -795,15 +794,44 @@ func (n *Node) healthSection() any {
 	return doc
 }
 
-// writeMetrics appends the cluster series to /metrics.
-func (n *Node) writeMetrics(w io.Writer) {
-	counts := map[string]int{StateAlive: 0, StateJoining: 0, StateDead: 0, StateLeft: 0}
+// registerMetrics puts the lightd_cluster_* families on the server's
+// registry: the counters the node increments, and a scrape-time census of
+// membership, replicas and the repair gauges.
+func (n *Node) registerMetrics(reg *metrics.Registry) {
+	const counter, gauge = metrics.KindCounter, metrics.KindGauge
+	n.met = nodeMetrics{
+		forwards:       reg.Counter("lightd_cluster_forwards_total", "Requests forwarded to the key's owner, by outcome.", "outcome", "ok"),
+		forwardErrors:  reg.Counter("lightd_cluster_forwards_total", "", "outcome", "error"),
+		pulls:          reg.Counter("lightd_cluster_replica_pulls_total", "Replica WAL pulls from peers, by outcome.", "outcome", "ok"),
+		pullErrors:     reg.Counter("lightd_cluster_replica_pulls_total", "", "outcome", "error"),
+		promotions:     reg.Counter("lightd_cluster_promotions_total", "Replicated keys promoted to primary after an owner died or left."),
+		handoffKeys:    reg.Counter("lightd_cluster_handoff_keys_total", "Keys adopted at a join cutover."),
+		watchRedirects: reg.Counter("lightd_cluster_watch_redirects_total", "Watch subscriptions redirected to their key's owner."),
+	}
+	reg.Declare(counter, "lightd_cluster_pull_errors_total", "Failed replica pulls (the error outcome of lightd_cluster_replica_pulls_total).")
+	reg.Declare(gauge, "lightd_cluster_members", "Cluster members in this node's view, by state.",
+		metrics.L("state", StateAlive, StateJoining, StateDead, StateLeft))
+	reg.Declare(gauge, "lightd_cluster_replica_records", "Records held in warm replicas of peers.")
+	reg.Declare(gauge, "lightd_cluster_promoted_keys", "Promoted keys still capped at stale until re-estimated.")
+	reg.Declare(gauge, "lightd_cluster_ring_epoch", "Ownership changes seen since start.")
+	reg.Declare(gauge, "lightd_cluster_underreplicated_keys", "Keys with fewer acknowledged replicas than the replication factor asks.")
+	reg.Declare(gauge, "lightd_cluster_underreplicated_keys_peak", "High-water mark of under-replicated keys since start.")
+	reg.Declare(gauge, "lightd_cluster_handoff_pending_keys", "Keys awaiting handoff across a join.")
+	if n.rebal != nil {
+		reg.Declare(counter, "lightd_cluster_rebalance_throttled_bytes_total", "Bulk-transfer bytes that passed the rebalance throttle.")
+		reg.Declare(counter, "lightd_cluster_rebalance_throttle_waits_total", "Times a bulk transfer waited on the rebalance throttle.")
+	}
+	reg.Collect(n.collectMetrics)
+}
+
+func (n *Node) collectMetrics(sc *metrics.Scrape) {
+	sc.Value("lightd_cluster_pull_errors_total", float64(n.met.pullErrors.Load()))
+	counts := make(map[string]int)
 	for _, mb := range n.mem.View() {
 		counts[mb.State]++
 	}
-	fmt.Fprintln(w, "# TYPE lightd_cluster_members gauge")
 	for _, st := range []string{StateAlive, StateJoining, StateDead, StateLeft} {
-		fmt.Fprintf(w, "lightd_cluster_members{state=%q} %d\n", st, counts[st])
+		sc.Value("lightd_cluster_members", float64(counts[st]), "state", st)
 	}
 	replicaRecords := 0
 	n.mu.Lock()
@@ -818,36 +846,14 @@ func (n *Node) writeMetrics(w io.Writer) {
 		replicaRecords += len(pr.recs)
 		pr.mu.Unlock()
 	}
-	fmt.Fprintln(w, "# TYPE lightd_cluster_replica_records gauge")
-	fmt.Fprintf(w, "lightd_cluster_replica_records %d\n", replicaRecords)
-	fmt.Fprintln(w, "# TYPE lightd_cluster_promoted_keys gauge")
-	fmt.Fprintf(w, "lightd_cluster_promoted_keys %d\n", promoted)
-	fmt.Fprintln(w, "# TYPE lightd_cluster_ring_epoch gauge")
-	fmt.Fprintf(w, "lightd_cluster_ring_epoch %d\n", n.epoch.Load())
-	fmt.Fprintln(w, "# TYPE lightd_cluster_underreplicated_keys gauge")
-	fmt.Fprintf(w, "lightd_cluster_underreplicated_keys %d\n", n.underrep.Load())
-	fmt.Fprintln(w, "# TYPE lightd_cluster_underreplicated_keys_peak gauge")
-	fmt.Fprintf(w, "lightd_cluster_underreplicated_keys_peak %d\n", n.underrepPeak.Load())
-	fmt.Fprintln(w, "# TYPE lightd_cluster_handoff_pending_keys gauge")
-	fmt.Fprintf(w, "lightd_cluster_handoff_pending_keys %d\n", n.handoffPending.Load())
-	fmt.Fprintln(w, "# TYPE lightd_cluster_handoff_keys_total counter")
-	fmt.Fprintf(w, "lightd_cluster_handoff_keys_total %d\n", n.met.handoffKeys.Load())
-	fmt.Fprintln(w, "# TYPE lightd_cluster_forwards_total counter")
-	fmt.Fprintf(w, "lightd_cluster_forwards_total{outcome=\"ok\"} %d\n", n.met.forwards.Load())
-	fmt.Fprintf(w, "lightd_cluster_forwards_total{outcome=\"error\"} %d\n", n.met.forwardErrors.Load())
-	fmt.Fprintln(w, "# TYPE lightd_cluster_replica_pulls_total counter")
-	fmt.Fprintf(w, "lightd_cluster_replica_pulls_total{outcome=\"ok\"} %d\n", n.met.pulls.Load())
-	fmt.Fprintf(w, "lightd_cluster_replica_pulls_total{outcome=\"error\"} %d\n", n.met.pullErrors.Load())
-	fmt.Fprintln(w, "# TYPE lightd_cluster_pull_errors_total counter")
-	fmt.Fprintf(w, "lightd_cluster_pull_errors_total %d\n", n.met.pullErrors.Load())
-	fmt.Fprintln(w, "# TYPE lightd_cluster_promotions_total counter")
-	fmt.Fprintf(w, "lightd_cluster_promotions_total %d\n", n.met.promotions.Load())
-	fmt.Fprintln(w, "# TYPE lightd_cluster_watch_redirects_total counter")
-	fmt.Fprintf(w, "lightd_cluster_watch_redirects_total %d\n", n.met.watchRedirects.Load())
+	sc.Value("lightd_cluster_replica_records", float64(replicaRecords))
+	sc.Value("lightd_cluster_promoted_keys", float64(promoted))
+	sc.Value("lightd_cluster_ring_epoch", float64(n.epoch.Load()))
+	sc.Value("lightd_cluster_underreplicated_keys", float64(n.underrep.Load()))
+	sc.Value("lightd_cluster_underreplicated_keys_peak", float64(n.underrepPeak.Load()))
+	sc.Value("lightd_cluster_handoff_pending_keys", float64(n.handoffPending.Load()))
 	if n.rebal != nil {
-		fmt.Fprintln(w, "# TYPE lightd_cluster_rebalance_throttled_bytes_total counter")
-		fmt.Fprintf(w, "lightd_cluster_rebalance_throttled_bytes_total %d\n", n.rebal.throttledBytes.Load())
-		fmt.Fprintln(w, "# TYPE lightd_cluster_rebalance_throttle_waits_total counter")
-		fmt.Fprintf(w, "lightd_cluster_rebalance_throttle_waits_total %d\n", n.rebal.waits.Load())
+		sc.Value("lightd_cluster_rebalance_throttled_bytes_total", float64(n.rebal.throttledBytes.Load()))
+		sc.Value("lightd_cluster_rebalance_throttle_waits_total", float64(n.rebal.waits.Load()))
 	}
 }

@@ -1,10 +1,10 @@
 package ingest
 
 import (
-	"sort"
 	"sync"
 	"time"
 
+	"taxilight/internal/metrics"
 	"taxilight/internal/trace"
 )
 
@@ -51,13 +51,7 @@ var backoffBounds = []float64{.001, .005, .01, .05, .1, .5, 1, 2, 5, 10, 30, 60}
 
 // BackoffSnapshot is a point-in-time copy of a source's backoff
 // histogram (non-cumulative bucket counts).
-type BackoffSnapshot struct {
-	Bounds []float64
-	Counts []int64
-	Inf    int64
-	Sum    float64
-	Count  int64
-}
+type BackoffSnapshot = metrics.HistogramSnapshot
 
 // SourceStatus is a point-in-time copy of one source's supervision
 // state, rendered into /healthz and /metrics by the serving layer.
@@ -136,10 +130,7 @@ type Source struct {
 	streak        int64
 	halfOpen      bool
 
-	backoffCounts []int64
-	backoffInf    int64
-	backoffSum    float64
-	backoffN      int64
+	backoff *metrics.Histogram // supervised pauses; atomic, not under mu
 
 	boundAddr string
 }
@@ -160,9 +151,9 @@ func (s *Source) setBoundAddr(addr string) {
 
 func newSource(spec Spec, resumeDedup bool) *Source {
 	return &Source{
-		spec:          spec,
-		dedup:         spec.Kind == KindDial && resumeDedup,
-		backoffCounts: make([]int64, len(backoffBounds)),
+		spec:    spec,
+		dedup:   spec.Kind == KindDial && resumeDedup,
+		backoff: metrics.NewHistogram(backoffBounds...),
 	}
 }
 
@@ -360,21 +351,6 @@ func (s *Source) acceptRetried(err error) {
 	s.mu.Unlock()
 }
 
-// observeBackoff records one supervised pause in the backoff histogram.
-func (s *Source) observeBackoff(d time.Duration) {
-	v := d.Seconds()
-	s.mu.Lock()
-	idx := sort.SearchFloat64s(backoffBounds, v)
-	if idx < len(backoffBounds) {
-		s.backoffCounts[idx]++
-	} else {
-		s.backoffInf++
-	}
-	s.backoffSum += v
-	s.backoffN++
-	s.mu.Unlock()
-}
-
 // Status returns a point-in-time copy of the source's counters.
 func (s *Source) Status() SourceStatus {
 	s.mu.Lock()
@@ -396,13 +372,7 @@ func (s *Source) Status() SourceStatus {
 		DedupDropped:        s.dedupDropped,
 		ConsecutiveFailures: s.streak,
 		Watermark:           s.watermark,
-		Backoff: BackoffSnapshot{
-			Bounds: backoffBounds,
-			Counts: append([]int64(nil), s.backoffCounts...),
-			Inf:    s.backoffInf,
-			Sum:    s.backoffSum,
-			Count:  s.backoffN,
-		},
+		Backoff:             s.backoff.Snapshot(),
 	}
 	if s.lastErr != nil {
 		st.LastError = s.lastErr.Error()

@@ -142,7 +142,7 @@ func (sup *Supervisor) pause(ctx context.Context, src *Source, backoff *time.Dur
 			*backoff = sup.cfg.BackoffMax
 		}
 	}
-	src.observeBackoff(d)
+	src.backoff.Observe(d.Seconds())
 	return sleepCtx(ctx, d)
 }
 
@@ -252,7 +252,7 @@ func (sup *Supervisor) acceptLoop(ctx context.Context, src *Source, ln net.Liste
 			if b := sup.cfg.FailureBudget; b > 0 && fails >= b {
 				return fmt.Errorf("ingest: %d consecutive accept errors, last: %w", fails, err)
 			}
-			src.observeBackoff(retry)
+			src.backoff.Observe(retry.Seconds())
 			if !sleepCtx(ctx, retry) {
 				return err
 			}

@@ -1,7 +1,6 @@
 package navigation
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 
@@ -205,7 +204,9 @@ func CompareNavigation(net *roadnet.Network, segMeters float64, cfg CompareConfi
 	return out, nil
 }
 
-// nodeItem / nodeQueue implement the earliest-arrival priority queue.
+// nodeItem / nodeQueue implement the earliest-arrival priority queue: a
+// binary min-heap on arrival time, monomorphic so queue operations on
+// the planner hot path box nothing.
 type nodeItem struct {
 	id roadnet.NodeID
 	t  float64
@@ -213,24 +214,6 @@ type nodeItem struct {
 
 type nodeQueue []nodeItem
 
-func (h nodeQueue) Len() int            { return len(h) }
-func (h nodeQueue) Less(i, j int) bool  { return h[i].t < h[j].t }
-func (h nodeQueue) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeQueue) Push(x interface{}) { *h = append(*h, x.(nodeItem)) }
-func (h *nodeQueue) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-var _ heap.Interface = (*nodeQueue)(nil)
-
-// pushItem and popMin are allocation-free equivalents of heap.Push /
-// heap.Pop: the container/heap interface boxes every nodeItem through
-// interface{}, which costs one heap allocation per queue operation on
-// the planner hot path.
 func (h *nodeQueue) pushItem(it nodeItem) {
 	*h = append(*h, it)
 	q := *h

@@ -1,9 +1,7 @@
 package navigation
 
 import (
-	"container/heap"
 	"fmt"
-	"math"
 
 	"taxilight/internal/lights"
 	"taxilight/internal/roadnet"
@@ -72,55 +70,10 @@ func (p *BelievedPlanner) Plan(src, dst roadnet.NodeID, depart float64) (roadnet
 	if p.Source == nil {
 		return roadnet.Route{}, fmt.Errorf("navigation: nil schedule source")
 	}
-	net := p.Net
-	nn := net.NumNodes()
-	if int(src) >= nn || int(dst) >= nn || src < 0 || dst < 0 {
-		return roadnet.Route{}, fmt.Errorf("navigation: node out of range: %d -> %d", src, dst)
-	}
-	arrive := make([]float64, nn)
-	prev := make([]roadnet.SegmentID, nn)
-	done := make([]bool, nn)
-	for i := range arrive {
-		arrive[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	arrive[src] = depart
-	pq := &nodeQueue{{id: src, t: depart}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(nodeItem)
-		if done[it.id] {
-			continue
+	return earliestArrival(p.Net, src, dst, depart, func(seg *roadnet.Segment, t float64) float64 {
+		if sched, ok := p.Source.ScheduleFor(seg.To, seg.Approach(), t); ok {
+			return sched.WaitAt(t)
 		}
-		done[it.id] = true
-		if it.id == dst {
-			break
-		}
-		for _, sid := range net.Node(it.id).Out {
-			seg := net.Segment(sid)
-			t := arrive[it.id] + seg.TravelTime()
-			if seg.To != dst {
-				if sched, ok := p.Source.ScheduleFor(seg.To, seg.Approach(), t); ok {
-					t += sched.WaitAt(t)
-				}
-			}
-			if t < arrive[seg.To] {
-				arrive[seg.To] = t
-				prev[seg.To] = sid
-				heap.Push(pq, nodeItem{id: seg.To, t: t})
-			}
-		}
-	}
-	if math.IsInf(arrive[dst], 1) {
-		return roadnet.Route{}, fmt.Errorf("navigation: node %d unreachable from %d", dst, src)
-	}
-	var segs []roadnet.SegmentID
-	for at := dst; at != src; {
-		sid := prev[at]
-		segs = append(segs, sid)
-		at = net.Segment(sid).From
-	}
-	for i, j := 0, len(segs)-1; i < j; i, j = i+1, j-1 {
-		segs[i], segs[j] = segs[j], segs[i]
-	}
-	return roadnet.Route{Segments: segs, Cost: arrive[dst] - depart}, nil
+		return 0
+	})
 }

@@ -90,7 +90,7 @@ type LightAwarePlanner struct {
 	Net *roadnet.Network
 }
 
-// planScratch is the per-Plan working set of the time-dependent Dijkstra:
+// planScratch is the per-Plan working set of earliestArrival:
 // label arrays plus the frontier heap. Pooled so repeated Plans (Drive
 // replans at every intersection) allocate nothing on the hot path.
 type planScratch struct {
@@ -126,7 +126,17 @@ func (sc *planScratch) release() { planPool.Put(sc) }
 
 // Plan implements Planner.
 func (p *LightAwarePlanner) Plan(src, dst roadnet.NodeID, depart float64) (roadnet.Route, error) {
-	net := p.Net
+	return earliestArrival(p.Net, src, dst, depart, func(seg *roadnet.Segment, t float64) float64 {
+		return WaitAt(p.Net, seg, t)
+	})
+}
+
+// earliestArrival is the time-dependent label-setting search behind every
+// schedule-aware planner: labels are arrival times, and entering seg.To
+// at t costs wait(seg, t) on top of the drive. Waits are FIFO (arriving
+// earlier never departs later), which makes label setting exact.
+func earliestArrival(net *roadnet.Network, src, dst roadnet.NodeID, depart float64,
+	wait func(seg *roadnet.Segment, t float64) float64) (roadnet.Route, error) {
 	nn := net.NumNodes()
 	if int(src) >= nn || int(dst) >= nn || src < 0 || dst < 0 {
 		return roadnet.Route{}, fmt.Errorf("navigation: node out of range: %d -> %d", src, dst)
@@ -137,7 +147,7 @@ func (p *LightAwarePlanner) Plan(src, dst roadnet.NodeID, depart float64) (roadn
 	arrive[src] = depart
 	pq := &sc.pq
 	pq.pushItem(nodeItem{id: src, t: depart})
-	for pq.Len() > 0 {
+	for len(*pq) > 0 {
 		it := pq.popMin()
 		if done[it.id] {
 			continue
@@ -151,7 +161,7 @@ func (p *LightAwarePlanner) Plan(src, dst roadnet.NodeID, depart float64) (roadn
 			t := arrive[it.id] + seg.TravelTime()
 			if seg.To != dst {
 				// Waits at the destination are irrelevant: the trip ends.
-				t += WaitAt(net, seg, t)
+				t += wait(seg, t)
 			}
 			if t < arrive[seg.To] {
 				arrive[seg.To] = t

@@ -1,78 +1,18 @@
 package routesvc
 
-import (
-	"fmt"
-	"io"
-	"math"
-	"sync/atomic"
-)
+import "taxilight/internal/metrics"
 
 // serviceMetrics is the routing subsystem's own instrumentation; the
-// server renders it into /metrics under the lightd_route_* namespace.
-// (The server's metric primitives are unexported, so the service carries
-// its own minimal counter/histogram.)
+// server exposes it under the lightd_route_* namespace. The request and
+// latency series per endpoint live in the server's instrument middleware.
 type serviceMetrics struct {
-	plans       atomicCounter
-	degraded    atomicCounter
-	cacheHits   atomicCounter
-	cacheMisses atomicCounter
+	plans       metrics.Counter
+	degraded    metrics.Counter
+	cacheHits   metrics.Counter
+	cacheMisses metrics.Counter
 	// expandedNodes distributes settled A* nodes per plan — the search
 	// effort the heuristic saves.
-	expandedNodes atomicHistogram
-}
-
-func (m *serviceMetrics) init() {
-	m.expandedNodes.bounds = []float64{8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384}
-	m.expandedNodes.buckets = make([]atomic.Int64, len(m.expandedNodes.bounds))
-}
-
-type atomicCounter struct{ v atomic.Int64 }
-
-func (c *atomicCounter) Add(n int64) { c.v.Add(n) }
-func (c *atomicCounter) Load() int64 { return c.v.Load() }
-
-// atomicHistogram is a fixed-bucket histogram safe for concurrent
-// observation.
-type atomicHistogram struct {
-	bounds  []float64
-	buckets []atomic.Int64
-	inf     atomic.Int64
-	count   atomic.Int64
-	sumBits atomic.Uint64
-}
-
-func (h *atomicHistogram) Observe(v float64) {
-	placed := false
-	for i, b := range h.bounds {
-		if v <= b {
-			h.buckets[i].Add(1)
-			placed = true
-			break
-		}
-	}
-	if !placed {
-		h.inf.Add(1)
-	}
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-func (h *atomicHistogram) write(w io.Writer, name string) {
-	cum := int64(0)
-	for i, b := range h.bounds {
-		cum += h.buckets[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, b, cum)
-	}
-	cum += h.inf.Load()
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, math.Float64frombits(h.sumBits.Load()))
-	fmt.Fprintf(w, "%s_count %d\n", name, h.count.Load())
+	expandedNodes *metrics.Histogram
 }
 
 // Stats is a point-in-time snapshot of the service counters, for tests
@@ -94,18 +34,22 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// WriteMetrics renders the lightd_route_* exposition lines. The request
-// and latency histograms per endpoint live in the server's instrument
-// middleware; here are the subsystem-internal series.
-func (s *Service) WriteMetrics(w io.Writer) {
-	m := &s.met
-	fmt.Fprintln(w, "# TYPE lightd_route_plans_total counter")
-	fmt.Fprintf(w, "lightd_route_plans_total %d\n", m.plans.Load())
-	fmt.Fprintln(w, "# TYPE lightd_route_degraded_total counter")
-	fmt.Fprintf(w, "lightd_route_degraded_total %d\n", m.degraded.Load())
-	fmt.Fprintln(w, "# TYPE lightd_route_cache_total counter")
-	fmt.Fprintf(w, "lightd_route_cache_total{outcome=\"hit\"} %d\n", m.cacheHits.Load())
-	fmt.Fprintf(w, "lightd_route_cache_total{outcome=\"miss\"} %d\n", m.cacheMisses.Load())
-	fmt.Fprintln(w, "# TYPE lightd_route_expanded_nodes histogram")
-	m.expandedNodes.write(w, "lightd_route_expanded_nodes")
+// DeclareMetrics names the lightd_route_* families on reg. It is a
+// package function because a server declares them before any Service
+// exists (SetRouteService wires one in later); CollectMetrics then emits
+// whichever service is installed at scrape time.
+func DeclareMetrics(reg *metrics.Registry) {
+	reg.Declare(metrics.KindCounter, "lightd_route_plans_total", "Route plans answered.")
+	reg.Declare(metrics.KindCounter, "lightd_route_degraded_total", "Plans that fell back to free-flow legs for want of a fresh prediction.")
+	reg.Declare(metrics.KindCounter, "lightd_route_cache_total", "Prediction-cache lookups; one miss per approach per estimation round.", metrics.L("outcome", "hit", "miss"))
+	reg.Declare(metrics.KindHistogram, "lightd_route_expanded_nodes", "A* nodes settled per plan.")
+}
+
+// CollectMetrics emits the service's samples into a scrape.
+func (s *Service) CollectMetrics(sc *metrics.Scrape) {
+	sc.Value("lightd_route_plans_total", float64(s.met.plans.Load()))
+	sc.Value("lightd_route_degraded_total", float64(s.met.degraded.Load()))
+	sc.Value("lightd_route_cache_total", float64(s.met.cacheHits.Load()), "outcome", "hit")
+	sc.Value("lightd_route_cache_total", float64(s.met.cacheMisses.Load()), "outcome", "miss")
+	sc.Histogram("lightd_route_expanded_nodes", s.met.expandedNodes.Snapshot())
 }

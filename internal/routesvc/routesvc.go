@@ -30,6 +30,7 @@ import (
 	"taxilight/internal/core"
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
+	"taxilight/internal/metrics"
 	"taxilight/internal/roadnet"
 )
 
@@ -78,7 +79,7 @@ func New(net *roadnet.Network, src PredictionSource) (*Service, error) {
 		return nil, errors.New("routesvc: network has no positive-speed segments")
 	}
 	s := &Service{net: net, src: src, maxSpeed: maxSpeed}
-	s.met.init()
+	s.met.expandedNodes = metrics.NewHistogram(8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384)
 	s.cache.entries = map[mapmatch.Key]predEntry{}
 	return s, nil
 }

@@ -11,6 +11,7 @@ import (
 	"taxilight/internal/core"
 	"taxilight/internal/geo"
 	"taxilight/internal/mapmatch"
+	"taxilight/internal/metrics"
 	"taxilight/internal/navigation"
 	"taxilight/internal/roadnet"
 )
@@ -329,8 +330,13 @@ func TestWriteMetricsExposition(t *testing.T) {
 	if _, err := svc.Plan(0, 15, 0, false); err != nil {
 		t.Fatal(err)
 	}
+	reg := metrics.NewRegistry()
+	DeclareMetrics(reg)
+	reg.Collect(svc.CollectMetrics)
 	var sb strings.Builder
-	svc.WriteMetrics(&sb)
+	if err := reg.Write(&sb); err != nil {
+		t.Fatal(err)
+	}
 	out := sb.String()
 	for _, want := range []string{
 		"lightd_route_plans_total 1",

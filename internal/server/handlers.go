@@ -7,14 +7,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"taxilight/internal/core"
-	"taxilight/internal/dsp"
-	"taxilight/internal/ingest"
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/pubsub"
@@ -68,12 +65,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// instrument wraps a handler with the per-endpoint latency histogram.
+// instrument wraps a handler with its endpoint's latency histogram,
+// looked up once, when the handler is wrapped.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	lat := s.met.latencies[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		h(w, r)
-		s.met.observeLatency(endpoint, time.Since(start).Seconds())
+		lat.Observe(time.Since(start).Seconds())
 	}
 }
 
@@ -613,222 +612,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, doc)
 }
 
-// handleMetrics renders the Prometheus text exposition. Gauges that
-// mirror engine state are computed at scrape time; the estimate-age
-// histogram accumulates at snapshot rebuilds, so the scrape first
-// revalidates the snapshot cache.
+// handleMetrics serves the registry's page. The estimate-age histogram
+// accumulates at snapshot rebuilds, so the scrape first revalidates the
+// snapshot cache.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.snapshot() // refresh age observations if any engine published
-	doc := s.healthReport()
+	s.snapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-
-	m := s.met
-	fmt.Fprintln(w, "# TYPE lightd_ingest_records_total counter")
-	m.ingestRecords.write(w, "lightd_ingest_records_total", "")
-	fmt.Fprintln(w, "# TYPE lightd_ingest_matched_total counter")
-	m.ingestMatched.write(w, "lightd_ingest_matched_total", "")
-	fmt.Fprintln(w, "# TYPE lightd_ingest_unmatched_total counter")
-	m.ingestUnmatched.write(w, "lightd_ingest_unmatched_total", "")
-	fmt.Fprintln(w, "# TYPE lightd_ingest_dropped_total counter")
-	m.ingestDropped.write(w, "lightd_ingest_dropped_total", "")
-	fmt.Fprintln(w, "# TYPE lightd_ingest_filtered_total counter")
-	m.ingestFiltered.write(w, "lightd_ingest_filtered_total", "")
-	fmt.Fprintln(w, "# TYPE lightd_ingest_records_per_second gauge")
-	writeSample(w, "lightd_ingest_records_per_second", "", m.ingestRate(time.Now().UnixNano()))
-
-	fmt.Fprintln(w, "# TYPE lightd_scanner_lines_total counter")
-	m.scanLines.write(w, "lightd_scanner_lines_total", "")
-	fmt.Fprintln(w, "# TYPE lightd_scanner_skipped_total counter")
-	m.skipMu.Lock()
-	classes := make([]string, 0, len(m.skipByClass))
-	for c := range m.skipByClass {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	for _, c := range classes {
-		writeSample(w, "lightd_scanner_skipped_total", fmt.Sprintf(`class=%q`, c), float64(m.skipByClass[c]))
-	}
-	m.skipMu.Unlock()
-
-	fmt.Fprintln(w, "# TYPE lightd_approaches gauge")
-	writeSample(w, "lightd_approaches", `health="fresh"`, float64(doc.Fresh))
-	writeSample(w, "lightd_approaches", `health="stale"`, float64(doc.Stale))
-	writeSample(w, "lightd_approaches", `health="quarantined"`, float64(doc.Quarantined))
-	fmt.Fprintln(w, "# TYPE lightd_buffered_records gauge")
-	writeSample(w, "lightd_buffered_records", "", float64(doc.Buffered))
-	fmt.Fprintln(w, "# TYPE lightd_engine_dropped_records_total counter")
-	writeSample(w, "lightd_engine_dropped_records_total", `reason="old"`, float64(doc.DroppedOld))
-	writeSample(w, "lightd_engine_dropped_records_total", `reason="overflow"`, float64(doc.DroppedOverflow))
-	fmt.Fprintln(w, "# TYPE lightd_scheduling_changes_total counter")
-	m.schedChanges.write(w, "lightd_scheduling_changes_total", "")
-	fmt.Fprintln(w, "# TYPE lightd_advance_errors_total counter")
-	m.advanceErrors.write(w, "lightd_advance_errors_total", "")
-
-	fmt.Fprintln(w, "# TYPE lightd_estimate_age_seconds histogram")
-	m.estimateAge.write(w, "lightd_estimate_age_seconds", "")
-
-	fmt.Fprintln(w, "# TYPE lightd_estimate_round_seconds histogram")
-	m.estimateRound.write(w, "lightd_estimate_round_seconds", "")
-	fmt.Fprintln(w, "# TYPE lightd_estimate_lock_hold_seconds histogram")
-	m.estimateLockHold.write(w, "lightd_estimate_lock_hold_seconds", "")
-	fmt.Fprintln(w, "# TYPE lightd_estimate_stage_seconds histogram")
-	for i, stage := range roundStages {
-		m.estimateStage[i].write(w, "lightd_estimate_stage_seconds", fmt.Sprintf(`stage=%q`, stage))
-	}
-	fmt.Fprintln(w, "# TYPE lightd_estimate_keys_total counter")
-	writeSample(w, "lightd_estimate_keys_total", `outcome="recomputed"`, float64(m.keysRecomputed.Load()))
-	writeSample(w, "lightd_estimate_keys_total", `outcome="carried"`, float64(m.keysCarried.Load()))
-	fmt.Fprintln(w, "# TYPE lightd_estimate_rounds_total counter")
-	m.estimateRounds.write(w, "lightd_estimate_rounds_total", "")
-	fmt.Fprintln(w, "# TYPE lightd_estimate_workers gauge")
-	m.estimateWorkers.write(w, "lightd_estimate_workers", "")
-	hits, misses, cached := dsp.PlanCacheStats()
-	fmt.Fprintln(w, "# TYPE lightd_fft_plan_cache_total counter")
-	writeSample(w, "lightd_fft_plan_cache_total", `outcome="hit"`, float64(hits))
-	writeSample(w, "lightd_fft_plan_cache_total", `outcome="miss"`, float64(misses))
-	fmt.Fprintln(w, "# TYPE lightd_fft_plan_cache_size gauge")
-	writeSample(w, "lightd_fft_plan_cache_size", "", float64(cached))
-
-	if st := s.cfg.Store; st != nil {
-		ss := st.Stats()
-		fmt.Fprintln(w, "# TYPE lightd_wal_records_total counter")
-		writeSample(w, "lightd_wal_records_total", `outcome="appended"`, float64(m.walAppended.Load()))
-		writeSample(w, "lightd_wal_records_total", `outcome="dropped"`, float64(m.walDropped.Load()))
-		writeSample(w, "lightd_wal_records_total", `outcome="error"`, float64(m.walErrors.Load()))
-		fmt.Fprintln(w, "# TYPE lightd_store_write_errors_total counter")
-		m.storeWriteErrors.write(w, "lightd_store_write_errors_total", "")
-		fmt.Fprintln(w, "# TYPE lightd_store_degraded gauge")
-		degraded := 0.0
-		if s.storeDegraded.Load() {
-			degraded = 1
-		}
-		writeSample(w, "lightd_store_degraded", "", degraded)
-		fmt.Fprintln(w, "# TYPE lightd_wal_fsyncs_total counter")
-		writeSample(w, "lightd_wal_fsyncs_total", "", float64(ss.Fsyncs))
-		fmt.Fprintln(w, "# TYPE lightd_wal_segments gauge")
-		writeSample(w, "lightd_wal_segments", "", float64(ss.Segments))
-		fmt.Fprintln(w, "# TYPE lightd_wal_segment_bytes gauge")
-		writeSample(w, "lightd_wal_segment_bytes", "", float64(ss.SegmentBytes))
-		fmt.Fprintln(w, "# TYPE lightd_checkpoints_total counter")
-		writeSample(w, "lightd_checkpoints_total", `outcome="written"`, float64(ss.CheckpointsWritten))
-		writeSample(w, "lightd_checkpoints_total", `outcome="error"`, float64(m.ckptErrors.Load()))
-		fmt.Fprintln(w, "# TYPE lightd_compaction_runs_total counter")
-		writeSample(w, "lightd_compaction_runs_total", "", float64(ss.CompactionRuns))
-		fmt.Fprintln(w, "# TYPE lightd_compacted_total counter")
-		writeSample(w, "lightd_compacted_total", `kind="segment"`, float64(ss.SegmentsCompacted))
-		writeSample(w, "lightd_compacted_total", `kind="checkpoint"`, float64(ss.CheckpointsCompacted))
-		fmt.Fprintln(w, "# TYPE lightd_warm_start_approaches gauge")
-		writeSample(w, "lightd_warm_start_approaches", "", float64(m.restoredCount.Load()))
-		fmt.Fprintln(w, "# TYPE lightd_wal_append_duration_seconds histogram")
-		m.walAppendLat.write(w, "lightd_wal_append_duration_seconds", "")
-		fmt.Fprintln(w, "# TYPE lightd_wal_fsync_duration_seconds histogram")
-		m.walFsyncLat.write(w, "lightd_wal_fsync_duration_seconds", "")
-	}
-
-	fmt.Fprintln(w, "# TYPE lightd_http_request_duration_seconds histogram")
-	m.latMu.Lock()
-	eps := make([]string, 0, len(m.latencies))
-	for ep := range m.latencies {
-		eps = append(eps, ep)
-	}
-	sort.Strings(eps)
-	for _, ep := range eps {
-		m.latencies[ep].write(w, "lightd_http_request_duration_seconds", fmt.Sprintf(`path=%q`, ep))
-	}
-	m.latMu.Unlock()
-
-	hs := s.hub.Snapshot()
-	fmt.Fprintln(w, "# TYPE lightd_watch_subscribers gauge")
-	writeSample(w, "lightd_watch_subscribers", "", float64(hs.Subscribers))
-	fmt.Fprintln(w, "# TYPE lightd_watch_events_total counter")
-	writeSample(w, "lightd_watch_events_total", `outcome="enqueued"`, float64(hs.Delivered))
-	writeSample(w, "lightd_watch_events_total", `outcome="dropped"`, float64(hs.Dropped))
-	writeSample(w, "lightd_watch_events_total", `outcome="written"`, float64(m.watchEventsWritten.Load()))
-	fmt.Fprintln(w, "# TYPE lightd_watch_evictions_total counter")
-	writeSample(w, "lightd_watch_evictions_total", `reason="overflow"`, float64(hs.EvictedOverflow))
-	writeSample(w, "lightd_watch_evictions_total", `reason="deadline"`, float64(hs.EvictedDeadline))
-	writeSample(w, "lightd_watch_evictions_total", `reason="moved"`, float64(hs.EvictedMoved))
-	fmt.Fprintln(w, "# TYPE lightd_watch_shed_total counter")
-	m.watchShed.write(w, "lightd_watch_shed_total", "")
-	fmt.Fprintln(w, "# TYPE lightd_watch_publish_to_write_seconds histogram")
-	m.watchPublishToWrite.write(w, "lightd_watch_publish_to_write_seconds", "")
-
-	fmt.Fprintln(w, "# TYPE lightd_http_shed_total counter")
-	m.httpShed.write(w, "lightd_http_shed_total", "")
-	fmt.Fprintln(w, "# TYPE lightd_http_panics_total counter")
-	m.httpPanics.write(w, "lightd_http_panics_total", "")
-	fmt.Fprintln(w, "# TYPE lightd_http_inflight gauge")
-	inflight := 0
-	if s.inflight != nil {
-		inflight = len(s.inflight)
-	}
-	writeSample(w, "lightd_http_inflight", "", float64(inflight))
-
-	if rs := s.route.Load(); rs != nil {
-		rs.WriteMetrics(w)
-	}
-	if sup := s.supervisor(); sup != nil {
-		writeSourceMetrics(w, sup.Snapshot())
-	}
-	if fn := s.hooks.ExtraMetrics; fn != nil {
-		fn(w)
-	}
-}
-
-// writeSourceMetrics renders the per-source supervision series: the
-// state gauge matrix, connection/reconnect/resume/dedup counters, the
-// ingest connection family and the backoff histogram.
-func writeSourceMetrics(w http.ResponseWriter, sources []ingest.SourceStatus) {
-	label := func(st ingest.SourceStatus) string {
-		return fmt.Sprintf(`source=%q`, st.Name)
-	}
-	fmt.Fprintln(w, "# TYPE lightd_source_state gauge")
-	for _, st := range sources {
-		for _, name := range ingest.StateNames() {
-			v := 0.0
-			if st.State == name {
-				v = 1
-			}
-			writeSample(w, "lightd_source_state",
-				fmt.Sprintf(`source=%q,state=%q`, st.Name, name), v)
-		}
-	}
-	counters := []struct {
-		name string
-		get  func(ingest.SourceStatus) int64
-	}{
-		{"lightd_source_connects_total", func(st ingest.SourceStatus) int64 { return st.Connects }},
-		{"lightd_source_reconnects_total", func(st ingest.SourceStatus) int64 { return st.Reconnects }},
-		{"lightd_source_resumes_total", func(st ingest.SourceStatus) int64 { return st.Resumes }},
-		{"lightd_source_circuit_opens_total", func(st ingest.SourceStatus) int64 { return st.CircuitOpens }},
-		{"lightd_source_accept_retries_total", func(st ingest.SourceStatus) int64 { return st.AcceptRetries }},
-		{"lightd_source_records_total", func(st ingest.SourceStatus) int64 { return st.Records }},
-		{"lightd_source_dedup_dropped_total", func(st ingest.SourceStatus) int64 { return st.DedupDropped }},
-		{"lightd_ingest_connections_total", func(st ingest.SourceStatus) int64 { return st.ConnsTotal }},
-		{"lightd_ingest_connections_failed_total", func(st ingest.SourceStatus) int64 { return st.ConnsFailed }},
-	}
-	for _, c := range counters {
-		fmt.Fprintf(w, "# TYPE %s counter\n", c.name)
-		for _, st := range sources {
-			writeSample(w, c.name, label(st), float64(c.get(st)))
-		}
-	}
-	fmt.Fprintln(w, "# TYPE lightd_ingest_connections_active gauge")
-	for _, st := range sources {
-		writeSample(w, "lightd_ingest_connections_active", label(st), float64(st.ConnsActive))
-	}
-	fmt.Fprintln(w, "# TYPE lightd_source_backoff_seconds histogram")
-	for _, st := range sources {
-		cum := int64(0)
-		for i, b := range st.Backoff.Bounds {
-			cum += st.Backoff.Counts[i]
-			writeSample(w, "lightd_source_backoff_seconds_bucket",
-				joinLabels(label(st), fmt.Sprintf(`le="%g"`, b)), float64(cum))
-		}
-		cum += st.Backoff.Inf
-		writeSample(w, "lightd_source_backoff_seconds_bucket",
-			joinLabels(label(st), `le="+Inf"`), float64(cum))
-		writeSample(w, "lightd_source_backoff_seconds_sum", label(st), st.Backoff.Sum)
-		writeSample(w, "lightd_source_backoff_seconds_count", label(st), float64(st.Backoff.Count))
-	}
+	_ = s.reg.Write(w) // a scraper that hung up is its own problem
 }

@@ -227,14 +227,10 @@ func (s *Server) syncScanStats(prev *trace.SkipStats, cur trace.SkipStats) {
 	if d := cur.Lines - prev.Lines; d > 0 {
 		s.met.scanLines.Add(int64(d))
 	}
-	deltas := make(map[string]int64)
 	for c, n := range cur.ByClass {
 		if d := n - prev.ByClass[c]; d > 0 {
-			deltas[c] = int64(d)
+			s.met.skipped(c).Add(int64(d))
 		}
-	}
-	if len(deltas) > 0 {
-		s.met.addSkips(deltas)
 	}
 	*prev = cur
 }

@@ -1,97 +1,15 @@
 package server
 
 import (
-	"fmt"
-	"io"
-	"math"
-	"sort"
 	"sync"
-	"sync/atomic"
+	"time"
 
+	"taxilight/internal/dsp"
+	"taxilight/internal/ingest"
+	"taxilight/internal/metrics"
+	"taxilight/internal/routesvc"
 	"taxilight/internal/trace"
 )
-
-// The serving daemon exposes Prometheus text-format metrics without any
-// client library (the repo is stdlib-only): counters and gauges are
-// atomics, histograms are fixed-bucket atomics, and the /metrics handler
-// renders the exposition format directly.
-
-// counter is a monotonically increasing int64 metric.
-type counter struct{ v atomic.Int64 }
-
-func (c *counter) Add(n int64) { c.v.Add(n) }
-func (c *counter) Load() int64 { return c.v.Load() }
-func (c *counter) write(w io.Writer, name, labels string) {
-	writeSample(w, name, labels, float64(c.v.Load()))
-}
-
-// gauge is a settable float64 metric (stored as IEEE-754 bits).
-type gauge struct{ bits atomic.Uint64 }
-
-func (g *gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-func (g *gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
-func (g *gauge) write(w io.Writer, name, labels string) {
-	writeSample(w, name, labels, g.Load())
-}
-
-// histogram is a fixed-bucket Prometheus histogram. Observations go to
-// the first bucket whose upper bound is >= v; render emits cumulative
-// counts plus the implicit +Inf bucket, _sum and _count.
-type histogram struct {
-	bounds  []float64
-	buckets []atomic.Int64 // one per bound, non-cumulative
-	inf     atomic.Int64
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
-}
-
-func newHistogram(bounds ...float64) *histogram {
-	return &histogram{bounds: bounds, buckets: make([]atomic.Int64, len(bounds))}
-}
-
-func (h *histogram) Observe(v float64) {
-	idx := sort.SearchFloat64s(h.bounds, v)
-	if idx < len(h.bounds) {
-		h.buckets[idx].Add(1)
-	} else {
-		h.inf.Add(1)
-	}
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-func (h *histogram) write(w io.Writer, name, labels string) {
-	cum := int64(0)
-	for i, b := range h.bounds {
-		cum += h.buckets[i].Load()
-		writeSample(w, name+"_bucket", joinLabels(labels, fmt.Sprintf(`le="%g"`, b)), float64(cum))
-	}
-	cum += h.inf.Load()
-	writeSample(w, name+"_bucket", joinLabels(labels, `le="+Inf"`), float64(cum))
-	writeSample(w, name+"_sum", labels, math.Float64frombits(h.sumBits.Load()))
-	writeSample(w, name+"_count", labels, float64(h.count.Load()))
-}
-
-func writeSample(w io.Writer, name, labels string, v float64) {
-	if labels != "" {
-		fmt.Fprintf(w, "%s{%s} %g\n", name, labels, v)
-	} else {
-		fmt.Fprintf(w, "%s %g\n", name, v)
-	}
-}
-
-func joinLabels(a, b string) string {
-	if a == "" {
-		return b
-	}
-	return a + "," + b
-}
 
 // latencyBuckets covers sub-millisecond cache hits through multi-second
 // stalls for the per-endpoint request-duration histograms.
@@ -124,65 +42,51 @@ var stageBuckets = []float64{.00001, .00005, .0001, .0005, .001, .005, .01, .05,
 // runs its stages (core.RoundStats: the four sum to the round duration).
 var roundStages = [...]string{"snapshot", "stop_index", "identify", "publish"}
 
-// metrics is the daemon-wide metric set. Per-endpoint and per-class
-// series are pre-registered so every scrape shows the full matrix from
-// the first request on.
-type metrics struct {
-	ingestRecords   counter // lines delivered by the scanners
-	ingestMatched   counter // records snapped to a signal approach
-	ingestUnmatched counter // records no approach could be attributed to
-	ingestDropped   counter // matched records dropped at dispatch (shutdown)
-	ingestFiltered  counter // matched records for keys this node does not own
-	schedChanges    counter // confirmed scheduling changes across shards
-	advanceErrors   counter // failed Advance calls
+// serverMetrics is the daemon's instrument set; newMetrics registers each
+// field under the name beside it. Per-endpoint and per-class series are
+// pre-registered so every scrape shows the full matrix from the first
+// request on, and so the request and ingest paths only ever touch an
+// atomic.
+type serverMetrics struct {
+	ingestRecords   *metrics.Counter
+	ingestMatched   *metrics.Counter
+	ingestUnmatched *metrics.Counter
+	ingestDropped   *metrics.Counter
+	ingestFiltered  *metrics.Counter
+	schedChanges    *metrics.Counter
+	advanceErrors   *metrics.Counter
 
-	skipMu      sync.Mutex
-	skipByClass map[string]int64 // lenient-scanner skips, per error class
-	scanLines   counter
+	scanLines   *metrics.Counter
+	skipByClass map[string]*metrics.Counter // by trace parse-error class
 
-	estimateAge *histogram // observed at every snapshot rebuild
+	estimateAge *metrics.Histogram // observed at every snapshot rebuild
 
-	// Incremental-estimation series, fed by the engines' round observer:
-	// wall time per round and per stage, engine-lock hold per round, how many
-	// approaches each round recomputed vs carried forward unchanged,
-	// round count, and the effective identification parallelism of the
-	// most recent round (the resolved -round-workers value after
-	// clamping to the round's dirty-key count).
-	estimateRound    *histogram
-	estimateLockHold *histogram
-	estimateStage    [len(roundStages)]*histogram
-	keysRecomputed   counter
-	keysCarried      counter
-	estimateRounds   counter
-	estimateWorkers  gauge
+	// Fed by the engines' round observer.
+	estimateRound    *metrics.Histogram
+	estimateLockHold *metrics.Histogram
+	estimateStage    [len(roundStages)]*metrics.Histogram
+	keysRecomputed   *metrics.Counter
+	keysCarried      *metrics.Counter
+	estimateRounds   *metrics.Counter
+	estimateWorkers  *metrics.Gauge
 
-	// Durable-store series: queue accounting (appended vs dropped at
-	// the bounded persistence queue), failures, and WAL latency split
-	// into the cheap framed append and the expensive batched fsync.
-	walAppended      counter // records handed to the store
-	walDropped       counter // records dropped because the queue was full
-	walErrors        counter // failed store appends (records)
-	storeWriteErrors counter // failed store appends (batches) — degraded-mode budget
-	ckptErrors       counter // failed checkpoint writes
-	walAppendLat     *histogram
-	walFsyncLat      *histogram
-	restoredCount    counter // approaches warm-started from the store
+	// Durable-store series, on the page only when a store is configured.
+	walAppended      *metrics.Counter
+	walDropped       *metrics.Counter
+	walErrors        *metrics.Counter
+	storeWriteErrors *metrics.Counter
+	ckptErrors       *metrics.Counter
+	walAppendLat     *metrics.Histogram
+	walFsyncLat      *metrics.Histogram
+	restoredCount    metrics.Counter // approaches warm-started; also in /healthz
 
-	// Overload-hardening series: requests shed by the in-flight limiter
-	// and handler panics swallowed by the recovery middleware.
-	httpShed   counter
-	httpPanics counter
+	httpShed   *metrics.Counter
+	httpPanics *metrics.Counter
+	latencies  map[string]*metrics.Histogram // by endpoint
 
-	// Watch (push read path) series: subscriptions shed at the hub cap,
-	// events actually written to client sockets, and the latency from a
-	// round's publish to the event landing on the socket. Subscriber
-	// gauge and eviction counters live on the hub itself.
-	watchShed           counter
-	watchEventsWritten  counter
-	watchPublishToWrite *histogram
-
-	latMu     sync.Mutex
-	latencies map[string]*histogram // per-endpoint request duration
+	watchShed           *metrics.Counter
+	watchEventsWritten  *metrics.Counter
+	watchPublishToWrite *metrics.Histogram
 
 	// rate state for the ingest records/sec gauge: average since the
 	// previous scrape.
@@ -191,53 +95,72 @@ type metrics struct {
 	lastRateSeen int64 // ingestRecords at the previous scrape
 }
 
-func newMetrics(endpoints []string) *metrics {
-	m := &metrics{
-		skipByClass:         make(map[string]int64),
-		estimateAge:         newHistogram(ageBuckets...),
-		estimateRound:       newHistogram(roundBuckets...),
-		estimateLockHold:    newHistogram(lockHoldBuckets...),
-		walAppendLat:        newHistogram(walBuckets...),
-		walFsyncLat:         newHistogram(walBuckets...),
-		watchPublishToWrite: newHistogram(latencyBuckets...),
-		latencies:           make(map[string]*histogram, len(endpoints)),
-	}
-	for i := range m.estimateStage {
-		m.estimateStage[i] = newHistogram(stageBuckets...)
+// newMetrics registers the daemon's instruments on reg. Without a store
+// the store instruments still exist — their call sites do not branch —
+// but on a registry nobody writes.
+func newMetrics(reg *metrics.Registry, endpoints []string, withStore bool) *serverMetrics {
+	m := &serverMetrics{
+		ingestRecords:   reg.Counter("lightd_ingest_records_total", "Records the scanners delivered to the dispatcher."),
+		ingestMatched:   reg.Counter("lightd_ingest_matched_total", "Records map-matched to a signal approach."),
+		ingestUnmatched: reg.Counter("lightd_ingest_unmatched_total", "Records no signal approach could be attributed to."),
+		ingestDropped:   reg.Counter("lightd_ingest_dropped_total", "Matched records dropped at dispatch because the daemon was shutting down."),
+		ingestFiltered:  reg.Counter("lightd_ingest_filtered_total", "Matched records for approaches this cluster node does not own."),
+		scanLines:       reg.Counter("lightd_scanner_lines_total", "Non-blank feed lines the lenient scanners read, good and bad."),
+		skipByClass:     make(map[string]*metrics.Counter),
+		schedChanges:    reg.Counter("lightd_scheduling_changes_total", "Confirmed scheduling changes across all approaches."),
+		advanceErrors:   reg.Counter("lightd_advance_errors_total", "Estimation rounds that returned an error."),
+
+		estimateAge:      reg.Histogram("lightd_estimate_age_seconds", "Age of every served estimate, observed at each snapshot rebuild.", ageBuckets),
+		estimateRound:    reg.Histogram("lightd_estimate_round_seconds", "Wall time of one estimation round.", roundBuckets),
+		estimateLockHold: reg.Histogram("lightd_estimate_lock_hold_seconds", "Engine-lock hold time of one round: the only window readers and ingest wait.", lockHoldBuckets),
+		keysRecomputed:   reg.Counter("lightd_estimate_keys_total", "Approaches a round recomputed or carried forward unchanged.", "outcome", "recomputed"),
+		keysCarried:      reg.Counter("lightd_estimate_keys_total", "", "outcome", "carried"),
+		estimateRounds:   reg.Counter("lightd_estimate_rounds_total", "Estimation rounds run."),
+		estimateWorkers:  reg.Gauge("lightd_estimate_workers", "Identification parallelism of the most recent round, after clamping to its dirty keys."),
+
+		httpShed:   reg.Counter("lightd_http_shed_total", "Requests answered 429 by the in-flight limiter."),
+		httpPanics: reg.Counter("lightd_http_panics_total", "Handler panics turned into a 500 by the recovery middleware."),
+		latencies:  make(map[string]*metrics.Histogram, len(endpoints)),
+
+		watchEventsWritten:  reg.Counter("lightd_watch_events_total", "Watch events enqueued for subscribers, dropped at a full queue, and written to sockets.", "outcome", "written"),
+		watchShed:           reg.Counter("lightd_watch_shed_total", "Watch subscriptions refused at the hub's subscriber cap."),
+		watchPublishToWrite: reg.Histogram("lightd_watch_publish_to_write_seconds", "Latency from a round's publish to the event landing on a watcher's socket.", latencyBuckets),
 	}
 	for _, c := range trace.Classes() {
-		m.skipByClass[c] = 0
+		m.skipByClass[c] = reg.Counter("lightd_scanner_skipped_total", "Malformed lines the lenient scanners skipped, by parse-error class.", "class", c)
+	}
+	for i, stage := range roundStages {
+		m.estimateStage[i] = reg.Histogram("lightd_estimate_stage_seconds", "Wall time of each stage of a round; the four sum to the round.", stageBuckets, "stage", stage)
 	}
 	for _, ep := range endpoints {
-		m.latencies[ep] = newHistogram(latencyBuckets...)
+		m.latencies[ep] = reg.Histogram("lightd_http_request_duration_seconds", "Request duration by endpoint.", latencyBuckets, "path", ep)
 	}
+	if !withStore {
+		reg = metrics.NewRegistry()
+	}
+	m.walAppended = reg.Counter("lightd_wal_records_total", "Estimate records appended to the WAL, dropped at the full persistence queue, or failed.", "outcome", "appended")
+	m.walDropped = reg.Counter("lightd_wal_records_total", "", "outcome", "dropped")
+	m.walErrors = reg.Counter("lightd_wal_records_total", "", "outcome", "error")
+	m.storeWriteErrors = reg.Counter("lightd_store_write_errors_total", "Failed store append batches, counted against the degraded-mode budget.")
+	m.ckptErrors = reg.Counter("lightd_checkpoints_total", "Checkpoints written and checkpoint writes that failed.", "outcome", "error")
+	m.walAppendLat = reg.Histogram("lightd_wal_append_duration_seconds", "Duration of one framed WAL append.", walBuckets)
+	m.walFsyncLat = reg.Histogram("lightd_wal_fsync_duration_seconds", "Duration of one batched WAL fsync.", walBuckets)
 	return m
 }
 
-// addSkips merges a per-class delta from one scanner into the daemon
-// totals.
-func (m *metrics) addSkips(byClass map[string]int64) {
-	m.skipMu.Lock()
-	defer m.skipMu.Unlock()
-	for c, n := range byClass {
-		m.skipByClass[c] += n
+// skipped returns the counter for one parse-error class; a class outside
+// trace.Classes() counts as "other".
+func (m *serverMetrics) skipped(class string) *metrics.Counter {
+	if c := m.skipByClass[class]; c != nil {
+		return c
 	}
-}
-
-// observeLatency records one request's duration for its endpoint.
-func (m *metrics) observeLatency(endpoint string, seconds float64) {
-	m.latMu.Lock()
-	h := m.latencies[endpoint]
-	m.latMu.Unlock()
-	if h != nil {
-		h.Observe(seconds)
-	}
+	return m.skipByClass[trace.ClassOther]
 }
 
 // ingestRate returns the mean ingest rate (records/sec) since the last
 // call, given the current wall clock in unix nanos. The first call (and
 // any zero-elapsed call) returns 0.
-func (m *metrics) ingestRate(nowNanos int64) float64 {
+func (m *serverMetrics) ingestRate(nowNanos int64) float64 {
 	m.rateMu.Lock()
 	defer m.rateMu.Unlock()
 	seen := m.ingestRecords.Load()
@@ -247,4 +170,130 @@ func (m *metrics) ingestRate(nowNanos int64) float64 {
 	}
 	elapsed := float64(nowNanos-m.lastRateAt) / 1e9
 	return float64(seen-m.lastRateSeen) / elapsed
+}
+
+// sourceCounters are the per-source supervision counters, one family each.
+var sourceCounters = []struct {
+	name, help string
+	get        func(ingest.SourceStatus) int64
+}{
+	{"lightd_source_connects_total", "Connections a source established.", func(st ingest.SourceStatus) int64 { return st.Connects }},
+	{"lightd_source_reconnects_total", "Connections after a source's first.", func(st ingest.SourceStatus) int64 { return st.Reconnects }},
+	{"lightd_source_resumes_total", "Reconnects that resumed behind the dedup watermark.", func(st ingest.SourceStatus) int64 { return st.Resumes }},
+	{"lightd_source_circuit_opens_total", "Times a source's circuit breaker opened.", func(st ingest.SourceStatus) int64 { return st.CircuitOpens }},
+	{"lightd_source_accept_retries_total", "Transient accept errors a listen source retried.", func(st ingest.SourceStatus) int64 { return st.AcceptRetries }},
+	{"lightd_source_records_total", "Records a source admitted past its dedup gate.", func(st ingest.SourceStatus) int64 { return st.Records }},
+	{"lightd_source_dedup_dropped_total", "Replayed records a source's dedup gate dropped.", func(st ingest.SourceStatus) int64 { return st.DedupDropped }},
+	{"lightd_ingest_connections_total", "Feed connections opened, by source.", func(st ingest.SourceStatus) int64 { return st.ConnsTotal }},
+	{"lightd_ingest_connections_failed_total", "Feed connections that ended in an error, by source.", func(st ingest.SourceStatus) int64 { return st.ConnsFailed }},
+}
+
+// registerCollectors declares every family whose value lives outside the
+// registry — engine health, the hub, the FFT plan cache, the store, the
+// routing service, the ingest supervisor — and the scrape-time functions
+// that read them.
+func (s *Server) registerCollectors() {
+	const counter, gauge = metrics.KindCounter, metrics.KindGauge
+	reg := s.reg
+	reg.Declare(gauge, "lightd_ingest_records_per_second", "Mean ingest rate since the previous scrape.")
+	reg.Declare(gauge, "lightd_approaches", "Approaches known to the engines, by health.", metrics.L("health", "fresh", "stale", "quarantined"))
+	reg.Declare(gauge, "lightd_buffered_records", "Matched records buffered in the engines' windows.")
+	reg.Declare(counter, "lightd_engine_dropped_records_total", "Records the engines dropped as older than the window or over the buffer bound.", metrics.L("reason", "old", "overflow"))
+	reg.Declare(counter, "lightd_fft_plan_cache_total", "FFT plan cache lookups.", metrics.L("outcome", "hit", "miss"))
+	reg.Declare(gauge, "lightd_fft_plan_cache_size", "FFT plans cached.")
+	reg.Declare(gauge, "lightd_watch_subscribers", "Live /v1/watch subscriptions.")
+	reg.Declare(counter, "lightd_watch_events_total", "", metrics.L("outcome", "enqueued", "dropped"))
+	reg.Declare(counter, "lightd_watch_evictions_total", "Watch subscribers evicted for a full queue, a missed write deadline, or a key that moved to another node.", metrics.L("reason", "overflow", "deadline", "moved"))
+	reg.Declare(gauge, "lightd_http_inflight", "Requests holding an in-flight limiter slot.")
+	reg.Collect(s.collectServer)
+
+	if s.cfg.Store != nil {
+		reg.Declare(gauge, "lightd_store_degraded", "1 once the write-failure budget tripped and the daemon stopped persisting.")
+		reg.Declare(counter, "lightd_wal_fsyncs_total", "WAL fsyncs.")
+		reg.Declare(gauge, "lightd_wal_segments", "WAL segment files on disk.")
+		reg.Declare(gauge, "lightd_wal_segment_bytes", "Bytes in WAL segment files on disk.")
+		reg.Declare(counter, "lightd_checkpoints_total", "", metrics.L("outcome", "written"))
+		reg.Declare(counter, "lightd_compaction_runs_total", "Retention compaction passes.")
+		reg.Declare(counter, "lightd_compacted_total", "Files compaction removed.", metrics.L("kind", "segment", "checkpoint"))
+		reg.Declare(gauge, "lightd_warm_start_approaches", "Approaches restored from the store at startup.")
+		reg.Collect(s.collectStore)
+	}
+
+	// The routing service is wired after New (SetRouteService), so its
+	// families are declared now and read through s.route at scrape time.
+	routesvc.DeclareMetrics(reg)
+	reg.Collect(func(sc *metrics.Scrape) {
+		if rs := s.route.Load(); rs != nil {
+			rs.CollectMetrics(sc)
+		}
+	})
+
+	reg.Declare(gauge, "lightd_source_state", "1 for the state each supervised source is in, 0 for the others.", metrics.L("source"), metrics.L("state", ingest.StateNames()...))
+	for _, c := range sourceCounters {
+		reg.Declare(counter, c.name, c.help, metrics.L("source"))
+	}
+	reg.Declare(gauge, "lightd_ingest_connections_active", "Feed connections open now, by source.", metrics.L("source"))
+	reg.Declare(metrics.KindHistogram, "lightd_source_backoff_seconds", "Supervised pauses before a reconnect or accept retry.", metrics.L("source"))
+	reg.Collect(s.collectSources)
+}
+
+func (s *Server) collectServer(sc *metrics.Scrape) {
+	sc.Value("lightd_ingest_records_per_second", s.met.ingestRate(time.Now().UnixNano()))
+	doc := s.healthReport()
+	sc.Value("lightd_approaches", float64(doc.Fresh), "health", "fresh")
+	sc.Value("lightd_approaches", float64(doc.Stale), "health", "stale")
+	sc.Value("lightd_approaches", float64(doc.Quarantined), "health", "quarantined")
+	sc.Value("lightd_buffered_records", float64(doc.Buffered))
+	sc.Value("lightd_engine_dropped_records_total", float64(doc.DroppedOld), "reason", "old")
+	sc.Value("lightd_engine_dropped_records_total", float64(doc.DroppedOverflow), "reason", "overflow")
+	hits, misses, cached := dsp.PlanCacheStats()
+	sc.Value("lightd_fft_plan_cache_total", float64(hits), "outcome", "hit")
+	sc.Value("lightd_fft_plan_cache_total", float64(misses), "outcome", "miss")
+	sc.Value("lightd_fft_plan_cache_size", float64(cached))
+	hs := s.hub.Snapshot()
+	sc.Value("lightd_watch_subscribers", float64(hs.Subscribers))
+	sc.Value("lightd_watch_events_total", float64(hs.Delivered), "outcome", "enqueued")
+	sc.Value("lightd_watch_events_total", float64(hs.Dropped), "outcome", "dropped")
+	sc.Value("lightd_watch_evictions_total", float64(hs.EvictedOverflow), "reason", "overflow")
+	sc.Value("lightd_watch_evictions_total", float64(hs.EvictedDeadline), "reason", "deadline")
+	sc.Value("lightd_watch_evictions_total", float64(hs.EvictedMoved), "reason", "moved")
+	sc.Value("lightd_http_inflight", float64(len(s.inflight)))
+}
+
+func (s *Server) collectStore(sc *metrics.Scrape) {
+	degraded := 0.0
+	if s.storeDegraded.Load() {
+		degraded = 1
+	}
+	sc.Value("lightd_store_degraded", degraded)
+	ss := s.cfg.Store.Stats()
+	sc.Value("lightd_wal_fsyncs_total", float64(ss.Fsyncs))
+	sc.Value("lightd_wal_segments", float64(ss.Segments))
+	sc.Value("lightd_wal_segment_bytes", float64(ss.SegmentBytes))
+	sc.Value("lightd_checkpoints_total", float64(ss.CheckpointsWritten), "outcome", "written")
+	sc.Value("lightd_compaction_runs_total", float64(ss.CompactionRuns))
+	sc.Value("lightd_compacted_total", float64(ss.SegmentsCompacted), "kind", "segment")
+	sc.Value("lightd_compacted_total", float64(ss.CheckpointsCompacted), "kind", "checkpoint")
+	sc.Value("lightd_warm_start_approaches", float64(s.met.restoredCount.Load()))
+}
+
+func (s *Server) collectSources(sc *metrics.Scrape) {
+	sup := s.supervisor()
+	if sup == nil {
+		return
+	}
+	for _, st := range sup.Snapshot() {
+		for _, name := range ingest.StateNames() {
+			v := 0.0
+			if st.State == name {
+				v = 1
+			}
+			sc.Value("lightd_source_state", v, "source", st.Name, "state", name)
+		}
+		for _, c := range sourceCounters {
+			sc.Value(c.name, float64(c.get(st)), "source", st.Name)
+		}
+		sc.Value("lightd_ingest_connections_active", float64(st.ConnsActive), "source", st.Name)
+		sc.Histogram("lightd_source_backoff_seconds", st.Backoff, "source", st.Name)
+	}
 }

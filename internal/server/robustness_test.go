@@ -235,10 +235,7 @@ func TestSyncScanStatsConcurrent(t *testing.T) {
 	if got := s.met.scanLines.Load(); got != int64(sources*2*steps) {
 		t.Fatalf("scanLines = %d, want %d", got, sources*2*steps)
 	}
-	s.met.skipMu.Lock()
-	fields := s.met.skipByClass["fields"]
-	s.met.skipMu.Unlock()
-	if fields != int64(sources*steps) {
+	if fields := s.met.skipByClass["fields"].Load(); fields != int64(sources*steps) {
 		t.Fatalf("skipByClass[fields] = %d, want %d", fields, sources*steps)
 	}
 }
@@ -364,4 +361,80 @@ func TestSupervisedSourcesInHealthz(t *testing.T) {
 	cancel()
 	<-done
 	s.StopIngest()
+}
+
+// stallWriter is a scraper that stops reading: the first Write whose
+// bytes contain stallOn parks until release is closed.
+type stallWriter struct {
+	hdr     http.Header
+	stallOn string
+	stalled chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (w *stallWriter) Header() http.Header { return w.hdr }
+func (w *stallWriter) WriteHeader(int)     {}
+func (w *stallWriter) Write(b []byte) (int, error) {
+	if strings.Contains(string(b), w.stallOn) {
+		w.once.Do(func() { close(w.stalled) })
+		<-w.release
+	}
+	return len(b), nil
+}
+
+// TestStalledScrapeBlocksNothing parks a /metrics response mid-body —
+// once inside the per-class skip series, once inside the per-endpoint
+// latency series — and checks that neither a querier's request nor an
+// ingest loop folding skip counts waits for the scraper: /metrics is
+// exempt from the in-flight limiter, so anything it holds while writing
+// to the client is held for as long as the client likes.
+func TestStalledScrapeBlocksNothing(t *testing.T) {
+	w := testWorld(t)
+	feed := matchedLines(t, w, 3) + "garbage\n" + "definitely,not,a,record\n"
+	for _, stallOn := range []string{"lightd_scanner_skipped_total{", "lightd_http_request_duration_seconds_bucket{"} {
+		cfg := DefaultConfig()
+		cfg.Shards = 2
+		s, err := New(w.Matcher, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		handler := s.Handler()
+		sw := &stallWriter{hdr: http.Header{}, stallOn: stallOn, stalled: make(chan struct{}), release: make(chan struct{})}
+		scraped := make(chan struct{})
+		go func() {
+			defer close(scraped)
+			handler.ServeHTTP(sw, httptest.NewRequest("GET", "/metrics", nil))
+		}()
+		<-sw.stalled
+
+		served := make(chan int, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/state/0/NS", nil))
+			served <- rec.Code
+		}()
+		ingested := make(chan error, 1)
+		go func() { ingested <- s.ingestReader(context.Background(), strings.NewReader(feed)) }()
+		timeout := time.After(time.Second)
+		for served != nil || ingested != nil {
+			select {
+			case <-served:
+				served = nil
+			case err := <-ingested:
+				if err != nil {
+					t.Errorf("ingest beside a stalled scrape: %v", err)
+				}
+				ingested = nil
+			case <-timeout:
+				t.Errorf("scrape stalled in %q: request done %v, ingest drained %v after 1 s",
+					stallOn, served == nil, ingested == nil)
+				served, ingested = nil, nil
+			}
+		}
+		close(sw.release)
+		<-scraped
+		s.StopIngest()
+	}
 }

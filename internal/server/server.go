@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -21,6 +20,7 @@ import (
 	"taxilight/internal/core"
 	"taxilight/internal/ingest"
 	"taxilight/internal/mapmatch"
+	"taxilight/internal/metrics"
 	"taxilight/internal/pubsub"
 	"taxilight/internal/routesvc"
 	"taxilight/internal/store"
@@ -203,7 +203,8 @@ type Server struct {
 	cfg     Config
 	matcher *mapmatch.Matcher
 	shards  []*shard
-	met     *metrics
+	reg     *metrics.Registry
+	met     *serverMetrics
 	snap    snapshotCache
 	// hub fans each estimation round's published keys out to /v1/watch
 	// subscribers (the push read path).
@@ -256,8 +257,6 @@ type ClusterHooks struct {
 	HealthOverride func(k mapmatch.Key, health string) string
 	// Health is rendered into /healthz as the "cluster" section.
 	Health func() any
-	// ExtraMetrics appends exposition lines to every /metrics render.
-	ExtraMetrics func(w io.Writer)
 	// OnPersist runs after every successful WAL append with the store's
 	// newest sequence number and the distinct keys the batch carried —
 	// the replication notification trigger, and the cluster layer's
@@ -270,6 +269,11 @@ type ClusterHooks struct {
 // called before Start and before any request is served.
 func (s *Server) SetClusterHooks(h ClusterHooks) { s.hooks = h }
 
+// Metrics returns the registry /metrics is written from, for a layer
+// above the server (the cluster node) to register its own families on —
+// like the hooks, before any request is served.
+func (s *Server) Metrics() *metrics.Registry { return s.reg }
+
 // New builds a server with cfg.Shards idle engines. matcher attributes
 // raw records to signal approaches; it may be nil when the caller feeds
 // pre-matched records via Dispatch only.
@@ -277,10 +281,12 @@ func New(matcher *mapmatch.Matcher, cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	reg := metrics.NewRegistry()
 	s := &Server{
 		cfg:     cfg,
 		matcher: matcher,
-		met:     newMetrics(endpointNames),
+		reg:     reg,
+		met:     newMetrics(reg, endpointNames, cfg.Store != nil),
 	}
 	s.hub = pubsub.NewHub(pubsub.Config{
 		MaxSubscribers: cfg.MaxSubscribers,
@@ -290,6 +296,7 @@ func New(matcher *mapmatch.Matcher, cfg Config) (*Server, error) {
 	if cfg.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInFlight)
 	}
+	s.registerCollectors()
 	for i := 0; i < cfg.Shards; i++ {
 		engCfg := cfg.Realtime
 		var tickPhase time.Duration
@@ -561,16 +568,14 @@ func (s *Server) Engines() []*core.Engine {
 func (s *Server) Summary() string {
 	doc := s.healthReport()
 	m := s.met
-	m.skipMu.Lock()
 	skipped := int64(0)
 	classes := make(map[string]int64, len(m.skipByClass))
-	for c, n := range m.skipByClass {
-		if n > 0 {
+	for c, ctr := range m.skipByClass {
+		if n := ctr.Load(); n > 0 {
 			classes[c] = n
 			skipped += n
 		}
 	}
-	m.skipMu.Unlock()
 	out := fmt.Sprintf("  ingested %d records (%d matched, %d unmatched, %d dropped at dispatch)\n",
 		m.ingestRecords.Load(), m.ingestMatched.Load(), m.ingestUnmatched.Load(), m.ingestDropped.Load())
 	out += fmt.Sprintf("  scanner: %d lines, %d skipped %v\n", m.scanLines.Load(), skipped, classes)
