@@ -42,12 +42,12 @@ import (
 	"time"
 
 	"taxilight/internal/cluster"
-	"taxilight/internal/experiments"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/roadnet"
 	"taxilight/internal/routesvc"
 	"taxilight/internal/server"
 	"taxilight/internal/store"
+	"taxilight/internal/trace"
 )
 
 func main() {
@@ -106,7 +106,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	matcher, err := mapmatch.New(net, experiments.Epoch, mapmatch.DefaultConfig())
+	matcher, err := mapmatch.New(net, trace.Epoch, mapmatch.DefaultConfig())
 	if err != nil {
 		fatal(err)
 	}

@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"taxilight/internal/core"
-	"taxilight/internal/experiments"
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/roadnet"
@@ -115,7 +114,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	matcher, err := mapmatch.New(net, experiments.Epoch, mapmatch.DefaultConfig())
+	matcher, err := mapmatch.New(net, trace.Epoch, mapmatch.DefaultConfig())
 	if err != nil {
 		fatal(err)
 	}

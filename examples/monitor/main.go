@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"taxilight/internal/core"
-	"taxilight/internal/experiments"
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/roadnet"
@@ -52,7 +51,6 @@ func main() {
 	}
 	tcfg := trace.DefaultGenConfig(sim, net.Projection())
 	tcfg.Activity = nil
-	tcfg.Epoch = experiments.Epoch
 	gen, err := trace.NewGenerator(tcfg)
 	if err != nil {
 		log.Fatal(err)
@@ -60,7 +58,7 @@ func main() {
 	records := gen.Collect(13 * 3600)
 	fmt.Printf("collected %d records between 04:00 and 13:00\n", len(records))
 
-	matcher, err := mapmatch.New(net, experiments.Epoch, mapmatch.DefaultConfig())
+	matcher, err := mapmatch.New(net, trace.Epoch, mapmatch.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"taxilight/internal/core"
-	"taxilight/internal/experiments"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/roadnet"
 	"taxilight/internal/trace"
@@ -74,7 +73,6 @@ func main() {
 	}
 	tcfg := trace.DefaultGenConfig(sim, net.Projection())
 	tcfg.Activity = nil
-	tcfg.Epoch = experiments.Epoch
 	gen, err := trace.NewGenerator(tcfg)
 	if err != nil {
 		log.Fatal(err)
@@ -82,7 +80,7 @@ func main() {
 	records := gen.Collect(3600)
 	fmt.Printf("simulated %d records over one hour\n", len(records))
 
-	matcher, err := mapmatch.New(net, experiments.Epoch, mapmatch.DefaultConfig())
+	matcher, err := mapmatch.New(net, trace.Epoch, mapmatch.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -100,18 +100,3 @@ func ArgMin(x []float64) int {
 	}
 	return bi
 }
-
-// ArgMax returns the index of the largest element of x (first on ties).
-// It returns -1 for an empty slice.
-func ArgMax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	bi := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] > x[bi] {
-			bi = i
-		}
-	}
-	return bi
-}

@@ -7,7 +7,6 @@
 package dsp
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"math/cmplx"
@@ -17,39 +16,22 @@ import (
 //
 //	X[k] = sum_{n=0}^{N-1} x[n] * exp(-2πi·kn/N)
 //
-// It dispatches to the radix-2 algorithm when len(x) is a power of two and
-// to Bluestein's algorithm otherwise. The input is not modified. An empty
-// input yields an empty output.
+// It runs a one-shot transform core for len(x) — radix-2 when that is a
+// power of two, Bluestein's algorithm otherwise; repeated transforms of
+// one length belong on an FFTPlan, which shares the core's tables. The
+// input is not modified. An empty input yields an empty output.
 func FFT(x []complex128) []complex128 {
 	n := len(x)
 	if n == 0 {
 		return nil
 	}
 	out := append([]complex128(nil), x...)
-	if n&(n-1) == 0 {
-		fftRadix2(out, false)
-		return out
+	core := newCplanCore(n)
+	var work []complex128
+	if !core.pow2 {
+		work = make([]complex128, core.m)
 	}
-	return bluestein(out, false)
-}
-
-// IFFT returns the inverse DFT of x, normalised by 1/N so that
-// IFFT(FFT(x)) == x.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := append([]complex128(nil), x...)
-	if n&(n-1) == 0 {
-		fftRadix2(out, true)
-	} else {
-		out = bluestein(out, true)
-	}
-	inv := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= inv
-	}
+	core.transform(out, work)
 	return out
 }
 
@@ -124,45 +106,6 @@ func nextPow2(n int) int {
 	return 1 << uint(bits.Len(uint(n-1)))
 }
 
-// bluestein computes an arbitrary-length DFT via the chirp-z transform,
-// reducing it to a cyclic convolution of power-of-two length.
-func bluestein(x []complex128, inverse bool) []complex128 {
-	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// chirp[k] = exp(sign·πi·k²/n); note k² mod 2n to keep the angle exact.
-	chirp := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		k2 := (int64(k) * int64(k)) % int64(2*n)
-		ang := sign * math.Pi * float64(k2) / float64(n)
-		chirp[k] = cmplx.Exp(complex(0, ang))
-	}
-	m := nextPow2(2*n - 1)
-	a := make([]complex128, m)
-	b := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * chirp[k]
-		b[k] = cmplx.Conj(chirp[k])
-	}
-	for k := 1; k < n; k++ {
-		b[m-k] = cmplx.Conj(chirp[k])
-	}
-	fftRadix2(a, false)
-	fftRadix2(b, false)
-	for i := range a {
-		a[i] *= b[i]
-	}
-	fftRadix2(a, true)
-	out := make([]complex128, n)
-	invM := complex(1/float64(m), 0)
-	for k := 0; k < n; k++ {
-		out[k] = a[k] * invM * chirp[k]
-	}
-	return out
-}
-
 // Magnitudes returns |x[i]| for every element of the spectrum.
 func Magnitudes(x []complex128) []float64 {
 	out := make([]float64, len(x))
@@ -170,33 +113,6 @@ func Magnitudes(x []complex128) []float64 {
 		out[i] = cmplx.Abs(v)
 	}
 	return out
-}
-
-// DominantFrequency scans the one-sided spectrum magnitudes (bins
-// [minBin, N/2]) of a real signal of length n and returns the bin index
-// with the largest magnitude. minBin lets the caller skip the DC bin and
-// very-low-frequency drift, mirroring the paper's search over n in
-// [0, N/2] after detrending. It returns an error when the search range is
-// empty.
-func DominantFrequency(mags []float64, minBin int) (int, error) {
-	n := len(mags)
-	if n == 0 {
-		return 0, fmt.Errorf("dsp: empty spectrum")
-	}
-	hi := n / 2
-	if minBin < 0 {
-		minBin = 0
-	}
-	if minBin > hi {
-		return 0, fmt.Errorf("dsp: minBin %d beyond Nyquist bin %d", minBin, hi)
-	}
-	best, bestMag := minBin, mags[minBin]
-	for k := minBin; k <= hi; k++ {
-		if mags[k] > bestMag {
-			best, bestMag = k, mags[k]
-		}
-	}
-	return best, nil
 }
 
 // Detrend subtracts the mean from x in a new slice. Removing DC before the

@@ -102,28 +102,3 @@ func WelchSpectrum(x []float64, segLen int) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// Goertzel evaluates the DFT of x at the single bin k in O(n) time — the
-// right tool when only a handful of candidate frequencies need checking,
-// e.g. re-testing yesterday's cycle length against today's data.
-func Goertzel(x []float64, k int) (complex128, error) {
-	n := len(x)
-	if n == 0 {
-		return 0, fmt.Errorf("dsp: empty signal")
-	}
-	if k < 0 || k >= n {
-		return 0, fmt.Errorf("dsp: bin %d outside [0, %d)", k, n)
-	}
-	w := 2 * math.Pi * float64(k) / float64(n)
-	coeff := 2 * math.Cos(w)
-	var s0, s1, s2 float64
-	for _, v := range x {
-		s0 = v + coeff*s1 - s2
-		s2 = s1
-		s1 = s0
-	}
-	// s1 - s2·e^{-jw} equals e^{jw(N-1)}·X[k]; undo the phase factor so
-	// the result matches the FFT bin exactly, not just in magnitude.
-	s := complex(s1-s2*math.Cos(w), s2*math.Sin(w))
-	return s * cmplx.Exp(complex(0, -w*float64(n-1))), nil
-}

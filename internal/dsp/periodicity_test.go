@@ -2,7 +2,6 @@ package dsp
 
 import (
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -186,49 +185,12 @@ func TestWelchReducesVariance(t *testing.T) {
 	}
 }
 
-func TestGoertzelMatchesFFT(t *testing.T) {
-	x := periodicSignal(600, 75, 1, 6)
-	spec := FFTReal(x)
-	for _, k := range []int{0, 1, 8, 100, 299} {
-		g, err := Goertzel(x, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cmplx.Abs(g-spec[k]) > 1e-6*(1+cmplx.Abs(spec[k])) {
-			t.Fatalf("bin %d: goertzel %v vs fft %v", k, g, spec[k])
-		}
-	}
-}
-
-func TestGoertzelErrors(t *testing.T) {
-	if _, err := Goertzel(nil, 0); err == nil {
-		t.Fatal("empty signal accepted")
-	}
-	if _, err := Goertzel([]float64{1, 2}, 5); err == nil {
-		t.Fatal("out-of-range bin accepted")
-	}
-}
-
 func BenchmarkAutocorrelation3600(b *testing.B) {
 	x := periodicSignal(3600, 98, 3, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, _ = Autocorrelation(x, 400)
 	}
-}
-
-func BenchmarkGoertzelVsFullFFT(b *testing.B) {
-	x := periodicSignal(3600, 98, 3, 1)
-	b.Run("Goertzel1Bin", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, _ = Goertzel(x, 37)
-		}
-	})
-	b.Run("FullFFT", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			FFTReal(x)
-		}
-	})
 }
 
 func irregularPeriodic(n int, period float64, seed int64) []Sample {

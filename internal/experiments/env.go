@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/roadnet"
@@ -17,9 +16,9 @@ import (
 	"taxilight/internal/trafficsim"
 )
 
-// Epoch anchors simulated time zero; December 5 2014 is the day the
-// paper's Fig. 1/Fig. 13 snapshots were taken.
-var Epoch = time.Date(2014, 12, 5, 0, 0, 0, 0, time.UTC)
+// Epoch anchors simulated time zero (trace.Epoch, under the name the
+// experiments and the bench read it by).
+var Epoch = trace.Epoch
 
 // World bundles one simulated city, its taxi trace and the partitioned
 // records, ready for identification experiments.

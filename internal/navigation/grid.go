@@ -203,53 +203,3 @@ func CompareNavigation(net *roadnet.Network, segMeters float64, cfg CompareConfi
 	}
 	return out, nil
 }
-
-// nodeItem / nodeQueue implement the earliest-arrival priority queue: a
-// binary min-heap on arrival time, monomorphic so queue operations on
-// the planner hot path box nothing.
-type nodeItem struct {
-	id roadnet.NodeID
-	t  float64
-}
-
-type nodeQueue []nodeItem
-
-func (h *nodeQueue) pushItem(it nodeItem) {
-	*h = append(*h, it)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if q[parent].t <= q[i].t {
-			break
-		}
-		q[parent], q[i] = q[i], q[parent]
-		i = parent
-	}
-}
-
-func (h *nodeQueue) popMin() nodeItem {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && q[l].t < q[min].t {
-			min = l
-		}
-		if r < n && q[r].t < q[min].t {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		q[i], q[min] = q[min], q[i]
-		i = min
-	}
-	return top
-}

@@ -70,10 +70,15 @@ func (p *BelievedPlanner) Plan(src, dst roadnet.NodeID, depart float64) (roadnet
 	if p.Source == nil {
 		return roadnet.Route{}, fmt.Errorf("navigation: nil schedule source")
 	}
-	return earliestArrival(p.Net, src, dst, depart, func(seg *roadnet.Segment, t float64) float64 {
-		if sched, ok := p.Source.ScheduleFor(seg.To, seg.Approach(), t); ok {
-			return sched.WaitAt(t)
+	route, _, err := p.Net.EarliestArrival(src, dst, depart, func(seg *roadnet.Segment, t float64) float64 {
+		t += seg.TravelTime()
+		if seg.To == dst {
+			return t // no wait at the destination: the trip ends
 		}
-		return 0
-	})
+		if sched, ok := p.Source.ScheduleFor(seg.To, seg.Approach(), t); ok {
+			t += sched.WaitAt(t)
+		}
+		return t
+	}, nil)
+	return route, err
 }

@@ -4,14 +4,21 @@
 // navigation on the Fig. 15 grid topology (1 km blocks, lights with cycle
 // lengths drawn from [120 s, 300 s], red == green).
 //
-// Three planners are provided:
+// The label-setting search itself lives in roadnet
+// ((*Network).EarliestArrival, with the repository's one heap and one
+// pooled scratch); a planner here is the wait oracle it hands that
+// search, so the planners differ only in what they charge at a light:
 //
-//   - ShortestTimePlanner: conventional navigation — Dijkstra over
-//     free-flow drive times; light waits are ignored during planning and
-//     only suffered during evaluation.
-//   - LightAwarePlanner: time-dependent Dijkstra over earliest arrival
-//     using the known light schedules. Waits are FIFO (arriving earlier
-//     never makes you leave later), so label-setting Dijkstra is exact.
+//   - ShortestTimePlanner: conventional navigation — free-flow drive
+//     times only (roadnet's ShortestPath); light waits are ignored during
+//     planning and only suffered during evaluation.
+//   - ProbabilisticPlanner: the drive plus each light's expected wait,
+//     knowing durations but not phase.
+//   - LightAwarePlanner: the drive plus the exact wait under the known
+//     light schedules at the arrival time. Waits are FIFO (arriving
+//     earlier never makes you leave later), so label setting is exact.
+//   - BelievedPlanner: the same under schedules from any ScheduleSource
+//     (e.g. pipeline-identified ones) instead of ground truth.
 //   - EnumeratingPlanner: the paper's strategy — enumerate all simple
 //     trajectories within a hop budget, evaluate the exact
 //     time-dependent travel time of each, keep the minimum. Exponential,
@@ -25,7 +32,6 @@ package navigation
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"taxilight/internal/roadnet"
 )
@@ -83,106 +89,23 @@ func (p *ShortestTimePlanner) Plan(src, dst roadnet.NodeID, _ float64) (roadnet.
 	return p.Net.ShortestPath(src, dst, func(s *roadnet.Segment) float64 { return s.TravelTime() })
 }
 
-// LightAwarePlanner is time-dependent earliest-arrival Dijkstra with full
+// LightAwarePlanner is time-dependent earliest-arrival routing with full
 // knowledge of the light schedules (the paper's "real-time traffic light
 // scheduling available" case, computed exactly and in polynomial time).
 type LightAwarePlanner struct {
 	Net *roadnet.Network
 }
 
-// planScratch is the per-Plan working set of earliestArrival:
-// label arrays plus the frontier heap. Pooled so repeated Plans (Drive
-// replans at every intersection) allocate nothing on the hot path.
-type planScratch struct {
-	arrive []float64
-	prev   []roadnet.SegmentID
-	done   []bool
-	pq     nodeQueue
-}
-
-var planPool = sync.Pool{New: func() interface{} { return new(planScratch) }}
-
-// acquireScratch returns a reset scratch sized for nn nodes.
-func acquireScratch(nn int) *planScratch {
-	sc := planPool.Get().(*planScratch)
-	if cap(sc.arrive) < nn {
-		sc.arrive = make([]float64, nn)
-		sc.prev = make([]roadnet.SegmentID, nn)
-		sc.done = make([]bool, nn)
-	}
-	sc.arrive = sc.arrive[:nn]
-	sc.prev = sc.prev[:nn]
-	sc.done = sc.done[:nn]
-	for i := range sc.arrive {
-		sc.arrive[i] = math.Inf(1)
-		sc.prev[i] = -1
-		sc.done[i] = false
-	}
-	sc.pq = sc.pq[:0]
-	return sc
-}
-
-func (sc *planScratch) release() { planPool.Put(sc) }
-
 // Plan implements Planner.
 func (p *LightAwarePlanner) Plan(src, dst roadnet.NodeID, depart float64) (roadnet.Route, error) {
-	return earliestArrival(p.Net, src, dst, depart, func(seg *roadnet.Segment, t float64) float64 {
-		return WaitAt(p.Net, seg, t)
-	})
-}
-
-// earliestArrival is the time-dependent label-setting search behind every
-// schedule-aware planner: labels are arrival times, and entering seg.To
-// at t costs wait(seg, t) on top of the drive. Waits are FIFO (arriving
-// earlier never departs later), which makes label setting exact.
-func earliestArrival(net *roadnet.Network, src, dst roadnet.NodeID, depart float64,
-	wait func(seg *roadnet.Segment, t float64) float64) (roadnet.Route, error) {
-	nn := net.NumNodes()
-	if int(src) >= nn || int(dst) >= nn || src < 0 || dst < 0 {
-		return roadnet.Route{}, fmt.Errorf("navigation: node out of range: %d -> %d", src, dst)
-	}
-	sc := acquireScratch(nn)
-	defer sc.release()
-	arrive, prev, done := sc.arrive, sc.prev, sc.done
-	arrive[src] = depart
-	pq := &sc.pq
-	pq.pushItem(nodeItem{id: src, t: depart})
-	for len(*pq) > 0 {
-		it := pq.popMin()
-		if done[it.id] {
-			continue
+	route, _, err := p.Net.EarliestArrival(src, dst, depart, func(seg *roadnet.Segment, t float64) float64 {
+		t += seg.TravelTime()
+		if seg.To == dst {
+			return t // no wait at the destination: the trip ends
 		}
-		done[it.id] = true
-		if it.id == dst {
-			break
-		}
-		for _, sid := range net.Node(it.id).Out {
-			seg := net.Segment(sid)
-			t := arrive[it.id] + seg.TravelTime()
-			if seg.To != dst {
-				// Waits at the destination are irrelevant: the trip ends.
-				t += wait(seg, t)
-			}
-			if t < arrive[seg.To] {
-				arrive[seg.To] = t
-				prev[seg.To] = sid
-				pq.pushItem(nodeItem{id: seg.To, t: t})
-			}
-		}
-	}
-	if math.IsInf(arrive[dst], 1) {
-		return roadnet.Route{}, fmt.Errorf("navigation: node %d unreachable from %d", dst, src)
-	}
-	var segs []roadnet.SegmentID
-	for at := dst; at != src; {
-		sid := prev[at]
-		segs = append(segs, sid)
-		at = net.Segment(sid).From
-	}
-	for i, j := 0, len(segs)-1; i < j; i, j = i+1, j-1 {
-		segs[i], segs[j] = segs[j], segs[i]
-	}
-	return roadnet.Route{Segments: segs, Cost: arrive[dst] - depart}, nil
+		return t + WaitAt(p.Net, seg, t)
+	}, nil)
+	return route, err
 }
 
 // EnumeratingPlanner implements the paper's exhaustive strategy: every

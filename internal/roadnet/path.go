@@ -1,9 +1,10 @@
 package roadnet
 
 import (
-	"container/heap"
+	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Route is a node-to-node path through the network: the ordered segment
@@ -36,74 +37,179 @@ func (r Route) Nodes(net *Network) []NodeID {
 type EdgeCost func(*Segment) float64
 
 // ShortestPath runs Dijkstra from src to dst under the given cost
-// function. It returns an error when dst is unreachable or the cost
+// function: EarliestArrival departing at 0 with every segment taking
+// cost(seg). It returns an error when dst is unreachable or the cost
 // function yields a negative edge.
 func (n *Network) ShortestPath(src, dst NodeID, cost EdgeCost) (Route, error) {
-	if int(src) >= len(n.nodes) || int(dst) >= len(n.nodes) || src < 0 || dst < 0 {
-		return Route{}, fmt.Errorf("roadnet: node out of range: %d -> %d", src, dst)
+	var negative error
+	route, _, err := n.EarliestArrival(src, dst, 0, func(seg *Segment, t float64) float64 {
+		c := cost(seg)
+		if c < 0 {
+			negative = fmt.Errorf("roadnet: negative edge cost %v on segment %d", c, seg.ID)
+			return math.Inf(-1) // stops the search
+		}
+		return t + c
+	}, nil)
+	if negative != nil {
+		return Route{}, negative
 	}
-	dist := make([]float64, len(n.nodes))
-	prev := make([]SegmentID, len(n.nodes))
-	done := make([]bool, len(n.nodes))
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
+	return route, err
+}
+
+// ErrUnreachable reports that no directed path leads from src to dst.
+var ErrUnreachable = errors.New("unreachable")
+
+// EarliestArrival is the network's one label-setting search. Labels are
+// arrival times: a vehicle leaves src at depart, and arrive(seg, t)
+// returns when a vehicle entering seg at t clears seg.To — the drive plus
+// whatever the caller charges at that node (a red wait, nothing at dst).
+// arrive must be FIFO (entering later never clears earlier) and must not
+// return a time before t; both hold for any fixed-cycle schedule, and
+// they make label setting exact. h, when non-nil, is an admissible and
+// consistent lower bound on the remaining time to dst, turning Dijkstra
+// into A*. The returned route's Cost is the arrival at dst minus depart;
+// the int is the number of nodes settled, dst included.
+func (n *Network) EarliestArrival(src, dst NodeID, depart float64,
+	arrive func(seg *Segment, t float64) float64, h func(NodeID) float64) (Route, int, error) {
+	nn := len(n.nodes)
+	if int(src) >= nn || int(dst) >= nn || src < 0 || dst < 0 {
+		return Route{}, 0, fmt.Errorf("roadnet: node out of range: %d -> %d", src, dst)
 	}
-	dist[src] = 0
-	pq := &nodeHeap{{id: src, d: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(nodeItem)
-		if done[it.id] {
+	if math.IsNaN(depart) || math.IsInf(depart, 0) {
+		return Route{}, 0, fmt.Errorf("roadnet: non-finite departure time %v", depart)
+	}
+	sc := acquireScratch(nn)
+	defer searchPool.Put(sc)
+	sc.arrive[src] = depart
+	sc.push(src, depart) // alone on the frontier, so its key orders nothing
+	settled := 0
+	for len(sc.frontier) > 0 {
+		at := sc.pop()
+		if sc.done[at] {
 			continue
 		}
-		done[it.id] = true
-		if it.id == dst {
+		sc.done[at] = true
+		settled++
+		if at == dst {
 			break
 		}
-		for _, sid := range n.nodes[it.id].Out {
-			s := n.segments[sid]
-			c := cost(s)
-			if c < 0 {
-				return Route{}, fmt.Errorf("roadnet: negative edge cost %v on segment %d", c, sid)
+		t := sc.arrive[at]
+		for _, sid := range n.nodes[at].Out {
+			seg := n.segments[sid]
+			ta := arrive(seg, t)
+			if ta < t {
+				return Route{}, settled, fmt.Errorf("roadnet: segment %d entered at %v clears at %v, before it was entered", sid, t, ta)
 			}
-			if nd := dist[it.id] + c; nd < dist[s.To] {
-				dist[s.To] = nd
-				prev[s.To] = sid
-				heap.Push(pq, nodeItem{id: s.To, d: nd})
+			if ta < sc.arrive[seg.To] {
+				sc.arrive[seg.To] = ta
+				sc.prev[seg.To] = sid
+				key := ta
+				if h != nil {
+					key += h(seg.To)
+				}
+				sc.push(seg.To, key)
 			}
 		}
 	}
-	if math.IsInf(dist[dst], 1) {
-		return Route{}, fmt.Errorf("roadnet: node %d unreachable from %d", dst, src)
+	if math.IsInf(sc.arrive[dst], 1) {
+		return Route{}, settled, fmt.Errorf("roadnet: node %d %w from %d", dst, ErrUnreachable, src)
+	}
+	hops := 0
+	for at := dst; at != src; at = n.segments[sc.prev[at]].From {
+		hops++
 	}
 	var segs []SegmentID
-	for at := dst; at != src; {
-		sid := prev[at]
-		segs = append(segs, sid)
-		at = n.segments[sid].From
+	if hops > 0 {
+		segs = make([]SegmentID, hops)
+		for at := dst; at != src; at = n.segments[sc.prev[at]].From {
+			hops--
+			segs[hops] = sc.prev[at]
+		}
 	}
-	// Reverse into driving order.
-	for i, j := 0, len(segs)-1; i < j; i, j = i+1, j-1 {
-		segs[i], segs[j] = segs[j], segs[i]
-	}
-	return Route{Segments: segs, Cost: dist[dst]}, nil
+	return Route{Segments: segs, Cost: sc.arrive[dst] - depart}, settled, nil
 }
 
-type nodeItem struct {
-	id NodeID
-	d  float64
+// searchScratch is the working set of one EarliestArrival call: the label
+// arrays and the frontier. Pooled, so a search allocates only the route
+// it returns.
+type searchScratch struct {
+	arrive   []float64
+	prev     []SegmentID
+	done     []bool
+	frontier []frontierItem
 }
 
-type nodeHeap []nodeItem
+// frontierItem is one frontier entry, ordered by key: the node's arrival
+// label plus the heuristic's bound on the rest of the trip.
+type frontierItem struct {
+	id  NodeID
+	key float64
+}
 
-func (h nodeHeap) Len() int            { return len(h) }
-func (h nodeHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(nodeItem)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+var searchPool = sync.Pool{New: func() interface{} { return new(searchScratch) }}
+
+// acquireScratch returns a reset scratch sized for nn nodes.
+func acquireScratch(nn int) *searchScratch {
+	sc := searchPool.Get().(*searchScratch)
+	if cap(sc.arrive) < nn {
+		sc.arrive = make([]float64, nn)
+		sc.prev = make([]SegmentID, nn)
+		sc.done = make([]bool, nn)
+	}
+	sc.arrive = sc.arrive[:nn]
+	sc.prev = sc.prev[:nn]
+	sc.done = sc.done[:nn]
+	for i := range sc.arrive {
+		sc.arrive[i] = math.Inf(1)
+		sc.prev[i] = -1
+		sc.done[i] = false
+	}
+	sc.frontier = sc.frontier[:0]
+	return sc
+}
+
+// push and pop are the repository's one binary min-heap, monomorphic so
+// the search boxes nothing. Their sift rules are container/heap's — a
+// parent moves only for a strictly smaller child, the left child wins a
+// tie with the right — because the order equal keys pop in picks between
+// equal-cost routes, and through trafficsim that decides every generated
+// trace.
+func (sc *searchScratch) push(id NodeID, key float64) {
+	sc.frontier = append(sc.frontier, frontierItem{id: id, key: key})
+	q := sc.frontier
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if q[parent].key <= q[i].key {
+			break
+		}
+		q[parent], q[i] = q[i], q[parent]
+		i = parent
+	}
+}
+
+func (sc *searchScratch) pop() NodeID {
+	q := sc.frontier
+	top := q[0].id
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	sc.frontier = q
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < n && q[l].key < q[min].key {
+			min = l
+		}
+		if r < n && q[r].key < q[min].key {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		q[i], q[min] = q[min], q[i]
+		i = min
+	}
+	return top
 }

@@ -3,14 +3,18 @@
 // from the realtime engine — the paper's §IX payoff (bypassing red
 // lights cuts travel time ~15%) turned into a queryable endpoint.
 //
-// Routing is time-dependent earliest-arrival A*: labels are arrival
-// times, edge traversal adds free-flow drive time plus the predicted red
-// wait at the entered intersection, and the heuristic is the free-flow
-// time on the straight-line distance to the destination (admissible and
-// consistent, because no segment is faster than the network's maximum
-// speed and waits are non-negative). Waits are FIFO — an estimate is a
-// fixed-cycle schedule, so arriving earlier never yields a later
-// departure — which makes label-setting A* exact.
+// Routing is time-dependent earliest-arrival A*, and the search is
+// roadnet's ((*Network).EarliestArrival — the one label-setting core
+// every planner in the repository calls). The service supplies the two
+// things that are its own: the arrival oracle — free-flow drive time plus
+// the predicted red wait at the entered intersection — and the heuristic,
+// the free-flow time on the straight-line distance to the destination
+// (admissible and consistent, because no segment is faster than the
+// network's maximum speed and waits are non-negative). Waits are FIFO —
+// an estimate is a fixed-cycle schedule, so arriving earlier never yields
+// a later departure — which makes label setting exact. Around the search
+// it pins the prediction epoch, replays the chosen route forward for the
+// per-leg timeline and the degraded flags, and counts.
 //
 // Predictions are resolved through a PredictionSource and memoised in a
 // version-keyed cache: the source's Epoch moves whenever engine content
@@ -24,7 +28,6 @@ package routesvc
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"taxilight/internal/core"
@@ -56,7 +59,6 @@ type Service struct {
 	maxSpeed float64 // fastest SpeedLimit in the network, for the heuristic
 
 	cache predCache
-	pool  sync.Pool
 
 	met serviceMetrics
 }
@@ -102,7 +104,7 @@ var (
 	// ErrNodeRange reports a src/dst outside the network (a 400).
 	ErrNodeRange = errors.New("node out of range")
 	// ErrUnreachable reports no directed path from src to dst (a 404).
-	ErrUnreachable = errors.New("unreachable")
+	ErrUnreachable = roadnet.ErrUnreachable
 )
 
 // Leg is one driven segment of a planned route with its predicted
@@ -213,85 +215,19 @@ func waitUnder(res core.Result, t float64) float64 {
 	return until
 }
 
-// scratch is the pooled A* working set.
-type scratch struct {
-	arrive []float64
-	prev   []roadnet.SegmentID
-	done   []bool
-	deg    []bool
-	pq     []qitem
-}
-
-// qitem is one frontier entry ordered by f = g + h.
-type qitem struct {
-	id roadnet.NodeID
-	f  float64
-}
-
-func (s *Service) acquire(nn int) *scratch {
-	v := s.pool.Get()
-	sc, _ := v.(*scratch)
-	if sc == nil {
-		sc = &scratch{}
+// wait returns the predicted red wait for a vehicle that reaches the end
+// of seg at time t, and whether the intersection there is signalised but
+// has no usable estimate — the edge is then traversed on free-flow
+// fallback.
+func (s *Service) wait(epoch uint64, seg *roadnet.Segment, t float64) (wait float64, degraded bool) {
+	if !s.net.Node(seg.To).Signalised() {
+		return 0, false
 	}
-	if cap(sc.arrive) < nn {
-		sc.arrive = make([]float64, nn)
-		sc.prev = make([]roadnet.SegmentID, nn)
-		sc.done = make([]bool, nn)
-		sc.deg = make([]bool, nn)
+	e := s.resolve(epoch, mapmatch.Key{Light: seg.To, Approach: seg.Approach()})
+	if !e.usable {
+		return 0, true
 	}
-	sc.arrive = sc.arrive[:nn]
-	sc.prev = sc.prev[:nn]
-	sc.done = sc.done[:nn]
-	sc.deg = sc.deg[:nn]
-	for i := range sc.arrive {
-		sc.arrive[i] = math.Inf(1)
-		sc.prev[i] = -1
-		sc.done[i] = false
-		sc.deg[i] = false
-	}
-	sc.pq = sc.pq[:0]
-	return sc
-}
-
-func (sc *scratch) push(it qitem) {
-	sc.pq = append(sc.pq, it)
-	q := sc.pq
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if q[p].f <= q[i].f {
-			break
-		}
-		q[p], q[i] = q[i], q[p]
-		i = p
-	}
-}
-
-func (sc *scratch) pop() qitem {
-	q := sc.pq
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	sc.pq = q[:n]
-	q = sc.pq
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && q[l].f < q[min].f {
-			min = l
-		}
-		if r < n && q[r].f < q[min].f {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		q[i], q[min] = q[min], q[i]
-		i = min
-	}
-	return top
+	return waitUnder(e.res, t), false
 }
 
 // Plan answers one route query. freeFlow skips predictions entirely and
@@ -305,92 +241,47 @@ func (s *Service) Plan(src, dst roadnet.NodeID, depart float64, freeFlow bool) (
 	}
 	epoch := s.src.Epoch()
 	dstPos := net.Node(dst).Pos
-	h := func(id roadnet.NodeID) float64 {
-		return net.Node(id).Pos.Sub(dstPos).Norm() / s.maxSpeed
-	}
-	sc := s.acquire(nn)
-	defer s.pool.Put(sc)
-	arrive, prev, done, deg := sc.arrive, sc.prev, sc.done, sc.deg
-	arrive[src] = depart
-	sc.push(qitem{id: src, f: depart + h(src)})
-	expanded := 0
-	for len(sc.pq) > 0 {
-		it := sc.pop()
-		if done[it.id] {
-			continue
-		}
-		done[it.id] = true
-		expanded++
-		if it.id == dst {
-			break
-		}
-		for _, sid := range net.Node(it.id).Out {
-			seg := net.Segment(sid)
-			t := arrive[it.id] + seg.TravelTime()
-			edgeDeg := false
-			if !freeFlow && seg.To != dst {
-				// Waits at the destination are irrelevant: the trip ends.
-				if to := net.Node(seg.To); to.Signalised() {
-					k := mapmatch.Key{Light: seg.To, Approach: seg.Approach()}
-					if e := s.resolve(epoch, k); e.usable {
-						t += waitUnder(e.res, t)
-					} else {
-						edgeDeg = true
-					}
-				}
+	route, expanded, err := net.EarliestArrival(src, dst, depart,
+		func(seg *roadnet.Segment, t float64) float64 {
+			t += seg.TravelTime()
+			if freeFlow || seg.To == dst {
+				return t // no wait at the destination: the trip ends
 			}
-			if t < arrive[seg.To] {
-				arrive[seg.To] = t
-				prev[seg.To] = sid
-				deg[seg.To] = deg[it.id] || edgeDeg
-				sc.push(qitem{id: seg.To, f: t + h(seg.To)})
-			}
-		}
+			w, _ := s.wait(epoch, seg, t)
+			return t + w
+		},
+		func(id roadnet.NodeID) float64 {
+			return net.Node(id).Pos.Sub(dstPos).Norm() / s.maxSpeed
+		})
+	if err != nil && !errors.Is(err, ErrUnreachable) {
+		return PlanResult{}, fmt.Errorf("routesvc: %w", err)
 	}
 	s.met.expandedNodes.Observe(float64(expanded))
-	if math.IsInf(arrive[dst], 1) {
+	if err != nil {
 		return PlanResult{}, fmt.Errorf("routesvc: node %d %w from %d", dst, ErrUnreachable, src)
 	}
-	segs := make([]roadnet.SegmentID, 0, 16)
-	for at := dst; at != src; {
-		sid := prev[at]
-		segs = append(segs, sid)
-		at = net.Segment(sid).From
-	}
-	for i, j := 0, len(segs)-1; i < j; i, j = i+1, j-1 {
-		segs[i], segs[j] = segs[j], segs[i]
-	}
 	res := PlanResult{
-		Route:    roadnet.Route{Segments: segs, Cost: arrive[dst] - depart},
+		Route:    route,
 		Depart:   depart,
-		Arrive:   arrive[dst],
-		Degraded: deg[dst],
 		Expanded: expanded,
-		Legs:     make([]Leg, 0, len(segs)),
+		Legs:     make([]Leg, 0, len(route.Segments)),
 	}
-	// Forward replay for the leg timeline; every resolution is a cache
-	// hit from the search above.
+	// Forward replay for the leg timeline, repeating the search's own
+	// additions along the route, so t ends on the search's label for dst;
+	// every resolution is a cache hit from the search above.
 	t := depart
-	for i, sid := range segs {
+	for i, sid := range route.Segments {
 		seg := net.Segment(sid)
 		leg := Leg{Seg: sid, From: seg.From, To: seg.To, Enter: t, Drive: seg.TravelTime()}
 		t += leg.Drive
-		if !freeFlow && i < len(segs)-1 && net.Node(seg.To).Signalised() {
-			k := mapmatch.Key{Light: seg.To, Approach: seg.Approach()}
-			if e := s.resolve(epoch, k); e.usable {
-				leg.Wait = waitUnder(e.res, t)
-				t += leg.Wait
-			} else {
-				leg.Degraded = true
-			}
+		if !freeFlow && i < len(route.Segments)-1 {
+			leg.Wait, leg.Degraded = s.wait(epoch, seg, t)
+			t += leg.Wait
+			res.Degraded = res.Degraded || leg.Degraded
 		}
 		res.Legs = append(res.Legs, leg)
 	}
-	if freeFlow {
-		// The baseline ignores lights by design; it is not a degraded
-		// light-aware answer.
-		res.Degraded = false
-	}
+	res.Arrive = t
 	if res.Degraded {
 		s.met.degraded.Add(1)
 	}

@@ -2,7 +2,11 @@ package routesvc
 
 import (
 	"errors"
+	"flag"
+	"fmt"
 	"math"
+	"math/rand"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -376,3 +380,64 @@ func BenchmarkPlanWarmCache(b *testing.B) {
 }
 
 func pos(x, y float64) geo.XY { return geo.XY{X: x, Y: y} }
+
+var update = flag.Bool("update", false, "rewrite testdata/plan_golden.txt")
+
+// TestPlanGolden pins what Plan answers — route, arrival, degraded flags,
+// settled-node count and per-leg waits — for 200 seeded queries over a
+// grid where every other light has no estimate, so the free-flow
+// fallback and the heuristic both decide routes. The golden was recorded
+// while Plan still carried its own A* and heap; the search it calls now
+// must reproduce it byte for byte.
+func TestPlanGolden(t *testing.T) {
+	net := grid(t, 8, 8)
+	svc, src := service(t, net)
+	src.deny = map[roadnet.NodeID]bool{}
+	rng := rand.New(rand.NewSource(16))
+	for id := 0; id < net.NumNodes(); id++ {
+		if rng.Intn(2) == 0 {
+			src.deny[roadnet.NodeID(id)] = true
+		}
+	}
+	var b strings.Builder
+	for q := 0; q < 200; q++ {
+		from, to := roadnet.NodeID(rng.Intn(net.NumNodes())), roadnet.NodeID(rng.Intn(net.NumNodes()))
+		depart := rng.Float64() * 3600
+		freeFlow := q%10 == 9
+		res, err := svc.Plan(from, to, depart, freeFlow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%d->%d depart=%v freeflow=%t: segs=%v arrive=%v cost=%v degraded=%t expanded=%d legs=",
+			from, to, depart, freeFlow, res.Route.Segments, res.Arrive, res.Route.Cost, res.Degraded, res.Expanded)
+		for _, leg := range res.Legs {
+			fmt.Fprintf(&b, "[%d %d->%d enter=%v drive=%v wait=%v deg=%t]", leg.Seg, leg.From, leg.To, leg.Enter, leg.Drive, leg.Wait, leg.Degraded)
+		}
+		b.WriteByte('\n')
+	}
+	const path = "testdata/plan_golden.txt"
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := b.String()
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range gl {
+		if i >= len(wl) || gl[i] != wl[i] {
+			w := "<missing>"
+			if i < len(wl) {
+				w = wl[i]
+			}
+			t.Fatalf("query %d differs from the golden:\n got %s\nwant %s", i, gl[i], w)
+		}
+	}
+	t.Fatalf("golden has %d lines, got %d", len(wl), len(gl))
+}

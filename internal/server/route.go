@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -71,7 +72,8 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	depart := rs.Now()
 	if v := q.Get("depart"); v != "" {
 		depart, err = strconv.ParseFloat(v, 64)
-		if err != nil {
+		// ParseFloat admits NaN and the infinities; no trip departs then.
+		if err != nil || math.IsNaN(depart) || math.IsInf(depart, 0) {
 			writeJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("bad depart %q", v)})
 			return
 		}

@@ -181,15 +181,19 @@ func TestRouteEndpointValidation(t *testing.T) {
 		path string
 		code int
 	}{
-		{"/v1/route", http.StatusBadRequest},                       // missing src/dst
-		{"/v1/route?src=0", http.StatusBadRequest},                 // missing dst
-		{"/v1/route?src=zero&dst=8", http.StatusBadRequest},        // bad src
-		{"/v1/route?src=0&dst=8&depart=x", http.StatusBadRequest},  // bad depart
-		{"/v1/route?src=0&dst=8&mode=warp", http.StatusBadRequest}, // bad mode
-		{"/v1/route?src=0&dst=999", http.StatusBadRequest},         // out of range
-		{"/v1/route?src=-3&dst=8", http.StatusBadRequest},          // negative
-		{"/v1/route?src=0&dst=8&depart=100", http.StatusOK},        // control
-		{"/v1/route?src=4&dst=4&depart=0", http.StatusOK},          // self trip
+		{"/v1/route", http.StatusBadRequest},                         // missing src/dst
+		{"/v1/route?src=0", http.StatusBadRequest},                   // missing dst
+		{"/v1/route?src=zero&dst=8", http.StatusBadRequest},          // bad src
+		{"/v1/route?src=0&dst=8&depart=x", http.StatusBadRequest},    // bad depart
+		{"/v1/route?src=0&dst=8&depart=NaN", http.StatusBadRequest},  // non-finite depart
+		{"/v1/route?src=4&dst=4&depart=NaN", http.StatusBadRequest},  // ... on a self trip
+		{"/v1/route?src=4&dst=4&depart=-Inf", http.StatusBadRequest}, // ... negative infinity
+		{"/v1/route?src=4&dst=4&depart=Inf", http.StatusBadRequest},  // ... positive infinity
+		{"/v1/route?src=0&dst=8&mode=warp", http.StatusBadRequest},   // bad mode
+		{"/v1/route?src=0&dst=999", http.StatusBadRequest},           // out of range
+		{"/v1/route?src=-3&dst=8", http.StatusBadRequest},            // negative
+		{"/v1/route?src=0&dst=8&depart=100", http.StatusOK},          // control
+		{"/v1/route?src=4&dst=4&depart=0", http.StatusOK},            // self trip
 	} {
 		rec := get(t, s, tc.path, nil)
 		if rec.Code != tc.code {

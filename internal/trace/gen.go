@@ -88,6 +88,12 @@ type GenConfig struct {
 	Activity ActivityProfile
 }
 
+// Epoch anchors simulated time zero: the wall-clock instant of stream
+// second 0 in every generated trace and every matcher that reads one.
+// December 5 2014 is the day the paper's Fig. 1/Fig. 13 snapshots were
+// taken.
+var Epoch = time.Date(2014, 12, 5, 0, 0, 0, 0, time.UTC)
+
 // DefaultGenConfig returns the trace model used throughout the
 // experiments: 15 m typical GPS noise with 3 % heavy (50 m sigma)
 // outliers, 3 % packet loss, and the Shenzhen diurnal profile.
@@ -96,7 +102,7 @@ func DefaultGenConfig(sim *trafficsim.Simulator, proj *geo.Projection) GenConfig
 		Sim:        sim,
 		Proj:       proj,
 		Seed:       1,
-		Epoch:      time.Date(2014, 12, 5, 0, 0, 0, 0, time.UTC),
+		Epoch:      Epoch,
 		NoiseSigma: 15,
 		HeavyProb:  0.03,
 		HeavySigma: 50,
