@@ -251,12 +251,42 @@ func refineCycleSc(sc *identifyScratch, in []dsp.Sample, cycle, t0, windowLen fl
 	return best
 }
 
+// mod is math.Mod, bit for bit, for the operands a fold sees. math.Mod
+// reduces by shift-and-subtract through software frexp/ldexp, about a
+// fifth of a replay's CPU at its one hot call site (foldScoreSc runs it
+// per sample per candidate cycle); this is a division, a truncation and
+// one fused multiply-add. The quotient of two doubles, rounded, is the
+// true truncated quotient n or one step further from zero, as long as it
+// is below 2^53; x − q·y is then the remainder or the remainder one |y|
+// past zero, both exactly representable, so the FMA's single rounding
+// changes nothing and one exact correction finishes. Everything else —
+// a quotient of 2^53 or more, a zero, infinite or NaN operand — goes to
+// math.Mod.
+func mod(x, y float64) float64 {
+	y = math.Abs(y)
+	q := math.Trunc(x / y)
+	if !(math.Abs(q) < 1<<53) || math.IsInf(y, 1) {
+		return math.Mod(x, y)
+	}
+	r := math.FMA(-q, y, x)
+	switch {
+	case x > 0 && r < 0:
+		r += y
+	case x < 0 && r > 0:
+		r -= y
+	}
+	if r == 0 {
+		return math.Copysign(0, x) // math.Mod's zero carries the sign of x
+	}
+	return r
+}
+
 // foldScoreSc measures how well a candidate cycle aligns the raw samples:
 // the fraction of speed variance explained by the fold phase (ANOVA R²,
 // adjusted for the number of phase bins so longer candidates are not
 // rewarded for overfitting). Accumulators live in the scratch, and each
 // sample's phase bin is memoised in the first pass so the second pass
-// skips the math.Mod.
+// skips the reduction.
 func foldScoreSc(sc *identifyScratch, samples []dsp.Sample, cycle, t0 float64) float64 {
 	n := len(samples)
 	if n < 4 || cycle <= 0 {
@@ -285,7 +315,7 @@ func foldScoreSc(sc *identifyScratch, samples []dsp.Sample, cycle, t0 float64) f
 	mean /= float64(n)
 	var ssTotal float64
 	for i, s := range samples {
-		ph := math.Mod(s.T-t0, cycle)
+		ph := mod(s.T-t0, cycle)
 		if ph < 0 {
 			ph += cycle
 		}

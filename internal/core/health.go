@@ -131,8 +131,9 @@ type HealthReport struct {
 	// Approaches holds per-approach health for every key the engine has
 	// estimated or attempted.
 	Approaches map[mapmatch.Key]ApproachHealth
-	// DroppedOldRecords counts records rejected at ingest for being
-	// older than the trim cutoff; DroppedOverflowRecords counts records
+	// DroppedOldRecords counts records rejected at ingest because no
+	// future window could reach them (older than the next pending
+	// round's window start); DroppedOverflowRecords counts records
 	// evicted by the per-key buffer cap.
 	DroppedOldRecords      int64
 	DroppedOverflowRecords int64

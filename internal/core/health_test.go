@@ -7,7 +7,6 @@ import (
 
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
-	"taxilight/internal/trace"
 )
 
 // failingRecords builds records that reach the pipeline but cannot
@@ -18,7 +17,7 @@ func failingRecords(key mapmatch.Key, lo, hi float64) []mapmatch.Matched {
 	var ms []mapmatch.Matched
 	for i := 0; i < 6; i++ {
 		ms = append(ms, mapmatch.Matched{
-			Rec:        trace.Record{Plate: "B1", SpeedKMH: 0},
+			Plate: "B1", SpeedKMH: 0,
 			T:          lo + 1,
 			Light:      key.Light,
 			Approach:   key.Approach,
@@ -130,7 +129,7 @@ func TestIngestDropsRecordsOlderThanCutoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := mapmatch.Key{Light: 1, Approach: lights.NorthSouth}
-	eng.Ingest(failingRecords(key, 0, 600)) // far older than 10000-2*600
+	eng.Ingest(failingRecords(key, 0, 600)) // no window from 10000 on reaches back to 600
 	rep := eng.Health()
 	if rep.BufferedRecords != 0 {
 		t.Fatalf("%d stale records buffered", rep.BufferedRecords)
@@ -156,7 +155,7 @@ func TestIngestCapsPerKeyBuffer(t *testing.T) {
 	var ms []mapmatch.Matched
 	for i := 0; i < 1000; i++ {
 		ms = append(ms, mapmatch.Matched{
-			Rec: trace.Record{Plate: "B1"}, T: float64(i),
+			Plate: "B1", T: float64(i),
 			Light: key.Light, Approach: key.Approach,
 		})
 	}

@@ -9,7 +9,6 @@ import (
 	"taxilight/internal/geo"
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
-	"taxilight/internal/trace"
 )
 
 // Failure-injection tests: every stage must degrade into a typed error or
@@ -64,7 +63,7 @@ func TestPipelineAllStoppedRecords(t *testing.T) {
 	var ms []mapmatch.Matched
 	for i := 0; i < 300; i++ {
 		ms = append(ms, mapmatch.Matched{
-			Rec:        trace.Record{Plate: "B1", SpeedKMH: 0},
+			Plate: "B1", SpeedKMH: 0,
 			T:          float64(i * 15),
 			Snapped:    geo.XY{X: 1, Y: 1},
 			Light:      3,
@@ -98,7 +97,7 @@ func TestEngineSurvivesGarbageIngestion(t *testing.T) {
 	var ms []mapmatch.Matched
 	for i := 0; i < 100; i++ {
 		ms = append(ms, mapmatch.Matched{
-			Rec:      trace.Record{Plate: "B1", SpeedKMH: float64(i % 50)},
+			Plate: "B1", SpeedKMH: float64(i % 50),
 			T:        float64((i * 7919) % 5000), // scrambled order
 			Light:    1,
 			Approach: lights.NorthSouth,

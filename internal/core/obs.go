@@ -9,10 +9,10 @@ import (
 
 // obs is the engine's compact observation: exactly what stop extraction
 // and identification read from a matched record — 56 bytes against the
-// 184 of a mapmatch.Matched, and no reference to the source CSV line. A
-// record is converted once, where it enters the package (Engine.Ingest,
-// RunPipeline, BuildStopIndex); the key buffers, the round view, the stop
-// index and identifyOne all work on this one type.
+// 88 of a mapmatch.Matched. A record is converted once, where it enters
+// the package (Engine.Ingest, RunPipeline, BuildStopIndex); the key
+// buffers, the round view, the stop index and identifyOne all work on
+// this one type.
 type obs struct {
 	plate    *plate
 	t        float64 // stream seconds
@@ -23,9 +23,9 @@ type obs struct {
 }
 
 // plate is an interned taxi identity. name and id never change after
-// interning, so a round may read them outside the engine lock; refs is
-// the number of buffered observations holding the plate and belongs to
-// the table's owner.
+// interning and a plate is never recycled for another name, so a round
+// may read them outside the engine lock; refs is the number of buffered
+// observations holding the plate and belongs to the table's owner.
 type plate struct {
 	name string
 	id   uint64 // unique per table, never reused: the stop index sorts on it
@@ -33,13 +33,20 @@ type plate struct {
 }
 
 // plateTable interns plate strings. The engine's table is guarded by
-// e.mu and reference-counted, so a hostile feed minting plates holds
-// memory only while their records are buffered; the batch entry points
-// build a throwaway table per call and never release.
+// e.mu and reference-counted through hold and release; the batch entry
+// points build a throwaway table per call and do neither.
+//
+// One rule bounds it: an entry nothing references stays in the map — a
+// taxi that leaves the window is usually back within the hour, and
+// finding it again costs no allocation — until such dead entries
+// outnumber the live ones, and then the map is rebuilt from the live ones
+// alone. A feed that mints plates therefore holds at most twice its
+// buffered plates, the map's buckets go with the rebuild, and an engine
+// with nothing buffered has an empty table.
 type plateTable struct {
 	byName map[string]*plate
 	nextID uint64
-	peak   int // largest len(byName) since the last compact
+	live   int // entries with refs > 0
 }
 
 func newPlateTable() plateTable {
@@ -55,47 +62,47 @@ func (pt *plateTable) intern(name string) *plate {
 	pt.nextID++
 	p := &plate{name: strings.Clone(name), id: pt.nextID}
 	pt.byName[p.name] = p
-	if n := len(pt.byName); n > pt.peak {
-		pt.peak = n
-	}
 	return p
 }
 
 // observe converts one matched record.
 func (pt *plateTable) observe(m *mapmatch.Matched) obs {
 	return obs{
-		plate:    pt.intern(m.Rec.Plate),
+		plate:    pt.intern(m.Plate),
 		t:        m.T,
-		speed:    m.Rec.SpeedKMH,
+		speed:    m.SpeedKMH,
 		dist:     m.DistToStop,
 		pos:      m.Snapped,
-		occupied: m.Rec.Occupied,
+		occupied: m.Occupied,
 	}
 }
 
-// release drops the references the given buffered observations hold and
-// forgets plates nothing references any more.
+// hold counts one more buffered observation of p.
+func (pt *plateTable) hold(p *plate) {
+	if p.refs == 0 {
+		pt.live++
+	}
+	p.refs++
+}
+
+// release drops the references the given buffered observations hold, and
+// rebuilds the map without its dead entries once they outnumber the live
+// ones.
 func (pt *plateTable) release(dropped []obs) {
 	for i := range dropped {
 		p := dropped[i].plate
 		if p.refs--; p.refs == 0 {
-			delete(pt.byName, p.name)
+			pt.live--
 		}
 	}
-}
-
-// compact rebuilds the map once it has shrunk to under a quarter of its
-// peak: Go maps keep their buckets across deletes, so without this a
-// burst of minted plates would size the table for good.
-func (pt *plateTable) compact() {
-	n := len(pt.byName)
-	if pt.peak < 1024 || n*4 >= pt.peak {
+	if len(pt.byName) <= 2*pt.live {
 		return
 	}
-	fresh := make(map[string]*plate, n)
+	fresh := make(map[string]*plate, pt.live)
 	for name, p := range pt.byName {
-		fresh[name] = p
+		if p.refs > 0 {
+			fresh[name] = p
+		}
 	}
 	pt.byName = fresh
-	pt.peak = n
 }

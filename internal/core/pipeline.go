@@ -44,7 +44,7 @@ func (c StopExtractConfig) Validate() error {
 func SpeedSamples(ms []mapmatch.Matched) []dsp.Sample {
 	out := make([]dsp.Sample, len(ms))
 	for i, m := range ms {
-		out[i] = dsp.Sample{T: m.T, V: m.Rec.SpeedKMH}
+		out[i] = dsp.Sample{T: m.T, V: m.SpeedKMH}
 	}
 	return out
 }
@@ -55,7 +55,7 @@ func SpeedSamplesNear(ms []mapmatch.Matched, maxDist float64) []dsp.Sample {
 	out := make([]dsp.Sample, 0, len(ms))
 	for _, m := range ms {
 		if m.DistToStop <= maxDist {
-			out = append(out, dsp.Sample{T: m.T, V: m.Rec.SpeedKMH})
+			out = append(out, dsp.Sample{T: m.T, V: m.SpeedKMH})
 		}
 	}
 	return out

@@ -15,7 +15,7 @@ import (
 
 func matched(plate string, t float64, pos geo.XY, occupied bool, distToStop float64) mapmatch.Matched {
 	return mapmatch.Matched{
-		Rec:        trace.Record{Plate: plate, Occupied: occupied, SpeedKMH: 0},
+		Plate: plate, Occupied: occupied, SpeedKMH: 0,
 		T:          t,
 		Snapped:    pos,
 		DistToStop: distToStop,
@@ -148,8 +148,8 @@ func TestExtractStopsValidation(t *testing.T) {
 
 func TestSpeedSamples(t *testing.T) {
 	ms := []mapmatch.Matched{
-		{Rec: trace.Record{SpeedKMH: 30}, T: 5},
-		{Rec: trace.Record{SpeedKMH: 0}, T: 25},
+		{SpeedKMH: 30, T: 5},
+		{SpeedKMH: 0, T: 25},
 	}
 	ss := SpeedSamples(ms)
 	if len(ss) != 2 || ss[0].T != 5 || ss[0].V != 30 || ss[1].V != 0 {

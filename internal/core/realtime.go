@@ -125,19 +125,28 @@ type KeyedChange struct {
 // All methods are safe for concurrent use.
 //
 // Estimation is incremental and non-blocking. Ingest marks the keys that
-// receive in-window records dirty, and a round re-identifies only the
-// dirty (or newly unquarantined) keys, carrying every other key's
-// published estimate forward — a tick where 5 % of the keys saw fresh
-// data does ~5 % of the pipeline work. A round holds e.mu only for two
-// short sections: copying the dirty keys' window views out, and
-// publishing the finished results; the identification itself (DFT,
-// folding, refinement) runs outside the lock, so Ingest, Snapshot and
-// StateOf never wait on pipeline work. Rounds themselves are serialized
-// by estMu.
+// receive records dirty, and a round re-identifies only the dirty (or
+// newly unquarantined) keys, carrying every other key's published
+// estimate forward — a tick where 5 % of the keys saw fresh data does
+// ~5 % of the pipeline work. A round holds e.mu only for two short
+// sections: slicing the dirty keys' window views, and publishing the
+// finished results; the identification itself (DFT, folding, refinement)
+// runs outside the lock, so Ingest, Snapshot and StateOf never wait on
+// pipeline work. Rounds themselves are serialized by estMu.
 //
-// Records are held as compact observations (obs), converted once in
-// Ingest; the round's working memory (roundMem) belongs to the engine
-// and is reused by every round.
+// A buffered observation exists once: records are converted to compact
+// observations (obs) in Ingest, kept only while a window can still reach
+// them (see retainFromLocked), and a round reads them where they lie —
+// its views are sub-slices of the key buffers, not copies. What makes
+// that safe is one invariant, the aliasing invariant: an array a round's
+// view aliases is written only under estMu, or beyond the view's end.
+// Ingest appends past the end of every view (or into a new array);
+// normalizeLocked and dropOldestLocked rewrite a buffer in place and so
+// run only under estMu — from a round's own snapshot section or from the
+// trim after it — except on overflow eviction, which runs under e.mu
+// alone and therefore moves the buffer to a fresh array first
+// (evictOldestLocked). The round's working memory (roundMem) belongs to
+// the engine and is reused by every round.
 type Engine struct {
 	cfg RealtimeConfig
 
@@ -173,7 +182,9 @@ type Engine struct {
 // suffix appended since the last normalize. Ingest appends (extending the
 // sorted prefix when arrivals are already in order); normalizeLocked
 // sorts only the suffix and merges — replacing the whole-buffer stable
-// sort each round used to pay.
+// sort each round used to pay. A running round may hold a view
+// ms[lo:hi:hi] of the array, so whoever writes below len(ms) obeys the
+// aliasing invariant (see Engine).
 type keyBuffer struct {
 	ms     []obs
 	sorted int
@@ -196,29 +207,32 @@ func NewEngine(cfg RealtimeConfig) (*Engine, error) {
 	}, nil
 }
 
-// Ingest adds matched records to the stream buffers and marks the keys
-// whose records can still enter a future estimation window dirty, so the
-// next round re-identifies exactly the approaches that saw fresh data.
-// Records may arrive in any order; each buffer keeps a sorted-prefix
-// watermark so in-order arrivals (the common case) cost nothing to keep
-// sorted and out-of-order arrivals are merged lazily. Two bounds keep
-// memory finite however hostile the feed: records already older than the
-// trim cutoff are rejected immediately instead of buffering until the
-// next Advance, and each approach's buffer is capped at
+// retainFromLocked is the one retention cutoff: the start of the next
+// pending round's window. No future window reaches further back, so a
+// record older than this can never be read again — Ingest refuses it and
+// trimLocked drops it. Before the first Advance has scheduled a round
+// nothing is too old.
+func (e *Engine) retainFromLocked() float64 {
+	if e.nextRun == 0 {
+		return math.Inf(-1)
+	}
+	return e.nextRun - e.cfg.Window
+}
+
+// Ingest adds matched records to the stream buffers and marks their keys
+// dirty, so the next round re-identifies exactly the approaches that saw
+// fresh data. Records may arrive in any order; each buffer keeps a
+// sorted-prefix watermark so in-order arrivals (the common case) cost
+// nothing to keep sorted and out-of-order arrivals are merged lazily.
+// Two bounds keep memory finite however hostile the feed: a record no
+// future window can reach (see retainFromLocked) is rejected instead of
+// buffered, and each approach's buffer is capped at
 // Faults.MaxBufferPerKey, evicting the oldest quarter on overflow. Both
 // drop paths are counted in Health.
 func (e *Engine) Ingest(ms []mapmatch.Matched) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cutoff := e.now - 2*e.cfg.Window
-	// A record makes its key dirty when it can appear in a window that
-	// has not been snapshotted yet. The earliest such window belongs to
-	// the next pending round, so the threshold is nextRun-Window; before
-	// the first Advance schedules a round, every accepted record counts.
-	dirtyFrom := math.Inf(-1)
-	if e.nextRun > 0 {
-		dirtyFrom = e.nextRun - e.cfg.Window
-	}
+	cutoff := e.retainFromLocked()
 	maxPerKey := e.cfg.Faults.MaxBufferPerKey
 	for i := range ms {
 		m := &ms[i]
@@ -239,11 +253,9 @@ func (e *Engine) Ingest(ms []mapmatch.Matched) {
 			kb.sorted = len(kb.ms) + 1
 		}
 		o := e.plates.observe(m)
-		o.plate.refs++
+		e.plates.hold(o.plate)
 		kb.ms = append(kb.ms, o)
-		if m.T >= dirtyFrom {
-			e.dirty[k] = struct{}{}
-		}
+		e.dirty[k] = struct{}{}
 	}
 }
 
@@ -288,8 +300,12 @@ func (e *Engine) normalizeLocked(kb *keyBuffer) {
 
 // evictOldestLocked drops the oldest quarter of one key's buffer so that
 // eviction cost is amortised across many overflowing records rather than
-// paid per record.
+// paid per record. It is the one in-place writer that runs outside estMu
+// (Ingest holds only e.mu), so a round may be reading a view of the
+// array right now: the buffer moves to a fresh array before it is sorted
+// and compacted, and the old one is left to the round untouched.
 func (e *Engine) evictOldestLocked(kb *keyBuffer, maxPerKey int) {
+	kb.ms = slices.Clone(kb.ms)
 	e.normalizeLocked(kb)
 	ms := kb.ms
 	drop := len(ms) - maxPerKey*3/4
@@ -304,10 +320,12 @@ func (e *Engine) evictOldestLocked(kb *keyBuffer, maxPerKey int) {
 }
 
 // dropOldestLocked removes the n oldest observations of a normalized
-// buffer and releases their plates. It compacts in place — estimation
-// rounds work on copied views, so no reader can alias the backing array
-// — clears the vacated tail so it pins no plate, and gives the array
-// back once the buffer has shrunk to a fraction of it.
+// buffer and releases their plates. It compacts in place, which rewrites
+// what a round's view would alias: callers hold estMu (trimLocked) or
+// have just moved the buffer to an array no view can alias
+// (evictOldestLocked). The vacated tail is cleared so it pins no plate,
+// and the array is given back once the buffer has shrunk to a fraction
+// of it.
 func (e *Engine) dropOldestLocked(kb *keyBuffer, n int) {
 	ms := kb.ms
 	e.plates.release(ms[:n])
@@ -344,6 +362,7 @@ func (e *Engine) Advance(t float64) ([]KeyedChange, error) {
 	runAt := e.nextRun
 	e.mu.Unlock()
 	var out []KeyedChange
+	ran := false
 	for runAt <= t {
 		ch, stats, err := e.estimateRound(runAt)
 		if err != nil {
@@ -362,10 +381,14 @@ func (e *Engine) Advance(t float64) ([]KeyedChange, error) {
 		if obs := e.roundObserver; obs != nil {
 			obs(stats)
 		}
+		ran = true
 	}
-	e.mu.Lock()
-	e.trimLocked()
-	e.mu.Unlock()
+	if ran {
+		// The retention cutoff follows nextRun, which only a round moves.
+		e.mu.Lock()
+		e.trimLocked()
+		e.mu.Unlock()
+	}
 	return out, nil
 }
 
@@ -384,8 +407,8 @@ type RoundStats struct {
 	// part during which readers and ingest wait.
 	Duration, LockHold time.Duration
 	// Snapshot, StopIndex, Identify and Publish split Duration into the
-	// round's four stages and sum to it exactly: copying the window views
-	// out under e.mu, building the stop index over them, identifying the
+	// round's four stages and sum to it exactly: slicing the window views
+	// under e.mu, building the stop index over them, identifying the
 	// recomputed keys, and folding the results into the served state
 	// under e.mu again.
 	Snapshot, StopIndex, Identify, Publish time.Duration
@@ -412,6 +435,11 @@ func (e *Engine) SetRoundObserver(fn func(RoundStats)) {
 	e.roundObserver = fn
 }
 
+// viewHook, when non-nil, is shown every round's views twice: as
+// snapshotted, and again once identification is done with them. It exists
+// solely so tests can prove nothing writes a range a round is reading.
+var viewHook func(view map[mapmatch.Key][]obs, identified bool)
+
 // estimateRound runs one estimation round at stream time at: snapshot
 // the dirty keys' window views under e.mu, index stops and identify
 // outside any lock, publish under e.mu again. Quarantined approaches are
@@ -429,6 +457,9 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats, error) {
 	earliest := e.snapshotLocked(rm, t0, at)
 	e.mu.Unlock()
 	snapped := time.Now()
+	if viewHook != nil {
+		viewHook(rm.view, false)
+	}
 
 	// Monitors only see estimates from sufficiently covered windows.
 	covered := !math.IsInf(earliest, 1) && at-earliest >= e.cfg.MinCoverage*e.cfg.Window
@@ -446,6 +477,15 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats, error) {
 	stats.Recomputed = len(rm.recompute)
 	results := rm.identify(rm.recompute, t0, at, pcfg)
 	identified := time.Now()
+	if viewHook != nil {
+		viewHook(rm.view, true)
+	}
+	// The views are dead from here. A finished round keeps no reference
+	// into a key buffer, so an array a buffer outgrows is garbage at once;
+	// the keys stay, and tell the next snapshot how large this round was.
+	for k := range rm.view {
+		rm.view[k] = nil
+	}
 
 	out, err := e.publishRound(at, rm.recompute, results, covered, &stats)
 	done := time.Now()
@@ -459,10 +499,13 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats, error) {
 	return out, stats, err
 }
 
-// snapshotLocked copies the in-window views of the keys to recompute,
-// plus their perpendicular context, into rm, and lists the keys to
-// recompute in rm.recompute. It returns the earliest record time among
-// the recomputed keys (+Inf when there is none).
+// snapshotLocked hands rm the in-window views of the keys to recompute,
+// plus their perpendicular context, and lists the keys to recompute in
+// rm.recompute. A view is kb.ms[lo:hi:hi] of a normalized buffer — the
+// records themselves, not a copy; the caller holds estMu, and until the
+// round ends the aliasing invariant (see Engine) keeps every writer off
+// that range. It returns the earliest record time among the recomputed
+// keys (+Inf when there is none).
 func (e *Engine) snapshotLocked(rm *roundMem, t0, at float64) (earliest float64) {
 	rm.todo = rm.todo[:0]
 	if e.cfg.FullReestimate {
@@ -482,9 +525,7 @@ func (e *Engine) snapshotLocked(rm *roundMem, t0, at float64) (earliest float64)
 	} else {
 		clear(rm.view)
 	}
-	rm.spans = rm.spans[:0]
 	rm.recompute = rm.recompute[:0]
-	total := 0
 	window := func(ms []obs) (lo, hi int) {
 		lo = sort.Search(len(ms), func(i int) bool { return ms[i].t >= t0 })
 		hi = sort.Search(len(ms), func(i int) bool { return ms[i].t > at })
@@ -509,13 +550,11 @@ func (e *Engine) snapshotLocked(rm *roundMem, t0, at float64) (earliest float64)
 			delete(e.dirty, k)
 		}
 		if hi > lo {
-			rm.spans = append(rm.spans, viewSpan{k, lo, hi})
-			rm.view[k] = nil
+			rm.view[k] = kb.ms[lo:hi:hi]
 			rm.recompute = append(rm.recompute, k)
 			if kb.ms[lo].t < earliest {
 				earliest = kb.ms[lo].t
 			}
-			total += hi - lo
 		}
 	}
 	// Perpendicular context: enhancement mirrors the perpendicular
@@ -533,19 +572,9 @@ func (e *Engine) snapshotLocked(rm *roundMem, t0, at float64) (earliest float64)
 		}
 		e.normalizeLocked(kb)
 		if lo, hi := window(kb.ms); hi > lo {
-			rm.spans = append(rm.spans, viewSpan{pk, lo, hi})
-			rm.view[pk] = nil
-			total += hi - lo
+			rm.view[pk] = kb.ms[lo:hi:hi]
 		}
 	}
-	// One arena holds every copied record; views slice into it.
-	arena := reuse(rm.arena, total)
-	for _, s := range rm.spans {
-		start := len(arena)
-		arena = append(arena, e.buf[s.k].ms[s.lo:s.hi]...)
-		rm.view[s.k] = arena[start:len(arena):len(arena)]
-	}
-	rm.arena = arena
 	return earliest
 }
 
@@ -618,8 +647,9 @@ func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results []Result,
 }
 
 // trimLocked drops buffered records that can no longer enter any window.
+// It rewrites buffers in place, so the caller holds estMu as well.
 func (e *Engine) trimLocked() {
-	cutoff := e.now - 2*e.cfg.Window
+	cutoff := e.retainFromLocked()
 	for _, kb := range e.buf {
 		e.normalizeLocked(kb)
 		ms := kb.ms
@@ -627,7 +657,6 @@ func (e *Engine) trimLocked() {
 			e.dropOldestLocked(kb, lo)
 		}
 	}
-	e.plates.compact()
 }
 
 // Estimate is one published approach estimate together with its serving

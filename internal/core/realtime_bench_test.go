@@ -11,7 +11,6 @@ import (
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/roadnet"
-	"taxilight/internal/trace"
 )
 
 // benchApproachKey returns the partition key of the i-th synthetic
@@ -54,7 +53,7 @@ func benchRecords(keyIdx int, t0, t1 float64) []mapmatch.Matched {
 				pos = geo.XY{X: dist, Y: base}
 			}
 			out = append(out, mapmatch.Matched{
-				Rec:        trace.Record{Plate: plate, SpeedKMH: speed},
+				Plate: plate, SpeedKMH: speed,
 				Light:      key.Light,
 				Approach:   key.Approach,
 				T:          t,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -224,8 +225,8 @@ func TestEngineTrimsOldRecords(t *testing.T) {
 	var ms []mapmatch.Matched
 	for i := 0; i < 100; i++ {
 		ms = append(ms, mapmatch.Matched{
-			Rec: trace.Record{Plate: "B1", SpeedKMH: 10},
-			T:   float64(i * 10),
+			Plate: "B1", SpeedKMH: 10,
+			T: float64(i * 10),
 		})
 	}
 	eng.Ingest(ms)
@@ -236,9 +237,92 @@ func TestEngineTrimsOldRecords(t *testing.T) {
 	defer eng.mu.RUnlock()
 	for k, buf := range eng.buf {
 		for _, m := range buf.ms {
-			if m.t < 10000-2*cfg.Window {
+			if m.t < eng.nextRun-cfg.Window {
 				t.Fatalf("key %v still holds record at t=%v", k, m.t)
 			}
 		}
+	}
+}
+
+// TestRetentionFollowsNextWindow pins the one retention rule: a record is
+// kept exactly while the next pending round's window can reach it.
+func TestRetentionFollowsNextWindow(t *testing.T) {
+	cfg := DefaultRealtimeConfig() // Window 1800, Interval 300
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, quiet := benchApproachKey(0), benchApproachKey(1)
+	at := func(k mapmatch.Key, ts ...float64) []mapmatch.Matched {
+		var ms []mapmatch.Matched
+		for _, t := range ts {
+			ms = append(ms, mapmatch.Matched{Plate: "B1", Light: k.Light, Approach: k.Approach, T: t})
+		}
+		return ms
+	}
+	buffered := func() []float64 {
+		eng.mu.RLock()
+		defer eng.mu.RUnlock()
+		var ts []float64
+		for _, o := range eng.buf[key].ms {
+			ts = append(ts, o.t)
+		}
+		return ts
+	}
+	dirty := func(k mapmatch.Key) bool {
+		eng.mu.RLock()
+		defer eng.mu.RUnlock()
+		_, ok := eng.dirty[k]
+		return ok
+	}
+	counts := func() [2]int64 {
+		rep := eng.Health()
+		return [2]int64{int64(rep.BufferedRecords), rep.DroppedOldRecords}
+	}
+
+	// Before the first Advance no round is scheduled and nothing is too old.
+	eng.Ingest(at(key, -5000, 100, 299, 300, 1700))
+	if got := counts(); got != [2]int64{5, 0} {
+		t.Fatalf("before the first Advance: buffered, dropped old = %v, want [5 0]", got)
+	}
+	// The round at 1800 schedules the next at 2100, whose window starts at
+	// 300: the trim after the round keeps exactly what that window reaches.
+	if _, err := eng.Advance(1800); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buffered(), []float64{300, 1700}; !slices.Equal(got, want) {
+		t.Fatalf("after the round at 1800 the buffer holds %v, want %v", got, want)
+	}
+	// Older than nextRun-Window: counted, never buffered, key stays clean.
+	eng.Ingest(at(quiet, 299.5))
+	if got := counts(); got != [2]int64{2, 1} {
+		t.Fatalf("record older than the next window: buffered, dropped old = %v, want [2 1]", got)
+	}
+	if dirty(quiet) {
+		t.Fatal("a dropped record made its key dirty")
+	}
+	// Exactly nextRun-Window, the next window's first instant: kept, dirty.
+	eng.Ingest(at(quiet, 300))
+	if got := counts(); got != [2]int64{3, 1} {
+		t.Fatalf("record at nextRun-Window: buffered, dropped old = %v, want [3 1]", got)
+	}
+	if !dirty(quiet) {
+		t.Fatal("a record the next window reaches did not make its key dirty")
+	}
+	eng.Ingest(at(key, 300))
+	// An Advance that runs no round moves no cutoff and touches no buffer:
+	// the late record is still where Ingest appended it.
+	if _, err := eng.Advance(2000); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buffered(), []float64{300, 1700, 300}; !slices.Equal(got, want) {
+		t.Fatalf("an Advance without a round rewrote the buffer: %v, want %v", got, want)
+	}
+	// The round at 2100 moves the cutoff to 600.
+	if _, err := eng.Advance(2100); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buffered(), []float64{1700}; !slices.Equal(got, want) {
+		t.Fatalf("after the round at 2100 the buffer holds %v, want %v", got, want)
 	}
 }

@@ -8,18 +8,20 @@ import (
 	"unsafe"
 
 	"taxilight/internal/mapmatch"
-	"taxilight/internal/trace"
 )
 
 func TestObsIsCompact(t *testing.T) {
 	if sz := unsafe.Sizeof(obs{}); sz > 64 {
 		t.Fatalf("obs is %d bytes, want <= 64", sz)
 	}
+	if sz := unsafe.Sizeof(mapmatch.Matched{}); sz > 88 {
+		t.Fatalf("mapmatch.Matched is %d bytes, want <= 88: it is what every dispatched batch is made of", sz)
+	}
 }
 
 // TestSteadyRoundAllocs holds a warm, dense round on a 40-approach engine
-// to an object and byte budget. A round that copies its window into a
-// fresh arena, or rebuilds its stop index from fresh maps, costs
+// to an object and byte budget. A round that copies its window, or
+// rebuilds its stop index from fresh maps, costs
 // megabytes here (40 approaches x 600 in-window records). What a warm
 // round does allocate — about 430 objects and 20-70 KB at the time of
 // writing — is the per-key sort, monitor and history bookkeeping of
@@ -90,9 +92,10 @@ func TestSteadyRoundAllocs(t *testing.T) {
 }
 
 // TestPlateInterningBounded: a hostile feed mints plates. 200 k distinct
-// ones pass through Ingest and a round; once the clock is past 2xWindow
-// and the records are trimmed, the plates, the buffers and the round's
-// working memory sized by the burst must all be gone.
+// ones pass through Ingest and a round. While the window slides off them
+// the table never holds more dead plates than live ones; once the next
+// window starts past the last record, the plates, the buffers and the
+// round's working memory sized by the burst must all be gone.
 func TestPlateInterningBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates a 200k-record burst")
@@ -118,7 +121,7 @@ func TestPlateInterningBounded(t *testing.T) {
 	for p := 0; p < nPlates; p++ {
 		k := benchApproachKey(p % nKeys)
 		batch = append(batch, mapmatch.Matched{
-			Rec:      trace.Record{Plate: fmt.Sprintf("MINT-%06d", p), SpeedKMH: 20},
+			Plate: fmt.Sprintf("MINT-%06d", p), SpeedKMH: 20,
 			Light:    k.Light,
 			Approach: k.Approach,
 			T:        1800 * float64(p) / nPlates,
@@ -140,11 +143,24 @@ func TestPlateInterningBounded(t *testing.T) {
 		t.Fatalf("burst holds only %.1f MB over baseline; the test measures nothing", burst-baseline)
 	}
 
-	if _, err := eng.Advance(1800 + 2*cfg.Window + cfg.Interval); err != nil {
+	// Rounds up to 2700 leave the next window starting at 1200: two
+	// thirds of the burst is out of reach.
+	if _, err := eng.Advance(2700); err != nil {
+		t.Fatal(err)
+	}
+	live := eng.plates.live
+	if rep := eng.Health(); live != rep.BufferedRecords || live < nPlates/4 || live > nPlates/2 {
+		t.Fatalf("%d live plates for %d buffered records of %d", live, rep.BufferedRecords, nPlates)
+	}
+	if n := len(eng.plates.byName); n > 2*live {
+		t.Fatalf("table holds %d plates for %d live ones, want at most twice as many", n, live)
+	}
+
+	if _, err := eng.Advance(1800 + cfg.Window); err != nil {
 		t.Fatal(err)
 	}
 	if rep := eng.Health(); rep.BufferedRecords != 0 {
-		t.Fatalf("%d records still buffered past 2xWindow", rep.BufferedRecords)
+		t.Fatalf("%d records still buffered with the next window past them all", rep.BufferedRecords)
 	}
 	if n := len(eng.plates.byName); n != 0 {
 		t.Fatalf("%d plates still interned with nothing buffered", n)

@@ -47,29 +47,23 @@ type identifyScratch struct {
 	stops        []StopEvent // FilterStops output
 }
 
-// roundMem is the working memory of one estimation round: the arena the
-// window views are copied into, the views themselves, the stop index
-// built over them, the per-key result slots and the snapshot
-// bookkeeping. An Engine owns one and reuses it round after round —
+// roundMem is the working memory of one estimation round: the window
+// views, the stop index built over them, the per-key result slots and
+// the snapshot bookkeeping. The views own no records — in an Engine each
+// is a sub-slice of a key buffer, read in place under the engine's
+// aliasing invariant — so a round's memory does not scale with the
+// window. An Engine owns one roundMem and reuses it round after round —
 // rounds are serialized by estMu, and nothing a round publishes (Result,
 // RoundStats) holds a slice into it — so a steady-state round allocates
 // little beyond what it publishes. The batch entry points fill a fresh
 // one per call.
 type roundMem struct {
-	arena   []obs
-	view    map[mapmatch.Key][]obs // per-approach slices of arena, time-sorted
+	view    map[mapmatch.Key][]obs // per-approach in-window records, time-sorted
 	index   StopIndex
 	results []Result // results[i] belongs to the i-th identified key
 
 	// Snapshot bookkeeping of Engine.snapshotLocked.
 	todo, recompute []mapmatch.Key
-	spans           []viewSpan
-}
-
-// viewSpan is the in-window range of one key's buffer.
-type viewSpan struct {
-	k      mapmatch.Key
-	lo, hi int
 }
 
 // load fills a fresh roundMem from a partition, interning plates into a
@@ -80,14 +74,14 @@ func (rm *roundMem) load(part mapmatch.Partition) plateTable {
 		total += len(ms)
 	}
 	plates := newPlateTable()
-	rm.arena = make([]obs, 0, total)
+	all := make([]obs, 0, total)
 	rm.view = make(map[mapmatch.Key][]obs, len(part))
 	for k, ms := range part {
-		start := len(rm.arena)
+		start := len(all)
 		for i := range ms {
-			rm.arena = append(rm.arena, plates.observe(&ms[i]))
+			all = append(all, plates.observe(&ms[i]))
 		}
-		rm.view[k] = rm.arena[start:len(rm.arena):len(rm.arena)]
+		rm.view[k] = all[start:len(all):len(all)]
 	}
 	return plates
 }

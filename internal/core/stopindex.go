@@ -117,6 +117,7 @@ func (si *StopIndex) build(view map[mapmatch.Key][]obs, cfg StopExtractConfig) {
 			si.dwellOf[g.p] = [2]int{lo, len(si.dwell)}
 		}
 	}
+	clear(si.recs) // a built index keeps no reference into the view
 }
 
 // gather references every observation of the view, sorts the references
@@ -132,7 +133,6 @@ func (si *StopIndex) gather(view map[mapmatch.Key][]obs) {
 		si.keys = append(si.keys, k)
 	}
 	sortKeys(si.keys)
-	clear(si.recs) // a stale header would pin the arena it points into
 	si.recs = si.recs[:0]
 	total := 0
 	for _, k := range si.keys {
@@ -252,7 +252,7 @@ func (si *StopIndex) isDwell(p *plate, t float64) bool {
 func (si *StopIndex) FilterDwellRecords(ms []mapmatch.Matched) []mapmatch.Matched {
 	out := make([]mapmatch.Matched, 0, len(ms))
 	for _, m := range ms {
-		if !si.IsDwell(m.Rec.Plate, m.T) {
+		if !si.IsDwell(m.Plate, m.T) {
 			out = append(out, m)
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/roadnet"
-	"taxilight/internal/trace"
 )
 
 // refStopIndex is the stop index as it was built before the index sorted
@@ -34,7 +33,7 @@ func buildRefStopIndex(part mapmatch.Partition, cfg StopExtractConfig) *refStopI
 	byPlate := make(map[string][]mapmatch.Matched)
 	for _, k := range keys {
 		for _, m := range part[k] {
-			byPlate[m.Rec.Plate] = append(byPlate[m.Rec.Plate], m)
+			byPlate[m.Plate] = append(byPlate[m.Plate], m)
 		}
 	}
 	plates := make([]string, 0, len(byPlate))
@@ -60,14 +59,14 @@ func buildRefStopIndex(part mapmatch.Partition, cfg StopExtractConfig) *refStopI
 				if rs[j].Snapped.Sub(rs[j-1].Snapped).Norm() > cfg.MaxDisplacement {
 					break
 				}
-				if rs[j].Rec.Occupied != rs[j-1].Rec.Occupied {
+				if rs[j].Occupied != rs[j-1].Occupied {
 					occChanged = true
 				}
 				j++
 			}
 			if j-i >= 2 {
 				if i > 0 && rs[i].T-rs[i-1].T <= cfg.MaxGap &&
-					rs[i-1].Rec.Occupied != rs[i].Rec.Occupied {
+					rs[i-1].Occupied != rs[i].Occupied {
 					occChanged = true
 				}
 				ev := StopEvent{
@@ -120,8 +119,8 @@ func checkAgainstRef(t *testing.T, part mapmatch.Partition, cfg StopExtractConfi
 		stops += len(want)
 		for _, m := range ms {
 			for _, at := range []float64{m.T, m.T - 0.5, m.T + 0.5} {
-				if got, want := idx.IsDwell(m.Rec.Plate, at), ref.isDwell(m.Rec.Plate, at); got != want {
-					t.Fatalf("IsDwell(%s, %v) = %v, reference %v", m.Rec.Plate, at, got, want)
+				if got, want := idx.IsDwell(m.Plate, at), ref.isDwell(m.Plate, at); got != want {
+					t.Fatalf("IsDwell(%s, %v) = %v, reference %v", m.Plate, at, got, want)
 				}
 			}
 		}
@@ -174,7 +173,7 @@ func randomPartition(rng *rand.Rand) mapmatch.Partition {
 				k = keys[rng.Intn(nKeys)]
 			}
 			part[k] = append(part[k], mapmatch.Matched{
-				Rec:        trace.Record{Plate: plate, Occupied: occupied},
+				Plate: plate, Occupied: occupied,
 				Light:      k.Light,
 				Approach:   k.Approach,
 				T:          tm,
@@ -227,7 +226,7 @@ func TestBuildStopIndexTieOrderDeterministic(t *testing.T) {
 	far := mapmatch.Key{Light: 2, Approach: lights.EastWest}
 	rec := func(k mapmatch.Key, tm, x, dist float64) mapmatch.Matched {
 		return mapmatch.Matched{
-			Rec: trace.Record{Plate: "B1"}, Light: k.Light, Approach: k.Approach,
+			Plate: "B1", Light: k.Light, Approach: k.Approach,
 			T: tm, Snapped: geo.XY{X: x}, DistToStop: dist,
 		}
 	}
@@ -277,5 +276,5 @@ func BenchmarkStopIndexBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rm.index.build(rm.view, cfg)
 	}
-	b.ReportMetric(float64(len(rm.arena)), "records")
+	b.ReportMetric(float64(len(matched)), "records")
 }

@@ -6,12 +6,11 @@ import (
 	"taxilight/internal/geo"
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
-	"taxilight/internal/trace"
 )
 
 func matchedAt(plate string, t float64, pos geo.XY, occupied bool, light int, distToStop float64) mapmatch.Matched {
 	return mapmatch.Matched{
-		Rec:        trace.Record{Plate: plate, Occupied: occupied},
+		Plate: plate, Occupied: occupied,
 		T:          t,
 		Snapped:    pos,
 		Light:      42, // overwritten below where needed

@@ -203,7 +203,7 @@ func (d *District) CollectMatched(until float64) ([]mapmatch.Matched, error) {
 		if !ok {
 			return nil
 		}
-		mt.Rec.Plate = d.PlatePrefix + mt.Rec.Plate
+		mt.Plate = d.PlatePrefix + mt.Plate
 		mt.Light += d.NodeOffset
 		out = append(out, mt)
 		return nil

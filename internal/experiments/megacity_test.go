@@ -91,8 +91,8 @@ func TestMegacityMatchedKeysAndDeterminism(t *testing.T) {
 			if mt.Light < lo || mt.Light >= hi {
 				t.Fatalf("district %d record matched to node %d outside [%d, %d)", i, mt.Light, lo, hi)
 			}
-			if mt.Rec.Plate[:3] != d.PlatePrefix {
-				t.Fatalf("district %d plate %q missing prefix %q", i, mt.Rec.Plate, d.PlatePrefix)
+			if mt.Plate[:3] != d.PlatePrefix {
+				t.Fatalf("district %d plate %q missing prefix %q", i, mt.Plate, d.PlatePrefix)
 			}
 			k1 := mapmatch.Key{Light: mt.Light, Approach: mt.Approach}
 			k2 := mapmatch.Key{Light: ms2[j].Light, Approach: ms2[j].Approach}

@@ -63,9 +63,17 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Matched is one successfully matched record with its road context.
+// Matched is one successfully matched record with its road context. It
+// is what crosses from the dispatcher to the shard engines in batches, so
+// it carries only the three fields of the source record anything
+// downstream of the matcher reads — 88 bytes against 184 with the whole
+// trace.Record embedded.
 type Matched struct {
-	Rec trace.Record
+	// Plate, SpeedKMH and Occupied are copied from the source record.
+	// Plate shares the record's (interned) string.
+	Plate    string
+	SpeedKMH float64
+	Occupied bool
 	// Seg is the directed segment the record was snapped to.
 	Seg *roadnet.Segment
 	// Light is the node of the traffic light controlling this record
@@ -251,7 +259,9 @@ func (m *Matcher) MatchWithStats(rec trace.Record, stats *MatchStats) (Matched, 
 	}
 	snapped, tfrac := seg.Geom().ClosestPoint(q)
 	return Matched{
-		Rec:        rec,
+		Plate:      rec.Plate,
+		SpeedKMH:   rec.SpeedKMH,
+		Occupied:   rec.Occupied,
 		Seg:        seg,
 		Light:      seg.To,
 		Approach:   seg.Approach(),

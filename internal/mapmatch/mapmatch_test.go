@@ -245,7 +245,7 @@ func TestPartitionParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("partition %v differs: %d vs %d", k, len(ms), len(pm))
 		}
 		for i := range ms {
-			if ms[i].Rec.Plate != pm[i].Rec.Plate || ms[i].T != pm[i].T {
+			if ms[i].Plate != pm[i].Plate || ms[i].T != pm[i].T {
 				t.Fatalf("partition %v entry %d differs", k, i)
 			}
 		}

@@ -9,13 +9,12 @@ import (
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/roadnet"
-	"taxilight/internal/trace"
 )
 
 // TestBatchSlicesRecycled: once the engine has copied a batch out, its
 // slice goes back to the shard's free list emptied and zeroed — a parked
-// slice must not pin the records' source lines — and the next dispatch
-// takes its slices from there.
+// slice must not pin plate strings — and the next dispatch takes its
+// slices from there.
 func TestBatchSlicesRecycled(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.Shards = 1; c.BatchSize = 4 })
 	s.Start()
@@ -24,7 +23,7 @@ func TestBatchSlicesRecycled(t *testing.T) {
 	var ms []mapmatch.Matched
 	for i := 0; i < 10; i++ {
 		ms = append(ms, mapmatch.Matched{
-			Rec:      trace.Record{Plate: fmt.Sprintf("B%d", i), SIM: "sim", Color: "red"},
+			Plate:    fmt.Sprintf("B%d", i),
 			Light:    key.Light,
 			Approach: key.Approach,
 			T:        float64(i),

@@ -190,8 +190,14 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
+// jsonContentType is the one Content-Type value of every JSON answer.
+// Handlers store the slice itself in the header map — Header.Set would
+// allocate a fresh one-element slice per response. Nothing may append to
+// it or write through it.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
@@ -233,16 +239,22 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
 		return
 	}
-	if q := r.URL.Query().Get("asof"); q != "" {
-		s.handleStateAsOf(w, key, q)
+	// The common request has no query string; one that does is parsed once.
+	var asof, at string
+	if r.URL.RawQuery != "" {
+		q := r.URL.Query()
+		asof, at = q.Get("asof"), q.Get("t")
+	}
+	if asof != "" {
+		s.handleStateAsOf(w, key, asof)
 		return
 	}
 	sh := s.shardFor(key)
 	t := sh.engine.Now()
-	if q := r.URL.Query().Get("t"); q != "" {
-		t, err = strconv.ParseFloat(q, 64)
+	if at != "" {
+		t, err = strconv.ParseFloat(at, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("bad t %q", q)})
+			writeJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("bad t %q", at)})
 			return
 		}
 	}
@@ -271,7 +283,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	// encoding/json never runs for a served estimate.
 	health := s.overrideHealth(key, est.Health.String())
 	setHealthHeader(w, health)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	buf := pubsub.GetBuffer()
 	*buf = pubsub.AppendState((*buf)[:0], key, t, est, health, 0, false)
 	*buf = append(*buf, '\n')
@@ -451,7 +463,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.Write(body)
 }
 

@@ -14,7 +14,6 @@ import (
 	"taxilight/internal/experiments"
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
-	"taxilight/internal/trace"
 )
 
 // testWorld builds a small deterministic simulated city whose records
@@ -165,8 +164,8 @@ func sparseMatched(key mapmatch.Key, n int, t0 float64) []mapmatch.Matched {
 	for i := range out {
 		out[i] = mapmatch.Matched{
 			Light: key.Light, Approach: key.Approach,
-			T:   t0 + float64(i)*10,
-			Rec: trace.Record{Plate: fmt.Sprintf("B%d", i), SpeedKMH: 10},
+			T:     t0 + float64(i)*10,
+			Plate: fmt.Sprintf("B%d", i), SpeedKMH: 10,
 		}
 	}
 	return out
@@ -421,5 +420,43 @@ func TestIngestSharded(t *testing.T) {
 	}
 	if total != doc.Buffered {
 		t.Errorf("shard buffer accounting mismatch: %d vs %d", total, doc.Buffered)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps only the status code and
+// reuses its header map, so what an AllocsPerRun over ServeHTTP counts is
+// the mux and the handler, not the recorder.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// TestStateServeAllocs holds GET /v1/state/{light}/{approach} for a served
+// key to its allocation floor: the mux's wildcard match (2) and the
+// recovery wrapper's tracking writer (1). A request without a query
+// string must not pay for parsing one, and the Content-Type value is
+// shared, not built per response (ledger row server.state_allocs_per_op).
+func TestStateServeAllocs(t *testing.T) {
+	s := newTestServer(t, nil)
+	key := mapmatch.Key{Light: 3, Approach: lights.NorthSouth}
+	s.shardFor(key).engine.Prime(primedResult(key))
+	h := s.Handler()
+	req := httptest.NewRequest("GET", "/v1/state/3/NS", nil)
+	w := &discardWriter{h: http.Header{}}
+	serve := func() {
+		clear(w.h)
+		w.code = http.StatusOK
+		h.ServeHTTP(w, req)
+	}
+	serve()
+	if w.code != http.StatusOK || w.h.Get("Content-Type") != "application/json" {
+		t.Fatalf("status %d, Content-Type %q", w.code, w.h.Get("Content-Type"))
+	}
+	if got := testing.AllocsPerRun(200, serve); got > 3 {
+		t.Errorf("GET /v1/state allocates %.0f objects per request, budget 3", got)
 	}
 }

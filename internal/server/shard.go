@@ -165,8 +165,8 @@ func (sh *shard) persist(s *Server) {
 
 // ingest feeds one batch to the engine, updates the shard's clocks and
 // recycles the batch slice: the engine keeps its own compact copy of
-// every record, so the slice is cleared (it must not pin the records'
-// source lines) and offered back to the dispatchers.
+// every record, so the slice is cleared (a parked slice must not pin
+// plate strings) and offered back to the dispatchers.
 func (sh *shard) ingest(s *Server, batch []mapmatch.Matched) {
 	sh.engine.Ingest(batch)
 	for i := range batch {
