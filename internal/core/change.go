@@ -18,23 +18,70 @@ func Superpose(samples []dsp.Sample, cycle, t0 float64) ([]dsp.Sample, error) {
 	return superposeTo(make([]dsp.Sample, len(samples)), samples, cycle, t0), nil
 }
 
-// superposeSc is Superpose into the scratch's folded buffer.
+// maxFoldSlots bounds the counting sort's slot table; no signal cycle is
+// anywhere near 18 hours, so a longer one takes the comparison sort.
+const maxFoldSlots = 1 << 16
+
+// superposeSc is Superpose into the scratch's folded buffer, without a
+// comparison sort. The only reader of the fold drops each sample into the
+// whole-second slot int(phase), and that slot index is monotone in the
+// phase: a stable counting sort on it leaves every sample in its final
+// slot range, in input order within a slot, and a stable sort of each
+// slot's handful of samples by phase (an insertion sort, at that size)
+// finishes the job. The result is the permutation the stable sort by phase
+// produces, because for phases that are all ordered that permutation is
+// unique. A phase that is NaN or outside the slot table (a NaN or infinite
+// time or origin) or a cycle beyond maxFoldSlots takes superposeTo instead.
 func superposeSc(sc *identifyScratch, samples []dsp.Sample, cycle, t0 float64) ([]dsp.Sample, error) {
 	if cycle <= 0 {
 		return nil, fmt.Errorf("core: non-positive cycle %v", cycle)
 	}
-	out := superposeTo(growSamples(sc.folded, len(samples)), samples, cycle, t0)
+	out := growSamples(sc.folded, len(samples))
 	sc.folded = out
+	if !(cycle < maxFoldSlots) {
+		return superposeTo(out, samples, cycle, t0), nil
+	}
+	nslots := int(cycle) + 1 // phases lie in [0, cycle]
+	tmp := growSamples(sc.foldTmp, len(samples))
+	pos := growInt(sc.foldPos, nslots+1)
+	sc.foldTmp, sc.foldPos = tmp, pos
+	clear(pos)
+	for i, s := range samples {
+		p := foldPhase(s.T, t0, cycle)
+		if !(p >= 0 && p < float64(nslots)) {
+			return superposeTo(out, samples, cycle, t0), nil
+		}
+		tmp[i] = dsp.Sample{T: p, V: s.V}
+		pos[int(p)+1]++
+	}
+	for k := 0; k < nslots; k++ {
+		pos[k+1] += pos[k] // pos[k] is now where slot k starts
+	}
+	for _, s := range tmp {
+		k := int(s.T)
+		out[pos[k]] = s
+		pos[k]++ // pos[k] ends as where slot k ends
+	}
+	lo := 0
+	for _, hi := range pos[:nslots] {
+		sortSamplesIfNeeded(out[lo:hi])
+		lo = hi
+	}
 	return out, nil
+}
+
+// foldPhase is (t - t0) mod cycle, brought into [0, cycle].
+func foldPhase(t, t0, cycle float64) float64 {
+	p := mod(t-t0, cycle)
+	if p < 0 {
+		p += cycle
+	}
+	return p
 }
 
 func superposeTo(out []dsp.Sample, samples []dsp.Sample, cycle, t0 float64) []dsp.Sample {
 	for i, s := range samples {
-		p := math.Mod(s.T-t0, cycle)
-		if p < 0 {
-			p += cycle
-		}
-		out[i] = dsp.Sample{T: p, V: s.V}
+		out[i] = dsp.Sample{T: foldPhase(s.T, t0, cycle), V: s.V}
 	}
 	dsp.SortSamples(out)
 	return out

@@ -27,7 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"taxilight/internal/dsp"
 )
@@ -181,15 +181,26 @@ func identifyCycleSc(sc *identifyScratch, samples []dsp.Sample, t0, t1 float64, 
 		peaks = append(peaks, specPeak{k, mags[k]})
 	}
 	sc.peaks = peaks
-	sort.Slice(peaks, func(i, j int) bool { return peaks[i].mag > peaks[j].mag })
+	// Strongest first; the comparator is the three-way form of `>` (not
+	// cmp.Compare, which orders NaN differently).
+	slices.SortFunc(peaks, func(a, b specPeak) int {
+		switch {
+		case a.mag > b.mag:
+			return -1
+		case b.mag > a.mag:
+			return 1
+		}
+		return 0
+	})
 	if len(peaks) > cfg.Candidates {
 		peaks = peaks[:cfg.Candidates]
 	}
 	cands := sc.cands[:0]
+	mo := momentsOf(in)
 	bestCycle, bestScore := float64(n)/float64(peaks[0].k), math.Inf(-1)
 	for _, p := range peaks {
 		cycle := float64(n) / float64(p.k)
-		score := foldScoreSc(sc, in, cycle, t0)
+		score := foldScoreSc(sc, in, mo, cycle, t0)
 		cands = append(cands, scoredCand{cycle, score})
 		if score > bestScore {
 			bestScore, bestCycle = score, cycle
@@ -214,7 +225,7 @@ func identifyCycleSc(sc *identifyScratch, samples []dsp.Sample, t0, t1 float64, 
 			}
 		}
 	}
-	return refineCycleSc(sc, in, bestCycle, t0, float64(n)), nil
+	return refineCycleSc(sc, in, mo, bestCycle, t0, float64(n)), nil
 }
 
 // sortSamplesIfNeeded stable-sorts s by time unless it is already
@@ -235,7 +246,7 @@ func sortSamplesIfNeeded(s []dsp.Sample) {
 // over an hour), and even a 0.3 s cycle error drifts the fold phase by
 // ~11 s across the window, smearing the downstream red/phase stages; the
 // grid search recovers sub-bin precision the spectrum cannot express.
-func refineCycleSc(sc *identifyScratch, in []dsp.Sample, cycle, t0, windowLen float64) float64 {
+func refineCycleSc(sc *identifyScratch, in []dsp.Sample, mo foldMoments, cycle, t0, windowLen float64) float64 {
 	spacing := cycle * cycle / windowLen
 	lo, hi := cycle-spacing, cycle+spacing
 	step := spacing / 25
@@ -244,7 +255,7 @@ func refineCycleSc(sc *identifyScratch, in []dsp.Sample, cycle, t0, windowLen fl
 	}
 	best, bestScore := cycle, math.Inf(-1)
 	for c := lo; c <= hi; c += step {
-		if s := foldScoreSc(sc, in, c, t0); s > bestScore {
+		if s := foldScoreSc(sc, in, mo, c, t0); s > bestScore {
 			bestScore, best = s, c
 		}
 	}
@@ -281,15 +292,42 @@ func mod(x, y float64) float64 {
 	return r
 }
 
+// foldMoments holds what every fold score of one sample set shares: the
+// mean speed and the total sum of squares about it. One identification
+// scores the same samples at 57 cycles (six candidates, 51 refinement
+// steps), so the caller computes the moments once with momentsOf and
+// hands them to each score. It is a value, valid for exactly the slice
+// contents it was computed from — scratch buffers recur at the same
+// address and length, so nothing may cache it by pointer.
+type foldMoments struct {
+	mean, ssTotal float64
+}
+
+func momentsOf(samples []dsp.Sample) foldMoments {
+	var mo foldMoments
+	if len(samples) == 0 {
+		return mo
+	}
+	for _, s := range samples {
+		mo.mean += s.V
+	}
+	mo.mean /= float64(len(samples))
+	for _, s := range samples {
+		d := s.V - mo.mean
+		mo.ssTotal += d * d
+	}
+	return mo
+}
+
 // foldScoreSc measures how well a candidate cycle aligns the raw samples:
 // the fraction of speed variance explained by the fold phase (ANOVA R²,
 // adjusted for the number of phase bins so longer candidates are not
-// rewarded for overfitting). Accumulators live in the scratch, and each
-// sample's phase bin is memoised in the first pass so the second pass
-// skips the reduction.
-func foldScoreSc(sc *identifyScratch, samples []dsp.Sample, cycle, t0 float64) float64 {
+// rewarded for overfitting). mo must be momentsOf(samples). Accumulators
+// live in the scratch, and each sample's phase bin is memoised in the
+// first pass so the second pass skips the reduction.
+func foldScoreSc(sc *identifyScratch, samples []dsp.Sample, mo foldMoments, cycle, t0 float64) float64 {
 	n := len(samples)
-	if n < 4 || cycle <= 0 {
+	if n < 4 || cycle <= 0 || mo.ssTotal == 0 {
 		return math.Inf(-1)
 	}
 	binW := cycle / 40
@@ -308,43 +346,28 @@ func foldScoreSc(sc *identifyScratch, samples []dsp.Sample, cycle, t0 float64) f
 		sums[i] = 0
 		counts[i] = 0
 	}
-	mean := 0.0
-	for _, s := range samples {
-		mean += s.V
-	}
-	mean /= float64(n)
-	var ssTotal float64
 	for i, s := range samples {
-		ph := mod(s.T-t0, cycle)
-		if ph < 0 {
-			ph += cycle
-		}
-		b := int(ph / binW)
+		b := int(foldPhase(s.T, t0, cycle) / binW)
 		if b >= nb {
 			b = nb - 1
 		}
 		bins[i] = int32(b)
 		sums[b] += s.V
 		counts[b]++
-		d := s.V - mean
-		ssTotal += d * d
 	}
-	if ssTotal == 0 {
-		return math.Inf(-1)
-	}
-	var ssWithin float64
 	used := 0
-	for i, s := range samples {
-		b := bins[i]
-		d := s.V - sums[b]/counts[b]
-		ssWithin += d * d
-	}
-	for i := 0; i < nb; i++ {
-		if counts[i] > 0 {
+	for b := 0; b < nb; b++ {
+		if counts[b] > 0 {
 			used++
+			sums[b] /= counts[b] // the bin's mean: divided once, not per sample
 		}
 	}
-	r2 := 1 - ssWithin/ssTotal
+	var ssWithin float64
+	for i, s := range samples {
+		d := s.V - sums[bins[i]]
+		ssWithin += d * d
+	}
+	r2 := 1 - ssWithin/mo.ssTotal
 	if n <= used+1 {
 		return math.Inf(-1)
 	}
@@ -497,7 +520,7 @@ func SpeedSeries(ts, vs []float64) ([]dsp.Sample, error) {
 	for i := range ts {
 		out[i] = dsp.Sample{T: ts[i], V: vs[i]}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
+	dsp.SortSamples(out)
 	return out, nil
 }
 
@@ -509,5 +532,5 @@ func SpeedSeries(ts, vs []float64) ([]dsp.Sample, error) {
 func FoldScore(samples []dsp.Sample, cycle, t0 float64) float64 {
 	sc := getScratch()
 	defer putScratch(sc)
-	return foldScoreSc(sc, samples, cycle, t0)
+	return foldScoreSc(sc, samples, momentsOf(samples), cycle, t0)
 }

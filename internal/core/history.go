@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // HistoryConfig tunes the historical corrector of Section VII: "this
@@ -49,7 +49,9 @@ func (c HistoryConfig) Validate() error {
 // It is the "historical scheduling" prior of Section VII, built per
 // light.
 type History struct {
-	cfg   HistoryConfig
+	cfg HistoryConfig
+	// slots[i] holds slot i's estimates in ascending order (NaN first, as
+	// sort.Float64s has it), so the median is an index, not a sort.
 	slots [][]float64
 }
 
@@ -78,7 +80,15 @@ func (h *History) slotOf(t float64) int {
 // midnight).
 func (h *History) Add(t, cycle float64) {
 	i := h.slotOf(t)
-	h.slots[i] = append(h.slots[i], cycle)
+	s := h.slots[i]
+	at, _ := slices.BinarySearchFunc(s, cycle, func(x, target float64) int {
+		// x sorts after target: go left. Never 0, so at is past every equal.
+		if target < x || (math.IsNaN(target) && !math.IsNaN(x)) {
+			return 1
+		}
+		return -1
+	})
+	h.slots[i] = slices.Insert(s, at, cycle)
 }
 
 // SlotMedian returns the historical median for the slot containing
@@ -88,9 +98,7 @@ func (h *History) SlotMedian(t float64) (float64, int) {
 	if len(s) == 0 {
 		return math.NaN(), 0
 	}
-	c := append([]float64(nil), s...)
-	sort.Float64s(c)
-	return c[len(c)/2], len(s)
+	return s[len(s)/2], len(s)
 }
 
 // Correct returns the estimate to report for a fresh measurement at time

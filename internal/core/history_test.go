@@ -2,6 +2,9 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -109,5 +112,72 @@ func TestHistoryNegativeTimeWraps(t *testing.T) {
 	h.Add(-3600, 98) // 23:00 the day before epoch
 	if med, n := h.SlotMedian(23 * 3600); n != 1 || med != 98 {
 		t.Fatalf("negative-time slot: %v, %d", med, n)
+	}
+}
+
+// TestHistorySortedSlots holds the kept-sorted slots to the median they
+// replaced: a copy of everything the slot was given, sorted, its middle
+// element — NaN and repeated estimates included.
+func TestHistorySortedSlots(t *testing.T) {
+	cfg := DefaultHistoryConfig()
+	h, err := NewHistory(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	given := make([][]float64, len(h.slots))
+	for step := 0; step < 6000; step++ {
+		at := rng.Float64()*20*86400 - 86400
+		slot := h.slotOf(at)
+		var cycle float64
+		switch rng.Intn(10) {
+		case 0:
+			cycle = math.NaN()
+		case 1, 2: // an estimate the slot already holds
+			if len(given[slot]) > 0 {
+				cycle = given[slot][rng.Intn(len(given[slot]))]
+				break
+			}
+			fallthrough
+		default:
+			cycle = 40 + math.Floor(rng.Float64()*2600)/10
+		}
+		c := append([]float64(nil), given[slot]...)
+		sort.Float64s(c)
+		wantMed, wantN := math.NaN(), len(c)
+		if wantN > 0 {
+			wantMed = c[wantN/2]
+		}
+		if med, n := h.SlotMedian(at); n != wantN || !sameBits(med, wantMed) {
+			t.Fatalf("step %d: SlotMedian = %v of %d, copy-and-sort gives %v of %d", step, med, n, wantMed, wantN)
+		}
+		wantV, wantCorrected := cycle, false
+		if wantN >= cfg.MinSamples && !math.IsNaN(wantMed) && !(math.Abs(cycle-wantMed) <= cfg.Tolerance) {
+			wantV, wantCorrected = wantMed, true
+		}
+		if v, corrected := h.AddAndCorrect(at, cycle); corrected != wantCorrected || !sameBits(v, wantV) {
+			t.Fatalf("step %d: AddAndCorrect(%v) = %v, %v; want %v, %v", step, cycle, v, corrected, wantV, wantCorrected)
+		}
+		given[slot] = append(given[slot], cycle)
+	}
+}
+
+// TestHistoryAddAndCorrectAllocs: once a slot has room, absorbing an
+// estimate allocates nothing — the median is read, not computed.
+func TestHistoryAddAndCorrectAllocs(t *testing.T) {
+	h, _ := NewHistory(DefaultHistoryConfig())
+	const nine = 9 * 3600
+	for day := 0; day < 40; day++ {
+		h.AddAndCorrect(float64(day)*86400+nine, 90+float64(day%7))
+	}
+	slot := h.slotOf(nine)
+	h.slots[slot] = slices.Grow(h.slots[slot], 300)
+	day := 40
+	allocs := testing.AllocsPerRun(200, func() {
+		h.AddAndCorrect(float64(day)*86400+nine, 90+float64(day%11))
+		day++
+	})
+	if allocs != 0 {
+		t.Fatalf("AddAndCorrect allocates %.1f objects per call into a slot with room, want 0", allocs)
 	}
 }

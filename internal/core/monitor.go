@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"taxilight/internal/dsp"
@@ -151,10 +152,64 @@ func medianOf(xs []float64) float64 {
 // Monitor is the streaming form of the detector: feed one estimate at a
 // time (the pipeline produces one per light every 5 minutes) and collect
 // confirmed scheduling changes as they happen.
+//
+// It returns exactly what DetectSchedulingChanges over the whole series
+// would, without rescanning the series. A filtered value is final once its
+// median window is complete — index i of n points, i+MedianWindow/2 < n —
+// and the detector's state after the last such index never changes again.
+// Only the up to MedianWindow/2 newest points see a truncated window whose
+// median the next point may move, so each Feed advances that state (final)
+// over the indexes that just became final and replays the provisional tail
+// on a copy of it.
 type Monitor struct {
-	cfg     MonitorConfig
-	series  []CyclePoint
+	cfg    MonitorConfig
+	series []CyclePoint
+	// emitted is the number of changes reported so far. A change confirmed
+	// inside the provisional tail can vanish when a later point moves a
+	// median; it stays counted, so the next change at that position in the
+	// batch result is not reported — as when every Feed ran the batch scan.
 	emitted int
+
+	next    int // first index the final state has not consumed
+	final   detector
+	nFinal  int       // changes confirmed by the final state
+	tail    []float64 // provisional copy of final.run, cap Confirm
+	medians []float64 // one median window, cap MedianWindow
+}
+
+// detector is the plateau scan's state between two estimates.
+type detector struct {
+	plateau float64
+	// run holds the filtered values of the current run of estimates that
+	// deviate from the plateau while agreeing with the run's first; runT is
+	// the time of that first estimate. The run is confirmed, and emptied,
+	// when it reaches Confirm values.
+	run  []float64
+	runT float64
+}
+
+// step consumes the filtered estimate v at time t — one iteration of the
+// scan in DetectSchedulingChanges — and reports the change it confirms.
+func (d *detector) step(t, v float64, cfg MonitorConfig) (SchedulingChange, bool) {
+	if math.Abs(v-d.plateau) <= cfg.Tolerance {
+		d.run = d.run[:0]
+		return SchedulingChange{}, false
+	}
+	if len(d.run) > 0 && math.Abs(v-d.run[0]) > cfg.Tolerance {
+		d.run = d.run[:0] // a different deviation: the run restarts here
+	}
+	if len(d.run) == 0 {
+		d.runT = t
+	}
+	d.run = append(d.run, v)
+	if len(d.run) < cfg.Confirm {
+		return SchedulingChange{}, false
+	}
+	slices.Sort(d.run) // the run is spent; its median is the new plateau
+	c := SchedulingChange{T: d.runT, From: d.plateau, To: d.run[len(d.run)/2]}
+	d.plateau = c.To
+	d.run = d.run[:0]
+	return c, true
 }
 
 // NewMonitor returns a streaming scheduling-change monitor.
@@ -162,25 +217,71 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Monitor{cfg: cfg}, nil
+	return &Monitor{
+		cfg:     cfg,
+		final:   detector{run: make([]float64, 0, cfg.Confirm)},
+		tail:    make([]float64, 0, cfg.Confirm),
+		medians: make([]float64, 0, cfg.MedianWindow),
+	}, nil
 }
 
 // Feed appends one estimate and returns any newly confirmed scheduling
-// changes.
+// changes. It panics on an estimate older than the last one: feeding
+// out-of-order points is a caller bug, surfaced loudly rather than by
+// silently dropping data.
 func (m *Monitor) Feed(p CyclePoint) []SchedulingChange {
-	m.series = append(m.series, p)
-	all, err := DetectSchedulingChanges(m.series, m.cfg)
-	if err != nil {
-		// Feeding out-of-order points is a caller bug; surface it loudly
-		// rather than silently dropping data.
-		panic(err)
+	if n := len(m.series); n > 0 && p.T < m.series[n-1].T {
+		panic(fmt.Errorf("core: series not chronological at %d", n))
 	}
-	if len(all) <= m.emitted {
+	m.series = append(m.series, p)
+	fresh, total := m.scan()
+	if total <= m.emitted {
 		return nil
 	}
-	fresh := all[m.emitted:]
-	m.emitted = len(all)
+	m.emitted = total
 	return fresh
+}
+
+// scan brings the final state up to date with the series and replays the
+// provisional tail. total is the number of changes the batch scan of the
+// whole series finds; fresh lists those from position m.emitted on.
+func (m *Monitor) scan() (fresh []SchedulingChange, total int) {
+	consume := func(d *detector, i int) {
+		t, v := m.series[i].T, m.filtered(i)
+		if i == 0 {
+			d.plateau = v
+			return
+		}
+		if c, ok := d.step(t, v, m.cfg); ok {
+			if total >= m.emitted {
+				fresh = append(fresh, c)
+			}
+			total++
+		}
+	}
+	total = m.nFinal
+	for half := m.cfg.MedianWindow / 2; m.next+half < len(m.series); m.next++ {
+		consume(&m.final, m.next)
+	}
+	m.nFinal = total
+	prov := m.final
+	prov.run = append(m.tail[:0], m.final.run...)
+	for i := m.next; i < len(m.series); i++ {
+		consume(&prov, i)
+	}
+	return fresh, total
+}
+
+// filtered is MedianFilter(cycles of the series, MedianWindow)[i].
+func (m *Monitor) filtered(i int) float64 {
+	half := m.cfg.MedianWindow / 2
+	lo, hi := max(i-half, 0), min(i+half, len(m.series)-1)
+	w := m.medians[:0]
+	for _, p := range m.series[lo : hi+1] {
+		w = append(w, p.Cycle)
+	}
+	slices.Sort(w)
+	return w[len(w)/2]
 }
 
 // Series returns the full estimate series fed so far.
@@ -197,15 +298,13 @@ func RestoreMonitor(cfg MonitorConfig, series []CyclePoint) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(series) == 0 {
-		return m, nil
+	for i := 1; i < len(series); i++ {
+		if series[i].T < series[i-1].T {
+			return nil, fmt.Errorf("core: restore monitor: series not chronological at %d", i)
+		}
 	}
 	m.series = append([]CyclePoint(nil), series...)
-	all, err := DetectSchedulingChanges(m.series, m.cfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: restore monitor: %w", err)
-	}
-	m.emitted = len(all)
+	_, m.emitted = m.scan()
 	return m, nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"taxilight/internal/dsp"
@@ -215,5 +216,184 @@ func TestSlidingCycleSeries(t *testing.T) {
 	}
 	if _, err := SlidingCycleSeries(nil, 0, 100, 1800, 10, DefaultCycleConfig()); err == nil {
 		t.Fatal("window beyond span accepted")
+	}
+}
+
+// batchMonitor is the streaming monitor as it was before it kept detector
+// state: every Feed reruns DetectSchedulingChanges over the whole series.
+// It is the oracle the incremental Monitor is held to.
+type batchMonitor struct {
+	cfg     MonitorConfig
+	series  []CyclePoint
+	emitted int
+}
+
+func (m *batchMonitor) Feed(p CyclePoint) []SchedulingChange {
+	m.series = append(m.series, p)
+	all, err := DetectSchedulingChanges(m.series, m.cfg)
+	if err != nil {
+		panic(err)
+	}
+	if len(all) <= m.emitted {
+		return nil
+	}
+	fresh := all[m.emitted:]
+	m.emitted = len(all)
+	return fresh
+}
+
+func restoreBatchMonitor(t *testing.T, cfg MonitorConfig, series []CyclePoint) *batchMonitor {
+	t.Helper()
+	all, err := DetectSchedulingChanges(series, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &batchMonitor{cfg: cfg, series: append([]CyclePoint(nil), series...), emitted: len(all)}
+}
+
+// noisyCycleSeries strings together what a light's estimate series is
+// made of: plateaus with jitter, isolated gross errors and bursts of them
+// (some as long as a confirmation run), reversals back to the old plan
+// and plateaus shorter than a confirmation.
+func noisyCycleSeries(rng *rand.Rand, n int) []CyclePoint {
+	out := make([]CyclePoint, 0, n)
+	plans := []float64{60, 90, 97.5, 120, 150}
+	plateau := plans[rng.Intn(len(plans))]
+	at := 0.0
+	for len(out) < n {
+		previous := plateau
+		for plateau == previous {
+			plateau = plans[rng.Intn(len(plans))]
+		}
+		for k, length := 0, 1+rng.Intn(9); k < length && len(out) < n; k++ {
+			v := plateau + rng.Float64()*6 - 3
+			switch rng.Intn(8) {
+			case 0: // a gross DFT error, possibly the start of a burst
+				v = 40 + rng.Float64()*260
+			case 1: // a relapse to the plan before
+				v = previous
+			}
+			if rng.Intn(3) > 0 { // equal times are chronological too
+				at += 300
+			}
+			out = append(out, CyclePoint{T: at, Cycle: v})
+			if rng.Intn(6) == 0 && len(out) < n { // the burst repeats its value
+				at += 300
+				out = append(out, CyclePoint{T: at, Cycle: v})
+			}
+		}
+	}
+	return out
+}
+
+func sameChanges(a, b []SchedulingChange) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameBits(a[i].T, b[i].T) || !sameBits(a[i].From, b[i].From) || !sameBits(a[i].To, b[i].To) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMonitorIncrementalMatchesBatch: whatever the series, every Feed of
+// the incremental monitor returns what the batch rescan returns and counts
+// what it counts — the count matters because a change confirmed on a
+// provisional median can vanish, and both must then swallow the next one —
+// and a monitor restored at any prefix carries on the same way.
+func TestMonitorIncrementalMatchesBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	reported, vanished := 0, 0
+	for _, window := range []int{1, 3, 5} {
+		for _, confirm := range []int{1, 2, 3, 4} {
+			cfg := MonitorConfig{Tolerance: 8, Confirm: confirm, MedianWindow: window}
+			for trial := 0; trial < 8; trial++ {
+				series := noisyCycleSeries(rng, 20+rng.Intn(40))
+				// follow feeds series[from:] to both and compares every step.
+				follow := func(mon *Monitor, ref *batchMonitor, from int) {
+					for i := from; i < len(series); i++ {
+						got, want := mon.Feed(series[i]), ref.Feed(series[i])
+						if !sameChanges(got, want) || mon.emitted != ref.emitted {
+							t.Fatalf("window %d confirm %d, restored at %d, point %d: Feed = %+v (emitted %d), the batch scan gives %+v (emitted %d)\nseries %+v",
+								window, confirm, from, i, got, mon.emitted, want, ref.emitted, series[:i+1])
+						}
+						if from == 0 {
+							reported += len(want)
+							if all, _ := DetectSchedulingChanges(series[:i+1], cfg); len(all) < ref.emitted {
+								vanished++
+							}
+						}
+					}
+				}
+				mon, err := NewMonitor(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				follow(mon, &batchMonitor{cfg: cfg}, 0)
+				if got := mon.Series(); len(got) != len(series) || got[len(got)-1] != series[len(series)-1] {
+					t.Fatalf("Series() has %d points, fed %d", len(got), len(series))
+				}
+				for at := 1; at <= len(series); at++ {
+					restored, err := RestoreMonitor(cfg, series[:at])
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := restoreBatchMonitor(t, cfg, series[:at])
+					if restored.emitted != ref.emitted {
+						t.Fatalf("window %d confirm %d: restored at %d with %d changes emitted, the batch scan finds %d",
+							window, confirm, at, restored.emitted, ref.emitted)
+					}
+					follow(restored, ref, at)
+				}
+			}
+		}
+	}
+	if reported < 200 || vanished < 20 {
+		t.Fatalf("series exercise too little: %d changes reported, %d steps with a vanished provisional change", reported, vanished)
+	}
+}
+
+func TestMonitorFeedRejectsOlderPoint(t *testing.T) {
+	mon, _ := NewMonitor(DefaultMonitorConfig())
+	mon.Feed(CyclePoint{T: 600, Cycle: 90})
+	mon.Feed(CyclePoint{T: 600, Cycle: 90}) // equal times are in order
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an estimate older than the last was accepted")
+		}
+	}()
+	mon.Feed(CyclePoint{T: 300, Cycle: 90})
+}
+
+// TestMonitorFeedAllocs: a Feed that confirms nothing — the steady state
+// of every key, every round — allocates nothing once the series has room,
+// however long the series is.
+func TestMonitorFeedAllocs(t *testing.T) {
+	mon, _ := NewMonitor(DefaultMonitorConfig())
+	at := 0.0
+	feed := func(cycle float64) []SchedulingChange {
+		at += 300
+		return mon.Feed(CyclePoint{T: at, Cycle: cycle})
+	}
+	for i := 0; i < 500; i++ {
+		feed(90 + float64(i%5))
+	}
+	mon.series = slices.Grow(mon.series, 300)
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		// Jitter, and now and then a gross error the median absorbs.
+		v := 90 + float64(i%5)
+		if i%17 == 0 {
+			v = 240
+		}
+		i++
+		if ch := feed(v); ch != nil {
+			t.Fatalf("steady series confirmed %+v", ch)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Feed allocates %.1f objects per call with nothing confirmed, want 0", allocs)
 	}
 }

@@ -22,14 +22,19 @@ type obs struct {
 	occupied bool
 }
 
-// plate is an interned taxi identity. name and id never change after
-// interning and a plate is never recycled for another name, so a round
-// may read them outside the engine lock; refs is the number of buffered
-// observations holding the plate and belongs to the table's owner.
+// plate is an interned taxi identity. name never changes after interning
+// and a plate is never recycled for another name, so a round may read it
+// outside the engine lock; refs is the number of buffered observations
+// holding the plate and belongs to the table's owner. stamp and slot
+// belong to the round instead: the stop index numbers the plates of its
+// view through them (see StopIndex.gather), so they are written only by
+// the goroutine building that index — under estMu in an Engine — and a
+// table's plates are never indexed by two StopIndexes.
 type plate struct {
-	name string
-	id   uint64 // unique per table, never reused: the stop index sorts on it
-	refs int
+	name  string
+	refs  int
+	stamp uint64 // the StopIndex build that last numbered this plate
+	slot  int    // its bucket in that build
 }
 
 // plateTable interns plate strings. The engine's table is guarded by
@@ -45,7 +50,6 @@ type plate struct {
 // with nothing buffered has an empty table.
 type plateTable struct {
 	byName map[string]*plate
-	nextID uint64
 	live   int // entries with refs > 0
 }
 
@@ -59,8 +63,7 @@ func (pt *plateTable) intern(name string) *plate {
 	if p := pt.byName[name]; p != nil {
 		return p
 	}
-	pt.nextID++
-	p := &plate{name: strings.Clone(name), id: pt.nextID}
+	p := &plate{name: strings.Clone(name)}
 	pt.byName[p.name] = p
 	return p
 }

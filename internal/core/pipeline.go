@@ -311,7 +311,7 @@ func identifyOne(view map[mapmatch.Key][]obs, stopIdx *StopIndex, key mapmatch.K
 		return res
 	}
 	res.Cycle = cycle
-	res.Quality = foldScoreSc(sc, win, cycle, t0)
+	res.Quality = foldScoreSc(sc, win, momentsOf(win), cycle, t0)
 
 	stops := stopIdx.Stops(key)
 	res.Stops = len(stops)

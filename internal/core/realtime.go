@@ -815,8 +815,17 @@ func (e *Engine) RestoreState(st EngineState) int {
 		res.Key = k
 		e.estimates[k] = res
 		e.recordSuccessLocked(k, res.WindowEnd)
-		if len(as.Monitor) > 0 {
-			if mon, err := RestoreMonitor(e.cfg.Monitor, as.Monitor); err == nil {
+		// A round of a restored engine feeds the monitor at its own time,
+		// which lies past the clock restored here, and Feed panics on a
+		// point older than the last. So a series running ahead of the
+		// exported clock (a corrupt or forged checkpoint) loses its future
+		// points; one that is not chronological is dropped whole.
+		series := as.Monitor
+		for len(series) > 0 && series[len(series)-1].T > st.Now {
+			series = series[:len(series)-1]
+		}
+		if len(series) > 0 {
+			if mon, err := RestoreMonitor(e.cfg.Monitor, series); err == nil {
 				e.monitors[k] = mon
 			}
 		}
@@ -865,10 +874,7 @@ func (r Result) PhaseAt(t float64) (state lights.State, untilChange float64, ok 
 	if r.Err != nil || r.Cycle <= 0 {
 		return lights.Red, 0, false
 	}
-	phase := math.Mod(t-(r.WindowStart+r.GreenToRedPhase), r.Cycle)
-	if phase < 0 {
-		phase += r.Cycle
-	}
+	phase := foldPhase(t, r.WindowStart+r.GreenToRedPhase, r.Cycle)
 	if phase < r.Red {
 		return lights.Red, r.Red - phase, true
 	}

@@ -68,7 +68,7 @@ func hashViews(view map[mapmatch.Key][]obs) map[mapmatch.Key]uint64 {
 		h := fnv.New64a()
 		for i := range ms {
 			o := &ms[i]
-			fmt.Fprintln(h, o.plate.id, o.plate.name, math.Float64bits(o.t), math.Float64bits(o.speed),
+			fmt.Fprintln(h, o.plate.name, math.Float64bits(o.t), math.Float64bits(o.speed),
 				math.Float64bits(o.dist), math.Float64bits(o.pos.X), math.Float64bits(o.pos.Y), o.occupied)
 		}
 		out[k] = h.Sum64()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"taxilight/internal/dsp"
 	"taxilight/internal/mapmatch"
 )
 
@@ -21,12 +22,13 @@ func TestObsIsCompact(t *testing.T) {
 
 // TestSteadyRoundAllocs holds a warm, dense round on a 40-approach engine
 // to an object and byte budget. A round that copies its window, or
-// rebuilds its stop index from fresh maps, costs
-// megabytes here (40 approaches x 600 in-window records). What a warm
-// round does allocate — about 430 objects and 20-70 KB at the time of
-// writing — is the per-key sort, monitor and history bookkeeping of
-// identification and publishing; the budget leaves room for that and
-// for nothing the size of a window.
+// rebuilds its stop index from fresh maps, costs megabytes here (40
+// approaches x 600 in-window records); one that sorts through reflection
+// or rescans its monitors' series costs ten objects a key. What a warm
+// round does allocate — about 40 objects and 60 KB at the time of writing —
+// is the growth of key buffers, monitor series and history slots and the
+// list of published keys; the budget leaves room for that and for nothing
+// per key.
 func TestSteadyRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so identification rebuilds its scratch at random")
@@ -83,11 +85,43 @@ func TestSteadyRoundAllocs(t *testing.T) {
 		t.Fatalf("measured round recomputed %d keys, want a dense %d", lastStats.Recomputed, nKeys)
 	}
 	t.Logf("steady dense round: %.0f objects, %.0f bytes", objects, bytesPerRound)
-	if objects > 600 {
-		t.Errorf("steady round allocates %.0f objects, budget 600", objects)
+	if objects > 120 {
+		t.Errorf("steady round allocates %.0f objects, budget 120", objects)
 	}
 	if bytesPerRound > 128<<10 {
 		t.Errorf("steady round allocates %.0f bytes, budget %d", bytesPerRound, 128<<10)
+	}
+}
+
+// TestIdentifyOneAllocs: on a warm scratch, identifying a key that gets
+// served — cycle, quality, red, fold, refinement — allocates nothing, and
+// neither does rebuilding the stop index over the same view. What a round
+// allocates per key is then only what it publishes.
+func TestIdentifyOneAllocs(t *testing.T) {
+	const nKeys = 6
+	part := mapmatch.Partition{}
+	for i := 0; i < nKeys; i++ {
+		part[benchApproachKey(i)] = benchRecords(i, 0, 1800)
+	}
+	var rm roundMem
+	rm.load(part)
+	cfg := DefaultPipelineConfig()
+	sc := &identifyScratch{plans: map[int]*dsp.FFTPlan{}}
+	identifyAll := func() {
+		for i := 0; i < nKeys; i++ {
+			k := benchApproachKey(i)
+			if res := identifyOne(rm.view, &rm.index, k, 0, 1800, cfg, sc); res.Err != nil {
+				t.Fatalf("%v is not served: %v", k, res.Err)
+			}
+		}
+	}
+	rm.index.build(rm.view, cfg.Stops)
+	identifyAll()
+	if allocs := testing.AllocsPerRun(5, identifyAll); allocs != 0 {
+		t.Errorf("identifying %d served keys on a warm scratch allocates %.0f objects, want 0", nKeys, allocs)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { rm.index.build(rm.view, cfg.Stops) }); allocs != 0 {
+		t.Errorf("rebuilding a warm stop index allocates %.0f objects, want 0", allocs)
 	}
 }
 

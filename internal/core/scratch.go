@@ -30,6 +30,8 @@ type identifyScratch struct {
 	perpMrg  []dsp.Sample // merged perpendicular inside Enhance
 	enhOut   []dsp.Sample // Enhance output
 	folded   []dsp.Sample // Superpose output
+	foldTmp  []dsp.Sample // folded samples in input order, before placement
+	foldPos  []int        // counting-sort slot cursors of the fold
 
 	peaks []specPeak   // candidate DFT bins
 	cands []scoredCand // fold-scored candidate cycles

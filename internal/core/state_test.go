@@ -158,3 +158,54 @@ func TestRestoreMonitorNoReEmit(t *testing.T) {
 		t.Fatalf("new change = %+v, want 130 -> 80", fresh[0])
 	}
 }
+
+// TestRestoreStateDropsFutureMonitorPoints: a checkpoint whose monitor
+// series runs ahead of its own clock (corrupt, or forged) must not arm a
+// panic for the first round — publishRound feeds the monitor at the
+// round's time, under e.mu, and Feed panics on a point older than the
+// last. The future points are dropped, the rest of the series survives,
+// and a series that is not chronological is dropped whole.
+func TestRestoreStateDropsFutureMonitorPoints(t *testing.T) {
+	cfg := DefaultRealtimeConfig()
+	cfg.MinCoverage = 0
+	cfg.MinQuality = 0
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ahead, scrambled := benchApproachKey(0), benchApproachKey(1)
+	st := EngineState{Now: 1500, Approaches: map[mapmatch.Key]ApproachState{
+		ahead: {
+			Result:  primedResult(ahead, 1500, 90),
+			Monitor: []CyclePoint{{T: 900, Cycle: 90}, {T: 1200, Cycle: 90}, {T: 1500, Cycle: 90}, {T: 9000, Cycle: 90}, {T: 1e12, Cycle: 90}},
+		},
+		scrambled: {
+			Result:  primedResult(scrambled, 1500, 97),
+			Monitor: []CyclePoint{{T: 1200, Cycle: 97}, {T: 900, Cycle: 97}},
+		},
+	}}
+	if n := eng.RestoreState(st); n != 2 {
+		t.Fatalf("restored %d approaches, want 2", n)
+	}
+	if got := eng.monitors[ahead].Series(); len(got) != 3 || got[2].T != 1500 {
+		t.Fatalf("series ahead of the clock restored as %+v, want its three points up to 1500", got)
+	}
+	if mon := eng.monitors[scrambled]; mon != nil {
+		t.Fatalf("non-chronological series restored: %+v", mon.Series())
+	}
+	// The first round publishes both keys and feeds both monitors at 1800.
+	eng.Ingest(benchRecords(0, 0, 1800))
+	eng.Ingest(benchRecords(1, 0, 1800))
+	if err := ignoreChanges(eng.Advance(1800)); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []mapmatch.Key{ahead, scrambled} {
+		mon := eng.monitors[k]
+		if mon == nil {
+			t.Fatalf("%v: round fed no monitor", k)
+		}
+		if s := mon.Series(); s[len(s)-1].T != 1800 {
+			t.Fatalf("%v: monitor series ends at %v after the round at 1800", k, s[len(s)-1].T)
+		}
+	}
+}

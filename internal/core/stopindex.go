@@ -35,24 +35,28 @@ type StopIndex struct {
 	// returned by BuildStopIndex carry it.
 	byName map[string]*plate
 
-	// Builder working memory.
+	// Builder working memory. refs is bucketed by plate: groups[i] owns
+	// refs[lo:hi]. While gather runs, a plate finds its bucket through
+	// plate.slot, which is valid when plate.stamp equals this build's
+	// stamp — state of the building round, like refs, written only by the
+	// one goroutine that builds this index (in an Engine: under estMu).
 	keys   []mapmatch.Key // view keys in sortKeys order
 	recs   [][]obs        // recs[i] is the view of keys[i]
 	refs   []stopRef
 	groups []plateGroup
 	runs   []stopRun
+	stamp  uint64 // number of builds so far
 }
 
-// stopRef points at one observation of the view: recs[key][idx]. Sorting
-// references instead of records moves 24 bytes per swap and leaves the
+// stopRef points at one observation of the view: recs[key][idx]. Ordering
+// references instead of records moves 16 bytes at a time and leaves the
 // view untouched.
 type stopRef struct {
-	id       uint64 // plate id
 	t        float64
 	key, idx uint32
 }
 
-// plateGroup is one plate's contiguous range of the sorted references.
+// plateGroup is one plate's bucket of the references, refs[lo:hi].
 type plateGroup struct {
 	p      *plate
 	lo, hi int
@@ -120,13 +124,17 @@ func (si *StopIndex) build(view map[mapmatch.Key][]obs, cfg StopExtractConfig) {
 	clear(si.recs) // a built index keeps no reference into the view
 }
 
-// gather references every observation of the view, sorts the references
-// by (plate, time, key, index) and lists the per-plate groups in
-// plate-name order, the order stops are emitted in. Keys are numbered in
-// sortKeys order and indexes follow the buffer, so the sort is the stable
-// sort by (plate, time) of a reproducible gathering order — equal-time
-// records of one plate on two approaches no longer fall as map iteration
-// left them — at the price of an unstable sort.
+// gather references every observation of the view, bucketed by plate and
+// ordered by (time, key, index) within a plate, and lists the buckets in
+// plate-name order, the order stops are emitted in. It is a counting sort
+// on the plate: plates are numbered as first seen, counted, prefix-summed,
+// and the references placed walking the keys in sortKeys order and each
+// view from its start — so a bucket fills in (key, index) order, and the
+// stable sort by time alone makes that (time, key, index): equal-time
+// records of one plate on two approaches fall in key order, not as map
+// iteration left them. A taxi's reports mostly reach a bucket already
+// ascending (every view is time-sorted, and most taxis are seen on one
+// approach at a time); such a bucket is not sorted at all.
 func (si *StopIndex) gather(view map[mapmatch.Key][]obs) {
 	si.keys = si.keys[:0]
 	for k := range view {
@@ -134,46 +142,48 @@ func (si *StopIndex) gather(view map[mapmatch.Key][]obs) {
 	}
 	sortKeys(si.keys)
 	si.recs = si.recs[:0]
+	si.stamp++
+	groups := si.groups[:0]
 	total := 0
 	for _, k := range si.keys {
-		si.recs = append(si.recs, view[k])
-		total += len(view[k])
+		ms := view[k]
+		si.recs = append(si.recs, ms)
+		total += len(ms)
+		for i := range ms {
+			p := ms[i].plate
+			if p.stamp != si.stamp {
+				p.stamp, p.slot = si.stamp, len(groups)
+				groups = append(groups, plateGroup{p: p})
+			}
+			groups[p.slot].hi++ // the count, until the prefix sum below
+		}
 	}
-	refs := reuse(si.refs, total)
+	if oversized(cap(groups), len(groups)) {
+		// A burst must not size the bucket list for good, nor pin its plates.
+		groups = append(make([]plateGroup, 0, len(groups)+len(groups)/2), groups...)
+	}
+	at := 0
+	for i := range groups {
+		n := groups[i].hi
+		groups[i].lo, groups[i].hi = at, at // hi is the fill cursor now
+		at += n
+	}
+	refs := reuse(si.refs, total)[:total]
 	for ki, ms := range si.recs {
 		for i := range ms {
-			refs = append(refs, stopRef{id: ms[i].plate.id, t: ms[i].t, key: uint32(ki), idx: uint32(i)})
+			g := &groups[ms[i].plate.slot]
+			refs[g.hi] = stopRef{t: ms[i].t, key: uint32(ki), idx: uint32(i)}
+			g.hi++
 		}
 	}
-	slices.SortFunc(refs, func(a, b stopRef) int {
-		if c := cmp.Compare(a.id, b.id); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.t, b.t); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
-	si.refs = refs
-	plates := 0
-	for i := range refs {
-		if i == 0 || refs[i].id != refs[i-1].id {
-			plates++
+	byTime := func(a, b stopRef) int { return cmp.Compare(a.t, b.t) }
+	for _, g := range groups {
+		if bucket := refs[g.lo:g.hi]; !slices.IsSortedFunc(bucket, byTime) {
+			slices.SortStableFunc(bucket, byTime)
 		}
 	}
-	si.groups = reuse(si.groups, plates)
-	for lo := 0; lo < len(refs); {
-		hi := lo + 1
-		for hi < len(refs) && refs[hi].id == refs[lo].id {
-			hi++
-		}
-		si.groups = append(si.groups, plateGroup{p: si.recs[refs[lo].key][refs[lo].idx].plate, lo: lo, hi: hi})
-		lo = hi
-	}
-	slices.SortFunc(si.groups, func(a, b plateGroup) int { return strings.Compare(a.p.name, b.p.name) })
+	slices.SortFunc(groups, func(a, b plateGroup) int { return strings.Compare(a.p.name, b.p.name) })
+	si.refs, si.groups = refs, groups
 }
 
 // appendRuns extracts the stationary runs of one plate's time-sorted

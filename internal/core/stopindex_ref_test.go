@@ -191,16 +191,124 @@ func randomPartition(rng *rand.Rand) mapmatch.Partition {
 	return part
 }
 
+// crossingPartition builds what the bucketed builder has to get right and
+// randomPartition only meets by chance. Every taxi queues, creeps and
+// drives through a sequence of approaches, time-sorted within each: some
+// walk the keys in key order, so their bucket fills already ascending
+// (the builder skips the sort); some walk them against key order, so it
+// fills descending; and some report the same second on two approaches,
+// with the later key first or second, where only (time, key, index) order
+// gives the reference's answer.
+func crossingPartition(rng *rand.Rand) mapmatch.Partition {
+	nKeys := 3 + rng.Intn(4)
+	keys := make([]mapmatch.Key, nKeys)
+	for i := range keys {
+		keys[i] = mapmatch.Key{Light: roadnet.NodeID(1 + i/2), Approach: lights.Approach(i % 2)}
+	}
+	part := mapmatch.Partition{}
+	for p, nPlates := 0, 2+rng.Intn(8); p < nPlates; p++ {
+		plate := fmt.Sprintf("X%02d", p)
+		walk := rng.Perm(nKeys)[:1+rng.Intn(nKeys)]
+		switch p % 3 {
+		case 0:
+			sort.Ints(walk)
+		case 1:
+			sort.Sort(sort.Reverse(sort.IntSlice(walk)))
+		}
+		tm := float64(rng.Intn(50))
+		pos := geo.XY{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+		occupied := rng.Intn(2) == 0
+		emit := func(k mapmatch.Key) {
+			part[k] = append(part[k], mapmatch.Matched{
+				Plate: plate, Occupied: occupied, Light: k.Light, Approach: k.Approach,
+				T: tm, Snapped: pos, DistToStop: rng.Float64() * 300,
+			})
+		}
+		for wi, ki := range walk {
+			for n, steps := 0, 2+rng.Intn(6); n < steps; n++ {
+				tm += float64(5 + rng.Intn(40))
+				if rng.Intn(3) == 0 {
+					pos = pos.Add(geo.XY{X: 30 + rng.Float64()*300})
+				} else {
+					pos = pos.Add(geo.XY{X: rng.Float64() * 10})
+				}
+				if rng.Intn(10) == 0 {
+					occupied = !occupied
+				}
+				emit(keys[ki])
+			}
+			if p%3 == 2 && wi+1 < len(walk) {
+				emit(keys[walk[wi+1]]) // the same second, already on the next approach
+			}
+		}
+	}
+	for _, ms := range part {
+		sort.SliceStable(ms, func(i, j int) bool { return ms[i].T < ms[j].T })
+	}
+	return part
+}
+
+// bucketShapes reports what a partition asks of the builder: how many
+// plates' references, gathered in (key, index) order, are already
+// ascending in time, how many are not, and how many reports share their
+// plate and time with a report on another approach.
+func bucketShapes(part mapmatch.Partition) (ascending, unsorted, ties int) {
+	keys := make([]mapmatch.Key, 0, len(part))
+	for k := range part {
+		keys = append(keys, k)
+	}
+	sortKeys(keys)
+	type plateTime struct {
+		plate string
+		t     float64
+	}
+	last := map[string]float64{}
+	sorted := map[string]bool{}
+	at := map[plateTime]mapmatch.Key{}
+	for _, k := range keys {
+		for _, m := range part[k] {
+			if prev, ok := last[m.Plate]; !ok {
+				sorted[m.Plate] = true
+			} else if m.T < prev {
+				sorted[m.Plate] = false
+			}
+			last[m.Plate] = m.T
+			if other, ok := at[plateTime{m.Plate, m.T}]; ok && other != k {
+				ties++
+			}
+			at[plateTime{m.Plate, m.T}] = k
+		}
+	}
+	for _, ok := range sorted {
+		if ok {
+			ascending++
+		} else {
+			unsorted++
+		}
+	}
+	return ascending, unsorted, ties
+}
+
 func TestStopIndexMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	cfg := DefaultStopExtractConfig()
-	for n := 0; n < 300; n++ {
+	var ascending, unsorted, ties int
+	for n := 0; n < 400; n++ {
 		part := randomPartition(rng)
+		if n >= 300 {
+			part = crossingPartition(rng)
+		}
 		ref := buildRefStopIndex(part, cfg)
 		if len(ref.stops) == 0 && len(ref.dwell) == 0 {
 			continue
 		}
+		a, u, e := bucketShapes(part)
+		ascending, unsorted, ties = ascending+a, unsorted+u, ties+e
 		checkAgainstRef(t, part, cfg)
+	}
+	if ascending < 100 || unsorted < 100 || ties < 100 {
+		t.Fatalf("inputs exercise too little: %d plates already ascending, %d to sort, %d equal-time pairs across lights",
+			ascending, unsorted, ties)
 	}
 }
 

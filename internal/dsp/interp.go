@@ -3,6 +3,7 @@ package dsp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -15,9 +16,19 @@ type Sample struct {
 	V float64 // value (taxi speed in km/h in this project)
 }
 
-// SortSamples orders samples by time in place (stable).
+// SortSamples orders samples by time in place (stable). The comparator is
+// the three-way form of `<` — not cmp.Compare, which would move NaN times
+// to the front — so the order is the one sort.SliceStable with `<` gave.
 func SortSamples(s []Sample) {
-	sort.SliceStable(s, func(i, j int) bool { return s[i].T < s[j].T })
+	slices.SortStableFunc(s, func(a, b Sample) int {
+		switch {
+		case a.T < b.T:
+			return -1
+		case b.T < a.T:
+			return 1
+		}
+		return 0
+	})
 }
 
 // MergeDuplicateTimes collapses samples that share (after truncation to

@@ -8,7 +8,7 @@ package mapmatch
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -176,11 +176,24 @@ func (m *Matcher) PartitionRecords(recs []trace.Record) Partition {
 			merged[k] = append(merged[k], ms...)
 		}
 	}
-	for k := range merged {
-		ms := merged[k]
-		sort.SliceStable(ms, func(i, j int) bool { return ms[i].T < ms[j].T })
+	for _, ms := range merged {
+		sortByTime(ms)
 	}
 	return merged
+}
+
+// sortByTime stable-sorts one approach's records by time. The comparator
+// is the three-way form of `<`, not cmp.Compare: the two differ on NaN.
+func sortByTime(ms []Matched) {
+	slices.SortStableFunc(ms, func(a, b Matched) int {
+		switch {
+		case a.T < b.T:
+			return -1
+		case b.T < a.T:
+			return 1
+		}
+		return 0
+	})
 }
 
 // PerpendicularKey returns the partition key of the perpendicular approach
@@ -282,9 +295,8 @@ func (m *Matcher) PartitionRecordsWithStats(recs []trace.Record) (Partition, Mat
 			p[k] = append(p[k], mt)
 		}
 	}
-	for k := range p {
-		ms := p[k]
-		sort.SliceStable(ms, func(i, j int) bool { return ms[i].T < ms[j].T })
+	for _, ms := range p {
+		sortByTime(ms)
 	}
 	return p, stats
 }
