@@ -72,7 +72,7 @@ func superposeSc(sc *identifyScratch, samples []dsp.Sample, cycle, t0 float64) (
 
 // foldPhase is (t - t0) mod cycle, brought into [0, cycle].
 func foldPhase(t, t0, cycle float64) float64 {
-	p := mod(t-t0, cycle)
+	p := dsp.Mod(t-t0, cycle)
 	if p < 0 {
 		p += cycle
 	}

@@ -101,21 +101,39 @@ func IdentifyCycle(samples []dsp.Sample, t0, t1 float64, cfg CycleConfig) (float
 // identifyCycleSc is IdentifyCycle on a caller-supplied scratch: every
 // intermediate (windowed input, resampling grid, FFT plan, fold bins,
 // candidate lists) lives in reused buffers, so the steady-state call
-// allocates nothing.
+// allocates nothing. It is cycleInputSc, the cheap half that decides
+// whether there is enough data at all, then cycleFromSpectrumSc.
 func identifyCycleSc(sc *identifyScratch, samples []dsp.Sample, t0, t1 float64, cfg CycleConfig) (float64, error) {
-	if err := cfg.Validate(); err != nil {
+	in, err := cycleInputSc(sc, samples, t0, t1, cfg)
+	if err != nil {
 		return 0, err
 	}
+	return cycleFromSpectrumSc(sc, in, t0, t1, cfg)
+}
+
+// cycleInputSc windows, orders and merges the samples into the series the
+// spectrum is taken of, and fails when it is too short to have one.
+func cycleInputSc(sc *identifyScratch, samples []dsp.Sample, t0, t1 float64, cfg CycleConfig) ([]dsp.Sample, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if t1 <= t0 {
-		return 0, fmt.Errorf("core: empty window [%v, %v]", t0, t1)
+		return nil, fmt.Errorf("core: empty window [%v, %v]", t0, t1)
 	}
 	buf := appendWindowed(sc.cycIn[:0], samples, t0, t1)
 	sc.cycIn = buf
 	sortSamplesIfNeeded(buf)
 	in := dsp.MergeDuplicateTimesInPlace(buf)
 	if len(in) < cfg.MinSamples {
-		return 0, fmt.Errorf("%w: %d samples after merging, need %d", ErrInsufficientData, len(in), cfg.MinSamples)
+		return nil, fmt.Errorf("%w: %d samples after merging, need %d", ErrInsufficientData, len(in), cfg.MinSamples)
 	}
+	return in, nil
+}
+
+// cycleFromSpectrumSc reads the cycle off the spectrum of a series
+// cycleInputSc accepted: resample, transform, fold-score the strongest
+// bins, refine.
+func cycleFromSpectrumSc(sc *identifyScratch, in []dsp.Sample, t0, t1 float64, cfg CycleConfig) (float64, error) {
 	// Shorten an odd-length grid by one second so its length is even: the
 	// packed real-input FFT transforms even lengths with one half-size
 	// complex FFT, and one second out of an 1800 s window is noise. The
@@ -246,6 +264,9 @@ func sortSamplesIfNeeded(s []dsp.Sample) {
 // over an hour), and even a 0.3 s cycle error drifts the fold phase by
 // ~11 s across the window, smearing the downstream red/phase stages; the
 // grid search recovers sub-bin precision the spectrum cannot express.
+//
+// The search runs one bin spacing either side, so what it returns may lie
+// past the band the bin came from; maxIdentifiedCycle is its ceiling.
 func refineCycleSc(sc *identifyScratch, in []dsp.Sample, mo foldMoments, cycle, t0, windowLen float64) float64 {
 	spacing := cycle * cycle / windowLen
 	lo, hi := cycle-spacing, cycle+spacing
@@ -262,34 +283,16 @@ func refineCycleSc(sc *identifyScratch, in []dsp.Sample, mo foldMoments, cycle, 
 	return best
 }
 
-// mod is math.Mod, bit for bit, for the operands a fold sees. math.Mod
-// reduces by shift-and-subtract through software frexp/ldexp, about a
-// fifth of a replay's CPU at its one hot call site (foldScoreSc runs it
-// per sample per candidate cycle); this is a division, a truncation and
-// one fused multiply-add. The quotient of two doubles, rounded, is the
-// true truncated quotient n or one step further from zero, as long as it
-// is below 2^53; x − q·y is then the remainder or the remainder one |y|
-// past zero, both exactly representable, so the FMA's single rounding
-// changes nothing and one exact correction finishes. Everything else —
-// a quotient of 2^53 or more, a zero, infinite or NaN operand — goes to
-// math.Mod.
-func mod(x, y float64) float64 {
-	y = math.Abs(y)
-	q := math.Trunc(x / y)
-	if !(math.Abs(q) < 1<<53) || math.IsInf(y, 1) {
-		return math.Mod(x, y)
+// maxIdentifiedCycle bounds every cycle identifyCycleSc can return for the
+// window [t0, t1]: a bin's cycle is at most MaxCycle, refinement adds at
+// most cycle²/n, and the grid is never more than two seconds shorter than
+// the window. +Inf when the window is too short to say.
+func maxIdentifiedCycle(cfg CycleConfig, t0, t1 float64) float64 {
+	n := t1 - t0 - 2
+	if !(n > 0) {
+		return math.Inf(1)
 	}
-	r := math.FMA(-q, y, x)
-	switch {
-	case x > 0 && r < 0:
-		r += y
-	case x < 0 && r > 0:
-		r -= y
-	}
-	if r == 0 {
-		return math.Copysign(0, x) // math.Mod's zero carries the sign of x
-	}
-	return r
+	return cfg.MaxCycle + cfg.MaxCycle*cfg.MaxCycle/n
 }
 
 // foldMoments holds what every fold score of one sample set shares: the

@@ -8,6 +8,12 @@ import (
 	"taxilight/internal/dsp"
 )
 
+// sameBits reports whether two floats are the same value bit for bit,
+// any NaN equal to any NaN.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
 // checkFoldOrder holds the engine's fold (counting sort, insertion-sort
 // finish) to the batch fold (stable comparison sort by phase): the same
 // samples in the same places, bit for bit. Every sample carries its input

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"taxilight/internal/dsp"
 )
 
 // HistoryConfig tunes the historical corrector of Section VII: "this
@@ -65,7 +67,7 @@ func NewHistory(cfg HistoryConfig) (*History, error) {
 }
 
 func (h *History) slotOf(t float64) int {
-	day := math.Mod(t, 86400)
+	day := dsp.Mod(t, 86400)
 	if day < 0 {
 		day += 86400
 	}

@@ -8,104 +8,135 @@ import (
 )
 
 // obs is the engine's compact observation: exactly what stop extraction
-// and identification read from a matched record — 56 bytes against the
-// 88 of a mapmatch.Matched. A record is converted once, where it enters
-// the package (Engine.Ingest, RunPipeline, BuildStopIndex); the key
-// buffers, the round view, the stop index and identifyOne all work on
+// and identification read from a matched record — 48 bytes and no
+// pointer, against the 88 of a mapmatch.Matched, so a key buffer is one
+// array the collector never scans. A record is converted once, where it
+// enters the package (Engine.Ingest, RunPipeline, BuildStopIndex); the
+// key buffers, the round view, the stop index and identifyOne all work on
 // this one type.
 type obs struct {
-	plate    *plate
-	t        float64 // stream seconds
-	speed    float64 // km/h
-	dist     float64 // metres along the road to the stop line
-	pos      geo.XY  // snapped planar position
-	occupied bool
+	t     float64 // stream seconds
+	speed float64 // km/h
+	dist  float64 // metres along the road to the stop line
+	pos   geo.XY  // snapped planar position
+	plate uint32  // plate id (see plateTable); occupiedBit set when hired
 }
 
-// plate is an interned taxi identity. name never changes after interning
-// and a plate is never recycled for another name, so a round may read it
-// outside the engine lock; refs is the number of buffered observations
-// holding the plate and belongs to the table's owner. stamp and slot
-// belong to the round instead: the stop index numbers the plates of its
-// view through them (see StopIndex.gather), so they are written only by
-// the goroutine building that index — under estMu in an Engine — and a
-// table's plates are never indexed by two StopIndexes.
-type plate struct {
-	name  string
-	refs  int
-	stamp uint64 // the StopIndex build that last numbered this plate
-	slot  int    // its bucket in that build
-}
+// occupiedBit is the passenger flag, carried in the top bit of obs.plate.
+const occupiedBit = 1 << 31
 
-// plateTable interns plate strings. The engine's table is guarded by
-// e.mu and reference-counted through hold and release; the batch entry
-// points build a throwaway table per call and do neither.
+func (o *obs) id() uint32     { return o.plate &^ occupiedBit }
+func (o *obs) occupied() bool { return o.plate&occupiedBit != 0 }
+
+// plateTable interns plate strings as small numbers: ids[name] is the id,
+// names[id] the name, refs[id] the number of buffered observations that
+// carry it. The engine's table is guarded by e.mu; the batch entry points
+// build a throwaway table per call and never release.
 //
-// One rule bounds it: an entry nothing references stays in the map — a
-// taxi that leaves the window is usually back within the hour, and
-// finding it again costs no allocation — until such dead entries
-// outnumber the live ones, and then the map is rebuilt from the live ones
-// alone. A feed that mints plates therefore holds at most twice its
-// buffered plates, the map's buckets go with the rebuild, and an engine
-// with nothing buffered has an empty table.
+// An id nothing references keeps its name — a taxi that leaves the window
+// is usually back within the hour, and finding it again costs no
+// allocation — until such dead ids outnumber the live ones; compact then
+// frees them all. One rule, which belongs beside the aliasing invariant
+// (see Engine), makes ids safe to read outside e.mu: **an id is freed
+// only under estMu.** release, which overflow eviction reaches from
+// Ingest while a round may be reading the evicted records, only
+// decrements; compact runs from trimLocked alone, after the round. intern
+// may hand out ids freed earlier — no view holds one — and may append to
+// names, which writes past the length a round saw or into a new array. A
+// round therefore reads names through the slice header taken in
+// snapshotLocked, and no name it can reach changes under it.
+//
+// A feed that mints plates holds at most twice its buffered plates by
+// name; names and refs are as long as the highest id still held, and an
+// engine with nothing buffered has an empty table.
 type plateTable struct {
-	byName map[string]*plate
-	live   int // entries with refs > 0
+	ids   map[string]uint32
+	names []string
+	refs  []int32
+	free  []uint32 // freed ids, lowest last
+	live  int      // ids with refs > 0
 }
 
 func newPlateTable() plateTable {
-	return plateTable{byName: map[string]*plate{}}
+	return plateTable{ids: map[string]uint32{}}
 }
 
-// intern returns the plate for name, cloning the string on first sight
-// so the entry does not pin the line it was sliced from.
-func (pt *plateTable) intern(name string) *plate {
-	if p := pt.byName[name]; p != nil {
-		return p
+// intern returns the id of name, cloning the string on first sight so the
+// table does not pin the line it was sliced from.
+func (pt *plateTable) intern(name string) uint32 {
+	if id, ok := pt.ids[name]; ok {
+		return id
 	}
-	p := &plate{name: strings.Clone(name)}
-	pt.byName[p.name] = p
-	return p
+	name = strings.Clone(name)
+	var id uint32
+	if n := len(pt.free); n > 0 {
+		id, pt.free = pt.free[n-1], pt.free[:n-1]
+		pt.names[id] = name
+	} else {
+		id = uint32(len(pt.names))
+		pt.names = append(pt.names, name)
+		pt.refs = append(pt.refs, 0)
+	}
+	pt.ids[name] = id
+	return id
 }
 
 // observe converts one matched record.
 func (pt *plateTable) observe(m *mapmatch.Matched) obs {
-	return obs{
-		plate:    pt.intern(m.Plate),
-		t:        m.T,
-		speed:    m.SpeedKMH,
-		dist:     m.DistToStop,
-		pos:      m.Snapped,
-		occupied: m.Occupied,
+	o := obs{
+		t:     m.T,
+		speed: m.SpeedKMH,
+		dist:  m.DistToStop,
+		pos:   m.Snapped,
+		plate: pt.intern(m.Plate),
 	}
+	if m.Occupied {
+		o.plate |= occupiedBit
+	}
+	return o
 }
 
-// hold counts one more buffered observation of p.
-func (pt *plateTable) hold(p *plate) {
-	if p.refs == 0 {
+// hold counts one more buffered observation of id.
+func (pt *plateTable) hold(id uint32) {
+	if pt.refs[id] == 0 {
 		pt.live++
 	}
-	p.refs++
+	pt.refs[id]++
 }
 
-// release drops the references the given buffered observations hold, and
-// rebuilds the map without its dead entries once they outnumber the live
-// ones.
+// release drops the references the given buffered observations hold. It
+// frees nothing: a round may still be reading them.
 func (pt *plateTable) release(dropped []obs) {
 	for i := range dropped {
-		p := dropped[i].plate
-		if p.refs--; p.refs == 0 {
+		id := dropped[i].id()
+		if pt.refs[id]--; pt.refs[id] == 0 {
 			pt.live--
 		}
 	}
-	if len(pt.byName) <= 2*pt.live {
+}
+
+// compact frees every dead id once they outnumber the live ones: the name
+// map is rebuilt from the live ids alone (its buckets go with it), names
+// and refs are cut back to the highest live id, and the holes below it
+// become the free list. The caller holds estMu.
+func (pt *plateTable) compact() {
+	if len(pt.ids) <= 2*pt.live {
 		return
 	}
-	fresh := make(map[string]*plate, pt.live)
-	for name, p := range pt.byName {
-		if p.refs > 0 {
-			fresh[name] = p
+	n := len(pt.refs)
+	for n > 0 && pt.refs[n-1] == 0 {
+		n--
+	}
+	clear(pt.names[n:])
+	pt.names, pt.refs = fit(pt.names[:n]), fit(pt.refs[:n])
+	pt.ids = make(map[string]uint32, pt.live)
+	pt.free = reuse(pt.free, n-pt.live)
+	for id := n - 1; id >= 0; id-- {
+		if pt.refs[id] > 0 {
+			pt.ids[pt.names[id]] = uint32(id)
+		} else {
+			pt.names[id] = ""
+			pt.free = append(pt.free, uint32(id))
 		}
 	}
-	pt.byName = fresh
 }

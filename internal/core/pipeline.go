@@ -66,7 +66,7 @@ func SpeedSamplesNear(ms []mapmatch.Matched, maxDist float64) []dsp.Sample {
 // interval of the index.
 func appendSpeedSamples(dst []dsp.Sample, ms []obs, idx *StopIndex, maxDist float64) []dsp.Sample {
 	for i := range ms {
-		if o := &ms[i]; o.dist <= maxDist && !idx.isDwell(o.plate, o.t) {
+		if o := &ms[i]; o.dist <= maxDist && !idx.isDwell(o.id(), o.t) {
 			dst = append(dst, dsp.Sample{T: o.t, V: o.speed})
 		}
 	}
@@ -181,7 +181,7 @@ func RunPipeline(part mapmatch.Partition, t0, t1 float64, cfg PipelineConfig) (m
 	sortKeys(keys)
 	// Stop extraction is global (see StopIndex) and shared, read-only,
 	// by all workers.
-	rm.index.build(rm.view, cfg.Stops)
+	rm.index.build(rm.view, rm.names, cfg.Stops)
 	results := rm.identify(keys, t0, t1, cfg)
 	out := make(map[mapmatch.Key]Result, len(keys))
 	for i, k := range keys {
@@ -296,16 +296,30 @@ func identifyOne(view map[mapmatch.Key][]obs, stopIdx *StopIndex, key mapmatch.K
 	sc.primary = primary
 	win := appendWindowed(sc.win[:0], primary, t0, t1)
 	sc.win = win
-	var cycle float64
-	var err error
+	cycIn := primary
 	if cfg.UseEnhancement && len(win) < cfg.EnhanceBelow {
 		perp := appendSpeedSamples(sc.perp[:0], view[key.PerpendicularKey()], stopIdx, cfg.MaxSpeedDist)
 		sc.perp = perp
-		cycle, err = identifyCycleSc(sc, enhanceSc(sc, primary, perp), t0, t1, cfg.Cycle)
+		cycIn = enhanceSc(sc, primary, perp)
 		res.Enhanced = true
-	} else {
-		cycle, err = identifyCycleSc(sc, primary, t0, t1, cfg.Cycle)
 	}
+	in, err := cycleInputSc(sc, cycIn, t0, t1, cfg.Cycle)
+	if err != nil {
+		res.Err = fmt.Errorf("cycle: %w", err)
+		return res
+	}
+	// A key too thin for the red stage fails there whatever cycle the
+	// spectrum would give: identifyRedSc keeps a stop only if it is no
+	// longer than the cycle, and no cycle exceeds maxIdentifiedCycle. An
+	// eighth of the recomputed keys fail this way every round; they skip
+	// the resample, the transform and 57 fold scores.
+	stops := stopIdx.Stops(key)
+	res.Stops = len(stops)
+	if n := countStopsWithin(stops, maxIdentifiedCycle(cfg.Cycle, t0, t1)); n < cfg.Red.MinStops {
+		res.Err = fmt.Errorf("red: %w: at most %d usable stops under any cycle, need %d", ErrInsufficientData, n, cfg.Red.MinStops)
+		return res
+	}
+	cycle, err := cycleFromSpectrumSc(sc, in, t0, t1, cfg.Cycle)
 	if err != nil {
 		res.Err = fmt.Errorf("cycle: %w", err)
 		return res
@@ -313,8 +327,6 @@ func identifyOne(view map[mapmatch.Key][]obs, stopIdx *StopIndex, key mapmatch.K
 	res.Cycle = cycle
 	res.Quality = foldScoreSc(sc, win, momentsOf(win), cycle, t0)
 
-	stops := stopIdx.Stops(key)
-	res.Stops = len(stops)
 	red, err := identifyRedSc(sc, stops, cycle, cfg.Red)
 	if err != nil {
 		res.Err = fmt.Errorf("red: %w", err)

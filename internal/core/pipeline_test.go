@@ -32,10 +32,11 @@ func extractStops(ms []mapmatch.Matched, cfg StopExtractConfig) ([]StopEvent, er
 	var rm roundMem
 	rm.load(mapmatch.Partition{{}: ms})
 	var si StopIndex
-	si.gather(rm.view)
+	var ws stopScratch
+	si.gather(&ws, rm.view, rm.names)
 	var out []StopEvent
-	for _, g := range si.groups {
-		for _, r := range appendRuns(nil, si.refs[g.lo:g.hi], si.recs, cfg) {
+	for _, g := range ws.groups {
+		for _, r := range appendRuns(nil, ws.refs[g.lo:g.hi], si.recs, rm.names[g.id], cfg) {
 			if si.recs[r.last.key][r.last.idx].dist <= cfg.MaxStopDist {
 				out = append(out, r.ev)
 			}

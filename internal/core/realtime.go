@@ -145,8 +145,12 @@ type KeyedChange struct {
 // run only under estMu — from a round's own snapshot section or from the
 // trim after it — except on overflow eviction, which runs under e.mu
 // alone and therefore moves the buffer to a fresh array first
-// (evictOldestLocked). The round's working memory (roundMem) belongs to
-// the engine and is reused by every round.
+// (evictOldestLocked). Plates obey the same discipline: an observation
+// names its taxi by a plate id, an id is freed — its name slot cleared for
+// reuse — only under estMu (trimLocked; eviction merely drops reference
+// counts), and a round resolves ids through the names slice as it stood
+// at the snapshot (see plateTable). The round's working memory (roundMem)
+// belongs to the engine and is reused by every round.
 type Engine struct {
 	cfg RealtimeConfig
 
@@ -160,7 +164,7 @@ type Engine struct {
 
 	mu        sync.RWMutex
 	buf       map[mapmatch.Key]*keyBuffer
-	plates    plateTable // counts the observations buffered per plate
+	plates    plateTable // plate ids, and the observations buffered per id
 	dirty     map[mapmatch.Key]struct{}
 	mergeBuf  []obs // normalize scratch, guarded by mu
 	now       float64
@@ -253,7 +257,7 @@ func (e *Engine) Ingest(ms []mapmatch.Matched) {
 			kb.sorted = len(kb.ms) + 1
 		}
 		o := e.plates.observe(m)
-		e.plates.hold(o.plate)
+		e.plates.hold(o.id())
 		kb.ms = append(kb.ms, o)
 		e.dirty[k] = struct{}{}
 	}
@@ -320,21 +324,16 @@ func (e *Engine) evictOldestLocked(kb *keyBuffer, maxPerKey int) {
 }
 
 // dropOldestLocked removes the n oldest observations of a normalized
-// buffer and releases their plates. It compacts in place, which rewrites
-// what a round's view would alias: callers hold estMu (trimLocked) or
-// have just moved the buffer to an array no view can alias
-// (evictOldestLocked). The vacated tail is cleared so it pins no plate,
-// and the array is given back once the buffer has shrunk to a fraction
-// of it.
+// buffer and drops their plate references. It compacts in place, which
+// rewrites what a round's view would alias: callers hold estMu
+// (trimLocked) or have just moved the buffer to an array no view can
+// alias (evictOldestLocked). The array is given back once the buffer has
+// shrunk to a fraction of it.
 func (e *Engine) dropOldestLocked(kb *keyBuffer, n int) {
 	ms := kb.ms
 	e.plates.release(ms[:n])
 	kept := copy(ms, ms[n:])
-	clear(ms[kept:])
-	kb.ms = ms[:kept]
-	if oversized(cap(ms), kept) {
-		kb.ms = append(make([]obs, 0, kept+kept/2), kb.ms...)
-	}
+	kb.ms = fit(ms[:kept])
 	kb.sorted = kept
 }
 
@@ -438,7 +437,7 @@ func (e *Engine) SetRoundObserver(fn func(RoundStats)) {
 // viewHook, when non-nil, is shown every round's views twice: as
 // snapshotted, and again once identification is done with them. It exists
 // solely so tests can prove nothing writes a range a round is reading.
-var viewHook func(view map[mapmatch.Key][]obs, identified bool)
+var viewHook func(rm *roundMem, identified bool)
 
 // estimateRound runs one estimation round at stream time at: snapshot
 // the dirty keys' window views under e.mu, index stops and identify
@@ -458,7 +457,7 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats, error) {
 	e.mu.Unlock()
 	snapped := time.Now()
 	if viewHook != nil {
-		viewHook(rm.view, false)
+		viewHook(rm, false)
 	}
 
 	// Monitors only see estimates from sufficiently covered windows.
@@ -470,7 +469,7 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats, error) {
 	if e.cfg.RoundWorkers != 0 {
 		pcfg.Workers = e.cfg.RoundWorkers
 	}
-	rm.index.build(rm.view, pcfg.Stops)
+	rm.index.build(rm.view, rm.names, pcfg.Stops)
 	indexed := time.Now()
 	sortKeys(rm.recompute)
 	stats.Workers = effectiveWorkers(pcfg.Workers, len(rm.recompute))
@@ -478,7 +477,7 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats, error) {
 	results := rm.identify(rm.recompute, t0, at, pcfg)
 	identified := time.Now()
 	if viewHook != nil {
-		viewHook(rm.view, true)
+		viewHook(rm, true)
 	}
 	// The views are dead from here. A finished round keeps no reference
 	// into a key buffer, so an array a buffer outgrows is garbage at once;
@@ -486,6 +485,7 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats, error) {
 	for k := range rm.view {
 		rm.view[k] = nil
 	}
+	rm.names = nil
 
 	out, err := e.publishRound(at, rm.recompute, results, covered, &stats)
 	done := time.Now()
@@ -500,13 +500,15 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats, error) {
 }
 
 // snapshotLocked hands rm the in-window views of the keys to recompute,
-// plus their perpendicular context, and lists the keys to recompute in
-// rm.recompute. A view is kb.ms[lo:hi:hi] of a normalized buffer — the
-// records themselves, not a copy; the caller holds estMu, and until the
-// round ends the aliasing invariant (see Engine) keeps every writer off
-// that range. It returns the earliest record time among the recomputed
-// keys (+Inf when there is none).
+// plus their perpendicular context and the plate names as they stand,
+// and lists the keys to recompute in rm.recompute. A view is
+// kb.ms[lo:hi:hi] of a normalized buffer — the records themselves, not a
+// copy; the caller holds estMu, and until the round ends the aliasing
+// invariant (see Engine) keeps every writer off that range. It returns
+// the earliest record time among the recomputed keys (+Inf when there is
+// none).
 func (e *Engine) snapshotLocked(rm *roundMem, t0, at float64) (earliest float64) {
+	rm.names = e.plates.names
 	rm.todo = rm.todo[:0]
 	if e.cfg.FullReestimate {
 		for k := range e.buf {
@@ -646,8 +648,9 @@ func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results []Result,
 	return out, nil
 }
 
-// trimLocked drops buffered records that can no longer enter any window.
-// It rewrites buffers in place, so the caller holds estMu as well.
+// trimLocked drops buffered records that can no longer enter any window,
+// and is the one place plate ids are freed. It rewrites buffers in place
+// and clears names a round would read, so the caller holds estMu as well.
 func (e *Engine) trimLocked() {
 	cutoff := e.retainFromLocked()
 	for _, kb := range e.buf {
@@ -657,6 +660,7 @@ func (e *Engine) trimLocked() {
 			e.dropOldestLocked(kb, lo)
 		}
 	}
+	e.plates.compact()
 }
 
 // Estimate is one published approach estimate together with its serving

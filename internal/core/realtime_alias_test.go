@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"taxilight/internal/mapmatch"
@@ -19,8 +20,12 @@ import (
 // batch is shuffled, a tenth of each is held back into the next one (out
 // of order across batches, up to ten minutes late), and approach 0
 // arrives at three times the density of the others against a 900-record
-// cap, so it overflows about once a round.
-func aliasFeed(rounds int) [][]mapmatch.Matched {
+// cap, so it overflows about once a round. With rotate set, every taxi
+// takes a new plate each five minutes of feed time and every later batch
+// brings approach 0 three thousand plates seen once, so each batch mints
+// plates and its evictions alone leave more plates without a record than
+// the engine has buffered.
+func aliasFeed(rounds int, rotate bool) [][]mapmatch.Matched {
 	const nKeys = 6
 	rng := rand.New(rand.NewSource(29))
 	k0 := benchApproachKey(0)
@@ -31,7 +36,7 @@ func aliasFeed(rounds int) [][]mapmatch.Matched {
 		if b == 0 {
 			t0 = 0
 		}
-		batch := held
+		batch, fresh := held, len(held)
 		held = nil
 		for i := 0; i < nKeys; i++ {
 			batch = append(batch, benchRecords(i, t0, t1)...)
@@ -41,6 +46,17 @@ func aliasFeed(rounds int) [][]mapmatch.Matched {
 			for _, m := range benchRecords(i, t0, t1) {
 				m.Light, m.Approach = k0.Light, k0.Approach
 				batch = append(batch, m)
+			}
+		}
+		if rotate {
+			for i := fresh; i < len(batch); i++ {
+				batch[i].Plate = fmt.Sprintf("%s/g%d", batch[i].Plate, int(batch[i].T/300))
+			}
+			for i := 0; i < 3000 && b > 0; i++ {
+				batch = append(batch, mapmatch.Matched{
+					Plate: fmt.Sprintf("ONCE-%d-%d", b, i), SpeedKMH: 20, DistToStop: 50,
+					Light: k0.Light, Approach: k0.Approach, T: t0 + float64(i)/10,
+				})
 			}
 		}
 		rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
@@ -61,15 +77,52 @@ func aliasFeed(rounds int) [][]mapmatch.Matched {
 	return batches
 }
 
+// logServed appends, after every round of eng, one line holding the
+// round's instant, what it published and everything the engine serves.
+func logServed(eng *Engine, served *[]string) {
+	eng.SetRoundObserver(func(st RoundStats) {
+		snap := eng.Snapshot()
+		keys := make([]mapmatch.Key, 0, len(snap))
+		for k := range snap {
+			keys = append(keys, k)
+		}
+		sortKeys(keys)
+		line := fmt.Sprintf("at=%v published=%v", st.At, st.Published)
+		for _, k := range keys {
+			line += fmt.Sprintf(" %+v", snap[k].Result)
+		}
+		*served = append(*served, line)
+	})
+}
+
+// ingestBeside starts a goroutine that ingests each batch sent on start
+// 64 records at a time, yielding between chunks, and answers on done. It
+// ends when start is closed.
+func ingestBeside(eng *Engine) (start chan []mapmatch.Matched, done chan struct{}) {
+	start, done = make(chan []mapmatch.Matched), make(chan struct{})
+	go func() {
+		for batch := range start {
+			for len(batch) > 0 {
+				n := min(64, len(batch))
+				eng.Ingest(batch[:n])
+				batch = batch[n:]
+				runtime.Gosched()
+			}
+			done <- struct{}{}
+		}
+	}()
+	return start, done
+}
+
 // hashViews fingerprints every observation a round's views cover.
-func hashViews(view map[mapmatch.Key][]obs) map[mapmatch.Key]uint64 {
-	out := make(map[mapmatch.Key]uint64, len(view))
-	for k, ms := range view {
+func hashViews(rm *roundMem) map[mapmatch.Key]uint64 {
+	out := make(map[mapmatch.Key]uint64, len(rm.view))
+	for k, ms := range rm.view {
 		h := fnv.New64a()
 		for i := range ms {
 			o := &ms[i]
-			fmt.Fprintln(h, o.plate.name, math.Float64bits(o.t), math.Float64bits(o.speed),
-				math.Float64bits(o.dist), math.Float64bits(o.pos.X), math.Float64bits(o.pos.Y), o.occupied)
+			fmt.Fprintln(h, rm.names[o.id()], math.Float64bits(o.t), math.Float64bits(o.speed),
+				math.Float64bits(o.dist), math.Float64bits(o.pos.X), math.Float64bits(o.pos.Y), o.occupied())
 		}
 		out[k] = h.Sum64()
 	}
@@ -88,7 +141,7 @@ func hashViews(view map[mapmatch.Key][]obs) map[mapmatch.Key]uint64 {
 // between its rounds serves.
 func TestRoundViewsAliasSafely(t *testing.T) {
 	const rounds = 8
-	batches := aliasFeed(rounds)
+	batches := aliasFeed(rounds, false)
 	newEngine := func() (*Engine, *[]string) {
 		cfg := DefaultRealtimeConfig()
 		cfg.RoundWorkers = 4
@@ -98,19 +151,7 @@ func TestRoundViewsAliasSafely(t *testing.T) {
 			t.Fatal(err)
 		}
 		var served []string
-		eng.SetRoundObserver(func(st RoundStats) {
-			snap := eng.Snapshot()
-			keys := make([]mapmatch.Key, 0, len(snap))
-			for k := range snap {
-				keys = append(keys, k)
-			}
-			sortKeys(keys)
-			line := fmt.Sprintf("at=%v published=%v", st.At, st.Published)
-			for _, k := range keys {
-				line += fmt.Sprintf(" %+v", snap[k].Result)
-			}
-			served = append(served, line)
-		})
+		logServed(eng, &served)
 		eng.Ingest(batches[0])
 		return eng, &served
 	}
@@ -127,33 +168,23 @@ func TestRoundViewsAliasSafely(t *testing.T) {
 	}
 
 	eng, got := newEngine()
-	start, done := make(chan []mapmatch.Matched), make(chan struct{})
-	go func() {
-		for batch := range start {
-			for len(batch) > 0 {
-				n := min(64, len(batch))
-				eng.Ingest(batch[:n])
-				batch = batch[n:]
-				runtime.Gosched()
-			}
-			done <- struct{}{}
-		}
-	}()
+	start, done := ingestBeside(eng)
 	defer close(start)
 	next := 1
 	var snapped map[mapmatch.Key]uint64
 	var evictedBefore int64
 	evictedMidRound, viewed := 0, 0
-	viewHook = func(view map[mapmatch.Key][]obs, identified bool) {
+	viewHook = func(rm *roundMem, identified bool) {
+		view := rm.view
 		if !identified {
-			snapped = hashViews(view)
+			snapped = hashViews(rm)
 			evictedBefore = eng.Health().DroppedOverflowRecords
 			start <- batches[next]
 			next++
 			return
 		}
 		<-done
-		if after := hashViews(view); !maps.Equal(snapped, after) {
+		if after := hashViews(rm); !maps.Equal(snapped, after) {
 			t.Errorf("round %d: a view changed under identification:\n at snapshot %v\n afterwards  %v", next-2, snapped, after)
 		}
 		viewed += len(view)
@@ -179,5 +210,138 @@ func TestRoundViewsAliasSafely(t *testing.T) {
 			}
 		}
 		t.Fatalf("%d rounds served, quiescent engine served %d", len(*got), len(*want))
+	}
+}
+
+// TestPlateIDsStableDuringRound drives the plate half of the aliasing
+// invariant — an id is freed only under estMu — the way
+// TestRoundViewsAliasSafely drives the buffer half. Every taxi changes
+// plate each five minutes, so the batch ingested strictly between a
+// round's snapshot and the end of its identification mints plates (taking
+// freed ids when there are any) and its overflow evictions leave plates
+// the round is reading without a buffered record. Under -race a name
+// written where a worker reads is a reported race; in any mode every id a
+// view holds must still carry the name it had at the snapshot, nothing
+// may join the free list before the trim, and every stop's plate and every
+// served result must equal a quiescent engine's.
+func TestPlateIDsStableDuringRound(t *testing.T) {
+	const rounds = 20
+	batches := aliasFeed(rounds, true)
+	type roundLog struct{ served, stops []string }
+	newEngine := func() (*Engine, *roundLog) {
+		cfg := DefaultRealtimeConfig()
+		cfg.RoundWorkers = 4
+		cfg.Faults.MaxBufferPerKey = 900
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := &roundLog{}
+		logServed(eng, &log.served)
+		eng.Ingest(batches[0])
+		return eng, log
+	}
+	// logStops records every stop the round's index holds and checks each
+	// against the feed: a taxi's plate names the five minutes it reported in.
+	logStops := func(log *roundLog, rm *roundMem) {
+		line := ""
+		for _, k := range rm.recompute {
+			for _, ev := range rm.index.Stops(k) {
+				if want := fmt.Sprintf("/g%d", int(ev.Start/300)); !strings.HasSuffix(ev.Plate, want) {
+					t.Errorf("stop %+v at %v carries a plate of another generation, want suffix %s", ev, k, want)
+				}
+				line += fmt.Sprintf(" %v:%+v", k, ev)
+			}
+		}
+		log.stops = append(log.stops, line)
+	}
+	advance := func(eng *Engine, r int) {
+		if _, err := eng.Advance(1800 + 300*float64(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() { viewHook = nil }()
+
+	quiet, want := newEngine()
+	viewHook = func(rm *roundMem, identified bool) {
+		if identified {
+			logStops(want, rm)
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		advance(quiet, r)
+		quiet.Ingest(batches[r+1])
+	}
+
+	eng, got := newEngine()
+	start, done := ingestBeside(eng)
+	defer close(start)
+	next := 1
+	var freeAtSnapshot []uint32
+	var namesAtSnapshot []string
+	orphaned, reused, freedByTrim := 0, 0, 0
+	viewHook = func(rm *roundMem, identified bool) {
+		if !identified {
+			eng.mu.RLock()
+			freeAtSnapshot = slices.Clone(eng.plates.free)
+			namesAtSnapshot = slices.Clone(eng.plates.names)
+			eng.mu.RUnlock()
+			start <- batches[next]
+			next++
+			return
+		}
+		<-done
+		logStops(got, rm)
+		eng.mu.RLock()
+		defer eng.mu.RUnlock()
+		pt := &eng.plates
+		// Ingest pops the free list and nothing else touches it mid-round.
+		if n := len(pt.free); n > len(freeAtSnapshot) || !slices.Equal(pt.free, freeAtSnapshot[:n]) {
+			t.Errorf("round %d: an id was freed while the round ran: %d free at the snapshot, %d now, or not the same ones", next-2, len(freeAtSnapshot), n)
+		}
+		reused += len(freeAtSnapshot) - len(pt.free)
+		for _, ms := range rm.view {
+			for i := range ms {
+				id := ms[i].id()
+				if was := namesAtSnapshot[id]; was == "" || rm.names[id] != was || pt.names[id] != was {
+					t.Fatalf("round %d: id %d was %q at the snapshot; the round now reads %q and the table holds %q", next-2, id, was, rm.names[id], pt.names[id])
+				}
+				if pt.refs[id] == 0 {
+					orphaned++
+				}
+			}
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		before := len(eng.plates.free) // no ingest between rounds: the test's own goroutine may look
+		advance(eng, r)
+		if n := len(eng.plates.free); n > before {
+			freedByTrim += n - before
+		}
+	}
+
+	if last := want.stops[len(want.stops)-1]; strings.Count(last, "Plate:") < 5*8 || !strings.Contains(want.served[len(want.served)-1], "Cycle:") {
+		t.Errorf("the last round indexed and served too little to compare:\n%s\n%s", last, want.served[len(want.served)-1])
+	}
+	if orphaned == 0 {
+		t.Error("no eviction left a viewed plate without a record; the test no longer covers release under a view")
+	}
+	if freedByTrim == 0 || reused == 0 {
+		t.Errorf("%d ids freed by trims, %d of them taken again mid-round; the test no longer covers reuse", freedByTrim, reused)
+	}
+	if !slices.Equal(got.stops, want.stops) {
+		for i := range want.stops {
+			if i >= len(got.stops) || got.stops[i] != want.stops[i] {
+				t.Fatalf("round %d indexed stops, with ingest running beside it:\n%s\nquiescent:\n%s", i, got.stops[min(i, len(got.stops)-1)], want.stops[i])
+			}
+		}
+	}
+	if !slices.Equal(got.served, want.served) {
+		for i := range want.served {
+			if i >= len(got.served) || got.served[i] != want.served[i] {
+				t.Fatalf("round %d served, with ingest running beside it:\n%s\nquiescent:\n%s", i, got.served[min(i, len(got.served)-1)], want.served[i])
+			}
+		}
+		t.Fatalf("%d rounds served, quiescent engine served %d", len(got.served), len(want.served))
 	}
 }

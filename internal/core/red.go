@@ -88,13 +88,28 @@ func FilterStops(stops []StopEvent, cycle float64) []StopEvent {
 // appendFilteredStops appends the usable stops to dst.
 func appendFilteredStops(dst []StopEvent, stops []StopEvent, cycle float64) []StopEvent {
 	for _, e := range stops {
-		d := e.Duration()
-		if d <= 0 || d > cycle || e.OccupancyChanged {
-			continue
+		if e.usableWithin(cycle) {
+			dst = append(dst, e)
 		}
-		dst = append(dst, e)
 	}
 	return dst
+}
+
+// usableWithin is the filter of FilterStops for one event.
+func (e StopEvent) usableWithin(cycle float64) bool {
+	d := e.Duration()
+	return !(d <= 0 || d > cycle || e.OccupancyChanged)
+}
+
+// countStopsWithin is len(FilterStops(stops, cycle)).
+func countStopsWithin(stops []StopEvent, cycle float64) int {
+	n := 0
+	for i := range stops {
+		if stops[i].usableWithin(cycle) {
+			n++
+		}
+	}
+	return n
 }
 
 // IdentifyRed estimates the red-light duration from stop events given a

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -11,10 +13,29 @@ import (
 	"taxilight/internal/mapmatch"
 )
 
+// TestObsIsCompact: a buffered observation is 48 bytes and holds nothing
+// the collector has to follow, at any depth.
 func TestObsIsCompact(t *testing.T) {
-	if sz := unsafe.Sizeof(obs{}); sz > 64 {
-		t.Fatalf("obs is %d bytes, want <= 64", sz)
+	if sz := unsafe.Sizeof(obs{}); sz != 48 {
+		t.Fatalf("obs is %d bytes, want 48", sz)
 	}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint,
+			reflect.Float32, reflect.Float64:
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		default:
+			t.Errorf("%s is a %v: obs must be pointer-free", path, ty.Kind())
+		}
+	}
+	walk("obs", reflect.TypeOf(obs{}))
 	if sz := unsafe.Sizeof(mapmatch.Matched{}); sz > 88 {
 		t.Fatalf("mapmatch.Matched is %d bytes, want <= 88: it is what every dispatched batch is made of", sz)
 	}
@@ -115,21 +136,23 @@ func TestIdentifyOneAllocs(t *testing.T) {
 			}
 		}
 	}
-	rm.index.build(rm.view, cfg.Stops)
+	rm.index.build(rm.view, rm.names, cfg.Stops)
 	identifyAll()
 	if allocs := testing.AllocsPerRun(5, identifyAll); allocs != 0 {
 		t.Errorf("identifying %d served keys on a warm scratch allocates %.0f objects, want 0", nKeys, allocs)
 	}
-	if allocs := testing.AllocsPerRun(5, func() { rm.index.build(rm.view, cfg.Stops) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(5, func() { rm.index.build(rm.view, rm.names, cfg.Stops) }); allocs != 0 {
 		t.Errorf("rebuilding a warm stop index allocates %.0f objects, want 0", allocs)
 	}
 }
 
 // TestPlateInterningBounded: a hostile feed mints plates. 200 k distinct
 // ones pass through Ingest and a round. While the window slides off them
-// the table never holds more dead plates than live ones; once the next
-// window starts past the last record, the plates, the buffers and the
-// round's working memory sized by the burst must all be gone.
+// the table, after a trim, never names more dead plates than live ones,
+// every id is either named or on the free list, and a plate minted then
+// takes a freed id instead of lengthening the table; once the next window
+// starts past the last record, the ids, the buffers and the round's
+// working memory sized by the burst must all be gone.
 func TestPlateInterningBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates a 200k-record burst")
@@ -170,8 +193,8 @@ func TestPlateInterningBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	burst := heap()
-	if n := len(eng.plates.byName); n != nPlates {
-		t.Fatalf("%d plates interned, want %d", n, nPlates)
+	if n, ids := len(eng.plates.ids), len(eng.plates.names); n != nPlates || ids != nPlates {
+		t.Fatalf("%d plates interned under %d ids, want %d", n, ids, nPlates)
 	}
 	if burst-baseline < 10 {
 		t.Fatalf("burst holds only %.1f MB over baseline; the test measures nothing", burst-baseline)
@@ -186,8 +209,20 @@ func TestPlateInterningBounded(t *testing.T) {
 	if rep := eng.Health(); live != rep.BufferedRecords || live < nPlates/4 || live > nPlates/2 {
 		t.Fatalf("%d live plates for %d buffered records of %d", live, rep.BufferedRecords, nPlates)
 	}
-	if n := len(eng.plates.byName); n > 2*live {
-		t.Fatalf("table holds %d plates for %d live ones, want at most twice as many", n, live)
+	pt := &eng.plates
+	if n := len(pt.ids); n > 2*live {
+		t.Fatalf("table names %d plates for %d live ones, want at most twice as many", n, live)
+	}
+	if len(pt.names) != len(pt.refs) || len(pt.names) > nPlates || len(pt.names) != len(pt.ids)+len(pt.free) {
+		t.Fatalf("%d ids (%d counted) for %d named plates and %d freed ones", len(pt.names), len(pt.refs), len(pt.ids), len(pt.free))
+	}
+	if len(pt.free) == 0 {
+		t.Fatal("two thirds of the burst left the window and no id was freed")
+	}
+	lowest := pt.free[len(pt.free)-1]
+	eng.Ingest([]mapmatch.Matched{{Plate: "MINT-AGAIN", SpeedKMH: 20, Light: benchApproachKey(0).Light, Approach: benchApproachKey(0).Approach, T: 1700}})
+	if got := pt.ids["MINT-AGAIN"]; got != lowest || pt.names[got] != "MINT-AGAIN" || len(pt.names) > nPlates {
+		t.Fatalf("a plate minted after the trim got id %d of %d, want the freed id %d", got, len(pt.names), lowest)
 	}
 
 	if _, err := eng.Advance(1800 + cfg.Window); err != nil {
@@ -196,8 +231,9 @@ func TestPlateInterningBounded(t *testing.T) {
 	if rep := eng.Health(); rep.BufferedRecords != 0 {
 		t.Fatalf("%d records still buffered with the next window past them all", rep.BufferedRecords)
 	}
-	if n := len(eng.plates.byName); n != 0 {
-		t.Fatalf("%d plates still interned with nothing buffered", n)
+	if len(pt.ids) != 0 || len(pt.names) != 0 || len(pt.refs) != 0 || cap(pt.names) > 1024 || cap(pt.free) > 1024 {
+		t.Fatalf("with nothing buffered the table still holds %d names, %d ids (cap %d) and a free list of cap %d",
+			len(pt.ids), len(pt.names), cap(pt.names), cap(pt.free))
 	}
 	after := heap()
 	t.Logf("heap: baseline %.1f MB, burst %.1f MB, after trim %.1f MB", baseline, burst, after)
@@ -205,4 +241,116 @@ func TestPlateInterningBounded(t *testing.T) {
 		t.Errorf("heap %.1f MB over baseline after the burst was trimmed, want <= 4 MB", after-baseline)
 	}
 	runtime.KeepAlive(eng)
+}
+
+// TestStopIndexSpareIsShared: what a stop index needs only while it is
+// being built belongs to no engine. Two engines running rounds in turn
+// pass one reference array back and forth through the process-wide spare;
+// a build that finds the spare taken makes its own set, both builds come
+// out right, and of the two sets handed back the larger stays.
+func TestStopIndexSpareIsShared(t *testing.T) {
+	defer spareStopScratch.Store(spareStopScratch.Swap(nil)) // leave other tests theirs
+
+	const nKeys = 6
+	engines := make([]*Engine, 2)
+	for e := range engines {
+		cfg := DefaultRealtimeConfig()
+		cfg.RoundWorkers = 1
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < nKeys; i++ {
+			eng.Ingest(benchRecords(e*nKeys+i, 0, 1800))
+		}
+		engines[e] = eng
+	}
+	var arrays []*stopRef
+	for r := 0; r < 6; r++ {
+		at := 1800 + 300*float64(r)
+		for e, eng := range engines {
+			if _, err := eng.Advance(at); err != nil {
+				t.Fatal(err)
+			}
+			ws := spareStopScratch.Load()
+			if ws == nil || cap(ws.refs) < nKeys*500 {
+				t.Fatalf("round %d of engine %d left no reference array of a round's size in the spare: %+v", r, e, ws)
+			}
+			if r >= 2 { // the windows are full: no round outgrows the last
+				arrays = append(arrays, unsafe.SliceData(ws.refs))
+			}
+			for i := 0; i < nKeys; i++ {
+				eng.Ingest(benchRecords(e*nKeys+i, at, at+300))
+			}
+		}
+	}
+	for _, a := range arrays {
+		if a != arrays[0] {
+			t.Fatalf("two engines' rounds in turn used %d reference arrays, not one: %v", len(arrays), arrays)
+		}
+	}
+	if snap := engines[1].Snapshot(); len(snap) != nKeys {
+		t.Fatalf("engine 1 serves %d keys, want %d", len(snap), nKeys)
+	}
+
+	// Two builds at once. First for certain: the spare is taken while a
+	// build runs.
+	part := mapmatch.Partition{}
+	for i := 0; i < nKeys; i++ {
+		part[benchApproachKey(i)] = benchRecords(i, 0, 1800)
+	}
+	cfg := DefaultStopExtractConfig()
+	ref := buildRefStopIndex(part, cfg)
+	check := func(rm *roundMem) {
+		for k := range part {
+			if got, want := rm.index.Stops(k), ref.stops[k]; len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("Stops(%v): got %d, reference %d, or not the same", k, len(got), len(want))
+			}
+		}
+	}
+	var rm roundMem
+	rm.load(part)
+	held := borrowStopScratch()
+	rm.index.build(rm.view, rm.names, cfg)
+	check(&rm)
+	mine := spareStopScratch.Load()
+	if mine == nil || mine == held {
+		t.Fatalf("a build beside a taken spare must leave its own set behind")
+	}
+	held.refs = make([]stopRef, 0, 4*cap(mine.refs))
+	returnStopScratch(held)
+	if spareStopScratch.Load() != held {
+		t.Errorf("the larger set was handed back and dropped")
+	}
+	returnStopScratch(mine)
+	if spareStopScratch.Load() != held {
+		t.Errorf("a smaller set displaced the larger one")
+	}
+
+	// Then for the race detector: four goroutines building over and over,
+	// on views small enough that most of a build is the hand-over.
+	var wg sync.WaitGroup
+	mems := make([]roundMem, 4)
+	for g := range mems {
+		mems[g].load(part)
+		for k, ms := range mems[g].view {
+			if k != benchApproachKey(g) {
+				mems[g].view[k] = ms[:8]
+			}
+		}
+		wg.Add(1)
+		go func(rm *roundMem) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				rm.index.build(rm.view, rm.names, cfg)
+			}
+		}(&mems[g])
+	}
+	wg.Wait()
+	for g := range mems {
+		k := benchApproachKey(g)
+		if got, want := mems[g].index.Stops(k), ref.stops[k]; !reflect.DeepEqual(got, want) {
+			t.Errorf("builder %d, Stops(%v): got %d, reference %d, or not the same", g, k, len(got), len(want))
+		}
+	}
 }

@@ -61,6 +61,7 @@ type identifyScratch struct {
 // one per call.
 type roundMem struct {
 	view    map[mapmatch.Key][]obs // per-approach in-window records, time-sorted
+	names   []string               // names[id] of every plate id in the view
 	index   StopIndex
 	results []Result // results[i] belongs to the i-th identified key
 
@@ -85,6 +86,7 @@ func (rm *roundMem) load(part mapmatch.Partition) plateTable {
 		}
 		rm.view[k] = all[start:len(all):len(all)]
 	}
+	rm.names = plates.names
 	return plates
 }
 
@@ -135,6 +137,16 @@ func reuse[T any](buf []T, n int) []T {
 }
 
 func oversized(capacity, n int) bool { return capacity > 4*n+1024 }
+
+// fit returns s, moved to an array half as large again as its length when
+// the one it has is oversized: what reuse does for a buffer that is
+// emptied, for one whose contents stay.
+func fit[T any](s []T) []T {
+	if oversized(cap(s), len(s)) {
+		return append(make([]T, 0, len(s)+len(s)/2), s...)
+	}
+	return s
+}
 
 // growF64 returns buf resized to n elements, reusing the backing array
 // when capacity allows. Contents are unspecified.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"taxilight/internal/mapmatch"
 )
@@ -17,49 +18,74 @@ import (
 // per-partition scan cannot see it and lets kerbside dwells masquerade as
 // red-light stops.
 //
-// An index is rebuilt in place: build keeps the slices and maps it grew
-// (see reuse for the exception), so the engine's per-round index
-// allocates only when a round outgrows the last one.
+// An index is rebuilt in place: build keeps the slices and maps that
+// outlive it (see reuse for the exception), so the engine's per-round
+// index allocates only when a round outgrows the last one. What only
+// build needs it borrows (see stopScratch).
 type StopIndex struct {
 	// stops holds each approach's red-light stop candidates. Slices are
 	// truncated, not dropped, between builds, so an approach without
 	// stops may map to an empty slice.
 	stops map[mapmatch.Key][]StopEvent
 	// dwell holds the [start, end] interval of every run flagged as a
-	// passenger stop, grouped by plate and chronological within one;
-	// dwellOf maps a plate to its range. Records inside an interval are
-	// excluded from the frequency-domain speed series.
+	// passenger stop, grouped by plate and chronological within one.
+	// Records inside an interval are excluded from the frequency-domain
+	// speed series. A plate finds its intervals by index: slot[id] is one
+	// more than the bucket number the build gave plate id (0 when the
+	// view does not hold it), and dwellOf[bucket] is the bucket's range of
+	// dwell.
 	dwell   [][2]float64
-	dwellOf map[*plate][2]int
+	slot    []int32
+	dwellOf [][2]int32
 	// byName resolves the exported, string-keyed queries. Only indexes
 	// returned by BuildStopIndex carry it.
-	byName map[string]*plate
+	byName map[string]uint32
 
-	// Builder working memory. refs is bucketed by plate: groups[i] owns
-	// refs[lo:hi]. While gather runs, a plate finds its bucket through
-	// plate.slot, which is valid when plate.stamp equals this build's
-	// stamp — state of the building round, like refs, written only by the
-	// one goroutine that builds this index (in an Engine: under estMu).
-	keys   []mapmatch.Key // view keys in sortKeys order
-	recs   [][]obs        // recs[i] is the view of keys[i]
+	keys []mapmatch.Key // view keys in sortKeys order
+	recs [][]obs        // recs[i] is the view of keys[i]; cleared after build
+}
+
+// stopScratch is the memory that is live only inside build: the
+// references, bucketed by plate — groups[i] owns refs[lo:hi] — and one
+// plate's runs. It is the largest thing a build touches (eight bytes per
+// observation of the view) and dead the moment build returns, so no index
+// retains one: a build borrows the process-wide spare and hands it back.
+type stopScratch struct {
 	refs   []stopRef
 	groups []plateGroup
 	runs   []stopRun
-	stamp  uint64 // number of builds so far
+}
+
+// spareStopScratch is the one idle stopScratch of the process. A build
+// that finds it taken (another engine is mid-build) allocates its own, and
+// of two handed back the larger stays.
+var spareStopScratch atomic.Pointer[stopScratch]
+
+func borrowStopScratch() *stopScratch {
+	if ws := spareStopScratch.Swap(nil); ws != nil {
+		return ws
+	}
+	return new(stopScratch)
+}
+
+func returnStopScratch(ws *stopScratch) {
+	size := cap(ws.refs) // once swapped in, ws is the next borrower's
+	if other := spareStopScratch.Swap(ws); other != nil && cap(other.refs) > size {
+		spareStopScratch.CompareAndSwap(ws, other)
+	}
 }
 
 // stopRef points at one observation of the view: recs[key][idx]. Ordering
-// references instead of records moves 16 bytes at a time and leaves the
-// view untouched.
+// references instead of records moves 8 bytes at a time and leaves the
+// view untouched; the time is read through the reference.
 type stopRef struct {
-	t        float64
 	key, idx uint32
 }
 
 // plateGroup is one plate's bucket of the references, refs[lo:hi].
 type plateGroup struct {
-	p      *plate
-	lo, hi int
+	id     uint32
+	lo, hi int32
 }
 
 // stopRun is one stationary run and the reference of its final record,
@@ -80,16 +106,16 @@ func BuildStopIndex(part mapmatch.Partition, cfg StopExtractConfig) (*StopIndex,
 	}
 	var rm roundMem
 	plates := rm.load(part)
-	idx := &StopIndex{byName: plates.byName}
-	idx.build(rm.view, cfg)
+	idx := &StopIndex{byName: plates.ids}
+	idx.build(rm.view, rm.names, cfg)
 	return idx, nil
 }
 
-// build indexes the view, replacing whatever the index held.
-func (si *StopIndex) build(view map[mapmatch.Key][]obs, cfg StopExtractConfig) {
+// build indexes the view, replacing whatever the index held. names
+// resolves the plate ids of the view's observations.
+func (si *StopIndex) build(view map[mapmatch.Key][]obs, names []string, cfg StopExtractConfig) {
 	if si.stops == nil {
 		si.stops = map[mapmatch.Key][]StopEvent{}
-		si.dwellOf = map[*plate][2]int{}
 	}
 	for k, evs := range si.stops {
 		if oversized(cap(evs), len(evs)) {
@@ -99,17 +125,14 @@ func (si *StopIndex) build(view map[mapmatch.Key][]obs, cfg StopExtractConfig) {
 		}
 	}
 	si.dwell = reuse(si.dwell, len(si.dwell))
-	if len(si.dwellOf) > 1024 {
-		// clear would keep a burst's buckets for good.
-		si.dwellOf = map[*plate][2]int{}
-	} else {
-		clear(si.dwellOf)
-	}
-	si.gather(view)
-	for _, g := range si.groups {
-		si.runs = appendRuns(si.runs[:0], si.refs[g.lo:g.hi], si.recs, cfg)
+	ws := borrowStopScratch()
+	si.gather(ws, view, names)
+	si.dwellOf = reuse(si.dwellOf, len(ws.groups))[:len(ws.groups)]
+	clear(si.dwellOf)
+	for _, g := range ws.groups {
+		ws.runs = appendRuns(ws.runs[:0], ws.refs[g.lo:g.hi], si.recs, names[g.id], cfg)
 		lo := len(si.dwell)
-		for _, r := range si.runs {
+		for _, r := range ws.runs {
 			if r.ev.OccupancyChanged {
 				si.dwell = append(si.dwell, [2]float64{r.ev.Start, r.ev.End})
 			} else if si.recs[r.last.key][r.last.idx].dist <= cfg.MaxStopDist {
@@ -118,72 +141,73 @@ func (si *StopIndex) build(view map[mapmatch.Key][]obs, cfg StopExtractConfig) {
 			}
 		}
 		if len(si.dwell) > lo {
-			si.dwellOf[g.p] = [2]int{lo, len(si.dwell)}
+			si.dwellOf[si.slot[g.id]-1] = [2]int32{int32(lo), int32(len(si.dwell))}
 		}
 	}
 	clear(si.recs) // a built index keeps no reference into the view
+	returnStopScratch(ws)
 }
 
 // gather references every observation of the view, bucketed by plate and
 // ordered by (time, key, index) within a plate, and lists the buckets in
 // plate-name order, the order stops are emitted in. It is a counting sort
-// on the plate: plates are numbered as first seen, counted, prefix-summed,
-// and the references placed walking the keys in sortKeys order and each
-// view from its start — so a bucket fills in (key, index) order, and the
-// stable sort by time alone makes that (time, key, index): equal-time
-// records of one plate on two approaches fall in key order, not as map
-// iteration left them. A taxi's reports mostly reach a bucket already
-// ascending (every view is time-sorted, and most taxis are seen on one
-// approach at a time); such a bucket is not sorted at all.
-func (si *StopIndex) gather(view map[mapmatch.Key][]obs) {
+// on the plate: plates are numbered as first seen (si.slot, indexed by
+// plate id), counted, prefix-summed, and the references placed walking
+// the keys in sortKeys order and each view from its start — so a bucket
+// fills in (key, index) order, and the stable sort by time alone makes
+// that (time, key, index): equal-time records of one plate on two
+// approaches fall in key order, not as map iteration left them. A taxi's
+// reports mostly reach a bucket already ascending (every view is
+// time-sorted, and most taxis are seen on one approach at a time); such a
+// bucket is not sorted at all.
+func (si *StopIndex) gather(ws *stopScratch, view map[mapmatch.Key][]obs, names []string) {
 	si.keys = si.keys[:0]
 	for k := range view {
 		si.keys = append(si.keys, k)
 	}
 	sortKeys(si.keys)
 	si.recs = si.recs[:0]
-	si.stamp++
-	groups := si.groups[:0]
+	slot := reuse(si.slot, len(names))[:len(names)]
+	clear(slot)
+	groups := ws.groups[:0]
 	total := 0
 	for _, k := range si.keys {
 		ms := view[k]
 		si.recs = append(si.recs, ms)
 		total += len(ms)
 		for i := range ms {
-			p := ms[i].plate
-			if p.stamp != si.stamp {
-				p.stamp, p.slot = si.stamp, len(groups)
-				groups = append(groups, plateGroup{p: p})
+			id := ms[i].id()
+			if slot[id] == 0 {
+				groups = append(groups, plateGroup{id: id})
+				slot[id] = int32(len(groups))
 			}
-			groups[p.slot].hi++ // the count, until the prefix sum below
+			groups[slot[id]-1].hi++ // the count, until the prefix sum below
 		}
 	}
-	if oversized(cap(groups), len(groups)) {
-		// A burst must not size the bucket list for good, nor pin its plates.
-		groups = append(make([]plateGroup, 0, len(groups)+len(groups)/2), groups...)
-	}
-	at := 0
+	groups = fit(groups) // a burst must not size the bucket list for good
+	var at int32
 	for i := range groups {
 		n := groups[i].hi
 		groups[i].lo, groups[i].hi = at, at // hi is the fill cursor now
 		at += n
 	}
-	refs := reuse(si.refs, total)[:total]
+	refs := reuse(ws.refs, total)[:total]
 	for ki, ms := range si.recs {
 		for i := range ms {
-			g := &groups[ms[i].plate.slot]
-			refs[g.hi] = stopRef{t: ms[i].t, key: uint32(ki), idx: uint32(i)}
+			g := &groups[slot[ms[i].id()]-1]
+			refs[g.hi] = stopRef{key: uint32(ki), idx: uint32(i)}
 			g.hi++
 		}
 	}
-	byTime := func(a, b stopRef) int { return cmp.Compare(a.t, b.t) }
+	recs := si.recs
+	byTime := func(a, b stopRef) int { return cmp.Compare(recs[a.key][a.idx].t, recs[b.key][b.idx].t) }
 	for _, g := range groups {
 		if bucket := refs[g.lo:g.hi]; !slices.IsSortedFunc(bucket, byTime) {
 			slices.SortStableFunc(bucket, byTime)
 		}
 	}
-	slices.SortFunc(groups, func(a, b plateGroup) int { return strings.Compare(a.p.name, b.p.name) })
-	si.refs, si.groups = refs, groups
+	slices.SortFunc(groups, func(a, b plateGroup) int { return strings.Compare(names[a.id], names[b.id]) })
+	si.slot, ws.refs, ws.groups = slot, refs, groups
 }
 
 // appendRuns extracts the stationary runs of one plate's time-sorted
@@ -195,7 +219,7 @@ func (si *StopIndex) gather(view map[mapmatch.Key][]obs) {
 // the report just before it: the flip happens when the taxi pulls over,
 // i.e. before the run's first report, so the lookback is what actually
 // catches kerbside dwells.
-func appendRuns(dst []stopRun, refs []stopRef, recs [][]obs, cfg StopExtractConfig) []stopRun {
+func appendRuns(dst []stopRun, refs []stopRef, recs [][]obs, plate string, cfg StopExtractConfig) []stopRun {
 	at := func(r stopRef) *obs { return &recs[r.key][r.idx] }
 	for i := 0; i < len(refs); {
 		first := at(refs[i])
@@ -207,7 +231,7 @@ func appendRuns(dst []stopRun, refs []stopRef, recs [][]obs, cfg StopExtractConf
 			if cur.t-prev.t > cfg.MaxGap || cur.pos.Sub(prev.pos).Norm() > cfg.MaxDisplacement {
 				break
 			}
-			if cur.occupied != prev.occupied {
+			if cur.occupied() != prev.occupied() {
 				occChanged = true
 			}
 			prev = cur
@@ -217,13 +241,13 @@ func appendRuns(dst []stopRun, refs []stopRef, recs [][]obs, cfg StopExtractConf
 			continue
 		}
 		if i > 0 {
-			if before := at(refs[i-1]); first.t-before.t <= cfg.MaxGap && before.occupied != first.occupied {
+			if before := at(refs[i-1]); first.t-before.t <= cfg.MaxGap && before.occupied() != first.occupied() {
 				occChanged = true
 			}
 		}
 		dst = append(dst, stopRun{
 			ev: StopEvent{
-				Plate:            first.plate.name,
+				Plate:            plate,
 				Start:            first.t,
 				End:              prev.t,
 				OccupancyChanged: occChanged,
@@ -243,15 +267,17 @@ func (si *StopIndex) Stops(key mapmatch.Key) []StopEvent { return si.stops[key] 
 // IsDwell reports whether the record of the given plate at time t falls
 // inside a flagged passenger-stop interval.
 func (si *StopIndex) IsDwell(plate string, t float64) bool {
-	p := si.byName[plate]
-	return p != nil && si.isDwell(p, t)
+	id, ok := si.byName[plate]
+	return ok && si.isDwell(id, t)
 }
 
-func (si *StopIndex) isDwell(p *plate, t float64) bool {
-	r, ok := si.dwellOf[p]
-	if !ok {
+// isDwell answers IsDwell for a plate id of the indexed view.
+func (si *StopIndex) isDwell(id uint32, t float64) bool {
+	s := si.slot[id]
+	if s == 0 {
 		return false
 	}
+	r := si.dwellOf[s-1]
 	iv := si.dwell[r[0]:r[1]]
 	i := sort.Search(len(iv), func(i int) bool { return iv[i][1] >= t })
 	return i < len(iv) && iv[i][0] <= t

@@ -378,11 +378,11 @@ func BenchmarkStopIndexBuild(b *testing.B) {
 	var rm roundMem
 	rm.load(part)
 	cfg := DefaultStopExtractConfig()
-	rm.index.build(rm.view, cfg)
+	rm.index.build(rm.view, rm.names, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rm.index.build(rm.view, cfg)
+		rm.index.build(rm.view, rm.names, cfg)
 	}
 	b.ReportMetric(float64(len(matched)), "records")
 }

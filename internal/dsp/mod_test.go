@@ -1,4 +1,4 @@
-package core
+package dsp
 
 import (
 	"math"
@@ -12,15 +12,15 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
-// TestModMatchesMathMod: mod is math.Mod bit for bit — over the operands a
+// TestModMatchesMathMod: Mod is math.Mod bit for bit — over the operands a
 // fold produces, over the edge cases where the rounded quotient is one off
 // (remainders next to zero and next to |y|), and over operands it hands
 // back to math.Mod.
 func TestModMatchesMathMod(t *testing.T) {
 	check := func(x, y float64) {
 		t.Helper()
-		if got, want := mod(x, y), math.Mod(x, y); !sameBits(got, want) {
-			t.Fatalf("mod(%v, %v) = %v (%#x), math.Mod gives %v (%#x)", x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+		if got, want := Mod(x, y), math.Mod(x, y); !sameBits(got, want) {
+			t.Fatalf("Mod(%v, %v) = %v (%#x), math.Mod gives %v (%#x)", x, y, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 	special := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 3, -3, 90, 1800, 86400,
@@ -73,8 +73,8 @@ func FuzzMod(f *testing.F) {
 	f.Add(5e-324, 0x1p-1022)
 	f.Add(math.Inf(1), 1.0)
 	f.Fuzz(func(t *testing.T, x, y float64) {
-		if got, want := mod(x, y), math.Mod(x, y); !sameBits(got, want) {
-			t.Fatalf("mod(%v, %v) = %v, math.Mod gives %v", x, y, got, want)
+		if got, want := Mod(x, y), math.Mod(x, y); !sameBits(got, want) {
+			t.Fatalf("Mod(%v, %v) = %v, math.Mod gives %v", x, y, got, want)
 		}
 	})
 }
@@ -88,7 +88,7 @@ func BenchmarkMod(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		fn   func(x, y float64) float64
-	}{{"mod", mod}, {"math.Mod", math.Mod}} {
+	}{{"Mod", Mod}, {"math.Mod", math.Mod}} {
 		b.Run(bc.name, func(b *testing.B) {
 			var sink float64
 			for i := 0; i < b.N; i++ {

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"taxilight/internal/dsp"
 )
 
 // State is the colour shown to an approach at an instant.
@@ -61,7 +63,7 @@ func (s Schedule) Validate() error {
 // PhaseAt returns the position within the cycle, in [0, Cycle), at time t
 // (seconds since epoch). Phase 0 is the start of red.
 func (s Schedule) PhaseAt(t float64) float64 {
-	p := math.Mod(t-s.Offset, s.Cycle)
+	p := dsp.Mod(t-s.Offset, s.Cycle)
 	if p < 0 {
 		p += s.Cycle
 	}
@@ -171,7 +173,7 @@ func NewDynamic(plan []PlanEntry) (*Dynamic, error) {
 
 // ScheduleAt implements Controller.
 func (c *Dynamic) ScheduleAt(t float64) Schedule {
-	ds := math.Mod(t, daySeconds)
+	ds := dsp.Mod(t, daySeconds)
 	if ds < 0 {
 		ds += daySeconds
 	}
