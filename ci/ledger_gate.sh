@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# The perf ledger's allocation gate: every workload at seed 1, its bounded
-# allocation rows held to ci/ledger_baselines.json within the row's bound
-# in BENCHMARK.json (see ci/ledgergate). When a change moves a row on
-# purpose, rerun this, paste the measured values into the baselines file
-# and say so in the PR.
+# The perf ledger's gate on the rows that repeat: every workload at seed 1,
+# its bounded allocation rows held to ci/ledger_baselines.json within the
+# row's bound in BENCHMARK.json, and the two replays' served_frac and
+# cycle_ok_frac held to no worse than recorded — a replay's answers are a
+# function of its tape, so a drop is a changed estimate or a moved tape
+# byte (see ci/ledgergate). When a change moves a row on purpose, rerun
+# this, paste the measured values into the baselines file and say so in
+# the PR.
 set -uo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 status=0

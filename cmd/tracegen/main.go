@@ -50,7 +50,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -113,7 +116,7 @@ func main() {
 			Seed:             *seed,
 			DynamicShare:     *dynShare,
 			Diurnal:          *diurnal,
-		}, *hours*3600, *out, *netOut, *truthOut); err != nil {
+		}, *hours*3600, *out, *netOut, *truthOut, os.Stdout); err != nil {
 			fatal(err)
 		}
 		return
@@ -242,6 +245,7 @@ func main() {
 func streamRecords(w io.Writer, recs []trace.Record, p *faults.Pipeline, speedup float64) error {
 	bw := bufio.NewWriter(w)
 	var clock time.Time
+	var line []byte
 	for _, r := range recs {
 		if !clock.IsZero() && r.Time.After(clock) {
 			// Flush what the consumer is entitled to before sleeping.
@@ -253,14 +257,12 @@ func streamRecords(w io.Writer, recs []trace.Record, p *faults.Pipeline, speedup
 		if r.Time.After(clock) {
 			clock = r.Time
 		}
-		line := r.MarshalCSV()
+		line = r.AppendCSV(line[:0])
 		if p != nil {
-			line, _ = p.CorruptLine(line)
+			damaged, _ := p.CorruptLine(string(line))
+			line = append(line[:0], damaged...)
 		}
-		if _, err := bw.WriteString(line); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+		if _, err := bw.Write(append(line, '\n')); err != nil {
 			return err
 		}
 	}
@@ -377,64 +379,104 @@ func districtPath(path string, i int) string {
 
 // runMegacity generates the district-sharded city: one trace file per
 // district (streamed, so a full-day 10k-light city never holds more than
-// one record in memory per district), plus the merged network and ground
-// truth. Districts simulate independently — the whole-city trace is their
-// union, and each file is one shard of the feed.
-func runMegacity(mcfg experiments.MegacityConfig, horizon float64, out, netOut, truthOut string) error {
+// a few seconds of records in memory per district), plus the merged
+// network and ground truth. Districts simulate independently — the
+// whole-city trace is their union, and each file is one shard of the
+// feed — so up to GOMAXPROCS of them render at once; what each file holds
+// does not depend on what renders beside it, and the "wrote" lines still
+// come out in district order.
+func runMegacity(mcfg experiments.MegacityConfig, horizon float64, out, netOut, truthOut string, status io.Writer) error {
 	m, err := experiments.BuildMegacity(mcfg)
 	if err != nil {
 		return err
 	}
 	if netOut != "" {
-		if err := writeNetworkFile(netOut, m.Net, os.Stdout); err != nil {
+		if err := writeNetworkFile(netOut, m.Net, status); err != nil {
 			return err
 		}
 	}
 	if truthOut != "" {
-		if err := writeTruthFile(truthOut, m.Net, horizon/2, os.Stdout); err != nil {
+		if err := writeTruthFile(truthOut, m.Net, horizon/2, status); err != nil {
 			return err
 		}
+	}
+	n := len(m.Districts)
+	records, errs, done := make([]int, n), make([]error, n), make([]chan struct{}, n)
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	// Workers take districts in order. After a failure they still take
+	// the rest, and close each one's channel, but render nothing: the
+	// loop below reaches the failed district before any skipped one.
+	todo := make(chan int, n)
+	for i := range m.Districts {
+		todo <- i
+	}
+	close(todo)
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for w := 0; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range todo {
+				if !failed.Load() {
+					d := m.Districts[i]
+					records[i], errs[i] = writeDistrict(d, districtPath(out, d.Index), horizon)
+					if errs[i] != nil {
+						failed.Store(true)
+					}
+				}
+				close(done[i])
+			}
+		}()
 	}
 	total := 0
-	for _, d := range m.Districts {
-		path := districtPath(out, d.Index)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
+	for i, d := range m.Districts {
+		<-done[i]
+		if errs[i] != nil {
+			return fmt.Errorf("district %d: %w", d.Index, errs[i])
 		}
-		var w io.Writer = f
-		var zw *gzip.Writer
-		if strings.HasSuffix(path, ".gz") {
-			zw = gzip.NewWriter(f)
-			w = zw
-		}
-		bw := bufio.NewWriter(w)
-		n := 0
-		err = d.StreamRecords(horizon, func(r trace.Record) error {
-			if _, err := bw.WriteString(r.MarshalCSV()); err != nil {
-				return err
-			}
-			n++
-			return bw.WriteByte('\n')
-		})
-		if err == nil {
-			err = bw.Flush()
-		}
-		if err == nil && zw != nil {
-			err = zw.Close()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("district %d: %w", d.Index, err)
-		}
-		total += n
-		fmt.Printf("wrote %d records to %s\n", n, path)
+		total += records[i]
+		fmt.Fprintf(status, "wrote %d records to %s\n", records[i], districtPath(out, d.Index))
 	}
-	fmt.Printf("megacity: %d districts, %d lights, %d records across %d trace files\n",
-		len(m.Districts), m.Lights, total, len(m.Districts))
+	fmt.Fprintf(status, "megacity: %d districts, %d lights, %d records across %d trace files\n",
+		n, m.Lights, total, n)
 	return nil
+}
+
+// writeDistrict streams one district's trace to path (gzip by suffix) and
+// returns how many records it wrote.
+func writeDistrict(d *experiments.District, path string, horizon float64) (n int, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	var w io.Writer = f
+	var zw *gzip.Writer
+	if strings.HasSuffix(path, ".gz") {
+		zw = gzip.NewWriter(f)
+		w = zw
+	}
+	bw := bufio.NewWriter(w)
+	var line []byte
+	err = d.StreamRecords(horizon, func(r trace.Record) error {
+		line = append(r.AppendCSV(line[:0]), '\n')
+		n++
+		_, err := bw.Write(line)
+		return err
+	})
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil && zw != nil {
+		err = zw.Close()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return n, err
 }
 
 func fatal(err error) {

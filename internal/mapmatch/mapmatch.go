@@ -240,25 +240,22 @@ func (m *Matcher) MatchWithStats(rec trace.Record, stats *MatchStats) (Matched, 
 		return Matched{}, false
 	}
 	q := m.net.Projection().Forward(geo.Point{Lat: rec.Lat, Lon: rec.Lon})
-	// usable accepts only segments a light-identification job can use:
-	// downstream node signalised and snapped position within
-	// MaxLightDist of the stop line.
-	usable := func(s *roadnet.Segment) bool {
-		if !m.net.Node(s.To).Signalised() {
-			return false
-		}
-		_, tfrac := s.Geom().ClosestPoint(q)
-		return (1-tfrac)*s.Length() <= m.cfg.MaxLightDist
+	// A light-identification job can use only a segment whose downstream
+	// node is signalised, and only a position on it within MaxLightDist of
+	// that stop line.
+	signalised := func(s *roadnet.Segment) bool { return m.net.Node(s.To).Signalised() }
+	nearLight := func(s *roadnet.Segment, frac float64) bool {
+		return (1-frac)*s.Length() <= m.cfg.MaxLightDist
 	}
 	// Fig. 5: prefer the nearest heading-consistent segment; fall back to
 	// ignoring the heading only when the taxi is stopped (heading is
 	// stale noise at speed zero).
-	seg, _, ok := m.net.NearestSegmentFiltered(q, m.cfg.MaxMatchDist, func(s *roadnet.Segment) bool {
-		return usable(s) && geo.HeadingDiff(s.Heading(), rec.Heading) <= m.cfg.MaxHeadingDiff
-	})
+	sn, ok := m.net.Snap(q, m.cfg.MaxMatchDist, func(s *roadnet.Segment) bool {
+		return signalised(s) && geo.HeadingDiff(s.Heading(), rec.Heading) <= m.cfg.MaxHeadingDiff
+	}, nearLight)
 	fallback := false
 	if !ok && rec.SpeedKMH == 0 {
-		seg, _, ok = m.net.NearestSegmentFiltered(q, m.cfg.MaxMatchDist, usable)
+		sn, ok = m.net.Snap(q, m.cfg.MaxMatchDist, signalised, nearLight)
 		fallback = ok
 	}
 	if !ok {
@@ -270,17 +267,16 @@ func (m *Matcher) MatchWithStats(rec trace.Record, stats *MatchStats) (Matched, 
 	} else {
 		stats.Matched++
 	}
-	snapped, tfrac := seg.Geom().ClosestPoint(q)
 	return Matched{
 		Plate:      rec.Plate,
 		SpeedKMH:   rec.SpeedKMH,
 		Occupied:   rec.Occupied,
-		Seg:        seg,
-		Light:      seg.To,
-		Approach:   seg.Approach(),
+		Seg:        sn.Seg,
+		Light:      sn.Seg.To,
+		Approach:   sn.Seg.Approach(),
 		T:          rec.Time.Sub(m.epoch).Seconds(),
-		DistToStop: (1 - tfrac) * seg.Length(),
-		Snapped:    snapped,
+		DistToStop: (1 - sn.Frac) * sn.Seg.Length(),
+		Snapped:    sn.Pos,
 	}, true
 }
 

@@ -74,34 +74,45 @@ func (idx *spatialIndex) cellOf(p geo.XY) (int, int) {
 	return cx, cy
 }
 
-// nearestSegment scans outward rings of cells around q. filter may be nil.
-func (idx *spatialIndex) nearestSegment(q geo.XY, maxDist float64, filter func(*Segment) bool) (*Segment, float64, bool) {
+// snap scans outward rings of cells around q for the segment whose
+// closest point to q is nearest, and computes that point once per
+// candidate. cheap is asked about a segment before any geometry; near is
+// asked about the closest point found on it, as a fraction along the
+// segment. Either may be nil.
+func (idx *spatialIndex) snap(q geo.XY, maxDist float64, cheap func(*Segment) bool, near func(s *Segment, frac float64) bool) (Snap, bool) {
 	cx, cy := idx.cellOf(q)
-	maxRing := int(maxDist/idx.cell) + 2
-	var best *Segment
-	bestD := math.Inf(1)
+	// A point within maxDist of q lies at most int(maxDist/cell)+1 cells
+	// from q's cell along either axis, and a segment is listed in every
+	// cell its bounding box touches, so in the cell of its closest point.
+	maxRing := int(maxDist/idx.cell) + 1
+	var best Snap
+	best.Dist = math.Inf(1)
 	for ring := 0; ring <= maxRing; ring++ {
 		// Once a hit is closer than the inner edge of the next ring, no
 		// farther cell can contain anything nearer.
-		if best != nil && bestD <= float64(ring-1)*idx.cell {
+		if best.Seg != nil && best.Dist <= float64(ring-1)*idx.cell {
 			break
 		}
 		idx.forRing(cx, cy, ring, func(c int) {
 			for _, sid := range idx.segs[c] {
 				s := idx.net.segments[sid]
-				if filter != nil && !filter(s) {
+				if cheap != nil && !cheap(s) {
 					continue
 				}
-				if d := s.geom.DistanceTo(q); d < bestD {
-					best, bestD = s, d
+				pos, frac := s.geom.ClosestPoint(q)
+				if near != nil && !near(s, frac) {
+					continue
+				}
+				if d := pos.Sub(q).Norm(); d < best.Dist {
+					best = Snap{Seg: s, Pos: pos, Frac: frac, Dist: d}
 				}
 			}
 		})
 	}
-	if best == nil || bestD > maxDist {
-		return nil, 0, false
+	if best.Seg == nil || best.Dist > maxDist {
+		return Snap{}, false
 	}
-	return best, bestD, true
+	return best, true
 }
 
 func (idx *spatialIndex) nearestLight(q geo.XY, maxDist float64) (*Node, float64, bool) {

@@ -173,12 +173,33 @@ func (n *Network) SignalisedNodes() []*Node {
 	return out
 }
 
+// Snap is a query point's closest position on one road segment.
+type Snap struct {
+	Seg  *Segment
+	Pos  geo.XY  // the point of Seg closest to the query point
+	Frac float64 // Pos as a fraction of the way from Seg.From to Seg.To
+	Dist float64 // metres from the query point to Pos
+}
+
+// Snap returns q's closest position, within maxDist metres, on any
+// segment both filters accept (nil accepts everything). cheap sees a
+// segment before its geometry is looked at — tests on the segment alone
+// belong there, where a rejection costs nothing; near sees the candidate's
+// closest point as a fraction along it. Each candidate's closest point is
+// computed once and returned with the winner, so a caller needs no
+// second look at the geometry. The bool is false when nothing accepted
+// is in range. The network must be finalized.
+func (n *Network) Snap(q geo.XY, maxDist float64, cheap func(*Segment) bool, near func(s *Segment, frac float64) bool) (Snap, bool) {
+	n.mustFinal()
+	return n.index.snap(q, maxDist, cheap, near)
+}
+
 // NearestSegment returns the segment closest to the planar point q within
 // maxDist metres, together with the distance. ok is false when nothing is
 // within range. The network must be finalized.
 func (n *Network) NearestSegment(q geo.XY, maxDist float64) (seg *Segment, dist float64, ok bool) {
-	n.mustFinal()
-	return n.index.nearestSegment(q, maxDist, nil)
+	sn, ok := n.Snap(q, maxDist, nil, nil)
+	return sn.Seg, sn.Dist, ok
 }
 
 // NearestSegmentHeading behaves like NearestSegment but only considers
@@ -186,18 +207,10 @@ func (n *Network) NearestSegment(q geo.XY, maxDist float64) (seg *Segment, dist 
 // heading — the Fig. 5 rule that reassigns a point to the next segment with
 // consistent orientation rather than the geometrically nearest one.
 func (n *Network) NearestSegmentHeading(q geo.XY, maxDist, heading, maxHeadingDiff float64) (seg *Segment, dist float64, ok bool) {
-	n.mustFinal()
-	return n.index.nearestSegment(q, maxDist, func(s *Segment) bool {
+	sn, ok := n.Snap(q, maxDist, func(s *Segment) bool {
 		return geo.HeadingDiff(s.heading, heading) <= maxHeadingDiff
-	})
-}
-
-// NearestSegmentFiltered returns the nearest segment to q within maxDist
-// metres among those accepted by filter (nil accepts everything). It is
-// the general form behind NearestSegment and NearestSegmentHeading.
-func (n *Network) NearestSegmentFiltered(q geo.XY, maxDist float64, filter func(*Segment) bool) (seg *Segment, dist float64, ok bool) {
-	n.mustFinal()
-	return n.index.nearestSegment(q, maxDist, filter)
+	}, nil)
+	return sn.Seg, sn.Dist, ok
 }
 
 // NearestLight returns the signalised node nearest to q within maxDist

@@ -143,11 +143,9 @@ type Generator struct {
 	plates    []string
 	sims      []string
 	colors    []string
-	// Stream scratch, reused across steps: the due-taxi index list and
-	// the fleet state snapshot. A megacity run streams tens of millions
-	// of records; without reuse these two dominate generation allocs.
-	due    []int
-	states []trafficsim.State
+	// ring holds the batches Stream's two stages pass back and forth,
+	// kept between calls so a chunked caller does not regrow them.
+	ring [streamRing][]Record
 }
 
 // NewGenerator builds a Generator over the given simulator.
@@ -257,44 +255,103 @@ func (g *Generator) SimSeconds(t time.Time) float64 {
 	return t.Sub(g.cfg.Epoch).Seconds()
 }
 
+// streamRing is how many one-second batches a generator owns, and so how
+// far Stream's producer can run ahead of the record fn is looking at. A
+// stage that finds the ring full (or empty) parks, and the wake-up costs
+// more than a batch takes to fill, so the depth has to ride out the
+// stages' jitter — a flush, a collection, a preemption: with two slots the
+// pipeline measured no faster than a serial loop, with four the two
+// threads still idled a third of the time, from sixteen up (a few hundred
+// kilobytes for a 2000-taxi fleet) the gain levelled off.
+const streamRing = 16
+
 // Stream advances the simulator until the given sim-time, delivering each
 // record to fn as it is produced instead of buffering the whole trace —
 // the real feed is ~80 million records a day, which must not live in
 // memory at once. Generation stops early if fn returns an error, which is
 // passed through.
+//
+// Two stages run side by side: a producer goroutine steps the simulator
+// and renders each second's reports into a batch, and the calling
+// goroutine hands the batches' records to fn, in order. The producer has
+// exited by the time Stream returns, so between calls the simulator and
+// the generator are the caller's alone, and they are where a serial loop
+// would have left them. During the call they are the producer's:
+//
+//   - fn must not touch the simulator, which has run up to streamRing
+//     batches past the record fn was given;
+//   - a generator whose Stream returned an error is spent: the simulator
+//     and the random stream are past the failing record, so a resumed
+//     trace would have a hole in it.
 func (g *Generator) Stream(until float64, fn func(Record) error) error {
-	sim := g.cfg.Sim
-	for sim.Now() < until {
-		sim.Step()
-		now := sim.Now()
-		due := g.due[:0]
-		for i := range g.nextAt {
-			if now >= g.nextAt[i] {
-				due = append(due, i)
-				g.nextAt[i] += g.intervals[i]
-				for g.nextAt[i] <= now {
-					g.nextAt[i] += g.intervals[i]
-				}
+	// Both channels carry indexes into g.ring and are sized to hold them
+	// all, so a hand-over never blocks; a stage waits only to receive.
+	free := make(chan int, streamRing)
+	full := make(chan int, streamRing)
+	for i := range g.ring {
+		free <- i
+	}
+	stop := make(chan struct{})
+	go g.produce(until, free, full, stop)
+	// On every way out — the end of the trace, an error from fn, a panic
+	// in it — stop the producer and wait until it has closed full.
+	defer func() {
+		close(stop)
+		for range full {
+		}
+	}()
+	for i := range full {
+		for _, r := range g.ring[i] {
+			if err := fn(r); err != nil {
+				return err
 			}
 		}
-		g.due = due
-		if len(due) == 0 {
-			continue
+		free <- i
+	}
+	return nil
+}
+
+// produce is Stream's first stage and, while it runs, the only code that
+// reads or writes the simulator, the random stream or the report
+// schedule. It fills one batch per simulated second that has reports,
+// sends its index on full, and closes full on the way out: at until, or
+// when stop is closed while it waits for a free batch.
+func (g *Generator) produce(until float64, free <-chan int, full chan<- int, stop <-chan struct{}) {
+	defer close(full)
+	sim := g.cfg.Sim
+	slot := -1 // the batch being filled; none after a hand-over
+	for sim.Now() < until {
+		if slot < 0 {
+			select {
+			case slot = <-free:
+			case <-stop:
+				return
+			}
 		}
-		states := sim.StatesInto(g.states)
-		g.states = states
+		sim.Step()
+		now := sim.Now()
 		daySec := mod86400(now)
-		for _, id := range due {
+		batch := g.ring[slot][:0]
+		for id := range g.nextAt {
+			if now < g.nextAt[id] {
+				continue
+			}
+			g.nextAt[id] += g.intervals[id]
+			for g.nextAt[id] <= now {
+				g.nextAt[id] += g.intervals[id]
+			}
 			if g.cfg.Activity != nil && g.rng.Float64() >= g.cfg.Activity(daySec) {
 				continue
 			}
 			if g.rng.Float64() < g.cfg.DropProb {
 				continue
 			}
-			if err := fn(g.record(states[id], now)); err != nil {
-				return err
-			}
+			batch = append(batch, g.record(sim.StateOf(id), now))
+		}
+		g.ring[slot] = batch
+		if len(batch) > 0 {
+			full <- slot
+			slot = -1
 		}
 	}
-	return nil
 }

@@ -76,17 +76,88 @@ func (r Record) AppendCSV(dst []byte) []byte {
 	dst = append(dst, ',')
 	dst = strconv.AppendInt(dst, int64(math.Round(r.Lat*coordScale)), 10)
 	dst = append(dst, ',')
-	dst = r.Time.AppendFormat(dst, TimeLayout)
+	dst = appendTime(dst, r.Time)
 	dst = append(dst, ',')
 	dst = strconv.AppendInt(dst, r.DeviceID, 10)
 	dst = append(dst, ',')
-	dst = strconv.AppendFloat(dst, r.SpeedKMH, 'f', 1, 64)
+	dst = appendTenths(dst, r.SpeedKMH, false)
 	dst = append(dst, ',')
-	dst = strconv.AppendFloat(dst, r.Heading, 'f', 1, 64)
+	dst = appendTenths(dst, r.Heading, true)
 	dst = append(dst, ',', boolDigit(r.GPSOK), ',', boolDigit(r.Overspeed), ',')
 	dst = append(dst, r.SIM...)
 	dst = append(dst, ',', boolDigit(r.Occupied), ',')
 	return append(dst, r.Color...)
+}
+
+// tenths returns x rounded to one decimal place, as a count of tenths:
+// the digits strconv.AppendFloat(x, 'f', 1, 64) prints, dot removed. A
+// float64 is mant x 2^exp exactly, so ten times it is an integer shifted
+// right, and the bits shifted out say which way to round — to nearest,
+// ties to even, on the exact binary value, which is what strconv does
+// with a decimal big-number. ok is false where that integer arithmetic
+// does not apply and the caller must use strconv: a set sign bit (so
+// "-0.0" keeps its sign), NaN, +Inf and anything from 1e14 up.
+func tenths(x float64) (n uint64, ok bool) {
+	bits := math.Float64bits(x)
+	if bits>>63 != 0 || !(x < 1e14) {
+		return 0, false
+	}
+	mant := bits & (1<<52 - 1)
+	exp := int(bits >> 52) // the sign bit is clear
+	if exp == 0 {
+		exp = 1 // subnormal: no implicit leading one
+	} else {
+		mant |= 1 << 52
+	}
+	// x = mant x 2^-shift; below 1e14 (< 2^47) shift is at least 6, and
+	// 10 x mant fits in 57 bits.
+	shift := uint(1075 - exp)
+	scaled := 10 * mant
+	if shift >= 64 {
+		return 0, true // 10x < 2^57 x 2^-64, and the shifts below need a count under 64
+	}
+	n = scaled >> shift
+	rem, half := scaled&(1<<shift-1), uint64(1)<<(shift-1)
+	if rem > half || (rem == half && n&1 == 1) {
+		n++
+	}
+	return n, true
+}
+
+// appendTenths appends x with exactly one decimal place, byte for byte
+// what strconv.AppendFloat(dst, x, 'f', 1, 64) appends — with one
+// exception when x is a heading: a valid heading in [359.95, 360) rounds
+// to "360.0", which Validate rejects on the way back in, so the lenient
+// scanner would drop a line whose record was sound. It is written as the
+// direction it is, "0.0".
+func appendTenths(dst []byte, x float64, heading bool) []byte {
+	n, ok := tenths(x)
+	if !ok {
+		return strconv.AppendFloat(dst, x, 'f', 1, 64)
+	}
+	if heading && n == 3600 && x < 360 {
+		n = 0
+	}
+	dst = strconv.AppendUint(dst, n/10, 10)
+	return append(dst, '.', byte('0'+n%10))
+}
+
+// appendTime appends t in TimeLayout. The layout is fixed, so the fields
+// come straight from Date and Clock instead of AppendFormat's walk over
+// the layout string; a year that is not four digits is left to it.
+func appendTime(dst []byte, t time.Time) []byte {
+	year, month, day := t.Date()
+	if year < 0 || year > 9999 {
+		return t.AppendFormat(dst, TimeLayout)
+	}
+	hour, minute, sec := t.Clock()
+	return append(dst,
+		byte('0'+year/1000), byte('0'+year/100%10), byte('0'+year/10%10), byte('0'+year%10), '-',
+		byte('0'+int(month)/10), byte('0'+int(month)%10), '-',
+		byte('0'+day/10), byte('0'+day%10), ' ',
+		byte('0'+hour/10), byte('0'+hour%10), ':',
+		byte('0'+minute/10), byte('0'+minute%10), ':',
+		byte('0'+sec/10), byte('0'+sec%10))
 }
 
 // MarshalCSV renders the record as one Table-I CSV line (no newline).

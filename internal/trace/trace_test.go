@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -402,5 +403,139 @@ func TestStreamStopsOnError(t *testing.T) {
 	}
 	if n != 10 {
 		t.Fatalf("callback ran %d times, want 10", n)
+	}
+}
+
+func sameRecords(t *testing.T, what string, got, want []Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: record %d is %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// Stream's two stages meet only at the ring, so which of them waits for
+// the other must not show in the trace or in where the simulator is left.
+func TestStreamConsumerPaceDoesNotMatter(t *testing.T) {
+	ref, _ := genFixture(t, 120, nil)
+	want := ref.Collect(600)
+
+	// A consumer slower than the producer: the ring stays full.
+	slow, slowSim := genFixture(t, 120, nil)
+	var got []Record
+	if err := slow.Stream(600, func(r Record) error {
+		if len(got)%32 == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		got = append(got, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, "slow consumer", got, want)
+	if slowSim.Now() != 600 {
+		t.Fatalf("slow consumer left the simulator at %v, want 600", slowSim.Now())
+	}
+
+	// A consumer that does nothing: the ring stays empty. What it was
+	// handed is judged by where the next call picks up.
+	idle, idleSim := genFixture(t, 120, nil)
+	n := 0
+	if err := idle.Stream(300, func(Record) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if idleSim.Now() != 300 {
+		t.Fatalf("idle consumer left the simulator at %v, want 300", idleSim.Now())
+	}
+	if n == 0 || n >= len(want) || idle.SimSeconds(want[n-1].Time) > 300 || idle.SimSeconds(want[n].Time) <= 300 {
+		t.Fatalf("idle consumer was handed %d records, which is not the trace up to second 300", n)
+	}
+	sameRecords(t, "after an idle consumer", idle.Collect(600), want[n:])
+}
+
+func TestCollectInChunksEqualsOneCollect(t *testing.T) {
+	whole, _ := genFixture(t, 60, nil)
+	want := whole.Collect(600)
+	chunked, _ := genFixture(t, 60, nil)
+	got := chunked.Collect(300)
+	if len(got) == 0 || len(got) >= len(want) {
+		t.Fatalf("first chunk has %d of %d records", len(got), len(want))
+	}
+	sameRecords(t, "Collect(300) then Collect(600)", append(got, chunked.Collect(600)...), want)
+}
+
+// producerRunning reports whether any goroutine is inside
+// (*Generator).produce, giving one that is on its way out a moment to go.
+func producerRunning() bool {
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "(*Generator).produce") {
+			return false
+		}
+		if time.Now().After(deadline) {
+			return true
+		}
+	}
+}
+
+// When fn fails, Stream stops the producer and waits for it: fn is not
+// called again, no goroutine is left behind, and the simulator has run at
+// most the ring's worth of reporting seconds past the failing record.
+func TestStreamErrorStopsAndJoinsProducer(t *testing.T) {
+	ref, _ := genFixture(t, 200, nil)
+	want := ref.Collect(600)
+	const failAt = 1000
+	if len(want) < 2*failAt {
+		t.Fatalf("fixture too small: %d records", len(want))
+	}
+
+	g, sim := genFixture(t, 200, nil)
+	sentinel := fmt.Errorf("stop now")
+	n := 0
+	err := g.Stream(600, func(Record) error {
+		if n++; n == failAt {
+			return sentinel
+		}
+		return nil
+	})
+	if err != sentinel || n != failAt {
+		t.Fatalf("err %v after %d callbacks, want the sentinel after %d", err, n, failAt)
+	}
+	if producerRunning() {
+		t.Fatal("the producer outlived Stream")
+	}
+	failed := g.SimSeconds(want[failAt-1].Time)
+	if sim.Now() < failed || sim.Now() >= 600 {
+		t.Fatalf("simulator at %v; the failing record was rendered at %v", sim.Now(), failed)
+	}
+	ahead, last := 0, failed
+	for _, r := range want[failAt:] {
+		if s := g.SimSeconds(r.Time); s > last && s <= sim.Now() {
+			ahead, last = ahead+1, s
+		}
+	}
+	// The failing batch is never handed back, so one slot of the ring is
+	// out of the producer's reach.
+	if ahead > streamRing-1 {
+		t.Fatalf("simulator ran %d reporting seconds past the failing record, ring depth %d", ahead, streamRing)
+	}
+
+	// A panic in fn unwinds through Stream and takes the same way out.
+	g, _ = genFixture(t, 200, nil)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("fn's panic did not reach the caller")
+			}
+		}()
+		_ = g.Stream(600, func(Record) error { panic("fn gave up") })
+	}()
+	if producerRunning() {
+		t.Fatal("the producer outlived a panic in fn")
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"taxilight/internal/experiments"
 	"taxilight/internal/roadnet"
+	"taxilight/internal/trace"
 	"taxilight/internal/trafficsim"
 )
 
@@ -65,5 +66,71 @@ func TestWorldTracePinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != worldTraceDigest {
 		t.Fatalf("world trace digest %s, pinned %s", got, worldTraceDigest)
+	}
+}
+
+// benchTapeDigests pins the first 900 stream-seconds of the two feeds the
+// perf ledger renders (bench/tape.go: an 8x8 grid of 800 m blocks with
+// 800 taxis, a 3x3 grid of 6 km blocks with 2000, cycles 80-140 s, the
+// diurnal profile off), at two seeds each. They were recorded at the
+// commit before trace.Generator.Stream became a two-stage pipeline and
+// the CSV renderer stopped going through strconv's and time's general
+// formatters, by a change that claims every tape byte stays where it was:
+// a mismatch means the generator, the simulator or the renderer moved a
+// byte, and every ledger row measured on those tapes moved with it.
+var benchTapeDigests = []struct {
+	name    string
+	rows    int
+	spacing float64
+	taxis   int
+	seed    int64
+	digest  string
+}{
+	{"city/seed1", 8, 800, 800, 1, "31bd9addd54d0ff6f34e9c18b4ed2e39118ce87e3a34f1bc688611852efd6fd5"},
+	{"city/seed7", 8, 800, 800, 7, "8479c9e3879f1bb7513d17f2e70ab667c323d53ec7ceaee33506574a717ec3b8"},
+	{"arterial/seed1", 3, 6000, 2000, 1, "ca6ba1bf48f86ae291d52d03b234fe46a00244cff205f2f1e3780aee2ab5862e"},
+	{"arterial/seed7", 3, 6000, 2000, 7, "f9124c6202101d47ed54efd5ae4b8b21721facdab5bfe292a2fb1597989c3fb2"},
+}
+
+func TestBenchTapesPinned(t *testing.T) {
+	for _, tc := range benchTapeDigests {
+		t.Run(tc.name, func(t *testing.T) {
+			gcfg := roadnet.DefaultGridConfig()
+			gcfg.Rows, gcfg.Cols = tc.rows, tc.rows
+			gcfg.Spacing = tc.spacing
+			gcfg.Seed = tc.seed
+			gcfg.CycleMin, gcfg.CycleMax = 80, 140
+			net, err := roadnet.GenerateGrid(gcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scfg := trafficsim.DefaultConfig(net)
+			scfg.NumTaxis = tc.taxis
+			scfg.Seed = tc.seed
+			sim, err := trafficsim.New(scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tcfg := trace.DefaultGenConfig(sim, net.Projection())
+			tcfg.Seed = tc.seed
+			tcfg.Epoch = experiments.Epoch
+			tcfg.Activity = nil
+			gen, err := trace.NewGenerator(tcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			var buf []byte
+			if err := gen.Stream(900, func(r trace.Record) error {
+				buf = append(r.AppendCSV(buf[:0]), '\n')
+				h.Write(buf)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+				t.Fatalf("tape digest %s, pinned %s", got, tc.digest)
+			}
+		})
 	}
 }

@@ -585,36 +585,33 @@ func (s *Simulator) creepForward(v *vehicle) {
 // States returns the current public snapshot of every taxi. The slice is
 // freshly allocated; callers may keep it.
 func (s *Simulator) States() []State {
-	return s.StatesInto(nil)
+	out := make([]State, len(s.vehicles))
+	for id := range out {
+		out[id] = s.StateOf(id)
+	}
+	return out
 }
 
-// StatesInto fills dst with the current snapshot of every taxi, growing
-// it only when its capacity is short, and returns the filled slice. A
-// megacity trace generator polls the fleet every simulated second for a
-// full day; reusing one buffer removes that allocation from the
-// generation hot loop.
-func (s *Simulator) StatesInto(dst []State) []State {
-	if cap(dst) < len(s.vehicles) {
-		dst = make([]State, len(s.vehicles))
+// StateOf returns the current public snapshot of taxi id. The trace
+// generator asks only about the taxis whose report is due this second —
+// a few per cent of the fleet — rather than copying every taxi's state
+// every simulated second.
+func (s *Simulator) StateOf(id int) State {
+	v := s.vehicles[id]
+	seg := s.cfg.Net.Segment(v.route[v.segIdx])
+	frac := 0.0
+	if l := seg.Length(); l > 0 {
+		frac = v.dist / l
 	}
-	dst = dst[:len(s.vehicles)]
-	for i, v := range s.vehicles {
-		seg := s.cfg.Net.Segment(v.route[v.segIdx])
-		frac := 0.0
-		if l := seg.Length(); l > 0 {
-			frac = v.dist / l
-		}
-		dst[i] = State{
-			ID:       v.id,
-			Pos:      seg.PointAt(clamp01(frac)),
-			SpeedMS:  v.speed,
-			Heading:  seg.Heading(),
-			Occupied: v.occupied,
-			Segment:  seg.ID,
-			Stopped:  v.speed == 0,
-		}
+	return State{
+		ID:       v.id,
+		Pos:      seg.PointAt(clamp01(frac)),
+		SpeedMS:  v.speed,
+		Heading:  seg.Heading(),
+		Occupied: v.occupied,
+		Segment:  seg.ID,
+		Stopped:  v.speed == 0,
 	}
-	return dst
 }
 
 // VehicleStats returns the accumulated statistics of taxi id.
