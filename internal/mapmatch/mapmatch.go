@@ -105,6 +105,7 @@ type Matcher struct {
 	net   *roadnet.Network
 	cfg   Config
 	epoch time.Time
+	zone  zoneMask
 }
 
 // New builds a Matcher for a finalized network. epoch maps record
@@ -119,7 +120,7 @@ func New(net *roadnet.Network, epoch time.Time, cfg Config) (*Matcher, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Matcher{net: net, cfg: cfg, epoch: epoch}, nil
+	return &Matcher{net: net, cfg: cfg, epoch: epoch, zone: buildZoneMask(net, cfg)}, nil
 }
 
 // Match snaps one record. ok is false when the record is unusable: GPS
@@ -240,6 +241,12 @@ func (m *Matcher) MatchWithStats(rec trace.Record, stats *MatchStats) (Matched, 
 		return Matched{}, false
 	}
 	q := m.net.Projection().Forward(geo.Point{Lat: rec.Lat, Lon: rec.Lon})
+	if !m.zone.canMatch(q) {
+		// Nowhere near the last MaxLightDist of a road into a light: both
+		// Snap calls below would come back empty (buildZoneMask).
+		stats.RejectedNoSegment++
+		return Matched{}, false
+	}
 	// A light-identification job can use only a segment whose downstream
 	// node is signalised, and only a position on it within MaxLightDist of
 	// that stop line.

@@ -158,21 +158,28 @@ func TestMatchEqualsReferenceOnArterial(t *testing.T) {
 
 // TestMatchAllocs: the filters Match hands to Snap are closures over the
 // record and the query point, and none of them may reach the heap — the
-// serving path calls Match once per report.
+// serving path calls Match once per report. Nor may any way out in front
+// of them: the GPS gate, or the zone mask's rejection.
 func TestMatchAllocs(t *testing.T) {
 	net := gridNet(t)
 	m := matcher(t, net, nil)
+	noGPS := recordAt(net, geo.XY{X: 3, Y: 400}, 0, 40, epoch)
+	noGPS.GPSOK = false
 	for _, tc := range []struct {
-		rec  trace.Record
-		want MatchStats
+		rec    trace.Record
+		want   MatchStats
+		marked bool // the zone mask lets the record through to Snap
 	}{
-		{recordAt(net, geo.XY{X: 3, Y: 400}, 0, 40, epoch), MatchStats{Total: 1, Matched: 1}},
-		{recordAt(net, geo.XY{X: 3, Y: 400}, 90, 0, epoch), MatchStats{Total: 1, FallbackMatched: 1}},
-		{recordAt(net, geo.XY{X: 400, Y: 400}, 0, 40, epoch), MatchStats{Total: 1, RejectedNoSegment: 1}},
+		{recordAt(net, geo.XY{X: 3, Y: 400}, 0, 40, epoch), MatchStats{Total: 1, Matched: 1}, true},
+		{recordAt(net, geo.XY{X: 3, Y: 400}, 90, 0, epoch), MatchStats{Total: 1, FallbackMatched: 1}, true},
+		{recordAt(net, geo.XY{X: 3, Y: 400}, 90, 40, epoch), MatchStats{Total: 1, RejectedNoSegment: 1}, true},
+		{recordAt(net, geo.XY{X: 400, Y: 400}, 0, 40, epoch), MatchStats{Total: 1, RejectedNoSegment: 1}, false},
+		{noGPS, MatchStats{Total: 1, RejectedGPS: 1}, true},
 	} {
 		var got MatchStats
-		if m.MatchWithStats(tc.rec, &got); got != tc.want {
-			t.Fatalf("fixture took the wrong path: %+v, want %+v", got, tc.want)
+		q := net.Projection().Forward(geo.Point{Lat: tc.rec.Lat, Lon: tc.rec.Lon})
+		if m.MatchWithStats(tc.rec, &got); got != tc.want || m.zone.canMatch(q) != tc.marked {
+			t.Fatalf("fixture took the wrong path: %+v, want %+v; marked %v, want %v", got, tc.want, m.zone.canMatch(q), tc.marked)
 		}
 		if n := testing.AllocsPerRun(200, func() { m.Match(tc.rec) }); n != 0 {
 			t.Errorf("%+v: Match allocates %v times per call, want 0", tc.want, n)

@@ -160,8 +160,13 @@ func appendTime(dst []byte, t time.Time) []byte {
 		byte('0'+sec/10), byte('0'+sec%10))
 }
 
-// MarshalCSV renders the record as one Table-I CSV line (no newline).
-func (r Record) MarshalCSV() string { return string(r.AppendCSV(nil)) }
+// MarshalCSV renders the record as one Table-I CSV line (no newline). A
+// line of the usual length is built on the stack and copied out once; a
+// longer one spills to the heap inside append.
+func (r Record) MarshalCSV() string {
+	var buf [160]byte
+	return string(r.AppendCSV(buf[:0]))
+}
 
 // Parse-error classes. Every malformed line maps to exactly one class so
 // lenient consumers (Scanner in lenient mode) can account for skipped

@@ -124,6 +124,55 @@ func TestAppendTimeMatchesAppendFormat(t *testing.T) {
 // that parses back to a record that passes Validate — in particular a
 // heading in [359.95, 360), which one decimal place rounds to 360.0.
 func TestValidRecordRendersValid(t *testing.T) {
+	randomValidRecords(t, func(rec Record) {
+		line := rec.MarshalCSV()
+		var back Record
+		if err := back.UnmarshalCSV(line); err != nil {
+			t.Fatalf("heading %v: %q does not parse: %v", rec.Heading, line, err)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("heading %v: %q parses to an invalid record: %v", rec.Heading, line, err)
+		}
+		if d := math.Abs(back.Heading - rec.Heading); d > 0.05+1e-9 && d < 359.95-1e-9 {
+			t.Fatalf("heading %v came back as %v", rec.Heading, back.Heading)
+		}
+	})
+	// The wrap is the heading's alone, and only a valid heading's.
+	rec := sampleRecord()
+	field := func(r Record, i int) string { return strings.Split(r.MarshalCSV(), ",")[i] }
+	rec.SpeedKMH, rec.Heading = 359.97, 359.97
+	if s, h := field(rec, 5), field(rec, 6); s != "360.0" || h != "0.0" {
+		t.Fatalf("speed and heading 359.97 render %q and %q, want 360.0 and 0.0", s, h)
+	}
+	rec.Heading = 360
+	if h := field(rec, 6); h != "360.0" {
+		t.Fatalf("the invalid heading 360 renders %q, want it left as 360.0", h)
+	}
+}
+
+// TestMarshalCSVAllocs: MarshalCSV is AppendCSV's bytes as a string, for
+// one allocation — the string — on a line of any usual length, and still
+// those bytes on a line longer than its stack buffer.
+func TestMarshalCSVAllocs(t *testing.T) {
+	randomValidRecords(t, func(rec Record) {
+		if got, want := rec.MarshalCSV(), string(rec.AppendCSV(nil)); got != want {
+			t.Fatalf("MarshalCSV %q, AppendCSV %q", got, want)
+		}
+	})
+	rec := sampleRecord()
+	if n := testing.AllocsPerRun(200, func() { _ = rec.MarshalCSV() }); n != 1 {
+		t.Errorf("MarshalCSV allocates %v times per call, want 1", n)
+	}
+	rec.Plate = strings.Repeat("B", 400)
+	if got, want := rec.MarshalCSV(), string(rec.AppendCSV(nil)); got != want || len(got) < 400 {
+		t.Fatalf("a long line: MarshalCSV %q, AppendCSV %q", got, want)
+	}
+}
+
+// randomValidRecords hands fn 200 000 records that pass Validate, drawn
+// over the whole range of every field the renderer rounds.
+func randomValidRecords(t *testing.T, fn func(Record)) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(23))
 	rec := sampleRecord()
 	for i := 0; i < 200_000; i++ {
@@ -143,26 +192,6 @@ func TestValidRecordRendersValid(t *testing.T) {
 		if err := rec.Validate(); err != nil {
 			t.Fatalf("generated an invalid record: %v", err)
 		}
-		line := rec.MarshalCSV()
-		var back Record
-		if err := back.UnmarshalCSV(line); err != nil {
-			t.Fatalf("heading %v: %q does not parse: %v", rec.Heading, line, err)
-		}
-		if err := back.Validate(); err != nil {
-			t.Fatalf("heading %v: %q parses to an invalid record: %v", rec.Heading, line, err)
-		}
-		if d := math.Abs(back.Heading - rec.Heading); d > 0.05+1e-9 && d < 359.95-1e-9 {
-			t.Fatalf("heading %v came back as %v", rec.Heading, back.Heading)
-		}
-	}
-	// The wrap is the heading's alone, and only a valid heading's.
-	field := func(r Record, i int) string { return strings.Split(r.MarshalCSV(), ",")[i] }
-	rec.SpeedKMH, rec.Heading = 359.97, 359.97
-	if s, h := field(rec, 5), field(rec, 6); s != "360.0" || h != "0.0" {
-		t.Fatalf("speed and heading 359.97 render %q and %q, want 360.0 and 0.0", s, h)
-	}
-	rec.Heading = 360
-	if h := field(rec, 6); h != "360.0" {
-		t.Fatalf("the invalid heading 360 renders %q, want it left as 360.0", h)
+		fn(rec)
 	}
 }

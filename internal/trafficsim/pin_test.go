@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"testing"
 
 	"taxilight/internal/experiments"
+	"taxilight/internal/lights"
 	"taxilight/internal/roadnet"
 	"taxilight/internal/trace"
 	"taxilight/internal/trafficsim"
@@ -41,11 +43,16 @@ func TestFleetStatePinned(t *testing.T) {
 	}
 	sim.RunUntil(1800)
 	h := sha256.New()
-	for _, st := range sim.States() {
-		fmt.Fprintf(h, "%d %d %x %x %x %t %t\n", st.ID, st.Segment, st.Pos.X, st.Pos.Y, st.SpeedMS, st.Occupied, st.Stopped)
-	}
+	hashStates(h, sim)
 	if got := hex.EncodeToString(h.Sum(nil)); got != fleetStateDigest {
 		t.Fatalf("fleet state digest %s, pinned %s", got, fleetStateDigest)
+	}
+}
+
+// hashStates writes every taxi's observable state, floats bit for bit.
+func hashStates(h io.Writer, sim *trafficsim.Simulator) {
+	for _, st := range sim.States() {
+		fmt.Fprintf(h, "%d %d %x %x %x %t %t\n", st.ID, st.Segment, st.Pos.X, st.Pos.Y, st.SpeedMS, st.Occupied, st.Stopped)
 	}
 }
 
@@ -132,5 +139,92 @@ func TestBenchTapesPinned(t *testing.T) {
 				t.Fatalf("tape digest %s, pinned %s", got, tc.digest)
 			}
 		})
+	}
+}
+
+// The two digests below were recorded at the commit before signal queues
+// moved from a map keyed by (node, approach) into a dense per-approach
+// table and a light's colour became one evaluation per tick shared by
+// every reader, by a change that claims no vehicle moves. Each hashes
+// every taxi's state and every approach's QueueLength at three instants.
+const (
+	backgroundFleetDigest = "c7a5738f8af721af651980820747140cd0708d640b2eccf2d357b7ac2e84c92e"
+	planChangeFleetDigest = "e5200207a1b55bcfdaf839da91befadecdad1fde0fcea5769b2dd3d8cb1175c4"
+)
+
+// fleetAndQueueDigest runs sim to each instant in turn and hashes what an
+// observer can see there: every taxi's state and every approach's queue.
+func fleetAndQueueDigest(sim *trafficsim.Simulator, net *roadnet.Network, instants ...float64) string {
+	h := sha256.New()
+	for _, at := range instants {
+		sim.RunUntil(at)
+		hashStates(h, sim)
+		for _, nd := range net.Nodes() {
+			fmt.Fprintf(h, "q %d %d %d\n", nd.ID, sim.QueueLength(nd.ID, lights.NorthSouth), sim.QueueLength(nd.ID, lights.EastWest))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestFleetStateWithBackgroundPinned enters the branch TestFleetStatePinned
+// does not: background vehicles share the taxis' queues, draw from bgRng
+// once per approach per tick in approach order, and materialise only
+// against the colour the taxis see.
+func TestFleetStateWithBackgroundPinned(t *testing.T) {
+	gcfg := roadnet.DefaultGridConfig()
+	gcfg.Rows, gcfg.Cols = 5, 7
+	net, err := roadnet.GenerateGrid(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := trafficsim.DefaultConfig(net)
+	cfg.NumTaxis = 120
+	cfg.Seed = 16
+	cfg.BackgroundRate = 0.15
+	sim, err := trafficsim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fleetAndQueueDigest(sim, net, 600, 1200, 1800); got != backgroundFleetDigest {
+		t.Fatalf("fleet and queue digest %s, pinned %s", got, backgroundFleetDigest)
+	}
+}
+
+// TestFleetStateAcrossPlanChangePinned gives every light a plan table that
+// switches schedule three times inside the run, each light at its own
+// instants: a colour or a schedule remembered from an earlier tick shows a
+// vehicle the wrong light at a switch and moves the digest.
+func TestFleetStateAcrossPlanChangePinned(t *testing.T) {
+	gcfg := roadnet.DefaultGridConfig()
+	gcfg.Rows, gcfg.Cols = 4, 5
+	gcfg.DynamicShare = 0
+	net, err := roadnet.GenerateGrid(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, nd := range net.SignalisedNodes() {
+		a := nd.Light.Ctrl.ScheduleAt(0)
+		b := lights.Schedule{Cycle: float64(int(a.Cycle * 1.5)), Red: float64(int(a.Red * 1.5)), Offset: a.Offset + 13}
+		dyn, err := lights.NewDynamic([]lights.PlanEntry{
+			{DaySecond: 0, S: a},
+			{DaySecond: float64(300 + 7*i), S: b},
+			{DaySecond: float64(900 + 11*i), S: a},
+			{DaySecond: float64(1500 - 5*i), S: b},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd.Light.Ctrl = dyn
+	}
+	cfg := trafficsim.DefaultConfig(net)
+	cfg.NumTaxis = 150
+	cfg.Seed = 23
+	cfg.BackgroundRate = 0.05
+	sim, err := trafficsim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fleetAndQueueDigest(sim, net, 450, 1000, 1800); got != planChangeFleetDigest {
+		t.Fatalf("fleet and queue digest %s, pinned %s", got, planChangeFleetDigest)
 	}
 }

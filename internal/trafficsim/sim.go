@@ -138,16 +138,25 @@ type vehicle struct {
 	dwellAt float64
 }
 
-// queueKey identifies one signal approach queue.
-type queueKey struct {
-	node     roadnet.NodeID
-	approach lights.Approach
-}
-
+// signalQueue is one approach of one node: the light that controls it (nil
+// at an unsignalised node), its FIFO of stopped vehicles, and the colour
+// the light shows this tick.
 type signalQueue struct {
+	light       *lights.Intersection
 	vehicles    []*vehicle
 	lastRelease float64
+	// ordered marks a queue already listed in queueOrder.
+	ordered bool
+	// colour is the light's state at time colourAt. It is good for that
+	// instant only — a Controller's schedule depends on the time — so every
+	// reader goes through Simulator.colour, which asks the light once per
+	// tick however many vehicles approach it.
+	colour   lights.State
+	colourAt float64
 }
+
+// queueIndex is an approach's place in Simulator.queues.
+func queueIndex(node roadnet.NodeID, a lights.Approach) int { return 2*int(node) + int(a) }
 
 // VehicleStats aggregates one taxi's activity: completed trips, odometer
 // and a time-in-state breakdown. The sum of the three time buckets equals
@@ -180,14 +189,14 @@ type Simulator struct {
 	cfg      Config
 	now      float64
 	vehicles []*vehicle
-	queues   map[queueKey]*signalQueue
-	// queueOrder lists queue keys in creation order so queue servicing
-	// is deterministic (map iteration order is randomised and would make
-	// rng consumption, and hence whole runs, irreproducible).
-	queueOrder []queueKey
+	// queues holds both approaches of every node, at queueIndex.
+	queues []signalQueue
+	// queueOrder lists the queues that have held a vehicle, in the order
+	// each first did. Servicing them in that order is part of every
+	// generated trace: a released taxi that ends its trip draws its next
+	// one from rng there and then.
+	queueOrder []int
 	stats      *statsCollector
-	// approaches lists every signal approach, for background arrivals.
-	approaches []queueKey
 	vstats     []VehicleStats
 	rng        *rand.Rand
 	// bgRng drives background arrivals separately so enabling them does
@@ -205,16 +214,13 @@ func New(cfg Config) (*Simulator, error) {
 	s := &Simulator{
 		cfg:    cfg,
 		now:    cfg.StartTime,
-		queues: make(map[queueKey]*signalQueue),
+		queues: make([]signalQueue, 2*cfg.Net.NumNodes()),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		bgRng:  rand.New(rand.NewSource(cfg.Seed + 777)),
 	}
-	if cfg.BackgroundRate > 0 {
-		for _, nd := range cfg.Net.SignalisedNodes() {
-			s.approaches = append(s.approaches,
-				queueKey{node: nd.ID, approach: lights.NorthSouth},
-				queueKey{node: nd.ID, approach: lights.EastWest})
-		}
+	for i := range s.queues {
+		s.queues[i].light = cfg.Net.Node(roadnet.NodeID(i / 2)).Light
+		s.queues[i].colourAt = math.NaN() // no instant yet
 	}
 	s.buildWeights()
 	for i := 0; i < cfg.NumTaxis; i++ {
@@ -342,24 +348,37 @@ func (s *Simulator) spawnBackground() {
 		return
 	}
 	p := s.cfg.BackgroundRate * Tick
-	for _, key := range s.approaches {
-		if s.bgRng.Float64() >= p {
+	for i := range s.queues {
+		q := &s.queues[i]
+		if q.light == nil || s.bgRng.Float64() >= p {
 			continue
 		}
-		node := s.cfg.Net.Node(key.node)
-		q := s.queues[key]
-		queued := q != nil && len(q.vehicles) > 0
-		if node.Light.StateFor(key.approach, s.now) != lights.Red && !queued {
+		if len(q.vehicles) == 0 && s.colour(i) != lights.Red {
 			continue
 		}
-		if q == nil {
-			q = &signalQueue{}
-			s.queues[key] = q
-			s.queueOrder = append(s.queueOrder, key)
-		}
-		v := &vehicle{id: -1, background: true, phase: phaseQueued, queueIdx: len(q.vehicles)}
-		q.vehicles = append(q.vehicles, v)
+		v := &vehicle{id: -1, background: true, phase: phaseQueued}
+		s.enqueue(i, v)
 	}
+}
+
+// colour returns what the light of queue i shows at s.now.
+func (s *Simulator) colour(i int) lights.State {
+	q := &s.queues[i]
+	if q.colourAt != s.now {
+		q.colour, q.colourAt = q.light.StateFor(lights.Approach(i%2), s.now), s.now
+	}
+	return q.colour
+}
+
+// enqueue puts v at the tail of queue i.
+func (s *Simulator) enqueue(i int, v *vehicle) {
+	q := &s.queues[i]
+	if !q.ordered {
+		q.ordered = true
+		s.queueOrder = append(s.queueOrder, i)
+	}
+	v.queueIdx = len(q.vehicles)
+	q.vehicles = append(q.vehicles, v)
 }
 
 // RunUntil steps until the simulation clock reaches t (epoch seconds).
@@ -372,16 +391,9 @@ func (s *Simulator) RunUntil(t float64) {
 // releaseQueues discharges the head vehicle of every green approach whose
 // headway has elapsed.
 func (s *Simulator) releaseQueues() {
-	for _, key := range s.queueOrder {
-		q := s.queues[key]
-		if len(q.vehicles) == 0 {
-			continue
-		}
-		node := s.cfg.Net.Node(key.node)
-		if node.Light == nil || node.Light.StateFor(key.approach, s.now) != lights.Green {
-			continue
-		}
-		if s.now-q.lastRelease < s.cfg.Headway {
+	for _, qi := range s.queueOrder {
+		q := &s.queues[qi]
+		if len(q.vehicles) == 0 || s.colour(qi) != lights.Green || s.now-q.lastRelease < s.cfg.Headway {
 			continue
 		}
 		// One headway releases a full rank: Lanes vehicles abreast.
@@ -400,7 +412,7 @@ func (s *Simulator) releaseQueues() {
 				continue // vanishes beyond the stop line
 			}
 			if s.stats != nil {
-				s.stats.noteRelease(key, head.id, s.now)
+				s.stats.noteRelease(qi, head.id, s.now)
 			}
 			s.crossIntersection(head)
 		}
@@ -425,9 +437,7 @@ func (s *Simulator) crossIntersection(v *vehicle) {
 // dwells happen mid-block (see maybeArmDwell), so the trip end itself
 // rolls straight into the next trip.
 func (s *Simulator) finishTrip(v *vehicle) {
-	if v.id >= 0 && v.id < len(s.vstats) {
-		s.vstats[v.id].Trips++
-	}
+	s.vstats[v.id].Trips++
 	endNode := s.cfg.Net.Segment(v.route[v.segIdx]).To
 	s.assignNewTrip(v, endNode)
 }
@@ -442,20 +452,13 @@ func (s *Simulator) startDwell(v *vehicle) {
 	v.dwellAt = -1
 }
 
+// stepVehicle advances one taxi by a tick; background vehicles exist only
+// inside queues and never come here.
 func (s *Simulator) stepVehicle(v *vehicle) {
-	if v.id >= 0 && v.id < len(s.vstats) {
-		st := &s.vstats[v.id]
-		switch v.phase {
-		case phaseDwelling:
-			st.DwellTime += Tick
-		case phaseQueued:
-			st.QueueTime += Tick
-		default:
-			st.DriveTime += Tick
-		}
-	}
+	st := &s.vstats[v.id]
 	switch v.phase {
 	case phaseDwelling:
+		st.DwellTime += Tick
 		if s.now >= v.dwellTill {
 			// Pull back into traffic and continue to the trip's end node.
 			v.phase = phaseDriving
@@ -463,10 +466,11 @@ func (s *Simulator) stepVehicle(v *vehicle) {
 		}
 		return
 	case phaseQueued:
+		st.QueueTime += Tick
 		s.creepForward(v)
 		return
 	}
-	// phaseDriving.
+	st.DriveTime += Tick
 	seg := s.cfg.Net.Segment(v.route[v.segIdx])
 	v.speed = minf(seg.SpeedLimit, v.speed+s.cfg.Accel*Tick)
 
@@ -479,11 +483,11 @@ func (s *Simulator) stepVehicle(v *vehicle) {
 		}
 	}
 
-	stopAt, mustStop := s.stopTarget(v, seg)
-	if mustStop {
+	qi := queueIndex(seg.To, seg.Approach())
+	if stopAt, mustStop := s.stopTarget(qi, seg); mustStop {
 		remaining := stopAt - v.dist
 		if remaining <= 0.5 {
-			s.joinQueue(v, seg)
+			s.joinQueue(v, qi, seg)
 			return
 		}
 		// Decelerate so that speed² <= 2·decel·remaining.
@@ -492,19 +496,15 @@ func (s *Simulator) stepVehicle(v *vehicle) {
 			v.speed = maxf(0, v.speed-s.cfg.Decel*Tick)
 		}
 		v.dist += v.speed * Tick
-		if v.id >= 0 && v.id < len(s.vstats) {
-			s.vstats[v.id].Distance += v.speed * Tick
-		}
+		st.Distance += v.speed * Tick
 		if v.dist >= stopAt {
 			v.dist = stopAt
-			s.joinQueue(v, seg)
+			s.joinQueue(v, qi, seg)
 		}
 		return
 	}
 	v.dist += v.speed * Tick
-	if v.id >= 0 && v.id < len(s.vstats) {
-		s.vstats[v.id].Distance += v.speed * Tick
-	}
+	st.Distance += v.speed * Tick
 	if v.dist >= seg.Length() {
 		carry := v.dist - seg.Length()
 		if v.segIdx+1 < len(v.route) {
@@ -516,22 +516,17 @@ func (s *Simulator) stepVehicle(v *vehicle) {
 	}
 }
 
-// stopTarget decides whether v must stop before the end of seg and where.
-// A stop is required when the node ahead is signalised and either shows
-// red for this approach or still has a discharging queue.
-func (s *Simulator) stopTarget(v *vehicle, seg *roadnet.Segment) (float64, bool) {
-	node := s.cfg.Net.Node(seg.To)
-	if node.Light == nil {
+// stopTarget decides whether a vehicle must stop before the end of seg,
+// which feeds queue qi, and where. A stop is required when the node ahead
+// is signalised and either shows red for this approach or still has a
+// discharging queue.
+func (s *Simulator) stopTarget(qi int, seg *roadnet.Segment) (float64, bool) {
+	q := &s.queues[qi]
+	if q.light == nil {
 		return 0, false
 	}
-	key := queueKey{node: seg.To, approach: seg.Approach()}
-	q := s.queues[key]
-	queued := 0
-	if q != nil {
-		queued = len(q.vehicles)
-	}
-	red := node.Light.StateFor(seg.Approach(), s.now) == lights.Red
-	if !red && queued == 0 {
+	queued := len(q.vehicles)
+	if queued == 0 && s.colour(qi) != lights.Red {
 		return 0, false
 	}
 	stop := seg.Length() - float64(queued/s.cfg.Lanes)*s.cfg.CarSpacing
@@ -541,20 +536,13 @@ func (s *Simulator) stopTarget(v *vehicle, seg *roadnet.Segment) (float64, bool)
 	return stop, true
 }
 
-func (s *Simulator) joinQueue(v *vehicle, seg *roadnet.Segment) {
-	key := queueKey{node: seg.To, approach: seg.Approach()}
-	q := s.queues[key]
-	if q == nil {
-		q = &signalQueue{}
-		s.queues[key] = q
-		s.queueOrder = append(s.queueOrder, key)
-	}
+// joinQueue stops taxi v at the tail of queue qi, which seg feeds.
+func (s *Simulator) joinQueue(v *vehicle, qi int, seg *roadnet.Segment) {
 	v.phase = phaseQueued
 	v.speed = 0
-	v.queueIdx = len(q.vehicles)
-	q.vehicles = append(q.vehicles, v)
-	if s.stats != nil && !v.background {
-		s.stats.noteJoin(key, v.id, s.now, len(q.vehicles))
+	s.enqueue(qi, v)
+	if s.stats != nil {
+		s.stats.noteJoin(qi, v.id, s.now, v.queueIdx+1)
 	}
 	v.dist = seg.Length() - float64(v.queueIdx/s.cfg.Lanes)*s.cfg.CarSpacing
 	if v.dist < 0 {
@@ -638,11 +626,10 @@ func (s *Simulator) FleetStats() VehicleStats {
 // QueueLength reports the current queue size at a signal approach, an
 // oracle for tests and experiments.
 func (s *Simulator) QueueLength(node roadnet.NodeID, a lights.Approach) int {
-	q := s.queues[queueKey{node: node, approach: a}]
-	if q == nil {
+	if node < 0 || int(node) >= s.cfg.Net.NumNodes() || a < lights.NorthSouth || a > lights.EastWest {
 		return 0
 	}
-	return len(q.vehicles)
+	return len(s.queues[queueIndex(node, a)].vehicles)
 }
 
 func minf(a, b float64) float64 {

@@ -31,13 +31,10 @@ func (s ApproachStats) MeanWait() float64 {
 	return s.TotalWait / float64(s.Departures)
 }
 
-// statsKey mirrors queueKey for the public API.
-type statsKey = queueKey
-
-// statsCollector accumulates ApproachStats; attached to a Simulator via
-// EnableStats.
+// statsCollector accumulates ApproachStats, keyed by queueIndex; attached
+// to a Simulator via EnableStats.
 type statsCollector struct {
-	perApproach map[statsKey]*ApproachStats
+	perApproach map[int]*ApproachStats
 	joinedAt    map[int]float64 // vehicle id -> queue join time
 }
 
@@ -48,7 +45,7 @@ func (s *Simulator) EnableStats() {
 		return
 	}
 	s.stats = &statsCollector{
-		perApproach: map[statsKey]*ApproachStats{},
+		perApproach: map[int]*ApproachStats{},
 		joinedAt:    map[int]float64{},
 	}
 }
@@ -59,7 +56,7 @@ func (s *Simulator) Stats(node roadnet.NodeID, a lights.Approach) ApproachStats 
 	if s.stats == nil {
 		return ApproachStats{}
 	}
-	st := s.stats.perApproach[queueKey{node: node, approach: a}]
+	st := s.stats.perApproach[queueIndex(node, a)]
 	if st == nil {
 		return ApproachStats{}
 	}
@@ -75,29 +72,24 @@ func (s *Simulator) StatsKeys() []struct {
 	if s.stats == nil {
 		return nil
 	}
-	keys := make([]queueKey, 0, len(s.stats.perApproach))
+	keys := make([]int, 0, len(s.stats.perApproach))
 	for k := range s.stats.perApproach {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].node != keys[j].node {
-			return keys[i].node < keys[j].node
-		}
-		return keys[i].approach < keys[j].approach
-	})
+	sort.Ints(keys) // node-major, NS before EW
 	out := make([]struct {
 		Node     roadnet.NodeID
 		Approach lights.Approach
 	}, len(keys))
 	for i, k := range keys {
-		out[i].Node = k.node
-		out[i].Approach = k.approach
+		out[i].Node = roadnet.NodeID(k / 2)
+		out[i].Approach = lights.Approach(k % 2)
 	}
 	return out
 }
 
 // noteJoin records a queue join (called from joinQueue).
-func (c *statsCollector) noteJoin(key queueKey, vehID int, now float64, queueLen int) {
+func (c *statsCollector) noteJoin(key, vehID int, now float64, queueLen int) {
 	st := c.perApproach[key]
 	if st == nil {
 		st = &ApproachStats{}
@@ -111,7 +103,7 @@ func (c *statsCollector) noteJoin(key queueKey, vehID int, now float64, queueLen
 }
 
 // noteRelease records a queue departure (called from releaseQueues).
-func (c *statsCollector) noteRelease(key queueKey, vehID int, now float64) {
+func (c *statsCollector) noteRelease(key, vehID int, now float64) {
 	st := c.perApproach[key]
 	if st == nil {
 		st = &ApproachStats{}
