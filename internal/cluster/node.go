@@ -49,10 +49,6 @@ type Config struct {
 	// RepairInterval is the under-replication scan cadence (default 2x
 	// PullInterval).
 	RepairInterval time.Duration
-	// VirtualNodes is the ring's virtual points per node (default 64).
-	VirtualNodes int
-	// HTTPTimeout bounds every intra-cluster request (default 2 s).
-	HTTPTimeout time.Duration
 	// Join starts this node in the joining state: announced to the
 	// cluster and inserted into the ring, but serving nothing until the
 	// bulk pull completes and the node cuts over to alive.
@@ -69,6 +65,13 @@ type Config struct {
 	// log.Printf).
 	Logf func(format string, args ...any)
 }
+
+const (
+	// virtualNodes is the ring's virtual points per node.
+	virtualNodes = 64
+	// httpTimeout bounds every intra-cluster request.
+	httpTimeout = 2 * time.Second
+)
 
 // withDefaults validates and fills the zero fields.
 func (c *Config) withDefaults() error {
@@ -98,12 +101,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.RepairInterval <= 0 {
 		c.RepairInterval = 2 * c.PullInterval
-	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
-	}
-	if c.HTTPTimeout <= 0 {
-		c.HTTPTimeout = 2 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -199,8 +196,8 @@ func NewNode(srv *server.Server, st *store.Store, cfg Config) (*Node, error) {
 		srv:         srv,
 		st:          st,
 		mem:         newMembership(cfg.NodeID, cfg.Peers, cfg.FailAfter),
-		client:      &http.Client{Timeout: cfg.HTTPTimeout},
-		ring:        NewRing(sortedIDs(cfg.Peers), cfg.VirtualNodes),
+		client:      &http.Client{Timeout: httpTimeout},
+		ring:        NewRing(sortedIDs(cfg.Peers), virtualNodes),
 		promoted:    make(map[mapmatch.Key]float64),
 		deadHandled: make(map[string]bool),
 		replicas:    make(map[string]*peerReplica),
@@ -305,7 +302,7 @@ func (n *Node) ringNow() *Ring {
 func (n *Node) rebuildRing() {
 	ids := n.mem.IDs()
 	n.mu.Lock()
-	n.ring = NewRing(ids, n.cfg.VirtualNodes)
+	n.ring = NewRing(ids, virtualNodes)
 	for _, id := range ids {
 		if id == n.cfg.NodeID {
 			continue

@@ -178,6 +178,9 @@ func TestTwoNodeReplicationAndFailover(t *testing.T) {
 	nodes := startTestCluster(t, []string{"A", "B"})
 	a, b := nodes["A"], nodes["B"]
 	k := keyOwnedBy(t, a.node.ringNow(), "A")
+	if got := b.node.client.Timeout; got != 2*time.Second {
+		t.Fatalf("intra-cluster requests time out after %v, want 2s", got)
+	}
 
 	if n := a.srv.PrimeResults([]core.Result{testResult(k)}); n != 1 {
 		t.Fatalf("PrimeResults accepted %d, want 1", n)

@@ -32,10 +32,10 @@ type Ring struct {
 }
 
 // NewRing builds a ring over nodes with vnodes virtual points each
-// (64 if vnodes <= 0).
+// (virtualNodes if vnodes <= 0).
 func NewRing(nodes []string, vnodes int) *Ring {
 	if vnodes <= 0 {
-		vnodes = 64
+		vnodes = virtualNodes
 	}
 	r := &Ring{points: make([]point, 0, len(nodes)*vnodes)}
 	for _, id := range nodes {

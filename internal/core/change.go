@@ -36,14 +36,14 @@ func superposeSc(sc *identifyScratch, samples []dsp.Sample, cycle, t0 float64) (
 	if cycle <= 0 {
 		return nil, fmt.Errorf("core: non-positive cycle %v", cycle)
 	}
-	out := growSamples(sc.folded, len(samples))
+	out := grow(sc.folded, len(samples))
 	sc.folded = out
 	if !(cycle < maxFoldSlots) {
 		return superposeTo(out, samples, cycle, t0), nil
 	}
 	nslots := int(cycle) + 1 // phases lie in [0, cycle]
-	tmp := growSamples(sc.foldTmp, len(samples))
-	pos := growInt(sc.foldPos, nslots+1)
+	tmp := grow(sc.foldTmp, len(samples))
+	pos := grow(sc.foldPos, nslots+1)
 	sc.foldTmp, sc.foldPos = tmp, pos
 	clear(pos)
 	for i, s := range samples {
@@ -111,8 +111,8 @@ func foldedSpeedCurveSc(sc *identifyScratch, folded []dsp.Sample, cycle float64)
 	if len(folded) == 0 {
 		return nil, ErrInsufficientData
 	}
-	sums := growF64(sc.curveSums, n)
-	counts := growInt(sc.curveCounts, n)
+	sums := grow(sc.curveSums, n)
+	counts := grow(sc.curveCounts, n)
 	sc.curveSums, sc.curveCounts = sums, counts
 	for i := 0; i < n; i++ {
 		sums[i] = 0
@@ -129,7 +129,7 @@ func foldedSpeedCurveSc(sc *identifyScratch, folded []dsp.Sample, cycle float64)
 		sums[i] += s.V
 		counts[i]++
 	}
-	curve := growF64(sc.curve, n)
+	curve := grow(sc.curve, n)
 	sc.curve = curve
 	filled := 0
 	for i := range curve {

@@ -204,25 +204,6 @@ func TestPhaseError(t *testing.T) {
 	}
 }
 
-func BenchmarkIdentifyChange(b *testing.B) {
-	cycle, red := 98.0, 39.0
-	sched := lights.Schedule{Cycle: cycle, Red: red, Offset: 41}
-	rng := rand.New(rand.NewSource(1))
-	var folded []dsp.Sample
-	for i := 0; i < 300; i++ {
-		phase := rng.Float64() * cycle
-		v := 30.0
-		if sched.StateAt(phase) == lights.Red {
-			v = 2
-		}
-		folded = append(folded, dsp.Sample{T: phase, V: v})
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, _ = IdentifyChange(folded, cycle, red)
-	}
-}
-
 func TestRefineRedAndChange(t *testing.T) {
 	// Clean two-level folded signal: refinement must land near the true
 	// red and edges even from a coarse guess.

@@ -341,9 +341,9 @@ func foldScoreSc(sc *identifyScratch, samples []dsp.Sample, mo foldMoments, cycl
 	if nb < 2 {
 		return math.Inf(-1)
 	}
-	sums := growF64(sc.foldSums, nb)
-	counts := growF64(sc.foldCounts, nb)
-	bins := growI32(sc.foldBins, n)
+	sums := grow(sc.foldSums, nb)
+	counts := grow(sc.foldCounts, nb)
+	bins := grow(sc.foldBins, n)
 	sc.foldSums, sc.foldCounts, sc.foldBins = sums, counts, bins
 	for i := 0; i < nb; i++ {
 		sums[i] = 0

@@ -223,18 +223,6 @@ func TestSpeedSeries(t *testing.T) {
 	}
 }
 
-func BenchmarkIdentifyCycle30min(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	sched := lights.Schedule{Cycle: 98, Red: 39}
-	samples := syntheticSpeed(rng, sched, 0, 1800, 15)
-	cfg := DefaultCycleConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = IdentifyCycle(samples, 0, 1800, cfg)
-	}
-}
-
 func BenchmarkIdentifyCycleEnhanced(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	sched := lights.Schedule{Cycle: 98, Red: 39}

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"taxilight/internal/geo"
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/roadnet"
@@ -72,6 +74,58 @@ func realtimeFixture(t testing.TB, horizon float64) (*Engine, *roadnet.Network, 
 		t.Fatal(err)
 	}
 	return eng, net, matched
+}
+
+// benchApproachKey returns the partition key of the i-th synthetic
+// approach. Each approach gets its own light so the keys are independent
+// of each other.
+func benchApproachKey(i int) mapmatch.Key {
+	return mapmatch.Key{Light: roadnet.NodeID(100 + i), Approach: lights.NorthSouth}
+}
+
+// benchRecords synthesises matched records for one approach over [t0, t1):
+// a handful of taxis loop past the light on a fixed red/green schedule,
+// reporting every 12 s — stationary at the stop line during red (so stop
+// extraction finds runs) and sweeping through at speed during green (so
+// the DFT sees the fundamental). Fully deterministic: the same inputs
+// always produce byte-identical records.
+func benchRecords(keyIdx int, t0, t1 float64) []mapmatch.Matched {
+	key := benchApproachKey(keyIdx)
+	cycle := 90.0 + float64(keyIdx%5)*7
+	red := 0.4 * cycle
+	base := float64(keyIdx) * 1000
+	const plates = 4
+	const report = 12.0
+	var out []mapmatch.Matched
+	for p := 0; p < plates; p++ {
+		plate := fmt.Sprintf("B%03d-%d", keyIdx, p)
+		for t := t0 + float64(p)*3; t < t1; t += report {
+			ph := math.Mod(t-float64(keyIdx)*13, cycle)
+			if ph < 0 {
+				ph += cycle
+			}
+			var speed, dist float64
+			var pos geo.XY
+			if ph < red {
+				speed = 0
+				dist = 8
+				pos = geo.XY{X: 8, Y: base}
+			} else {
+				speed = 30 + 15*math.Sin(t/7.3+float64(keyIdx))
+				dist = 10 + float64((int(t)*37)%100)
+				pos = geo.XY{X: dist, Y: base}
+			}
+			out = append(out, mapmatch.Matched{
+				Plate: plate, SpeedKMH: speed,
+				Light:      key.Light,
+				Approach:   key.Approach,
+				T:          t,
+				DistToStop: dist,
+				Snapped:    pos,
+			})
+		}
+	}
+	return out
 }
 
 func TestEngineStreamingEstimates(t *testing.T) {

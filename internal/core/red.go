@@ -145,7 +145,7 @@ func identifyRedSc(sc *identifyScratch, stops []StopEvent, cycle float64, cfg Re
 	}
 	w := cfg.SampleInterval
 	nbins := int(math.Ceil(cycle / w))
-	counts := growF64(sc.redCounts, nbins)
+	counts := grow(sc.redCounts, nbins)
 	sc.redCounts = counts
 	for i := 0; i < nbins; i++ {
 		counts[i] = 0

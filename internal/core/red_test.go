@@ -174,13 +174,3 @@ func TestStopEventDuration(t *testing.T) {
 		t.Fatalf("Duration = %v", e.Duration())
 	}
 }
-
-func BenchmarkIdentifyRed(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	stops := syntheticStops(rng, 63, 106, 500, 0.08)
-	cfg := DefaultRedConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, _ = IdentifyRed(stops, 106, cfg)
-	}
-}

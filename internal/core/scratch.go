@@ -148,32 +148,11 @@ func fit[T any](s []T) []T {
 	return s
 }
 
-// growF64 returns buf resized to n elements, reusing the backing array
+// grow returns buf resized to n elements, reusing the backing array
 // when capacity allows. Contents are unspecified.
-func growF64(buf []float64, n int) []float64 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func growI32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
-func growInt(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-func growSamples(buf []dsp.Sample, n int) []dsp.Sample {
-	if cap(buf) < n {
-		return make([]dsp.Sample, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

@@ -365,24 +365,3 @@ func TestBuildStopIndexTieOrderDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkStopIndexBuild rebuilds a warm index over one 30-minute window
-// of a simulated tape, the way a round does.
-func BenchmarkStopIndexBuild(b *testing.B) {
-	_, _, matched := realtimeFixture(b, 1800)
-	part := mapmatch.Partition{}
-	for _, m := range matched {
-		k := mapmatch.Key{Light: m.Light, Approach: m.Approach}
-		part[k] = append(part[k], m)
-	}
-	var rm roundMem
-	rm.load(part)
-	cfg := DefaultStopExtractConfig()
-	rm.index.build(rm.view, rm.names, cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rm.index.build(rm.view, rm.names, cfg)
-	}
-	b.ReportMetric(float64(len(matched)), "records")
-}

@@ -72,7 +72,7 @@ func CircularMovingAverageInto(dst, x []float64, window int) ([]float64, error) 
 	if window < 1 || window > n {
 		return nil, fmt.Errorf("dsp: window %d out of range [1, %d]", window, n)
 	}
-	out := growF(dst, n)
+	out := grow(dst, n)
 	// Prefix-sum over two copies for O(n).
 	sum := 0.0
 	for i := 0; i < window; i++ {

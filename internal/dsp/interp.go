@@ -71,11 +71,11 @@ func mergeDuplicateTimesTo(out, s []Sample) []Sample {
 	return out
 }
 
-// growF returns buf resized to n values, reusing its backing array when
+// grow returns buf resized to n elements, reusing its backing array when
 // the capacity allows. Contents are unspecified.
-func growF(buf []float64, n int) []float64 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -112,8 +112,8 @@ func (s *CubicSpline) Fit(pts []Sample) error {
 	if n < 2 {
 		return ErrInsufficientData
 	}
-	s.xs = growF(s.xs, n)
-	s.ys = growF(s.ys, n)
+	s.xs = grow(s.xs, n)
+	s.ys = grow(s.ys, n)
 	for i, p := range pts {
 		s.xs[i] = p.T
 		s.ys[i] = p.V
@@ -129,20 +129,20 @@ func (s *CubicSpline) Fit(pts []Sample) error {
 // derivatives via the Thomas algorithm.
 func (s *CubicSpline) fit() {
 	n := len(s.xs)
-	h := growF(s.h, n-1)
+	h := grow(s.h, n-1)
 	s.h = h
 	for i := 0; i < n-1; i++ {
 		h[i] = s.xs[i+1] - s.xs[i]
 	}
 	// Second derivatives m[0..n-1]; natural: m[0] = m[n-1] = 0.
-	m := growF(s.m, n)
+	m := grow(s.m, n)
 	s.m = m
 	m[0], m[n-1] = 0, 0
 	if n > 2 {
 		// Tridiagonal system for interior second derivatives.
-		diag := growF(s.diag, n-2)
-		upper := growF(s.upper, n-2)
-		rhs := growF(s.rhs, n-2)
+		diag := grow(s.diag, n-2)
+		upper := grow(s.upper, n-2)
+		rhs := grow(s.rhs, n-2)
 		s.diag, s.upper, s.rhs = diag, upper, rhs
 		for i := 1; i < n-1; i++ {
 			diag[i-1] = 2 * (h[i-1] + h[i])
@@ -165,9 +165,9 @@ func (s *CubicSpline) fit() {
 			m[i+1] /= diag[i]
 		}
 	}
-	s.c1 = growF(s.c1, n-1)
-	s.c2 = growF(s.c2, n-1)
-	s.c3 = growF(s.c3, n-1)
+	s.c1 = grow(s.c1, n-1)
+	s.c2 = grow(s.c2, n-1)
+	s.c3 = grow(s.c3, n-1)
 	for i := 0; i < n-1; i++ {
 		s.c1[i] = (s.ys[i+1]-s.ys[i])/h[i] - h[i]*(2*m[i]+m[i+1])/6
 		s.c2[i] = m[i] / 2
@@ -203,20 +203,15 @@ func (s *CubicSpline) At(t float64) float64 {
 // speeds may go negative; they are deliberately left untouched because
 // only the periodicity matters.
 func ResampleSpline(pts []Sample, t0, t1 float64) ([]float64, error) {
-	sp, err := NewCubicSpline(pts)
-	if err != nil {
-		return nil, err
-	}
-	return sampleGrid(sp.At, t0, t1)
+	var r Resampler
+	return r.Spline(pts, t0, t1)
 }
 
 // ResampleLinear is the linear-interpolation counterpart of
 // ResampleSpline, kept for the interpolation ablation study.
 func ResampleLinear(pts []Sample, t0, t1 float64) ([]float64, error) {
-	if len(pts) < 2 {
-		return nil, ErrInsufficientData
-	}
-	return sampleGrid(linearAt(pts), t0, t1)
+	var r Resampler
+	return r.Linear(pts, t0, t1)
 }
 
 func linearAt(pts []Sample) func(float64) float64 {
@@ -240,10 +235,8 @@ func linearAt(pts []Sample) func(float64) float64 {
 // ResampleHold is zero-order hold resampling (last value carried forward),
 // the crudest baseline in the interpolation ablation.
 func ResampleHold(pts []Sample, t0, t1 float64) ([]float64, error) {
-	if len(pts) < 1 {
-		return nil, ErrInsufficientData
-	}
-	return sampleGrid(holdAt(pts), t0, t1)
+	var r Resampler
+	return r.Hold(pts, t0, t1)
 }
 
 func holdAt(pts []Sample) func(float64) float64 {
@@ -254,18 +247,6 @@ func holdAt(pts []Sample) func(float64) float64 {
 		}
 		return pts[i-1].V
 	}
-}
-
-func sampleGrid(at func(float64) float64, t0, t1 float64) ([]float64, error) {
-	if t1 < t0 {
-		return nil, fmt.Errorf("dsp: inverted grid [%v, %v]", t0, t1)
-	}
-	n := int(t1-t0) + 1
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = at(t0 + float64(i))
-	}
-	return out, nil
 }
 
 // Resampler owns the grid and spline-fit buffers for repeated
@@ -308,7 +289,7 @@ func (r *Resampler) sampleGrid(at func(float64) float64, t0, t1 float64) ([]floa
 		return nil, fmt.Errorf("dsp: inverted grid [%v, %v]", t0, t1)
 	}
 	n := int(t1-t0) + 1
-	r.grid = growF(r.grid, n)
+	r.grid = grow(r.grid, n)
 	for i := 0; i < n; i++ {
 		r.grid[i] = at(t0 + float64(i))
 	}

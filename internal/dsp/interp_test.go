@@ -196,14 +196,3 @@ func BenchmarkSplineFit100(b *testing.B) {
 		_, _ = NewCubicSpline(pts)
 	}
 }
-
-func BenchmarkResampleSpline30min(b *testing.B) {
-	var pts []Sample
-	for x := 0.0; x <= 1800; x += 20 {
-		pts = append(pts, Sample{T: x, V: math.Sin(x / 15)})
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, _ = ResampleSpline(pts, 0, 1800)
-	}
-}

@@ -47,7 +47,7 @@ func TestRouteABSmoke(t *testing.T) {
 	}
 }
 
-// TestRouteABFull is the full-size A/B (the BENCH_8 configuration); it
+// TestRouteABFull is the full-size A/B; it
 // asserts the headline claim — light-aware routing on live identified
 // estimates beats the blind baseline on realised time — and is gated
 // behind TAXILIGHT_ROUTE_SOAK=1 because it simulates a full hour of

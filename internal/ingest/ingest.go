@@ -61,17 +61,13 @@ type Config struct {
 	// probe closes the circuit and restores the full budget; a failed
 	// probe re-opens it immediately for another full cooldown.
 	CircuitCooldown time.Duration
-	// ResumeDedup arms the last-seen-timestamp dedup gate on every
-	// dial-source reconnect, so upstreams that replay their buffer
-	// cannot double-ingest records.
-	ResumeDedup bool
 	// Seed feeds the per-source jitter RNG (combined with the source
 	// name), keeping supervised schedules reproducible in tests.
 	Seed int64
 }
 
 // DefaultConfig is the production posture: fast first retry, 30 s cap,
-// breaker after 8 straight failures with a 30 s cooldown, dedup on.
+// breaker after 8 straight failures with a 30 s cooldown.
 func DefaultConfig() Config {
 	return Config{
 		Lenient:         trace.DefaultLenientConfig(),
@@ -83,7 +79,6 @@ func DefaultConfig() Config {
 		AcceptRetryMax:  time.Second,
 		FailureBudget:   8,
 		CircuitCooldown: 30 * time.Second,
-		ResumeDedup:     true,
 	}
 }
 

@@ -112,7 +112,7 @@ func testRec(sec, i int) trace.Record {
 // TestAdmitResumeGate drives the exactly-once gate through a reconnect
 // replay with several records sharing the watermark second.
 func TestAdmitResumeGate(t *testing.T) {
-	src := newSource(Spec{Name: "d", Kind: KindDial, Addr: "x"}, true)
+	src := newSource(Spec{Name: "d", Kind: KindDial, Addr: "x"})
 	a, b := testRec(10, 0), testRec(10, 1) // same second, different lines
 	c := testRec(11, 2)
 	for _, r := range []trace.Record{a, b, c} {
@@ -151,7 +151,7 @@ func TestAdmitResumeGate(t *testing.T) {
 }
 
 func TestAdmitWithoutDedup(t *testing.T) {
-	src := newSource(Spec{Name: "l", Kind: KindListen, Addr: "x"}, true)
+	src := newSource(Spec{Name: "l", Kind: KindListen, Addr: "x"})
 	r := testRec(5, 0)
 	if !src.Admit(r) || !src.Admit(r) {
 		t.Fatal("non-dial source must admit everything")
@@ -176,7 +176,7 @@ func TestAdmitHashesWithoutGarbage(t *testing.T) {
 		}
 		return "0"
 	}
-	src := newSource(Spec{Name: "d", Kind: KindDial, Addr: "x"}, true)
+	src := newSource(Spec{Name: "d", Kind: KindDial, Addr: "x"})
 	for i := 0; i < 50; i++ {
 		r := testRec(i%7, i)
 		r.Overspeed, r.Occupied = i%2 == 0, i%3 == 0

@@ -149,10 +149,10 @@ func (s *Source) setBoundAddr(addr string) {
 	s.mu.Unlock()
 }
 
-func newSource(spec Spec, resumeDedup bool) *Source {
+func newSource(spec Spec) *Source {
 	return &Source{
 		spec:    spec,
-		dedup:   spec.Kind == KindDial && resumeDedup,
+		dedup:   spec.Kind == KindDial,
 		backoff: metrics.NewHistogram(backoffBounds...),
 	}
 }

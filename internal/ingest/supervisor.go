@@ -43,7 +43,7 @@ func NewSupervisor(specs []Spec, cfg Config, consume Consume) (*Supervisor, erro
 	}
 	sup := &Supervisor{cfg: cfg, consume: consume}
 	for _, sp := range specs {
-		sup.sources = append(sup.sources, newSource(sp, cfg.ResumeDedup))
+		sup.sources = append(sup.sources, newSource(sp))
 	}
 	return sup, nil
 }

@@ -272,16 +272,6 @@ func TestPerpendicularKey(t *testing.T) {
 	}
 }
 
-func BenchmarkMatch(b *testing.B) {
-	net := gridNet(b)
-	m := matcher(b, net, nil)
-	rec := recordAt(net, geo.XY{X: 3, Y: 400}, 0, 40, epoch)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Match(rec)
-	}
-}
-
 func BenchmarkPartition10k(b *testing.B) {
 	net := gridNet(b)
 	scfg := trafficsim.DefaultConfig(net)

@@ -350,15 +350,6 @@ func TestCompareNavigationValidation(t *testing.T) {
 	}
 }
 
-func BenchmarkLightAwarePlan(b *testing.B) {
-	net := fig15(b, 10, 10)
-	p := &LightAwarePlanner{Net: net}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, _ = p.Plan(0, 99, float64(i%3600))
-	}
-}
-
 func BenchmarkEnumeratingPlan(b *testing.B) {
 	net := fig15(b, 4, 4)
 	p := &EnumeratingPlanner{Net: net, MaxExtraHops: 2}

@@ -15,22 +15,6 @@ import (
 	"taxilight/internal/roadnet"
 )
 
-// BenchmarkStateEncode isolates the shared zero-alloc state encoder —
-// the bytes /v1/state serves and /v1/watch frames carry. With a warm
-// buffer it must report 0 allocs/op; anything else is a regression in
-// the hot path that multiplies across every request and every
-// subscriber.
-func BenchmarkStateEncode(b *testing.B) {
-	k := mapmatch.Key{Light: 7, Approach: lights.NorthSouth}
-	est := testEstimate()
-	buf := make([]byte, 0, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = AppendState(buf[:0], k, 1850, est, "live", 42, true)
-	}
-}
-
 // BenchmarkWatchFanout drives the hub the way a production round does:
 // one publish per iteration fanning 64 updated keys out to every
 // subscriber, with a consuming goroutine per subscriber stamping
@@ -39,7 +23,7 @@ func BenchmarkStateEncode(b *testing.B) {
 // whole-process number, so it bounds the hot path from above).
 //
 // The default subscriber count keeps CI fast; set TAXILIGHT_WATCH_SOAK=1
-// for the full 100k-subscriber run recorded in BENCH_7.json.
+// for the full 100k-subscriber run.
 func BenchmarkWatchFanout(b *testing.B) {
 	nSubs := 1000
 	if os.Getenv("TAXILIGHT_WATCH_SOAK") == "1" {

@@ -16,9 +16,6 @@ import (
 // digital map service; this importer turns an OSM XML extract into a
 // Network the map matcher and pipeline can run against.
 type OSMConfig struct {
-	// Highways lists the accepted `highway=` tag values; empty means
-	// DefaultOSMHighways.
-	Highways []string
 	// DefaultSpeedMS is used when a way carries no parseable maxspeed.
 	DefaultSpeedMS float64
 	// Lights, when non-nil, supplies the controller for each signalised
@@ -40,11 +37,13 @@ type OSMConfig struct {
 	Origin geo.Point
 }
 
-// DefaultOSMHighways are the drivable road classes.
-var DefaultOSMHighways = []string{
-	"motorway", "trunk", "primary", "secondary", "tertiary",
-	"unclassified", "residential", "motorway_link", "trunk_link",
-	"primary_link", "secondary_link", "tertiary_link",
+// osmHighways are the drivable road classes: the `highway=` tag values
+// of the ways ImportOSM keeps.
+var osmHighways = map[string]bool{
+	"motorway": true, "trunk": true, "primary": true, "secondary": true,
+	"tertiary": true, "unclassified": true, "residential": true,
+	"motorway_link": true, "trunk_link": true, "primary_link": true,
+	"secondary_link": true, "tertiary_link": true,
 }
 
 // DefaultOSMConfig returns an importer configuration with urban defaults.
@@ -112,14 +111,6 @@ func ImportOSM(r io.Reader, cfg OSMConfig) (*Network, error) {
 	if cfg.DefaultSpeedMS <= 0 {
 		return nil, fmt.Errorf("roadnet: non-positive default speed %v", cfg.DefaultSpeedMS)
 	}
-	highways := cfg.Highways
-	if len(highways) == 0 {
-		highways = DefaultOSMHighways
-	}
-	accepted := make(map[string]bool, len(highways))
-	for _, h := range highways {
-		accepted[h] = true
-	}
 
 	type nodeInfo struct {
 		pt     geo.Point
@@ -157,7 +148,7 @@ func ImportOSM(r io.Reader, cfg OSMConfig) (*Network, error) {
 			if err := dec.DecodeElement(&w, &se); err != nil {
 				return nil, fmt.Errorf("roadnet: osm way: %w", err)
 			}
-			if hv, ok := tagValue(w.Tags, "highway"); ok && accepted[hv] {
+			if hv, ok := tagValue(w.Tags, "highway"); ok && osmHighways[hv] {
 				ways = append(ways, w)
 			}
 		}

@@ -364,21 +364,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func BenchmarkPlanWarmCache(b *testing.B) {
-	net := grid(b, 10, 10)
-	svc, _ := service(b, net)
-	if _, err := svc.Plan(0, 99, 0, false); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := svc.Plan(0, 99, float64(i%3600), false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func pos(x, y float64) geo.XY { return geo.XY{X: x, Y: y} }
 
 var update = flag.Bool("update", false, "rewrite testdata/plan_golden.txt")

@@ -27,7 +27,7 @@ type megacitySLOs struct {
 	minServedFrac float64
 }
 
-// megacityResult is the measured outcome, also logged for BENCH_6.json.
+// megacityResult is the measured outcome.
 type megacityResult struct {
 	records    int
 	rounds     int

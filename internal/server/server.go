@@ -49,17 +49,16 @@ type Config struct {
 	// scanner (see trace.LenientConfig).
 	Lenient trace.LenientConfig
 	// Ingest tunes the source supervisor: reconnect backoff, circuit
-	// breaker, accept-retry cadence, resume dedup. Its Lenient field is
-	// overwritten with the server's.
+	// breaker, accept-retry cadence. Its Lenient field is overwritten
+	// with the server's.
 	Ingest ingest.Config
 	// Realtime configures each shard's engine.
 	Realtime core.RealtimeConfig
-	// ReadTimeout/WriteTimeout/IdleTimeout harden the HTTP listener;
-	// ShutdownGrace bounds how long graceful shutdown waits for in-flight
-	// requests.
+	// ReadTimeout/WriteTimeout harden the HTTP listener (with the fixed
+	// idleTimeout); ShutdownGrace bounds how long graceful shutdown waits
+	// for in-flight requests.
 	ReadTimeout   time.Duration
 	WriteTimeout  time.Duration
-	IdleTimeout   time.Duration
 	ShutdownGrace time.Duration
 	// StaleFeedAfter is how long (wall clock) the feed may be silent
 	// before /healthz degrades; 0 disables the liveness check.
@@ -69,11 +68,6 @@ type Config struct {
 	// /v1/history and as-of endpoints. The server drives the store but
 	// does not own it: the caller opens and closes it.
 	Store *store.Store
-	// StoreQueue is the capacity (in record batches) of the bounded
-	// persistence queue between the shard loops and the store writer. A
-	// full queue drops the batch with a counter — persistence must never
-	// stall ingest.
-	StoreQueue int
 	// CheckpointInterval is the wall-clock cadence of full checkpoints;
 	// 0 checkpoints only at shutdown. Ignored without a Store.
 	CheckpointInterval time.Duration
@@ -106,11 +100,6 @@ type Config struct {
 	// replaces WriteTimeout for /v1/watch (a fixed whole-request write
 	// timeout would kill every long-lived stream).
 	WatchWriteTimeout time.Duration
-	// WatchHeartbeat is the idle keep-alive cadence on watch streams; a
-	// comment frame flushed this often detects dead connections between
-	// estimation rounds and keeps intermediaries from timing the stream
-	// out.
-	WatchHeartbeat time.Duration
 	// DebugEndpoints additionally registers /debug/* handlers (panic and
 	// block drills). Off in production, on in chaos tests.
 	DebugEndpoints bool
@@ -129,6 +118,22 @@ type Config struct {
 	OnRound func(shard int, st core.RoundStats)
 }
 
+const (
+	// idleTimeout is how long the HTTP listener keeps an idle keep-alive
+	// connection open.
+	idleTimeout = 60 * time.Second
+	// storeQueue is the capacity (in record batches) of the bounded
+	// persistence queue between the shard loops and the store writer. A
+	// full queue drops the batch with a counter — persistence must never
+	// stall ingest.
+	storeQueue = 256
+	// watchHeartbeat is the idle keep-alive cadence on watch streams; a
+	// comment frame flushed this often detects dead connections between
+	// estimation rounds and keeps intermediaries from timing the stream
+	// out.
+	watchHeartbeat = 15 * time.Second
+)
+
 // DefaultConfig is the posture lightd starts with: four shards, the
 // paper's estimation cadence, lenient ingestion, second-granularity
 // ticks and conservative HTTP timeouts.
@@ -144,10 +149,8 @@ func DefaultConfig() Config {
 		Realtime:           core.DefaultRealtimeConfig(),
 		ReadTimeout:        5 * time.Second,
 		WriteTimeout:       10 * time.Second,
-		IdleTimeout:        60 * time.Second,
 		ShutdownGrace:      5 * time.Second,
 		StaleFeedAfter:     2 * time.Minute,
-		StoreQueue:         256,
 		StoreFailureBudget: 8,
 		CheckpointInterval: time.Minute,
 		MaxInFlight:        256,
@@ -155,7 +158,6 @@ func DefaultConfig() Config {
 		MaxWatchKeys:       32,
 		WatchQueue:         32,
 		WatchWriteTimeout:  5 * time.Second,
-		WatchHeartbeat:     15 * time.Second,
 		RoundStagger:       true,
 	}
 }
@@ -173,8 +175,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("server: non-positive cadence (flush %v, tick %v)", c.FlushEvery, c.TickEvery)
 	case c.ShutdownGrace < 0 || c.StaleFeedAfter < 0:
 		return fmt.Errorf("server: negative timeout (grace %v, stale-feed %v)", c.ShutdownGrace, c.StaleFeedAfter)
-	case c.Store != nil && c.StoreQueue <= 0:
-		return fmt.Errorf("server: non-positive store queue %d", c.StoreQueue)
 	case c.CheckpointInterval < 0:
 		return fmt.Errorf("server: negative checkpoint interval %v", c.CheckpointInterval)
 	case c.StoreFailureBudget < 0:
@@ -187,8 +187,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("server: negative watch key limit %d", c.MaxWatchKeys)
 	case c.WatchQueue < 0:
 		return fmt.Errorf("server: negative watch queue %d", c.WatchQueue)
-	case c.WatchWriteTimeout < 0 || c.WatchHeartbeat < 0:
-		return fmt.Errorf("server: negative watch timeout (write %v, heartbeat %v)", c.WatchWriteTimeout, c.WatchHeartbeat)
+	case c.WatchWriteTimeout < 0:
+		return fmt.Errorf("server: negative watch write timeout %v", c.WatchWriteTimeout)
 	}
 	if err := c.Ingest.Validate(); err != nil {
 		return err
@@ -363,7 +363,7 @@ func (s *Server) Start() {
 	s.started = true
 	if st := s.cfg.Store; st != nil {
 		st.SetObservers(s.met.walAppendLat.Observe, s.met.walFsyncLat.Observe)
-		s.persistCh = make(chan []store.Record, s.cfg.StoreQueue)
+		s.persistCh = make(chan []store.Record, storeQueue)
 		s.persistWG.Add(1)
 		go s.persistLoop()
 		s.ckptStop = make(chan struct{})
@@ -710,7 +710,7 @@ func (s *Server) ServeHandler(ctx context.Context, addr string, h http.Handler) 
 		Handler:      h,
 		ReadTimeout:  s.cfg.ReadTimeout,
 		WriteTimeout: s.cfg.WriteTimeout,
-		IdleTimeout:  s.cfg.IdleTimeout,
+		IdleTimeout:  idleTimeout,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()

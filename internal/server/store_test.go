@@ -10,6 +10,7 @@ import (
 	"taxilight/internal/core"
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
+	"taxilight/internal/roadnet"
 	"taxilight/internal/store"
 )
 
@@ -52,6 +53,9 @@ func TestPublishPersistsToWAL(t *testing.T) {
 	s, st := newStoreServer(t, dir)
 	defer st.Close()
 	s.Start()
+	if got := cap(s.persistCh); got != 256 {
+		t.Fatalf("persist queue holds %d batches, want 256", got)
+	}
 
 	k1 := mapmatch.Key{Light: 3, Approach: lights.NorthSouth}
 	k2 := mapmatch.Key{Light: 5, Approach: lights.EastWest}
@@ -373,4 +377,60 @@ func TestMetricsExposeStoreSeries(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+}
+
+// walResult builds a distinct estimate for one append.
+func walResult(i int) core.Result {
+	return core.Result{
+		Key:   mapmatch.Key{Light: roadnet.NodeID(i % 64), Approach: lights.Approach(i % 2)},
+		Cycle: 90 + float64(i%40), Red: 35, Green: 55 + float64(i%40),
+		WindowStart: float64(300 * i), WindowEnd: 1800 + float64(300*i),
+		Records: 100, Quality: 0.6,
+	}
+}
+
+// BenchmarkHistoryQuery measures the as-of and ranged read paths over a
+// multi-segment WAL (the segment time-bounds catalog should keep both
+// sublinear in total store size).
+func BenchmarkHistoryQuery(b *testing.B) {
+	cfg := store.DefaultConfig()
+	cfg.SegmentMaxBytes = 64 << 10 // force a many-segment store
+	cfg.SyncEvery = 1 << 20
+	cfg.SyncInterval = 0
+	cfg.CompactEvery = 0
+	st, err := store.Open(b.TempDir(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	const n = 20000
+	for i := 0; i < n; i++ {
+		rec, _ := store.FromResult(walResult(i))
+		if err := st.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	key := mapmatch.Key{Light: 0, Approach: lights.NorthSouth}
+	lastEnd := 1800 + float64(300*(n-1))
+
+	b.Run("RangedTail", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			recs, err := st.History(key, lastEnd-200000, lastEnd, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(recs) == 0 {
+				b.Fatal("empty tail query")
+			}
+		}
+	})
+	b.Run("AsOf", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := st.AsOf(key, lastEnd/2); err != nil || !ok {
+				b.Fatalf("as-of miss: ok=%v err=%v", ok, err)
+			}
+		}
+	})
 }

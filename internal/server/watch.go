@@ -203,11 +203,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	heartbeat := s.cfg.WatchHeartbeat
-	if heartbeat <= 0 {
-		heartbeat = 15 * time.Second
-	}
-	tick := time.NewTicker(heartbeat)
+	tick := time.NewTicker(watchHeartbeat)
 	defer tick.Stop()
 	ctx := r.Context()
 	for {

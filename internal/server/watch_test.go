@@ -138,6 +138,11 @@ func TestWatchStreamDeltas(t *testing.T) {
 	if s.WatchSubscribers() != 1 {
 		t.Fatalf("subscriber census = %d, want 1", s.WatchSubscribers())
 	}
+	// No test waits out a keep-alive or an idle connection, so the two
+	// fixed cadences are held here.
+	if watchHeartbeat != 15*time.Second || idleTimeout != 60*time.Second {
+		t.Fatalf("watch heartbeat %v, listener idle timeout %v; want 15s and 1m0s", watchHeartbeat, idleTimeout)
+	}
 }
 
 func TestWatchResume(t *testing.T) {

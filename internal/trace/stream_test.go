@@ -213,22 +213,3 @@ func TestOpenFileErrors(t *testing.T) {
 		t.Fatal("bad gzip opened")
 	}
 }
-
-func BenchmarkScanner(b *testing.B) {
-	recs := streamRecords(2000)
-	var sb strings.Builder
-	if err := WriteCSV(&sb, recs); err != nil {
-		b.Fatal(err)
-	}
-	data := sb.String()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc := NewScanner(strings.NewReader(data))
-		for sc.Scan() {
-		}
-		if sc.Err() != nil {
-			b.Fatal(sc.Err())
-		}
-	}
-}
