@@ -36,12 +36,14 @@ func superposeSc(sc *identifyScratch, samples []dsp.Sample, cycle, t0 float64) (
 	if cycle <= 0 {
 		return nil, fmt.Errorf("core: non-positive cycle %v", cycle)
 	}
+	sc.needs(len(samples))
 	out := grow(sc.folded, len(samples))
 	sc.folded = out
 	if !(cycle < maxFoldSlots) {
 		return superposeTo(out, samples, cycle, t0), nil
 	}
 	nslots := int(cycle) + 1 // phases lie in [0, cycle]
+	sc.needs(nslots + 1)
 	tmp := grow(sc.foldTmp, len(samples))
 	pos := grow(sc.foldPos, nslots+1)
 	sc.foldTmp, sc.foldPos = tmp, pos
@@ -111,6 +113,7 @@ func foldedSpeedCurveSc(sc *identifyScratch, folded []dsp.Sample, cycle float64)
 	if len(folded) == 0 {
 		return nil, ErrInsufficientData
 	}
+	sc.needs(n)
 	sums := grow(sc.curveSums, n)
 	counts := grow(sc.curveCounts, n)
 	sc.curveSums, sc.curveCounts = sums, counts

@@ -120,6 +120,9 @@ func cycleInputSc(sc *identifyScratch, samples []dsp.Sample, t0, t1 float64, cfg
 	if t1 <= t0 {
 		return nil, fmt.Errorf("core: empty window [%v, %v]", t0, t1)
 	}
+	// The window's grid is needed too when the key turns out too thin to
+	// transform: a borrow of thin keys must not drop the round's plan.
+	sc.needs(max(len(samples), int(t1-t0)+1))
 	buf := appendWindowed(sc.cycIn[:0], samples, t0, t1)
 	sc.cycIn = buf
 	sortSamplesIfNeeded(buf)
@@ -341,6 +344,7 @@ func foldScoreSc(sc *identifyScratch, samples []dsp.Sample, mo foldMoments, cycl
 	if nb < 2 {
 		return math.Inf(-1)
 	}
+	sc.needs(max(n, nb))
 	sums := grow(sc.foldSums, nb)
 	counts := grow(sc.foldCounts, nb)
 	bins := grow(sc.foldBins, n)
@@ -451,6 +455,7 @@ func Enhance(primary, perp []dsp.Sample) []dsp.Sample {
 // otherwise — the same set, in the same sorted order, as the map-based
 // construction. The returned slice is owned by the scratch.
 func enhanceSc(sc *identifyScratch, primary, perp []dsp.Sample) []dsp.Sample {
+	sc.needs(len(primary) + len(perp))
 	if len(perp) == 0 {
 		buf := append(sc.enhanced[:0], primary...)
 		sc.enhanced = buf

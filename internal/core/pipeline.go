@@ -210,6 +210,9 @@ func (rm *roundMem) identify(keys []mapmatch.Key, t0, t1 float64, cfg PipelineCo
 	workers := effectiveWorkers(cfg.Workers, len(keys))
 	results := reuse(rm.results, len(keys))[:len(keys)]
 	rm.results = results
+	if len(keys) == 0 {
+		return results // no key, so no wait for a scratch
+	}
 	if workers == 1 {
 		// Serial fast path: no goroutine, channel, or scheduler traffic,
 		// so workers=1 is a true baseline for the scaling benches and the
@@ -227,10 +230,18 @@ func (rm *roundMem) identify(keys []mapmatch.Key, t0, t1 float64, cfg PipelineCo
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := getScratch()
-			defer putScratch(sc)
+			// A worker borrows only once it has a key: with more workers
+			// than the set has cores, the rest find the jobs gone instead
+			// of queueing for a scratch they would not use.
+			var sc *identifyScratch
 			for i := range jobs {
+				if sc == nil {
+					sc = getScratch()
+				}
 				results[i] = identifyOneSafe(rm.view, &rm.index, keys[i], t0, t1, cfg, sc)
+			}
+			if sc != nil {
+				putScratch(sc)
 			}
 		}()
 	}

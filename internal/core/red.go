@@ -138,6 +138,7 @@ func identifyRedSc(sc *identifyScratch, stops []StopEvent, cycle float64, cfg Re
 	if cycle <= 0 {
 		return 0, fmt.Errorf("core: non-positive cycle %v", cycle)
 	}
+	sc.needs(len(stops))
 	usable := appendFilteredStops(sc.stops[:0], stops, cycle)
 	sc.stops = usable
 	if len(usable) < cfg.MinStops {
@@ -145,6 +146,7 @@ func identifyRedSc(sc *identifyScratch, stops []StopEvent, cycle float64, cfg Re
 	}
 	w := cfg.SampleInterval
 	nbins := int(math.Ceil(cycle / w))
+	sc.needs(nbins)
 	counts := grow(sc.redCounts, nbins)
 	sc.redCounts = counts
 	for i := 0; i < nbins; i++ {

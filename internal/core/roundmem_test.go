@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 	"unsafe"
@@ -49,13 +48,9 @@ func TestObsIsCompact(t *testing.T) {
 // round does allocate — about 40 objects and 60 KB at the time of writing —
 // is the growth of key buffers, monitor series and history slots and the
 // list of published keys; the budget leaves room for that and for nothing
-// per key.
+// per key. The collector runs as it likes: the identify scratch set is
+// not a cache it can empty.
 func TestSteadyRoundAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so identification rebuilds its scratch at random")
-	}
-	// A collection would empty the scratch pool mid-measurement.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const nKeys = 40
 	const warm, measured = 8, 5
 	cfg := DefaultRealtimeConfig()
@@ -152,7 +147,8 @@ func TestIdentifyOneAllocs(t *testing.T) {
 // every id is either named or on the free list, and a plate minted then
 // takes a freed id instead of lengthening the table; once the next window
 // starts past the last record, the ids, the buffers and the round's
-// working memory sized by the burst must all be gone.
+// working memory sized by the burst must all be gone, and the identify
+// scratches, which stay, must hold no more than a window's worth.
 func TestPlateInterningBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates a 200k-record burst")
@@ -172,6 +168,8 @@ func TestPlateInterningBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := newScratchSet(runtime.GOMAXPROCS(0)) // this engine's identification, and nothing else's
+	useScratchSet(t, set)
 	baseline := heap()
 
 	batch := make([]mapmatch.Matched, 0, 1000)
@@ -234,6 +232,16 @@ func TestPlateInterningBounded(t *testing.T) {
 	if len(pt.ids) != 0 || len(pt.names) != 0 || len(pt.refs) != 0 || cap(pt.names) > 1024 || cap(pt.free) > 1024 {
 		t.Fatalf("with nothing buffered the table still holds %d names, %d ids (cap %d) and a free list of cap %d",
 			len(pt.ids), len(pt.names), cap(pt.names), cap(pt.free))
+	}
+	// The identify scratches outlive the burst by design; what they hold
+	// may not outgrow a window's grid.
+	if n := set.count(); n > cap(set.idle) {
+		t.Fatalf("the scratch set made %d scratches for %d cores", n, cap(set.idle))
+	}
+	for i, sc := range set.idleScratches() {
+		if name, most := largestHeld(sc); oversized(most, int(cfg.Window)+1) {
+			t.Errorf("scratch %d holds %s with room for %d elements after the burst", i, name, most)
+		}
 	}
 	after := heap()
 	t.Logf("heap: baseline %.1f MB, burst %.1f MB, after trim %.1f MB", baseline, burst, after)

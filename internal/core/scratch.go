@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 
 	"taxilight/internal/dsp"
@@ -15,9 +16,10 @@ import (
 // shapes every round for every light; with the scratch threaded through
 // identifyOne the hot loop allocates near zero.
 //
-// A scratch is NOT safe for concurrent use; workers take one each from
-// scratchPool. All public entry points that use a scratch return either
-// scalars or freshly copied slices, so pooled buffers never escape.
+// A scratch is NOT safe for concurrent use; workers borrow one each from
+// the process-wide set (getScratch). All public entry points that use a
+// scratch return either scalars or freshly copied slices, so its buffers
+// never escape.
 type identifyScratch struct {
 	plans     map[int]*dsp.FFTPlan // keyed by grid length
 	resampler dsp.Resampler
@@ -47,6 +49,10 @@ type identifyScratch struct {
 	redCounts    []float64   // red histogram bins
 	redDurations []float64   // corrected stop durations
 	stops        []StopEvent // FilterStops output
+
+	// need is the most elements any buffer or plan was sized for since the
+	// scratch was borrowed; see needs and shrink.
+	need int
 }
 
 // roundMem is the working memory of one estimation round: the window
@@ -99,12 +105,111 @@ type scoredCand struct {
 	cycle, score float64
 }
 
-var scratchPool = sync.Pool{
-	New: func() any { return &identifyScratch{plans: map[int]*dsp.FFTPlan{}} },
+// scratchSet is identification's working memory: at most one scratch per
+// core, made on first demand and kept for the life of the process. A
+// pool the collector empties cannot hold it: the runtime collects at least
+// every two minutes and a round comes every five, so a pooled scratch was
+// gone at every round and regrew its buffers and plans from nothing. Idle
+// scratches queue first in, first out, so every scratch sees each shape
+// of borrow in turn and shrink reaches all of them.
+type scratchSet struct {
+	mu   sync.Mutex
+	made int
+	idle chan *identifyScratch // its capacity is the set's size
 }
 
-func getScratch() *identifyScratch   { return scratchPool.Get().(*identifyScratch) }
-func putScratch(sc *identifyScratch) { scratchPool.Put(sc) }
+func newScratchSet(size int) *scratchSet {
+	return &scratchSet{idle: make(chan *identifyScratch, size)}
+}
+
+// scratches is the process-wide set, one scratch per core as GOMAXPROCS
+// stands at start-up.
+var scratches = newScratchSet(runtime.GOMAXPROCS(0))
+
+// getScratch borrows a scratch: an idle one, else a new one while the set
+// has room, else the first one handed back. The set is thus also the
+// process-wide bound on concurrent identification — every engine's round
+// workers and every one-shot call share its cores. The wait is
+// deadlock-free because a waiter holds nothing a holder could wait for,
+// so every holder hands back. Two rules make it so:
+//   - no scratch is taken under e.mu: a waiter never holds an engine lock,
+//     and Ingest and readers never queue behind identification;
+//   - no scratch is taken while holding another: no *Sc function calls an
+//     exported entry point (IdentifyCycle, FoldScore, …), which borrows
+//     its own.
+func getScratch() *identifyScratch {
+	s := scratches
+	select {
+	case sc := <-s.idle:
+		return sc
+	default:
+	}
+	s.mu.Lock()
+	if s.made < cap(s.idle) {
+		s.made++
+		s.mu.Unlock()
+		return newScratch()
+	}
+	s.mu.Unlock()
+	return <-s.idle
+}
+
+// putScratch hands a borrowed scratch back, shrunk to what the borrow
+// needed. It never blocks: the set made no more scratches than it holds.
+func putScratch(sc *identifyScratch) {
+	sc.shrink()
+	scratches.idle <- sc
+}
+
+func newScratch() *identifyScratch {
+	return &identifyScratch{plans: map[int]*dsp.FFTPlan{}}
+}
+
+// needs records that the current borrow sizes a buffer, or a plan, for n
+// elements. Every function that sizes a scratch buffer from its input
+// calls it.
+func (sc *identifyScratch) needs(n int) {
+	if n > sc.need {
+		sc.need = n
+	}
+}
+
+// shrink drops every buffer and cached plan that is oversized against the
+// most the borrow just ended needed — the rule reuse and fit apply to
+// every other round buffer — so one burst (a MaxBufferPerKey key holds
+// 20 000 records) does not size the set for good. A borrow that sized
+// nothing says nothing about size and leaves the scratch as it is.
+func (sc *identifyScratch) shrink() {
+	n := sc.need
+	sc.need = 0
+	if n == 0 {
+		return
+	}
+	sc.primary, sc.perp, sc.win = trim(sc.primary, n), trim(sc.perp, n), trim(sc.win, n)
+	sc.cycIn, sc.enhanced, sc.perpMrg = trim(sc.cycIn, n), trim(sc.enhanced, n), trim(sc.perpMrg, n)
+	sc.enhOut, sc.folded, sc.foldTmp = trim(sc.enhOut, n), trim(sc.folded, n), trim(sc.foldTmp, n)
+	sc.foldPos, sc.peaks, sc.cands = trim(sc.foldPos, n), trim(sc.peaks, n), trim(sc.cands, n)
+	sc.foldSums, sc.foldCounts, sc.foldBins = trim(sc.foldSums, n), trim(sc.foldCounts, n), trim(sc.foldBins, n)
+	sc.curveSums, sc.curveCounts = trim(sc.curveSums, n), trim(sc.curveCounts, n)
+	sc.curve, sc.avg = trim(sc.curve, n), trim(sc.avg, n)
+	sc.redCounts, sc.redDurations, sc.stops = trim(sc.redCounts, n), trim(sc.redDurations, n), trim(sc.stops, n)
+	if oversized(sc.resampler.Cap(), n) {
+		sc.resampler = dsp.Resampler{}
+	}
+	for length := range sc.plans {
+		if oversized(length, n) {
+			delete(sc.plans, length)
+		}
+	}
+}
+
+// trim is buf, or nil when buf is oversized for n elements.
+func trim[T any](buf []T, n int) []T {
+	if oversized(cap(buf), n) {
+		return nil
+	}
+	return buf
+}
 
 // plan returns the cached FFT plan for grid length n, building it on
 // first use. The estimation tick sees one or two distinct lengths, so the

@@ -259,6 +259,14 @@ type Resampler struct {
 	grid   []float64
 }
 
+// Cap is the most elements any of the Resampler's buffers has room for,
+// so an owner can tell when one large call has left it oversized.
+func (r *Resampler) Cap() int {
+	s := &r.spline
+	return max(cap(r.grid), cap(s.xs), cap(s.ys), cap(s.c1), cap(s.c2), cap(s.c3),
+		cap(s.h), cap(s.m), cap(s.diag), cap(s.upper), cap(s.rhs))
+}
+
 // Spline resamples pts onto the 1-unit grid spanning [t0, t1] with a
 // natural cubic spline, under the same contract as ResampleSpline.
 func (r *Resampler) Spline(pts []Sample, t0, t1 float64) ([]float64, error) {

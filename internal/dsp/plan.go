@@ -101,7 +101,7 @@ func newPlanCore(n int) *planCore {
 // The plan-core cache shares one immutable core per transform length
 // across the whole process. A parallel estimation round runs one
 // identification worker per CPU, and every worker transforms the same
-// one or two window lengths each round; without sharing, each pooled
+// one or two window lengths each round; without sharing, each worker's
 // scratch rebuilds the same twiddle/chirp tables (tens of kilobytes and
 // a few hundred microseconds per length). Reads are the steady state, so
 // the cache is read-mostly: an RWMutex-guarded map with a size cap —

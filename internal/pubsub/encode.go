@@ -13,7 +13,7 @@ import (
 // The hot encode path is allocation-free at steady state: every field is
 // appended with strconv.Append* into a caller-owned (usually pooled)
 // buffer, and the static per-key JSON prefix is preserialized once at
-// subscribe time — the same discipline as the engine's pooled
+// subscribe time — the same discipline as the engine's reused
 // identification scratch (DESIGN.md §11). The /v1/state handler and the
 // /v1/watch event frames share this encoder, so both read paths pay the
 // same (near-zero) per-answer cost.

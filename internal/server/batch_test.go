@@ -4,8 +4,12 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
+	"taxilight/internal/core"
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/roadnet"
@@ -50,4 +54,80 @@ func TestBatchSlicesRecycled(t *testing.T) {
 	if sh.takeBatch(4); len(sh.free) != 1 {
 		t.Fatal("takeBatch allocated with spare slices on the free list")
 	}
+
+	if DefaultConfig().ShardBuffer+2 != freeBatches {
+		t.Fatalf("default shard queue %d, want freeBatches − 2 = %d", DefaultConfig().ShardBuffer, freeBatches-2)
+	}
+
+	t.Run("Backlog", func(t *testing.T) {
+		// A round holds the shard while one source dispatches what it can
+		// have out to a stalled shard: a full queue, the batch being
+		// ingested, the batch being filled. Once the shard drains, every
+		// one of those slices is a spare, and the same backlog again is
+		// served from the spares alone.
+		var hold atomic.Pointer[chan struct{}]
+		entered := make(chan struct{})
+		s := newTestServer(t, func(c *Config) {
+			c.Shards = 1
+			c.BatchSize = 4
+			c.RoundStagger = false
+			c.OnRound = func(int, core.RoundStats) {
+				if release := hold.Swap(nil); release != nil {
+					entered <- struct{}{}
+					<-*release
+				}
+			}
+		})
+		s.Start()
+		defer s.StopIngest()
+		sh := s.shards[0]
+		backlog := s.cfg.ShardBuffer + 2
+		records := func(t0 float64, batches int) []mapmatch.Matched {
+			ms := make([]mapmatch.Matched, batches*s.cfg.BatchSize)
+			for i := range ms {
+				ms[i] = mapmatch.Matched{Plate: fmt.Sprintf("Q%d", i%7), Light: key.Light, Approach: key.Approach, T: t0 + float64(i)/1000}
+			}
+			return ms
+		}
+		// cycle runs one held round and returns the arrays of the backlog's
+		// batches, which it takes off the queue and hands back in order.
+		cycle := func(t0 float64) map[*mapmatch.Matched]bool {
+			release := make(chan struct{})
+			hold.Store(&release)
+			s.Dispatch(context.Background(), records(t0, 1)) // its round holds the shard
+			<-entered
+			dispatched := make(chan struct{})
+			go func() {
+				s.Dispatch(context.Background(), records(t0+1, backlog))
+				close(dispatched)
+			}()
+			batches := make([][]mapmatch.Matched, backlog)
+			arrays := map[*mapmatch.Matched]bool{}
+			for i := range batches {
+				batches[i] = <-sh.in
+				arrays[unsafe.SliceData(batches[i])] = true
+			}
+			<-dispatched
+			close(release)
+			for _, b := range batches {
+				sh.in <- b
+			}
+			for deadline := time.Now().Add(10 * time.Second); len(sh.free) < freeBatches || len(sh.in) > 0; {
+				if time.Now().After(deadline) {
+					t.Fatalf("after the drain %d slices are spare, want %d", len(sh.free), freeBatches)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			return arrays
+		}
+		first := cycle(0)
+		if len(first) != backlog {
+			t.Fatalf("the backlog went out in %d slices, want %d", len(first), backlog)
+		}
+		for a := range cycle(1000) {
+			if !first[a] {
+				t.Fatal("the second backlog allocated a batch slice with every slice of the first spare")
+			}
+		}
+	})
 }

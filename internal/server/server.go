@@ -34,7 +34,11 @@ type Config struct {
 	// smaller per-engine locks.
 	Shards int
 	// ShardBuffer is the per-shard channel capacity in batches; a full
-	// channel blocks the dispatcher (backpressure on the source).
+	// channel blocks the dispatcher (backpressure on the source). The
+	// default, freeBatches − 2, is as deep as a shard's spares allow: the
+	// queued batches, the one being ingested and the one being filled all
+	// come back as spares, so a backlog drained after a round leaves no
+	// batch slice for the collector.
 	ShardBuffer int
 	// BatchSize caps how many matched records a dispatcher accumulates
 	// for one shard before sending.
@@ -140,7 +144,7 @@ const (
 func DefaultConfig() Config {
 	return Config{
 		Shards:             4,
-		ShardBuffer:        64,
+		ShardBuffer:        freeBatches - 2,
 		BatchSize:          256,
 		FlushEvery:         200 * time.Millisecond,
 		TickEvery:          time.Second,

@@ -45,9 +45,11 @@ type shard struct {
 	lastPersisted map[mapmatch.Key]float64
 }
 
-// freeBatches is how many spare batch slices a shard keeps. A few cover
-// the dispatchers feeding it in step; a backlog's worth is not kept, so a
-// drained burst does not stay on the heap.
+// freeBatches is how many spare batch slices a shard keeps: what one
+// source can have out to it with the default queue (ShardBuffer) full —
+// the queued batches, one being ingested, one being filled. A deeper
+// queue's backlog is not kept, so a drained burst does not stay on the
+// heap.
 const freeBatches = 8
 
 // takeBatch returns an empty batch slice, recycled if one is spare.
