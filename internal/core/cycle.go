@@ -36,6 +36,21 @@ import (
 // identification stage.
 var ErrInsufficientData = errors.New("core: insufficient data")
 
+// thinError is the ErrInsufficientData of a key too thin for a stage, which
+// fails every round until quarantined: it formats only when read, into
+// fmt.Errorf(stage+"%w: "+detail, ErrInsufficientData, have, need).
+type thinError struct {
+	stage      string // "cycle: ", "red: ", or "" outside a pipeline
+	detail     string // two %d verbs: have, need
+	have, need int
+}
+
+func (e *thinError) Error() string {
+	return e.stage + ErrInsufficientData.Error() + ": " + fmt.Sprintf(e.detail, e.have, e.need)
+}
+
+func (e *thinError) Unwrap() error { return ErrInsufficientData }
+
 // CycleConfig tunes cycle-length identification.
 type CycleConfig struct {
 	// MinCycle and MaxCycle bound the plausible cycle lengths in
@@ -128,7 +143,7 @@ func cycleInputSc(sc *identifyScratch, samples []dsp.Sample, t0, t1 float64, cfg
 	sortSamplesIfNeeded(buf)
 	in := dsp.MergeDuplicateTimesInPlace(buf)
 	if len(in) < cfg.MinSamples {
-		return nil, fmt.Errorf("%w: %d samples after merging, need %d", ErrInsufficientData, len(in), cfg.MinSamples)
+		return nil, &thinError{detail: "%d samples after merging, need %d", have: len(in), need: cfg.MinSamples}
 	}
 	return in, nil
 }
@@ -146,20 +161,10 @@ func cycleFromSpectrumSc(sc *identifyScratch, in []dsp.Sample, t0, t1 float64, c
 	if n := int(t1-t0) + 1; n > 1 && n%2 == 1 {
 		gridT1 = t0 + float64(n-2)
 	}
-	var grid []float64
-	var err error
-	switch cfg.Interp {
-	case InterpLinear:
-		grid, err = sc.resampler.Linear(in, t0, gridT1)
-	case InterpHold:
-		grid, err = sc.resampler.Hold(in, t0, gridT1)
-	default:
-		grid, err = sc.resampler.Spline(in, t0, gridT1)
-	}
+	grid, err := resampleSc(sc, in, t0, gridT1, cfg.Interp)
 	if err != nil {
 		return 0, err
 	}
-	clampToObserved(grid, in)
 	n := len(grid)
 	dsp.DetrendInPlace(grid)
 	plan, err := sc.plan(n)
@@ -382,6 +387,23 @@ func foldScoreSc(sc *identifyScratch, samples []dsp.Sample, mo foldMoments, cycl
 	return 1 - (1-r2)*float64(n-1)/float64(n-used)
 }
 
+// resampleSc interpolates in onto the scratch's 1 Hz grid over [t0, t1]
+// by the given method, clamped to the observed range.
+func resampleSc(sc *identifyScratch, in []dsp.Sample, t0, t1 float64, kind InterpKind) (grid []float64, err error) {
+	switch kind {
+	case InterpLinear:
+		grid, err = sc.resampler.Linear(in, t0, t1)
+	case InterpHold:
+		grid, err = sc.resampler.Hold(in, t0, t1)
+	default:
+		grid, err = sc.resampler.Spline(in, t0, t1)
+	}
+	if err == nil {
+		clampToObserved(grid, in)
+	}
+	return grid, err
+}
+
 // clampToObserved limits interpolated grid values to the observed sample
 // range padded by half its span. The paper tolerates mildly negative
 // interpolated speeds (they do not move the fundamental), but a natural
@@ -413,11 +435,6 @@ func clampToObserved(grid []float64, samples []dsp.Sample) {
 			grid[i] = max
 		}
 	}
-}
-
-// windowed returns the samples with t0 <= T <= t1 (copied).
-func windowed(samples []dsp.Sample, t0, t1 float64) []dsp.Sample {
-	return appendWindowed(make([]dsp.Sample, 0, len(samples)), samples, t0, t1)
 }
 
 // appendWindowed appends the samples with t0 <= T <= t1 to dst.
@@ -456,31 +473,22 @@ func Enhance(primary, perp []dsp.Sample) []dsp.Sample {
 // construction. The returned slice is owned by the scratch.
 func enhanceSc(sc *identifyScratch, primary, perp []dsp.Sample) []dsp.Sample {
 	sc.needs(len(primary) + len(perp))
-	if len(perp) == 0 {
-		buf := append(sc.enhanced[:0], primary...)
-		sc.enhanced = buf
-		sortSamplesIfNeeded(buf)
-		return dsp.MergeDuplicateTimesInPlace(buf)
-	}
-	var sum float64
-	n := 0
-	for _, s := range primary {
-		sum += s.V
-		n++
-	}
-	for _, s := range perp {
-		sum += s.V
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	mean := sum / float64(n)
-
 	pbuf := append(sc.enhanced[:0], primary...)
 	sc.enhanced = pbuf
 	sortSamplesIfNeeded(pbuf)
 	p := dsp.MergeDuplicateTimesInPlace(pbuf)
+	if len(perp) == 0 {
+		return p
+	}
+	var sum float64
+	for _, s := range primary {
+		sum += s.V
+	}
+	for _, s := range perp {
+		sum += s.V
+	}
+	mean := sum / float64(len(primary)+len(perp))
+
 	qbuf := append(sc.perpMrg[:0], perp...)
 	sc.perpMrg = qbuf
 	sortSamplesIfNeeded(qbuf)

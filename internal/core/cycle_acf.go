@@ -13,36 +13,17 @@ import (
 // (BenchmarkAblationCycleMethod) — time-domain period estimation is what
 // velocity-profile approaches like Kerper et al. effectively do.
 func IdentifyCycleACF(samples []dsp.Sample, t0, t1 float64, cfg CycleConfig) (float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	if t1 <= t0 {
-		return 0, fmt.Errorf("core: empty window [%v, %v]", t0, t1)
-	}
-	in := windowed(samples, t0, t1)
-	dsp.SortSamples(in)
-	in = dsp.MergeDuplicateTimes(in)
-	if len(in) < cfg.MinSamples {
-		return 0, fmt.Errorf("%w: %d samples after merging, need %d", ErrInsufficientData, len(in), cfg.MinSamples)
-	}
-	var grid []float64
-	var err error
-	switch cfg.Interp {
-	case InterpLinear:
-		grid, err = dsp.ResampleLinear(in, t0, t1)
-	case InterpHold:
-		grid, err = dsp.ResampleHold(in, t0, t1)
-	default:
-		grid, err = dsp.ResampleSpline(in, t0, t1)
-	}
+	sc := getScratch()
+	defer putScratch(sc)
+	in, err := cycleInputSc(sc, samples, t0, t1, cfg)
 	if err != nil {
 		return 0, err
 	}
-	clampToObserved(grid, in)
-	maxLag := int(cfg.MaxCycle)
-	if maxLag >= len(grid) {
-		maxLag = len(grid) - 1
+	grid, err := resampleSc(sc, in, t0, t1, cfg.Interp)
+	if err != nil {
+		return 0, err
 	}
+	maxLag := min(int(cfg.MaxCycle), len(grid)-1)
 	if maxLag < int(cfg.MinCycle) {
 		return 0, fmt.Errorf("core: window of %d s too short for cycle band [%v, %v]", len(grid), cfg.MinCycle, cfg.MaxCycle)
 	}
@@ -63,25 +44,13 @@ func IdentifyCycleACF(samples []dsp.Sample, t0, t1 float64, cfg CycleConfig) (fl
 // paper's interpolate-then-DFT pipeline competes against the estimator
 // purpose-built for irregular sampling.
 func IdentifyCycleLombScargle(samples []dsp.Sample, t0, t1 float64, cfg CycleConfig) (float64, error) {
-	if err := cfg.Validate(); err != nil {
+	sc := getScratch()
+	defer putScratch(sc)
+	in, err := cycleInputSc(sc, samples, t0, t1, cfg)
+	if err != nil {
 		return 0, err
 	}
-	if t1 <= t0 {
-		return 0, fmt.Errorf("core: empty window [%v, %v]", t0, t1)
-	}
-	in := windowed(samples, t0, t1)
-	dsp.SortSamples(in)
-	in = dsp.MergeDuplicateTimes(in)
-	if len(in) < cfg.MinSamples {
-		return 0, fmt.Errorf("%w: %d samples after merging, need %d", ErrInsufficientData, len(in), cfg.MinSamples)
-	}
 	// Scan at roughly the DFT's resolution over the same window length.
-	step := cfg.MinCycle * cfg.MinCycle / (t1 - t0)
-	if step < 0.25 {
-		step = 0.25
-	}
-	if step > 2 {
-		step = 2
-	}
+	step := min(max(cfg.MinCycle*cfg.MinCycle/(t1-t0), 0.25), 2)
 	return dsp.LombScarglePeriod(in, cfg.MinCycle, cfg.MaxCycle, step)
 }

@@ -98,8 +98,6 @@ type approachHealth struct {
 	consecutiveFailures int
 	quarantines         int
 	lastErr             error
-	lastSuccess         float64 // stream time of last good estimate
-	everSucceeded       bool
 	quarantinedUntil    float64
 	backoff             float64 // current quarantine duration
 }
@@ -160,100 +158,66 @@ func (e *Engine) Health() HealthReport {
 	defer e.mu.RUnlock()
 	rep := HealthReport{
 		Now:                    e.now,
-		Approaches:             make(map[mapmatch.Key]ApproachHealth, len(e.estimates)+len(e.health)),
+		Approaches:             make(map[mapmatch.Key]ApproachHealth, len(e.approaches)),
 		DroppedOldRecords:      e.droppedOld,
 		DroppedOverflowRecords: e.droppedOverflow,
 	}
-	for _, kb := range e.buf {
-		rep.BufferedRecords += len(kb.ms)
-	}
-	for k := range e.estimates {
-		rep.Approaches[k] = e.approachHealthLocked(k)
-	}
-	for k := range e.health {
-		if _, ok := rep.Approaches[k]; !ok {
-			rep.Approaches[k] = e.approachHealthLocked(k)
+	for k, a := range e.approaches {
+		rep.BufferedRecords += len(a.buf.ms)
+		if a.reported() {
+			rep.Approaches[k] = e.approachHealthLocked(a)
 		}
 	}
 	return rep
 }
 
-// approachHealthLocked assembles the exported snapshot for one key.
-func (e *Engine) approachHealthLocked(k mapmatch.Key) ApproachHealth {
-	out := ApproachHealth{LastSuccessAt: -1, EstimateAge: math.Inf(1)}
-	if h := e.health[k]; h != nil {
-		out.ConsecutiveFailures = h.consecutiveFailures
-		out.Quarantines = h.quarantines
-		if h.lastErr != nil {
-			out.LastError = h.lastErr.Error()
-		}
-		if h.everSucceeded {
-			out.LastSuccessAt = h.lastSuccess
-		}
-		out.QuarantinedUntil = h.quarantinedUntil
+// approachHealthLocked assembles the exported snapshot for one approach.
+func (e *Engine) approachHealthLocked(a *approach) ApproachHealth {
+	h := &a.health
+	out := ApproachHealth{
+		LastSuccessAt:       -1,
+		EstimateAge:         math.Inf(1),
+		ConsecutiveFailures: h.consecutiveFailures,
+		Quarantines:         h.quarantines,
+		QuarantinedUntil:    h.quarantinedUntil,
 	}
-	if res, ok := e.estimates[k]; ok {
-		out.EstimateAge = e.now - res.WindowEnd
+	if h.lastErr != nil {
+		out.LastError = h.lastErr.Error()
 	}
-	out.State = e.healthStateLocked(k, out.EstimateAge)
+	if a.published { // a success is a publish, at its window end
+		out.LastSuccessAt, out.EstimateAge = a.est.WindowEnd, e.now-a.est.WindowEnd
+	}
+	out.State = e.healthStateLocked(a, out.EstimateAge)
 	return out
 }
 
-// healthStateLocked classifies one key given its estimate age.
-func (e *Engine) healthStateLocked(k mapmatch.Key, age float64) HealthState {
-	if h := e.health[k]; h != nil && h.quarantinedUntil > e.now {
+// healthStateLocked classifies one approach given its estimate age.
+func (e *Engine) healthStateLocked(a *approach, age float64) HealthState {
+	if a.health.quarantinedUntil > e.now {
 		return Quarantined
 	}
-	if math.IsInf(age, 1) {
-		return Stale
-	}
-	if sa := e.cfg.Faults.StaleAfter; sa > 0 && age > sa {
+	if sa := e.cfg.Faults.StaleAfter; math.IsInf(age, 1) || sa > 0 && age > sa {
 		return Stale
 	}
 	return Fresh
-}
-
-// healthFor returns (creating if needed) the internal ledger for a key.
-// Callers must hold e.mu.
-func (e *Engine) healthFor(k mapmatch.Key) *approachHealth {
-	h := e.health[k]
-	if h == nil {
-		h = &approachHealth{}
-		e.health[k] = h
-	}
-	return h
 }
 
 // recordFailureLocked notes one identification failure and applies the
 // quarantine policy: after QuarantineAfter consecutive failures the key
 // is benched for the current backoff, which doubles (capped) on each
 // further failure once released.
-func (e *Engine) recordFailureLocked(k mapmatch.Key, at float64, err error) {
-	h := e.healthFor(k)
+func (e *Engine) recordFailureLocked(a *approach, at float64, err error) {
+	h := &a.health
 	h.consecutiveFailures++
 	h.lastErr = err
 	p := e.cfg.Faults
 	if p.QuarantineAfter <= 0 || h.consecutiveFailures < p.QuarantineAfter {
 		return
 	}
-	if h.backoff == 0 {
-		h.backoff = p.Backoff
-	} else {
-		h.backoff *= 2
-		if p.BackoffMax > 0 && h.backoff > p.BackoffMax {
-			h.backoff = p.BackoffMax
-		}
+	h.backoff = max(2*h.backoff, p.Backoff) // Validate keeps BackoffMax >= Backoff
+	if p.BackoffMax > 0 {
+		h.backoff = min(h.backoff, p.BackoffMax)
 	}
 	h.quarantinedUntil = at + h.backoff
 	h.quarantines++
-}
-
-// recordSuccessLocked resets the failure ledger after a good estimate.
-func (e *Engine) recordSuccessLocked(k mapmatch.Key, at float64) {
-	h := e.healthFor(k)
-	h.consecutiveFailures = 0
-	h.backoff = 0
-	h.quarantinedUntil = 0
-	h.lastSuccess = at
-	h.everSucceeded = true
 }

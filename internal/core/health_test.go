@@ -171,7 +171,7 @@ func TestIngestCapsPerKeyBuffer(t *testing.T) {
 	// The newest records must be the survivors.
 	eng.mu.RLock()
 	defer eng.mu.RUnlock()
-	for _, m := range eng.buf[key].ms {
+	for _, m := range eng.approaches[key].buf.ms {
 		if m.t < 500 {
 			t.Fatalf("old record t=%v survived eviction", m.t)
 		}
@@ -186,7 +186,7 @@ func TestSnapshotCarriesAgeAndHealth(t *testing.T) {
 	}
 	key := mapmatch.Key{Light: 3, Approach: lights.NorthSouth}
 	eng.mu.Lock()
-	eng.estimates[key] = Result{Key: key, Cycle: 100, Red: 40, Green: 60, WindowEnd: 1000}
+	eng.publishLocked(eng.approachLocked(key), Result{Key: key, Cycle: 100, Red: 40, Green: 60, WindowEnd: 1000})
 	eng.now = 1200
 	eng.mu.Unlock()
 	snap := eng.Snapshot()

@@ -53,8 +53,10 @@ func (c HistoryConfig) Validate() error {
 type History struct {
 	cfg HistoryConfig
 	// slots[i] holds slot i's estimates in ascending order (NaN first, as
-	// sort.Float64s has it), so the median is an index, not a sort.
-	slots [][]float64
+	// sort.Float64s has it), so the median is an index, not a sort. A slot
+	// is made on first use with room for perSlot estimates.
+	slots   [][]float64
+	perSlot int
 }
 
 // NewHistory returns an empty historical prior.
@@ -62,8 +64,13 @@ func NewHistory(cfg HistoryConfig) (*History, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := int(math.Ceil(86400 / cfg.SlotSeconds))
-	return &History{cfg: cfg, slots: make([][]float64, n)}, nil
+	h := newHistory(cfg, 0)
+	return &h, nil
+}
+
+// newHistory is an empty History for a valid cfg.
+func newHistory(cfg HistoryConfig, perSlot int) History {
+	return History{cfg: cfg, slots: make([][]float64, int(math.Ceil(86400/cfg.SlotSeconds))), perSlot: perSlot}
 }
 
 func (h *History) slotOf(t float64) int {
@@ -83,6 +90,9 @@ func (h *History) slotOf(t float64) int {
 func (h *History) Add(t, cycle float64) {
 	i := h.slotOf(t)
 	s := h.slots[i]
+	if s == nil {
+		s = make([]float64, 0, h.perSlot)
+	}
 	at, _ := slices.BinarySearchFunc(s, cycle, func(x, target float64) int {
 		// x sorts after target: go left. Never 0, so at is past every equal.
 		if target < x || (math.IsNaN(target) && !math.IsNaN(x)) {

@@ -217,12 +217,22 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Monitor{
+	m := newMonitor(cfg, 0)
+	return &m, nil
+}
+
+// newMonitor is an empty Monitor for a valid cfg, with room for seriesCap
+// points. final.run, tail and medians share one array, each capped.
+func newMonitor(cfg MonitorConfig, seriesCap int) Monitor {
+	c, w := cfg.Confirm, cfg.MedianWindow
+	buf := make([]float64, 2*c+w)
+	return Monitor{
 		cfg:     cfg,
-		final:   detector{run: make([]float64, 0, cfg.Confirm)},
-		tail:    make([]float64, 0, cfg.Confirm),
-		medians: make([]float64, 0, cfg.MedianWindow),
-	}, nil
+		series:  make([]CyclePoint, 0, seriesCap),
+		final:   detector{run: buf[:0:c]},
+		tail:    buf[c : c : 2*c],
+		medians: buf[2*c : 2*c : 2*c+w],
+	}
 }
 
 // Feed appends one estimate and returns any newly confirmed scheduling

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"taxilight/internal/geo"
 	"taxilight/internal/mapmatch"
 )
@@ -61,13 +59,12 @@ func newPlateTable() plateTable {
 	return plateTable{ids: map[string]uint32{}}
 }
 
-// intern returns the id of name, cloning the string on first sight so the
-// table does not pin the line it was sliced from.
+// intern returns the id of name. The table keeps name itself: a plate is
+// copied once, where it enters the process (see Engine.Ingest).
 func (pt *plateTable) intern(name string) uint32 {
 	if id, ok := pt.ids[name]; ok {
 		return id
 	}
-	name = strings.Clone(name)
 	var id uint32
 	if n := len(pt.free); n > 0 {
 		id, pt.free = pt.free[n-1], pt.free[:n-1]

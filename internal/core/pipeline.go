@@ -316,7 +316,11 @@ func identifyOne(view map[mapmatch.Key][]obs, stopIdx *StopIndex, key mapmatch.K
 	}
 	in, err := cycleInputSc(sc, cycIn, t0, t1, cfg.Cycle)
 	if err != nil {
-		res.Err = fmt.Errorf("cycle: %w", err)
+		if thin, ok := err.(*thinError); ok {
+			thin.stage, res.Err = "cycle: ", thin // formatted when read
+		} else {
+			res.Err = fmt.Errorf("cycle: %w", err)
+		}
 		return res
 	}
 	// A key too thin for the red stage fails there whatever cycle the
@@ -327,7 +331,7 @@ func identifyOne(view map[mapmatch.Key][]obs, stopIdx *StopIndex, key mapmatch.K
 	stops := stopIdx.Stops(key)
 	res.Stops = len(stops)
 	if n := countStopsWithin(stops, maxIdentifiedCycle(cfg.Cycle, t0, t1)); n < cfg.Red.MinStops {
-		res.Err = fmt.Errorf("red: %w: at most %d usable stops under any cycle, need %d", ErrInsufficientData, n, cfg.Red.MinStops)
+		res.Err = &thinError{stage: "red: ", detail: "at most %d usable stops under any cycle, need %d", have: n, need: cfg.Red.MinStops}
 		return res
 	}
 	cycle, err := cycleFromSpectrumSc(sc, in, t0, t1, cfg.Cycle)

@@ -162,23 +162,77 @@ type Engine struct {
 	roundObserver func(RoundStats)
 	round         roundMem
 
-	mu        sync.RWMutex
-	buf       map[mapmatch.Key]*keyBuffer
-	plates    plateTable // plate ids, and the observations buffered per id
-	dirty     map[mapmatch.Key]struct{}
-	mergeBuf  []obs // normalize scratch, guarded by mu
-	now       float64
-	nextRun   float64
-	version   uint64
-	estimates map[mapmatch.Key]Result
-	monitors  map[mapmatch.Key]*Monitor
-	histories map[mapmatch.Key]*History
+	mu         sync.RWMutex
+	approaches map[mapmatch.Key]*approach
+	dirty      []*approach // every approach with dirty set, once
+	published  int         // approaches with a published estimate
+	plates     plateTable  // plate ids, and the observations buffered per id
+	mergeBuf   []obs       // normalize scratch, guarded by mu
+	now        float64
+	nextRun    float64
+	version    uint64
 
-	// Failure-isolation state: per-approach ledgers plus engine-wide
-	// dropped-record counters (see Health).
-	health          map[mapmatch.Key]*approachHealth
-	droppedOld      int64
-	droppedOverflow int64
+	droppedOld, droppedOverflow int64 // dropped-record counters (see Health)
+}
+
+// seriesHorizon is the stream seconds of rounds a new Monitor has room for.
+const seriesHorizon = 3 * 3600
+
+// approach is everything the engine keeps about one signal approach, made
+// on its first record. History slots (a day's rounds each) and the Monitor
+// series (seriesHorizon) are sized once, so neither regrows every round.
+type approach struct {
+	key    mapmatch.Key
+	buf    keyBuffer
+	dirty  bool // on Engine.dirty: unread records, or a failure to retry
+	health approachHealth
+	// est is served once published is set; newest, the latest WindowEnd
+	// ever published, is covered from version advancedAt.
+	est        Result
+	published  bool
+	newest     float64
+	advancedAt uint64
+	history    History // empty until UseHistory corrects a first estimate
+	monitor    Monitor // empty until a first covered estimate feeds it
+}
+
+// reported: a has an estimate, or a failure only a success would clear.
+func (a *approach) reported() bool {
+	return a.published || a.health.consecutiveFailures > 0
+}
+
+// approachLocked returns k's record, making it on first sight.
+func (e *Engine) approachLocked(k mapmatch.Key) *approach {
+	a := e.approaches[k]
+	if a == nil {
+		a = &approach{key: k}
+		e.approaches[k] = a
+	}
+	return a
+}
+
+// markDirtyLocked puts a on the dirty list unless it is there already.
+func (e *Engine) markDirtyLocked(a *approach) {
+	if !a.dirty {
+		a.dirty = true
+		e.dirty = append(e.dirty, a)
+	}
+}
+
+// publishLocked serves res and clears a's failure ledger. A WindowEnd past
+// every earlier one is new to AppendPublishedSince from the next version.
+func (e *Engine) publishLocked(a *approach, res Result) {
+	if !a.published {
+		a.published = true
+		e.published++
+	}
+	a.est = res
+	h := &a.health
+	h.consecutiveFailures, h.backoff, h.quarantinedUntil = 0, 0, 0
+	if res.WindowEnd > a.newest {
+		a.newest = res.WindowEnd
+		a.advancedAt = e.version + 1
+	}
 }
 
 // keyBuffer holds one approach's buffered records under a sorted-prefix
@@ -200,14 +254,9 @@ func NewEngine(cfg RealtimeConfig) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{
-		cfg:       cfg,
-		buf:       map[mapmatch.Key]*keyBuffer{},
-		plates:    newPlateTable(),
-		dirty:     map[mapmatch.Key]struct{}{},
-		estimates: map[mapmatch.Key]Result{},
-		monitors:  map[mapmatch.Key]*Monitor{},
-		histories: map[mapmatch.Key]*History{},
-		health:    map[mapmatch.Key]*approachHealth{},
+		cfg:        cfg,
+		approaches: map[mapmatch.Key]*approach{},
+		plates:     newPlateTable(),
 	}, nil
 }
 
@@ -233,6 +282,8 @@ func (e *Engine) retainFromLocked() float64 {
 // buffered, and each approach's buffer is capped at
 // Faults.MaxBufferPerKey, evicting the oldest quarter on overflow. Both
 // drop paths are counted in Health.
+// A plate name is kept, not copied: it must own its bytes, as a
+// trace.Scanner's interned plates do, so a plate is copied once, there.
 func (e *Engine) Ingest(ms []mapmatch.Matched) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -244,12 +295,8 @@ func (e *Engine) Ingest(ms []mapmatch.Matched) {
 			e.droppedOld++
 			continue
 		}
-		k := mapmatch.Key{Light: m.Light, Approach: m.Approach}
-		kb := e.buf[k]
-		if kb == nil {
-			kb = &keyBuffer{}
-			e.buf[k] = kb
-		}
+		a := e.approachLocked(mapmatch.Key{Light: m.Light, Approach: m.Approach})
+		kb := &a.buf
 		if maxPerKey > 0 && len(kb.ms) >= maxPerKey {
 			e.evictOldestLocked(kb, maxPerKey)
 		}
@@ -259,7 +306,7 @@ func (e *Engine) Ingest(ms []mapmatch.Matched) {
 		o := e.plates.observe(m)
 		e.plates.hold(o.id())
 		kb.ms = append(kb.ms, o)
-		e.dirty[k] = struct{}{}
+		e.markDirtyLocked(a)
 	}
 }
 
@@ -312,13 +359,7 @@ func (e *Engine) evictOldestLocked(kb *keyBuffer, maxPerKey int) {
 	kb.ms = slices.Clone(kb.ms)
 	e.normalizeLocked(kb)
 	ms := kb.ms
-	drop := len(ms) - maxPerKey*3/4
-	if drop < 1 {
-		drop = 1
-	}
-	if drop > len(ms) {
-		drop = len(ms)
-	}
+	drop := min(max(len(ms)-maxPerKey*3/4, 1), len(ms))
 	e.droppedOverflow += int64(drop)
 	e.dropOldestLocked(kb, drop)
 }
@@ -363,10 +404,7 @@ func (e *Engine) Advance(t float64) ([]KeyedChange, error) {
 	var out []KeyedChange
 	ran := false
 	for runAt <= t {
-		ch, stats, err := e.estimateRound(runAt)
-		if err != nil {
-			return out, err
-		}
+		ch, stats := e.estimateRound(runAt)
 		out = append(out, ch...)
 		runAt += e.cfg.Interval
 		e.mu.Lock()
@@ -445,7 +483,7 @@ var viewHook func(rm *roundMem, identified bool)
 // skipped and stay dirty — their buffers keep filling, so a recovered
 // approach re-estimates immediately on release, but no pipeline work is
 // spent on a key that keeps failing.
-func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats, error) {
+func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats) {
 	t0 := at - e.cfg.Window
 	rm := &e.round
 	stats := RoundStats{At: at}
@@ -487,7 +525,7 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats, error) {
 	}
 	rm.names = nil
 
-	out, err := e.publishRound(at, rm.recompute, results, covered, &stats)
+	out := e.publishRound(at, rm.recompute, results, covered, &stats)
 	done := time.Now()
 
 	stats.Snapshot = snapped.Sub(start)
@@ -496,7 +534,7 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats, error) {
 	stats.Publish = done.Sub(identified)
 	stats.Duration = done.Sub(start)
 	stats.LockHold = stats.Snapshot + stats.Publish
-	return out, stats, err
+	return out, stats
 }
 
 // snapshotLocked hands rm the in-window views of the keys to recompute,
@@ -509,21 +547,16 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats, error) {
 // none).
 func (e *Engine) snapshotLocked(rm *roundMem, t0, at float64) (earliest float64) {
 	rm.names = e.plates.names
-	rm.todo = rm.todo[:0]
-	if e.cfg.FullReestimate {
-		for k := range e.buf {
-			rm.todo = append(rm.todo, k)
-		}
-	} else {
-		for k := range e.dirty {
-			rm.todo = append(rm.todo, k)
+	if e.cfg.FullReestimate { // every approach is due
+		for _, a := range e.approaches {
+			e.markDirtyLocked(a)
 		}
 	}
 	// The view map doubles as the set of keys already spanned. Its
 	// buckets are reused unless a burst left it far larger than a round
 	// needs.
-	if rm.view == nil || oversized(len(rm.view), len(rm.todo)) {
-		rm.view = make(map[mapmatch.Key][]obs, 2*len(rm.todo))
+	if rm.view == nil || oversized(len(rm.view), len(e.dirty)) {
+		rm.view = make(map[mapmatch.Key][]obs, 2*len(e.dirty))
 	} else {
 		clear(rm.view)
 	}
@@ -534,13 +567,13 @@ func (e *Engine) snapshotLocked(rm *roundMem, t0, at float64) (earliest float64)
 		return lo, hi
 	}
 	earliest = math.Inf(1)
-	for _, k := range rm.todo {
-		kb := e.buf[k]
-		if kb == nil || len(kb.ms) == 0 {
-			delete(e.dirty, k)
+	for _, a := range e.dirty {
+		kb := &a.buf
+		if len(kb.ms) == 0 {
+			a.dirty = false
 			continue
 		}
-		if h := e.health[k]; h != nil && h.quarantinedUntil > at {
+		if a.health.quarantinedUntil > at {
 			continue // stays dirty: recompute on release
 		}
 		e.normalizeLocked(kb)
@@ -549,16 +582,15 @@ func (e *Engine) snapshotLocked(rm *roundMem, t0, at float64) (earliest float64)
 			// No records beyond this window: the key is clean until new
 			// data arrives. Keys with buffered future records stay dirty
 			// for the round that will see them.
-			delete(e.dirty, k)
+			a.dirty = false
 		}
 		if hi > lo {
-			rm.view[k] = kb.ms[lo:hi:hi]
-			rm.recompute = append(rm.recompute, k)
-			if kb.ms[lo].t < earliest {
-				earliest = kb.ms[lo].t
-			}
+			rm.view[a.key] = kb.ms[lo:hi:hi]
+			rm.recompute = append(rm.recompute, a.key)
+			earliest = min(earliest, kb.ms[lo].t)
 		}
 	}
+	e.dirty = slices.DeleteFunc(e.dirty, func(a *approach) bool { return !a.dirty })
 	// Perpendicular context: enhancement mirrors the perpendicular
 	// approach's samples and the stop index reads its dwell runs, so the
 	// view must carry those records even though the perpendicular key
@@ -568,13 +600,13 @@ func (e *Engine) snapshotLocked(rm *roundMem, t0, at float64) (earliest float64)
 		if _, spanned := rm.view[pk]; spanned {
 			continue
 		}
-		kb := e.buf[pk]
-		if kb == nil || len(kb.ms) == 0 {
+		a := e.approaches[pk]
+		if a == nil || len(a.buf.ms) == 0 {
 			continue
 		}
-		e.normalizeLocked(kb)
-		if lo, hi := window(kb.ms); hi > lo {
-			rm.view[pk] = kb.ms[lo:hi:hi]
+		e.normalizeLocked(&a.buf)
+		if lo, hi := window(a.buf.ms); hi > lo {
+			rm.view[pk] = a.buf.ms[lo:hi:hi]
 		}
 	}
 	return earliest
@@ -586,66 +618,52 @@ func (e *Engine) snapshotLocked(rm *roundMem, t0, at float64) (earliest float64)
 // estimate from a newer window (version fencing) — estMu makes
 // overlapping rounds impossible today, but the fence keeps publication
 // safe even if rounds ever race.
-func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results []Result, covered bool, stats *RoundStats) ([]KeyedChange, error) {
+func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results []Result, covered bool, stats *RoundStats) []KeyedChange {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var out []KeyedChange
+	// Carried: every published estimate this round does not recompute.
+	stats.Carried = e.published
 	for i, k := range keys {
 		res := results[i]
+		a := e.approaches[k]
+		if a.published {
+			stats.Carried--
+		}
 		if res.Err != nil {
 			// Contained failure: the ledger decides whether this key is
 			// quarantined; every other approach proceeds untouched and
 			// the last good estimate stays published. The key is re-marked
 			// dirty so it retries next round until quarantine kicks in.
-			e.recordFailureLocked(k, at, res.Err)
-			e.dirty[k] = struct{}{}
+			e.recordFailureLocked(a, at, res.Err)
+			e.markDirtyLocked(a)
 			continue
 		}
-		if prev, ok := e.estimates[k]; ok && prev.WindowEnd > res.WindowEnd {
+		if a.published && a.est.WindowEnd > res.WindowEnd {
 			continue
 		}
-		e.recordSuccessLocked(k, at)
 		if e.cfg.UseHistory {
-			h := e.histories[k]
-			if h == nil {
-				var err error
-				h, err = NewHistory(e.cfg.History)
-				if err != nil {
-					return out, err
-				}
-				e.histories[k] = h
+			if a.history.slots == nil {
+				a.history = newHistory(e.cfg.History, int(math.Ceil(e.cfg.History.SlotSeconds/e.cfg.Interval)))
 			}
-			if v, corrected := h.AddAndCorrect(at, res.Cycle); corrected {
+			if v, corrected := a.history.AddAndCorrect(at, res.Cycle); corrected {
 				res.Cycle = v
 				res.Green = v - res.Red
 			}
 		}
-		e.estimates[k] = res
+		e.publishLocked(a, res)
 		stats.Published = append(stats.Published, k)
 		if !covered || res.Quality < e.cfg.MinQuality {
 			continue
 		}
-		mon := e.monitors[k]
-		if mon == nil {
-			var err error
-			mon, err = NewMonitor(e.cfg.Monitor)
-			if err != nil {
-				return out, err
-			}
-			e.monitors[k] = mon
+		if a.monitor.cfg.Confirm == 0 { // a valid config confirms after one or more
+			a.monitor = newMonitor(e.cfg.Monitor, int(math.Ceil(seriesHorizon/e.cfg.Interval)))
 		}
-		for _, c := range mon.Feed(CyclePoint{T: at, Cycle: res.Cycle}) {
+		for _, c := range a.monitor.Feed(CyclePoint{T: at, Cycle: res.Cycle}) {
 			out = append(out, KeyedChange{Key: k, Change: c})
 		}
 	}
-	// Carried: every published estimate this round did not recompute.
-	stats.Carried = len(e.estimates)
-	for _, k := range keys {
-		if _, ok := e.estimates[k]; ok {
-			stats.Carried--
-		}
-	}
-	return out, nil
+	return out
 }
 
 // trimLocked drops buffered records that can no longer enter any window,
@@ -653,7 +671,8 @@ func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results []Result,
 // and clears names a round would read, so the caller holds estMu as well.
 func (e *Engine) trimLocked() {
 	cutoff := e.retainFromLocked()
-	for _, kb := range e.buf {
+	for _, a := range e.approaches {
+		kb := &a.buf
 		e.normalizeLocked(kb)
 		ms := kb.ms
 		if lo := sort.Search(len(ms), func(i int) bool { return ms[i].t >= cutoff }); lo > 0 {
@@ -690,12 +709,35 @@ func (e *Engine) Snapshot() map[mapmatch.Key]Estimate {
 func (e *Engine) SnapshotVersioned() (map[mapmatch.Key]Estimate, uint64) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make(map[mapmatch.Key]Estimate, len(e.estimates))
-	for k, v := range e.estimates {
-		age := e.now - v.WindowEnd
-		out[k] = Estimate{Result: v, Age: age, Health: e.healthStateLocked(k, age)}
+	out := make(map[mapmatch.Key]Estimate, e.published)
+	for k, a := range e.approaches {
+		if a.published {
+			out[k] = e.estimateLocked(a)
+		}
 	}
 	return out, e.version
+}
+
+// estimateLocked annotates a's published estimate with age and health.
+func (e *Engine) estimateLocked(a *approach) Estimate {
+	age := e.now - a.est.WindowEnd
+	return Estimate{Result: a.est, Age: age, Health: e.healthStateLocked(a, age)}
+}
+
+// AppendPublishedSince appends to dst every estimate whose WindowEnd moved
+// past all of its approach's earlier ones after engine version since, and
+// returns dst and the version covered; passing that next time yields each
+// such estimate once. A durable log is fed from it without a snapshot.
+func (e *Engine) AppendPublishedSince(dst []Result, since uint64) ([]Result, uint64) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for _, a := range e.approaches {
+		// A round publishes before it bumps the version: the next call has it.
+		if a.published && a.advancedAt > since && a.advancedAt <= e.version {
+			dst = append(dst, a.est)
+		}
+	}
+	return dst, e.version
 }
 
 // Version returns a counter that increments whenever the published
@@ -716,12 +758,11 @@ func (e *Engine) Version() uint64 {
 func (e *Engine) EstimateFor(key mapmatch.Key) (Estimate, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	v, ok := e.estimates[key]
-	if !ok {
+	a := e.approaches[key]
+	if a == nil || !a.published {
 		return Estimate{}, false
 	}
-	age := e.now - v.WindowEnd
-	return Estimate{Result: v, Age: age, Health: e.healthStateLocked(key, age)}, true
+	return e.estimateLocked(a), true
 }
 
 // ApproachHealthFor returns the health snapshot of one approach without
@@ -730,12 +771,11 @@ func (e *Engine) EstimateFor(key mapmatch.Key) (Estimate, bool) {
 func (e *Engine) ApproachHealthFor(key mapmatch.Key) (ApproachHealth, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if _, ok := e.estimates[key]; !ok {
-		if _, ok := e.health[key]; !ok {
-			return ApproachHealth{}, false
-		}
+	a := e.approaches[key]
+	if a == nil || !a.reported() {
+		return ApproachHealth{}, false
 	}
-	return e.approachHealthLocked(key), true
+	return e.approachHealthLocked(a), true
 }
 
 // Prime publishes externally supplied estimates — e.g. persisted by a
@@ -749,16 +789,22 @@ func (e *Engine) Prime(results ...Result) {
 	defer e.mu.Unlock()
 	changed := false
 	for _, res := range results {
-		if res.Err != nil || res.Cycle <= 0 {
-			continue
-		}
-		e.estimates[res.Key] = res
-		e.recordSuccessLocked(res.Key, res.WindowEnd)
-		changed = true
+		changed = e.primeLocked(res.Key, res) != nil || changed
 	}
 	if changed {
 		e.version++
 	}
+}
+
+// primeLocked publishes res as k's and returns its approach, or nil if unusable.
+func (e *Engine) primeLocked(k mapmatch.Key, res Result) *approach {
+	if res.Err != nil || res.Cycle <= 0 {
+		return nil
+	}
+	res.Key = k
+	a := e.approachLocked(k)
+	e.publishLocked(a, res)
+	return a
 }
 
 // ApproachState is the durable per-approach engine state: the latest
@@ -785,13 +831,11 @@ type EngineState struct {
 func (e *Engine) ExportState() EngineState {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	st := EngineState{Now: e.now, Approaches: make(map[mapmatch.Key]ApproachState, len(e.estimates))}
-	for k, res := range e.estimates {
-		as := ApproachState{Result: res}
-		if mon := e.monitors[k]; mon != nil {
-			as.Monitor = mon.Series()
+	st := EngineState{Now: e.now, Approaches: make(map[mapmatch.Key]ApproachState, e.published)}
+	for k, a := range e.approaches {
+		if a.published {
+			st.Approaches[k] = ApproachState{Result: a.est, Monitor: a.monitor.Series()}
 		}
-		st.Approaches[k] = as
 	}
 	return st
 }
@@ -812,13 +856,10 @@ func (e *Engine) RestoreState(st EngineState) int {
 	}
 	restored := 0
 	for k, as := range st.Approaches {
-		res := as.Result
-		if res.Err != nil || res.Cycle <= 0 {
+		a := e.primeLocked(k, as.Result)
+		if a == nil {
 			continue
 		}
-		res.Key = k
-		e.estimates[k] = res
-		e.recordSuccessLocked(k, res.WindowEnd)
 		// A round of a restored engine feeds the monitor at its own time,
 		// which lies past the clock restored here, and Feed panics on a
 		// point older than the last. So a series running ahead of the
@@ -830,7 +871,7 @@ func (e *Engine) RestoreState(st EngineState) int {
 		}
 		if len(series) > 0 {
 			if mon, err := RestoreMonitor(e.cfg.Monitor, series); err == nil {
-				e.monitors[k] = mon
+				a.monitor = *mon
 			}
 		}
 		restored++
@@ -854,17 +895,14 @@ func (e *Engine) StateOf(key mapmatch.Key, t float64) (lights.State, bool) {
 // (EstimateAge, Stale/Quarantined state, failure counts).
 func (e *Engine) StateOfHealth(key mapmatch.Key, t float64) (lights.State, ApproachHealth, bool) {
 	e.mu.RLock()
-	res, ok := e.estimates[key]
+	var res Result // no schedule: PhaseAt says red and not ok
 	var h ApproachHealth
-	if ok {
-		h = e.approachHealthLocked(key)
+	if a := e.approaches[key]; a != nil && a.published {
+		res, h = a.est, e.approachHealthLocked(a)
 	}
 	e.mu.RUnlock()
-	state, _, ok2 := res.PhaseAt(t)
-	if !ok || !ok2 {
-		return lights.Red, h, false
-	}
-	return state, h, true
+	state, _, ok := res.PhaseAt(t)
+	return state, h, ok
 }
 
 // PhaseAt evaluates the identified schedule at time t (seconds on the

@@ -289,8 +289,8 @@ func TestEngineTrimsOldRecords(t *testing.T) {
 	}
 	eng.mu.RLock()
 	defer eng.mu.RUnlock()
-	for k, buf := range eng.buf {
-		for _, m := range buf.ms {
+	for k, a := range eng.approaches {
+		for _, m := range a.buf.ms {
 			if m.t < eng.nextRun-cfg.Window {
 				t.Fatalf("key %v still holds record at t=%v", k, m.t)
 			}
@@ -318,7 +318,7 @@ func TestRetentionFollowsNextWindow(t *testing.T) {
 		eng.mu.RLock()
 		defer eng.mu.RUnlock()
 		var ts []float64
-		for _, o := range eng.buf[key].ms {
+		for _, o := range eng.approaches[key].buf.ms {
 			ts = append(ts, o.t)
 		}
 		return ts
@@ -326,8 +326,8 @@ func TestRetentionFollowsNextWindow(t *testing.T) {
 	dirty := func(k mapmatch.Key) bool {
 		eng.mu.RLock()
 		defer eng.mu.RUnlock()
-		_, ok := eng.dirty[k]
-		return ok
+		a := eng.approaches[k]
+		return a != nil && a.dirty
 	}
 	counts := func() [2]int64 {
 		rep := eng.Health()

@@ -71,8 +71,8 @@ type roundMem struct {
 	index   StopIndex
 	results []Result // results[i] belongs to the i-th identified key
 
-	// Snapshot bookkeeping of Engine.snapshotLocked.
-	todo, recompute []mapmatch.Key
+	// The keys Engine.snapshotLocked hands to identification.
+	recompute []mapmatch.Key
 }
 
 // load fills a fresh roundMem from a partition, interning plates into a

@@ -187,11 +187,11 @@ func TestRestoreStateDropsFutureMonitorPoints(t *testing.T) {
 	if n := eng.RestoreState(st); n != 2 {
 		t.Fatalf("restored %d approaches, want 2", n)
 	}
-	if got := eng.monitors[ahead].Series(); len(got) != 3 || got[2].T != 1500 {
+	if got := eng.approaches[ahead].monitor.Series(); len(got) != 3 || got[2].T != 1500 {
 		t.Fatalf("series ahead of the clock restored as %+v, want its three points up to 1500", got)
 	}
-	if mon := eng.monitors[scrambled]; mon != nil {
-		t.Fatalf("non-chronological series restored: %+v", mon.Series())
+	if s := eng.approaches[scrambled].monitor.Series(); s != nil {
+		t.Fatalf("non-chronological series restored: %+v", s)
 	}
 	// The first round publishes both keys and feeds both monitors at 1800.
 	eng.Ingest(benchRecords(0, 0, 1800))
@@ -200,11 +200,11 @@ func TestRestoreStateDropsFutureMonitorPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []mapmatch.Key{ahead, scrambled} {
-		mon := eng.monitors[k]
-		if mon == nil {
+		s := eng.approaches[k].monitor.Series()
+		if len(s) == 0 {
 			t.Fatalf("%v: round fed no monitor", k)
 		}
-		if s := mon.Series(); s[len(s)-1].T != 1800 {
+		if s[len(s)-1].T != 1800 {
 			t.Fatalf("%v: monitor series ends at %v after the round at 1800", k, s[len(s)-1].T)
 		}
 	}

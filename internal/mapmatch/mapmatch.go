@@ -70,7 +70,9 @@ func (c Config) Validate() error {
 // trace.Record embedded.
 type Matched struct {
 	// Plate, SpeedKMH and Occupied are copied from the source record.
-	// Plate shares the record's (interned) string.
+	// Plate shares the record's string, which a trace.Scanner interns into
+	// an exact-size copy of its own; the engine keeps it as is, so that is
+	// the one copy of a plate name.
 	Plate    string
 	SpeedKMH float64
 	Occupied bool

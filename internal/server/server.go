@@ -330,12 +330,11 @@ func New(matcher *mapmatch.Matcher, cfg Config) (*Server, error) {
 			}
 		})
 		s.shards = append(s.shards, &shard{
-			id:            i,
-			engine:        eng,
-			in:            make(chan []mapmatch.Matched, cfg.ShardBuffer),
-			free:          make(chan []mapmatch.Matched, freeBatches),
-			tickPhase:     tickPhase,
-			lastPersisted: make(map[mapmatch.Key]float64),
+			id:        i,
+			engine:    eng,
+			in:        make(chan []mapmatch.Matched, cfg.ShardBuffer),
+			free:      make(chan []mapmatch.Matched, freeBatches),
+			tickPhase: tickPhase,
 		})
 	}
 	return s, nil
@@ -475,8 +474,8 @@ func (s *Server) ExportState() core.EngineState {
 
 // Restore warm-starts the server from recovered state: each approach is
 // routed to the shard that owns its key and published there exactly as
-// the pre-crash engine had it. Restored estimates are remembered as
-// already persisted so a restart does not re-append them to the WAL.
+// the pre-crash engine had it. The engine version after the restore
+// counts as persisted, so a restart does not re-append them to the WAL.
 // Call before Start. It returns the number of approaches restored.
 func (s *Server) Restore(st core.EngineState) int {
 	perShard := make([]core.EngineState, len(s.shards))
@@ -490,9 +489,6 @@ func (s *Server) Restore(st core.EngineState) int {
 	total := 0
 	for i, sh := range s.shards {
 		total += sh.engine.RestoreState(perShard[i])
-		for k, as := range perShard[i].Approaches {
-			sh.lastPersisted[k] = as.Result.WindowEnd
-		}
 		sh.lastVersion = sh.engine.Version()
 	}
 	s.routeEpoch.Add(1)

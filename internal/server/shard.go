@@ -37,12 +37,12 @@ type shard struct {
 	// together (round stagger's wall-clock half; the stream-time half is
 	// the engine's RoundOffset).
 	tickPhase time.Duration
-	// Persistence diff state, touched only by the shard goroutine (and
-	// by Restore before Start): the engine version already persisted and
-	// each key's newest persisted WindowEnd, so every published estimate
-	// is appended to the WAL exactly once.
-	lastVersion   uint64
-	lastPersisted map[mapmatch.Key]float64
+	// Persistence state, touched only by the shard goroutine (and by
+	// Restore before Start): the engine version already persisted, so
+	// every newly published estimate is appended to the WAL exactly once,
+	// and the slice the engine's delta is read into.
+	lastVersion uint64
+	published   []core.Result
 }
 
 // freeBatches is how many spare batch slices a shard keeps: what one
@@ -130,31 +130,24 @@ func (sh *shard) loop(s *Server) {
 	}
 }
 
-// persist enqueues estimates newly published since the last persisted
-// engine version onto the store queue. The send never blocks: a full
-// queue drops the batch with a counter, because durability lag must not
-// stall the ingest path. The version check makes the idle case (ticks
-// between estimation passes) a single atomic load pair.
+// persist enqueues what the engine published since the last persisted
+// version onto the store queue: each estimate whose window end moved past
+// its approach's earlier ones, read from the engine without copying the
+// rest. The send never blocks: a full queue drops the batch with a
+// counter, because durability lag must not stall the ingest path. The
+// version check makes the idle case (ticks between estimation passes) a
+// single read-locked load.
 func (sh *shard) persist(s *Server) {
-	if s.persistCh == nil {
+	if s.persistCh == nil || sh.engine.Version() == sh.lastVersion {
 		return
 	}
-	v := sh.engine.Version()
-	if v == sh.lastVersion {
-		return
-	}
-	snap, v := sh.engine.SnapshotVersioned()
-	var recs []store.Record
-	for k, est := range snap {
-		if est.WindowEnd <= sh.lastPersisted[k] {
-			continue
-		}
-		if rec, ok := store.FromResult(est.Result); ok {
+	sh.published, sh.lastVersion = sh.engine.AppendPublishedSince(sh.published[:0], sh.lastVersion)
+	recs := make([]store.Record, 0, len(sh.published))
+	for _, res := range sh.published {
+		if rec, ok := store.FromResult(res); ok {
 			recs = append(recs, rec)
-			sh.lastPersisted[k] = est.WindowEnd
 		}
 	}
-	sh.lastVersion = v
 	if len(recs) == 0 {
 		return
 	}

@@ -14,6 +14,7 @@ import (
 	"testing/iotest"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 // fleetFeed renders n lines from taxis distinct vehicles, each with its
@@ -338,5 +339,56 @@ func TestAppendCSVMatchesJoin(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScannedPlateOwnsItsBytes: a record's plate is a string of its own,
+// never a view of the scanner's line buffer, whether the intern table
+// keeps it, it is too long to keep, or the table has just been emptied.
+// Whoever keeps a plate (the realtime engine's plate table does) therefore
+// pins no line and needs no copy of its own.
+func TestScannedPlateOwnsItsBytes(t *testing.T) {
+	long := strings.Repeat("L", internFieldLen+1)
+	plateOf := func(i int) string {
+		switch {
+		case i%5 == 0:
+			return long + strconv.Itoa(i%3) // never interned
+		case i%5 == 1:
+			return "B" + strconv.Itoa(i%40) // interned once, then hit
+		}
+		return "P" + strconv.Itoa(i) // minted: fills the table until it empties
+	}
+	n := 2 * internEntries
+	var feed []byte
+	r := sampleRecord()
+	for i := 0; i < n; i++ {
+		r.Plate = plateOf(i)
+		feed = append(r.AppendCSV(feed), '\n')
+	}
+	sc := NewScanner(bytes.NewReader(feed))
+	resets, kinds, held := 0, map[int]int{}, 0
+	for i := 0; sc.Scan(); i++ {
+		rec := sc.Record()
+		if rec.Plate != plateOf(i) {
+			t.Fatalf("line %d: plate %q, want %q", i, rec.Plate, plateOf(i))
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(sc.buf)))
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(rec.Plate))); p >= lo && p < lo+uintptr(len(sc.buf)) {
+			t.Fatalf("line %d: plate %q aliases the line buffer", i, rec.Plate)
+		}
+		kinds[i%5]++
+		if len(sc.intern) < held {
+			resets++
+		}
+		held = len(sc.intern)
+	}
+	if sc.Err() != nil {
+		t.Fatal(sc.Err())
+	}
+	if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 {
+		t.Fatalf("not every plate kind was scanned: %v", kinds)
+	}
+	if resets == 0 {
+		t.Fatalf("%d lines never emptied the intern table: the reset path is untested", n)
 	}
 }
