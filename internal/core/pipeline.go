@@ -191,13 +191,13 @@ func RunPipeline(part mapmatch.Partition, t0, t1 float64, cfg PipelineConfig) (m
 }
 
 // sortKeys orders approach keys deterministically (light, then approach).
-func sortKeys(keys []mapmatch.Key) {
-	slices.SortFunc(keys, func(a, b mapmatch.Key) int {
-		if a.Light != b.Light {
-			return cmp.Compare(a.Light, b.Light)
-		}
-		return cmp.Compare(a.Approach, b.Approach)
-	})
+func sortKeys(keys []mapmatch.Key) { slices.SortFunc(keys, compareKeys) }
+
+func compareKeys(a, b mapmatch.Key) int {
+	if a.Light != b.Light {
+		return cmp.Compare(a.Light, b.Light)
+	}
+	return cmp.Compare(a.Approach, b.Approach)
 }
 
 // identify runs identification for the listed approach keys against the

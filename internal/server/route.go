@@ -115,13 +115,14 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		Mode:     mode,
 		Degraded: res.Degraded,
 		Expanded: res.Expanded,
-		Nodes:    []int64{int64(src)},
-		Legs:     make([]routeLegJ, 0, len(res.Legs)),
+		Nodes:    make([]int64, 1+len(res.Legs)),
+		Legs:     make([]routeLegJ, len(res.Legs)),
 	}
-	for _, leg := range res.Legs {
+	doc.Nodes[0] = int64(src)
+	for i, leg := range res.Legs {
 		doc.DistanceMeters += rs.SegmentLength(leg.Seg)
-		doc.Nodes = append(doc.Nodes, int64(leg.To))
-		doc.Legs = append(doc.Legs, routeLegJ{
+		doc.Nodes[i+1] = int64(leg.To)
+		doc.Legs[i] = routeLegJ{
 			Segment:  int64(leg.Seg),
 			From:     int64(leg.From),
 			To:       int64(leg.To),
@@ -129,7 +130,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 			Drive:    leg.Drive,
 			Wait:     leg.Wait,
 			Degraded: leg.Degraded,
-		})
+		}
 	}
 	writeJSON(w, http.StatusOK, doc)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -319,3 +320,29 @@ func TestRouteConcurrentQueriesDuringPriming(t *testing.T) {
 }
 
 func itoa(v int) string { return strconv.Itoa(v) }
+
+// TestRouteServeAllocs holds GET /v1/route for a primed grid, beside
+// TestStateServeAllocs: the query parse, the plan (search, leg replay,
+// cache hits) and the JSON document, whose node and leg lists are sized
+// once from the plan, not grown a leg at a time.
+func TestRouteServeAllocs(t *testing.T) {
+	s := newRouteServer(t, routeGrid(t, 5, 5), true)
+	h := s.Handler()
+	req := httptest.NewRequest("GET", "/v1/route?src=0&dst=24&depart=100", nil)
+	w := &discardWriter{h: http.Header{}}
+	serve := func() {
+		clear(w.h)
+		w.code = http.StatusOK
+		h.ServeHTTP(w, req)
+	}
+	serve() // fills the route cache
+	if w.code != http.StatusOK || w.h.Get(healthHeader) != "" {
+		t.Fatalf("status %d, health %q", w.code, w.h.Get(healthHeader))
+	}
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	if got := testing.AllocsPerRun(200, serve); got > 11 {
+		t.Errorf("GET /v1/route allocates %.0f objects per request, budget 11", got)
+	}
+}

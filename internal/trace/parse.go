@@ -2,6 +2,7 @@ package trace
 
 import (
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -198,21 +199,28 @@ func daysIn(month, year int) int {
 // Interning bounds. A Scanner's table holds at most internEntries
 // strings of at most internFieldLen bytes each, a few MB at worst: room
 // for the paper's 28 k plates and 28 k SIM numbers plus the colours, so
-// on a real fleet it fills once and then only answers.
+// on a real fleet it fills once and then only answers. The strings are
+// carved from slabs of internSlabBytes, a few hundred fields to one
+// allocation.
 const (
-	internEntries  = 1 << 16
-	internFieldLen = 32
+	internEntries   = 1 << 16
+	internFieldLen  = 32
+	internSlabBytes = 4 << 10
 )
 
 // internTable maps the bytes of a text field to one shared string, so a
-// taxi's plate, SIM and colour are allocated on its first report and
-// not again. When a feed mints more distinct values than the table
-// holds it is emptied and refilled: such a feed costs one string per new
-// value, as it would without the table, and never unbounded memory.
-// Strings already handed out stay valid; they are ordinary strings.
+// taxi's plate, SIM and colour are carved from a slab on its first report
+// and not copied again. When a feed mints more distinct values than the
+// table holds it is emptied and refilled: such a feed costs a slab per few
+// hundred new values and never unbounded memory. Strings already handed
+// out stay valid; each is a view of a slab no one writes behind it.
 type internTable map[string]string
 
-func (t internTable) get(b []byte) string {
+// get returns b's string. A new field is appended to slab, a Builder that
+// is grown once to internSlabBytes and then only appended to, so the bytes
+// behind every string it has handed out never move or change; a field that
+// does not fit starts a new slab and leaves the old one to its strings.
+func (t internTable) get(slab *strings.Builder, b []byte) string {
 	if s, ok := t[string(b)]; ok {
 		return s
 	}
@@ -222,7 +230,13 @@ func (t internTable) get(b []byte) string {
 	if len(t) >= internEntries {
 		clear(t)
 	}
-	s := string(b)
+	if slab.Cap()-slab.Len() < len(b) {
+		slab.Reset()
+		slab.Grow(internSlabBytes)
+	}
+	at := slab.Len()
+	slab.Write(b)
+	s := slab.String()[at:]
 	t[s] = s
 	return s
 }

@@ -70,7 +70,8 @@ type SkipStats struct {
 //
 // The scanner owns its line buffer and parses each line in place, so a
 // steady feed costs no allocation per record: the only strings a record
-// holds (plate, SIM, colour) come from a bounded intern table.
+// holds (plate, SIM, colour) come from a bounded intern table, each
+// carved from a slab the first time it is seen.
 type Scanner struct {
 	r io.Reader
 	// buf[start:end] is input not yet consumed; buf[start:searched] is
@@ -84,6 +85,7 @@ type Scanner struct {
 	err    error
 	lineNo int
 	intern internTable
+	slab   strings.Builder // the intern table's current slab
 
 	lenient bool
 	lcfg    LenientConfig
@@ -159,6 +161,9 @@ func (s *Scanner) Scan() bool { return s.scan(true) }
 // before a read that may wait.
 func (s *Scanner) ScanBuffered() bool { return s.scan(false) }
 
+// text interns one text field of the line being parsed.
+func (s *Scanner) text(b []byte) string { return s.intern.get(&s.slab, b) }
+
 func (s *Scanner) scan(mayRead bool) bool {
 	for s.err == nil {
 		line, ok := s.nextLine(mayRead)
@@ -171,7 +176,7 @@ func (s *Scanner) scan(mayRead bool) bool {
 			continue
 		}
 		lines := s.lines.Add(1)
-		err := parseRecord(&s.rec, line, s.intern.get)
+		err := parseRecord(&s.rec, line, s.text)
 		if err == nil && s.lenient && s.lcfg.Validate {
 			if verr := s.rec.Validate(); verr != nil {
 				err = &ParseError{Class: ClassInvalid, Err: verr}
