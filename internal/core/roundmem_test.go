@@ -363,3 +363,31 @@ func TestStopIndexSpareIsShared(t *testing.T) {
 		}
 	}
 }
+
+// TestStopIndexSpareHoldsNoPlate: the process-wide spare outlives every
+// engine, so what a build leaves in it names no plate. A plate name is a
+// view of a scanner slab, and one kept here would pin the slab.
+func TestStopIndexSpareHoldsNoPlate(t *testing.T) {
+	defer spareStopScratch.Store(spareStopScratch.Swap(nil))
+	part := mapmatch.Partition{}
+	for i := 0; i < 6; i++ {
+		part[benchApproachKey(i)] = benchRecords(i, 0, 1800)
+	}
+	var rm roundMem
+	rm.load(part)
+	rm.index.build(rm.view, rm.names, DefaultStopExtractConfig())
+	if len(rm.index.stops) == 0 {
+		t.Fatal("the build found no red-light stops: nothing is tested")
+	}
+	ws := spareStopScratch.Load()
+	if ws == nil {
+		t.Fatal("the build handed no scratch back")
+	}
+	for name, runs := range map[string][]stopRun{"red": ws.red, "runs": ws.runs} {
+		for i, r := range runs[:cap(runs)] {
+			if r.ev.Plate != "" {
+				t.Fatalf("spare %s[%d] keeps plate %q", name, i, r.ev.Plate)
+			}
+		}
+	}
+}
