@@ -17,8 +17,9 @@ import (
 )
 
 // TestIngestAllocs: a record of a taxi the engine knows, for an approach
-// it knows, with room left in the approach's buffer, costs no allocation;
-// the first record of a new approach costs its record and its buffer.
+// it knows, with a page to fill — room in its last page, or a page a trim
+// emptied — costs no allocation; the first record of a new approach costs
+// its record, its page list and its first page.
 func TestIngestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -36,7 +37,12 @@ func TestIngestAllocs(t *testing.T) {
 	batch := []mapmatch.Matched{{Plate: "B000-0", SpeedKMH: 20, Light: k.Light, Approach: k.Approach, T: 1}}
 	eng.Ingest(batch)
 	a := eng.approaches[k]
-	a.buf.ms = slices.Grow(a.buf.ms, 2*runs)
+	// The pages the runs fill, as trims would have left them.
+	pages := (runs + 2) / pageLen
+	a.buf.pages = slices.Grow(a.buf.pages, pages)
+	for range pages {
+		eng.freePages = append(eng.freePages, new(obsPage))
+	}
 
 	if n := testing.AllocsPerRun(runs, func() {
 		batch[0].T++
@@ -44,8 +50,8 @@ func TestIngestAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a known plate on a known approach allocates %.2f objects per record, want 0", n)
 	}
-	if len(a.buf.ms) != runs+2 || len(eng.dirty) != 1 {
-		t.Fatalf("%d records buffered, %d approaches dirty: the runs did not ingest", len(a.buf.ms), len(eng.dirty))
+	if a.buf.n != runs+2 || len(eng.dirty) != 1 || len(eng.freePages) != 0 {
+		t.Fatalf("%d records buffered, %d approaches dirty, %d pages left free: the runs did not ingest", a.buf.n, len(eng.dirty), len(eng.freePages))
 	}
 
 	i := 1
@@ -54,8 +60,8 @@ func TestIngestAllocs(t *testing.T) {
 		i++
 		batch[0].Light, batch[0].Approach = k.Light, k.Approach
 		eng.Ingest(batch)
-	}); n > 2 {
-		t.Errorf("the first record of a new approach allocates %.2f objects, want at most 2 (its record and its buffer)", n)
+	}); n > 3 {
+		t.Errorf("the first record of a new approach allocates %.2f objects, want at most 3 (its record, its page list and its page)", n)
 	}
 	if len(eng.approaches) != runs+2 {
 		t.Fatalf("%d approaches after %d new ones", len(eng.approaches), runs+1)

@@ -163,7 +163,7 @@ func (e *Engine) Health() HealthReport {
 		DroppedOverflowRecords: e.droppedOverflow,
 	}
 	for k, a := range e.approaches {
-		rep.BufferedRecords += len(a.buf.ms)
+		rep.BufferedRecords += a.buf.n
 		if a.reported() {
 			rep.Approaches[k] = e.approachHealthLocked(a)
 		}

@@ -171,7 +171,7 @@ func TestIngestCapsPerKeyBuffer(t *testing.T) {
 	// The newest records must be the survivors.
 	eng.mu.RLock()
 	defer eng.mu.RUnlock()
-	for _, m := range eng.approaches[key].buf.ms {
+	for _, m := range eng.approaches[key].buf.records() {
 		if m.t < 500 {
 			t.Fatalf("old record t=%v survived eviction", m.t)
 		}

@@ -7,11 +7,11 @@ import (
 
 // obs is the engine's compact observation: exactly what stop extraction
 // and identification read from a matched record — 48 bytes and no
-// pointer, against the 88 of a mapmatch.Matched, so a key buffer is one
-// array the collector never scans. A record is converted once, where it
-// enters the package (Engine.Ingest, RunPipeline, BuildStopIndex); the
+// pointer, against the 88 of a mapmatch.Matched, so a key buffer's pages
+// are memory the collector never scans. A record is converted once, where
+// it enters the package (Engine.Ingest, RunPipeline, BuildStopIndex); the
 // key buffers, the round view, the stop index and identifyOne all work on
-// this one type.
+// this one type, through an obsView.
 type obs struct {
 	t     float64 // stream seconds
 	speed float64 // km/h
@@ -25,6 +25,55 @@ const occupiedBit = 1 << 31
 
 func (o *obs) id() uint32     { return o.plate &^ occupiedBit }
 func (o *obs) occupied() bool { return o.plate&occupiedBit != 0 }
+
+// Observations are kept in fixed pages of pageLen: 6 KB, one size class
+// of the allocator. A page holds no pointer, so the collector never scans
+// one.
+const (
+	pageShift = 7
+	pageLen   = 1 << pageShift
+	pageMask  = pageLen - 1
+)
+
+type obsPage [pageLen]obs
+
+// obsView is a run of n observations laid out in pages, starting at slot
+// off of pages[0]: observation i is at(i). A key buffer is one (see
+// keyBuffer), and so is every window a round reads.
+type obsView struct {
+	pages []*obsPage
+	off   int
+	n     int
+}
+
+func (v obsView) at(i int) *obs {
+	i += v.off
+	return &v.pages[i>>pageShift][i&pageMask]
+}
+
+// chunk returns the observations of v on its j-th page, for the loops
+// that walk a whole view.
+func (v obsView) chunk(j int) []obs {
+	lo, hi := 0, pageLen
+	if j == 0 {
+		lo = v.off
+	}
+	if j == len(v.pages)-1 {
+		hi = (v.off+v.n-1)&pageMask + 1
+	}
+	return v.pages[j][lo:hi]
+}
+
+// slice returns observations [lo, hi) of v. Its page list ends at the page
+// of its last observation and has no room past it, so appending to v's
+// list never writes into the view's.
+func (v obsView) slice(lo, hi int) obsView {
+	if lo == hi {
+		return obsView{}
+	}
+	first, end := (v.off+lo)>>pageShift, (v.off+hi-1)>>pageShift+1
+	return obsView{pages: v.pages[first:end:end], off: (v.off + lo) & pageMask, n: hi - lo}
+}
 
 // plateTable interns plate strings as small numbers: ids[name] is the id,
 // names[id] the name, refs[id] the number of buffered observations that
@@ -101,14 +150,11 @@ func (pt *plateTable) hold(id uint32) {
 	pt.refs[id]++
 }
 
-// release drops the references the given buffered observations hold. It
-// frees nothing: a round may still be reading them.
-func (pt *plateTable) release(dropped []obs) {
-	for i := range dropped {
-		id := dropped[i].id()
-		if pt.refs[id]--; pt.refs[id] == 0 {
-			pt.live--
-		}
+// release drops the reference one dropped observation of id held. It frees
+// nothing: a round may still be reading the observation.
+func (pt *plateTable) release(id uint32) {
+	if pt.refs[id]--; pt.refs[id] == 0 {
+		pt.live--
 	}
 }
 

@@ -64,10 +64,13 @@ func SpeedSamplesNear(ms []mapmatch.Matched, maxDist float64) []dsp.Sample {
 // appendSpeedSamples appends the speed samples of the observations that
 // lie within maxDist metres of the stop line and outside every dwell
 // interval of the index.
-func appendSpeedSamples(dst []dsp.Sample, ms []obs, idx *StopIndex, maxDist float64) []dsp.Sample {
-	for i := range ms {
-		if o := &ms[i]; o.dist <= maxDist && !idx.isDwell(o.id(), o.t) {
-			dst = append(dst, dsp.Sample{T: o.t, V: o.speed})
+func appendSpeedSamples(dst []dsp.Sample, ms obsView, idx *StopIndex, maxDist float64) []dsp.Sample {
+	for j := range ms.pages {
+		c := ms.chunk(j)
+		for i := range c {
+			if o := &c[i]; o.dist <= maxDist && !idx.isDwell(o.id(), o.t) {
+				dst = append(dst, dsp.Sample{T: o.t, V: o.speed})
+			}
 		}
 	}
 	return dst
@@ -280,7 +283,7 @@ var identifyHook func(key mapmatch.Key)
 // estimation round for every other light. The panic is converted into
 // the approach's Result.Err, which the realtime engine's quarantine
 // ledger then handles like any other per-approach failure.
-func identifyOneSafe(view map[mapmatch.Key][]obs, stopIdx *StopIndex, key mapmatch.Key, t0, t1 float64, cfg PipelineConfig, sc *identifyScratch) (res Result) {
+func identifyOneSafe(view map[mapmatch.Key]obsView, stopIdx *StopIndex, key mapmatch.Key, t0, t1 float64, cfg PipelineConfig, sc *identifyScratch) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{
@@ -299,9 +302,9 @@ func identifyOneSafe(view map[mapmatch.Key][]obs, stopIdx *StopIndex, key mapmat
 // intermediates live in the worker's scratch: the windowed speed series
 // is computed once and reused by the enhancement gate, the fold-quality
 // score and the superposition (it used to be recomputed for each).
-func identifyOne(view map[mapmatch.Key][]obs, stopIdx *StopIndex, key mapmatch.Key, t0, t1 float64, cfg PipelineConfig, sc *identifyScratch) Result {
+func identifyOne(view map[mapmatch.Key]obsView, stopIdx *StopIndex, key mapmatch.Key, t0, t1 float64, cfg PipelineConfig, sc *identifyScratch) Result {
 	ms := view[key]
-	res := Result{Key: key, WindowStart: t0, WindowEnd: t1, Records: len(ms)}
+	res := Result{Key: key, WindowStart: t0, WindowEnd: t1, Records: ms.n}
 
 	primary := appendSpeedSamples(sc.primary[:0], ms, stopIdx, cfg.MaxSpeedDist)
 	sc.primary = primary

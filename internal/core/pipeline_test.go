@@ -36,8 +36,8 @@ func extractStops(ms []mapmatch.Matched, cfg StopExtractConfig) ([]StopEvent, er
 	si.gather(&ws, rm.view, rm.names)
 	var out []StopEvent
 	for _, g := range ws.groups {
-		for _, r := range appendRuns(nil, ws.refs[g.lo:g.hi], si.recs, rm.names[g.id], cfg) {
-			if si.recs[r.last.key][r.last.idx].dist <= cfg.MaxStopDist {
+		for _, r := range si.appendRuns(nil, ws.refs[g.lo:g.hi], rm.names[g.id], cfg) {
+			if si.at(r.last).dist <= cfg.MaxStopDist {
 				out = append(out, r.ev)
 			}
 		}

@@ -137,20 +137,22 @@ type KeyedChange struct {
 // A buffered observation exists once: records are converted to compact
 // observations (obs) in Ingest, kept only while a window can still reach
 // them (see retainFromLocked), and a round reads them where they lie —
-// its views are sub-slices of the key buffers, not copies. What makes
+// its views are slices of the key buffers' pages, not copies. What makes
 // that safe is one invariant, the aliasing invariant: an array a round's
-// view aliases is written only under estMu, or beyond the view's end.
-// Ingest appends past the end of every view (or into a new array);
-// normalizeLocked and dropOldestLocked rewrite a buffer in place and so
-// run only under estMu — from a round's own snapshot section or from the
-// trim after it — except on overflow eviction, which runs under e.mu
-// alone and therefore moves the buffer to a fresh array first
-// (evictOldestLocked). Plates obey the same discipline: an observation
-// names its taxi by a plate id, an id is freed — its name slot cleared for
-// reuse — only under estMu (trimLocked; eviction merely drops reference
-// counts), and a round resolves ids through the names slice as it stood
-// at the snapshot (see plateTable). The round's working memory (roundMem)
-// belongs to the engine and is reused by every round.
+// view aliases — a page, or a page list — is written only under estMu, or
+// beyond the view's end. Ingest writes past the end of every view, into
+// the last page or a page from the free list, which only a trim fills;
+// normalizeLocked rewrites a buffer in place and the trim recycles its
+// leading pages, so both run only under estMu — from a round's own
+// snapshot section or from the trim after it. Overflow eviction runs
+// under e.mu alone and writes nothing a view may alias: it moves an
+// unsorted buffer to other pages before sorting it, and gives the buffer
+// a new page list (evictOldestLocked). Plates obey the same discipline:
+// an observation names its taxi by a plate id, an id is freed — its name
+// slot cleared for reuse — only under estMu (trimLocked; eviction merely
+// drops reference counts), and a round resolves ids through the names
+// slice as it stood at the snapshot (see plateTable). The round's working
+// memory (roundMem) belongs to the engine and is reused by every round.
 type Engine struct {
 	cfg RealtimeConfig
 
@@ -168,6 +170,7 @@ type Engine struct {
 	published  int         // approaches with a published estimate
 	plates     plateTable  // plate ids, and the observations buffered per id
 	mergeBuf   []obs       // normalize scratch, guarded by mu
+	freePages  []*obsPage  // pages trimLocked emptied, for Ingest to fill
 	now        float64
 	nextRun    float64
 	version    uint64
@@ -235,16 +238,19 @@ func (e *Engine) publishLocked(a *approach, res Result) {
 	}
 }
 
-// keyBuffer holds one approach's buffered records under a sorted-prefix
-// invariant: ms[:sorted] is sorted by T, ms[sorted:] is the unsorted
-// suffix appended since the last normalize. Ingest appends (extending the
-// sorted prefix when arrivals are already in order); normalizeLocked
-// sorts only the suffix and merges — replacing the whole-buffer stable
-// sort each round used to pay. A running round may hold a view
-// ms[lo:hi:hi] of the array, so whoever writes below len(ms) obeys the
+// keyBuffer holds one approach's buffered records in pages under a
+// sorted-prefix invariant: records [0, sorted) are sorted by T, the rest
+// is the unsorted suffix appended since the last normalize. Ingest
+// appends (extending the sorted prefix when arrivals are already in
+// order); normalizeLocked sorts only the suffix and merges — replacing
+// the whole-buffer stable sort each round used to pay. The buffer never
+// regrows or compacts its records: a full last page is followed by
+// another, and the trim hands whole leading pages to the engine's free
+// list and moves only the page pointers down. A running round may hold a
+// view slice(lo, hi) of the buffer, so whoever writes below n obeys the
 // aliasing invariant (see Engine).
 type keyBuffer struct {
-	ms     []obs
+	obsView
 	sorted int
 }
 
@@ -288,7 +294,6 @@ func (e *Engine) Ingest(ms []mapmatch.Matched) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cutoff := e.retainFromLocked()
-	maxPerKey := e.cfg.Faults.MaxBufferPerKey
 	for i := range ms {
 		m := &ms[i]
 		if m.T < cutoff {
@@ -296,86 +301,126 @@ func (e *Engine) Ingest(ms []mapmatch.Matched) {
 			continue
 		}
 		a := e.approachLocked(mapmatch.Key{Light: m.Light, Approach: m.Approach})
-		kb := &a.buf
-		if maxPerKey > 0 && len(kb.ms) >= maxPerKey {
-			e.evictOldestLocked(kb, maxPerKey)
-		}
-		if kb.sorted == len(kb.ms) && (len(kb.ms) == 0 || m.T >= kb.ms[len(kb.ms)-1].t) {
-			kb.sorted = len(kb.ms) + 1
-		}
-		o := e.plates.observe(m)
-		e.plates.hold(o.id())
-		kb.ms = append(kb.ms, o)
+		e.bufferLocked(&a.buf, e.plates.observe(m))
 		e.markDirtyLocked(a)
 	}
 }
 
+// bufferLocked adds one observation to kb, evicting first when kb is at
+// Faults.MaxBufferPerKey, and counts its plate reference.
+func (e *Engine) bufferLocked(kb *keyBuffer, o obs) {
+	if maxPerKey := e.cfg.Faults.MaxBufferPerKey; maxPerKey > 0 && kb.n >= maxPerKey {
+		e.evictOldestLocked(kb, maxPerKey)
+	}
+	if kb.sorted == kb.n && (kb.n == 0 || o.t >= kb.at(kb.n-1).t) {
+		kb.sorted++
+	}
+	e.appendLocked(kb, o)
+	e.plates.hold(o.id())
+}
+
+// appendLocked writes o past the end of kb: into its last page, or into a
+// page the last trim emptied, or into a new one.
+func (e *Engine) appendLocked(kb *keyBuffer, o obs) {
+	i := kb.off + kb.n
+	if i == len(kb.pages)<<pageShift {
+		var p *obsPage
+		if n := len(e.freePages); n > 0 {
+			p = e.freePages[n-1]
+			e.freePages[n-1] = nil
+			e.freePages = e.freePages[:n-1]
+		} else {
+			p = new(obsPage)
+		}
+		if kb.pages == nil { // room for a typical window: the list is not regrown page by page
+			kb.pages = make([]*obsPage, 0, 4)
+		}
+		kb.pages = append(kb.pages, p)
+	}
+	kb.pages[i>>pageShift][i&pageMask] = o
+	kb.n++
+}
+
 // normalizeLocked restores kb's fully-sorted invariant. Only the
-// appended suffix is sorted; it is then merged with the sorted prefix,
-// preferring prefix records on equal timestamps. Prefix records all
-// arrived before suffix records and both halves preserve arrival order
-// among equals, so the result is exactly what a whole-buffer stable sort
-// would produce — at the cost of sorting only the new arrivals.
+// appended suffix is sorted, in the engine's scratch; it is then merged
+// with the sorted prefix, preferring prefix records on equal timestamps.
+// Prefix records all arrived before suffix records and both halves
+// preserve arrival order among equals, so the result is exactly what a
+// whole-buffer stable sort would produce — at the cost of sorting only
+// the new arrivals. The prefix records that precede the suffix's first
+// stay where they are; only those after it join the scratch and move.
 func (e *Engine) normalizeLocked(kb *keyBuffer) {
-	if kb.sorted >= len(kb.ms) {
-		kb.sorted = len(kb.ms)
+	if kb.sorted >= kb.n {
+		kb.sorted = kb.n
 		return
 	}
-	suffix := kb.ms[kb.sorted:]
-	slices.SortStableFunc(suffix, func(a, b obs) int { return cmp.Compare(a.t, b.t) })
-	if kb.sorted == 0 {
-		kb.sorted = len(kb.ms)
-		return
+	buf := reuse(e.mergeBuf, kb.n-kb.sorted)
+	for i := kb.sorted; i < kb.n; i++ {
+		buf = append(buf, *kb.at(i))
 	}
-	prefix := kb.ms[:kb.sorted]
-	if cap(e.mergeBuf) < len(kb.ms) {
-		e.mergeBuf = make([]obs, 0, len(kb.ms)*2)
+	slices.SortStableFunc(buf, func(a, b obs) int { return cmp.Compare(a.t, b.t) })
+	suffix := len(buf)
+	from := sort.Search(kb.sorted, func(i int) bool { return buf[0].t < kb.at(i).t })
+	for i := from; i < kb.sorted; i++ {
+		buf = append(buf, *kb.at(i))
 	}
-	out := e.mergeBuf[:0]
-	i, j := 0, 0
-	for i < len(prefix) && j < len(suffix) {
-		if suffix[j].t < prefix[i].t {
-			out = append(out, suffix[j])
+	j, i := 0, suffix // the suffix is buf[:suffix], the moving prefix buf[suffix:]
+	for w := from; w < kb.n; w++ {
+		if i == len(buf) || (j < suffix && buf[j].t < buf[i].t) {
+			*kb.at(w) = buf[j]
 			j++
 		} else {
-			out = append(out, prefix[i])
+			*kb.at(w) = buf[i]
 			i++
 		}
 	}
-	out = append(out, prefix[i:]...)
-	out = append(out, suffix[j:]...)
-	copy(kb.ms, out)
-	e.mergeBuf = out
-	kb.sorted = len(kb.ms)
+	e.mergeBuf = buf
+	kb.sorted = kb.n
 }
 
 // evictOldestLocked drops the oldest quarter of one key's buffer so that
 // eviction cost is amortised across many overflowing records rather than
-// paid per record. It is the one in-place writer that runs outside estMu
-// (Ingest holds only e.mu), so a round may be reading a view of the
-// array right now: the buffer moves to a fresh array before it is sorted
-// and compacted, and the old one is left to the round untouched.
+// paid per record. It is the one writer of a buffer's records below n
+// that runs outside estMu (Ingest holds only e.mu), so a round may be
+// reading a view of the buffer right now. It therefore writes nothing the
+// view aliases: an unsorted buffer moves to other pages before it is
+// sorted, and the pages that are left hold no dropped record. The buffer
+// takes a new page list, so the old one, and the dropped pages, are left
+// to the round and then to the collector.
 func (e *Engine) evictOldestLocked(kb *keyBuffer, maxPerKey int) {
-	kb.ms = slices.Clone(kb.ms)
-	e.normalizeLocked(kb)
-	ms := kb.ms
-	drop := min(max(len(ms)-maxPerKey*3/4, 1), len(ms))
+	if kb.sorted < kb.n {
+		moved := keyBuffer{sorted: kb.sorted}
+		for i := 0; i < kb.n; i++ {
+			e.appendLocked(&moved, *kb.at(i))
+		}
+		*kb = moved
+		e.normalizeLocked(kb)
+	}
+	drop := min(max(kb.n-maxPerKey*3/4, 1), kb.n)
 	e.droppedOverflow += int64(drop)
 	e.dropOldestLocked(kb, drop)
+	kb.pages = append([]*obsPage(nil), kb.pages...)
 }
 
 // dropOldestLocked removes the n oldest observations of a normalized
-// buffer and drops their plate references. It compacts in place, which
-// rewrites what a round's view would alias: callers hold estMu
-// (trimLocked) or have just moved the buffer to an array no view can
-// alias (evictOldestLocked). The array is given back once the buffer has
-// shrunk to a fraction of it.
-func (e *Engine) dropOldestLocked(kb *keyBuffer, n int) {
-	ms := kb.ms
-	e.plates.release(ms[:n])
-	kept := copy(ms, ms[n:])
-	kb.ms = fit(ms[:kept])
-	kb.sorted = kept
+// buffer and drops their plate references. It only reslices: the pages
+// left with no observation are cut from the front of the page list and
+// returned, and nothing is written, so what becomes of them and of the
+// list's array is the caller's to decide. A buffer left empty keeps no
+// page.
+func (e *Engine) dropOldestLocked(kb *keyBuffer, n int) (emptied []*obsPage) {
+	for i := 0; i < n; i++ {
+		e.plates.release(kb.at(i).id())
+	}
+	i := kb.off + n
+	if n == kb.n {
+		i = len(kb.pages) << pageShift
+	}
+	emptied = kb.pages[:i>>pageShift]
+	kb.pages, kb.off = kb.pages[i>>pageShift:], i&pageMask
+	kb.n -= n
+	kb.sorted = kb.n
+	return emptied
 }
 
 // Advance moves the stream clock to t (seconds), running identification
@@ -518,10 +563,10 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats) {
 		viewHook(rm, true)
 	}
 	// The views are dead from here. A finished round keeps no reference
-	// into a key buffer, so an array a buffer outgrows is garbage at once;
+	// into a key buffer, so a page list a buffer drops is garbage at once;
 	// the keys stay, and tell the next snapshot how large this round was.
 	for k := range rm.view {
-		rm.view[k] = nil
+		rm.view[k] = obsView{}
 	}
 	rm.names = nil
 
@@ -540,7 +585,7 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats) {
 // snapshotLocked hands rm the in-window views of the keys to recompute,
 // plus their perpendicular context and the plate names as they stand,
 // and lists the keys to recompute in rm.recompute. A view is
-// kb.ms[lo:hi:hi] of a normalized buffer — the records themselves, not a
+// kb.slice(lo, hi) of a normalized buffer — the records themselves, not a
 // copy; the caller holds estMu, and until the round ends the aliasing
 // invariant (see Engine) keeps every writer off that range. It returns
 // the earliest record time among the recomputed keys (+Inf when there is
@@ -556,20 +601,20 @@ func (e *Engine) snapshotLocked(rm *roundMem, t0, at float64) (earliest float64)
 	// buckets are reused unless a burst left it far larger than a round
 	// needs.
 	if rm.view == nil || oversized(len(rm.view), len(e.dirty)) {
-		rm.view = make(map[mapmatch.Key][]obs, 2*len(e.dirty))
+		rm.view = make(map[mapmatch.Key]obsView, 2*len(e.dirty))
 	} else {
 		clear(rm.view)
 	}
 	rm.recompute = rm.recompute[:0]
-	window := func(ms []obs) (lo, hi int) {
-		lo = sort.Search(len(ms), func(i int) bool { return ms[i].t >= t0 })
-		hi = sort.Search(len(ms), func(i int) bool { return ms[i].t > at })
+	window := func(v obsView) (lo, hi int) {
+		lo = sort.Search(v.n, func(i int) bool { return v.at(i).t >= t0 })
+		hi = sort.Search(v.n, func(i int) bool { return v.at(i).t > at })
 		return lo, hi
 	}
 	earliest = math.Inf(1)
 	for _, a := range e.dirty {
 		kb := &a.buf
-		if len(kb.ms) == 0 {
+		if kb.n == 0 {
 			a.dirty = false
 			continue
 		}
@@ -577,17 +622,17 @@ func (e *Engine) snapshotLocked(rm *roundMem, t0, at float64) (earliest float64)
 			continue // stays dirty: recompute on release
 		}
 		e.normalizeLocked(kb)
-		lo, hi := window(kb.ms)
-		if hi == len(kb.ms) {
+		lo, hi := window(kb.obsView)
+		if hi == kb.n {
 			// No records beyond this window: the key is clean until new
 			// data arrives. Keys with buffered future records stay dirty
 			// for the round that will see them.
 			a.dirty = false
 		}
 		if hi > lo {
-			rm.view[a.key] = kb.ms[lo:hi:hi]
+			rm.view[a.key] = kb.slice(lo, hi)
 			rm.recompute = append(rm.recompute, a.key)
-			earliest = min(earliest, kb.ms[lo].t)
+			earliest = min(earliest, kb.at(lo).t)
 		}
 	}
 	e.dirty = slices.DeleteFunc(e.dirty, func(a *approach) bool { return !a.dirty })
@@ -601,12 +646,12 @@ func (e *Engine) snapshotLocked(rm *roundMem, t0, at float64) (earliest float64)
 			continue
 		}
 		a := e.approaches[pk]
-		if a == nil || len(a.buf.ms) == 0 {
+		if a == nil || a.buf.n == 0 {
 			continue
 		}
 		e.normalizeLocked(&a.buf)
-		if lo, hi := window(a.buf.ms); hi > lo {
-			rm.view[pk] = a.buf.ms[lo:hi:hi]
+		if lo, hi := window(a.buf.obsView); hi > lo {
+			rm.view[pk] = a.buf.slice(lo, hi)
 		}
 	}
 	return earliest
@@ -667,18 +712,35 @@ func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results []Result,
 }
 
 // trimLocked drops buffered records that can no longer enter any window,
-// and is the one place plate ids are freed. It rewrites buffers in place
-// and clears names a round would read, so the caller holds estMu as well.
+// and is the one place plate ids and pages are freed. It rewrites buffers
+// and their page lists in place, hands pages to Ingest and clears names a
+// round would read, so the caller holds estMu as well.
 func (e *Engine) trimLocked() {
 	cutoff := e.retainFromLocked()
+	inUse, longest := 0, 0
 	for _, a := range e.approaches {
 		kb := &a.buf
 		e.normalizeLocked(kb)
-		ms := kb.ms
-		if lo := sort.Search(len(ms), func(i int) bool { return ms[i].t >= cutoff }); lo > 0 {
-			e.dropOldestLocked(kb, lo)
+		if lo := sort.Search(kb.n, func(i int) bool { return kb.at(i).t >= cutoff }); lo > 0 {
+			list := kb.pages
+			e.freePages = append(e.freePages, e.dropOldestLocked(kb, lo)...)
+			// The kept page pointers move down, to the front of the list.
+			kb.pages = list[:copy(list, kb.pages)]
+			clear(list[len(kb.pages):])
 		}
+		inUse += len(kb.pages)
+		longest = max(longest, kb.n)
 	}
+	// The free list keeps at most half as many pages as are in use, and
+	// the collector takes the rest: a burst's pages do not stay, and an
+	// engine with nothing buffered holds none.
+	if keep := inUse / 2; len(e.freePages) > keep {
+		clear(e.freePages[keep:])
+		e.freePages = fit(e.freePages[:keep])
+	}
+	// Every buffer is sorted now; a merge scratch a burst left is let go
+	// even if no record arrives out of order again.
+	e.mergeBuf = trim(e.mergeBuf, longest)
 	e.plates.compact()
 }
 

@@ -24,7 +24,10 @@ import (
 // takes a new plate each five minutes of feed time and every later batch
 // brings approach 0 three thousand plates seen once, so each batch mints
 // plates and its evictions alone leave more plates without a record than
-// the engine has buffered.
+// the engine has buffered. Without it, sortedKey gets two records a
+// second in order, after the rest of each batch: its buffer, always
+// sorted, overflows twice a batch and never reaches back to a trim's
+// cutoff.
 func aliasFeed(rounds int, rotate bool) [][]mapmatch.Matched {
 	const nKeys = 6
 	rng := rand.New(rand.NewSource(29))
@@ -72,10 +75,17 @@ func aliasFeed(rounds int, rotate bool) [][]mapmatch.Matched {
 				return cmp.Compare(math.Floor(a.T/60), math.Floor(b.T/60))
 			})
 		}
+		for t := t0; t < t1 && !rotate; t += 0.5 {
+			batch = append(batch, mapmatch.Matched{Plate: fmt.Sprintf("S%02d", int(t)%40), SpeedKMH: 20, DistToStop: 50,
+				Light: sortedKey.Light, Approach: sortedKey.Approach, T: t})
+		}
 		batches[b] = batch
 	}
 	return batches
 }
+
+// sortedKey is the approach aliasFeed keeps in order.
+var sortedKey = benchApproachKey(7)
 
 // logServed appends, after every round of eng, one line holding the
 // round's instant, what it published and everything the engine serves.
@@ -119,8 +129,8 @@ func hashViews(rm *roundMem) map[mapmatch.Key]uint64 {
 	out := make(map[mapmatch.Key]uint64, len(rm.view))
 	for k, ms := range rm.view {
 		h := fnv.New64a()
-		for i := range ms {
-			o := &ms[i]
+		for i := 0; i < ms.n; i++ {
+			o := ms.at(i)
 			fmt.Fprintln(h, rm.names[o.id()], math.Float64bits(o.t), math.Float64bits(o.speed),
 				math.Float64bits(o.dist), math.Float64bits(o.pos.X), math.Float64bits(o.pos.Y), o.occupied())
 		}
@@ -129,16 +139,36 @@ func hashViews(rm *roundMem) map[mapmatch.Key]uint64 {
 	return out
 }
 
+// freeInView reports a page on eng's free list that a view of rm holds.
+func freeInView(eng *Engine, rm *roundMem) (mapmatch.Key, bool) {
+	eng.mu.RLock()
+	defer eng.mu.RUnlock()
+	free := map[*obsPage]bool{}
+	for _, p := range eng.freePages {
+		free[p] = true
+	}
+	for k, v := range rm.view {
+		for _, p := range v.pages {
+			if free[p] {
+				return k, true
+			}
+		}
+	}
+	return mapmatch.Key{}, false
+}
+
 // TestRoundViewsAliasSafely drives the aliasing invariant — an array a
 // round's view aliases is written only under estMu, or beyond the view's
 // end — from outside. Rounds run back to back; the whole of the next
-// round's input, late records and an overflow eviction on a viewed key
-// included, is ingested by another goroutine strictly between a round's
-// snapshot and the end of its identification. Run under -race, a write
-// into a range a worker is reading is a reported race; in any mode the
-// views must hash the same after identification as at the snapshot, and
-// every round must serve exactly what an engine fed the same batches
-// between its rounds serves.
+// round's input, late records and overflow evictions on two viewed keys
+// included — one unsorted, which moves to other pages, one sorted, which
+// only leaves its oldest pages — is ingested by another goroutine strictly
+// between a round's snapshot and the end of its identification. Run under
+// -race, a write into a range a worker is reading is a reported race; in
+// any mode the views must hash the same after identification as at the
+// snapshot, no page on the free list may be in a view, and every round
+// must serve exactly what an engine fed the same batches between its
+// rounds serves.
 func TestRoundViewsAliasSafely(t *testing.T) {
 	const rounds = 8
 	batches := aliasFeed(rounds, false)
@@ -173,12 +203,20 @@ func TestRoundViewsAliasSafely(t *testing.T) {
 	next := 1
 	var snapped map[mapmatch.Key]uint64
 	var evictedBefore int64
-	evictedMidRound, viewed := 0, 0
+	evictedMidRound, sortedEvictedMidRound, viewed, freeAtSnapshot := 0, 0, 0, 0
 	viewHook = func(rm *roundMem, identified bool) {
 		view := rm.view
+		if k, bad := freeInView(eng, rm); bad {
+			t.Errorf("round %d: a page on the free list is in the view of %v", next-1, k)
+		}
 		if !identified {
 			snapped = hashViews(rm)
 			evictedBefore = eng.Health().DroppedOverflowRecords
+			eng.mu.RLock()
+			if len(eng.freePages) > 0 {
+				freeAtSnapshot++
+			}
+			eng.mu.RUnlock()
 			start <- batches[next]
 			next++
 			return
@@ -191,14 +229,27 @@ func TestRoundViewsAliasSafely(t *testing.T) {
 		if eng.Health().DroppedOverflowRecords > evictedBefore {
 			evictedMidRound++
 		}
+		// The sorted key kept the pages its newest viewed records are on
+		// and left the oldest: it was evicted in place, under the view.
+		v := view[sortedKey]
+		eng.mu.RLock()
+		kb := &eng.approaches[sortedKey].buf
+		if v.n > 0 && kb.sorted == kb.n && !slices.Contains(kb.pages, v.pages[0]) && slices.Contains(kb.pages, v.pages[len(v.pages)-1]) {
+			sortedEvictedMidRound++
+		}
+		eng.mu.RUnlock()
 	}
 	defer func() { viewHook = nil }()
 	for r := 0; r < rounds; r++ {
 		advance(eng, r)
 	}
 
-	if evictedMidRound < rounds/2 {
-		t.Errorf("a viewed key overflowed during %d of %d rounds; the test no longer covers eviction under a view", evictedMidRound, rounds)
+	if evictedMidRound < rounds/2 || sortedEvictedMidRound < rounds/2 {
+		t.Errorf("a viewed key overflowed during %d of %d rounds, the sorted one during %d; the test no longer covers eviction under a view",
+			evictedMidRound, rounds, sortedEvictedMidRound)
+	}
+	if freeAtSnapshot < rounds/2 {
+		t.Errorf("the free list held pages at %d of %d snapshots; the test no longer covers recycling", freeAtSnapshot, rounds)
 	}
 	if viewed < rounds*6 {
 		t.Errorf("%d views over %d rounds; the rounds were not dense", viewed, rounds)
@@ -301,8 +352,8 @@ func TestPlateIDsStableDuringRound(t *testing.T) {
 		}
 		reused += len(freeAtSnapshot) - len(pt.free)
 		for _, ms := range rm.view {
-			for i := range ms {
-				id := ms[i].id()
+			for i := 0; i < ms.n; i++ {
+				id := ms.at(i).id()
 				if was := namesAtSnapshot[id]; was == "" || rm.names[id] != was || pt.names[id] != was {
 					t.Fatalf("round %d: id %d was %q at the snapshot; the round now reads %q and the table holds %q", next-2, id, was, rm.names[id], pt.names[id])
 				}

@@ -290,7 +290,7 @@ func TestEngineTrimsOldRecords(t *testing.T) {
 	eng.mu.RLock()
 	defer eng.mu.RUnlock()
 	for k, a := range eng.approaches {
-		for _, m := range a.buf.ms {
+		for _, m := range a.buf.records() {
 			if m.t < eng.nextRun-cfg.Window {
 				t.Fatalf("key %v still holds record at t=%v", k, m.t)
 			}
@@ -318,7 +318,7 @@ func TestRetentionFollowsNextWindow(t *testing.T) {
 		eng.mu.RLock()
 		defer eng.mu.RUnlock()
 		var ts []float64
-		for _, o := range eng.approaches[key].buf.ms {
+		for _, o := range eng.approaches[key].buf.records() {
 			ts = append(ts, o.t)
 		}
 		return ts

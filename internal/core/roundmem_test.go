@@ -12,11 +12,15 @@ import (
 	"taxilight/internal/mapmatch"
 )
 
-// TestObsIsCompact: a buffered observation is 48 bytes and holds nothing
-// the collector has to follow, at any depth.
+// TestObsIsCompact: a buffered observation is 48 bytes, a page of them
+// 6 KB — one size class of the allocator — and neither holds anything the
+// collector has to follow, at any depth.
 func TestObsIsCompact(t *testing.T) {
 	if sz := unsafe.Sizeof(obs{}); sz != 48 {
 		t.Fatalf("obs is %d bytes, want 48", sz)
+	}
+	if sz := unsafe.Sizeof(obsPage{}); sz != 6<<10 {
+		t.Fatalf("obsPage is %d bytes, want 6 KB", sz)
 	}
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {
@@ -31,10 +35,11 @@ func TestObsIsCompact(t *testing.T) {
 		case reflect.Array:
 			walk(path+"[]", ty.Elem())
 		default:
-			t.Errorf("%s is a %v: obs must be pointer-free", path, ty.Kind())
+			t.Errorf("%s is a %v: obs and its pages must be pointer-free", path, ty.Kind())
 		}
 	}
 	walk("obs", reflect.TypeOf(obs{}))
+	walk("obsPage", reflect.TypeOf(obsPage{}))
 	if sz := unsafe.Sizeof(mapmatch.Matched{}); sz > 88 {
 		t.Fatalf("mapmatch.Matched is %d bytes, want <= 88: it is what every dispatched batch is made of", sz)
 	}
@@ -50,7 +55,11 @@ func TestObsIsCompact(t *testing.T) {
 // writing — is a history slot per key every third round (made once, with
 // room for its day) and the list of published keys; the budget leaves
 // room for that and for nothing per key per round. The collector runs as
-// it likes: the identify scratch set is not a cache it can empty.
+// it likes: the identify scratch set is not a cache it can empty. Key
+// buffers fill pages the trims emptied. A free list held to a quarter of
+// the pages in use, not a half, made 40 pages (27 objects and 50 KB a
+// round) every few rounds here, because every approach crosses a page
+// edge at once.
 func TestSteadyRoundAllocs(t *testing.T) {
 	const nKeys = 40
 	const warm, measured = 8, 5
@@ -252,6 +261,159 @@ func TestPlateInterningBounded(t *testing.T) {
 	runtime.KeepAlive(eng)
 }
 
+// steadyFeed is an engine of nKeys approaches fed benchRecords one
+// Interval at a time, as a round at each instant would see them.
+type steadyFeed struct {
+	t     *testing.T
+	eng   *Engine
+	nKeys int
+	at    float64
+}
+
+func newSteadyFeed(t *testing.T, nKeys int) *steadyFeed {
+	cfg := DefaultRealtimeConfig()
+	cfg.RoundWorkers = 1
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &steadyFeed{t: t, eng: eng, nKeys: nKeys}
+}
+
+// feed ingests the next Interval of every key's records, plus extra.
+func (f *steadyFeed) feed(extra ...mapmatch.Matched) {
+	for i := 0; i < f.nKeys; i++ {
+		f.eng.Ingest(benchRecords(i, f.at, f.at+f.eng.cfg.Interval))
+	}
+	f.eng.Ingest(extra)
+	f.at += f.eng.cfg.Interval
+}
+
+func (f *steadyFeed) advance() {
+	if _, err := f.eng.Advance(f.at); err != nil {
+		f.t.Fatal(err)
+	}
+}
+
+// pages returns the pages the engine holds, in buffers and free, and how
+// many of them are in buffers.
+func (f *steadyFeed) pages() (all map[*obsPage]bool, inUse int) {
+	e := f.eng
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	all = map[*obsPage]bool{}
+	for _, a := range e.approaches {
+		inUse += len(a.buf.pages)
+		for _, p := range a.buf.pages {
+			all[p] = true
+		}
+	}
+	for _, p := range e.freePages {
+		all[p] = true
+	}
+	return all, inUse
+}
+
+// burst is n records on key 0 over the last second before at, newest
+// first: every one out of order.
+func burst(n int, at float64) []mapmatch.Matched {
+	k := benchApproachKey(0)
+	out := make([]mapmatch.Matched, n)
+	for i := range out {
+		out[i] = mapmatch.Matched{Plate: fmt.Sprintf("BURST-%d", i%100), SpeedKMH: 20, DistToStop: 50,
+			Light: k.Light, Approach: k.Approach, T: at - float64(i+1)/float64(n)}
+	}
+	return out
+}
+
+// TestKeyBufferPagesRecycled: an engine fed at a steady rate makes the
+// pages it needs while its first Window + Interval fills. From then on
+// Ingest fills pages the trims emptied and makes none, for several
+// windows. A 20 000-record burst on one key takes pages; once it is
+// trimmed away the free list holds at most half the pages in use, and the
+// collector has the rest.
+func TestKeyBufferPagesRecycled(t *testing.T) {
+	f := newSteadyFeed(t, 40)
+	settled := f.eng.cfg.Window + f.eng.cfg.Interval
+	var known map[*obsPage]bool
+	made := func(step string) {
+		all, _ := f.pages()
+		n := 0
+		for p := range all {
+			if !known[p] {
+				n++
+			}
+		}
+		if n > 0 {
+			t.Errorf("%s: %d pages made after the first %v s", step, n, settled)
+		}
+	}
+	for f.at < settled {
+		f.feed()
+		f.advance()
+	}
+	known, _ = f.pages()
+	for f.at < settled+4*f.eng.cfg.Window {
+		f.feed()
+		made(fmt.Sprintf("ingest up to %v", f.at))
+		f.advance()
+		made(fmt.Sprintf("round at %v", f.at))
+	}
+	steady, inUse := f.pages()
+	if rep := f.eng.Health(); rep.BufferedRecords < 40*500 || inUse < 40*4 {
+		t.Fatalf("%d records buffered in %d pages: the feed is not dense", rep.BufferedRecords, inUse)
+	}
+
+	f.feed(burst(20_000, f.at+f.eng.cfg.Interval)...)
+	f.advance()
+	peak, _ := f.pages()
+	if len(peak) < len(steady)+50 {
+		t.Fatalf("the burst took %d pages beside %d: it measures nothing", len(peak)-len(steady), len(steady))
+	}
+	for i := 0; i < 8; i++ {
+		f.feed()
+		f.advance()
+	}
+	all, inUse := f.pages()
+	e := f.eng
+	if rep := e.Health(); rep.BufferedRecords > 40*800 {
+		t.Fatalf("%d records buffered: the burst was not trimmed away", rep.BufferedRecords)
+	}
+	if free := len(e.freePages); free > inUse/2 || len(all) > len(steady)*3/2 {
+		t.Errorf("after the burst: %d free pages for %d in use, %d pages held where the steady feed held %d",
+			free, inUse, len(all), len(steady))
+	}
+}
+
+// TestNormalizeScratchLetGo: normalizing a MaxBufferPerKey key that
+// arrived all out of order sizes the engine's merge scratch for 20 000
+// records. Once the burst is trimmed away the scratch is not oversized
+// for what the buffers still hold: a burst does not pin it for good.
+func TestNormalizeScratchLetGo(t *testing.T) {
+	f := newSteadyFeed(t, 8)
+	for f.at < 1800 {
+		f.feed()
+		f.advance()
+	}
+	f.feed(burst(f.eng.cfg.Faults.MaxBufferPerKey, f.at+f.eng.cfg.Interval)...)
+	e := f.eng
+	if c := cap(e.mergeBuf); c < f.eng.cfg.Faults.MaxBufferPerKey/2 {
+		t.Fatalf("the burst's eviction left a merge scratch of %d records: the test measures nothing", c)
+	}
+	f.advance()
+	for i := 0; i < 8; i++ {
+		f.feed()
+		f.advance()
+	}
+	longest := 0
+	for _, a := range e.approaches {
+		longest = max(longest, a.buf.n)
+	}
+	if longest > 1000 || oversized(cap(e.mergeBuf), longest) {
+		t.Errorf("with at most %d records per key buffered, the merge scratch keeps room for %d", longest, cap(e.mergeBuf))
+	}
+}
+
 // TestStopIndexSpareIsShared: what a stop index needs only while it is
 // being built belongs to no engine. Two engines running rounds in turn
 // pass one reference array back and forth through the process-wide spare;
@@ -344,7 +506,7 @@ func TestStopIndexSpareIsShared(t *testing.T) {
 		mems[g].load(part)
 		for k, ms := range mems[g].view {
 			if k != benchApproachKey(g) {
-				mems[g].view[k] = ms[:8]
+				mems[g].view[k] = ms.slice(0, 8)
 			}
 		}
 		wg.Add(1)

@@ -58,16 +58,16 @@ type identifyScratch struct {
 // roundMem is the working memory of one estimation round: the window
 // views, the stop index built over them, the per-key result slots and
 // the snapshot bookkeeping. The views own no records — in an Engine each
-// is a sub-slice of a key buffer, read in place under the engine's
+// is a slice of a key buffer's pages, read in place under the engine's
 // aliasing invariant — so a round's memory does not scale with the
 // window. An Engine owns one roundMem and reuses it round after round —
 // rounds are serialized by estMu, and nothing a round publishes (Result,
 // RoundStats) holds a slice into it — so a steady-state round allocates
 // little beyond what it publishes. The batch entry points fill a fresh
-// one per call.
+// one per call, its records laid out in pages of their own.
 type roundMem struct {
-	view    map[mapmatch.Key][]obs // per-approach in-window records, time-sorted
-	names   []string               // names[id] of every plate id in the view
+	view    map[mapmatch.Key]obsView // per-approach in-window records, time-sorted
+	names   []string                 // names[id] of every plate id in the view
 	index   StopIndex
 	results []Result // results[i] belongs to the i-th identified key
 
@@ -78,19 +78,24 @@ type roundMem struct {
 // load fills a fresh roundMem from a partition, interning plates into a
 // table of its own, which it returns.
 func (rm *roundMem) load(part mapmatch.Partition) plateTable {
-	total := 0
+	npages := 0
 	for _, ms := range part {
-		total += len(ms)
+		npages += (len(ms) + pageMask) >> pageShift
 	}
 	plates := newPlateTable()
-	all := make([]obs, 0, total)
-	rm.view = make(map[mapmatch.Key][]obs, len(part))
+	all, list := make([]obsPage, npages), make([]*obsPage, npages)
+	for i := range all {
+		list[i] = &all[i]
+	}
+	rm.view = make(map[mapmatch.Key]obsView, len(part))
 	for k, ms := range part {
-		start := len(all)
+		n := (len(ms) + pageMask) >> pageShift
+		v := obsView{pages: list[:n:n], n: len(ms)}
+		list = list[n:]
 		for i := range ms {
-			all = append(all, plates.observe(&ms[i]))
+			*v.at(i) = plates.observe(&ms[i])
 		}
-		rm.view[k] = all[start:len(all):len(all)]
+		rm.view[k] = v
 	}
 	rm.names = plates.names
 	return plates

@@ -43,7 +43,9 @@ type StopIndex struct {
 	byName map[string]uint32
 
 	keys []mapmatch.Key // view keys in sortKeys order
-	recs [][]obs        // recs[i] is the view of keys[i]; cleared after build
+	// pages holds the view's pages, key after key in keys order, so a
+	// reference reaches its record in two loads; cleared after build.
+	pages []*obsPage
 }
 
 // stopScratch is the memory that is live only inside build: the
@@ -78,11 +80,16 @@ func returnStopScratch(ws *stopScratch) {
 	}
 }
 
-// stopRef points at one observation of the view: recs[key][idx]. Ordering
-// references instead of records moves 8 bytes at a time and leaves the
-// view untouched; the time is read through the reference.
+// stopRef points at one observation of the view: key is its approach's
+// index in keys, pos its slot in pages (see at). Ordering references
+// instead of records moves 8 bytes at a time and leaves the view
+// untouched; the time is read through the reference.
 type stopRef struct {
-	key, idx uint32
+	key, pos uint32
+}
+
+func (si *StopIndex) at(r stopRef) *obs {
+	return &si.pages[r.pos>>pageShift][r.pos&pageMask]
 }
 
 // plateGroup is one plate's bucket of the references, refs[lo:hi].
@@ -116,7 +123,7 @@ func BuildStopIndex(part mapmatch.Partition, cfg StopExtractConfig) (*StopIndex,
 
 // build indexes the view, replacing whatever the index held. names
 // resolves the plate ids of the view's observations.
-func (si *StopIndex) build(view map[mapmatch.Key][]obs, names []string, cfg StopExtractConfig) {
+func (si *StopIndex) build(view map[mapmatch.Key]obsView, names []string, cfg StopExtractConfig) {
 	si.dwell = reuse(si.dwell, len(si.dwell))
 	ws := borrowStopScratch()
 	si.gather(ws, view, names)
@@ -126,12 +133,12 @@ func (si *StopIndex) build(view map[mapmatch.Key][]obs, names []string, cfg Stop
 	clear(si.stopsOf)                   // each key's count of red-light runs, until placed
 	red := reuse(ws.red, len(si.stops)) // sized by the last build's count
 	for _, g := range ws.groups {
-		ws.runs = appendRuns(ws.runs[:0], ws.refs[g.lo:g.hi], si.recs, names[g.id], cfg)
+		ws.runs = si.appendRuns(ws.runs[:0], ws.refs[g.lo:g.hi], names[g.id], cfg)
 		lo := len(si.dwell)
 		for _, r := range ws.runs {
 			if r.ev.OccupancyChanged {
 				si.dwell = append(si.dwell, [2]float64{r.ev.Start, r.ev.End})
-			} else if si.recs[r.last.key][r.last.idx].dist <= cfg.MaxStopDist {
+			} else if si.at(r.last).dist <= cfg.MaxStopDist {
 				red = append(red, r)
 				si.stopsOf[r.last.key][1]++
 			}
@@ -156,7 +163,7 @@ func (si *StopIndex) build(view map[mapmatch.Key][]obs, names []string, cfg Stop
 	clear(red)
 	clear(ws.runs)
 	ws.red = red
-	clear(si.recs) // a built index keeps no reference into the view
+	clear(si.pages) // a built index keeps no reference into the view
 	returnStopScratch(ws)
 }
 
@@ -172,28 +179,31 @@ func (si *StopIndex) build(view map[mapmatch.Key][]obs, names []string, cfg Stop
 // reports mostly reach a bucket already ascending (every view is
 // time-sorted, and most taxis are seen on one approach at a time); such a
 // bucket is not sorted at all.
-func (si *StopIndex) gather(ws *stopScratch, view map[mapmatch.Key][]obs, names []string) {
+func (si *StopIndex) gather(ws *stopScratch, view map[mapmatch.Key]obsView, names []string) {
 	si.keys = si.keys[:0]
 	for k := range view {
 		si.keys = append(si.keys, k)
 	}
 	sortKeys(si.keys)
-	si.recs = si.recs[:0]
+	si.pages = si.pages[:0]
 	slot := reuse(si.slot, len(names))[:len(names)]
 	clear(slot)
 	groups := ws.groups[:0]
 	total := 0
 	for _, k := range si.keys {
 		ms := view[k]
-		si.recs = append(si.recs, ms)
-		total += len(ms)
-		for i := range ms {
-			id := ms[i].id()
-			if slot[id] == 0 {
-				groups = append(groups, plateGroup{id: id})
-				slot[id] = int32(len(groups))
+		si.pages = append(si.pages, ms.pages...)
+		total += ms.n
+		for j := range ms.pages {
+			c := ms.chunk(j)
+			for i := range c {
+				id := c[i].id()
+				if slot[id] == 0 {
+					groups = append(groups, plateGroup{id: id})
+					slot[id] = int32(len(groups))
+				}
+				groups[slot[id]-1].hi++ // the count, until the prefix sum below
 			}
-			groups[slot[id]-1].hi++ // the count, until the prefix sum below
 		}
 	}
 	groups = fit(groups) // a burst must not size the bucket list for good
@@ -204,15 +214,22 @@ func (si *StopIndex) gather(ws *stopScratch, view map[mapmatch.Key][]obs, names 
 		at += n
 	}
 	refs := reuse(ws.refs, total)[:total]
-	for ki, ms := range si.recs {
-		for i := range ms {
-			g := &groups[slot[ms[i].id()]-1]
-			refs[g.hi] = stopRef{key: uint32(ki), idx: uint32(i)}
-			g.hi++
+	pos := 0 // a view's records have consecutive slots in si.pages
+	for ki, k := range si.keys {
+		ms := view[k]
+		pos += ms.off
+		for j := range ms.pages {
+			c := ms.chunk(j)
+			for i := range c {
+				g := &groups[slot[c[i].id()]-1]
+				refs[g.hi] = stopRef{key: uint32(ki), pos: uint32(pos)}
+				g.hi++
+				pos++
+			}
 		}
+		pos = (pos + pageMask) &^ pageMask // the next view starts on a page of its own
 	}
-	recs := si.recs
-	byTime := func(a, b stopRef) int { return cmp.Compare(recs[a.key][a.idx].t, recs[b.key][b.idx].t) }
+	byTime := func(a, b stopRef) int { return cmp.Compare(si.at(a).t, si.at(b).t) }
 	for _, g := range groups {
 		if bucket := refs[g.lo:g.hi]; !slices.IsSortedFunc(bucket, byTime) {
 			slices.SortStableFunc(bucket, byTime)
@@ -231,15 +248,14 @@ func (si *StopIndex) gather(ws *stopScratch, view map[mapmatch.Key][]obs, names 
 // the report just before it: the flip happens when the taxi pulls over,
 // i.e. before the run's first report, so the lookback is what actually
 // catches kerbside dwells.
-func appendRuns(dst []stopRun, refs []stopRef, recs [][]obs, plate string, cfg StopExtractConfig) []stopRun {
-	at := func(r stopRef) *obs { return &recs[r.key][r.idx] }
+func (si *StopIndex) appendRuns(dst []stopRun, refs []stopRef, plate string, cfg StopExtractConfig) []stopRun {
 	for i := 0; i < len(refs); {
-		first := at(refs[i])
+		first := si.at(refs[i])
 		prev := first
 		occChanged := false
 		j := i + 1
 		for ; j < len(refs); j++ {
-			cur := at(refs[j])
+			cur := si.at(refs[j])
 			if cur.t-prev.t > cfg.MaxGap || cur.pos.Sub(prev.pos).Norm() > cfg.MaxDisplacement {
 				break
 			}
@@ -253,7 +269,7 @@ func appendRuns(dst []stopRun, refs []stopRef, recs [][]obs, plate string, cfg S
 			continue
 		}
 		if i > 0 {
-			if before := at(refs[i-1]); first.t-before.t <= cfg.MaxGap && before.occupied() != first.occupied() {
+			if before := si.at(refs[i-1]); first.t-before.t <= cfg.MaxGap && before.occupied() != first.occupied() {
 				occChanged = true
 			}
 		}
