@@ -60,7 +60,6 @@ func main() {
 	osmFile := flag.String("osm", "", "OpenStreetMap XML extract to use as the road network")
 	shards := flag.Int("shards", 0, "engine shards (0 = default)")
 	roundWorkers := flag.Int("round-workers", 0, "worker goroutines per estimation round (0 = GOMAXPROCS)")
-	roundStagger := flag.Bool("round-stagger", true, "phase-offset shard estimation rounds so they don't all fire at once")
 	window := flag.Float64("window", 1800, "trailing estimation window, seconds")
 	interval := flag.Float64("interval", 300, "re-estimation interval, seconds")
 	maxBadFrac := flag.Float64("max-bad-frac", 0.05, "abort a source once this fraction of its lines is malformed")
@@ -118,7 +117,6 @@ func main() {
 	cfg.Realtime.Window = *window
 	cfg.Realtime.Interval = *interval
 	cfg.Realtime.RoundWorkers = *roundWorkers
-	cfg.RoundStagger = *roundStagger
 	cfg.Lenient.MaxBadFraction = *maxBadFrac
 	cfg.TickEvery = *tick
 	cfg.ReadTimeout = *readTimeout

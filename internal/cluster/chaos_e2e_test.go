@@ -369,7 +369,7 @@ func (h *hammer) checkState(target string, k mapmatch.Key, cKey bool) {
 		h.fail("GET %s%s = %d %s", target, pathFor(k), resp.StatusCode, body)
 		return
 	}
-	hh := resp.Header.Get(healthHeader)
+	hh := resp.Header.Get(server.HealthHeader)
 	if hh != "" && hh != "stale" {
 		h.fail("GET %s%s health %q — worse than stale", target, pathFor(k), hh)
 		return
@@ -423,7 +423,7 @@ func (h *hammer) checkSnapshot(target string) {
 		h.fail("GET %s/v1/snapshot = %d", target, resp.StatusCode)
 		return
 	}
-	if hh := resp.Header.Get(healthHeader); hh != "" && hh != "stale" {
+	if hh := resp.Header.Get(server.HealthHeader); hh != "" && hh != "stale" {
 		h.fail("GET %s/v1/snapshot health %q — worse than stale", target, hh)
 		return
 	}

@@ -4,28 +4,19 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 
-	"taxilight/internal/core"
-	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/server"
 	"taxilight/internal/store"
 )
 
-const (
-	// healthHeader mirrors the server's degraded-answer header.
-	healthHeader = "X-Taxilight-Health"
-	// forwardedHeader marks an intra-cluster hop: the receiving node
-	// serves locally instead of routing again, so divergent ring views
-	// can never bounce a request in a loop.
-	forwardedHeader = "X-Taxilight-Forwarded"
-)
+// forwardedHeader marks an intra-cluster hop: the receiving node serves
+// locally instead of routing again, so divergent ring views can never
+// bounce a request in a loop.
+const forwardedHeader = "X-Taxilight-Forwarded"
 
 // Handler returns the cluster-facing HTTP surface: the public /v1/state,
 // /v1/history and /v1/snapshot routes with ring routing layered on top
@@ -45,17 +36,6 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
-// errorDoc mirrors the server's uniform error body.
-type errorDoc struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // routeState routes one per-key query along the ring: serve locally
 // when this node is an alive owner, otherwise forward to the owners in
 // ring order. If every live owner is unreachable the node answers from
@@ -64,7 +44,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func (n *Node) routeState(w http.ResponseWriter, r *http.Request) {
 	key, err := server.ParseStateKey(r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if r.Header.Get(forwardedHeader) != "" {
@@ -80,11 +60,9 @@ func (n *Node) routeState(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if rec, ok := n.replicaRecord(key); ok {
-		n.writeReplicaState(w, r, key, rec)
-		return
+	if !n.serveReplica(w, r, key) {
+		n.inner.ServeHTTP(w, r)
 	}
-	n.serveLocalState(w, r, key)
 }
 
 // serveLocalState answers from this node: the engine when it has the
@@ -92,66 +70,30 @@ func (n *Node) routeState(w http.ResponseWriter, r *http.Request) {
 // newest replicated record, else the inner handler's own 404/health
 // answer.
 func (n *Node) serveLocalState(w http.ResponseWriter, r *http.Request, key mapmatch.Key) {
-	if _, ok := n.srv.EstimateFor(key); ok || r.URL.Query().Get("asof") != "" {
+	if _, ok := n.srv.EstimateFor(key); ok || r.URL.Query().Get("asof") != "" || !n.serveReplica(w, r, key) {
 		n.inner.ServeHTTP(w, r)
-		return
 	}
-	if rec, ok := n.replicaRecord(key); ok {
-		n.writeReplicaState(w, r, key, rec)
-		return
-	}
-	n.inner.ServeHTTP(w, r)
 }
 
-// stateDoc mirrors the server's /v1/state body for replica-served
-// answers.
-type stateDoc struct {
-	Light            int64                    `json:"light"`
-	Approach         string                   `json:"approach"`
-	T                float64                  `json:"t_s"`
-	State            string                   `json:"state"`
-	CountdownSeconds *float64                 `json:"countdown_s,omitempty"`
-	NextState        string                   `json:"next_state,omitempty"`
-	Health           string                   `json:"health"`
-	Estimate         *server.SnapshotApproach `json:"estimate,omitempty"`
-}
-
-// writeReplicaState synthesizes a /v1/state answer from a replicated
-// record — always marked "stale": the estimate is real, but it was
-// computed by a node we can no longer reach.
-func (n *Node) writeReplicaState(w http.ResponseWriter, r *http.Request, k mapmatch.Key, rec store.Record) {
-	res := rec.Result()
+// serveReplica answers /v1/state from the newest replicated record,
+// marked "stale": the estimate is real, but it was computed by a node we
+// can no longer reach. It reports false, having written nothing, when
+// no replica holds the key; a malformed t is answered 400 either way.
+func (n *Node) serveReplica(w http.ResponseWriter, r *http.Request, k mapmatch.Key) bool {
 	t := n.srv.StreamNow()
 	if q := r.URL.Query().Get("t"); q != "" {
-		v, err := strconv.ParseFloat(q, 64)
+		v, err := server.ParseStreamTime("t", q)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("bad t %q", q)})
-			return
+			server.WriteError(w, http.StatusBadRequest, err.Error())
+			return true
 		}
 		t = v
 	}
-	est := core.Estimate{Result: res, Age: t - res.WindowEnd}
-	aj := server.ApproachFromEstimate(k, est)
-	aj.Health = "stale"
-	doc := stateDoc{
-		Light:    int64(k.Light),
-		Approach: k.Approach.String(),
-		T:        t,
-		State:    "unknown",
-		Health:   "stale",
-		Estimate: &aj,
+	est, ok := n.replicaEstimate(k, t)
+	if ok {
+		server.WriteState(w, k, t, est, est.Health.String())
 	}
-	if state, until, ok := res.PhaseAt(t); ok {
-		doc.State = strings.ToLower(state.String())
-		doc.CountdownSeconds = &until
-		next := lights.Red
-		if state == lights.Red {
-			next = lights.Green
-		}
-		doc.NextState = strings.ToLower(next.String())
-	}
-	w.Header().Set(healthHeader, "stale")
-	writeJSON(w, http.StatusOK, doc)
+	return ok
 }
 
 // routeWatch places a /v1/watch subscription on the keys' primary. A
@@ -168,7 +110,7 @@ func (n *Node) writeReplicaState(w http.ResponseWriter, r *http.Request, k mapma
 func (n *Node) routeWatch(w http.ResponseWriter, r *http.Request) {
 	keys, err := server.ParseWatchKeys(r.URL.Query().Get("keys"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ring := n.ringNow()
@@ -183,8 +125,8 @@ func (n *Node) routeWatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if o != owner {
-			writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf(
-				"watch keys span cluster owners (%s and %s own different keys); open one watch per owner", owner, o)})
+			server.WriteError(w, http.StatusBadRequest, fmt.Sprintf(
+				"watch keys span cluster owners (%s and %s own different keys); open one watch per owner", owner, o))
 			return
 		}
 	}
@@ -213,7 +155,7 @@ func (n *Node) routeWatch(w http.ResponseWriter, r *http.Request) {
 func (n *Node) routeHistory(w http.ResponseWriter, r *http.Request) {
 	key, err := server.ParseStateKey(r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if r.Header.Get(forwardedHeader) != "" {
@@ -229,7 +171,7 @@ func (n *Node) routeHistory(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusBadGateway, errorDoc{Error: "no reachable owner for this key"})
+	server.WriteError(w, http.StatusBadGateway, "no reachable owner for this key")
 }
 
 // forward proxies one GET to a peer, marking the hop so the peer serves
@@ -271,7 +213,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, peerID string) er
 		n.met.forwardErrors.Add(1)
 		return fmt.Errorf("cluster: node %s body: %w", peerID, err)
 	}
-	for _, h := range []string{"Content-Type", "ETag", "Cache-Control", "Retry-After", healthHeader} {
+	for _, h := range []string{"Content-Type", "ETag", "Cache-Control", "Retry-After", server.HealthHeader} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
@@ -285,204 +227,116 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, peerID string) er
 // routeSnapshot scatter-gathers the whole-city snapshot: this node's
 // local contribution merged with every alive peer's, newest estimate
 // per key, under one merged ETag and the worst health across the merged
-// keys.
+// keys. A forwarded request gets the local contribution alone.
 func (n *Node) routeSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(forwardedHeader) != "" {
-		doc := n.localSnapDoc()
-		writeSnapshot(w, r, doc)
+		server.WriteSnapshot(w, r, n.localSnapDoc())
 		return
 	}
-	docs := []server.SnapshotDoc{n.localSnapDoc()}
+	docs := append([]server.SnapshotDoc{n.localSnapDoc()}, n.peerSnapshots(r.Context())...)
+	server.WriteSnapshot(w, r, mergeSnapshots(docs...))
+}
+
+// peerSnapshots fetches every alive peer's local snapshot contribution.
+// An unreachable peer is skipped: its keys are covered by whatever
+// replicas the reachable nodes hold — best effort, never a 5xx.
+func (n *Node) peerSnapshots(ctx context.Context) []server.SnapshotDoc {
+	var docs []server.SnapshotDoc
 	for _, mb := range n.mem.View() {
 		if mb.ID == n.cfg.NodeID || mb.State != StateAlive || mb.URL == "" {
 			continue
 		}
-		doc, err := n.fetchSnap(r, mb.URL)
+		doc, err := n.fetchSnap(ctx, mb.URL)
 		if err != nil {
-			// Unreachable peer: its keys are covered by whatever replicas
-			// the reachable nodes hold — best effort, never a 5xx.
 			n.met.forwardErrors.Add(1)
 			continue
 		}
 		n.met.forwards.Add(1)
 		docs = append(docs, doc)
 	}
-	writeSnapshot(w, r, mergeSnapshots(docs))
+	return docs
 }
 
 // fetchSnap pulls one peer's local snapshot contribution.
-func (n *Node) fetchSnap(r *http.Request, base string) (server.SnapshotDoc, error) {
-	return n.fetchSnapCtx(r.Context(), base)
-}
-
-// fetchSnapCtx is fetchSnap without an originating request — the route
-// prediction cache refreshes on its own cadence, not per request.
-func (n *Node) fetchSnapCtx(ctx context.Context, base string) (server.SnapshotDoc, error) {
-	var doc server.SnapshotDoc
+func (n *Node) fetchSnap(ctx context.Context, base string) (server.SnapshotDoc, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/snapshot", nil)
 	if err != nil {
-		return doc, err
+		return server.SnapshotDoc{}, err
 	}
 	req.Header.Set(forwardedHeader, "1")
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return doc, err
+		return server.SnapshotDoc{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
-		return doc, fmt.Errorf("cluster: snapshot fetch: %s", resp.Status)
+		return server.SnapshotDoc{}, fmt.Errorf("cluster: snapshot fetch: %s", resp.Status)
 	}
-	err = json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&doc)
+	return decodeSnapshot(resp.Body)
+}
+
+// decodeSnapshot reads a peer's /v1/snapshot body. Entries are checked
+// when they are merged, not here: see newestByKey.
+func decodeSnapshot(r io.Reader) (server.SnapshotDoc, error) {
+	var doc server.SnapshotDoc
+	err := json.NewDecoder(io.LimitReader(r, 64<<20)).Decode(&doc)
 	return doc, err
 }
 
 // localSnapDoc is this node's snapshot contribution: the server's own
-// cached snapshot (health overrides already applied) plus replicated
-// records for keys this node now primaries but has not yet promoted —
-// during the failover window the city view must not lose a dead node's
-// approaches.
+// cached snapshot (health overrides already applied) merged with the
+// replicated records of keys this node now primaries but has not yet
+// promoted — during the failover window the city view must not lose a
+// dead node's approaches.
 func (n *Node) localSnapDoc() server.SnapshotDoc {
-	_, body, _ := n.srv.SnapshotBytes()
-	var doc server.SnapshotDoc
-	_ = json.Unmarshal(body, &doc)
-	present := make(map[snapKey]bool, len(doc.Approaches))
-	for _, aj := range doc.Approaches {
-		present[snapKey{aj.Light, aj.Approach}] = true
-	}
 	ring := n.ringNow()
 	now := n.srv.StreamNow()
-	n.mu.Lock()
-	replicas := make([]*peerReplica, 0, len(n.replicas))
-	for _, pr := range n.replicas {
-		replicas = append(replicas, pr)
+	var adopted server.SnapshotDoc
+	for k, rec := range n.newestReplicas(func(k mapmatch.Key) bool {
+		return ring.Primary(k, n.mem.Serving) == n.cfg.NodeID
+	}) {
+		adopted.Approaches = append(adopted.Approaches, server.ApproachFromEstimate(k, staleEstimate(rec, now)))
 	}
-	n.mu.Unlock()
-	adopted := make(map[snapKey]server.SnapshotApproach)
-	for _, pr := range replicas {
-		pr.mu.Lock()
-		for k, rec := range pr.recs {
-			sk := snapKey{int64(k.Light), k.Approach.String()}
-			if present[sk] {
-				continue
-			}
-			if ring.Primary(k, n.mem.Serving) != n.cfg.NodeID {
-				continue
-			}
-			if old, ok := adopted[sk]; ok && old.WindowEnd >= rec.WindowEnd {
-				continue
-			}
-			aj := server.ApproachFromEstimate(k, core.Estimate{Result: rec.Result(), Age: now - rec.WindowEnd})
-			aj.Health = "stale"
-			adopted[sk] = aj
-		}
-		pr.mu.Unlock()
-	}
-	for _, aj := range adopted {
-		doc.Approaches = append(doc.Approaches, aj)
-	}
-	sortSnapshot(&doc)
-	return doc
+	return mergeSnapshots(n.srv.Snapshot(), adopted)
 }
 
-// snapKey identifies one approach across snapshot documents.
-type snapKey struct {
-	Light    int64
-	Approach string
-}
-
-// mergeSnapshots folds per-node snapshot documents into one city view,
-// keeping the newest estimate per key.
-func mergeSnapshots(docs []server.SnapshotDoc) server.SnapshotDoc {
-	merged := server.SnapshotDoc{Approaches: []server.SnapshotApproach{}}
-	byKey := make(map[snapKey]server.SnapshotApproach)
+// mergeSnapshots folds snapshot documents into one city view in the
+// server's approach order, with the newest stream clock and, per key,
+// the entry newestByKey keeps.
+func mergeSnapshots(docs ...server.SnapshotDoc) server.SnapshotDoc {
+	byKey := newestByKey(docs)
+	merged := server.SnapshotDoc{Approaches: make([]server.SnapshotApproach, 0, len(byKey))}
 	for _, doc := range docs {
-		if doc.Now > merged.Now {
-			merged.Now = doc.Now
-		}
-		for _, aj := range doc.Approaches {
-			sk := snapKey{aj.Light, aj.Approach}
-			if old, ok := byKey[sk]; ok && old.WindowEnd >= aj.WindowEnd {
-				continue
-			}
-			byKey[sk] = aj
-		}
+		merged.Now = max(merged.Now, doc.Now)
 	}
 	for _, aj := range byKey {
 		merged.Approaches = append(merged.Approaches, aj)
 	}
-	sortSnapshot(&merged)
+	server.SortApproaches(merged.Approaches)
 	return merged
 }
 
-func sortSnapshot(doc *server.SnapshotDoc) {
-	sort.Slice(doc.Approaches, func(i, j int) bool {
-		a, b := doc.Approaches[i], doc.Approaches[j]
-		if a.Light != b.Light {
-			return a.Light < b.Light
-		}
-		return a.Approach < b.Approach
-	})
-}
-
-// rankHealth orders health labels for the worst-across-keys header.
-func rankHealth(h string) int {
-	switch h {
-	case "", "fresh":
-		return 0
-	case "stale":
-		return 1
-	case "quarantined":
-		return 2
-	}
-	return 3
-}
-
-// writeSnapshot renders a merged snapshot with ETag revalidation and
-// the worst-health header.
-func writeSnapshot(w http.ResponseWriter, r *http.Request, doc server.SnapshotDoc) {
-	worst := ""
-	for _, aj := range doc.Approaches {
-		if rankHealth(aj.Health) > rankHealth(worst) {
-			worst = aj.Health
+// newestByKey keeps, per key, the entry with the newest window — the
+// earlier document's on a tie, so a node's own answer beats a copy of
+// it. An entry whose approach the server's parser refuses names no key
+// and is dropped; the rest carry the approach's canonical name.
+func newestByKey(docs []server.SnapshotDoc) map[mapmatch.Key]server.SnapshotApproach {
+	byKey := make(map[mapmatch.Key]server.SnapshotApproach)
+	for _, doc := range docs {
+		for _, aj := range doc.Approaches {
+			k, err := aj.Key()
+			if err != nil {
+				continue
+			}
+			if old, ok := byKey[k]; ok && !newer(aj.WindowEnd, old.WindowEnd) {
+				continue
+			}
+			aj.Approach = k.Approach.String()
+			byKey[k] = aj
 		}
 	}
-	if len(doc.Approaches) == 0 {
-		worst = "stale"
-	}
-	body, err := json.Marshal(doc)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorDoc{Error: err.Error()})
-		return
-	}
-	h := fnv.New64a()
-	h.Write(body)
-	etag := fmt.Sprintf(`"m%d-%016x"`, len(doc.Approaches), h.Sum64())
-	if worst != "" && worst != "fresh" {
-		w.Header().Set(healthHeader, worst)
-	}
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Cache-Control", "no-cache")
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-}
-
-// etagMatches implements the If-None-Match comparison.
-func etagMatches(header, etag string) bool {
-	if strings.TrimSpace(header) == "*" {
-		return true
-	}
-	for _, part := range strings.Split(header, ",") {
-		candidate := strings.TrimPrefix(strings.TrimSpace(part), "W/")
-		if candidate == etag {
-			return true
-		}
-	}
-	return false
+	return byKey
 }
 
 // handleGossip merges a peer's pushed view and answers with ours.
@@ -490,7 +344,7 @@ func etagMatches(header, etag string) bool {
 func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
 	var msg gossipMsg
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&msg); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if n.mem.Merge(msg.Members) {
@@ -501,7 +355,7 @@ func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
 	}
 	n.handleDeparted()
 	n.syncOwnership()
-	writeJSON(w, http.StatusOK, n.mem.View())
+	server.WriteJSON(w, http.StatusOK, n.mem.View())
 }
 
 // handleWAL streams this node's WAL records after the ?from= sequence
@@ -520,7 +374,7 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 	if s := q.Get("from"); s != "" {
 		v, err := strconv.ParseUint(s, 10, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("bad from %q", s)})
+			server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad from %q", s))
 			return
 		}
 		from = v
@@ -561,7 +415,7 @@ func (n *Node) handleCkpt(w http.ResponseWriter, r *http.Request) {
 	lastSeq := n.st.LastSeq()
 	b, err := store.EncodeState(n.srv.ExportState(), lastSeq)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorDoc{Error: err.Error()})
+		server.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -579,7 +433,7 @@ func (n *Node) handleNotify(w http.ResponseWriter, r *http.Request) {
 		Node string `json:"node"`
 	}
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&msg); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	n.mu.Lock()

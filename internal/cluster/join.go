@@ -36,7 +36,7 @@ func (n *Node) joinLoop() {
 			return
 		case <-t.C:
 		}
-		n.handoffPending.Store(int64(len(n.pendingAdoption())))
+		n.handoffPending.Store(int64(len(n.adoptedAtCutover(n.ringNow()))))
 		if n.joinReady() {
 			break
 		}
@@ -83,32 +83,13 @@ func (n *Node) joinReady() bool {
 	return peers > 0
 }
 
-// pendingAdoption lists the keys this joiner will own at cutover: every
-// replicated key whose primary over the post-join serving set (current
-// serving members plus self) is this node.
-func (n *Node) pendingAdoption() []mapmatch.Key {
-	ring := n.ringNow()
+// adoptedAtCutover returns the newest replicated record of every key
+// this joiner will own at cutover: every replicated key whose primary
+// over the post-join serving set (current serving members plus self) is
+// this node.
+func (n *Node) adoptedAtCutover(ring *Ring) map[mapmatch.Key]store.Record {
 	future := func(id string) bool { return id == n.cfg.NodeID || n.mem.Serving(id) }
-	seen := make(map[mapmatch.Key]bool)
-	n.mu.Lock()
-	replicas := make([]*peerReplica, 0, len(n.replicas))
-	for _, pr := range n.replicas {
-		replicas = append(replicas, pr)
-	}
-	n.mu.Unlock()
-	var keys []mapmatch.Key
-	for _, pr := range replicas {
-		pr.mu.Lock()
-		for k := range pr.recs {
-			if seen[k] || ring.Primary(k, future) != n.cfg.NodeID {
-				continue
-			}
-			seen[k] = true
-			keys = append(keys, k)
-		}
-		pr.mu.Unlock()
-	}
-	return keys
+	return n.newestReplicas(func(k mapmatch.Key) bool { return ring.Primary(k, future) == n.cfg.NodeID })
 }
 
 // importHistory bulk-pulls the WAL history of this node's future keys
@@ -182,29 +163,10 @@ func (n *Node) importHistory() error {
 // evicts moved watchers and routes here.
 func (n *Node) cutover(started time.Time) {
 	ring := n.ringNow()
-	future := func(id string) bool { return id == n.cfg.NodeID || n.mem.Serving(id) }
-	best := make(map[mapmatch.Key]store.Record)
-	n.mu.Lock()
-	replicas := make([]*peerReplica, 0, len(n.replicas))
-	for _, pr := range n.replicas {
-		replicas = append(replicas, pr)
-	}
-	n.mu.Unlock()
-	for _, pr := range replicas {
-		pr.mu.Lock()
-		for k, rec := range pr.recs {
-			if ring.Primary(k, future) != n.cfg.NodeID {
-				continue
-			}
-			if b, ok := best[k]; !ok || rec.WindowEnd > b.WindowEnd {
-				best[k] = rec
-			}
-		}
-		pr.mu.Unlock()
-	}
+	adopted := n.adoptedAtCutover(ring)
 	var rs []core.Result
 	n.mu.Lock()
-	for k, rec := range best {
+	for k, rec := range adopted {
 		rs = append(rs, rec.Result())
 		n.promoted[k] = rec.WindowEnd
 	}
@@ -259,13 +221,7 @@ func (n *Node) syncOwnership() {
 // that just entered a key's placement would otherwise never see the
 // key's history from before the ownership change.
 func (n *Node) markReplicasForReprime() {
-	n.mu.Lock()
-	replicas := make([]*peerReplica, 0, len(n.replicas))
-	for _, pr := range n.replicas {
-		replicas = append(replicas, pr)
-	}
-	n.mu.Unlock()
-	for _, pr := range replicas {
+	for _, pr := range n.peerReplicas() {
 		pr.mu.Lock()
 		pr.primed = false
 		pr.mu.Unlock()

@@ -215,7 +215,7 @@ func TestJoinHandoffAndWatchEviction(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, `"cycle_s":100`) {
 		t.Fatalf("adopted key on the joiner = %d %s", code, body)
 	}
-	if h := hdr.Get(healthHeader); h != "stale" {
+	if h := hdr.Get(server.HealthHeader); h != "stale" {
 		t.Fatalf("adopted key health = %q, want stale", h)
 	}
 

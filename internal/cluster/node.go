@@ -499,25 +499,9 @@ func (n *Node) handleDeparted() {
 func (n *Node) promoteOrphans(departed string) {
 	start := time.Now()
 	ring := n.ringNow()
-	best := make(map[mapmatch.Key]store.Record)
-	n.mu.Lock()
-	replicas := make([]*peerReplica, 0, len(n.replicas))
-	for _, pr := range n.replicas {
-		replicas = append(replicas, pr)
-	}
-	n.mu.Unlock()
-	for _, pr := range replicas {
-		pr.mu.Lock()
-		for k, rec := range pr.recs {
-			if ring.Primary(k, n.mem.Serving) != n.cfg.NodeID {
-				continue
-			}
-			if b, ok := best[k]; !ok || rec.WindowEnd > b.WindowEnd {
-				best[k] = rec
-			}
-		}
-		pr.mu.Unlock()
-	}
+	best := n.newestReplicas(func(k mapmatch.Key) bool {
+		return ring.Primary(k, n.mem.Serving) == n.cfg.NodeID
+	})
 	var rs []core.Result
 	n.mu.Lock()
 	for k, rec := range best {
@@ -687,26 +671,68 @@ func (n *Node) fetchWAL(base string, from uint64, pr *peerReplica) error {
 	})
 }
 
-// replicaRecord returns the newest replicated record for a key across
-// every peer replica — the serve-from-replica fallback during the
-// failover window before promotion lands.
-func (n *Node) replicaRecord(k mapmatch.Key) (store.Record, bool) {
+// peerReplicas lists the per-peer replicas, so callers can walk them
+// without holding n.mu.
+func (n *Node) peerReplicas() []*peerReplica {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	replicas := make([]*peerReplica, 0, len(n.replicas))
 	for _, pr := range n.replicas {
 		replicas = append(replicas, pr)
 	}
-	n.mu.Unlock()
+	return replicas
+}
+
+// newer is the one rule for "the newest estimate wins", across replicas
+// and snapshot documents alike: a strictly later window end. On a tie
+// the copy already held stays.
+func newer(windowEnd, thanWindowEnd float64) bool { return windowEnd > thanWindowEnd }
+
+// replicaRecord returns the newest replicated record for a key across
+// every peer replica — the serve-from-replica fallback during the
+// failover window before promotion lands.
+func (n *Node) replicaRecord(k mapmatch.Key) (store.Record, bool) {
 	var best store.Record
 	found := false
-	for _, pr := range replicas {
+	for _, pr := range n.peerReplicas() {
 		pr.mu.Lock()
-		if rec, ok := pr.recs[k]; ok && (!found || rec.WindowEnd > best.WindowEnd) {
+		if rec, ok := pr.recs[k]; ok && (!found || newer(rec.WindowEnd, best.WindowEnd)) {
 			best, found = rec, true
 		}
 		pr.mu.Unlock()
 	}
 	return best, found
+}
+
+// newestReplicas returns the newest replicated record of every key keep
+// accepts, across every peer replica.
+func (n *Node) newestReplicas(keep func(mapmatch.Key) bool) map[mapmatch.Key]store.Record {
+	best := make(map[mapmatch.Key]store.Record)
+	for _, pr := range n.peerReplicas() {
+		pr.mu.Lock()
+		for k, rec := range pr.recs {
+			if b, ok := best[k]; (ok && !newer(rec.WindowEnd, b.WindowEnd)) || !keep(k) {
+				continue
+			}
+			best[k] = rec
+		}
+		pr.mu.Unlock()
+	}
+	return best
+}
+
+// staleEstimate turns a replicated record into the estimate the cluster
+// serves from it, aged to stream time now and never above "stale": the
+// estimate is real, but the node that computed it is out of reach.
+func staleEstimate(rec store.Record, now float64) core.Estimate {
+	return core.Estimate{Result: rec.Result(), Age: now - rec.WindowEnd, Health: core.Stale}
+}
+
+// replicaEstimate returns the newest replicated record of k as a stale
+// estimate aged to now.
+func (n *Node) replicaEstimate(k mapmatch.Key, now float64) (core.Estimate, bool) {
+	rec, ok := n.replicaRecord(k)
+	return staleEstimate(rec, now), ok
 }
 
 // replicaSeq returns the replication cursor for one peer (tests use it
@@ -833,12 +859,8 @@ func (n *Node) collectMetrics(sc *metrics.Scrape) {
 	replicaRecords := 0
 	n.mu.Lock()
 	promoted := len(n.promoted)
-	replicas := make([]*peerReplica, 0, len(n.replicas))
-	for _, pr := range n.replicas {
-		replicas = append(replicas, pr)
-	}
 	n.mu.Unlock()
-	for _, pr := range replicas {
+	for _, pr := range n.peerReplicas() {
 		pr.mu.Lock()
 		replicaRecords += len(pr.recs)
 		pr.mu.Unlock()

@@ -199,7 +199,7 @@ func TestTwoNodeReplicationAndFailover(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, `"cycle_s":100`) {
 		t.Fatalf("forwarded state = %d %s", code, body)
 	}
-	if h := hdr.Get(healthHeader); h != "" {
+	if h := hdr.Get(server.HealthHeader); h != "" {
 		t.Fatalf("forwarded fresh answer carried health %q", h)
 	}
 	if b.node.met.forwards.Load() == 0 {
@@ -216,7 +216,7 @@ func TestTwoNodeReplicationAndFailover(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, `"cycle_s":100`) {
 		t.Fatalf("failover state = %d %s", code, body)
 	}
-	if h := hdr.Get(healthHeader); h != "stale" {
+	if h := hdr.Get(server.HealthHeader); h != "stale" {
 		t.Fatalf("failover health = %q, want stale", h)
 	}
 	if !strings.Contains(body, `"state":"red"`) || !strings.Contains(body, `"countdown_s":30`) {
@@ -228,7 +228,7 @@ func TestTwoNodeReplicationAndFailover(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, `"light":`+itoa(int64(k.Light))) {
 		t.Fatalf("snapshot after failover = %d %s", code, body)
 	}
-	if h := hdr.Get(healthHeader); h != "stale" {
+	if h := hdr.Get(server.HealthHeader); h != "stale" {
 		t.Fatalf("snapshot health after failover = %q, want stale", h)
 	}
 
@@ -287,7 +287,7 @@ func TestGracefulLeavePromotesImmediately(t *testing.T) {
 	waitFor(t, "B to see A gone", func() bool { return !b.node.mem.Alive("A") })
 	waitFor(t, "promotion on B", func() bool { return b.node.met.promotions.Load() >= 1 })
 	code, hdr, _ := httpGet(t, b.url+pathFor(k)+"?t=10")
-	if code != http.StatusOK || hdr.Get(healthHeader) != "stale" {
-		t.Fatalf("post-leave answer = %d health %q, want 200 stale", code, hdr.Get(healthHeader))
+	if code != http.StatusOK || hdr.Get(server.HealthHeader) != "stale" {
+		t.Fatalf("post-leave answer = %d health %q, want 200 stale", code, hdr.Get(server.HealthHeader))
 	}
 }

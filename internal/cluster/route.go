@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"taxilight/internal/core"
-	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
-	"taxilight/internal/roadnet"
 	"taxilight/internal/routesvc"
 	"taxilight/internal/server"
 )
@@ -68,13 +66,8 @@ func (cp *clusterPredictions) Predict(k mapmatch.Key) (core.Estimate, string, bo
 	// Aged data beats no data, but never above "stale": the routing
 	// service degrades those edges to free-flow rather than trusting
 	// an estimate that outlived its owner.
-	if rec, ok := cp.n.replicaRecord(k); ok {
-		est := core.Estimate{
-			Result: rec.Result(),
-			Age:    cp.Now() - rec.WindowEnd,
-			Health: core.Stale,
-		}
-		return est, core.Stale.String(), true
+	if est, ok := cp.n.replicaEstimate(k, cp.Now()); ok {
+		return est, est.Health.String(), true
 	}
 	return core.Estimate{}, "", false
 }
@@ -116,26 +109,10 @@ func (cp *clusterPredictions) peersMap() map[mapmatch.Key]peerEstimate {
 // per key. Unreachable peers are skipped — their keys surface through
 // the replica fallback or degrade to free-flow.
 func (cp *clusterPredictions) fetchPeers() map[mapmatch.Key]peerEstimate {
-	n := cp.n
-	out := make(map[mapmatch.Key]peerEstimate)
-	for _, mb := range n.mem.View() {
-		if mb.ID == n.cfg.NodeID || mb.State != StateAlive || mb.URL == "" {
-			continue
-		}
-		doc, err := n.fetchSnapCtx(context.Background(), mb.URL)
-		if err != nil {
-			n.met.forwardErrors.Add(1)
-			continue
-		}
-		n.met.forwards.Add(1)
-		for _, aj := range doc.Approaches {
-			pe := estimateFromApproach(aj)
-			k := pe.est.Key
-			if cur, ok := out[k]; ok && cur.est.WindowEnd >= pe.est.WindowEnd {
-				continue
-			}
-			out[k] = pe
-		}
+	byKey := newestByKey(cp.n.peerSnapshots(context.Background()))
+	out := make(map[mapmatch.Key]peerEstimate, len(byKey))
+	for k, aj := range byKey {
+		out[k] = estimateFromApproach(k, aj)
 	}
 	return out
 }
@@ -143,11 +120,7 @@ func (cp *clusterPredictions) fetchPeers() map[mapmatch.Key]peerEstimate {
 // estimateFromApproach reconstructs an engine estimate from its
 // snapshot wire form. The peer has already applied its own health
 // overrides, so the carried health string is authoritative.
-func estimateFromApproach(aj server.SnapshotApproach) peerEstimate {
-	k := mapmatch.Key{Light: roadnet.NodeID(aj.Light), Approach: lights.NorthSouth}
-	if aj.Approach == lights.EastWest.String() {
-		k.Approach = lights.EastWest
-	}
+func estimateFromApproach(k mapmatch.Key, aj server.SnapshotApproach) peerEstimate {
 	res := core.Result{
 		Key:             k,
 		Cycle:           aj.Cycle,

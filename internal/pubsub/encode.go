@@ -14,9 +14,10 @@ import (
 // appended with strconv.Append* into a caller-owned (usually pooled)
 // buffer, and the static per-key JSON prefix is preserialized once at
 // subscribe time — the same discipline as the engine's reused
-// identification scratch (DESIGN.md §11). The /v1/state handler and the
-// /v1/watch event frames share this encoder, so both read paths pay the
-// same (near-zero) per-answer cost.
+// identification scratch (DESIGN.md §11). Every /v1/state answer (live,
+// health-only, as-of and cluster replica, all through server.WriteState)
+// and every /v1/watch event frame share this encoder, so both read paths
+// pay the same (near-zero) per-answer cost.
 
 // bufPool recycles encode scratch buffers. Buffers are pooled as
 // pointers so Get/Put do not allocate a slice header per call.

@@ -11,6 +11,12 @@
 // and the serving layer evicts subscribers that miss a write deadline.
 // Both eviction flavors are counted separately so operators can tell
 // bursty publishers apart from stalled clients.
+//
+// The package also owns the state document itself: AppendState is the
+// only renderer of a /v1/state body. Watch frames embed it, and the
+// serving layer's one state writer (server.WriteState) sends it for
+// every polled answer — live, health-only, as-of and the cluster's
+// replica answers alike.
 package pubsub
 
 import (

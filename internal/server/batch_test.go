@@ -70,7 +70,6 @@ func TestBatchSlicesRecycled(t *testing.T) {
 		s := newTestServer(t, func(c *Config) {
 			c.Shards = 1
 			c.BatchSize = 4
-			c.RoundStagger = false
 			c.OnRound = func(int, core.RoundStats) {
 				if release := hold.Swap(nil); release != nil {
 					entered <- struct{}{}

@@ -8,11 +8,9 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"time"
 
 	"taxilight/internal/core"
-	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/pubsub"
 	"taxilight/internal/roadnet"
@@ -113,7 +111,7 @@ func (s *Server) guard(exempt bool, h http.HandlerFunc) http.HandlerFunc {
 				// Jittered so a shed fleet does not retry in lockstep and
 				// re-saturate the limiter on the same tick.
 				w.Header().Set("Retry-After", strconv.Itoa(1+rand.Intn(3)))
-				writeJSON(w, http.StatusTooManyRequests, errorJSON{Error: "overloaded, retry later"})
+				WriteError(w, http.StatusTooManyRequests, "overloaded, retry later")
 				return
 			}
 		}
@@ -122,8 +120,7 @@ func (s *Server) guard(exempt bool, h http.HandlerFunc) http.HandlerFunc {
 			if rec := recover(); rec != nil {
 				s.met.httpPanics.Add(1)
 				if !tw.wrote {
-					writeJSON(tw, http.StatusInternalServerError,
-						errorJSON{Error: fmt.Sprintf("handler panic: %v", rec)})
+					WriteError(tw, http.StatusInternalServerError, fmt.Sprintf("handler panic: %v", rec))
 				}
 			}
 		}()
@@ -139,7 +136,7 @@ func (s *Server) handleDebugBlock(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("ms"); q != "" {
 		ms, err := strconv.Atoi(q)
 		if err != nil || ms < 0 {
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("bad ms %q", q)})
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad ms %q", q))
 			return
 		}
 		d = time.Duration(ms) * time.Millisecond
@@ -148,41 +145,21 @@ func (s *Server) handleDebugBlock(w http.ResponseWriter, r *http.Request) {
 		d = max
 	}
 	time.Sleep(d)
-	writeJSON(w, http.StatusOK, map[string]float64{"blocked_s": d.Seconds()})
+	WriteJSON(w, http.StatusOK, map[string]float64{"blocked_s": d.Seconds()})
 }
 
-// healthHeader is the degraded-mode response header: clients see
+// HealthHeader is the degraded-mode response header: clients see
 // whether an answer came from a fresh estimate without parsing the
-// body.
-const healthHeader = "X-Taxilight-Health"
+// body. Only this package sets it; the cluster router passes it on.
+const HealthHeader = "X-Taxilight-Health"
 
 // setHealthHeader marks non-fresh answers ("stale", "quarantined",
 // "historical") so a client can distinguish a live countdown from a
 // best-effort one.
 func setHealthHeader(w http.ResponseWriter, health string) {
 	if health != "" && health != "fresh" {
-		w.Header().Set(healthHeader, health)
+		w.Header().Set(HealthHeader, health)
 	}
-}
-
-// stateJSON is the /v1/state/{light}/{approach} body: the live answer
-// ("red, 12.4 s to green") plus the estimate it came from and the health
-// state it was served under, so a consumer can weigh the answer.
-type stateJSON struct {
-	Light    int64   `json:"light"`
-	Approach string  `json:"approach"`
-	T        float64 `json:"t_s"`
-	// State is "red", "green" or "unknown" (health-only answer: the
-	// approach is known to the engine but has no usable schedule yet).
-	State string `json:"state"`
-	// CountdownSeconds is the time to the next state change; present
-	// only when State is red or green.
-	CountdownSeconds *float64 `json:"countdown_s,omitempty"`
-	NextState        string   `json:"next_state,omitempty"`
-	Health           string   `json:"health"`
-	// Estimate is the schedule behind the answer; absent for
-	// health-only answers.
-	Estimate *approachJSON `json:"estimate,omitempty"`
 }
 
 // errorJSON is the uniform error body.
@@ -196,11 +173,48 @@ type errorJSON struct {
 // it or write through it.
 var jsonContentType = []string{"application/json"}
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with status code and v encoded by encoding/json.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
+}
+
+// WriteError answers with status code and the uniform error body
+// {"error": msg}.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, errorJSON{Error: msg})
+}
+
+// WriteState writes one 200 /v1/state answer: the live answer ("red,
+// 12.4 s to green") for key k at stream time t, the estimate it came
+// from and the health it was served under. It is the only writer of
+// that body — live, health-only (a zero estimate: "state":"unknown", no
+// estimate object), as-of and the cluster's replica answers all come
+// through it — and it renders with pubsub.AppendState into a pooled
+// buffer, so a served estimate never runs encoding/json.
+func WriteState(w http.ResponseWriter, k mapmatch.Key, t float64, est core.Estimate, health string) {
+	setHealthHeader(w, health)
+	w.Header()["Content-Type"] = jsonContentType
+	buf := pubsub.GetBuffer()
+	*buf = pubsub.AppendState((*buf)[:0], k, t, est, health, 0, false)
+	*buf = append(*buf, '\n')
+	w.WriteHeader(http.StatusOK)
+	w.Write(*buf)
+	pubsub.PutBuffer(buf)
+}
+
+// ParseStreamTime parses the value v of the stream-time query parameter
+// name (t, asof, from, to, depart): seconds on the stream clock. NaN and
+// the infinities parse as floats but name no moment, so they are
+// refused like any other malformed value.
+func ParseStreamTime(name, v string) (float64, error) {
+	t, err := strconv.ParseFloat(v, 64)
+	if err != nil || math.IsNaN(t) || math.IsInf(t, 0) {
+		return 0, fmt.Errorf("bad %s %q", name, v)
+	}
+	return t, nil
 }
 
 // overrideHealth applies the cluster layer's health-override hook, if
@@ -236,7 +250,7 @@ func ParseStateKey(r *http.Request) (mapmatch.Key, error) {
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	key, err := ParseStateKey(r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// The common request has no query string; one that does is parsed once.
@@ -252,44 +266,24 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	sh := s.shardFor(key)
 	t := sh.engine.Now()
 	if at != "" {
-		t, err = strconv.ParseFloat(at, 64)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("bad t %q", at)})
+		if t, err = ParseStreamTime("t", at); err != nil {
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
 	est, ok := sh.engine.EstimateFor(key)
+	health := est.Health.String()
 	if !ok {
 		// No estimate; the approach may still be known to the failure
 		// ledger (e.g. quarantined before its first success).
 		ah, known := sh.engine.ApproachHealthFor(key)
 		if !known {
-			writeJSON(w, http.StatusNotFound, errorJSON{Error: fmt.Sprintf("no estimate for light %d approach %s", key.Light, key.Approach)})
+			WriteError(w, http.StatusNotFound, fmt.Sprintf("no estimate for light %d approach %s", key.Light, key.Approach))
 			return
 		}
-		health := s.overrideHealth(key, ah.State.String())
-		setHealthHeader(w, health)
-		writeJSON(w, http.StatusOK, stateJSON{
-			Light:    int64(key.Light),
-			Approach: key.Approach.String(),
-			T:        t,
-			State:    "unknown",
-			Health:   health,
-		})
-		return
+		est, health = core.Estimate{}, ah.State.String()
 	}
-	// Hot path: the answer is assembled by the shared zero-alloc encoder
-	// (the same one /v1/watch frames use) into a pooled buffer —
-	// encoding/json never runs for a served estimate.
-	health := s.overrideHealth(key, est.Health.String())
-	setHealthHeader(w, health)
-	w.Header()["Content-Type"] = jsonContentType
-	buf := pubsub.GetBuffer()
-	*buf = pubsub.AppendState((*buf)[:0], key, t, est, health, 0, false)
-	*buf = append(*buf, '\n')
-	w.WriteHeader(http.StatusOK)
-	w.Write(*buf)
-	pubsub.PutBuffer(buf)
+	WriteState(w, key, t, est, s.overrideHealth(key, health))
 }
 
 // handleStateAsOf answers /v1/state?asof=T from the durable store: the
@@ -300,45 +294,24 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStateAsOf(w http.ResponseWriter, key mapmatch.Key, q string) {
 	st := s.cfg.Store
 	if st == nil {
-		writeJSON(w, http.StatusNotImplemented, errorJSON{Error: "as-of queries need a durable store (run with -store-dir)"})
+		WriteError(w, http.StatusNotImplemented, "as-of queries need a durable store (run with -store-dir)")
 		return
 	}
-	t, err := strconv.ParseFloat(q, 64)
+	t, err := ParseStreamTime("asof", q)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("bad asof %q", q)})
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	rec, ok, err := st.AsOf(key, t)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorJSON{Error: fmt.Sprintf("no persisted estimate for light %d approach %s at or before t=%g", key.Light, key.Approach, t)})
+		WriteError(w, http.StatusNotFound, fmt.Sprintf("no persisted estimate for light %d approach %s at or before t=%g", key.Light, key.Approach, t))
 		return
 	}
-	est := core.Estimate{Result: rec.Result(), Age: t - rec.WindowEnd}
-	aj := approachFromEstimate(key, est)
-	aj.Health = "historical"
-	setHealthHeader(w, "historical")
-	resp := stateJSON{
-		Light:    int64(key.Light),
-		Approach: key.Approach.String(),
-		T:        t,
-		State:    "unknown",
-		Health:   "historical",
-		Estimate: &aj,
-	}
-	if state, until, ok := est.PhaseAt(t); ok {
-		resp.State = strings.ToLower(state.String())
-		resp.CountdownSeconds = &until
-		next := lights.Red
-		if state == lights.Red {
-			next = lights.Green
-		}
-		resp.NextState = strings.ToLower(next.String())
-	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteState(w, key, t, core.Estimate{Result: rec.Result(), Age: t - rec.WindowEnd}, "historical")
 }
 
 // historyJSON is the /v1/history body: the persisted estimate series of
@@ -377,33 +350,33 @@ const historyMaxResults = 10000
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	st := s.cfg.Store
 	if st == nil {
-		writeJSON(w, http.StatusNotImplemented, errorJSON{Error: "history needs a durable store (run with -store-dir)"})
+		WriteError(w, http.StatusNotImplemented, "history needs a durable store (run with -store-dir)")
 		return
 	}
 	key, err := ParseStateKey(r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	from, to := 0.0, math.MaxFloat64
 	limit := historyMaxResults
 	q := r.URL.Query()
 	if v := q.Get("from"); v != "" {
-		if from, err = strconv.ParseFloat(v, 64); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("bad from %q", v)})
+		if from, err = ParseStreamTime("from", v); err != nil {
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
 	if v := q.Get("to"); v != "" {
-		if to, err = strconv.ParseFloat(v, 64); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("bad to %q", v)})
+		if to, err = ParseStreamTime("to", v); err != nil {
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("bad limit %q", v)})
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad limit %q", v))
 			return
 		}
 		if n < limit {
@@ -411,12 +384,12 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if to < from {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("inverted range [%g, %g]", from, to)})
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("inverted range [%g, %g]", from, to))
 		return
 	}
 	recs, err := st.History(key, from, to, limit+1)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	doc := historyJSON{
@@ -446,41 +419,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	}
 	doc.Count = len(doc.Estimates)
 	setHealthHeader(w, "historical")
-	writeJSON(w, http.StatusOK, doc)
-}
-
-// handleSnapshot serves the cached whole-city snapshot with ETag
-// revalidation: a request carrying the current tag costs a version
-// compare and a 304. The health header carries the worst health across
-// the returned keys, so a fleet-polling client sees degradation without
-// parsing every approach.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	etag, body, worst := s.snapshot()
-	setHealthHeader(w, worst)
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Cache-Control", "no-cache")
-	if match := r.Header.Get("If-None-Match"); match != "" && etagMatches(match, etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header()["Content-Type"] = jsonContentType
-	w.Write(body)
-}
-
-// etagMatches implements the If-None-Match comparison (weak comparison,
-// including the `*` wildcard).
-func etagMatches(header, etag string) bool {
-	if strings.TrimSpace(header) == "*" {
-		return true
-	}
-	for _, part := range strings.Split(header, ",") {
-		candidate := strings.TrimSpace(part)
-		candidate = strings.TrimPrefix(candidate, "W/")
-		if candidate == etag {
-			return true
-		}
-	}
-	return false
+	WriteJSON(w, http.StatusOK, doc)
 }
 
 // healthzJSON is the /healthz body: per-shard approach-health counts and
@@ -621,7 +560,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusServiceUnavailable
 		doc.Status = "feed silent"
 	}
-	writeJSON(w, code, doc)
+	WriteJSON(w, code, doc)
 }
 
 // handleMetrics serves the registry's page. The estimate-age histogram

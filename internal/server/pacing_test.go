@@ -69,15 +69,14 @@ func TestRoundStaggerPhasesWallClockTicks(t *testing.T) {
 	}
 }
 
-// TestRoundStaggerDisabled checks the escape hatch: stagger off (or a
-// single shard) leaves every engine at offset zero and every tick
-// unphased, restoring the old synchronized behavior exactly.
+// TestRoundStaggerDisabled checks that a single shard, with nothing to
+// stagger against, leaves its engine at offset zero and its tick
+// unphased.
 func TestRoundStaggerDisabled(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mod  func(*Config)
 	}{
-		{"StaggerOff", func(c *Config) { c.RoundStagger = false; c.Shards = 4 }},
 		{"SingleShard", func(c *Config) { c.Shards = 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

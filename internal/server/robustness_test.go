@@ -128,8 +128,8 @@ func TestDegradedModeHeader(t *testing.T) {
 
 	// Fresh answer: no header.
 	rec := get(t, s, "/v1/state/2/NS", nil)
-	if rec.Code != http.StatusOK || rec.Header().Get(healthHeader) != "" {
-		t.Fatalf("fresh answer: code %d header %q", rec.Code, rec.Header().Get(healthHeader))
+	if rec.Code != http.StatusOK || rec.Header().Get(HealthHeader) != "" {
+		t.Fatalf("fresh answer: code %d header %q", rec.Code, rec.Header().Get(HealthHeader))
 	}
 
 	// Age the estimate past staleness: the answer is still served but
@@ -142,13 +142,13 @@ func TestDegradedModeHeader(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stale answer code %d, want 200", rec.Code)
 	}
-	if got := rec.Header().Get(healthHeader); got != "stale" {
+	if got := rec.Header().Get(HealthHeader); got != "stale" {
 		t.Fatalf("stale answer header %q, want stale", got)
 	}
 
 	// The whole-city snapshot is degraded once nothing is fresh.
 	srec := get(t, s, "/v1/snapshot", nil)
-	if got := srec.Header().Get(healthHeader); got != "stale" {
+	if got := srec.Header().Get(HealthHeader); got != "stale" {
 		t.Fatalf("degraded snapshot header %q, want stale", got)
 	}
 }
@@ -170,7 +170,7 @@ func TestSnapshotWorstHealthHeader(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/v1/snapshot = %d, want 200", rec.Code)
 	}
-	if got := rec.Header().Get(healthHeader); got != "stale" {
+	if got := rec.Header().Get(HealthHeader); got != "stale" {
 		t.Fatalf("mixed snapshot header %q, want stale (worst across keys)", got)
 	}
 	if !strings.Contains(rec.Body.String(), `"health":"fresh"`) {

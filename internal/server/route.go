@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 
@@ -54,27 +53,24 @@ type routeLegJ struct {
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	rs := s.route.Load()
 	if rs == nil {
-		writeJSON(w, http.StatusServiceUnavailable,
-			errorJSON{Error: "routing unavailable: no road network loaded (run lightd with -net or -grid)"})
+		WriteError(w, http.StatusServiceUnavailable, "routing unavailable: no road network loaded (run lightd with -net or -grid)")
 		return
 	}
 	q := r.URL.Query()
 	src, err := parseRouteNode(q.Get("src"), "src")
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	dst, err := parseRouteNode(q.Get("dst"), "dst")
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	depart := rs.Now()
 	if v := q.Get("depart"); v != "" {
-		depart, err = strconv.ParseFloat(v, 64)
-		// ParseFloat admits NaN and the infinities; no trip departs then.
-		if err != nil || math.IsNaN(depart) || math.IsInf(depart, 0) {
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("bad depart %q", v)})
+		if depart, err = ParseStreamTime("depart", v); err != nil {
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
@@ -84,19 +80,19 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	case "freeflow":
 		freeFlow = true
 	default:
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("bad mode %q (want aware or freeflow)", mode)})
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad mode %q (want aware or freeflow)", mode))
 		return
 	}
 	res, err := rs.Plan(src, dst, depart, freeFlow)
 	switch {
 	case errors.Is(err, routesvc.ErrNodeRange):
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	case errors.Is(err, routesvc.ErrUnreachable):
-		writeJSON(w, http.StatusNotFound, errorJSON{Error: err.Error()})
+		WriteError(w, http.StatusNotFound, err.Error())
 		return
 	case err != nil:
-		writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if res.Degraded {
@@ -132,7 +128,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 			Degraded: leg.Degraded,
 		}
 	}
-	writeJSON(w, http.StatusOK, doc)
+	WriteJSON(w, http.StatusOK, doc)
 }
 
 // parseRouteNode parses a required node-id query parameter.

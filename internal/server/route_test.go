@@ -104,8 +104,8 @@ func TestRouteEndpointServesLivePredictions(t *testing.T) {
 	if doc.Mode != "aware" || doc.Degraded {
 		t.Fatalf("mode %q degraded %v", doc.Mode, doc.Degraded)
 	}
-	if rec.Header().Get(healthHeader) != "" {
-		t.Fatalf("fresh answer carries health header %q", rec.Header().Get(healthHeader))
+	if rec.Header().Get(HealthHeader) != "" {
+		t.Fatalf("fresh answer carries health header %q", rec.Header().Get(HealthHeader))
 	}
 	// Primed predictions mirror ground truth, so the served duration must
 	// equal the offline exact planner's.
@@ -134,7 +134,7 @@ func TestRouteEndpointDegradesWithoutEstimates(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("degraded route must be 200, got %d: %s", rec.Code, rec.Body.String())
 	}
-	if got := rec.Header().Get(healthHeader); got != "degraded" {
+	if got := rec.Header().Get(HealthHeader); got != "degraded" {
 		t.Fatalf("health header %q, want degraded", got)
 	}
 	doc := decodeRoute(t, rec.Body.String())
@@ -336,8 +336,8 @@ func TestRouteServeAllocs(t *testing.T) {
 		h.ServeHTTP(w, req)
 	}
 	serve() // fills the route cache
-	if w.code != http.StatusOK || w.h.Get(healthHeader) != "" {
-		t.Fatalf("status %d, health %q", w.code, w.h.Get(healthHeader))
+	if w.code != http.StatusOK || w.h.Get(HealthHeader) != "" {
+		t.Fatalf("status %d, health %q", w.code, w.h.Get(HealthHeader))
 	}
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")

@@ -107,15 +107,6 @@ type Config struct {
 	// DebugEndpoints additionally registers /debug/* handlers (panic and
 	// block drills). Off in production, on in chaos tests.
 	DebugEndpoints bool
-	// RoundStagger phases the shards' estimation rounds across the
-	// Interval instead of letting all of them fire on the same stream
-	// tick: shard i's first round is delayed by i·(Interval/Shards) plus
-	// a small deterministic jitter, and the wall-clock Advance ticks get
-	// the same fractional phasing. N synchronized dense rounds produce an
-	// N-times CPU spike every Interval; staggered rounds smooth it to a
-	// rolling load. Disable only for tests that need bit-identical round
-	// timing across shard counts.
-	RoundStagger bool
 	// OnRound, when set, observes every shard's completed estimation
 	// rounds (after the built-in metrics are updated). The megacity soak
 	// uses it to collect round-time percentiles without scraping.
@@ -162,7 +153,6 @@ func DefaultConfig() Config {
 		MaxWatchKeys:       32,
 		WatchQueue:         32,
 		WatchWriteTimeout:  5 * time.Second,
-		RoundStagger:       true,
 	}
 }
 
@@ -303,8 +293,11 @@ func New(matcher *mapmatch.Matcher, cfg Config) (*Server, error) {
 	s.registerCollectors()
 	for i := 0; i < cfg.Shards; i++ {
 		engCfg := cfg.Realtime
+		// Shards phase their rounds and ticks across the interval: N
+		// synchronized dense rounds are an N-times CPU spike every
+		// Interval, staggered ones a rolling load.
 		var tickPhase time.Duration
-		if cfg.RoundStagger && cfg.Shards > 1 {
+		if cfg.Shards > 1 {
 			engCfg.RoundOffset = shardRoundOffset(i, cfg.Shards, cfg.Realtime.Interval)
 			tickPhase = cfg.TickEvery * time.Duration(i) / time.Duration(cfg.Shards)
 		}

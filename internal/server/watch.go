@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -70,21 +69,11 @@ func ParseWatchKeys(q string) ([]mapmatch.Key, error) {
 	return keys, nil
 }
 
-// watchID is the SSE event id: an FNV-64a hash of the shard version
-// vector, the same fingerprint the snapshot ETag uses. Equal ids mean
-// no engine published in between, so a resume carrying the current id
-// skips catch-up entirely.
+// watchID is the SSE event id: the version-vector fingerprint the
+// snapshot ETag carries too. Equal ids mean no engine published in
+// between, so a resume carrying the current id skips catch-up entirely.
 func (s *Server) watchID() string {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, sh := range s.shards {
-		v := sh.engine.Version()
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return fmt.Sprintf("%016x", fingerprint(s.engineVersions()))
 }
 
 // publishWatch fans one engine's freshly published keys out to watch
@@ -143,7 +132,7 @@ func (s *Server) EvictMovedWatchers(moved func(mapmatch.Key) bool) int {
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	keys, err := ParseWatchKeys(r.URL.Query().Get("keys"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	sub, err := s.hub.Subscribe(keys)
@@ -154,13 +143,13 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		// Same jittered shed as the in-flight limiter: a full hub says
 		// "busy", and the fleet must not retry in lockstep.
 		w.Header().Set("Retry-After", strconv.Itoa(1+rand.Intn(3)))
-		writeJSON(w, http.StatusTooManyRequests, errorJSON{Error: "subscriber limit reached, retry later"})
+		WriteError(w, http.StatusTooManyRequests, "subscriber limit reached, retry later")
 		return
 	case pubsub.ErrTooManyKeys:
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("too many keys (limit %d)", s.cfg.MaxWatchKeys)})
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("too many keys (limit %d)", s.cfg.MaxWatchKeys))
 		return
 	default:
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	defer s.hub.Unsubscribe(sub)
