@@ -63,7 +63,6 @@ func main() {
 	window := flag.Float64("window", 1800, "trailing estimation window, seconds")
 	interval := flag.Float64("interval", 300, "re-estimation interval, seconds")
 	maxBadFrac := flag.Float64("max-bad-frac", 0.05, "abort a source once this fraction of its lines is malformed")
-	tick := flag.Duration("tick", time.Second, "idle-shard advance cadence")
 	readTimeout := flag.Duration("read-timeout", 5*time.Second, "HTTP read timeout")
 	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "HTTP write timeout")
 	grace := flag.Duration("shutdown-grace", 5*time.Second, "graceful shutdown budget for in-flight requests")
@@ -116,9 +115,8 @@ func main() {
 	}
 	cfg.Realtime.Window = *window
 	cfg.Realtime.Interval = *interval
-	cfg.Realtime.RoundWorkers = *roundWorkers
+	cfg.Realtime.Pipeline.Workers = *roundWorkers
 	cfg.Lenient.MaxBadFraction = *maxBadFrac
-	cfg.TickEvery = *tick
 	cfg.ReadTimeout = *readTimeout
 	cfg.WriteTimeout = *writeTimeout
 	cfg.ShutdownGrace = *grace

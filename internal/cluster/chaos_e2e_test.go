@@ -205,7 +205,6 @@ func e2eServerConfig(st *store.Store) server.Config {
 	cfg.Shards = 2
 	cfg.BatchSize = 1
 	cfg.FlushEvery = 20 * time.Millisecond
-	cfg.TickEvery = 20 * time.Millisecond
 	cfg.MaxInFlight = 0
 	cfg.StaleFeedAfter = 0
 	cfg.CheckpointInterval = 0

@@ -61,7 +61,6 @@ func startJoiningNode(t *testing.T, id string, existing map[string]*testNode, ba
 	}
 	cfg := server.DefaultConfig()
 	cfg.Shards = 2
-	cfg.TickEvery = 5 * time.Millisecond
 	cfg.FlushEvery = 5 * time.Millisecond
 	cfg.Store = st
 	cfg.CheckpointInterval = 0

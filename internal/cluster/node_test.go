@@ -60,7 +60,6 @@ func startTestCluster(t *testing.T, ids []string) map[string]*testNode {
 		}
 		cfg := server.DefaultConfig()
 		cfg.Shards = 2
-		cfg.TickEvery = 5 * time.Millisecond
 		cfg.FlushEvery = 5 * time.Millisecond
 		cfg.Store = st
 		cfg.CheckpointInterval = 0

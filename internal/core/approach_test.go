@@ -77,7 +77,7 @@ func TestPublishAllocs(t *testing.T) {
 	}
 	const nKeys = 8
 	cfg := DefaultRealtimeConfig()
-	cfg.RoundWorkers = 1
+	cfg.Pipeline.Workers = 1
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

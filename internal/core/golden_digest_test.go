@@ -39,7 +39,7 @@ func goldenFeed(t *testing.T, workers int) (string, HealthReport) {
 	const nKeys = 12
 	const step, horizon = 60.0, 3 * 1800.0
 	cfg := DefaultRealtimeConfig()
-	cfg.RoundWorkers = workers
+	cfg.Pipeline.Workers = workers
 	cfg.Faults.MaxBufferPerKey = 900
 	eng, err := NewEngine(cfg)
 	if err != nil {
@@ -142,10 +142,10 @@ func TestEngineGoldenDigest(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		got, rep := goldenFeed(t, workers)
 		if got != engineGoldenDigest {
-			t.Errorf("RoundWorkers=%d: digest %s, want %s", workers, got, engineGoldenDigest)
+			t.Errorf("Pipeline.Workers=%d: digest %s, want %s", workers, got, engineGoldenDigest)
 		}
 		if rep.DroppedOverflowRecords == 0 {
-			t.Errorf("RoundWorkers=%d: approach 0 never overflowed; the feed no longer covers eviction", workers)
+			t.Errorf("Pipeline.Workers=%d: approach 0 never overflowed; the feed no longer covers eviction", workers)
 		}
 		served := 0
 		for _, a := range rep.Approaches {
@@ -154,7 +154,7 @@ func TestEngineGoldenDigest(t *testing.T) {
 			}
 		}
 		if served < 12 {
-			t.Errorf("RoundWorkers=%d: %d of 12 approaches ever identified; the digest would pin failures", workers, served)
+			t.Errorf("Pipeline.Workers=%d: %d of 12 approaches ever identified; the digest would pin failures", workers, served)
 		}
 	}
 }

@@ -91,12 +91,10 @@ type PipelineConfig struct {
 	// estimate and the plain sliding-window change point are reported
 	// as-is, reproducing the paper's unrefined procedure.
 	RefineRed bool
-	// UseEnhancement enables the intersection-based enhancement: sparse
-	// approaches borrow mirrored samples from the perpendicular
-	// approach.
-	UseEnhancement bool
-	// EnhanceBelow is the sample count under which enhancement kicks in
-	// (dense approaches are left untouched, as in the paper).
+	// EnhanceBelow is the sample count under which the intersection-based
+	// enhancement kicks in: sparse approaches borrow mirrored samples from
+	// the perpendicular approach, dense ones are left untouched, as in the
+	// paper. 0 turns the enhancement off.
 	EnhanceBelow int
 	// Workers bounds the per-light parallelism; 0 means GOMAXPROCS.
 	Workers int
@@ -106,14 +104,13 @@ type PipelineConfig struct {
 // experiments.
 func DefaultPipelineConfig() PipelineConfig {
 	return PipelineConfig{
-		Cycle:          DefaultCycleConfig(),
-		Red:            DefaultRedConfig(),
-		Stops:          DefaultStopExtractConfig(),
-		MaxSpeedDist:   120,
-		RefineRed:      true,
-		UseEnhancement: true,
-		EnhanceBelow:   60,
-		Workers:        0,
+		Cycle:        DefaultCycleConfig(),
+		Red:          DefaultRedConfig(),
+		Stops:        DefaultStopExtractConfig(),
+		MaxSpeedDist: 120,
+		RefineRed:    true,
+		EnhanceBelow: 60,
+		Workers:      0,
 	}
 }
 
@@ -311,7 +308,7 @@ func identifyOne(view map[mapmatch.Key]obsView, stopIdx *StopIndex, key mapmatch
 	win := appendWindowed(sc.win[:0], primary, t0, t1)
 	sc.win = win
 	cycIn := primary
-	if cfg.UseEnhancement && len(win) < cfg.EnhanceBelow {
+	if len(win) < cfg.EnhanceBelow {
 		perp := appendSpeedSamples(sc.perp[:0], view[key.PerpendicularKey()], stopIdx, cfg.MaxSpeedDist)
 		sc.perp = perp
 		cycIn = enhanceSc(sc, primary, perp)

@@ -43,18 +43,6 @@ type RealtimeConfig struct {
 	// quarantine-with-backoff for repeatedly failing approaches, and the
 	// staleness threshold behind the Fresh/Stale health states.
 	Faults FaultPolicy
-	// FullReestimate disables dirty-key tracking: every round re-identifies
-	// every approach with in-window data, as the engine did before
-	// incremental estimation. Kept as the A/B oracle for the determinism
-	// tests and for operators who prefer predictable round cost over
-	// proportional cost.
-	FullReestimate bool
-	// RoundWorkers bounds the identification worker pool of an estimation
-	// round. 0 means Pipeline.Workers decides (which itself defaults to
-	// GOMAXPROCS); any other value overrides it per round. Results are
-	// identical for every worker count — the pool only reorders the
-	// per-key work, never the published state.
-	RoundWorkers int
 	// RoundOffset delays the engine's first estimation round by this many
 	// stream seconds past the first Advance, after which rounds keep the
 	// usual Interval cadence. The serving layer staggers its shards'
@@ -102,9 +90,6 @@ func (c RealtimeConfig) Validate() error {
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
-	}
-	if c.RoundWorkers < 0 {
-		return fmt.Errorf("core: negative RoundWorkers %d", c.RoundWorkers)
 	}
 	if c.RoundOffset < 0 || c.RoundOffset >= c.Interval {
 		return fmt.Errorf("core: RoundOffset %v outside [0, Interval=%v)", c.RoundOffset, c.Interval)
@@ -155,6 +140,11 @@ type KeyedChange struct {
 // memory (roundMem) belongs to the engine and is reused by every round.
 type Engine struct {
 	cfg RealtimeConfig
+	// fullReestimate disables dirty-key tracking: every round re-identifies
+	// every approach with in-window data, as the engine did before
+	// incremental estimation. Only TestIncrementalMatchesFullRecompute
+	// sets it, as its A/B oracle.
+	fullReestimate bool
 
 	// estMu serializes estimation rounds: Advance holds it for the whole
 	// catch-up loop so rounds never interleave, while e.mu is only taken
@@ -503,8 +493,8 @@ type RoundStats struct {
 	// taken at Version already reflects every key in Published.
 	Version uint64
 	// Workers is the effective identification parallelism of this round:
-	// the resolved worker count after RoundWorkers/Pipeline.Workers
-	// defaulting and clamping to the number of recomputed keys.
+	// the resolved worker count after Pipeline.Workers defaulting and
+	// clamping to the number of recomputed keys.
 	Workers int
 }
 
@@ -549,9 +539,6 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats) {
 	// The expensive part, outside every engine lock. Stop extraction is
 	// global (see StopIndex) and shared, read-only, by all workers.
 	pcfg := e.cfg.Pipeline
-	if e.cfg.RoundWorkers != 0 {
-		pcfg.Workers = e.cfg.RoundWorkers
-	}
 	rm.index.build(rm.view, rm.names, pcfg.Stops)
 	indexed := time.Now()
 	sortKeys(rm.recompute)
@@ -592,7 +579,7 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats) {
 // none).
 func (e *Engine) snapshotLocked(rm *roundMem, t0, at float64) (earliest float64) {
 	rm.names = e.plates.names
-	if e.cfg.FullReestimate { // every approach is due
+	if e.fullReestimate { // every approach is due
 		for _, a := range e.approaches {
 			e.markDirtyLocked(a)
 		}

@@ -174,7 +174,7 @@ func TestRoundViewsAliasSafely(t *testing.T) {
 	batches := aliasFeed(rounds, false)
 	newEngine := func() (*Engine, *[]string) {
 		cfg := DefaultRealtimeConfig()
-		cfg.RoundWorkers = 4
+		cfg.Pipeline.Workers = 4
 		cfg.Faults.MaxBufferPerKey = 900
 		eng, err := NewEngine(cfg)
 		if err != nil {
@@ -281,7 +281,7 @@ func TestPlateIDsStableDuringRound(t *testing.T) {
 	type roundLog struct{ served, stops []string }
 	newEngine := func() (*Engine, *roundLog) {
 		cfg := DefaultRealtimeConfig()
-		cfg.RoundWorkers = 4
+		cfg.Pipeline.Workers = 4
 		cfg.Faults.MaxBufferPerKey = 900
 		eng, err := NewEngine(cfg)
 		if err != nil {

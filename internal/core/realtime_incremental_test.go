@@ -116,12 +116,11 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullCfg := DefaultRealtimeConfig()
-	fullCfg.FullReestimate = true
-	full, err := NewEngine(fullCfg)
+	full, err := NewEngine(DefaultRealtimeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	full.fullReestimate = true
 
 	idx := 0
 	for at := chunk; at <= horizon; at += chunk {

@@ -29,13 +29,13 @@ func TestParallelRoundMatchesSerial(t *testing.T) {
 	defer func() { identifyHook = nil }()
 
 	serialCfg := DefaultRealtimeConfig()
-	serialCfg.RoundWorkers = 1
+	serialCfg.Pipeline.Workers = 1
 	serial, err := NewEngine(serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parCfg := DefaultRealtimeConfig()
-	parCfg.RoundWorkers = 8
+	parCfg.Pipeline.Workers = 8
 	par, err := NewEngine(parCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestParallelRoundMatchesSerial(t *testing.T) {
 // detector.
 func TestParallelRoundWithConcurrentReaders(t *testing.T) {
 	cfg := DefaultRealtimeConfig()
-	cfg.RoundWorkers = 4
+	cfg.Pipeline.Workers = 4
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func TestSteadyRoundAllocs(t *testing.T) {
 	const nKeys = 40
 	const warm, measured = 8, 5
 	cfg := DefaultRealtimeConfig()
-	cfg.RoundWorkers = 1 // no goroutine or channel noise in the count
+	cfg.Pipeline.Workers = 1 // no goroutine or channel noise in the count
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ type steadyFeed struct {
 
 func newSteadyFeed(t *testing.T, nKeys int) *steadyFeed {
 	cfg := DefaultRealtimeConfig()
-	cfg.RoundWorkers = 1
+	cfg.Pipeline.Workers = 1
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -426,7 +426,7 @@ func TestStopIndexSpareIsShared(t *testing.T) {
 	engines := make([]*Engine, 2)
 	for e := range engines {
 		cfg := DefaultRealtimeConfig()
-		cfg.RoundWorkers = 1
+		cfg.Pipeline.Workers = 1
 		eng, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)

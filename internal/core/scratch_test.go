@@ -102,7 +102,7 @@ func TestScratchSetBounded(t *testing.T) {
 			var wg sync.WaitGroup
 			for e := range snaps {
 				cfg := DefaultRealtimeConfig()
-				cfg.RoundWorkers = workers
+				cfg.Pipeline.Workers = workers
 				eng, err := NewEngine(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -163,7 +163,7 @@ func TestScratchSetBounded(t *testing.T) {
 		set := newScratchSet(1)
 		useScratchSet(t, set)
 		cfg := DefaultRealtimeConfig()
-		cfg.RoundWorkers = 8
+		cfg.Pipeline.Workers = 8
 		eng, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -223,7 +223,7 @@ func TestScratchSetBounded(t *testing.T) {
 		set := newScratchSet(runtime.GOMAXPROCS(0))
 		useScratchSet(t, set)
 		cfg := DefaultRealtimeConfig()
-		cfg.RoundWorkers = 1
+		cfg.Pipeline.Workers = 1
 		eng, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -25,17 +25,11 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"taxilight/internal/trace"
 )
 
 // Config tunes every source's supervision: reconnect backoff, circuit
-// breaker, accept-retry cadence and the lenient scanning budget.
+// breaker and accept-retry cadence.
 type Config struct {
-	// Lenient configures the malformed-line budget of every scanner the
-	// supervisor builds (per connection, so a reconnect gets a fresh
-	// budget).
-	Lenient trace.LenientConfig
 	// DialTimeout bounds one dial attempt of a tcp+dial source.
 	DialTimeout time.Duration
 	// BackoffMin/BackoffMax bound the exponential reconnect backoff of
@@ -70,7 +64,6 @@ type Config struct {
 // breaker after 8 straight failures with a 30 s cooldown.
 func DefaultConfig() Config {
 	return Config{
-		Lenient:         trace.DefaultLenientConfig(),
 		DialTimeout:     5 * time.Second,
 		BackoffMin:      100 * time.Millisecond,
 		BackoffMax:      30 * time.Second,

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"taxilight/internal/trace"
 )
 
 // TestHalfOpenSingleProbe drives a dial source against an upstream that
@@ -49,7 +51,7 @@ func TestHalfOpenSingleProbe(t *testing.T) {
 	cfg.CircuitCooldown = cooldown
 	specs, _ := ParseSpecs("mute=tcp+dial://" + ln.Addr().String())
 	col := &collector{}
-	sup, err := NewSupervisor(specs, cfg, col.consume)
+	sup, err := NewSupervisor(specs, cfg, trace.DefaultLenientConfig(), col.consume)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -310,7 +310,7 @@ func TestDialReconnectResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := &collector{}
-	sup, err := NewSupervisor(specs, fastConfig(), col.consume)
+	sup, err := NewSupervisor(specs, fastConfig(), trace.DefaultLenientConfig(), col.consume)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestDialCircuitBreaker(t *testing.T) {
 	cfg.CircuitCooldown = 2 * time.Millisecond
 	specs, _ := ParseSpecs("dead=tcp+dial://" + addr)
 	col := &collector{}
-	sup, err := NewSupervisor(specs, cfg, col.consume)
+	sup, err := NewSupervisor(specs, cfg, trace.DefaultLenientConfig(), col.consume)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestAcceptRetryTransient(t *testing.T) {
 	cfg.CircuitCooldown = 2 * time.Millisecond
 	specs, _ := ParseSpecs("push=tcp://" + real.Addr().String())
 	col := &collector{}
-	sup, err := NewSupervisor(specs, cfg, col.consume)
+	sup, err := NewSupervisor(specs, cfg, trace.DefaultLenientConfig(), col.consume)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestAcceptBudgetEscalates(t *testing.T) {
 	cfg.FailureBudget = 4
 	cfg.CircuitCooldown = 2 * time.Millisecond
 	specs, _ := ParseSpecs("push=tcp://" + real.Addr().String())
-	sup, err := NewSupervisor(specs, cfg, (&collector{}).consume)
+	sup, err := NewSupervisor(specs, cfg, trace.DefaultLenientConfig(), (&collector{}).consume)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,7 @@ func TestAcceptBudgetEscalates(t *testing.T) {
 // terminal error from Run.
 func TestFiniteSourceFileError(t *testing.T) {
 	specs, _ := ParseSpecs("gone=/nonexistent/trace.csv")
-	sup, err := NewSupervisor(specs, fastConfig(), (&collector{}).consume)
+	sup, err := NewSupervisor(specs, fastConfig(), trace.DefaultLenientConfig(), (&collector{}).consume)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,14 +24,17 @@ type Consume func(ctx context.Context, sc *trace.Scanner, src *Source) error
 // Supervisor runs every parsed source in its own supervised goroutine.
 type Supervisor struct {
 	cfg     Config
+	lenient trace.LenientConfig
 	sources []*Source
 	consume Consume
 	connWG  sync.WaitGroup
 }
 
-// NewSupervisor builds a supervisor over the given sources. consume is
-// called once per established connection (or opened file).
-func NewSupervisor(specs []Spec, cfg Config, consume Consume) (*Supervisor, error) {
+// NewSupervisor builds a supervisor over the given sources. Every
+// scanner it builds gets lenient as its malformed-line budget (per
+// connection, so a reconnect gets a fresh budget). consume is called
+// once per established connection (or opened file).
+func NewSupervisor(specs []Spec, cfg Config, lenient trace.LenientConfig, consume Consume) (*Supervisor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -41,7 +44,7 @@ func NewSupervisor(specs []Spec, cfg Config, consume Consume) (*Supervisor, erro
 	if consume == nil {
 		return nil, errors.New("ingest: nil consume callback")
 	}
-	sup := &Supervisor{cfg: cfg, consume: consume}
+	sup := &Supervisor{cfg: cfg, lenient: lenient, consume: consume}
 	for _, sp := range specs {
 		sup.sources = append(sup.sources, newSource(sp))
 	}
@@ -174,7 +177,7 @@ func (sup *Supervisor) runDial(ctx context.Context, src *Source) {
 		src.connOpened(connected)
 		connected = true
 		stop := context.AfterFunc(ctx, func() { conn.Close() })
-		sc := trace.NewLenientScanner(conn, sup.cfg.Lenient)
+		sc := trace.NewLenientScanner(conn, sup.lenient)
 		cerr := sup.consume(ctx, sc, src)
 		stop()
 		conn.Close()
@@ -271,7 +274,7 @@ func (sup *Supervisor) acceptLoop(ctx context.Context, src *Source, ln net.Liste
 			defer c.Close()
 			unhook := context.AfterFunc(ctx, func() { c.Close() })
 			defer unhook()
-			sc := trace.NewLenientScanner(c, sup.cfg.Lenient)
+			sc := trace.NewLenientScanner(c, sup.lenient)
 			cerr := sup.consume(ctx, sc, src)
 			src.connClosed(connLoopErr(ctx, cerr))
 		}(conn)
@@ -288,7 +291,7 @@ func (sup *Supervisor) runFinite(ctx context.Context, src *Source) error {
 		closer func() error
 	)
 	if src.spec.Kind == KindStdin {
-		sc = trace.NewLenientScanner(os.Stdin, sup.cfg.Lenient)
+		sc = trace.NewLenientScanner(os.Stdin, sup.lenient)
 		closer = func() error { return nil }
 	} else {
 		fsc, c, err := trace.OpenFile(src.spec.Addr)
@@ -297,7 +300,7 @@ func (sup *Supervisor) runFinite(ctx context.Context, src *Source) error {
 			src.setState(StateDone)
 			return fmt.Errorf("source %s: %w", src.spec.Name, err)
 		}
-		fsc.SetLenient(sup.cfg.Lenient)
+		fsc.SetLenient(sup.lenient)
 		sc, closer = fsc, c.Close
 	}
 	src.connOpened(false)

@@ -34,9 +34,7 @@ func (s *Server) RunSources(ctx context.Context, specs string) error {
 	if err != nil {
 		return err
 	}
-	icfg := s.cfg.Ingest
-	icfg.Lenient = s.cfg.Lenient
-	sup, err := ingest.NewSupervisor(parsed, icfg, s.consumeSource)
+	sup, err := ingest.NewSupervisor(parsed, s.cfg.Ingest, s.cfg.Lenient, s.consumeSource)
 	if err != nil {
 		return err
 	}

@@ -53,7 +53,7 @@ func runMegacity(t *testing.T, mcfg experiments.MegacityConfig, horizon float64,
 	// ride out a dense round without stalling the feed, which is exactly
 	// what the ingest-latency SLO measures the tail of.
 	cfg.ShardBuffer = 1024
-	cfg.Realtime.RoundWorkers = 0 // GOMAXPROCS
+	cfg.Realtime.Pipeline.Workers = 0 // GOMAXPROCS
 	var mu sync.Mutex
 	var roundDurs []time.Duration
 	maxWorkers := 0

@@ -3,7 +3,6 @@ package server
 import (
 	"math"
 	"testing"
-	"time"
 
 	"taxilight/internal/core"
 )
@@ -46,32 +45,8 @@ func TestRoundStaggerSpreadsShardOffsets(t *testing.T) {
 	}
 }
 
-// TestRoundStaggerPhasesWallClockTicks checks the wall-clock half of the
-// pacing: each shard's idle-tick grid is phase-shifted by
-// TickEvery·i/n so the advance calls interleave.
-func TestRoundStaggerPhasesWallClockTicks(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 4
-	srv, err := New(nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[time.Duration]bool{}
-	for i, sh := range srv.shards {
-		want := cfg.TickEvery * time.Duration(i) / time.Duration(cfg.Shards)
-		if sh.tickPhase != want {
-			t.Fatalf("shard %d tickPhase = %v, want %v", i, sh.tickPhase, want)
-		}
-		if seen[sh.tickPhase] {
-			t.Fatalf("shard %d reuses tick phase %v", i, sh.tickPhase)
-		}
-		seen[sh.tickPhase] = true
-	}
-}
-
 // TestRoundStaggerDisabled checks that a single shard, with nothing to
-// stagger against, leaves its engine at offset zero and its tick
-// unphased.
+// stagger against, leaves its engine at offset zero.
 func TestRoundStaggerDisabled(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -89,11 +64,6 @@ func TestRoundStaggerDisabled(t *testing.T) {
 			for i, eng := range srv.Engines() {
 				if off := eng.Config().RoundOffset; off != 0 {
 					t.Fatalf("shard %d has RoundOffset %v with stagger disabled", i, off)
-				}
-			}
-			for i, sh := range srv.shards {
-				if sh.tickPhase != 0 {
-					t.Fatalf("shard %d has tickPhase %v with stagger disabled", i, sh.tickPhase)
 				}
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -358,6 +359,75 @@ func TestSupervisedSourcesInHealthz(t *testing.T) {
 		}
 	}
 
+	cancel()
+	<-done
+	s.StopIngest()
+}
+
+// TestPausedFeedHoldsStreamClock pins the clock discipline: only a
+// record moves an engine's stream clock. A supervised feed delivers its
+// records and then goes silent with the connection still open; several
+// flush cadences later every engine still reads exactly the newest
+// record time its shard ingested.
+func TestPausedFeedHoldsStreamClock(t *testing.T) {
+	w := testWorld(t)
+	cfg := DefaultConfig()
+	cfg.Shards = 2
+	cfg.FlushEvery = 10 * time.Millisecond
+	s, err := New(w.Matcher, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+
+	// The newest record time per shard, read back from the bytes the
+	// feed sends.
+	lines := matchedLines(t, w, 200)
+	want := make([]float64, cfg.Shards)
+	sc := trace.NewScanner(strings.NewReader(lines))
+	for sc.Scan() {
+		m, ok := w.Matcher.Match(sc.Record())
+		if !ok {
+			t.Fatal("a matched line no longer matches")
+		}
+		i := shardIndex(mapmatch.Key{Light: m.Light, Approach: m.Approach}, cfg.Shards)
+		want[i] = max(want[i], m.T)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hold := make(chan struct{})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		io.WriteString(conn, lines)
+		<-hold // silent, but open
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.RunSources(ctx, "feed=tcp+dial://"+ln.Addr().String()) }()
+
+	clocks := func() []float64 {
+		out := make([]float64, 0, cfg.Shards)
+		for _, eng := range s.Engines() {
+			out = append(out, eng.Now())
+		}
+		return out
+	}
+	waitFor(t, "the feed to reach the engines", func() bool { return slices.Equal(clocks(), want) })
+	silence := 5 * cfg.FlushEvery
+	time.Sleep(silence)
+	if got := clocks(); !slices.Equal(got, want) {
+		t.Fatalf("after %v of silence the engine clocks read %v, want the newest record times %v", silence, got, want)
+	}
+
+	close(hold)
 	cancel()
 	<-done
 	s.StopIngest()

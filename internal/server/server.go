@@ -46,15 +46,11 @@ type Config struct {
 	// FlushEvery bounds how long a dispatcher may hold a partial batch,
 	// so a slow (paced) feed still reaches the engines promptly.
 	FlushEvery time.Duration
-	// TickEvery is the wall-clock cadence at which idle shards advance
-	// their engine clock to the newest record seen.
-	TickEvery time.Duration
 	// Lenient configures the malformed-line budget of every ingest
 	// scanner (see trace.LenientConfig).
 	Lenient trace.LenientConfig
 	// Ingest tunes the source supervisor: reconnect backoff, circuit
-	// breaker, accept-retry cadence. Its Lenient field is overwritten
-	// with the server's.
+	// breaker, accept-retry cadence.
 	Ingest ingest.Config
 	// Realtime configures each shard's engine.
 	Realtime core.RealtimeConfig
@@ -130,15 +126,14 @@ const (
 )
 
 // DefaultConfig is the posture lightd starts with: four shards, the
-// paper's estimation cadence, lenient ingestion, second-granularity
-// ticks and conservative HTTP timeouts.
+// paper's estimation cadence, lenient ingestion and conservative HTTP
+// timeouts.
 func DefaultConfig() Config {
 	return Config{
 		Shards:             4,
 		ShardBuffer:        freeBatches - 2,
 		BatchSize:          256,
 		FlushEvery:         200 * time.Millisecond,
-		TickEvery:          time.Second,
 		Lenient:            trace.DefaultLenientConfig(),
 		Ingest:             ingest.DefaultConfig(),
 		Realtime:           core.DefaultRealtimeConfig(),
@@ -165,8 +160,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("server: non-positive shard buffer %d", c.ShardBuffer)
 	case c.BatchSize <= 0:
 		return fmt.Errorf("server: non-positive batch size %d", c.BatchSize)
-	case c.FlushEvery <= 0 || c.TickEvery <= 0:
-		return fmt.Errorf("server: non-positive cadence (flush %v, tick %v)", c.FlushEvery, c.TickEvery)
+	case c.FlushEvery <= 0:
+		return fmt.Errorf("server: non-positive flush cadence %v", c.FlushEvery)
 	case c.ShutdownGrace < 0 || c.StaleFeedAfter < 0:
 		return fmt.Errorf("server: negative timeout (grace %v, stale-feed %v)", c.ShutdownGrace, c.StaleFeedAfter)
 	case c.CheckpointInterval < 0:
@@ -215,8 +210,9 @@ type Server struct {
 	inflight chan struct{}
 
 	// Persistence plumbing (nil/idle without a configured Store): the
-	// shard loops enqueue newly published estimates, one writer drains
-	// the queue into the WAL, and a timer takes full checkpoints.
+	// shard loops and PrimeResults enqueue newly published estimates, one
+	// writer drains the queue into the WAL, and a timer takes full
+	// checkpoints.
 	// storeDegraded latches once StoreFailureBudget consecutive appends
 	// fail; the daemon then serves without persisting.
 	persistCh     chan []store.Record
@@ -293,13 +289,11 @@ func New(matcher *mapmatch.Matcher, cfg Config) (*Server, error) {
 	s.registerCollectors()
 	for i := 0; i < cfg.Shards; i++ {
 		engCfg := cfg.Realtime
-		// Shards phase their rounds and ticks across the interval: N
-		// synchronized dense rounds are an N-times CPU spike every
-		// Interval, staggered ones a rolling load.
-		var tickPhase time.Duration
+		// Shards phase their rounds across the interval: N synchronized
+		// dense rounds are an N-times CPU spike every Interval, staggered
+		// ones a rolling load.
 		if cfg.Shards > 1 {
 			engCfg.RoundOffset = shardRoundOffset(i, cfg.Shards, cfg.Realtime.Interval)
-			tickPhase = cfg.TickEvery * time.Duration(i) / time.Duration(cfg.Shards)
 		}
 		eng, err := core.NewEngine(engCfg)
 		if err != nil {
@@ -323,11 +317,9 @@ func New(matcher *mapmatch.Matcher, cfg Config) (*Server, error) {
 			}
 		})
 		s.shards = append(s.shards, &shard{
-			id:        i,
-			engine:    eng,
-			in:        make(chan []mapmatch.Matched, cfg.ShardBuffer),
-			free:      make(chan []mapmatch.Matched, freeBatches),
-			tickPhase: tickPhase,
+			engine: eng,
+			in:     make(chan []mapmatch.Matched, cfg.ShardBuffer),
+			free:   make(chan []mapmatch.Matched, freeBatches),
 		})
 	}
 	return s, nil
@@ -610,8 +602,9 @@ func (s *Server) StreamNow() float64 {
 // PrimeResults publishes externally supplied results into the owning
 // shards' engines — the cluster failover path promoting replicated
 // estimates. It returns how many results were accepted. The promoted
-// estimates flow through the normal persist diff, so a new primary also
-// makes them durable locally.
+// estimates go through the shard's persist diff before it returns, so a
+// new primary also makes them durable locally without waiting for a
+// batch; after StopIngest nothing more is persisted.
 func (s *Server) PrimeResults(rs []core.Result) int {
 	byShard := make(map[int][]core.Result)
 	for _, r := range rs {
@@ -625,6 +618,7 @@ func (s *Server) PrimeResults(rs []core.Result) int {
 	for idx, batch := range byShard {
 		sh := s.shards[idx]
 		sh.engine.Prime(batch...)
+		sh.persist(s)
 		n += len(batch)
 		// Promoted estimates are published to watch subscribers like any
 		// estimation round's: a failover must not leave watchers on the

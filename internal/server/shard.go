@@ -2,7 +2,7 @@ package server
 
 import (
 	"hash/fnv"
-	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,7 +17,6 @@ import (
 // shared lock: the serving layer scales with cores the same way the
 // batch pipeline does (DESIGN.md §6).
 type shard struct {
-	id     int
 	engine *core.Engine
 	// in carries matched-record batches from the dispatchers. The
 	// channel is bounded: a shard that cannot keep up pushes back on the
@@ -26,23 +25,24 @@ type shard struct {
 	// free holds batch slices the engine is done with, emptied, for the
 	// dispatchers to refill.
 	free chan []mapmatch.Matched
-	// maxT is the latest record time (stream seconds, float64 bits) seen
-	// by this shard; the tick loop advances the engine clock to it.
-	maxT atomic.Uint64
+	// maxT is the latest record time (stream seconds) this shard has
+	// ingested, the time the engine clock is advanced to. Only the shard
+	// goroutine touches it.
+	maxT float64
 	// lastIngestWall is the wall-clock time (unix nanos) of the last
 	// batch, 0 before the first — the liveness signal /healthz reports.
 	lastIngestWall atomic.Int64
-	// tickPhase delays the loop's first wall-clock tick so the shards'
-	// idle Advance calls interleave within TickEvery instead of firing
-	// together (round stagger's wall-clock half; the stream-time half is
-	// the engine's RoundOffset).
-	tickPhase time.Duration
-	// Persistence state, touched only by the shard goroutine (and by
-	// Restore before Start): the engine version already persisted, so
-	// every newly published estimate is appended to the WAL exactly once,
-	// and the slice the engine's delta is read into.
+	// Persistence state, guarded by persistMu because both the shard
+	// goroutine and PrimeResults persist (Restore sets lastVersion before
+	// Start): the engine version already persisted, so every newly
+	// published estimate is appended to the WAL exactly once, and the
+	// slice the engine's delta is read into. stopped is set once the
+	// goroutine has persisted for the last time; the store queue may be
+	// closed after that, so nothing more is sent.
+	persistMu   sync.Mutex
 	lastVersion uint64
 	published   []core.Result
+	stopped     bool
 }
 
 // freeBatches is how many spare batch slices a shard keeps: what one
@@ -76,58 +76,23 @@ func shardIndex(k mapmatch.Key, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// noteMaxT raises the shard's high-water record time.
-func (sh *shard) noteMaxT(t float64) {
-	for {
-		old := sh.maxT.Load()
-		if t <= floatFromBits(old) {
-			return
-		}
-		if sh.maxT.CompareAndSwap(old, floatBits(t)) {
-			return
-		}
-	}
-}
-
-// loop is the shard goroutine: ingest batches as they arrive, advance
-// the engine clock to the newest record time after every batch and on
-// every tick, and drain completely before exiting when the channel
-// closes (graceful shutdown).
+// loop is the shard goroutine, driven by its batches alone: ingest each
+// batch, advance the engine clock to the newest record time and persist
+// what that published, and drain completely before exiting when the
+// channel closes (graceful shutdown). Only a record moves the stream
+// clock, so a paused feed leaves it where it is.
 func (sh *shard) loop(s *Server) {
 	defer s.shardWG.Done()
-	// The first tick waits tickPhase extra, offsetting this shard's tick
-	// grid from its siblings'; after it the ticker runs at the plain
-	// TickEvery cadence.
-	phase := time.NewTimer(s.cfg.TickEvery + sh.tickPhase)
-	defer phase.Stop()
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	defer func() {
-		if ticker != nil {
-			ticker.Stop()
-		}
-	}()
-	for {
-		select {
-		case batch, ok := <-sh.in:
-			if !ok {
-				sh.advance(s)
-				sh.persist(s)
-				return
-			}
-			sh.ingest(s, batch)
-			sh.advance(s)
-			sh.persist(s)
-		case <-phase.C:
-			ticker = time.NewTicker(s.cfg.TickEvery)
-			tick = ticker.C
-			sh.advance(s)
-			sh.persist(s)
-		case <-tick:
-			sh.advance(s)
-			sh.persist(s)
-		}
+	for batch := range sh.in {
+		sh.ingest(s, batch)
+		sh.advance(s)
+		sh.persist(s)
 	}
+	sh.advance(s)
+	sh.persist(s)
+	sh.persistMu.Lock()
+	sh.stopped = true
+	sh.persistMu.Unlock()
 }
 
 // persist enqueues what the engine published since the last persisted
@@ -135,10 +100,12 @@ func (sh *shard) loop(s *Server) {
 // its approach's earlier ones, read from the engine without copying the
 // rest. The send never blocks: a full queue drops the batch with a
 // counter, because durability lag must not stall the ingest path. The
-// version check makes the idle case (ticks between estimation passes) a
-// single read-locked load.
+// version check makes the common case (a batch between estimation
+// passes) a single read-locked load.
 func (sh *shard) persist(s *Server) {
-	if s.persistCh == nil || sh.engine.Version() == sh.lastVersion {
+	sh.persistMu.Lock()
+	defer sh.persistMu.Unlock()
+	if sh.stopped || s.persistCh == nil || sh.engine.Version() == sh.lastVersion {
 		return
 	}
 	sh.published, sh.lastVersion = sh.engine.AppendPublishedSince(sh.published[:0], sh.lastVersion)
@@ -165,7 +132,9 @@ func (sh *shard) persist(s *Server) {
 func (sh *shard) ingest(s *Server, batch []mapmatch.Matched) {
 	sh.engine.Ingest(batch)
 	for i := range batch {
-		sh.noteMaxT(batch[i].T)
+		if t := batch[i].T; t > sh.maxT {
+			sh.maxT = t
+		}
 	}
 	sh.lastIngestWall.Store(time.Now().UnixNano())
 	clear(batch)
@@ -180,11 +149,10 @@ func (sh *shard) ingest(s *Server, batch []mapmatch.Matched) {
 // interval, so calling this per batch is cheap. Advance errors are
 // counted, not fatal: one bad pass must not stop the serving loop.
 func (sh *shard) advance(s *Server) {
-	t := floatFromBits(sh.maxT.Load())
-	if t <= sh.engine.Now() {
+	if sh.maxT <= sh.engine.Now() {
 		return
 	}
-	changes, err := sh.engine.Advance(t)
+	changes, err := sh.engine.Advance(sh.maxT)
 	if err != nil {
 		s.met.advanceErrors.Add(1)
 		return
@@ -193,6 +161,3 @@ func (sh *shard) advance(s *Server) {
 		s.met.schedChanges.Add(int64(len(changes)))
 	}
 }
-
-func floatBits(f float64) uint64     { return math.Float64bits(f) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }

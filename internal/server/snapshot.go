@@ -62,9 +62,9 @@ type renderedSnapshot struct {
 
 // snapshotCache holds the rendered /v1/snapshot answer together with
 // the per-shard engine versions it reflects. Engine versions only move
-// when an estimation pass publishes (at most once per engine tick), so
-// the full map copy + render runs at most once per tick however many
-// requests arrive in between — every other request is a version compare
+// when an estimation pass publishes or a prime lands, so the full map
+// copy + render runs at most once per publish however many requests
+// arrive in between — every other request is a version compare
 // plus a cached-bytes write, and If-None-Match requests collapse to a
 // 304 with no body at all.
 type snapshotCache struct {

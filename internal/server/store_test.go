@@ -15,7 +15,7 @@ import (
 )
 
 // newStoreServer builds a 2-shard server backed by a fresh store in a
-// temp dir, with fast ticks so the publish→persist path runs quickly.
+// temp dir that checkpoints only at StopIngest.
 func newStoreServer(t *testing.T, dir string) (*Server, *store.Store) {
 	t.Helper()
 	scfg := store.DefaultConfig()
@@ -27,7 +27,6 @@ func newStoreServer(t *testing.T, dir string) (*Server, *store.Store) {
 	}
 	s := newTestServer(t, func(cfg *Config) {
 		cfg.Store = st
-		cfg.TickEvery = 5 * time.Millisecond
 		cfg.CheckpointInterval = 0 // checkpoint only at StopIngest
 	})
 	return s, st
@@ -59,8 +58,8 @@ func TestPublishPersistsToWAL(t *testing.T) {
 
 	k1 := mapmatch.Key{Light: 3, Approach: lights.NorthSouth}
 	k2 := mapmatch.Key{Light: 5, Approach: lights.EastWest}
-	s.shardFor(k1).engine.Prime(primedResult(k1))
-	s.shardFor(k2).engine.Prime(primedResult(k2))
+	s.PrimeResults([]core.Result{primedResult(k1)})
+	s.PrimeResults([]core.Result{primedResult(k2)})
 
 	waitFor(t, "estimates to reach the WAL", func() bool { return s.met.walAppended.Load() >= 2 })
 	s.StopIngest()
@@ -77,6 +76,58 @@ func TestPublishPersistsToWAL(t *testing.T) {
 	}
 }
 
+// TestPrimeResultsPersistsWithoutABatch proves a promoted estimate is
+// durable with no source running: PrimeResults persists what it primed
+// before it returns, and the WAL gets it. After StopIngest has closed
+// the store queue, primes — also ones racing the shutdown — neither
+// panic on the closed queue nor append.
+func TestPrimeResultsPersistsWithoutABatch(t *testing.T) {
+	dir := t.TempDir()
+	s, st := newStoreServer(t, dir)
+	defer st.Close()
+	s.Start()
+
+	k := mapmatch.Key{Light: 3, Approach: lights.NorthSouth}
+	if n := s.PrimeResults([]core.Result{primedResult(k)}); n != 1 {
+		t.Fatalf("PrimeResults accepted %d, want 1", n)
+	}
+	sh := s.shardFor(k)
+	sh.persistMu.Lock()
+	persisted := sh.lastVersion
+	sh.persistMu.Unlock()
+	if v := sh.engine.Version(); persisted != v {
+		t.Fatalf("PrimeResults returned with version %d persisted, engine at %d", persisted, v)
+	}
+	waitFor(t, "the promoted estimate to reach the WAL", func() bool { return s.met.walAppended.Load() >= 1 })
+
+	late := mapmatch.Key{Light: 5, Approach: lights.EastWest}
+	racing := make(chan struct{})
+	go func() {
+		defer close(racing)
+		res := primedResult(late)
+		for i := 0; i < 50; i++ {
+			res.WindowEnd++
+			s.PrimeResults([]core.Result{res})
+		}
+	}()
+	s.StopIngest()
+	<-racing
+
+	appended := st.Stats().AppendedRecords
+	res := primedResult(late)
+	res.WindowEnd += 1000
+	if n := s.PrimeResults([]core.Result{res}); n != 1 {
+		t.Fatalf("PrimeResults after StopIngest accepted %d, want 1", n)
+	}
+	if got := st.Stats().AppendedRecords; got != appended {
+		t.Fatalf("PrimeResults after StopIngest appended %d records", got-appended)
+	}
+	hist, err := st.History(k, 0, 1e12, 0)
+	if err != nil || len(hist) != 1 {
+		t.Fatalf("history for %v: %d records, err %v; want 1", k, len(hist), err)
+	}
+}
+
 // TestWarmStartFromStore is the restart story: a second server restores
 // the first one's state from the store, /healthz reports the warm start
 // before any trace arrives, /v1/state answers, and the restored
@@ -86,7 +137,7 @@ func TestWarmStartFromStore(t *testing.T) {
 	s, st := newStoreServer(t, dir)
 	s.Start()
 	k := mapmatch.Key{Light: 3, Approach: lights.NorthSouth}
-	s.shardFor(k).engine.Prime(primedResult(k))
+	s.PrimeResults([]core.Result{primedResult(k)})
 	waitFor(t, "estimate to reach the WAL", func() bool { return s.met.walAppended.Load() >= 1 })
 	s.StopIngest()
 	if err := st.Close(); err != nil {
@@ -245,7 +296,7 @@ func TestAsOfEndpoint(t *testing.T) {
 		}
 	}
 	// The live engine knows only the newest schedule.
-	s.shardFor(k).engine.Prime(newer)
+	s.PrimeResults([]core.Result{newer})
 
 	// As-of t=2000: the old schedule (cycle 100) was current; at phase
 	// 0 of the old anchor the light is red with 40 s to go.
@@ -309,7 +360,6 @@ func TestStoreWriteFailureDegradesToServingOnly(t *testing.T) {
 	}
 	s := newTestServer(t, func(cfg *Config) {
 		cfg.Store = st
-		cfg.TickEvery = 5 * time.Millisecond
 		cfg.CheckpointInterval = 0
 		cfg.StoreFailureBudget = 1
 	})
@@ -320,7 +370,7 @@ func TestStoreWriteFailureDegradesToServingOnly(t *testing.T) {
 		t.Fatalf("store close: %v", err)
 	}
 	k := mapmatch.Key{Light: 3, Approach: lights.NorthSouth}
-	s.shardFor(k).engine.Prime(primedResult(k))
+	s.PrimeResults([]core.Result{primedResult(k)})
 	waitFor(t, "store to degrade", s.StoreDegraded)
 
 	hz := get(t, s, "/healthz", nil)
@@ -344,7 +394,7 @@ func TestStoreWriteFailureDegradesToServingOnly(t *testing.T) {
 
 	// Further publishes are dropped, not retried into the dead store,
 	// and shutdown skips the checkpoint instead of erroring.
-	s.shardFor(k).engine.Prime(primedResult(k))
+	s.PrimeResults([]core.Result{primedResult(k)})
 	s.StopIngest()
 	if got := st.Stats().CheckpointsWritten; got != 0 {
 		t.Fatalf("degraded shutdown wrote %d checkpoints, want 0", got)
@@ -359,7 +409,7 @@ func TestMetricsExposeStoreSeries(t *testing.T) {
 	defer st.Close()
 	s.Start()
 	k := mapmatch.Key{Light: 3, Approach: lights.NorthSouth}
-	s.shardFor(k).engine.Prime(primedResult(k))
+	s.PrimeResults([]core.Result{primedResult(k)})
 	waitFor(t, "estimate to reach the WAL", func() bool { return s.met.walAppended.Load() >= 1 })
 	s.StopIngest()
 
