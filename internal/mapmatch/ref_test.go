@@ -64,22 +64,22 @@ func refMatchWithStats(m *Matcher, rec trace.Record, stats *MatchStats) (Matched
 	}, true
 }
 
-// arterialRecords renders the perf ledger's sparse tape shape — a 3x3
-// grid of 6 km blocks under 2000 taxis, where most reports are nowhere
-// near a light — as the tape carries it: every record through its CSV
-// line, so coordinates, speed and heading are rounded as a reader of the
-// tape sees them.
-func arterialRecords(t testing.TB, until float64) (*roadnet.Network, []trace.Record) {
+// tapeRecords renders a perf ledger tape shape (bench/tape.go: a rows x
+// rows grid of blocks spacing metres apart under taxis taxis, cycles
+// 80-140 s) as the tape carries it: every record through its CSV line,
+// so coordinates, speed and heading are rounded as a reader of the tape
+// sees them.
+func tapeRecords(t testing.TB, rows int, spacing float64, taxis int, until float64) (*roadnet.Network, []trace.Record) {
 	t.Helper()
 	gcfg := roadnet.DefaultGridConfig()
-	gcfg.Rows, gcfg.Cols, gcfg.Spacing = 3, 3, 6000
+	gcfg.Rows, gcfg.Cols, gcfg.Spacing = rows, rows, spacing
 	gcfg.CycleMin, gcfg.CycleMax = 80, 140
 	net, err := roadnet.GenerateGrid(gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scfg := trafficsim.DefaultConfig(net)
-	scfg.NumTaxis = 2000
+	scfg.NumTaxis = taxis
 	sim, err := trafficsim.New(scfg)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,9 @@ func TestMatchEqualsReferenceOnArterial(t *testing.T) {
 	if testing.Short() {
 		until, atLeast = 250, 20_000
 	}
-	net, recs := arterialRecords(t, until)
+	// The perf ledger's sparse tape shape: a 3x3 grid of 6 km blocks under
+	// 2000 taxis, where most reports are nowhere near a light.
+	net, recs := tapeRecords(t, 3, 6000, 2000, until)
 	if len(recs) < atLeast {
 		t.Fatalf("only %d records, want at least %d", len(recs), atLeast)
 	}
@@ -183,6 +185,50 @@ func TestMatchAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(200, func() { m.Match(tc.rec) }); n != 0 {
 			t.Errorf("%+v: Match allocates %v times per call, want 0", tc.want, n)
+		}
+	}
+}
+
+// BenchmarkMatchTapeShapes times Match per record on both perf ledger
+// tape shapes, split by the path a record takes: a moving report the zone
+// mask lets through, a stopped one (which may also ask the fallback), and
+// one the mask rejects in a lookup.
+func BenchmarkMatchTapeShapes(b *testing.B) {
+	for _, shape := range []struct {
+		name    string
+		rows    int
+		spacing float64
+		taxis   int
+	}{
+		{"city", 8, 800, 800},
+		{"arterial", 3, 6000, 2000},
+	} {
+		net, recs := tapeRecords(b, shape.rows, shape.spacing, shape.taxis, 300)
+		m := matcher(b, net, nil)
+		var moving, stopped, rejected []trace.Record
+		for _, rec := range recs {
+			switch q := net.Projection().Forward(geo.Point{Lat: rec.Lat, Lon: rec.Lon}); {
+			case !m.zone.canMatch(q):
+				rejected = append(rejected, rec)
+			case rec.SpeedKMH == 0:
+				stopped = append(stopped, rec)
+			default:
+				moving = append(moving, rec)
+			}
+		}
+		for _, class := range []struct {
+			name string
+			recs []trace.Record
+		}{{"moving", moving}, {"stopped", stopped}, {"zone-rejected", rejected}} {
+			b.Run(shape.name+"/"+class.name, func(b *testing.B) {
+				if len(class.recs) == 0 {
+					b.Skip("no record of this class")
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					m.Match(class.recs[i%len(class.recs)])
+				}
+			})
 		}
 	}
 }

@@ -11,6 +11,13 @@ import (
 // the signalised nodes inside the cell. Queries expand ring by ring until
 // a hit is provably nearest, which keeps nearest-neighbour lookups O(1) on
 // the uniformly dense city grids used here.
+//
+// A query of radius under one cell reads rings 0 and 1 only, where a
+// segment is listed in up to nine cells. For that neighbourhood each cell
+// also keeps one list: the segments of rings 0-1 each once, in the order
+// a ring-by-ring walk first meets them, so every exact tie still goes to
+// the same segment. All lists share one ID array: cell c's is
+// near[nearOff[2c]:nearOff[2c+2]], and its ring 0 ends at nearOff[2c+1].
 type spatialIndex struct {
 	bbox   geo.BBox
 	cell   float64
@@ -18,6 +25,12 @@ type spatialIndex struct {
 	segs   [][]SegmentID
 	lights [][]NodeID
 	net    *Network
+	// near and nearOff are every cell's neighbourhood list, as above.
+	near, nearOff []int32
+	// boxes is each segment's bounding box padded by one metre, the
+	// slack that keeps rounding in a closest point from turning a
+	// candidate away.
+	boxes []geo.BBox
 }
 
 // indexCellSize is the grid pitch in metres; a few hundred metres keeps
@@ -31,11 +44,13 @@ func buildIndex(net *Network) *spatialIndex {
 	idx := &spatialIndex{
 		bbox: bb, cell: indexCellSize, nx: nx, ny: ny,
 		segs:   make([][]SegmentID, nx*ny),
+		boxes:  make([]geo.BBox, len(net.segments)),
 		lights: make([][]NodeID, nx*ny),
 		net:    net,
 	}
 	for _, s := range net.segments {
 		sb := geo.NewBBox(s.geom.A, s.geom.B).Pad(1)
+		idx.boxes[s.ID] = sb
 		x0, y0 := idx.cellOf(geo.XY{X: sb.MinX, Y: sb.MinY})
 		x1, y1 := idx.cellOf(geo.XY{X: sb.MaxX, Y: sb.MaxY})
 		for cy := y0; cy <= y1; cy++ {
@@ -53,7 +68,30 @@ func buildIndex(net *Network) *spatialIndex {
 		c := cy*nx + cx
 		idx.lights[c] = append(idx.lights[c], nd.ID)
 	}
+	idx.buildNear()
 	return idx
+}
+
+// buildNear lists, per cell, the segments of rings 0-1 once each, in
+// first-visit order, with the end of ring 0 marked.
+func (idx *spatialIndex) buildNear() {
+	seen := make([]int, len(idx.net.segments)) // cell+1 that last listed a segment
+	idx.nearOff = make([]int32, 0, 2*len(idx.segs)+1)
+	for c := range idx.segs {
+		add := func(cell int) {
+			for _, sid := range idx.segs[cell] {
+				if seen[sid] != c+1 {
+					seen[sid] = c + 1
+					idx.near = append(idx.near, int32(sid))
+				}
+			}
+		}
+		idx.nearOff = append(idx.nearOff, int32(len(idx.near)))
+		add(c)
+		idx.nearOff = append(idx.nearOff, int32(len(idx.near)))
+		idx.forRing(c%idx.nx, c/idx.nx, 1, add)
+	}
+	idx.nearOff = append(idx.nearOff, int32(len(idx.near)))
 }
 
 func (idx *spatialIndex) cellOf(p geo.XY) (int, int) {
@@ -87,25 +125,49 @@ func (idx *spatialIndex) snap(q geo.XY, maxDist float64, cheap func(*Segment) bo
 	maxRing := int(maxDist/idx.cell) + 1
 	var best Snap
 	best.Dist = math.Inf(1)
-	for ring := 0; ring <= maxRing; ring++ {
-		// Once a hit is closer than the inner edge of the next ring, no
-		// farther cell can contain anything nearer.
+	// Nothing farther than lim from q can win: it would be neither nearer
+	// than best nor within maxDist. A segment whose box lies farther than
+	// that along either axis is passed over before any other test; the
+	// box's metre of padding absorbs the rounding of a closest point.
+	lim := maxDist
+	consider := func(sid SegmentID) {
+		b := &idx.boxes[sid]
+		if q.X < b.MinX-lim || q.X > b.MaxX+lim || q.Y < b.MinY-lim || q.Y > b.MaxY+lim {
+			return
+		}
+		s := idx.net.segments[sid]
+		if cheap != nil && !cheap(s) {
+			return
+		}
+		pos, frac := s.geom.ClosestPoint(q)
+		if near != nil && !near(s, frac) {
+			return
+		}
+		if d := pos.Sub(q).Norm(); d < best.Dist {
+			best = Snap{Seg: s, Pos: pos, Frac: frac, Dist: d}
+			lim = min(d, maxDist)
+		}
+	}
+	// Rings 0 and 1, each segment once. Once a hit is closer than the
+	// inner edge of the next ring, no farther cell can contain anything
+	// nearer: after ring 0 that is a hit at distance 0.
+	c := cy*idx.nx + cx
+	off := idx.nearOff[2*c : 2*c+3]
+	for _, sid := range idx.near[off[0]:off[1]] {
+		consider(SegmentID(sid))
+	}
+	if best.Seg == nil || best.Dist > 0 {
+		for _, sid := range idx.near[off[1]:off[2]] {
+			consider(SegmentID(sid))
+		}
+	}
+	for ring := 2; ring <= maxRing; ring++ {
 		if best.Seg != nil && best.Dist <= float64(ring-1)*idx.cell {
 			break
 		}
 		idx.forRing(cx, cy, ring, func(c int) {
 			for _, sid := range idx.segs[c] {
-				s := idx.net.segments[sid]
-				if cheap != nil && !cheap(s) {
-					continue
-				}
-				pos, frac := s.geom.ClosestPoint(q)
-				if near != nil && !near(s, frac) {
-					continue
-				}
-				if d := pos.Sub(q).Norm(); d < best.Dist {
-					best = Snap{Seg: s, Pos: pos, Frac: frac, Dist: d}
-				}
+				consider(sid)
 			}
 		})
 	}
@@ -117,7 +179,7 @@ func (idx *spatialIndex) snap(q geo.XY, maxDist float64, cheap func(*Segment) bo
 
 func (idx *spatialIndex) nearestLight(q geo.XY, maxDist float64) (*Node, float64, bool) {
 	cx, cy := idx.cellOf(q)
-	maxRing := int(maxDist/idx.cell) + 2
+	maxRing := int(maxDist/idx.cell) + 1 // as in snap
 	var best *Node
 	bestD := math.Inf(1)
 	for ring := 0; ring <= maxRing; ring++ {

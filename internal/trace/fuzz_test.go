@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -285,4 +286,87 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 	copy(p, c.data[:n])
 	c.data = c.data[n:]
 	return n, nil
+}
+
+// TestErrorPrecedence holds the one-pass parser to the reference where a
+// bad field and a wrong field count meet on one line, and at the edges of
+// a field's fast path: the field count must win with the reference's
+// words, and a field's own error must come out as the reference words it.
+// The Scanner is held to the same lines, CRLF-terminated and not.
+func TestErrorPrecedence(t *testing.T) {
+	good := sampleRecord().MarshalCSV()
+	f := strings.Split(good, ",")
+	with := func(fields []string, i int, v string) []string {
+		out := slices.Clone(fields)
+		out[i] = v
+		return out
+	}
+	join := func(fields []string) string { return strings.Join(fields, ",") }
+	cases := map[string]string{
+		"11 fields, bad longitude":   join(with(f[:11], 1, "11x4")),
+		"11 fields, bad colour cut":  join(f[:11]),
+		"13 fields, bad time":        join(with(append(slices.Clone(f), "x"), 3, "2014-12-05 25:00:00")),
+		"13 fields, comma in colour": good[:len(good)-3] + "," + good[len(good)-3:],
+		"13 fields, bad flag":        join(with(append(slices.Clone(f), "x"), 7, "2")),
+		"12 fields, bad time":        join(with(f, 3, "2014-12-05 25:00:00")),
+		"time cut by a comma":        join(with(f[:11], 3, "2014-12-05,15:22:00")),
+		"time one byte short":        join(with(f, 3, "2014-12-05 15:22:0")),
+		"trailing comma":             good + ",",
+		"empty last field, 12":       join(with(f, 11, "")),
+		"trailing CR":                good + "\r",
+		"plus-signed longitude":      join(with(f, 1, "+114125001")),
+		"plus-signed device":         join(with(f, 4, "+900001")),
+		"19-digit latitude":          join(with(f, 2, "1234567890123456789")),
+		"19-digit device, 11 fields": join(with(f[:11], 4, "1234567890123456789")),
+		"18-digit device":            join(with(f, 4, "123456789012345678")),
+		"minus alone":                join(with(f, 1, "-")),
+		"empty longitude":            join(with(f, 1, "")),
+		"16-digit speed":             join(with(f, 5, "1234567890123456")),
+		"speed with two points":      join(with(f, 5, "1.2.3")),
+		"bad heading, 11 fields":     join(with(f[:11], 6, "north")),
+		"bad passenger flag":         join(with(f, 10, "yes")),
+		"bad passenger, 13 fields":   join(with(append(slices.Clone(f), "x"), 10, "yes")),
+		"empty colour":               join(with(f, 11, "")),
+		"only commas":                strings.Repeat(",", 11),
+		"one field":                  "B12345",
+		"ends on a field's comma":    join(f[:5]) + ",",
+	}
+	for name, line := range cases {
+		t.Run(name, func(t *testing.T) {
+			var want, got Record
+			wantErr := refUnmarshalCSV(&want, line)
+			gotErr := got.UnmarshalCSV(line)
+			if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && (ClassOf(wantErr) != ClassOf(gotErr) || wantErr.Error() != gotErr.Error())) {
+				t.Fatalf("%q: parser %s %v, reference %s %v", line, ClassOf(gotErr), gotErr, ClassOf(wantErr), wantErr)
+			}
+			if wantErr == nil && !sameRecord(want, got) {
+				t.Fatalf("%q:\nreference %+v\nparser    %+v", line, want, got)
+			}
+			for _, end := range []string{"\n", "\r\n"} {
+				input := good + end + line + end
+				open := func() io.Reader { return strings.NewReader(input) }
+				cfg := LenientConfig{MaxBadFraction: 1, MinLines: 1}
+				checkScan(t, open, false, cfg)
+				checkScan(t, open, true, cfg)
+				// The strict scanner fails on the line the reference
+				// rejects, in the reference's words.
+				var refErr error
+				if trimmed := strings.TrimSpace(line); trimmed != "" {
+					refErr = refUnmarshalCSV(&want, trimmed)
+				}
+				sc := NewScanner(open())
+				for sc.Scan() {
+				}
+				if refErr == nil {
+					if sc.Err() != nil {
+						t.Fatalf("%q: scanner %v, reference accepts", input, sc.Err())
+					}
+					continue
+				}
+				if wantMsg := "line 2: " + refErr.Error(); sc.Err() == nil || sc.Err().Error() != wantMsg || ClassOf(sc.Err()) != ClassOf(refErr) {
+					t.Fatalf("%q: scanner %v (%s), want %q (%s)", input, sc.Err(), ClassOf(sc.Err()), wantMsg, ClassOf(refErr))
+				}
+			}
+		})
+	}
 }

@@ -301,8 +301,9 @@ func (g *Generator) Stream(until float64, fn func(Record) error) error {
 		}
 	}()
 	for i := range full {
-		for _, r := range g.ring[i] {
-			if err := fn(r); err != nil {
+		batch := g.ring[i]
+		for k := range batch {
+			if err := fn(batch[k]); err != nil {
 				return err
 			}
 		}

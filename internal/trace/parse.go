@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"time"
@@ -13,153 +14,233 @@ type bytestring interface{ ~string | ~[]byte }
 // parseRecord parses one Table-I CSV line into r exactly as given (the
 // Scanner trims first), leaving r untouched on failure. text turns a
 // text field (plate, SIM, colour) into a string the record may keep
-// after ln is overwritten. Where a field falls back to strconv or
-// time.Parse it passes string(f), which stays off the heap for fields of
-// ordinary length because those functions let their argument escape
+// after ln is overwritten.
+//
+// The line is read once, front to back: a number is decoded as its
+// digits are passed on the way to the comma that ends its field. A field
+// of any other shape goes to strconv or time.Parse, which decide it and
+// word the error; they get string(f), which stays off the heap for fields
+// of ordinary length because those functions let their argument escape
 // only into an error.
 func parseRecord[L bytestring](r *Record, ln L, text func(L) string) error {
-	var f [12]L
-	n, start := 0, 0
-	for i := 0; i < len(ln); i++ {
-		if ln[i] == ',' {
-			if n < len(f) {
-				f[n] = ln[start:i]
-			}
-			n++
-			start = i + 1
-		}
-	}
-	if n < len(f) {
-		f[n] = ln[start:]
-	}
-	n++
-	if n != len(f) {
-		return parseErr(ClassFields, "trace: %d fields, want 12", n)
-	}
-	lonI, err := parseInt(f[1])
-	if err != nil {
-		return parseErr(ClassCoord, "trace: longitude: %w", err)
-	}
-	latI, err := parseInt(f[2])
-	if err != nil {
-		return parseErr(ClassCoord, "trace: latitude: %w", err)
-	}
-	ts, err := parseTime(f[3])
-	if err != nil {
-		return parseErr(ClassTime, "trace: time: %w", err)
-	}
-	dev, err := parseInt(f[4])
-	if err != nil {
-		return parseErr(ClassDevice, "trace: device: %w", err)
-	}
-	speed, err := parseFloat(f[5])
-	if err != nil {
-		return parseErr(ClassNumber, "trace: speed: %w", err)
-	}
-	heading, err := parseFloat(f[6])
-	if err != nil {
-		return parseErr(ClassNumber, "trace: heading: %w", err)
-	}
-	gps, err := parseBit(f[7], "gps")
-	if err != nil {
-		return err
-	}
-	over, err := parseBit(f[8], "overspeed")
-	if err != nil {
-		return err
-	}
-	occ, err := parseBit(f[10], "passenger")
-	if err != nil {
-		return err
+	c := cursor[L]{ln: ln}
+	plate := c.field()
+	lonI := c.int(ClassCoord, "longitude")
+	latI := c.int(ClassCoord, "latitude")
+	ts := c.time()
+	dev := c.int(ClassDevice, "device")
+	speed := c.float("speed")
+	heading := c.float("heading")
+	gps := c.bit("gps")
+	over := c.bit("overspeed")
+	sim := c.field()
+	occ := c.bit("passenger")
+	color := c.rest()
+	if c.err != nil {
+		return c.error()
 	}
 	*r = Record{
-		Plate: text(f[0]), Lon: float64(lonI) / coordScale, Lat: float64(latI) / coordScale,
+		Plate: text(plate), Lon: float64(lonI) / coordScale, Lat: float64(latI) / coordScale,
 		Time: ts, DeviceID: dev, SpeedKMH: speed, Heading: heading,
-		GPSOK: gps, Overspeed: over, SIM: text(f[9]), Occupied: occ, Color: text(f[11]),
+		GPSOK: gps, Overspeed: over, SIM: text(sim), Occupied: occ, Color: text(color),
 	}
 	return nil
 }
 
-// parseInt is strconv.ParseInt(v, 10, 64). An optional sign and up to 18
-// digits cannot overflow and are read in place; strconv decides the rest
-// and words every error.
-func parseInt[L bytestring](v L) (int64, error) {
-	d := v
-	neg := len(d) > 0 && d[0] == '-'
-	if neg || (len(d) > 0 && d[0] == '+') {
-		d = d[1:]
-	}
-	if len(d) == 0 || len(d) > 18 {
-		return strconv.ParseInt(string(v), 10, 64)
-	}
-	var n int64
-	for i := 0; i < len(d); i++ {
-		c := d[i] - '0'
-		if c > 9 {
-			return strconv.ParseInt(string(v), 10, 64)
-		}
-		n = n*10 + int64(c)
-	}
-	if neg {
-		n = -n
-	}
-	return n, nil
+// cursor walks a line one field at a time; i is where the next field
+// starts. Each reader returns its field's value and steps past the comma
+// that ends it. The first field that does not read is kept in err, worded
+// as class and what say (class "" when err is worded already), and every
+// reader after it returns a zero value.
+type cursor[L bytestring] struct {
+	ln          L
+	i           int
+	err         error
+	class, what string
 }
 
-// parseFloat is strconv.ParseFloat(v, 64). Plain decimals of at most 15
-// digits — every speed and heading a taxi sends — are exact as an integer
-// over a power of ten, the same division strconv's own fast path makes,
-// so the result is correctly rounded; strconv decides the rest.
-func parseFloat[L bytestring](v L) (float64, error) {
-	d := v
-	neg := len(d) > 0 && d[0] == '-'
+// errShort marks a field the line ends before its comma, or a last field
+// with a comma in it: either way the line does not hold 12 fields, so
+// error answers with the count and this error is never seen.
+var errShort = errors.New("trace: line ends early")
+
+// error is the line's error: the field count's when the line does not
+// hold 12 fields, whatever else is wrong with it, else the first field's.
+func (c *cursor[L]) error() error {
+	n := 1
+	for i := 0; i < len(c.ln); i++ {
+		if c.ln[i] == ',' {
+			n++
+		}
+	}
+	switch {
+	case n != 12:
+		return parseErr(ClassFields, "trace: %d fields, want 12", n)
+	case c.class == "":
+		return c.err
+	}
+	return parseErr(c.class, "trace: %s: %w", c.what, c.err)
+}
+
+// end is the index of the comma that ends the field at c.i, or len(ln).
+func (c *cursor[L]) end() int {
+	j := c.i
+	for j < len(c.ln) && c.ln[j] != ',' {
+		j++
+	}
+	return j
+}
+
+// field returns the field at c.i as it is.
+func (c *cursor[L]) field() L {
+	if c.err != nil {
+		return c.ln[:0]
+	}
+	j := c.end()
+	if j == len(c.ln) {
+		c.err = errShort
+		return c.ln[:0]
+	}
+	f := c.ln[c.i:j]
+	c.i = j + 1
+	return f
+}
+
+// rest returns the last field, the rest of the line.
+func (c *cursor[L]) rest() L {
+	if c.err == nil && c.end() != len(c.ln) {
+		c.err = errShort
+	}
+	return c.ln[c.i:]
+}
+
+// int reads an integer field: an optional '-' and 1-18 digits cannot
+// overflow and are decoded in passing; strconv.ParseInt(f, 10, 64)
+// decides anything else.
+func (c *cursor[L]) int(class, what string) int64 {
+	ln, j := c.ln, c.i
+	neg := j < len(ln) && ln[j] == '-'
 	if neg {
-		d = d[1:]
+		j++
+	}
+	first := j
+	var n int64
+	for ; j < len(ln); j++ {
+		d := ln[j] - '0'
+		if d > 9 {
+			break
+		}
+		n = n*10 + int64(d)
+	}
+	if digits := j - first; c.err == nil && j < len(ln) && ln[j] == ',' && digits > 0 && digits <= 18 {
+		c.i = j + 1
+		if neg {
+			n = -n
+		}
+		return n
+	}
+	f := c.field()
+	if c.err != nil {
+		return 0
+	}
+	n, err := strconv.ParseInt(string(f), 10, 64)
+	if err != nil {
+		c.err, c.class, c.what = err, class, what
+	}
+	return n
+}
+
+// float reads a decimal field, strconv.ParseFloat(f, 64). Plain decimals
+// of at most 15 digits — every speed and heading a taxi sends — are exact
+// as an integer over a power of ten, the same division strconv's own fast
+// path makes, so the result is correctly rounded; strconv decides the
+// rest.
+func (c *cursor[L]) float(what string) float64 {
+	ln, j := c.ln, c.i
+	neg := j < len(ln) && ln[j] == '-'
+	if neg {
+		j++
 	}
 	var mant uint64
 	digits, frac := 0, -1 // frac counts digits behind the point, -1 before it
-	for i := 0; i < len(d); i++ {
-		switch c := d[i]; {
-		case c-'0' <= 9:
-			mant = mant*10 + uint64(c-'0')
+loop:
+	for ; j < len(ln); j++ {
+		switch d := ln[j]; {
+		case d-'0' <= 9:
+			mant = mant*10 + uint64(d-'0')
 			digits++
 			if frac >= 0 {
 				frac++
 			}
-		case c == '.' && frac < 0:
+		case d == '.' && frac < 0:
 			frac = 0
 		default:
-			return strconv.ParseFloat(string(v), 64)
+			break loop
 		}
 	}
-	if digits == 0 || digits >= len(pow10) {
-		return strconv.ParseFloat(string(v), 64)
+	if c.err == nil && j < len(ln) && ln[j] == ',' && digits > 0 && digits < len(pow10) {
+		c.i = j + 1
+		x := float64(mant)
+		if frac > 0 {
+			x /= pow10[frac]
+		}
+		if neg {
+			x = -x
+		}
+		return x
 	}
-	x := float64(mant)
-	if frac > 0 {
-		x /= pow10[frac]
+	f := c.field()
+	if c.err != nil {
+		return 0
 	}
-	if neg {
-		x = -x
+	x, err := strconv.ParseFloat(string(f), 64)
+	if err != nil {
+		c.err, c.class, c.what = err, ClassNumber, what
 	}
-	return x, nil
+	return x
 }
 
 var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
 
-func parseBit[L bytestring](v L, name string) (bool, error) {
-	if len(v) == 1 && (v[0] == '0' || v[0] == '1') {
-		return v[0] == '1', nil
+// bit reads a 0/1 flag field.
+func (c *cursor[L]) bit(name string) bool {
+	ln, j := c.ln, c.i
+	if c.err == nil && j+1 < len(ln) && ln[j+1] == ',' && (ln[j] == '0' || ln[j] == '1') {
+		c.i = j + 2
+		return ln[j] == '1'
 	}
-	return false, parseErr(ClassFlag, "trace: %s flag %q", name, string(v))
+	if f := c.field(); c.err == nil {
+		c.err = parseErr(ClassFlag, "trace: %s flag %q", name, string(f))
+	}
+	return false
 }
 
-// parseTime reads a report time. The canonical shape — 19 bytes,
-// "YYYY-MM-DD hh:mm:ss", every component in range — is decoded by
-// position into the value time.Parse(TimeLayout, v) returns for it.
-// Anything else goes to time.Parse, which accepts more than the layout
-// shows (a one-digit hour, fractional seconds) and words the errors.
-func parseTime[L bytestring](v L) (time.Time, error) {
+// time reads a report time. A field of the canonical shape is decoded by
+// position; time.Parse reads anything else, as it accepts more than the
+// layout shows (a one-digit hour, fractional seconds), and words the
+// errors.
+func (c *cursor[L]) time() time.Time {
+	if j := c.i + len(TimeLayout); c.err == nil && j < len(c.ln) && c.ln[j] == ',' {
+		if t, ok := canonicalTime(c.ln[c.i:j]); ok {
+			c.i = j + 1
+			return t
+		}
+	}
+	f := c.field()
+	if c.err != nil {
+		return time.Time{}
+	}
+	t, err := time.Parse(TimeLayout, string(f))
+	if err != nil {
+		c.err, c.class, c.what = err, ClassTime, "time"
+	}
+	return t
+}
+
+// canonicalTime decodes the canonical shape — 19 bytes, "YYYY-MM-DD
+// hh:mm:ss", every component in range — by position into the value
+// time.Parse(TimeLayout, v) returns for it. ok is false for anything else.
+func canonicalTime[L bytestring](v L) (time.Time, bool) {
 	if len(v) == 19 && v[4] == '-' && v[7] == '-' && v[10] == ' ' && v[13] == ':' && v[16] == ':' {
 		century, ok0 := twoDigits(v, 0)
 		yy, ok1 := twoDigits(v, 2)
@@ -172,10 +253,10 @@ func parseTime[L bytestring](v L) (time.Time, error) {
 		if ok0 && ok1 && ok2 && ok3 && ok4 && ok5 && ok6 &&
 			1 <= month && month <= 12 && 1 <= day && day <= daysIn(month, year) &&
 			hour < 24 && min < 60 && sec < 60 {
-			return time.Date(year, time.Month(month), day, hour, min, sec, 0, time.UTC), nil
+			return time.Date(year, time.Month(month), day, hour, min, sec, 0, time.UTC), true
 		}
 	}
-	return time.Parse(TimeLayout, string(v))
+	return time.Time{}, false
 }
 
 func twoDigits[L bytestring](v L, i int) (int, bool) {

@@ -87,6 +87,35 @@ func TestUnmarshalCSVAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkUnmarshalCSV times the string entry of the one parser on the
+// lines of a warmed fleet feed.
+func BenchmarkUnmarshalCSV(b *testing.B) {
+	lines := strings.Split(strings.TrimSuffix(string(fleetFeed(2000, 200)), "\n"), "\n")
+	var r Record
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := r.UnmarshalCSV(lines[i%len(lines)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScan times the lenient Scanner per record, line reading and
+// interning included, once every taxi of the fleet has been seen.
+func BenchmarkScan(b *testing.B) {
+	sc := NewLenientScanner(&loopReader{data: fleetFeed(2000, 200)}, DefaultLenientConfig())
+	for i := 0; i < 2000; i++ {
+		sc.Scan()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !sc.Scan() {
+			b.Fatal(sc.Err())
+		}
+	}
+}
+
 // TestLineReader holds the scanner's own line reader to bufio.Scanner's
 // behaviour at every seam the rewrite could have moved: reads of one
 // byte and of halves, data arriving with the EOF, a read error behind a

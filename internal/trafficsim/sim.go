@@ -136,6 +136,10 @@ type vehicle struct {
 	// dwellAt is the kerbside stop position (metres from the start of
 	// the route's final segment), or -1 when no dwell is pending.
 	dwellAt float64
+	// seg and qi are route[segIdx] and the queue it feeds, kept by
+	// enterSegment, the one writer, wherever route or segIdx changes.
+	seg *roadnet.Segment
+	qi  int
 }
 
 // signalQueue is one approach of one node: the light that controls it (nil
@@ -145,6 +149,10 @@ type signalQueue struct {
 	light       *lights.Intersection
 	vehicles    []*vehicle
 	lastRelease float64
+	// setback is float64(len(vehicles)/Lanes)*CarSpacing: how far short of
+	// the stop line the next arrival stops. enqueue and releaseQueues, the
+	// only two writers of vehicles, keep it.
+	setback float64
 	// ordered marks a queue already listed in queueOrder.
 	ordered bool
 	// colour is the light's state at time colourAt. It is good for that
@@ -228,9 +236,8 @@ func New(cfg Config) (*Simulator, error) {
 		s.assignNewTrip(v, s.randomNode())
 		// Scatter along the first segment so the fleet does not start
 		// phase-locked.
-		seg := cfg.Net.Segment(v.route[v.segIdx])
-		v.dist = s.rng.Float64() * seg.Length()
-		v.speed = s.rng.Float64() * seg.SpeedLimit
+		v.dist = s.rng.Float64() * v.seg.Length()
+		v.speed = s.rng.Float64() * v.seg.SpeedLimit
 		s.vehicles = append(s.vehicles, v)
 	}
 	s.vstats = make([]VehicleStats, cfg.NumTaxis)
@@ -293,12 +300,19 @@ func (s *Simulator) assignNewTrip(v *vehicle, from roadnet.NodeID) {
 		v.route = r.Segments
 		break
 	}
-	v.segIdx = 0
+	s.enterSegment(v, 0)
 	v.dist = 0
 	v.phase = phaseDriving
 	v.occupied = !v.occupied
 	v.dwellAt = -1
 	s.maybeArmDwell(v)
+}
+
+// enterSegment puts v on route[i] and caches that segment and its queue.
+func (s *Simulator) enterSegment(v *vehicle, i int) {
+	v.segIdx = i
+	v.seg = s.cfg.Net.Segment(v.route[i])
+	v.qi = queueIndex(v.seg.To, v.seg.Approach())
 }
 
 // maybeArmDwell decides, when v enters the final segment of its route,
@@ -311,7 +325,7 @@ func (s *Simulator) maybeArmDwell(v *vehicle) {
 	if s.rng.Float64() >= s.cfg.DwellProb {
 		return
 	}
-	seg := s.cfg.Net.Segment(v.route[v.segIdx])
+	seg := v.seg
 	setback := s.cfg.DwellSetbackMin + s.rng.Float64()*(s.cfg.DwellSetbackMax-s.cfg.DwellSetbackMin)
 	at := seg.Length() - setback
 	if at < 5 {
@@ -379,6 +393,7 @@ func (s *Simulator) enqueue(i int, v *vehicle) {
 	}
 	v.queueIdx = len(q.vehicles)
 	q.vehicles = append(q.vehicles, v)
+	q.setback = float64(len(q.vehicles)/s.cfg.Lanes) * s.cfg.CarSpacing
 }
 
 // RunUntil steps until the simulation clock reaches t (epoch seconds).
@@ -403,6 +418,7 @@ func (s *Simulator) releaseQueues() {
 		}
 		released := q.vehicles[:nRelease]
 		q.vehicles = q.vehicles[nRelease:]
+		q.setback = float64(len(q.vehicles)/s.cfg.Lanes) * s.cfg.CarSpacing
 		q.lastRelease = s.now
 		for i, v := range q.vehicles {
 			v.queueIdx = i
@@ -425,7 +441,7 @@ func (s *Simulator) crossIntersection(v *vehicle) {
 	v.phase = phaseDriving
 	v.speed = 0 // pulls away from standstill
 	if v.segIdx+1 < len(v.route) {
-		v.segIdx++
+		s.enterSegment(v, v.segIdx+1)
 		v.dist = 0
 		s.maybeArmDwell(v)
 		return
@@ -438,8 +454,7 @@ func (s *Simulator) crossIntersection(v *vehicle) {
 // rolls straight into the next trip.
 func (s *Simulator) finishTrip(v *vehicle) {
 	s.vstats[v.id].Trips++
-	endNode := s.cfg.Net.Segment(v.route[v.segIdx]).To
-	s.assignNewTrip(v, endNode)
+	s.assignNewTrip(v, v.seg.To)
 }
 
 // startDwell parks v at the kerb for a random dwell and flips occupancy
@@ -471,7 +486,7 @@ func (s *Simulator) stepVehicle(v *vehicle) {
 		return
 	}
 	st.DriveTime += Tick
-	seg := s.cfg.Net.Segment(v.route[v.segIdx])
+	seg := v.seg
 	v.speed = minf(seg.SpeedLimit, v.speed+s.cfg.Accel*Tick)
 
 	// A pending kerbside dwell interrupts the drive mid-block.
@@ -483,7 +498,7 @@ func (s *Simulator) stepVehicle(v *vehicle) {
 		}
 	}
 
-	qi := queueIndex(seg.To, seg.Approach())
+	qi := v.qi
 	if stopAt, mustStop := s.stopTarget(qi, seg); mustStop {
 		remaining := stopAt - v.dist
 		if remaining <= 0.5 {
@@ -508,7 +523,7 @@ func (s *Simulator) stepVehicle(v *vehicle) {
 	if v.dist >= seg.Length() {
 		carry := v.dist - seg.Length()
 		if v.segIdx+1 < len(v.route) {
-			v.segIdx++
+			s.enterSegment(v, v.segIdx+1)
 			v.dist = carry
 			return
 		}
@@ -525,11 +540,10 @@ func (s *Simulator) stopTarget(qi int, seg *roadnet.Segment) (float64, bool) {
 	if q.light == nil {
 		return 0, false
 	}
-	queued := len(q.vehicles)
-	if queued == 0 && s.colour(qi) != lights.Red {
+	if len(q.vehicles) == 0 && s.colour(qi) != lights.Red {
 		return 0, false
 	}
-	stop := seg.Length() - float64(queued/s.cfg.Lanes)*s.cfg.CarSpacing
+	stop := seg.Length() - q.setback
 	if stop < 0 {
 		stop = 0
 	}
@@ -553,8 +567,7 @@ func (s *Simulator) joinQueue(v *vehicle, qi int, seg *roadnet.Segment) {
 // creepForward advances a queued vehicle toward its (possibly updated)
 // hold position after cars ahead have been released.
 func (s *Simulator) creepForward(v *vehicle) {
-	seg := s.cfg.Net.Segment(v.route[v.segIdx])
-	hold := seg.Length() - float64(v.queueIdx/s.cfg.Lanes)*s.cfg.CarSpacing
+	hold := v.seg.Length() - float64(v.queueIdx/s.cfg.Lanes)*s.cfg.CarSpacing
 	if hold < 0 {
 		hold = 0
 	}
@@ -586,7 +599,7 @@ func (s *Simulator) States() []State {
 // every simulated second.
 func (s *Simulator) StateOf(id int) State {
 	v := s.vehicles[id]
-	seg := s.cfg.Net.Segment(v.route[v.segIdx])
+	seg := v.seg
 	frac := 0.0
 	if l := seg.Length(); l > 0 {
 		frac = v.dist / l

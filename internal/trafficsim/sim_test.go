@@ -569,3 +569,60 @@ func TestFleetStatsMeanSpeedPlausible(t *testing.T) {
 		t.Fatalf("fleet mean speed %v m/s implausible", meanSpeed)
 	}
 }
+
+// TestCachedSegmentAndSetbackConsistent: after every tick each taxi's
+// cached segment and queue are the ones its route and position name, and
+// each queue's setback is the one its length gives — in a world with
+// background vehicles in the queues and every light switching plans
+// mid-run.
+func TestCachedSegmentAndSetbackConsistent(t *testing.T) {
+	gcfg := roadnet.DefaultGridConfig()
+	gcfg.Rows, gcfg.Cols = 4, 5
+	gcfg.DynamicShare = 0
+	net, err := roadnet.GenerateGrid(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, nd := range net.SignalisedNodes() {
+		a := nd.Light.Ctrl.ScheduleAt(0)
+		b := lights.Schedule{Cycle: float64(int(a.Cycle * 1.5)), Red: float64(int(a.Red * 1.5)), Offset: a.Offset + 13}
+		dyn, err := lights.NewDynamic([]lights.PlanEntry{
+			{DaySecond: 0, S: a},
+			{DaySecond: float64(300 + 7*i), S: b},
+			{DaySecond: float64(900 + 11*i), S: a},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd.Light.Ctrl = dyn
+	}
+	cfg := DefaultConfig(net)
+	cfg.NumTaxis = 150
+	cfg.Seed = 23
+	cfg.BackgroundRate = 0.1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deepest := 0
+	for s.now < 1500 {
+		s.Step()
+		for _, v := range s.vehicles {
+			seg := net.Segment(v.route[v.segIdx])
+			if v.seg != seg || v.qi != queueIndex(seg.To, seg.Approach()) {
+				t.Fatalf("t=%v taxi %d: cached segment %d and queue %d, route says %d and %d",
+					s.now, v.id, v.seg.ID, v.qi, seg.ID, queueIndex(seg.To, seg.Approach()))
+			}
+		}
+		for i := range s.queues {
+			q := &s.queues[i]
+			if want := float64(len(q.vehicles)/cfg.Lanes) * cfg.CarSpacing; math.Float64bits(q.setback) != math.Float64bits(want) {
+				t.Fatalf("t=%v queue %d: setback %v with %d vehicles, want %v", s.now, i, q.setback, len(q.vehicles), want)
+			}
+			deepest = max(deepest, len(q.vehicles))
+		}
+	}
+	if st := s.FleetStats(); deepest < 2*cfg.Lanes || st.Trips == 0 || st.QueueTime == 0 {
+		t.Fatalf("the run never stacked a queue two ranks deep (deepest %d) or finished no trip: %+v", deepest, st)
+	}
+}
