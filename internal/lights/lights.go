@@ -1,8 +1,8 @@
 // Package lights models traffic-light scheduling exactly as Section III of
 // the paper describes it: a light cycles through a red phase followed by a
 // green phase (yellow is folded into red per the paper's convention), with
-// three controller categories — static, pre-programmed dynamic (plans keyed
-// by time of day), and manual (treated as dynamic when not overridden).
+// controllers for the two categories the paper's system targets — static,
+// and pre-programmed dynamic (plans keyed by time of day).
 //
 // Each signalised intersection carries one light per approach direction.
 // All approaches of an intersection share the same cycle length (the
@@ -111,7 +111,7 @@ func (s Schedule) Opposed() Schedule {
 }
 
 // Controller yields the active Schedule for an approach at any instant.
-// Implementations cover the paper's three light categories.
+// Implementations cover the two categories the paper's system targets.
 type Controller interface {
 	// ScheduleAt returns the scheduling policy in force at time t.
 	ScheduleAt(t float64) Schedule

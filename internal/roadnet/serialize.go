@@ -63,9 +63,9 @@ type segJSON struct {
 const netFormatName = "taxilight-network"
 
 // WriteNetwork serialises a finalized network to w. Static and
-// pre-programmed dynamic controllers round-trip exactly; other controller
-// types (Manual, custom) are flattened to the static schedule in force at
-// time 0, with an error-free best effort.
+// pre-programmed dynamic controllers round-trip exactly; any other
+// controller type is flattened to the static schedule in force at time 0,
+// with an error-free best effort.
 func WriteNetwork(w io.Writer, net *Network) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)

@@ -82,16 +82,32 @@ func TestNetworkRoundTripOrigin(t *testing.T) {
 	}
 }
 
+// overrideController is a controller of a type WriteNetwork does not know:
+// base before from, override from then on.
+type overrideController struct {
+	base, override lights.Schedule
+	from           float64
+}
+
+func (c overrideController) ScheduleAt(t float64) lights.Schedule {
+	if t >= c.from {
+		return c.override
+	}
+	return c.base
+}
+
+func (c overrideController) Changes(t0, t1 float64) []float64 {
+	if c.from >= t0 && c.from < t1 {
+		return []float64{c.from}
+	}
+	return nil
+}
+
 func TestWriteNetworkFlattensUnknownControllers(t *testing.T) {
 	base := lights.Schedule{Cycle: 100, Red: 50, Offset: 7}
-	man, err := lights.NewManual(lights.Static{S: base}, []lights.ManualEpisode{
-		{Start: 1000, End: 2000, S: lights.Schedule{Cycle: 150, Red: 75}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctrl := overrideController{base: base, override: lights.Schedule{Cycle: 150, Red: 75}, from: 1000}
 	net := NewNetwork(geo.Point{Lat: 22.5, Lon: 114})
-	a := net.AddNode(geo.XY{X: 0, Y: 0}, &lights.Intersection{ID: 0, Ctrl: man})
+	a := net.AddNode(geo.XY{X: 0, Y: 0}, &lights.Intersection{ID: 0, Ctrl: ctrl})
 	b := net.AddNode(geo.XY{X: 500, Y: 0}, nil)
 	if _, err := net.AddSegment(a, b, "r", 10); err != nil {
 		t.Fatal(err)
@@ -107,9 +123,10 @@ func TestWriteNetworkFlattensUnknownControllers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := back.Node(a).Light.Ctrl.ScheduleAt(0)
-	if got != base {
-		t.Fatalf("flattened schedule = %+v, want %+v", got, base)
+	for _, at := range []float64{0, 1500} {
+		if got := back.Node(a).Light.Ctrl.ScheduleAt(at); got != base {
+			t.Fatalf("flattened schedule at %v = %+v, want %+v", at, got, base)
+		}
 	}
 }
 

@@ -27,7 +27,9 @@ const (
 	worldTraceDigest = "5d9b5108fadcaa7def97367656e7be6d65aca62ae56784515ba821bed165a32b"
 )
 
-func TestFleetStatePinned(t *testing.T) {
+// pinnedFleet is TestFleetStatePinned's world: 120 taxis on a 5x7 grid.
+func pinnedFleet(t *testing.T) (*trafficsim.Simulator, *roadnet.Network) {
+	t.Helper()
 	gcfg := roadnet.DefaultGridConfig()
 	gcfg.Rows, gcfg.Cols = 5, 7
 	net, err := roadnet.GenerateGrid(gcfg)
@@ -41,11 +43,37 @@ func TestFleetStatePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sim, net
+}
+
+func TestFleetStatePinned(t *testing.T) {
+	sim, _ := pinnedFleet(t)
 	sim.RunUntil(1800)
 	h := sha256.New()
 	hashStates(h, sim)
 	if got := hex.EncodeToString(h.Sum(nil)); got != fleetStateDigest {
 		t.Fatalf("fleet state digest %s, pinned %s", got, fleetStateDigest)
+	}
+}
+
+// TestObservingDoesNotChangeFleetState reads everything an observer can
+// after every tick of TestFleetStatePinned's run, and must end where that
+// run ends: the tests that keep a simulator's books by sampling it rely on
+// sampling moving nothing.
+func TestObservingDoesNotChangeFleetState(t *testing.T) {
+	sim, net := pinnedFleet(t)
+	for sim.Now() < 1800 {
+		sim.Step()
+		sim.States()
+		for _, nd := range net.Nodes() {
+			sim.QueueLength(nd.ID, lights.NorthSouth)
+			sim.QueueLength(nd.ID, lights.EastWest)
+		}
+	}
+	h := sha256.New()
+	hashStates(h, sim)
+	if got := hex.EncodeToString(h.Sum(nil)); got != fleetStateDigest {
+		t.Fatalf("fleet state digest %s after observing every tick, pinned %s", got, fleetStateDigest)
 	}
 }
 

@@ -55,7 +55,9 @@ type Config struct {
 	DwellSetbackMin, DwellSetbackMax float64
 	// NodeWeights biases destination choice to recreate the paper's
 	// highly unbalanced per-intersection flows (Table II). Nil means
-	// uniform.
+	// uniform. A node absent from the map weighs 1; a negative weight
+	// counts as 0, and so does any node outside the network's strongly
+	// connected component of greatest total weight.
 	NodeWeights map[roadnet.NodeID]float64
 	// BackgroundRate adds invisible non-taxi traffic: a Poisson stream
 	// of background vehicles per signal approach (vehicles/second) that join the
@@ -108,7 +110,92 @@ func (c Config) Validate() error {
 	case c.BackgroundRate < 0 || c.BackgroundRate > 2:
 		return fmt.Errorf("trafficsim: background rate %v outside [0, 2] veh/s", c.BackgroundRate)
 	}
+	for id, w := range c.NodeWeights {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("trafficsim: node %d weight %v is not finite", id, w)
+		}
+	}
+	// Every trip draws a destination other than its origin, so fewer than
+	// two nodes to draw from would redraw forever.
+	positive, total := 0, 0.0
+	for _, w := range c.weights() {
+		if w > 0 {
+			positive++
+			total += w
+		}
+	}
+	if positive < 2 || math.IsInf(total, 0) {
+		return fmt.Errorf("trafficsim: node weights sum to %v over %d nodes of one strongly connected component, need a finite sum over at least 2", total, positive)
+	}
 	return nil
+}
+
+// weights is each node's weight as a trip's origin or destination: its
+// NodeWeights entry (absent 1, negative 0) inside the strongly connected
+// component of greatest total weight (the first found on a tie), and 0
+// outside it. Every node of that component has a route to every other,
+// so no trip strands a taxi — at a node no segment leaves, on a one-way
+// chain into one, or across a one-way bridge.
+func (c Config) weights() []float64 {
+	comp := components(c.Net)
+	w := make([]float64, len(comp))
+	sum := make([]float64, len(comp))
+	for i := range w {
+		w[i] = 1
+		if x, ok := c.NodeWeights[roadnet.NodeID(i)]; ok {
+			w[i] = max(x, 0)
+		}
+		sum[comp[i]] += w[i]
+	}
+	best := 0
+	for k, x := range sum {
+		if x > sum[best] {
+			best = k
+		}
+	}
+	for i := range w {
+		if comp[i] != best {
+			w[i] = 0
+		}
+	}
+	return w
+}
+
+// components numbers net's strongly connected components (Tarjan) and
+// returns each node's.
+func components(net *roadnet.Network) []int {
+	n := net.NumNodes()
+	comp, index, low := make([]int, n), make([]int, n), make([]int, n)
+	var stack []int
+	seen, found := 0, 0
+	var visit func(u int)
+	visit = func(u int) {
+		seen++
+		index[u], low[u], comp[u] = seen, seen, -1
+		stack = append(stack, u)
+		for _, id := range net.Node(roadnet.NodeID(u)).Out {
+			switch v := int(net.Segment(id).To); {
+			case index[v] == 0:
+				visit(v)
+				low[u] = min(low[u], low[v])
+			case comp[v] < 0:
+				low[u] = min(low[u], index[v])
+			}
+		}
+		if low[u] == index[u] {
+			for top := -1; top != u; {
+				top, stack = stack[len(stack)-1], stack[:len(stack)-1]
+				comp[top] = found
+			}
+			found++
+		}
+	}
+	for u := range comp {
+		if index[u] == 0 {
+			visit(u)
+		}
+	}
+	return comp
 }
 
 type vehPhase int
@@ -166,19 +253,6 @@ type signalQueue struct {
 // queueIndex is an approach's place in Simulator.queues.
 func queueIndex(node roadnet.NodeID, a lights.Approach) int { return 2*int(node) + int(a) }
 
-// VehicleStats aggregates one taxi's activity: completed trips, odometer
-// and a time-in-state breakdown. The sum of the three time buckets equals
-// the simulated horizon.
-type VehicleStats struct {
-	// Trips counts completed trips (arrivals at a destination node).
-	Trips int
-	// Distance is the odometer in metres.
-	Distance float64
-	// DriveTime, QueueTime and DwellTime split the taxi's simulated
-	// seconds by phase.
-	DriveTime, QueueTime, DwellTime float64
-}
-
 // State is the public per-taxi snapshot handed to observers (the trace
 // sampler, tests, the navigation evaluator).
 type State struct {
@@ -204,8 +278,6 @@ type Simulator struct {
 	// generated trace: a released taxi that ends its trip draws its next
 	// one from rng there and then.
 	queueOrder []int
-	stats      *statsCollector
-	vstats     []VehicleStats
 	rng        *rand.Rand
 	// bgRng drives background arrivals separately so enabling them does
 	// not perturb the taxi randomness stream.
@@ -240,24 +312,13 @@ func New(cfg Config) (*Simulator, error) {
 		v.speed = s.rng.Float64() * v.seg.SpeedLimit
 		s.vehicles = append(s.vehicles, v)
 	}
-	s.vstats = make([]VehicleStats, cfg.NumTaxis)
 	return s, nil
 }
 
 func (s *Simulator) buildWeights() {
-	n := s.cfg.Net.NumNodes()
-	s.weights = make([]float64, n)
+	s.weights = s.cfg.weights()
 	acc := 0.0
-	for i := 0; i < n; i++ {
-		w := 1.0
-		if s.cfg.NodeWeights != nil {
-			if ww, ok := s.cfg.NodeWeights[roadnet.NodeID(i)]; ok {
-				w = ww
-			}
-		}
-		if w < 0 {
-			w = 0
-		}
+	for i, w := range s.weights {
 		acc += w
 		s.weights[i] = acc
 	}
@@ -269,7 +330,7 @@ func (s *Simulator) randomNode() roadnet.NodeID {
 	lo, hi := 0, len(s.weights)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if s.weights[mid] < x {
+		if s.weights[mid] <= x {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -279,27 +340,20 @@ func (s *Simulator) randomNode() roadnet.NodeID {
 }
 
 // assignNewTrip routes v from the given origin to a fresh weighted-random
-// destination, toggling occupancy.
+// destination, toggling occupancy. A trip's end rolls straight into the
+// next trip: kerbside dwells happen mid-block (see maybeArmDwell).
 func (s *Simulator) assignNewTrip(v *vehicle, from roadnet.NodeID) {
-	for attempt := 0; ; attempt++ {
-		dst := s.randomNode()
-		if dst == from {
-			continue
-		}
-		r, err := s.cfg.Net.ShortestPath(from, dst, func(sg *roadnet.Segment) float64 { return sg.Length() })
-		if err != nil || len(r.Segments) == 0 {
-			if attempt > 50 {
-				// Pathological network: keep the taxi parked on any
-				// outgoing segment so the simulation can proceed.
-				out := s.cfg.Net.Node(from).Out
-				v.route = []roadnet.SegmentID{out[0]}
-				break
-			}
-			continue
-		}
-		v.route = r.Segments
-		break
+	dst := s.randomNode()
+	for dst == from {
+		dst = s.randomNode()
 	}
+	r, err := s.cfg.Net.ShortestPath(from, dst, (*roadnet.Segment).Length)
+	if err != nil {
+		// Unreachable: from and dst lie in one strongly connected
+		// component (see Config.weights).
+		panic(fmt.Sprintf("trafficsim: no route from node %d to %d: %v", from, dst, err))
+	}
+	v.route = r.Segments
 	s.enterSegment(v, 0)
 	v.dist = 0
 	v.phase = phaseDriving
@@ -427,9 +481,6 @@ func (s *Simulator) releaseQueues() {
 			if head.background {
 				continue // vanishes beyond the stop line
 			}
-			if s.stats != nil {
-				s.stats.noteRelease(qi, head.id, s.now)
-			}
 			s.crossIntersection(head)
 		}
 	}
@@ -446,15 +497,7 @@ func (s *Simulator) crossIntersection(v *vehicle) {
 		s.maybeArmDwell(v)
 		return
 	}
-	s.finishTrip(v)
-}
-
-// finishTrip handles a vehicle reaching its destination node. Kerbside
-// dwells happen mid-block (see maybeArmDwell), so the trip end itself
-// rolls straight into the next trip.
-func (s *Simulator) finishTrip(v *vehicle) {
-	s.vstats[v.id].Trips++
-	s.assignNewTrip(v, v.seg.To)
+	s.assignNewTrip(v, v.seg.To) // the trip is over
 }
 
 // startDwell parks v at the kerb for a random dwell and flips occupancy
@@ -470,10 +513,8 @@ func (s *Simulator) startDwell(v *vehicle) {
 // stepVehicle advances one taxi by a tick; background vehicles exist only
 // inside queues and never come here.
 func (s *Simulator) stepVehicle(v *vehicle) {
-	st := &s.vstats[v.id]
 	switch v.phase {
 	case phaseDwelling:
-		st.DwellTime += Tick
 		if s.now >= v.dwellTill {
 			// Pull back into traffic and continue to the trip's end node.
 			v.phase = phaseDriving
@@ -481,13 +522,11 @@ func (s *Simulator) stepVehicle(v *vehicle) {
 		}
 		return
 	case phaseQueued:
-		st.QueueTime += Tick
 		s.creepForward(v)
 		return
 	}
-	st.DriveTime += Tick
 	seg := v.seg
-	v.speed = minf(seg.SpeedLimit, v.speed+s.cfg.Accel*Tick)
+	v.speed = min(seg.SpeedLimit, v.speed+s.cfg.Accel*Tick)
 
 	// A pending kerbside dwell interrupts the drive mid-block.
 	if v.dwellAt >= 0 && v.segIdx == len(v.route)-1 && v.dist < v.dwellAt {
@@ -506,12 +545,11 @@ func (s *Simulator) stepVehicle(v *vehicle) {
 			return
 		}
 		// Decelerate so that speed² <= 2·decel·remaining.
-		vmax := sqrt2ad(s.cfg.Decel, remaining)
+		vmax := math.Sqrt(2 * s.cfg.Decel * remaining)
 		if v.speed > vmax {
-			v.speed = maxf(0, v.speed-s.cfg.Decel*Tick)
+			v.speed = max(0, v.speed-s.cfg.Decel*Tick)
 		}
 		v.dist += v.speed * Tick
-		st.Distance += v.speed * Tick
 		if v.dist >= stopAt {
 			v.dist = stopAt
 			s.joinQueue(v, qi, seg)
@@ -519,7 +557,6 @@ func (s *Simulator) stepVehicle(v *vehicle) {
 		return
 	}
 	v.dist += v.speed * Tick
-	st.Distance += v.speed * Tick
 	if v.dist >= seg.Length() {
 		carry := v.dist - seg.Length()
 		if v.segIdx+1 < len(v.route) {
@@ -527,7 +564,7 @@ func (s *Simulator) stepVehicle(v *vehicle) {
 			v.dist = carry
 			return
 		}
-		s.finishTrip(v)
+		s.assignNewTrip(v, v.seg.To) // the trip is over
 	}
 }
 
@@ -543,11 +580,7 @@ func (s *Simulator) stopTarget(qi int, seg *roadnet.Segment) (float64, bool) {
 	if len(q.vehicles) == 0 && s.colour(qi) != lights.Red {
 		return 0, false
 	}
-	stop := seg.Length() - q.setback
-	if stop < 0 {
-		stop = 0
-	}
-	return stop, true
+	return max(seg.Length()-q.setback, 0), true
 }
 
 // joinQueue stops taxi v at the tail of queue qi, which seg feeds.
@@ -555,25 +588,16 @@ func (s *Simulator) joinQueue(v *vehicle, qi int, seg *roadnet.Segment) {
 	v.phase = phaseQueued
 	v.speed = 0
 	s.enqueue(qi, v)
-	if s.stats != nil {
-		s.stats.noteJoin(qi, v.id, s.now, v.queueIdx+1)
-	}
-	v.dist = seg.Length() - float64(v.queueIdx/s.cfg.Lanes)*s.cfg.CarSpacing
-	if v.dist < 0 {
-		v.dist = 0
-	}
+	v.dist = max(seg.Length()-float64(v.queueIdx/s.cfg.Lanes)*s.cfg.CarSpacing, 0)
 }
 
 // creepForward advances a queued vehicle toward its (possibly updated)
 // hold position after cars ahead have been released.
 func (s *Simulator) creepForward(v *vehicle) {
-	hold := v.seg.Length() - float64(v.queueIdx/s.cfg.Lanes)*s.cfg.CarSpacing
-	if hold < 0 {
-		hold = 0
-	}
+	hold := max(v.seg.Length()-float64(v.queueIdx/s.cfg.Lanes)*s.cfg.CarSpacing, 0)
 	if v.dist < hold {
 		const creepSpeed = 3.0 // m/s, stop-and-go crawl
-		v.dist = minf(hold, v.dist+creepSpeed*Tick)
+		v.dist = min(hold, v.dist+creepSpeed*Tick)
 		v.speed = creepSpeed
 		if v.dist >= hold {
 			v.speed = 0
@@ -606,34 +630,13 @@ func (s *Simulator) StateOf(id int) State {
 	}
 	return State{
 		ID:       v.id,
-		Pos:      seg.PointAt(clamp01(frac)),
+		Pos:      seg.PointAt(max(0, min(frac, 1))),
 		SpeedMS:  v.speed,
 		Heading:  seg.Heading(),
 		Occupied: v.occupied,
 		Segment:  seg.ID,
 		Stopped:  v.speed == 0,
 	}
-}
-
-// VehicleStats returns the accumulated statistics of taxi id.
-func (s *Simulator) VehicleStats(id int) VehicleStats {
-	if id < 0 || id >= len(s.vstats) {
-		return VehicleStats{}
-	}
-	return s.vstats[id]
-}
-
-// FleetStats returns the fleet-wide aggregate statistics.
-func (s *Simulator) FleetStats() VehicleStats {
-	var out VehicleStats
-	for _, st := range s.vstats {
-		out.Trips += st.Trips
-		out.Distance += st.Distance
-		out.DriveTime += st.DriveTime
-		out.QueueTime += st.QueueTime
-		out.DwellTime += st.DwellTime
-	}
-	return out
 }
 
 // QueueLength reports the current queue size at a signal approach, an
@@ -643,37 +646,4 @@ func (s *Simulator) QueueLength(node roadnet.NodeID, a lights.Approach) int {
 		return 0
 	}
 	return len(s.queues[queueIndex(node, a)].vehicles)
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}
-
-// sqrt2ad returns sqrt(2·a·d), the maximum speed from which a vehicle can
-// stop within distance d at deceleration a.
-func sqrt2ad(a, d float64) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return math.Sqrt(2 * a * d)
 }

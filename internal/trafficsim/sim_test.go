@@ -3,6 +3,7 @@ package trafficsim
 import (
 	"math"
 	"testing"
+	"time"
 
 	"taxilight/internal/geo"
 	"taxilight/internal/lights"
@@ -36,6 +37,14 @@ func testSim(t testing.TB, mutate func(*Config)) *Simulator {
 
 func TestConfigValidate(t *testing.T) {
 	net := testNet(t)
+	only := func(weights map[roadnet.NodeID]float64) map[roadnet.NodeID]float64 {
+		for i := 0; i < net.NumNodes(); i++ {
+			if _, ok := weights[roadnet.NodeID(i)]; !ok {
+				weights[roadnet.NodeID(i)] = 0
+			}
+		}
+		return weights
+	}
 	bad := []func(*Config){
 		func(c *Config) { c.Net = nil },
 		func(c *Config) { c.NumTaxis = 0 },
@@ -46,13 +55,89 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.DwellMin = -1 },
 		func(c *Config) { c.DwellMax = 5; c.DwellMin = 10 },
 		func(c *Config) { c.DwellProb = 1.5 },
+		func(c *Config) { c.NodeWeights = map[roadnet.NodeID]float64{3: math.NaN()} },
+		func(c *Config) { c.NodeWeights = map[roadnet.NodeID]float64{3: math.Inf(1)} },
+		func(c *Config) { c.NodeWeights = map[roadnet.NodeID]float64{3: math.Inf(-1)} },
+		// One node to draw from: every destination is the origin.
+		func(c *Config) { c.NodeWeights = only(map[roadnet.NodeID]float64{5: 1}) },
+		func(c *Config) { c.NodeWeights = only(map[roadnet.NodeID]float64{}) },
+		func(c *Config) { c.NodeWeights = map[roadnet.NodeID]float64{2: math.MaxFloat64, 9: math.MaxFloat64} },
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig(net)
 		mut(&cfg)
-		if _, err := New(cfg); err == nil {
+		var err error
+		within(t, 5*time.Second, func() { _, err = New(cfg) })
+		if err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+}
+
+// within runs f and fails t if f has not returned after d.
+func within(t *testing.T, d time.Duration, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("still running after %v", d)
+	}
+}
+
+// TestOneWayDeadEnd runs a fleet on networks whose segments do not all
+// lead back: no trip may start or end where the rest of the network cannot
+// be reached, and no taxi may leave the component it can come back from.
+func TestOneWayDeadEnd(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		nodes int
+		edges [][2]roadnet.NodeID
+		home  int // nodes 0..home-1 form the component the fleet keeps to
+	}{
+		{"dead end a⇄b→c", 3, [][2]roadnet.NodeID{{0, 1}, {1, 0}, {1, 2}}, 2},
+		{"chain a⇄b→c→d", 4, [][2]roadnet.NodeID{{0, 1}, {1, 0}, {1, 2}, {2, 3}}, 2},
+		{"bridge a⇄b⇄c→d⇄e", 5, [][2]roadnet.NodeID{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 3}, {3, 4}, {4, 3}}, 3},
+		{"source d→a⇄b⇄c", 4, [][2]roadnet.NodeID{{3, 0}, {0, 1}, {1, 0}, {1, 2}, {2, 1}}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := roadnet.NewNetwork(geo.Point{Lat: 22.5, Lon: 114})
+			for i := 0; i < tc.nodes; i++ {
+				net.AddNode(geo.XY{X: float64(300 * (i % 2)), Y: float64(600 * i)}, nil)
+			}
+			for _, e := range tc.edges {
+				if _, err := net.AddSegment(e[0], e[1], "r", 10); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := net.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(net)
+			cfg.NumTaxis = 20
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s.Now() < 1800 {
+				s.Step()
+				for _, st := range s.States() {
+					if seg := net.Segment(st.Segment); int(seg.From) >= tc.home || int(seg.To) >= tc.home {
+						t.Fatalf("t=%v: taxi %d on segment %d→%d, outside nodes 0..%d", s.Now(), st.ID, seg.From, seg.To, tc.home-1)
+					}
+				}
+			}
+			cfg.NodeWeights = map[roadnet.NodeID]float64{1: 0}
+			if tc.home == 2 {
+				if _, err := New(cfg); err == nil {
+					t.Fatal("only node 0 is left to draw from, and New accepted it")
+				}
+			}
+		})
 	}
 }
 
@@ -392,41 +477,134 @@ func BenchmarkSimStep2000Taxis(b *testing.B) {
 	}
 }
 
+// books keeps, from outside, the ledgers the simulator does not. Sampled
+// after every tick, it counts each approach's queue arrivals and
+// departures and the waits between them, each taxi's seconds per phase
+// and its odometer, and the trips the fleet finishes.
+type books struct {
+	arrivals, departures []int     // by queue index
+	wait                 []float64 // summed queue time of departed taxis, by queue index
+	drive, queue, dwell  []float64 // by taxi, seconds
+	odometer             []float64 // by taxi, metres driven; a queue's creep is not driving
+	trips                int
+	last                 []taxiSample
+}
+
+// taxiSample is what books saw of one taxi at the end of a tick.
+type taxiSample struct {
+	phase    vehPhase
+	qi       int
+	joinedAt float64
+	route    *roadnet.SegmentID // &route[0]: a new one is a new trip
+	st       State
+}
+
+func newBooks(s *Simulator) *books {
+	n := len(s.vehicles)
+	b := &books{
+		arrivals:   make([]int, len(s.queues)),
+		departures: make([]int, len(s.queues)),
+		wait:       make([]float64, len(s.queues)),
+		drive:      make([]float64, n),
+		queue:      make([]float64, n),
+		dwell:      make([]float64, n),
+		odometer:   make([]float64, n),
+		last:       make([]taxiSample, n),
+	}
+	for id := range b.last {
+		b.last[id] = b.look(s, id)
+	}
+	return b
+}
+
+func (b *books) look(s *Simulator, id int) taxiSample {
+	v := s.vehicles[id]
+	return taxiSample{phase: v.phase, qi: v.qi, route: &v.route[0], st: s.StateOf(id)}
+}
+
+// step steps s one tick and books it.
+func (b *books) step(t *testing.T, s *Simulator) {
+	t.Helper()
+	s.Step()
+	for id := range b.last {
+		p, c := b.last[id], b.look(s, id)
+		left := p.phase == phaseQueued && (c.phase != phaseQueued || c.qi != p.qi)
+		joined := c.phase == phaseQueued && (p.phase != phaseQueued || c.qi != p.qi)
+		c.joinedAt = p.joinedAt
+		if left {
+			b.departures[p.qi]++
+			b.wait[p.qi] += s.now - p.joinedAt
+		}
+		if joined {
+			b.arrivals[c.qi]++
+			c.joinedAt = s.now
+		}
+		if c.route != p.route {
+			b.trips++
+		}
+		moved := travelled(s.cfg.Net, p.st, c.st)
+		// A tick counts in the phase the taxi stepped in: the one it was
+		// seen in last, or driving if its queue released it.
+		switch {
+		case p.phase == phaseDriving || left:
+			b.drive[id] += Tick
+			b.odometer[id] += moved
+		case p.phase == phaseQueued:
+			b.queue[id] += Tick
+		case p.phase == phaseDwelling:
+			b.dwell[id] += Tick
+			if moved != 0 {
+				t.Fatalf("t=%v: taxi %d moved %v m at the kerb", s.now, id, moved)
+			}
+		default:
+			t.Fatalf("t=%v: taxi %d in phase %d", s.now, id, p.phase)
+		}
+		b.last[id] = c
+	}
+}
+
+// travelled is how far a taxi went along the road between two samples:
+// to the end of the segment it was on and from the start of the next, if
+// it crossed a node.
+func travelled(net *roadnet.Network, a, b State) float64 {
+	if a.Segment == b.Segment {
+		return b.Pos.Sub(a.Pos).Norm()
+	}
+	return net.Segment(a.Segment).Geom().B.Sub(a.Pos).Norm() + b.Pos.Sub(net.Segment(b.Segment).Geom().A).Norm()
+}
+
 func TestStatsCollection(t *testing.T) {
 	s := testSim(t, func(c *Config) { c.NumTaxis = 150; c.DwellProb = 0 })
-	s.EnableStats()
-	s.RunUntil(2400)
-	keys := s.StatsKeys()
-	if len(keys) == 0 {
-		t.Fatal("no approaches collected stats")
+	b := newBooks(s)
+	for s.now < 2400 {
+		b.step(t, s)
+		// Without background traffic a queue holds exactly the taxis that
+		// joined it and have not left.
+		for qi := range s.queues {
+			node, app := roadnet.NodeID(qi/2), lights.Approach(qi%2)
+			if held := b.arrivals[qi] - b.departures[qi]; held != s.QueueLength(node, app) {
+				t.Fatalf("t=%v approach %d/%v: %d arrivals, %d departures, queue length %d",
+					s.now, node, app, b.arrivals[qi], b.departures[qi], s.QueueLength(node, app))
+			}
+		}
 	}
 	totalArr, totalDep := 0, 0
-	for _, k := range keys {
-		st := s.Stats(k.Node, k.Approach)
-		totalArr += st.Arrivals
-		totalDep += st.Departures
-		if st.Departures > st.Arrivals {
-			t.Fatalf("approach %v: more departures (%d) than arrivals (%d)",
-				k, st.Departures, st.Arrivals)
+	for qi := range s.queues {
+		arr, dep := b.arrivals[qi], b.departures[qi]
+		totalArr += arr
+		totalDep += dep
+		if dep > arr {
+			t.Fatalf("approach %d: more departures (%d) than arrivals (%d)", qi, dep, arr)
 		}
-		if st.Departures > 0 && (st.MeanWait() <= 0 || st.MeanWait() > 2.5*160) {
-			t.Fatalf("approach %v: implausible mean wait %v", k, st.MeanWait())
+		if dep == 0 {
+			continue
 		}
-		if st.MaxQueue < 1 {
-			t.Fatalf("approach %v: max queue %d", k, st.MaxQueue)
+		if mean := b.wait[qi] / float64(dep); mean <= 0 || mean > 2.5*160 {
+			t.Fatalf("approach %d: implausible mean wait %v", qi, mean)
 		}
 	}
 	if totalDep == 0 || totalArr == 0 {
 		t.Fatalf("no traffic recorded: arr=%d dep=%d", totalArr, totalDep)
-	}
-	// Stats disabled: zero values.
-	s2 := testSim(t, nil)
-	s2.RunUntil(60)
-	if got := s2.Stats(0, lights.NorthSouth); got != (ApproachStats{}) {
-		t.Fatalf("disabled stats = %+v", got)
-	}
-	if s2.StatsKeys() != nil {
-		t.Fatal("disabled StatsKeys != nil")
 	}
 }
 
@@ -436,30 +614,27 @@ func TestStatsMeanWaitMatchesExpectedWaitShape(t *testing.T) {
 	// the conditional counterpart of navigation.ExpectedWait. Verify the
 	// aggregate sits in a physically sensible band.
 	s := testSim(t, func(c *Config) { c.NumTaxis = 100; c.DwellProb = 0 })
-	s.EnableStats()
-	s.RunUntil(3600)
-	var waits []float64
-	for _, k := range keysOf(s) {
-		st := s.Stats(k.Node, k.Approach)
-		if st.Departures >= 10 {
-			truth := s.cfg.Net.Node(k.Node).Light.ScheduleFor(k.Approach, 1800)
-			// conditional mean wait ~ red/2 (+ discharge); allow wide band.
-			if st.MeanWait() < truth.Red*0.2 || st.MeanWait() > truth.Red*1.6 {
-				t.Fatalf("approach %v: mean wait %v vs red %v", k, st.MeanWait(), truth.Red)
-			}
-			waits = append(waits, st.MeanWait())
+	b := newBooks(s)
+	for s.now < 3600 {
+		b.step(t, s)
+	}
+	approaches := 0
+	for qi := range s.queues {
+		if b.departures[qi] < 10 {
+			continue
 		}
+		node, app := roadnet.NodeID(qi/2), lights.Approach(qi%2)
+		mean := b.wait[qi] / float64(b.departures[qi])
+		truth := s.cfg.Net.Node(node).Light.ScheduleFor(app, 1800)
+		// conditional mean wait ~ red/2 (+ discharge); allow wide band.
+		if mean < truth.Red*0.2 || mean > truth.Red*1.6 {
+			t.Fatalf("approach %d/%v: mean wait %v vs red %v", node, app, mean, truth.Red)
+		}
+		approaches++
 	}
-	if len(waits) < 5 {
-		t.Fatalf("only %d approaches with enough departures", len(waits))
+	if approaches < 5 {
+		t.Fatalf("only %d approaches with enough departures", approaches)
 	}
-}
-
-func keysOf(s *Simulator) []struct {
-	Node     roadnet.NodeID
-	Approach lights.Approach
-} {
-	return s.StatsKeys()
 }
 
 func TestBackgroundTrafficLengthensQueues(t *testing.T) {
@@ -533,36 +708,42 @@ func TestBackgroundTrafficDeterministic(t *testing.T) {
 func TestVehicleStatsAccounting(t *testing.T) {
 	s := testSim(t, func(c *Config) { c.NumTaxis = 40 })
 	const horizon = 1800.0
-	s.RunUntil(horizon)
-	fleet := s.FleetStats()
-	if fleet.Trips == 0 {
+	b := newBooks(s)
+	for s.now < horizon {
+		b.step(t, s)
+	}
+	if b.trips == 0 {
 		t.Fatal("no trips completed")
 	}
-	if fleet.Distance <= 0 {
-		t.Fatal("no distance driven")
-	}
-	// Time buckets partition the horizon for each taxi.
-	for id := 0; id < s.NumVehicles(); id++ {
-		st := s.VehicleStats(id)
-		total := st.DriveTime + st.QueueTime + st.DwellTime
-		if math.Abs(total-horizon) > 1.5 {
+	fleetDistance := 0.0
+	for id := range b.odometer {
+		// Time buckets partition the horizon for each taxi.
+		if total := b.drive[id] + b.queue[id] + b.dwell[id]; total != horizon {
 			t.Fatalf("taxi %d time buckets sum to %v, want %v", id, total, horizon)
 		}
 		// Odometer consistency: distance <= drive time x speed limit.
-		if st.Distance > st.DriveTime*13.9+1 {
-			t.Fatalf("taxi %d drove %v m in %v s of driving", id, st.Distance, st.DriveTime)
+		if b.odometer[id] > b.drive[id]*13.9+1 {
+			t.Fatalf("taxi %d drove %v m in %v s of driving", id, b.odometer[id], b.drive[id])
 		}
+		fleetDistance += b.odometer[id]
 	}
-	if s.VehicleStats(-1) != (VehicleStats{}) || s.VehicleStats(9999) != (VehicleStats{}) {
-		t.Fatal("out-of-range VehicleStats not zero")
+	if fleetDistance <= 0 {
+		t.Fatal("no distance driven")
 	}
 }
 
 func TestFleetStatsMeanSpeedPlausible(t *testing.T) {
 	s := testSim(t, func(c *Config) { c.NumTaxis = 60 })
-	s.RunUntil(1800)
-	fleet := s.FleetStats()
-	meanSpeed := fleet.Distance / (fleet.DriveTime + fleet.QueueTime + fleet.DwellTime)
+	b := newBooks(s)
+	for s.now < 1800 {
+		b.step(t, s)
+	}
+	distance, seconds := 0.0, 0.0
+	for id := range b.odometer {
+		distance += b.odometer[id]
+		seconds += b.drive[id] + b.queue[id] + b.dwell[id]
+	}
+	meanSpeed := distance / seconds
 	// Urban mean including stops: well below the 13.9 m/s limit, above
 	// walking pace.
 	if meanSpeed < 2 || meanSpeed > 13 {
@@ -605,8 +786,9 @@ func TestCachedSegmentAndSetbackConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	deepest := 0
+	b := newBooks(s)
 	for s.now < 1500 {
-		s.Step()
+		b.step(t, s)
 		for _, v := range s.vehicles {
 			seg := net.Segment(v.route[v.segIdx])
 			if v.seg != seg || v.qi != queueIndex(seg.To, seg.Approach()) {
@@ -622,7 +804,11 @@ func TestCachedSegmentAndSetbackConsistent(t *testing.T) {
 			deepest = max(deepest, len(q.vehicles))
 		}
 	}
-	if st := s.FleetStats(); deepest < 2*cfg.Lanes || st.Trips == 0 || st.QueueTime == 0 {
-		t.Fatalf("the run never stacked a queue two ranks deep (deepest %d) or finished no trip: %+v", deepest, st)
+	queued := 0.0
+	for _, q := range b.queue {
+		queued += q
+	}
+	if deepest < 2*cfg.Lanes || b.trips == 0 || queued == 0 {
+		t.Fatalf("the run never stacked a queue two ranks deep (deepest %d), finished no trip (%d) or queued no taxi (%v s)", deepest, b.trips, queued)
 	}
 }
