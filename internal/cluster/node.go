@@ -735,20 +735,6 @@ func (n *Node) replicaEstimate(k mapmatch.Key, now float64) (core.Estimate, bool
 	return staleEstimate(rec, now), ok
 }
 
-// replicaSeq returns the replication cursor for one peer (tests use it
-// to wait for replication to catch up).
-func (n *Node) replicaSeq(peerID string) uint64 {
-	n.mu.Lock()
-	pr := n.replicas[peerID]
-	n.mu.Unlock()
-	if pr == nil {
-		return 0
-	}
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	return pr.lastSeq
-}
-
 // clusterHealthJSON is the /healthz "cluster" section.
 type clusterHealthJSON struct {
 	Self              string                   `json:"self"`

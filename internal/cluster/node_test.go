@@ -290,3 +290,17 @@ func TestGracefulLeavePromotesImmediately(t *testing.T) {
 		t.Fatalf("post-leave answer = %d health %q, want 200 stale", code, hdr.Get(server.HealthHeader))
 	}
 }
+
+// replicaSeq returns the replication cursor for one peer, so a test can
+// wait for replication to catch up.
+func (n *Node) replicaSeq(peerID string) uint64 {
+	n.mu.Lock()
+	pr := n.replicas[peerID]
+	n.mu.Unlock()
+	if pr == nil {
+		return 0
+	}
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	return pr.lastSeq
+}

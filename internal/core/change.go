@@ -89,22 +89,11 @@ func superposeTo(out []dsp.Sample, samples []dsp.Sample, cycle, t0 float64) []ds
 	return out
 }
 
-// FoldedSpeedCurve buckets superposed samples into whole-second slots of
+// foldedSpeedCurveSc buckets superposed samples into whole-second slots of
 // one cycle and fills empty slots by circular linear interpolation,
 // producing the length-cycle speed curve the sliding-window step scans.
-func FoldedSpeedCurve(folded []dsp.Sample, cycle float64) ([]float64, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	curve, err := foldedSpeedCurveSc(sc, folded, cycle)
-	if err != nil {
-		return nil, err
-	}
-	return append([]float64(nil), curve...), nil
-}
-
-// foldedSpeedCurveSc is FoldedSpeedCurve with the slot accumulators and
-// the curve itself in scratch buffers. The returned slice is owned by the
-// scratch and overwritten by the next call.
+// The slot accumulators and the curve itself live in scratch buffers; the
+// returned slice is owned by the scratch and overwritten by the next call.
 func foldedSpeedCurveSc(sc *identifyScratch, folded []dsp.Sample, cycle float64) ([]float64, error) {
 	n := int(math.Round(cycle))
 	if n < 2 {

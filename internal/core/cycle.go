@@ -447,28 +447,19 @@ func appendWindowed(dst []dsp.Sample, samples []dsp.Sample, t0, t1 float64) []ds
 	return dst
 }
 
-// Enhance implements the intersection-based enhancement of Eq. 3: the
+// enhanceSc implements the intersection-based enhancement of Eq. 3: the
 // primary approach's samples are kept, and every second covered only by
 // the perpendicular approach contributes a mirrored sample
 // max(0, 2*vMean - vPerp), where vMean is the mean speed over both
 // approaches. Perpendicular traffic moves in anti-phase, so the mirrored
-// values reinforce the shared periodicity instead of cancelling it.
-// The result is sorted with one sample per whole second.
-func Enhance(primary, perp []dsp.Sample) []dsp.Sample {
-	sc := getScratch()
-	defer putScratch(sc)
-	out := enhanceSc(sc, primary, perp)
-	if len(out) == 0 {
-		return nil
-	}
-	return append([]dsp.Sample(nil), out...)
-}
-
-// enhanceSc is Enhance into scratch buffers: the two approach series are
-// merged in place and combined with a single two-pointer pass instead of
-// copying each twice and deduplicating through a map. Merged series are
-// strictly increasing in whole-second time, so one ordered walk emits the
-// primary sample on a shared second and the mirrored perpendicular sample
+// values reinforce the shared periodicity instead of cancelling it. The
+// result is sorted with one sample per whole second.
+//
+// It works in scratch buffers: the two approach series are merged in place
+// and combined with a single two-pointer pass instead of copying each
+// twice and deduplicating through a map. Merged series are strictly
+// increasing in whole-second time, so one ordered walk emits the primary
+// sample on a shared second and the mirrored perpendicular sample
 // otherwise — the same set, in the same sorted order, as the map-based
 // construction. The returned slice is owned by the scratch.
 func enhanceSc(sc *identifyScratch, primary, perp []dsp.Sample) []dsp.Sample {
@@ -524,29 +515,4 @@ func IdentifyCycleEnhanced(primary, perp []dsp.Sample, t0, t1 float64, cfg Cycle
 	sc := getScratch()
 	defer putScratch(sc)
 	return identifyCycleSc(sc, enhanceSc(sc, primary, perp), t0, t1, cfg)
-}
-
-// SpeedSeries converts (time, speed) pairs into dsp samples; it is a
-// convenience for callers holding parallel slices.
-func SpeedSeries(ts, vs []float64) ([]dsp.Sample, error) {
-	if len(ts) != len(vs) {
-		return nil, fmt.Errorf("core: series length mismatch %d vs %d", len(ts), len(vs))
-	}
-	out := make([]dsp.Sample, len(ts))
-	for i := range ts {
-		out[i] = dsp.Sample{T: ts[i], V: vs[i]}
-	}
-	dsp.SortSamples(out)
-	return out, nil
-}
-
-// FoldScore measures how well a candidate cycle length aligns speed
-// samples: the fraction of speed variance explained by the fold phase
-// (adjusted ANOVA R² over phase bins). Higher is better; it is the
-// verification metric behind candidate selection and sub-bin refinement
-// and is exported for diagnostics and ablation studies.
-func FoldScore(samples []dsp.Sample, cycle, t0 float64) float64 {
-	sc := getScratch()
-	defer putScratch(sc)
-	return foldScoreSc(sc, samples, momentsOf(samples), cycle, t0)
 }

@@ -1,0 +1,98 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"sort"
+)
+
+// DetectSchedulingChanges is the batch form of Monitor and the oracle
+// TestMonitorIncrementalMatchesBatch compares Feed against. It scans a
+// chronological cycle-length series for sustained plateau shifts. The
+// series is median-prefiltered, then a change is declared when Confirm
+// consecutive estimates all deviate from the current plateau by more than
+// Tolerance while agreeing with each other within Tolerance.
+func DetectSchedulingChanges(series []CyclePoint, cfg MonitorConfig) ([]SchedulingChange, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if len(series) == 0 {
+		return nil, nil
+	}
+	for i := 1; i < len(series); i++ {
+		if series[i].T < series[i-1].T {
+			return nil, fmt.Errorf("core: series not chronological at %d", i)
+		}
+	}
+	vals := make([]float64, len(series))
+	for i, p := range series {
+		vals[i] = p.Cycle
+	}
+	vals = MedianFilter(vals, cfg.MedianWindow)
+
+	var changes []SchedulingChange
+	plateau := vals[0]
+	run := 0       // consecutive deviating estimates
+	runStart := -1 // index of the first estimate of the run
+	for i := 1; i < len(vals); i++ {
+		if math.Abs(vals[i]-plateau) <= cfg.Tolerance {
+			run = 0
+			runStart = -1
+			continue
+		}
+		// Deviating. Does it continue the current run (agree with the
+		// run's first value)?
+		if run > 0 && math.Abs(vals[i]-vals[runStart]) > cfg.Tolerance {
+			// A different deviation: restart the run here.
+			run = 0
+		}
+		if run == 0 {
+			runStart = i
+		}
+		run++
+		if run >= cfg.Confirm {
+			newPlateau := medianOf(vals[runStart : runStart+run])
+			changes = append(changes, SchedulingChange{
+				T:    series[runStart].T,
+				From: plateau,
+				To:   newPlateau,
+			})
+			plateau = newPlateau
+			run = 0
+			runStart = -1
+		}
+	}
+	return changes, nil
+}
+
+// MedianFilter returns the running median of xs with the given odd window,
+// shrinking the window at the edges. It is the outlier prefilter used
+// before change-point detection.
+func MedianFilter(xs []float64, window int) []float64 {
+	if window <= 1 || len(xs) == 0 {
+		return append([]float64(nil), xs...)
+	}
+	half := window / 2
+	out := make([]float64, len(xs))
+	buf := make([]float64, 0, window)
+	for i := range xs {
+		lo := i - half
+		if lo < 0 {
+			lo = 0
+		}
+		hi := i + half
+		if hi >= len(xs) {
+			hi = len(xs) - 1
+		}
+		buf = append(buf[:0], xs[lo:hi+1]...)
+		sort.Float64s(buf)
+		out[i] = buf[len(buf)/2]
+	}
+	return out
+}
+
+func medianOf(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s[len(s)/2]
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"taxilight/internal/dsp"
 )
@@ -59,108 +58,22 @@ func (c MonitorConfig) Validate() error {
 	return nil
 }
 
-// MedianFilter returns the running median of xs with the given odd window,
-// shrinking the window at the edges. It is the outlier prefilter used
-// before change-point detection.
-func MedianFilter(xs []float64, window int) []float64 {
-	if window <= 1 || len(xs) == 0 {
-		return append([]float64(nil), xs...)
-	}
-	half := window / 2
-	out := make([]float64, len(xs))
-	buf := make([]float64, 0, window)
-	for i := range xs {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half
-		if hi >= len(xs) {
-			hi = len(xs) - 1
-		}
-		buf = append(buf[:0], xs[lo:hi+1]...)
-		sort.Float64s(buf)
-		out[i] = buf[len(buf)/2]
-	}
-	return out
-}
-
-// DetectSchedulingChanges scans a chronological cycle-length series for
-// sustained plateau shifts. The series is median-prefiltered, then a
-// change is declared when Confirm consecutive estimates all deviate from
-// the current plateau by more than Tolerance while agreeing with each
-// other within Tolerance.
-func DetectSchedulingChanges(series []CyclePoint, cfg MonitorConfig) ([]SchedulingChange, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(series) == 0 {
-		return nil, nil
-	}
-	for i := 1; i < len(series); i++ {
-		if series[i].T < series[i-1].T {
-			return nil, fmt.Errorf("core: series not chronological at %d", i)
-		}
-	}
-	vals := make([]float64, len(series))
-	for i, p := range series {
-		vals[i] = p.Cycle
-	}
-	vals = MedianFilter(vals, cfg.MedianWindow)
-
-	var changes []SchedulingChange
-	plateau := vals[0]
-	run := 0       // consecutive deviating estimates
-	runStart := -1 // index of the first estimate of the run
-	for i := 1; i < len(vals); i++ {
-		if math.Abs(vals[i]-plateau) <= cfg.Tolerance {
-			run = 0
-			runStart = -1
-			continue
-		}
-		// Deviating. Does it continue the current run (agree with the
-		// run's first value)?
-		if run > 0 && math.Abs(vals[i]-vals[runStart]) > cfg.Tolerance {
-			// A different deviation: restart the run here.
-			run = 0
-		}
-		if run == 0 {
-			runStart = i
-		}
-		run++
-		if run >= cfg.Confirm {
-			newPlateau := medianOf(vals[runStart : runStart+run])
-			changes = append(changes, SchedulingChange{
-				T:    series[runStart].T,
-				From: plateau,
-				To:   newPlateau,
-			})
-			plateau = newPlateau
-			run = 0
-			runStart = -1
-		}
-	}
-	return changes, nil
-}
-
-func medianOf(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s[len(s)/2]
-}
-
-// Monitor is the streaming form of the detector: feed one estimate at a
-// time (the pipeline produces one per light every 5 minutes) and collect
-// confirmed scheduling changes as they happen.
+// Monitor detects scheduling changes, sustained plateau shifts in a
+// chronological cycle-length series: feed one estimate at a time (the
+// pipeline produces one per light every 5 minutes) and collect confirmed
+// changes as they happen. The series is median-prefiltered, then a change
+// is declared when Confirm consecutive estimates all deviate from the
+// current plateau by more than Tolerance while agreeing with each other
+// within Tolerance.
 //
-// It returns exactly what DetectSchedulingChanges over the whole series
-// would, without rescanning the series. A filtered value is final once its
-// median window is complete — index i of n points, i+MedianWindow/2 < n —
-// and the detector's state after the last such index never changes again.
-// Only the up to MedianWindow/2 newest points see a truncated window whose
-// median the next point may move, so each Feed advances that state (final)
-// over the indexes that just became final and replays the provisional tail
-// on a copy of it.
+// It returns exactly what one scan over the whole series would (the tests'
+// DetectSchedulingChanges), without rescanning the series. A filtered
+// value is final once its median window is complete — index i of n points,
+// i+MedianWindow/2 < n — and the detector's state after the last such
+// index never changes again. Only the up to MedianWindow/2 newest points
+// see a truncated window whose median the next point may move, so each
+// Feed advances that state (final) over the indexes that just became final
+// and replays the provisional tail on a copy of it.
 type Monitor struct {
 	cfg    MonitorConfig
 	series []CyclePoint
@@ -189,7 +102,7 @@ type detector struct {
 }
 
 // step consumes the filtered estimate v at time t — one iteration of the
-// scan in DetectSchedulingChanges — and reports the change it confirms.
+// whole-series scan — and reports the change it confirms.
 func (d *detector) step(t, v float64, cfg MonitorConfig) (SchedulingChange, bool) {
 	if math.Abs(v-d.plateau) <= cfg.Tolerance {
 		d.run = d.run[:0]
@@ -282,7 +195,8 @@ func (m *Monitor) scan() (fresh []SchedulingChange, total int) {
 	return fresh, total
 }
 
-// filtered is MedianFilter(cycles of the series, MedianWindow)[i].
+// filtered is the median of the series' cycles in the window of
+// MedianWindow centred on i, shrunk at the series' ends.
 func (m *Monitor) filtered(i int) float64 {
 	half := m.cfg.MedianWindow / 2
 	lo, hi := max(i-half, 0), min(i+half, len(m.series)-1)

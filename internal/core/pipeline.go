@@ -39,18 +39,9 @@ func (c StopExtractConfig) Validate() error {
 	return nil
 }
 
-// SpeedSamples converts matched records into (time, speed km/h) samples
-// for the frequency-domain stages.
-func SpeedSamples(ms []mapmatch.Matched) []dsp.Sample {
-	out := make([]dsp.Sample, len(ms))
-	for i, m := range ms {
-		out[i] = dsp.Sample{T: m.T, V: m.SpeedKMH}
-	}
-	return out
-}
-
-// SpeedSamplesNear is SpeedSamples restricted to records within maxDist
-// metres of the stop line.
+// SpeedSamplesNear converts the matched records within maxDist metres of
+// the stop line into (time, speed km/h) samples for the frequency-domain
+// stages.
 func SpeedSamplesNear(ms []mapmatch.Matched, maxDist float64) []dsp.Sample {
 	out := make([]dsp.Sample, 0, len(ms))
 	for _, m := range ms {

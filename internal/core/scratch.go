@@ -28,9 +28,9 @@ type identifyScratch struct {
 	perp     []dsp.Sample // perpendicular speed samples (enhancement)
 	win      []dsp.Sample // windowed primary samples
 	cycIn    []dsp.Sample // windowed+merged IdentifyCycle input
-	enhanced []dsp.Sample // merged primary inside Enhance
-	perpMrg  []dsp.Sample // merged perpendicular inside Enhance
-	enhOut   []dsp.Sample // Enhance output
+	enhanced []dsp.Sample // merged primary inside enhanceSc
+	perpMrg  []dsp.Sample // merged perpendicular inside enhanceSc
+	enhOut   []dsp.Sample // enhanceSc output
 	folded   []dsp.Sample // Superpose output
 	foldTmp  []dsp.Sample // folded samples in input order, before placement
 	foldPos  []int        // counting-sort slot cursors of the fold
@@ -41,7 +41,7 @@ type identifyScratch struct {
 	foldSums, foldCounts []float64 // foldScore phase-bin accumulators
 	foldBins             []int32   // per-sample phase bin memo
 
-	curveSums   []float64 // FoldedSpeedCurve accumulators
+	curveSums   []float64 // foldedSpeedCurveSc accumulators
 	curveCounts []int
 	curve       []float64 // folded speed curve
 	avg         []float64 // circular moving-average output
@@ -140,7 +140,7 @@ var scratches = newScratchSet(runtime.GOMAXPROCS(0))
 //   - no scratch is taken under e.mu: a waiter never holds an engine lock,
 //     and Ingest and readers never queue behind identification;
 //   - no scratch is taken while holding another: no *Sc function calls an
-//     exported entry point (IdentifyCycle, FoldScore, …), which borrows
+//     exported entry point (IdentifyCycle, IdentifyRed, …), which borrows
 //     its own.
 func getScratch() *identifyScratch {
 	s := scratches

@@ -45,22 +45,6 @@ func FFTReal(x []float64) []complex128 {
 	return FFT(cx)
 }
 
-// DFTNaive is the O(N²) textbook transform, kept as a cross-check oracle
-// for the fast paths and for the ablation benchmarks.
-func DFTNaive(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var s complex128
-		for j := 0; j < n; j++ {
-			ang := -2 * math.Pi * float64(k) * float64(j) / float64(n)
-			s += x[j] * cmplx.Exp(complex(0, ang))
-		}
-		out[k] = s
-	}
-	return out
-}
-
 // fftRadix2 computes an in-place iterative Cooley-Tukey FFT. len(x) must be
 // a power of two. If inverse is true the conjugate transform (no 1/N
 // normalisation) is computed.
@@ -104,15 +88,6 @@ func nextPow2(n int) int {
 		return 1
 	}
 	return 1 << uint(bits.Len(uint(n-1)))
-}
-
-// Magnitudes returns |x[i]| for every element of the spectrum.
-func Magnitudes(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
 }
 
 // Detrend subtracts the mean from x in a new slice. Removing DC before the

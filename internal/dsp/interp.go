@@ -92,21 +92,11 @@ type CubicSpline struct {
 	h, m, diag, upper, rhs []float64
 }
 
-// NewCubicSpline fits a natural cubic spline to the given samples. Samples
-// must be sorted by time with strictly increasing timestamps (use
-// SortSamples plus MergeDuplicateTimes first). At least two points are
-// required.
-func NewCubicSpline(pts []Sample) (*CubicSpline, error) {
-	s := &CubicSpline{}
-	if err := s.Fit(pts); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Fit refits the spline to pts under the same contract as NewCubicSpline,
-// reusing the spline's internal buffers — the zero-allocation path for
-// callers that resample fresh windows every round.
+// Fit fits the spline to pts, reusing the spline's internal buffers — the
+// zero-allocation path for callers that resample fresh windows every
+// round. Samples must be sorted by time with strictly increasing
+// timestamps (use SortSamples plus MergeDuplicateTimes first). At least
+// two points are required.
 func (s *CubicSpline) Fit(pts []Sample) error {
 	n := len(pts)
 	if n < 2 {
@@ -207,13 +197,6 @@ func ResampleSpline(pts []Sample, t0, t1 float64) ([]float64, error) {
 	return r.Spline(pts, t0, t1)
 }
 
-// ResampleLinear is the linear-interpolation counterpart of
-// ResampleSpline, kept for the interpolation ablation study.
-func ResampleLinear(pts []Sample, t0, t1 float64) ([]float64, error) {
-	var r Resampler
-	return r.Linear(pts, t0, t1)
-}
-
 func linearAt(pts []Sample) func(float64) float64 {
 	return func(t float64) float64 {
 		i := sort.Search(len(pts), func(i int) bool { return pts[i].T >= t })
@@ -230,13 +213,6 @@ func linearAt(pts []Sample) func(float64) float64 {
 		f := (t - a.T) / (b.T - a.T)
 		return a.V + f*(b.V-a.V)
 	}
-}
-
-// ResampleHold is zero-order hold resampling (last value carried forward),
-// the crudest baseline in the interpolation ablation.
-func ResampleHold(pts []Sample, t0, t1 float64) ([]float64, error) {
-	var r Resampler
-	return r.Hold(pts, t0, t1)
 }
 
 func holdAt(pts []Sample) func(float64) float64 {
@@ -276,7 +252,8 @@ func (r *Resampler) Spline(pts []Sample, t0, t1 float64) ([]float64, error) {
 	return r.sampleGrid(r.spline.At, t0, t1)
 }
 
-// Linear is the reusable-buffer counterpart of ResampleLinear.
+// Linear resamples pts onto the same grid by linear interpolation, the
+// baseline of the interpolation ablation study.
 func (r *Resampler) Linear(pts []Sample, t0, t1 float64) ([]float64, error) {
 	if len(pts) < 2 {
 		return nil, ErrInsufficientData
@@ -284,7 +261,8 @@ func (r *Resampler) Linear(pts []Sample, t0, t1 float64) ([]float64, error) {
 	return r.sampleGrid(linearAt(pts), t0, t1)
 }
 
-// Hold is the reusable-buffer counterpart of ResampleHold.
+// Hold resamples pts onto the same grid by zero-order hold (last value
+// carried forward), the crudest baseline in the interpolation ablation.
 func (r *Resampler) Hold(pts []Sample, t0, t1 float64) ([]float64, error) {
 	if len(pts) < 1 {
 		return nil, ErrInsufficientData

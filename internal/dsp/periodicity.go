@@ -69,36 +69,3 @@ func DominantLag(acf []float64, minLag, maxLag int) (int, error) {
 	}
 	return best, nil
 }
-
-// WelchSpectrum estimates the power spectrum of x by averaging
-// Hann-windowed, half-overlapping segments of the given length (Welch's
-// method). The result has segLen/2+1 bins; bin k corresponds to frequency
-// k/segLen cycles per sample. Averaging trades frequency resolution for
-// variance reduction — useful when a single long DFT is dominated by
-// noise bursts.
-func WelchSpectrum(x []float64, segLen int) ([]float64, error) {
-	n := len(x)
-	if segLen < 4 || segLen > n {
-		return nil, fmt.Errorf("dsp: segment length %d outside [4, %d]", segLen, n)
-	}
-	hop := segLen / 2
-	out := make([]float64, segLen/2+1)
-	segments := 0
-	for start := 0; start+segLen <= n; start += hop {
-		seg := HannWindow(Detrend(x[start : start+segLen]))
-		spec := FFTReal(seg)
-		for k := 0; k <= segLen/2; k++ {
-			m := cmplx.Abs(spec[k])
-			out[k] += m * m
-		}
-		segments++
-	}
-	if segments == 0 {
-		return nil, fmt.Errorf("dsp: no full segments")
-	}
-	inv := 1 / float64(segments)
-	for k := range out {
-		out[k] *= inv
-	}
-	return out, nil
-}

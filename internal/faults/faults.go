@@ -206,13 +206,3 @@ func (p *Pipeline) Apply(recs []trace.Record) []trace.Record {
 
 // Stats returns the accounting so far.
 func (p *Pipeline) Stats() Stats { return p.stats }
-
-// Injectors returns the names of the active record-level injectors, in
-// pipeline order.
-func (p *Pipeline) Injectors() []string {
-	names := make([]string, len(p.injs))
-	for i, inj := range p.injs {
-		names[i] = inj.Name()
-	}
-	return names
-}

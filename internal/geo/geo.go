@@ -1,12 +1,11 @@
 // Package geo provides the geodesy primitives used throughout taxilight:
-// WGS-84 points, great-circle and fast equirectangular distances, bearings,
-// a local east-north (ENU) projection, and planar point/segment math.
+// WGS-84 points, fast equirectangular distances, a local east-north (ENU)
+// projection, and planar point/segment math.
 //
 // Shenzhen spans roughly 113.75E–114.65E, 22.45N–22.85N; distances between
 // consecutive taxi updates are a few hundred metres at most, so the fast
 // equirectangular approximation is accurate to well under a metre at that
-// scale and is the default for hot paths. Haversine is provided for
-// reference and for long baselines.
+// scale. The tests hold it to the great-circle distance.
 package geo
 
 import (
@@ -33,47 +32,20 @@ func (p Point) String() string {
 // "no fix" sentinel matching GPS condition 0 in the trace format.
 func (p Point) IsZero() bool { return p.Lat == 0 && p.Lon == 0 }
 
-// Valid reports whether p is a physically meaningful WGS-84 coordinate.
-func (p Point) Valid() bool {
-	return p.Lat >= -90 && p.Lat <= 90 && p.Lon >= -180 && p.Lon <= 180
-}
-
 // Radians converts degrees to radians.
 func Radians(deg float64) float64 { return deg * math.Pi / 180 }
 
 // Degrees converts radians to degrees.
 func Degrees(rad float64) float64 { return rad * 180 / math.Pi }
 
-// Haversine returns the great-circle distance between a and b in metres.
-func Haversine(a, b Point) float64 {
-	lat1, lat2 := Radians(a.Lat), Radians(b.Lat)
-	dLat := lat2 - lat1
-	dLon := Radians(b.Lon - a.Lon)
-	s1 := math.Sin(dLat / 2)
-	s2 := math.Sin(dLon / 2)
-	h := s1*s1 + math.Cos(lat1)*math.Cos(lat2)*s2*s2
-	return 2 * EarthRadiusMeters * math.Asin(math.Min(1, math.Sqrt(h)))
-}
-
 // Distance returns the equirectangular-approximation distance between a and
 // b in metres. For the sub-kilometre baselines that dominate taxi-trace
-// processing it agrees with Haversine to < 0.1 %.
+// processing it agrees with the great-circle distance to < 0.1 %.
 func Distance(a, b Point) float64 {
 	latMid := Radians((a.Lat + b.Lat) / 2)
 	dx := Radians(b.Lon-a.Lon) * math.Cos(latMid)
 	dy := Radians(b.Lat - a.Lat)
 	return EarthRadiusMeters * math.Hypot(dx, dy)
-}
-
-// Bearing returns the initial great-circle bearing from a to b in degrees
-// clockwise from true north, in [0, 360).
-func Bearing(a, b Point) float64 {
-	lat1, lat2 := Radians(a.Lat), Radians(b.Lat)
-	dLon := Radians(b.Lon - a.Lon)
-	y := math.Sin(dLon) * math.Cos(lat2)
-	x := math.Cos(lat1)*math.Sin(lat2) - math.Sin(lat1)*math.Cos(lat2)*math.Cos(dLon)
-	brg := Degrees(math.Atan2(y, x))
-	return math.Mod(brg+360, 360)
 }
 
 // HeadingDiff returns the absolute angular difference between two headings
@@ -84,18 +56,6 @@ func HeadingDiff(h1, h2 float64) float64 {
 		d = 360 - d
 	}
 	return d
-}
-
-// Offset returns the point reached by moving dist metres from p on the
-// given bearing (degrees clockwise from north). It uses the local-tangent
-// approximation, which is exact enough for the network scales used here.
-func Offset(p Point, bearingDeg, dist float64) Point {
-	b := Radians(bearingDeg)
-	dNorth := dist * math.Cos(b)
-	dEast := dist * math.Sin(b)
-	dLat := Degrees(dNorth / EarthRadiusMeters)
-	dLon := Degrees(dEast / (EarthRadiusMeters * math.Cos(Radians(p.Lat))))
-	return Point{Lat: p.Lat + dLat, Lon: p.Lon + dLon}
 }
 
 // Projection maps WGS-84 points to a local planar east-north frame centred

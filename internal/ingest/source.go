@@ -131,22 +131,6 @@ type Source struct {
 	halfOpen      bool
 
 	backoff *metrics.Histogram // supervised pauses; atomic, not under mu
-
-	boundAddr string
-}
-
-// BoundAddr returns the address a listen source actually bound (useful
-// when the spec asked for port 0), or "" before the listener is up.
-func (s *Source) BoundAddr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.boundAddr
-}
-
-func (s *Source) setBoundAddr(addr string) {
-	s.mu.Lock()
-	s.boundAddr = addr
-	s.mu.Unlock()
 }
 
 func newSource(spec Spec) *Source {
@@ -156,12 +140,6 @@ func newSource(spec Spec) *Source {
 		backoff: metrics.NewHistogram(backoffBounds...),
 	}
 }
-
-// Name returns the source's label.
-func (s *Source) Name() string { return s.spec.Name }
-
-// Spec returns the parsed source description.
-func (s *Source) Spec() Spec { return s.spec }
 
 // State returns the current supervision state.
 func (s *Source) State() State {

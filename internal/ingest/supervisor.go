@@ -218,7 +218,6 @@ func (sup *Supervisor) runListen(ctx context.Context, src *Source) {
 			}
 			continue
 		}
-		src.setBoundAddr(ln.Addr().String())
 		src.clearStreak()
 		backoff = sup.cfg.BackoffMin
 		err = sup.acceptLoop(ctx, src, ln)

@@ -91,14 +91,6 @@ func (s Schedule) NextGreen(t float64) float64 {
 // WaitAt returns how long a vehicle arriving at time t waits before green.
 func (s Schedule) WaitAt(t float64) float64 { return s.NextGreen(t) - t }
 
-// ChangeTimes returns the red→green and green→red change instants of the
-// cycle containing time t. Within a cycle, red runs [cycleStart,
-// cycleStart+Red) and green runs [cycleStart+Red, cycleStart+Cycle).
-func (s Schedule) ChangeTimes(t float64) (redToGreen, greenToRed float64) {
-	cycleStart := t - s.PhaseAt(t)
-	return cycleStart + s.Red, cycleStart + s.Cycle
-}
-
 // Opposed returns the schedule of the perpendicular approach sharing this
 // intersection: same cycle, anti-phased, with the complementary split (its
 // red equals this approach's green).

@@ -288,20 +288,3 @@ func (m *Matcher) MatchWithStats(rec trace.Record, stats *MatchStats) (Matched, 
 		Snapped:    sn.Pos,
 	}, true
 }
-
-// PartitionRecordsWithStats is PartitionRecords plus aggregate matching
-// statistics for the whole batch.
-func (m *Matcher) PartitionRecordsWithStats(recs []trace.Record) (Partition, MatchStats) {
-	var stats MatchStats
-	p := Partition{}
-	for _, rec := range recs {
-		if mt, ok := m.MatchWithStats(rec, &stats); ok {
-			k := Key{mt.Light, mt.Approach}
-			p[k] = append(p[k], mt)
-		}
-	}
-	for _, ms := range p {
-		sortByTime(ms)
-	}
-	return p, stats
-}

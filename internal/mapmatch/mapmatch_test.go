@@ -350,28 +350,3 @@ func TestMatchWithStatsAgreesWithMatch(t *testing.T) {
 		}
 	}
 }
-
-func TestPartitionRecordsWithStatsAgrees(t *testing.T) {
-	net := gridNet(t)
-	m := matcher(t, net, nil)
-	var recs []trace.Record
-	for i := 0; i < 20; i++ {
-		recs = append(recs, recordAt(net, geo.XY{X: 800, Y: 800 - float64(i)*20}, 0, 30,
-			epoch.Add(time.Duration(i*20)*time.Second)))
-	}
-	bad := recordAt(net, geo.XY{X: 90000, Y: 0}, 0, 30, epoch)
-	recs = append(recs, bad)
-	withStats, stats := m.PartitionRecordsWithStats(recs)
-	plain := m.PartitionRecords(recs)
-	if len(withStats) != len(plain) {
-		t.Fatalf("partition counts differ: %d vs %d", len(withStats), len(plain))
-	}
-	for k, ms := range plain {
-		if len(withStats[k]) != len(ms) {
-			t.Fatalf("partition %v differs", k)
-		}
-	}
-	if stats.Total != len(recs) || stats.RejectedNoSegment != 1 {
-		t.Fatalf("stats = %+v", stats)
-	}
-}

@@ -12,8 +12,6 @@
 //   - ShortestTimePlanner: conventional navigation — free-flow drive
 //     times only (roadnet's ShortestPath); light waits are ignored during
 //     planning and only suffered during evaluation.
-//   - ProbabilisticPlanner: the drive plus each light's expected wait,
-//     knowing durations but not phase.
 //   - LightAwarePlanner: the drive plus the exact wait under the known
 //     light schedules at the arrival time. Waits are FIFO (arriving
 //     earlier never makes you leave later), so label setting is exact.

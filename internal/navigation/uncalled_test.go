@@ -1,8 +1,9 @@
 package navigation
 
-import (
-	"taxilight/internal/roadnet"
-)
+import "taxilight/internal/roadnet"
+
+// Nothing outside the tests calls the code in this file. It is kept
+// beside the tests that exercise it until they are retired with it.
 
 // ExpectedWait returns the mean red-light delay of a random (uniform
 // phase) arrival at a schedule: an arrival hits red with probability

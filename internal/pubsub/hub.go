@@ -41,11 +41,9 @@ var (
 type EvictReason int32
 
 const (
-	// EvictNone marks a live subscriber.
-	EvictNone EvictReason = iota
 	// EvictOverflow: the subscriber's queue was full when a round
 	// published — the client is consuming slower than rounds complete.
-	EvictOverflow
+	EvictOverflow EvictReason = iota + 1
 	// EvictDeadline: the serving layer timed out writing to the client
 	// socket.
 	EvictDeadline
@@ -139,9 +137,6 @@ type Subscriber struct {
 	reason atomic.Int32
 }
 
-// Keys returns the subscribed keys (caller must not mutate).
-func (s *Subscriber) Keys() []mapmatch.Key { return s.keys }
-
 // Frames is the subscriber's event queue. Frames received from it must
 // be Released after use.
 func (s *Subscriber) Frames() <-chan *Frame { return s.ch }
@@ -150,8 +145,7 @@ func (s *Subscriber) Frames() <-chan *Frame { return s.ch }
 // subscriber; select on it alongside Frames.
 func (s *Subscriber) Kicked() <-chan struct{} { return s.kicked }
 
-// EvictReason reports why the subscriber was evicted (EvictNone while
-// live).
+// EvictReason reports why the subscriber was evicted (zero while live).
 func (s *Subscriber) EvictReason() EvictReason { return EvictReason(s.reason.Load()) }
 
 // Evict marks the subscriber dead with the given reason and wakes its

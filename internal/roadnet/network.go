@@ -202,17 +202,6 @@ func (n *Network) NearestSegment(q geo.XY, maxDist float64) (seg *Segment, dist 
 	return sn.Seg, sn.Dist, ok
 }
 
-// NearestSegmentHeading behaves like NearestSegment but only considers
-// segments whose driving direction is within maxHeadingDiff degrees of
-// heading — the Fig. 5 rule that reassigns a point to the next segment with
-// consistent orientation rather than the geometrically nearest one.
-func (n *Network) NearestSegmentHeading(q geo.XY, maxDist, heading, maxHeadingDiff float64) (seg *Segment, dist float64, ok bool) {
-	sn, ok := n.Snap(q, maxDist, func(s *Segment) bool {
-		return geo.HeadingDiff(s.heading, heading) <= maxHeadingDiff
-	}, nil)
-	return sn.Seg, sn.Dist, ok
-}
-
 // NearestLight returns the signalised node nearest to q within maxDist
 // metres. ok is false when no light is in range.
 func (n *Network) NearestLight(q geo.XY, maxDist float64) (node *Node, dist float64, ok bool) {
@@ -237,12 +226,6 @@ func (n *Network) BBox() geo.BBox {
 
 // TravelTime returns the free-flow traversal time of a segment in seconds.
 func (s *Segment) TravelTime() float64 { return s.length / s.SpeedLimit }
-
-// OppositeOf reports whether o is the reverse directed twin of s (same
-// endpoints, swapped).
-func (s *Segment) OppositeOf(o *Segment) bool {
-	return s.From == o.To && s.To == o.From
-}
 
 // PerpendicularAt reports whether s and o approach the same node from
 // perpendicular roads (one NS, one EW) — the precondition for the paper's

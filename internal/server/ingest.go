@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"taxilight/internal/ingest"
@@ -56,13 +55,6 @@ func (s *Server) supervisor() *ingest.Supervisor {
 // resume-dedup gate reject records a reconnect replayed.
 func (s *Server) consumeSource(ctx context.Context, sc *trace.Scanner, src *ingest.Source) error {
 	return s.ingestScanner(ctx, sc, src.Admit)
-}
-
-// ingestReader scans one raw feed leniently and ingests it without
-// supervision or dedup — the direct path tests and Dispatch-style
-// callers use.
-func (s *Server) ingestReader(ctx context.Context, r io.Reader) error {
-	return s.ingestScanner(ctx, trace.NewLenientScanner(r, s.cfg.Lenient), nil)
 }
 
 // Records cross from the scan goroutine to the dispatch loop in blocks:

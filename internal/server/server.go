@@ -481,9 +481,6 @@ func (s *Server) Restore(st core.EngineState) int {
 	return total
 }
 
-// WarmStarted returns how many approaches were restored from a store.
-func (s *Server) WarmStarted() int64 { return s.met.restoredCount.Load() }
-
 // Dispatch routes matched records to their shards, blocking when a
 // shard's channel is full (backpressure) unless ctx is cancelled, in
 // which case the remainder is dropped and counted.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"taxilight/internal/experiments"
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
+	"taxilight/internal/trace"
 )
 
 // testWorld builds a small deterministic simulated city whose records
@@ -459,4 +461,10 @@ func TestStateServeAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(200, serve); got > 3 {
 		t.Errorf("GET /v1/state allocates %.0f objects per request, budget 3", got)
 	}
+}
+
+// ingestReader scans one raw feed leniently and ingests it without
+// supervision or dedup.
+func (s *Server) ingestReader(ctx context.Context, r io.Reader) error {
+	return s.ingestScanner(ctx, trace.NewLenientScanner(r, s.cfg.Lenient), nil)
 }

@@ -33,9 +33,6 @@ func NewHistogram(min, max float64, nbins int) *Histogram {
 	}
 }
 
-// BinWidth returns the width of each bin.
-func (h *Histogram) BinWidth() float64 { return h.width }
-
 // Add tallies one observation.
 func (h *Histogram) Add(x float64) { h.AddN(x, 1) }
 
@@ -80,31 +77,6 @@ func (h *Histogram) MaxBin() (int, int) {
 	return bi, bc
 }
 
-// Fraction returns the share of in-range observations with value below x.
-func (h *Histogram) Fraction(x float64) float64 {
-	inRange := 0
-	for _, c := range h.Counts {
-		inRange += c
-	}
-	if inRange == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for i, c := range h.Counts {
-		hi := h.Min + float64(i+1)*h.width
-		if hi <= x {
-			n += c
-		} else {
-			lo := h.Min + float64(i)*h.width
-			if x > lo {
-				n += int(float64(c) * (x - lo) / h.width)
-			}
-			break
-		}
-	}
-	return float64(n) / float64(inRange)
-}
-
 // ASCII renders a simple fixed-width bar chart of the histogram, one bin
 // per row, suitable for experiment logs.
 func (h *Histogram) ASCII(barWidth int) string {
@@ -132,9 +104,6 @@ func NewECDF(xs []float64) *ECDF {
 	sort.Float64s(s)
 	return &ECDF{sorted: s}
 }
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
 
 // At returns the empirical probability P(X <= x).
 func (e *ECDF) At(x float64) float64 {

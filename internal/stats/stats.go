@@ -1,7 +1,7 @@
 // Package stats implements the small statistics toolkit the paper's data
 // analysis relies on: descriptive moments, histograms, empirical CDFs,
-// quantiles, normal fits and weighted means. Everything is allocation-light
-// and deterministic so that experiment harnesses can reproduce the paper's
+// quantiles and normal fits. Everything is allocation-light and
+// deterministic so that experiment harnesses can reproduce the paper's
 // Fig. 2 and Fig. 14 style summaries exactly.
 package stats
 
@@ -73,24 +73,6 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// WeightedMean returns sum(w_i * x_i) / sum(w_i). It returns NaN when the
-// total weight is zero. Used by the border-interval red-light estimator,
-// where the weights are record counts per interval.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic(fmt.Sprintf("stats: WeightedMean length mismatch %d vs %d", len(xs), len(ws)))
-	}
-	var sw, swx float64
-	for i, x := range xs {
-		sw += ws[i]
-		swx += ws[i] * x
-	}
-	if sw == 0 {
-		return math.NaN()
-	}
-	return swx / sw
-}
-
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the numpy default).
 // xs need not be sorted; it is not modified.
@@ -115,61 +97,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 
 // Median returns the 0.5 quantile of xs.
 func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
-
-// Welford accumulates mean and variance online in a single pass with good
-// numerical behaviour. The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates x into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations added so far.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean, or NaN before any observation.
-func (w *Welford) Mean() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.mean
-}
-
-// Variance returns the running unbiased variance, or NaN before two
-// observations.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return math.NaN()
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the running standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Merge combines another accumulator into w (parallel reduction).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	mean := w.mean + d*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.n, w.mean, w.m2 = n, mean, m2
-}
 
 // NormalFit holds the parameters of a fitted normal distribution.
 type NormalFit struct {

@@ -90,53 +90,6 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestWelfordMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	xs := make([]float64, 1000)
-	var w Welford
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 7
-		w.Add(xs[i])
-	}
-	if math.Abs(w.Mean()-Mean(xs)) > 1e-9 {
-		t.Fatalf("mean mismatch: %v vs %v", w.Mean(), Mean(xs))
-	}
-	if math.Abs(w.Variance()-Variance(xs)) > 1e-9 {
-		t.Fatalf("variance mismatch: %v vs %v", w.Variance(), Variance(xs))
-	}
-	if w.N() != 1000 {
-		t.Fatalf("N = %d", w.N())
-	}
-}
-
-func TestWelfordMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var all, a, b Welford
-	for i := 0; i < 500; i++ {
-		x := rng.Float64() * 100
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 || math.Abs(a.Variance()-all.Variance()) > 1e-9 {
-		t.Fatalf("merge mismatch: %v/%v vs %v/%v", a.Mean(), a.Variance(), all.Mean(), all.Variance())
-	}
-	var empty Welford
-	empty.Merge(a)
-	if empty.N() != a.N() {
-		t.Fatal("merge into empty lost data")
-	}
-	before := a.N()
-	a.Merge(Welford{})
-	if a.N() != before {
-		t.Fatal("merge of empty changed state")
-	}
-}
-
 func TestFitNormal(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 20000)
@@ -184,19 +137,6 @@ func TestHistogramBasics(t *testing.T) {
 	bi, bc := h.MaxBin()
 	if bi != 0 || bc != 2 {
 		t.Fatalf("MaxBin = %d, %d", bi, bc)
-	}
-}
-
-func TestHistogramFraction(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	if f := h.Fraction(50); math.Abs(f-0.5) > 0.02 {
-		t.Fatalf("Fraction(50) = %v", f)
-	}
-	if f := h.Fraction(100); f != 1 {
-		t.Fatalf("Fraction(max) = %v", f)
 	}
 }
 
@@ -278,13 +218,6 @@ func TestECDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkWelfordAdd(b *testing.B) {
-	var w Welford
-	for i := 0; i < b.N; i++ {
-		w.Add(float64(i % 97))
-	}
-}
-
 func BenchmarkHistogramAdd(b *testing.B) {
 	h := NewHistogram(0, 100, 200)
 	for i := 0; i < b.N; i++ {
@@ -356,16 +289,6 @@ func TestKSTestErrors(t *testing.T) {
 	if _, _, err := KSTestNormal([]float64{1}); err == nil {
 		t.Fatal("KSTestNormal tiny sample accepted")
 	}
-}
-
-func ExampleWelford() {
-	var w Welford
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	fmt.Printf("n=%d mean=%.1f\n", w.N(), w.Mean())
-	// Output:
-	// n=8 mean=5.0
 }
 
 func ExampleECDF() {

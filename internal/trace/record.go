@@ -39,9 +39,6 @@ type Record struct {
 	Color     string    // 12: taxi body colour
 }
 
-// SpeedMS returns the reported speed in metres per second.
-func (r Record) SpeedMS() float64 { return r.SpeedKMH / 3.6 }
-
 // Validate reports structural problems with the record.
 func (r Record) Validate() error {
 	switch {
@@ -235,19 +232,4 @@ func WriteCSV(w io.Writer, recs []Record) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadCSV parses all records from r, skipping blank lines. Malformed
-// lines abort with a positional error: trace files are machine-generated,
-// so damage signals a real problem rather than dirty input to skip.
-func ReadCSV(r io.Reader) ([]Record, error) {
-	var out []Record
-	sc := NewScanner(r)
-	for sc.Scan() {
-		out = append(out, sc.Record())
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

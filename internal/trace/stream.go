@@ -58,8 +58,7 @@ type SkipStats struct {
 }
 
 // Scanner streams Table-I records from a reader one at a time without
-// loading the whole trace into memory — a day of the real feed is ~10 GB,
-// so batch ReadCSV does not scale to production traces.
+// loading the whole trace into memory — a day of the real feed is ~10 GB.
 //
 //	sc := trace.NewScanner(r)
 //	for sc.Scan() {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"strings"
@@ -538,4 +539,18 @@ func TestStreamErrorStopsAndJoinsProducer(t *testing.T) {
 	if producerRunning() {
 		t.Fatal("the producer outlived a panic in fn")
 	}
+}
+
+// ReadCSV parses all records from r with a strict Scanner, skipping blank
+// lines; a malformed line aborts with a positional error.
+func ReadCSV(r io.Reader) ([]Record, error) {
+	var out []Record
+	sc := NewScanner(r)
+	for sc.Scan() {
+		out = append(out, sc.Record())
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
