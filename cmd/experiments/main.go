@@ -106,7 +106,7 @@ func main() {
 		case "14c":
 			err = experiments.Fig14Compare(w, wcfg, *runs)
 		case "sweep":
-			err = experiments.SweepDensity(w, *runs)
+			err = experiments.SweepDensity(w, *seed, *runs)
 		case "corridor":
 			err = experiments.Corridor(w, *seed)
 		case "scaling":

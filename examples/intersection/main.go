@@ -50,8 +50,8 @@ func main() {
 	}
 	fmt.Printf("\n[V] cycle length by DFT: %.2f s (error %.2f s)\n", cycle, math.Abs(cycle-truth.Cycle))
 
-	// Stage 1b: the intersection-based enhancement, shown on purpose even
-	// though this approach is dense enough on its own.
+	// Stage 1b: the intersection-based enhancement, which the pipeline
+	// applies to every approach whose perpendicular approach has samples.
 	perp := core.SpeedSamplesNear(stopIdx.FilterDwellRecords(world.Part[key.PerpendicularKey()]), 120)
 	enhanced, err := core.IdentifyCycleEnhanced(samples, perp, 0, cfg.Horizon, core.DefaultCycleConfig())
 	if err != nil {

@@ -210,19 +210,6 @@ func TestIdentifyCycleEnhancedBeatsSparse(t *testing.T) {
 	}
 }
 
-func TestSpeedSeries(t *testing.T) {
-	out, err := SpeedSeries([]float64{3, 1, 2}, []float64{30, 10, 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].T != 1 || out[0].V != 10 || out[2].T != 3 {
-		t.Fatalf("SpeedSeries = %v", out)
-	}
-	if _, err := SpeedSeries([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
 func BenchmarkIdentifyCycleEnhanced(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	sched := lights.Schedule{Cycle: 98, Red: 39}

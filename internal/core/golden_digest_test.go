@@ -13,10 +13,10 @@ import (
 
 // engineGoldenDigest is the SHA-256 of every round the golden feed drives
 // through an Engine: the round instant, the keys it published, and every
-// served key's Result, fields in declaration order. It was recorded at
-// the commit before the engine's retention, round views and the Matched
-// type changed, and pins that none of them moved an estimate.
-const engineGoldenDigest = "cf4fbcf53f474fd36cc6f4762e39fa4b300925b01b1350c5fb3e8d6da8e6448b"
+// served key's Result, fields in declaration order. It pins that a
+// change to the engine's retention, round views or record types moves no
+// estimate; a change meant to move estimates re-records it and says so.
+const engineGoldenDigest = "8ca113350adf726615ec8f440e07754c0b8cde694f931fd3a585fa55872918d6"
 
 // goldenFeed drives a seeded, deterministic feed through an engine with
 // the given round worker count and returns the digest of what it served

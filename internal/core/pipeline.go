@@ -82,11 +82,6 @@ type PipelineConfig struct {
 	// estimate and the plain sliding-window change point are reported
 	// as-is, reproducing the paper's unrefined procedure.
 	RefineRed bool
-	// EnhanceBelow is the sample count under which the intersection-based
-	// enhancement kicks in: sparse approaches borrow mirrored samples from
-	// the perpendicular approach, dense ones are left untouched, as in the
-	// paper. 0 turns the enhancement off.
-	EnhanceBelow int
 	// Workers bounds the per-light parallelism; 0 means GOMAXPROCS.
 	Workers int
 }
@@ -100,7 +95,6 @@ func DefaultPipelineConfig() PipelineConfig {
 		Stops:        DefaultStopExtractConfig(),
 		MaxSpeedDist: 120,
 		RefineRed:    true,
-		EnhanceBelow: 60,
 		Workers:      0,
 	}
 }
@@ -118,9 +112,6 @@ func (c PipelineConfig) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("core: negative worker count %d", c.Workers)
-	}
-	if c.EnhanceBelow < 0 {
-		return fmt.Errorf("core: negative EnhanceBelow %d", c.EnhanceBelow)
 	}
 	if c.MaxSpeedDist <= 0 {
 		return fmt.Errorf("core: non-positive MaxSpeedDist %v", c.MaxSpeedDist)
@@ -140,8 +131,9 @@ type Result struct {
 	WindowStart, WindowEnd float64
 	// Records and Stops count the inputs that survived preprocessing.
 	Records, Stops int
-	// Enhanced reports whether the perpendicular-approach enhancement
-	// was applied.
+	// Enhanced reports whether the perpendicular approach's samples were
+	// mirrored into the cycle input (Eq. 3); false when the perpendicular
+	// had no samples in the view.
 	Enhanced bool
 	// Quality is the fold score of the accepted cycle (adjusted R² of
 	// speed variance explained by the fold phase): near zero or negative
@@ -288,8 +280,9 @@ func identifyOneSafe(view map[mapmatch.Key]obsView, stopIdx *StopIndex, key mapm
 
 // identifyOne runs the full single-light procedure for one approach. All
 // intermediates live in the worker's scratch: the windowed speed series
-// is computed once and reused by the enhancement gate, the fold-quality
-// score and the superposition (it used to be recomputed for each).
+// is computed once and reused by the fold-quality score and the
+// superposition. The cycle is read off the intersection-based
+// enhancement (Eq. 3) whenever the perpendicular approach has samples.
 func identifyOne(view map[mapmatch.Key]obsView, stopIdx *StopIndex, key mapmatch.Key, t0, t1 float64, cfg PipelineConfig, sc *identifyScratch) Result {
 	ms := view[key]
 	res := Result{Key: key, WindowStart: t0, WindowEnd: t1, Records: ms.n}
@@ -299,9 +292,9 @@ func identifyOne(view map[mapmatch.Key]obsView, stopIdx *StopIndex, key mapmatch
 	win := appendWindowed(sc.win[:0], primary, t0, t1)
 	sc.win = win
 	cycIn := primary
-	if len(win) < cfg.EnhanceBelow {
-		perp := appendSpeedSamples(sc.perp[:0], view[key.PerpendicularKey()], stopIdx, cfg.MaxSpeedDist)
-		sc.perp = perp
+	perp := appendSpeedSamples(sc.perp[:0], view[key.PerpendicularKey()], stopIdx, cfg.MaxSpeedDist)
+	sc.perp = perp
+	if len(perp) > 0 {
 		cycIn = enhanceSc(sc, primary, perp)
 		res.Enhanced = true
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"taxilight/internal/dsp"
 	"taxilight/internal/geo"
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
@@ -263,6 +264,77 @@ func TestRunPipelineParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestDenseApproachEnhanced holds that the Eq. 3 enhancement does not
+// depend on how many samples an approach has: a window of at least 60
+// samples whose perpendicular has records reads its cycle off the
+// enhanced series, and without the perpendicular's records it reads it
+// off the primary alone.
+func TestDenseApproachEnhanced(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	_, part := pipelineFixture(t, 200, 1800)
+	cfg := DefaultPipelineConfig()
+	const t0, t1 = 0, 1800
+	// samples are the speed samples identifyOne takes of key: the stop
+	// index is built over the same partition, so dwell runs match.
+	samples := func(p mapmatch.Partition, key mapmatch.Key) []dsp.Sample {
+		var rm roundMem
+		rm.load(p)
+		rm.index.build(rm.view, rm.names, cfg.Stops)
+		return appendSpeedSamples(nil, rm.view[key], &rm.index, cfg.MaxSpeedDist)
+	}
+	keys := make([]mapmatch.Key, 0, len(part))
+	for k := range part {
+		keys = append(keys, k)
+	}
+	sortKeys(keys)
+	checked := 0
+	for _, key := range keys {
+		pk := key.PerpendicularKey()
+		if len(part[pk]) == 0 {
+			continue
+		}
+		with := mapmatch.Partition{key: part[key], pk: part[pk]}
+		primary, perp := samples(with, key), samples(with, pk)
+		if len(appendWindowed(nil, primary, t0, t1)) < 60 || len(perp) == 0 {
+			continue
+		}
+		enhanced, errE := IdentifyCycleEnhanced(primary, perp, t0, t1, cfg.Cycle)
+		plain, errP := IdentifyCycle(primary, t0, t1, cfg.Cycle)
+		if errE != nil || errP != nil || enhanced == plain {
+			continue // the mirrored samples would not show in the cycle
+		}
+		res, err := RunPipeline(with, t0, t1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := res[key]
+		if r.Err != nil || !r.Enhanced || r.Cycle != enhanced {
+			t.Fatalf("%v with %d windowed samples: enhanced %v, cycle %v, err %v; want enhanced, cycle %v (primary alone %v)",
+				key, len(appendWindowed(nil, primary, t0, t1)), r.Enhanced, r.Cycle, r.Err, enhanced, plain)
+		}
+
+		alone := mapmatch.Partition{key: part[key]}
+		res, err = RunPipeline(alone, t0, t1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := IdentifyCycle(samples(alone, key), t0, t1, cfg.Cycle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := res[key]; r.Err != nil || r.Enhanced || r.Cycle != want {
+			t.Fatalf("%v without its perpendicular: enhanced %v, cycle %v, err %v; want not enhanced, cycle %v",
+				key, r.Enhanced, r.Cycle, r.Err, want)
+		}
+		checked++
+	}
+	if checked < 3 {
+		t.Fatalf("only %d dense approaches whose enhanced cycle differs from the plain one", checked)
+	}
+}
+
 func TestRunPipelineEmptyPartition(t *testing.T) {
 	res, err := RunPipeline(mapmatch.Partition{}, 0, 3600, DefaultPipelineConfig())
 	if err != nil {
@@ -294,11 +366,6 @@ func TestRunPipelineValidation(t *testing.T) {
 	bad.Workers = -1
 	if _, err := RunPipeline(mapmatch.Partition{}, 0, 100, bad); err == nil {
 		t.Fatal("negative workers accepted")
-	}
-	bad2 := DefaultPipelineConfig()
-	bad2.EnhanceBelow = -1
-	if _, err := RunPipeline(mapmatch.Partition{}, 0, 100, bad2); err == nil {
-		t.Fatal("negative EnhanceBelow accepted")
 	}
 }
 

@@ -124,8 +124,7 @@ func Fig13(w io.Writer, cfg WorldConfig) error {
 	cycMed, _ := stats.Median(cycErrs)
 	redMed, _ := stats.Median(redErrs)
 	fmt.Fprintf(w, "median errors: cycle %.1f s, red %.1f s (paper: < 5 s on average)\n", cycMed, redMed)
-	fmt.Fprintf(w, "mean errors:   cycle %.1f s, red %.1f s — the cycle mean is dominated by the\n", stats.Mean(cycErrs), stats.Mean(redErrs))
-	fmt.Fprintf(w, "occasional gross harmonic error on sparse approaches, the bimodality Fig. 14 reports\n")
+	fmt.Fprintf(w, "mean errors:   cycle %.1f s, red %.1f s\n", stats.Mean(cycErrs), stats.Mean(redErrs))
 	return nil
 }
 

@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,6 +138,80 @@ func TestCollectFig14Shape(t *testing.T) {
 	}
 }
 
+// TestCollectFig14HonoursSeed holds that run r of a Fig. 14 collection is
+// seeded cfg.Seed + r, so -seed moves every repeated figure.
+func TestCollectFig14HonoursSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline, multiple runs")
+	}
+	collect := func(seed int64, runs int) Fig14Errors {
+		cfg := smallWorld()
+		cfg.Seed = seed
+		errs, err := CollectFig14(cfg, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return errs
+	}
+	first, both, second := collect(1, 1), collect(1, 2), collect(2, 1)
+	n := len(first.Cycle)
+	run2 := Fig14Errors{Cycle: both.Cycle[n:], Red: both.Red[n:], Change: both.Change[n:], Failures: both.Failures - first.Failures}
+	if !slices.Equal(run2.Cycle, second.Cycle) || !slices.Equal(run2.Red, second.Red) ||
+		!slices.Equal(run2.Change, second.Change) || run2.Failures != second.Failures {
+		t.Fatalf("run 2 at seed 1 differs from run 1 at seed 2:\n%+v\n%+v", run2, second)
+	}
+	if slices.Equal(first.Cycle, second.Cycle) && slices.Equal(first.Red, second.Red) && slices.Equal(first.Change, second.Change) {
+		t.Fatal("run 1 at seed 2 equals run 1 at seed 1: the seed is ignored")
+	}
+}
+
+// TestFig14Pinned pins the batch accuracy of the Fig. 14 world at seed 1
+// over 10 runs: the counts behind the printed CDFs and a digest of every
+// error, in collection order. An estimate that moves fails it; re-record
+// it only when moving estimates is the point of the change.
+func TestFig14Pinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline, multiple runs")
+	}
+	errs, err := CollectFig14(DefaultWorldConfig(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	within := func(xs []float64, tol float64) int {
+		n := 0
+		for _, x := range xs {
+			if x <= tol {
+				n++
+			}
+		}
+		return n
+	}
+	h := sha256.New()
+	for _, xs := range [][]float64{errs.Cycle, errs.Red, errs.Change} {
+		for _, x := range xs {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"approaches identified", len(errs.Cycle), 320},
+		{"cycle error > 10 s", len(errs.Cycle) - within(errs.Cycle, 10), 4},
+		{"cycle error <= 1 s", within(errs.Cycle, 1), 315},
+		{"red error <= 6 s", within(errs.Red, 6), 146},
+		{"change error <= 6 s", within(errs.Change, 6), 196},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	const want = "b08c019b67f3591dd73d9aad1b9aa8ffd678da1e6c4781245ba8fff7a67bffd8"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("error digest %s, want %s", got, want)
+	}
+}
+
 func TestFig16Runs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("navigation sweep")
@@ -228,7 +306,7 @@ func TestSweepDensityRuns(t *testing.T) {
 		t.Skip("multi-density sweep")
 	}
 	var buf bytes.Buffer
-	if err := SweepDensity(&buf, 1); err != nil {
+	if err := SweepDensity(&buf, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "320") {

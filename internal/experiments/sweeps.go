@@ -1,20 +1,26 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"taxilight/internal/core"
+	"taxilight/internal/mapmatch"
 	"taxilight/internal/stats"
 )
 
 // CollectFig14With is CollectFig14 under an explicit pipeline
 // configuration — the hook the mode-comparison and density sweeps use.
+// Run r builds its world at seed cfg.Seed + r, and each run's errors are
+// appended in key order (light, then approach).
 func CollectFig14With(cfg WorldConfig, pcfg core.PipelineConfig, runs int) (Fig14Errors, error) {
 	var out Fig14Errors
+	base := cfg.Seed
 	for r := 0; r < runs; r++ {
-		cfg.Seed = int64(r + 1)
+		cfg.Seed = base + int64(r)
 		world, err := BuildWorld(cfg)
 		if err != nil {
 			return out, err
@@ -23,7 +29,15 @@ func CollectFig14With(cfg WorldConfig, pcfg core.PipelineConfig, runs int) (Fig1
 		if err != nil {
 			return out, err
 		}
-		for key, res := range results {
+		keys := make([]mapmatch.Key, 0, len(results))
+		for key := range results {
+			keys = append(keys, key)
+		}
+		slices.SortFunc(keys, func(a, b mapmatch.Key) int {
+			return cmp.Or(cmp.Compare(a.Light, b.Light), cmp.Compare(a.Approach, b.Approach))
+		})
+		for _, key := range keys {
+			res := results[key]
 			if res.Err != nil {
 				out.Failures++
 				continue
@@ -90,11 +104,11 @@ func printErrCDF(w io.Writer, name string, xs []float64) {
 
 // SweepDensity measures identification accuracy as a function of fleet
 // size — the paper's unbalanced-data motivation made quantitative: the
-// sparse roads of Table II are the low end of this curve. (The Eq. 3
-// enhancement's contribution at controlled sparsity is isolated by the
-// Fig. 7 experiment; at these whole-fleet densities the per-approach
-// sample counts stay above the enhancement threshold.)
-func SweepDensity(w io.Writer, runs int) error {
+// sparse roads of Table II are the low end of this curve. Every point
+// runs the Eq. 3 enhancement wherever the perpendicular has samples; the
+// enhancement's own contribution at controlled sparsity is isolated by
+// the Fig. 7 experiment. Run r of every point is seeded seed + r.
+func SweepDensity(w io.Writer, seed int64, runs int) error {
 	section(w, "Density sweep — identification accuracy vs fleet size")
 	fmt.Fprintf(w, "%-8s %-12s %-14s %-16s %-16s %s\n",
 		"taxis", "approaches", "cycle<=5s", "red median (s)", "change median (s)", "failed")
@@ -103,6 +117,7 @@ func SweepDensity(w io.Writer, runs int) error {
 		wcfg.Rows, wcfg.Cols = 3, 3
 		wcfg.Taxis = taxis
 		wcfg.Horizon = 3600
+		wcfg.Seed = seed
 		errs, err := CollectFig14With(wcfg, core.DefaultPipelineConfig(), runs)
 		if err != nil {
 			return err

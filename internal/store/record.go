@@ -49,8 +49,8 @@ type Record struct {
 	Quality float64
 	// Records and Stops count the inputs that survived preprocessing.
 	Records, Stops int32
-	// Enhanced reports whether the perpendicular-approach enhancement
-	// was applied.
+	// Enhanced reports whether the perpendicular approach's samples were
+	// mirrored into the cycle input.
 	Enhanced bool
 }
 
