@@ -59,7 +59,8 @@ func main() {
 	}
 	fmt.Printf("[V-B] with perpendicular enhancement (Eq. 3): %.2f s\n", enhanced)
 
-	// Stage 2: red duration from stop events (border interval, Fig. 9).
+	// Stage 2: red duration from stop events (Section VI-A's data): the
+	// red under which the stops' report counts are most likely.
 	stops := stopIdx.Stops(key)
 	red, err := core.IdentifyRed(stops, cycle, core.DefaultRedConfig())
 	if err != nil {
@@ -69,19 +70,17 @@ func main() {
 		len(stops), red, math.Abs(red-truth.Red))
 
 	// Stage 3: superpose all samples into one cycle (Fig. 10) and find
-	// the change points with the sliding window (Fig. 11), jointly
-	// refining the red duration on the folded curve.
+	// the change points with a sliding window of that red (Fig. 11).
 	folded, err := core.Superpose(samples, cycle, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	refinedRed, change, err := core.RefineRedAndChange(folded, cycle, red, 30)
+	change, err := core.IdentifyChange(folded, cycle, red)
 	if err != nil {
 		log.Fatal(err)
 	}
 	truePhase := math.Mod(truth.Offset, truth.Cycle)
 	fmt.Printf("\n[VI-B/C] superposed %d samples into one %.0f s cycle\n", len(folded), cycle)
-	fmt.Printf("refined red: %.0f s (error %.1f s)\n", refinedRed, math.Abs(refinedRed-truth.Red))
 	fmt.Printf("green->red at phase %.0f s (truth %.0f s, circular error %.1f s)\n",
 		change.GreenToRed, truePhase, core.PhaseError(change.GreenToRed, truePhase, cycle))
 	fmt.Printf("red->green at phase %.0f s (mean speed inside red window: %.1f km/h)\n",

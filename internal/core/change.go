@@ -227,84 +227,6 @@ func identifyChangeSc(sc *identifyScratch, folded []dsp.Sample, cycle, red float
 	return ChangeEstimate{GreenToRed: g2r, RedToGreen: r2g, MinWindowMean: avg[i]}, nil
 }
 
-// RefineRedAndChange jointly refines the red duration and the change
-// phase on the folded speed curve: every candidate window length within
-// +-delta of the stop-duration-based guess is slid over the curve, and
-// the one maximising the contrast between the mean speed inside the
-// minimum window (the red arc) and outside it (the green arc) wins. The
-// stop-duration estimate is cadence-quantised (taxis report every
-// 15/30/60 s), while the folded curve has 1-second resolution, so this
-// sharpens red by up to one reporting interval.
-func RefineRedAndChange(folded []dsp.Sample, cycle, redGuess, delta float64) (float64, ChangeEstimate, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	return refineRedAndChangeSc(sc, folded, cycle, redGuess, delta)
-}
-
-func refineRedAndChangeSc(sc *identifyScratch, folded []dsp.Sample, cycle, redGuess, delta float64) (float64, ChangeEstimate, error) {
-	if redGuess <= 0 || redGuess >= cycle {
-		return 0, ChangeEstimate{}, fmt.Errorf("core: red guess %v outside (0, cycle=%v)", redGuess, cycle)
-	}
-	if delta < 0 {
-		return 0, ChangeEstimate{}, fmt.Errorf("core: negative delta %v", delta)
-	}
-	curve, err := foldedSpeedCurveSc(sc, folded, cycle)
-	if err != nil {
-		return 0, ChangeEstimate{}, err
-	}
-	n := len(curve)
-	total := 0.0
-	for _, v := range curve {
-		total += v
-	}
-	lo := int(math.Max(2, math.Round(redGuess-delta)))
-	hi := int(math.Min(float64(n-2), math.Round(redGuess+delta)))
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	// Take the maximum-contrast window (first-seen, i.e. shortest, on
-	// ties; the scan ascends in w). A margin-based shortest-window
-	// preference was evaluated and rejected: the observed low-speed arc is
-	// mushy at its *start* (cars still sweep through the zone early in
-	// red), so trimming the window mostly cuts genuine red and drags the
-	// change phase late.
-	type cand struct {
-		w     int
-		i     int
-		score float64
-		in    float64
-	}
-	var best cand
-	count := 0
-	bestScore := math.Inf(-1)
-	for w := lo; w <= hi; w++ {
-		avg, err := dsp.CircularMovingAverageInto(sc.avg, curve, w)
-		if err != nil {
-			continue
-		}
-		sc.avg = avg
-		i := dsp.ArgMin(avg)
-		inMean := avg[i]
-		outMean := (total - float64(w)*inMean) / float64(n-w)
-		score := outMean - inMean
-		if count == 0 || score > best.score {
-			best = cand{w: w, i: i, score: score, in: inMean}
-		}
-		count++
-		if score > bestScore {
-			bestScore = score
-		}
-	}
-	if math.IsInf(bestScore, -1) || count == 0 {
-		return 0, ChangeEstimate{}, ErrInsufficientData
-	}
-	return float64(best.w), ChangeEstimate{
-		GreenToRed:    float64(best.i),
-		RedToGreen:    math.Mod(float64(best.i)+float64(best.w), cycle),
-		MinWindowMean: best.in,
-	}, nil
-}
-
 // PhaseError returns the circular distance between two phases within a
 // cycle, in [0, cycle/2]. It is the metric used to score change-time
 // identification against ground truth.

@@ -204,54 +204,6 @@ func TestPhaseError(t *testing.T) {
 	}
 }
 
-func TestRefineRedAndChange(t *testing.T) {
-	// Clean two-level folded signal: refinement must land near the true
-	// red and edges even from a coarse guess.
-	cycle, red, redStart := 106.0, 63.0, 20.0
-	sched := lights.Schedule{Cycle: cycle, Red: red, Offset: redStart}
-	rng := rand.New(rand.NewSource(11))
-	var folded []dsp.Sample
-	for i := 0; i < 500; i++ {
-		phase := rng.Float64() * cycle
-		var v float64
-		if sched.StateAt(phase) == lights.Red {
-			v = math.Max(0, 2+rng.NormFloat64()*2)
-		} else {
-			v = 32 + rng.NormFloat64()*5
-		}
-		folded = append(folded, dsp.Sample{T: phase, V: v})
-	}
-	gotRed, est, err := RefineRedAndChange(folded, cycle, red+12, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(gotRed-red) > 4 {
-		t.Fatalf("refined red = %v, want ~%v", gotRed, red)
-	}
-	if PhaseError(est.GreenToRed, redStart, cycle) > 4 {
-		t.Fatalf("green->red = %v, want ~%v", est.GreenToRed, redStart)
-	}
-	if PhaseError(est.RedToGreen, math.Mod(redStart+red, cycle), cycle) > 4 {
-		t.Fatalf("red->green = %v", est.RedToGreen)
-	}
-}
-
-func TestRefineRedAndChangeErrors(t *testing.T) {
-	folded := []dsp.Sample{{T: 0, V: 1}}
-	if _, _, err := RefineRedAndChange(folded, 100, 0, 10); err == nil {
-		t.Fatal("zero guess accepted")
-	}
-	if _, _, err := RefineRedAndChange(folded, 100, 100, 10); err == nil {
-		t.Fatal("guess == cycle accepted")
-	}
-	if _, _, err := RefineRedAndChange(folded, 100, 50, -1); err == nil {
-		t.Fatal("negative delta accepted")
-	}
-	if _, _, err := RefineRedAndChange(nil, 100, 50, 10); err == nil {
-		t.Fatal("empty fold accepted")
-	}
-}
-
 func TestFoldScorePrefersTrueCycle(t *testing.T) {
 	cycle := 98.0
 	sched := lights.Schedule{Cycle: cycle, Red: 39}

@@ -39,9 +39,7 @@ func ExampleIdentifyRed() {
 		d := math.Max(2, rng.Float64()*63)
 		stops = append(stops, core.StopEvent{Plate: "B1", Start: float64(i) * 106, End: float64(i)*106 + d})
 	}
-	cfg := core.DefaultRedConfig()
-	cfg.CadenceCorrection = false
-	red, err := core.IdentifyRed(stops, 106, cfg)
+	red, err := core.IdentifyRed(stops, 106, core.DefaultRedConfig())
 	if err != nil {
 		panic(err)
 	}

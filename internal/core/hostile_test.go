@@ -134,22 +134,3 @@ func TestSuperposeExtremeValues(t *testing.T) {
 		}
 	}
 }
-
-func TestRefineRedAndChangeFlatCurve(t *testing.T) {
-	// A perfectly flat folded curve has no contrast anywhere; the
-	// refinement must still return a bounded window, not NaN.
-	var folded []dsp.Sample
-	for i := 0; i < 98; i++ {
-		folded = append(folded, dsp.Sample{T: float64(i), V: 10})
-	}
-	red, est, err := RefineRedAndChange(folded, 98, 39, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(red) || red <= 0 || red >= 98 {
-		t.Fatalf("flat-curve red = %v", red)
-	}
-	if math.IsNaN(est.GreenToRed) || est.GreenToRed < 0 || est.GreenToRed >= 98 {
-		t.Fatalf("flat-curve phase = %v", est.GreenToRed)
-	}
-}

@@ -77,11 +77,6 @@ type PipelineConfig struct {
 	// Records farther upstream are modulated by the *previous* light's
 	// discharge platoons and pull the DFT onto the wrong fundamental.
 	MaxSpeedDist float64
-	// RefineRed enables the joint red/phase refinement on the folded
-	// speed curve (RefineRedAndChange); when false the stop-duration
-	// estimate and the plain sliding-window change point are reported
-	// as-is, reproducing the paper's unrefined procedure.
-	RefineRed bool
 	// Workers bounds the per-light parallelism; 0 means GOMAXPROCS.
 	Workers int
 }
@@ -94,7 +89,6 @@ func DefaultPipelineConfig() PipelineConfig {
 		Red:          DefaultRedConfig(),
 		Stops:        DefaultStopExtractConfig(),
 		MaxSpeedDist: 120,
-		RefineRed:    true,
 		Workers:      0,
 	}
 }
@@ -336,12 +330,7 @@ func identifyOne(view map[mapmatch.Key]obsView, stopIdx *StopIndex, key mapmatch
 		res.Err = fmt.Errorf("superpose: %w", err)
 		return res
 	}
-	var ch ChangeEstimate
-	if cfg.RefineRed {
-		red, ch, err = refineRedAndChangeSc(sc, folded, cycle, red, 1.5*cfg.Red.SampleInterval)
-	} else {
-		ch, err = identifyChangeSc(sc, folded, cycle, red)
-	}
+	ch, err := identifyChangeSc(sc, folded, cycle, red)
 	if err != nil {
 		res.Err = fmt.Errorf("change: %w", err)
 		return res

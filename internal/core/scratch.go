@@ -11,8 +11,8 @@ import (
 // identifyScratch is the per-worker reusable state behind one approach
 // identification: an FFT-plan cache keyed by grid length, the spline/grid
 // buffers of a dsp.Resampler, and every intermediate slice the pipeline
-// stages fill (windowed samples, fold bins, folded curves, red-histogram
-// counts). A steady-state estimation tick re-identifies the same window
+// stages fill (windowed samples, fold bins, folded curves, red-likelihood
+// run shapes). A steady-state estimation tick re-identifies the same window
 // shapes every round for every light; with the scratch threaded through
 // identifyOne the hot loop allocates near zero.
 //
@@ -46,9 +46,7 @@ type identifyScratch struct {
 	curve       []float64 // folded speed curve
 	avg         []float64 // circular moving-average output
 
-	redCounts    []float64   // red histogram bins
-	redDurations []float64   // corrected stop durations
-	stops        []StopEvent // FilterStops output
+	shapes []stopShape // the red likelihood's usable-run shapes
 
 	// need is the most elements any buffer or plan was sized for since the
 	// scratch was borrowed; see needs and shrink.
@@ -196,8 +194,7 @@ func (sc *identifyScratch) shrink() {
 	sc.foldPos, sc.peaks, sc.cands = trim(sc.foldPos, n), trim(sc.peaks, n), trim(sc.cands, n)
 	sc.foldSums, sc.foldCounts, sc.foldBins = trim(sc.foldSums, n), trim(sc.foldCounts, n), trim(sc.foldBins, n)
 	sc.curveSums, sc.curveCounts = trim(sc.curveSums, n), trim(sc.curveCounts, n)
-	sc.curve, sc.avg = trim(sc.curve, n), trim(sc.avg, n)
-	sc.redCounts, sc.redDurations, sc.stops = trim(sc.redCounts, n), trim(sc.redDurations, n), trim(sc.stops, n)
+	sc.curve, sc.avg, sc.shapes = trim(sc.curve, n), trim(sc.avg, n), trim(sc.shapes, n)
 	if oversized(sc.resampler.Cap(), n) {
 		sc.resampler = dsp.Resampler{}
 	}

@@ -199,7 +199,6 @@ func TestScratchSetBounded(t *testing.T) {
 				folded, _ := Superpose(samples, cycle, 0)
 				_, _ = FoldedSpeedCurve(folded, cycle)
 				_, _ = IdentifyChange(folded, cycle, red)
-				_, _, _ = RefineRedAndChange(folded, cycle, red, 10)
 			}
 		}()
 		for i := 0; i < 2; i++ {

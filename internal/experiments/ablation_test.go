@@ -141,23 +141,29 @@ func BenchmarkAblationCandidates(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRed compares the border-interval red estimator with
-// the naive longest-stop baseline on error-contaminated stop data.
+// BenchmarkAblationRed compares the paper's border-interval red estimator
+// with the naive longest-stop baseline and the stop-model likelihood on
+// error-contaminated stop data.
 func BenchmarkAblationRed(b *testing.B) {
 	stops := fig9Stops(400)
 	b.Run("BorderInterval", func(b *testing.B) {
-		cfg := core.DefaultRedConfig()
-		cfg.CadenceCorrection = false
 		var last float64
 		for i := 0; i < b.N; i++ {
-			last, _ = core.IdentifyRed(stops, 106, cfg)
+			last, _ = experiments.BorderIntervalRed(stops, 106)
+		}
+		b.ReportMetric(math.Abs(last-63), "s-err")
+	})
+	b.Run("Likelihood", func(b *testing.B) {
+		var last float64
+		for i := 0; i < b.N; i++ {
+			last, _ = core.IdentifyRed(stops, 106, core.DefaultRedConfig())
 		}
 		b.ReportMetric(math.Abs(last-63), "s-err")
 	})
 	b.Run("NaiveMax", func(b *testing.B) {
 		var last float64
 		for i := 0; i < b.N; i++ {
-			last, _ = core.MaxStopDuration(stops, 106)
+			last = experiments.LongestStop(stops, 106)
 		}
 		b.ReportMetric(math.Abs(last-63), "s-err")
 	})

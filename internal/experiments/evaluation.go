@@ -139,7 +139,7 @@ type Fig14Errors struct {
 // worlds and gathers per-approach absolute errors for cycle length, red
 // duration and signal change time.
 func CollectFig14(cfg WorldConfig, runs int) (Fig14Errors, error) {
-	return CollectFig14With(cfg, core.DefaultPipelineConfig(), runs)
+	return CollectFig14With(cfg, core.DefaultPipelineConfig(), runs, false)
 }
 
 // Fig14 reproduces the error CDFs of Fig. 14 over repeated randomised

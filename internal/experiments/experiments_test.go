@@ -199,14 +199,14 @@ func TestFig14Pinned(t *testing.T) {
 		{"approaches identified", len(errs.Cycle), 320},
 		{"cycle error > 10 s", len(errs.Cycle) - within(errs.Cycle, 10), 4},
 		{"cycle error <= 1 s", within(errs.Cycle, 1), 315},
-		{"red error <= 6 s", within(errs.Red, 6), 146},
-		{"change error <= 6 s", within(errs.Change, 6), 196},
+		{"red error <= 6 s", within(errs.Red, 6), 180},
+		{"change error <= 6 s", within(errs.Change, 6), 243},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: %d, want %d", c.name, c.got, c.want)
 		}
 	}
-	const want = "b08c019b67f3591dd73d9aad1b9aa8ffd678da1e6c4781245ba8fff7a67bffd8"
+	const want = "3102eaabed686e2f340c120540160b416e5cc842366e9ab08726032c752ecc78"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("error digest %s, want %s", got, want)
 	}
@@ -293,8 +293,10 @@ func TestFig14CompareRuns(t *testing.T) {
 
 func TestPaperModePipelineConfig(t *testing.T) {
 	cfg := PaperModePipelineConfig()
-	if cfg.Cycle.Candidates != 1 || cfg.RefineRed || cfg.Red.CadenceCorrection {
-		t.Fatalf("paper mode config wrong: %+v", cfg)
+	want := core.DefaultPipelineConfig()
+	want.Cycle.Candidates = 1
+	if cfg != want {
+		t.Fatalf("paper mode config wrong: %+v, want only Candidates 1 off the default", cfg)
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)

@@ -5,10 +5,12 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 
 	"taxilight/internal/core"
 	"taxilight/internal/dsp"
 	"taxilight/internal/lights"
+	"taxilight/internal/stats"
 )
 
 // syntheticApproach generates irregular speed samples for one approach
@@ -117,23 +119,110 @@ func Fig9(w io.Writer, seed int64) error {
 	const cycle, red = 106.0, 63.0
 	rng := rand.New(rand.NewSource(seed))
 	stops := syntheticStopEvents(rng, red, cycle, 400, 0.08)
-	durations := core.StopDurations(stops, cycle)
 	fmt.Fprintf(w, "usable stop events: %d (cycle %v s, truth red %v s, paper's Fig. 9 setup)\n",
-		len(durations), cycle, red)
-	redCfg := core.DefaultRedConfig()
-	redCfg.CadenceCorrection = false // synthetic durations are exact
-	est, err := core.IdentifyRed(stops, cycle, redCfg)
+		len(core.FilterStops(stops, cycle)), cycle, red)
+	est, err := borderIntervalRed(stops, cycle)
 	if err != nil {
 		return err
 	}
-	naive, err := core.MaxStopDuration(stops, cycle)
+	naive := longestStop(stops, cycle)
+	ml, err := core.IdentifyRed(stops, cycle, core.DefaultRedConfig())
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "naive longest-stop estimate: %.1f s (error %.1f s)\n", naive, math.Abs(naive-red))
 	fmt.Fprintf(w, "border-interval estimate:    %.1f s (error %.1f s; paper's ground truth 63 s)\n",
 		est, math.Abs(est-red))
+	fmt.Fprintf(w, "stop-model likelihood:       %.1f s (error %.1f s; core.IdentifyRed)\n", ml, math.Abs(ml-red))
 	return nil
+}
+
+// longestStop is the naive red estimate the border interval improves on:
+// the longest usable stop.
+func longestStop(stops []core.StopEvent, cycle float64) float64 {
+	naive := 0.0
+	for _, e := range core.FilterStops(stops, cycle) {
+		naive = max(naive, e.Duration())
+	}
+	return naive
+}
+
+// borderIntervalRed is the paper's red estimator (Fig. 9): the cycle is
+// cut into bins one mean sample interval (20.14 s in the paper's data)
+// wide, and a bin is valid when it holds at least a quarter of the
+// fullest bin's stops. The rightmost bin of the valid run that starts at
+// the first valid bin is the border interval, and red is located inside
+// it by the border bin's count relative to the density of the bins
+// before it, after subtracting the mean count of the error bins to its
+// right as a baseline. The pipeline estimates red with core.IdentifyRed;
+// this stays as the figure's reproduction.
+func borderIntervalRed(stops []core.StopEvent, cycle float64) (float64, error) {
+	const w = 20.14
+	usable := core.FilterStops(stops, cycle)
+	counts := make([]float64, int(math.Ceil(cycle/w)))
+	nbins := len(counts)
+	for _, e := range usable {
+		counts[min(int(e.Duration()/w), nbins-1)]++
+	}
+	threshold := 0.25 * slices.Max(counts)
+	valid := func(c float64) bool { return c >= threshold && c > 0 }
+	first := max(0, slices.IndexFunc(counts, valid))
+	border := first
+	for border+1 < nbins && valid(counts[first]) && valid(counts[border+1]) {
+		border++
+	}
+	baseline := 0.0
+	if border+1 < nbins {
+		baseline = stats.Mean(counts[border+1:])
+	}
+	// meanWithin is the mean duration of the usable stops in [lo, hi),
+	// NaN when there are none.
+	meanWithin := func(lo, hi float64) float64 {
+		var in []float64
+		for _, e := range usable {
+			if d := e.Duration(); d >= lo && d < hi {
+				in = append(in, d)
+			}
+		}
+		return stats.Mean(in)
+	}
+	var fullSum float64
+	for _, c := range counts[:border] {
+		fullSum += c
+	}
+	fullSum -= float64(border) * baseline
+	red, limit := 0.0, cycle
+	switch {
+	case border == 0:
+		// All valid mass in one bin: red is twice its mean duration.
+		red, limit = 2*meanWithin(0, w), w
+	case fullSum <= 0:
+		// The mass sits in the border bin with nothing before it: take
+		// the bin's mean duration.
+		hi := float64(border+1) * w
+		if border == nbins-1 {
+			hi = math.Inf(1)
+		}
+		red = meanWithin(float64(border)*w, hi)
+	default:
+		perBin := fullSum / float64(border)
+		validSum := fullSum + math.Max(0, counts[border]-baseline)
+		red = w * validSum / perBin
+	}
+	// Bound the estimate to (0, limit) and at most cycle-1.
+	if red >= cycle {
+		red = cycle - 1
+	}
+	if red >= limit {
+		red = math.Nextafter(limit, 0)
+	}
+	if red <= 0 {
+		red = 1
+	}
+	if math.IsNaN(red) {
+		return 0, fmt.Errorf("%w: empty border interval", core.ErrInsufficientData)
+	}
+	return red, nil
 }
 
 // Fig10 reproduces data superposition: three consecutive cycles of

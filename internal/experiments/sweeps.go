@@ -8,15 +8,18 @@ import (
 	"slices"
 
 	"taxilight/internal/core"
+	"taxilight/internal/dsp"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/stats"
 )
 
 // CollectFig14With is CollectFig14 under an explicit pipeline
 // configuration — the hook the mode-comparison and density sweeps use.
-// Run r builds its world at seed cfg.Seed + r, and each run's errors are
-// appended in key order (light, then approach).
-func CollectFig14With(cfg WorldConfig, pcfg core.PipelineConfig, runs int) (Fig14Errors, error) {
+// With paper set, every identified approach's red and change are
+// re-derived the paper's way (paperRedAndChange). Run r builds its world
+// at seed cfg.Seed + r, and each run's errors are appended in key order
+// (light, then approach).
+func CollectFig14With(cfg WorldConfig, pcfg core.PipelineConfig, runs int, paper bool) (Fig14Errors, error) {
 	var out Fig14Errors
 	base := cfg.Seed
 	for r := 0; r < runs; r++ {
@@ -29,6 +32,12 @@ func CollectFig14With(cfg WorldConfig, pcfg core.PipelineConfig, runs int) (Fig1
 		if err != nil {
 			return out, err
 		}
+		var idx *core.StopIndex
+		if paper {
+			if idx, err = core.BuildStopIndex(world.Part, pcfg.Stops); err != nil {
+				return out, err
+			}
+		}
 		keys := make([]mapmatch.Key, 0, len(results))
 		for key := range results {
 			keys = append(keys, key)
@@ -38,6 +47,9 @@ func CollectFig14With(cfg WorldConfig, pcfg core.PipelineConfig, runs int) (Fig1
 		})
 		for _, key := range keys {
 			res := results[key]
+			if paper && res.Err == nil {
+				res = paperRedAndChange(world, idx, key, res, pcfg.MaxSpeedDist)
+			}
 			if res.Err != nil {
 				out.Failures++
 				continue
@@ -52,15 +64,40 @@ func CollectFig14With(cfg WorldConfig, pcfg core.PipelineConfig, runs int) (Fig1
 	return out, nil
 }
 
-// PaperModePipelineConfig disables every extension beyond the paper:
-// plain DFT argmax (Eq. 2), no sub-bin refinement, stop-duration red with
-// no cadence correction, plain sliding-window change point.
+// PaperModePipelineConfig is the pipeline of the paper's procedure: plain
+// DFT argmax (Eq. 2) with no sub-bin refinement. Its red and change are
+// the paper's too once paperRedAndChange re-derives them.
 func PaperModePipelineConfig() core.PipelineConfig {
 	cfg := core.DefaultPipelineConfig()
 	cfg.Cycle.Candidates = 1
-	cfg.RefineRed = false
-	cfg.Red.CadenceCorrection = false
 	return cfg
+}
+
+// paperRedAndChange replaces an identified result's red with the border
+// interval over its key's stops (Fig. 9), and its change with the
+// sliding window of that red over the fold of its key's in-window,
+// non-dwell speed samples (Figs. 10-11).
+func paperRedAndChange(w *World, idx *core.StopIndex, key mapmatch.Key, res core.Result, maxDist float64) core.Result {
+	red, err := borderIntervalRed(idx.Stops(key), res.Cycle)
+	if err != nil {
+		res.Err = err
+		return res
+	}
+	var win []dsp.Sample
+	for _, s := range core.SpeedSamplesNear(idx.FilterDwellRecords(w.Part[key]), maxDist) {
+		if s.T >= 0 && s.T <= w.Horizon {
+			win = append(win, s)
+		}
+	}
+	folded, err := core.Superpose(win, res.Cycle, 0)
+	if err == nil {
+		var ch core.ChangeEstimate
+		ch, err = core.IdentifyChange(folded, res.Cycle, red)
+		res.Red, res.Green = red, res.Cycle-red
+		res.GreenToRedPhase, res.RedToGreenPhase = ch.GreenToRed, ch.RedToGreen
+	}
+	res.Err = err
+	return res
 }
 
 // Fig14Compare prints the Fig. 14 error CDFs twice: once with the
@@ -68,19 +105,16 @@ func PaperModePipelineConfig() core.PipelineConfig {
 // extensions, quantifying what the extensions buy at the system level.
 func Fig14Compare(w io.Writer, cfg WorldConfig, runs int) error {
 	section(w, "Fig. 14 (comparison) — paper procedure vs extended estimators")
-	modes := []struct {
-		name string
-		pcfg core.PipelineConfig
-	}{
-		{"paper mode", PaperModePipelineConfig()},
-		{"extended  ", core.DefaultPipelineConfig()},
-	}
-	for _, mode := range modes {
-		errs, err := CollectFig14With(cfg, mode.pcfg, runs)
+	for _, paper := range []bool{true, false} {
+		name, pcfg := "extended  ", core.DefaultPipelineConfig()
+		if paper {
+			name, pcfg = "paper mode", PaperModePipelineConfig()
+		}
+		errs, err := CollectFig14With(cfg, pcfg, runs, paper)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%s (%d approaches):\n", mode.name, len(errs.Cycle))
+		fmt.Fprintf(w, "%s (%d approaches):\n", name, len(errs.Cycle))
 		printErrCDF(w, "  cycle length", errs.Cycle)
 		printErrCDF(w, "  red duration", errs.Red)
 		printErrCDF(w, "  change time", errs.Change)
@@ -118,7 +152,7 @@ func SweepDensity(w io.Writer, seed int64, runs int) error {
 		wcfg.Taxis = taxis
 		wcfg.Horizon = 3600
 		wcfg.Seed = seed
-		errs, err := CollectFig14With(wcfg, core.DefaultPipelineConfig(), runs)
+		errs, err := CollectFig14With(wcfg, core.DefaultPipelineConfig(), runs, false)
 		if err != nil {
 			return err
 		}
