@@ -100,7 +100,7 @@ func main() {
 		fatal(fmt.Errorf("-max-bad-frac must be within [0, 1], got %g", *maxBadFrac))
 	}
 
-	net, err := loadNetwork(*netFile, *osmFile, *rows, *cols, *seed)
+	net, err := roadnet.LoadNetwork(*netFile, *osmFile, *rows, *cols, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -295,38 +295,6 @@ func main() {
 	}
 	fmt.Fprintln(os.Stderr, "lightd: drained; final counters:")
 	fmt.Fprintln(os.Stderr, srv.Summary())
-}
-
-// loadNetwork mirrors lightid's network resolution: explicit network
-// file, then OSM extract, then the synthetic grid parameters.
-func loadNetwork(netFile, osmFile string, rows, cols int, seed int64) (*roadnet.Network, error) {
-	if netFile != "" {
-		nf, err := os.Open(netFile)
-		if err != nil {
-			return nil, err
-		}
-		net, err := roadnet.ReadNetwork(nf)
-		if cerr := nf.Close(); err == nil {
-			err = cerr
-		}
-		return net, err
-	}
-	if osmFile != "" {
-		mf, err := os.Open(osmFile)
-		if err != nil {
-			return nil, err
-		}
-		net, err := roadnet.ImportOSM(mf, roadnet.DefaultOSMConfig())
-		if cerr := mf.Close(); err == nil {
-			err = cerr
-		}
-		return net, err
-	}
-	gcfg := roadnet.DefaultGridConfig()
-	gcfg.Rows, gcfg.Cols = rows, cols
-	gcfg.Seed = seed
-	gcfg.CycleMin, gcfg.CycleMax = 80, 140
-	return roadnet.GenerateGrid(gcfg)
 }
 
 // parsePeers parses the -cluster-peers "id=url,id=url" seed list.

@@ -75,44 +75,16 @@ func main() {
 		fmt.Printf("loaded %d records\n", len(records))
 	}
 
-	var net *roadnet.Network
-	if *netFile != "" {
-		nf, err := os.Open(*netFile)
-		if err != nil {
-			fatal(err)
-		}
-		net, err = roadnet.ReadNetwork(nf)
-		if cerr := nf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(err)
-		}
+	net, err := roadnet.LoadNetwork(*netFile, *osmFile, *rows, *cols, *seed)
+	if err != nil {
+		fatal(err)
+	}
+	switch {
+	case *netFile != "":
 		fmt.Printf("loaded network: %d nodes, %d segments\n", net.NumNodes(), net.NumSegments())
-	} else if *osmFile != "" {
-		mf, err := os.Open(*osmFile)
-		if err != nil {
-			fatal(err)
-		}
-		net, err = roadnet.ImportOSM(mf, roadnet.DefaultOSMConfig())
-		if cerr := mf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(err)
-		}
+	case *osmFile != "":
 		fmt.Printf("imported OSM network: %d nodes, %d segments, %d signals\n",
 			net.NumNodes(), net.NumSegments(), len(net.SignalisedNodes()))
-	} else {
-		gcfg := roadnet.DefaultGridConfig()
-		gcfg.Rows, gcfg.Cols = *rows, *cols
-		gcfg.Seed = *seed
-		gcfg.CycleMin, gcfg.CycleMax = 80, 140
-		var err error
-		net, err = roadnet.GenerateGrid(gcfg)
-		if err != nil {
-			fatal(err)
-		}
 	}
 	matcher, err := mapmatch.New(net, trace.Epoch, mapmatch.DefaultConfig())
 	if err != nil {

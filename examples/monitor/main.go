@@ -10,20 +10,27 @@ import (
 	"log"
 
 	"taxilight/internal/core"
+	"taxilight/internal/experiments"
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/roadnet"
-	"taxilight/internal/trace"
 	"taxilight/internal/trafficsim"
 )
 
 func main() {
 	// A 3x3 grid whose centre light runs a two-plan daily schedule:
 	// off-peak 90 s, peak 150 s during 07:00-10:00 and 17:00-20:00.
-	gcfg := roadnet.DefaultGridConfig()
-	gcfg.Rows, gcfg.Cols = 3, 3
-	gcfg.DynamicShare = 0
-	net, err := roadnet.GenerateGrid(gcfg)
+	// Half a simulated day of traffic (04:00 - 13:00 covers two switches),
+	// on a grid whose other lights draw cycles of 60-160 s.
+	cfg := experiments.WorldConfig{
+		Rows: 3, Cols: 3,
+		Taxis:        200,
+		Seed:         1,
+		Horizon:      13 * 3600,
+		GridOverride: func(g *roadnet.GridConfig) { g.CycleMin, g.CycleMax = 60, 160 },
+		SimOverride:  func(s *trafficsim.Config) { s.StartTime = 4 * 3600 },
+	}
+	net, err := roadnet.GenerateGrid(cfg.GridConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,34 +48,18 @@ func main() {
 	target := roadnet.NodeID(4)
 	net.Node(target).Light.Ctrl = dyn
 
-	// Half a simulated day of traffic (04:00 - 13:00 covers two switches).
-	scfg := trafficsim.DefaultConfig(net)
-	scfg.NumTaxis = 200
-	scfg.StartTime = 4 * 3600
-	sim, err := trafficsim.New(scfg)
+	world, err := experiments.NewWorld(net, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tcfg := trace.DefaultGenConfig(sim, net.Projection())
-	tcfg.Activity = nil
-	gen, err := trace.NewGenerator(tcfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	records := gen.Collect(13 * 3600)
-	fmt.Printf("collected %d records between 04:00 and 13:00\n", len(records))
-
-	matcher, err := mapmatch.New(net, trace.Epoch, mapmatch.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	part := matcher.PartitionRecords(records)
-	stopIdx, err := core.BuildStopIndex(part, core.DefaultStopExtractConfig())
+	world.Collect()
+	fmt.Printf("collected %d records between 04:00 and 13:00\n", len(world.Records))
+	stopIdx, err := core.BuildStopIndex(world.Part, core.DefaultStopExtractConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
 	key := mapmatch.Key{Light: target, Approach: lights.NorthSouth}
-	samples := core.SpeedSamplesNear(stopIdx.FilterDwellRecords(part[key]), 120)
+	samples := core.SpeedSamplesNear(stopIdx.FilterDwellRecords(world.Part[key]), 120)
 
 	mon, err := core.NewMonitor(core.DefaultMonitorConfig())
 	if err != nil {

@@ -13,10 +13,9 @@ import (
 	"strings"
 
 	"taxilight/internal/core"
+	"taxilight/internal/experiments"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/roadnet"
-	"taxilight/internal/trace"
-	"taxilight/internal/trafficsim"
 )
 
 // buildOSMExtract renders a rows x cols signalised grid as OSM XML.
@@ -65,45 +64,21 @@ func main() {
 	fmt.Printf("imported: %d nodes, %d segments, %d signalised intersections\n",
 		net.NumNodes(), net.NumSegments(), len(net.SignalisedNodes()))
 
-	scfg := trafficsim.DefaultConfig(net)
-	scfg.NumTaxis = 250
-	sim, err := trafficsim.New(scfg)
+	world, err := experiments.NewWorld(net, experiments.WorldConfig{Taxis: 250, Seed: 1, Horizon: 3600})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tcfg := trace.DefaultGenConfig(sim, net.Projection())
-	tcfg.Activity = nil
-	gen, err := trace.NewGenerator(tcfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	records := gen.Collect(3600)
-	fmt.Printf("simulated %d records over one hour\n", len(records))
+	world.Collect()
+	fmt.Printf("simulated %d records over one hour\n", len(world.Records))
 
-	matcher, err := mapmatch.New(net, trace.Epoch, mapmatch.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
 	var stats mapmatch.MatchStats
-	var matched []mapmatch.Matched
-	for _, r := range records {
-		if m, ok := matcher.MatchWithStats(r, &stats); ok {
-			matched = append(matched, m)
-		}
+	for _, r := range world.Records {
+		world.Matcher.MatchWithStats(r, &stats)
 	}
 	fmt.Printf("map matching: %.1f%% matched (%d fallback, %d no-segment)\n",
 		100*stats.MatchRate(), stats.FallbackMatched, stats.RejectedNoSegment)
-	part := mapmatch.Partition{}
-	for _, m := range matched {
-		k := mapmatch.Key{Light: m.Light, Approach: m.Approach}
-		part[k] = append(part[k], m)
-	}
-	for k := range part {
-		ms := part[k]
-		sort.SliceStable(ms, func(i, j int) bool { return ms[i].T < ms[j].T })
-	}
 
-	results, err := core.RunPipeline(part, 0, 3600, core.DefaultPipelineConfig())
+	results, err := core.RunPipeline(world.Part, 0, 3600, core.DefaultPipelineConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

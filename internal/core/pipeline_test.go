@@ -167,7 +167,6 @@ func pipelineFixture(t testing.TB, taxis int, horizon float64) (*roadnet.Network
 	gcfg := roadnet.DefaultGridConfig()
 	gcfg.Rows, gcfg.Cols = 3, 3
 	gcfg.DynamicShare = 0
-	gcfg.CycleMin, gcfg.CycleMax = 80, 140
 	net, err := roadnet.GenerateGrid(gcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +388,6 @@ func TestRunPipelineRotatedIrregularCity(t *testing.T) {
 	gcfg := roadnet.DefaultGridConfig()
 	gcfg.Rows, gcfg.Cols = 3, 3
 	gcfg.DynamicShare = 0
-	gcfg.CycleMin, gcfg.CycleMax = 80, 140
 	gcfg.RotationDeg = 20
 	gcfg.PosJitter = 60
 	net, err := roadnet.GenerateGrid(gcfg)

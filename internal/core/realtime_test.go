@@ -40,7 +40,6 @@ func realtimeFixture(t testing.TB, horizon float64) (*Engine, *roadnet.Network, 
 	gcfg := roadnet.DefaultGridConfig()
 	gcfg.Rows, gcfg.Cols = 3, 3
 	gcfg.DynamicShare = 0
-	gcfg.CycleMin, gcfg.CycleMax = 80, 140
 	net, err := roadnet.GenerateGrid(gcfg)
 	if err != nil {
 		t.Fatal(err)

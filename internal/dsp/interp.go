@@ -165,11 +165,6 @@ func (s *CubicSpline) fit() {
 	}
 }
 
-// Domain returns the time span [min, max] covered by the spline knots.
-func (s *CubicSpline) Domain() (float64, float64) {
-	return s.xs[0], s.xs[len(s.xs)-1]
-}
-
 // At evaluates the spline at time t. Outside the knot range the boundary
 // cubic is extrapolated.
 func (s *CubicSpline) At(t float64) float64 {

@@ -188,9 +188,6 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 	return p, nil
 }
 
-// N returns the transform length the plan was built for.
-func (p *FFTPlan) N() int { return p.core.n }
-
 // MagnitudesReal transforms the real signal x (len(x) must equal N) and
 // returns the magnitude spectrum. The returned slice is owned by the plan
 // and overwritten by the next call.

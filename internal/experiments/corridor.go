@@ -22,11 +22,10 @@ func Corridor(w io.Writer, seed int64) error {
 	section(w, "Corridor retiming — identify an arterial, recommend a green wave")
 	// Build a 2x5 city whose bottom row is a coordinated-cycle arterial
 	// with deliberately bad (random) offsets.
-	gcfg := roadnet.DefaultGridConfig()
-	gcfg.Rows, gcfg.Cols = 2, 5
-	gcfg.Seed = seed
-	gcfg.DynamicShare = 0
-	gcfg.CycleMin, gcfg.CycleMax = 80, 140
+	wcfg := DefaultWorldConfig()
+	wcfg.Rows, wcfg.Cols = 2, 5
+	wcfg.Seed = seed
+	gcfg := wcfg.GridConfig()
 	net, err := roadnet.GenerateGrid(gcfg)
 	if err != nil {
 		return err
@@ -39,9 +38,6 @@ func Corridor(w io.Writer, seed int64) error {
 			Cycle: corridorCycle, Red: corridorRed, Offset: trueOffsets[c],
 		}}
 	}
-	wcfg := DefaultWorldConfig()
-	wcfg.Rows, wcfg.Cols = gcfg.Rows, gcfg.Cols
-	wcfg.Seed = seed
 	world, err := buildWorldOn(net, wcfg)
 	if err != nil {
 		return err

@@ -2,8 +2,13 @@
 // evaluation from the synthetic substrate: each Fig*/Table* function
 // builds a deterministic simulated world, runs the relevant part of the
 // pipeline, and prints the same rows/series the paper reports, alongside
-// ground truth. cmd/experiments exposes them on the command line and the
-// repository-root benchmarks wrap them for `go test -bench`.
+// ground truth. cmd/experiments exposes them on the command line; the
+// ablation benchmarks in this package's tests measure the estimator's
+// alternatives.
+//
+// Every simulated world outside bench/ comes from one recipe in this
+// file: WorldConfig.GridConfig maps a world onto roadnet's grid, and
+// NewWorld puts simulator, generator and matcher on a network.
 package experiments
 
 import (
@@ -20,20 +25,23 @@ import (
 // experiments and the bench read it by).
 var Epoch = trace.Epoch
 
-// World bundles one simulated city, its taxi trace and the partitioned
-// records, ready for identification experiments.
+// World is one simulated city as the recipe assembles it: a simulator on
+// Net, the Table I generator sampling it and the matcher that attributes
+// its records to signal approaches. NewWorld collects nothing (stream
+// through Gen.Stream and Matcher); Collect fills Records and Part.
 type World struct {
 	Net     *roadnet.Network
 	Sim     *trafficsim.Simulator
 	Gen     *trace.Generator
+	Matcher *mapmatch.Matcher
 	Records []trace.Record
 	Part    mapmatch.Partition
-	Matcher *mapmatch.Matcher
-	// Horizon is the simulated duration in seconds.
+	// Horizon is the simulated duration in seconds Collect runs to.
 	Horizon float64
 }
 
-// WorldConfig parameterises BuildWorld.
+// WorldConfig parameterises the recipe. Seed drives the grid, the
+// simulator and the generator alike.
 type WorldConfig struct {
 	Rows, Cols int
 	Taxis      int
@@ -65,27 +73,43 @@ func DefaultWorldConfig() WorldConfig {
 	}
 }
 
-// BuildWorld constructs the full simulated stack deterministically from
-// the config.
-func BuildWorld(cfg WorldConfig) (*World, error) {
+// GridConfig is the grid cfg's world is built on: roadnet's defaults
+// with cfg's size, seed and dynamic share, then GridOverride.
+func (cfg WorldConfig) GridConfig() roadnet.GridConfig {
 	gcfg := roadnet.DefaultGridConfig()
 	gcfg.Rows, gcfg.Cols = cfg.Rows, cfg.Cols
 	gcfg.Seed = cfg.Seed
 	gcfg.DynamicShare = cfg.DynamicShare
-	gcfg.CycleMin, gcfg.CycleMax = 80, 140
 	if cfg.GridOverride != nil {
 		cfg.GridOverride(&gcfg)
 	}
-	net, err := roadnet.GenerateGrid(gcfg)
+	return gcfg
+}
+
+// BuildWorld generates cfg's grid and collects its world to the horizon.
+func BuildWorld(cfg WorldConfig) (*World, error) {
+	net, err := roadnet.GenerateGrid(cfg.GridConfig())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: grid: %w", err)
 	}
 	return buildWorldOn(net, cfg)
 }
 
-// buildWorldOn simulates traffic and generates the trace on an existing
-// network (used when a caller customises light controllers first).
+// buildWorldOn collects cfg's world on an existing network (used when a
+// caller customises light controllers first).
 func buildWorldOn(net *roadnet.Network, cfg WorldConfig) (*World, error) {
+	w, err := NewWorld(net, cfg)
+	if err != nil {
+		return nil, err
+	}
+	w.Collect()
+	return w, nil
+}
+
+// NewWorld puts the simulator, the generator (epoch Epoch, the diurnal
+// profile only when cfg.Diurnal) and the default matcher on net. It
+// simulates nothing yet.
+func NewWorld(net *roadnet.Network, cfg WorldConfig) (*World, error) {
 	scfg := trafficsim.DefaultConfig(net)
 	scfg.NumTaxis = cfg.Taxis
 	scfg.Seed = cfg.Seed
@@ -107,20 +131,18 @@ func buildWorldOn(net *roadnet.Network, cfg WorldConfig) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generator: %w", err)
 	}
-	records := gen.Collect(cfg.Horizon)
 	matcher, err := mapmatch.New(net, Epoch, mapmatch.DefaultConfig())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: matcher: %w", err)
 	}
-	return &World{
-		Net:     net,
-		Sim:     sim,
-		Gen:     gen,
-		Records: records,
-		Part:    matcher.PartitionRecords(records),
-		Matcher: matcher,
-		Horizon: cfg.Horizon,
-	}, nil
+	return &World{Net: net, Sim: sim, Gen: gen, Matcher: matcher, Horizon: cfg.Horizon}, nil
+}
+
+// Collect runs the world to its horizon, keeping every record in Records
+// and the matched ones, per approach and in time order, in Part.
+func (w *World) Collect() {
+	w.Records = w.Gen.Collect(w.Horizon)
+	w.Part = w.Matcher.PartitionRecords(w.Records)
 }
 
 // section prints a figure/table header.

@@ -76,16 +76,12 @@ func Table2(w io.Writer, cfg WorldConfig) error {
 
 func buildTable2World(cfg WorldConfig) (*World, error) {
 	// Build the network first so weights can reference real node IDs.
-	gcfg := roadnet.DefaultGridConfig()
-	gcfg.Rows, gcfg.Cols = cfg.Rows, cfg.Cols
-	gcfg.Seed = cfg.Seed
-	gcfg.CycleMin, gcfg.CycleMax = 80, 140
-	net, err := roadnet.GenerateGrid(gcfg)
+	net, err := roadnet.GenerateGrid(cfg.GridConfig())
 	if err != nil {
 		return nil, err
 	}
 	cfg.NodeWeights = table2Weights(net)
-	return BuildWorld(cfg)
+	return buildWorldOn(net, cfg)
 }
 
 // Fig13 reproduces the ground-truth vs identified comparison at one time

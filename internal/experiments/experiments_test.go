@@ -6,11 +6,15 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"taxilight/internal/core"
+	"taxilight/internal/mapmatch"
+	"taxilight/internal/roadnet"
+	"taxilight/internal/trace"
 	"taxilight/internal/trafficsim"
 )
 
@@ -37,6 +41,67 @@ func TestBuildWorldDeterministic(t *testing.T) {
 	for i := range a.Records {
 		if a.Records[i] != b.Records[i] {
 			t.Fatalf("record %d differs", i)
+		}
+	}
+}
+
+// TestStreamedWorldMatchesCollect streams one world record by record
+// through its matcher, and must reach the partition Collect builds for a
+// second world of the same config on the same network.
+func TestStreamedWorldMatchesCollect(t *testing.T) {
+	cfg := smallWorld()
+	net, err := roadnet.GenerateGrid(cfg.GridConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected, err := buildWorldOn(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := NewWorld(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := mapmatch.Partition{}
+	n := 0
+	if err := streamed.Gen.Stream(cfg.Horizon, func(r trace.Record) error {
+		n++
+		if mt, ok := streamed.Matcher.Match(r); ok {
+			k := mapmatch.Key{Light: mt.Light, Approach: mt.Approach}
+			part[k] = append(part[k], mt)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(collected.Records) {
+		t.Fatalf("streamed %d records, Collect kept %d", n, len(collected.Records))
+	}
+	if len(part) == 0 || !reflect.DeepEqual(part, collected.Part) {
+		t.Fatalf("streamed partition (%d keys) differs from Collect's Part (%d keys)", len(part), len(collected.Part))
+	}
+}
+
+// TestTable2WeightsKeyTheWorldsOwnNodes gives the Table II world a grid
+// override that changes its size: the destination weights must key the
+// nodes of the network the fleet drives on, not of a grid drawn without
+// the override.
+func TestTable2WeightsKeyTheWorldsOwnNodes(t *testing.T) {
+	cfg := smallWorld()
+	cfg.Horizon = 60
+	cfg.GridOverride = func(g *roadnet.GridConfig) { g.Rows, g.Cols = 2, 3 }
+	var weights map[roadnet.NodeID]float64
+	cfg.SimOverride = func(s *trafficsim.Config) { weights = s.NodeWeights }
+	w, err := buildTable2World(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(weights) != w.Net.NumNodes() {
+		t.Fatalf("%d weights for a network of %d nodes", len(weights), w.Net.NumNodes())
+	}
+	for id := range weights {
+		if int(id) >= w.Net.NumNodes() {
+			t.Fatalf("weight for node %d outside the world's %d nodes", id, w.Net.NumNodes())
 		}
 	}
 }

@@ -109,12 +109,7 @@ func Fig12(w io.Writer, cfg Fig12Config) error {
 // rebuildWithDynamic builds a world whose target light runs the given
 // dynamic controller before any traffic is simulated.
 func rebuildWithDynamic(cfg WorldConfig, target roadnet.NodeID, ctrl lights.Controller) (*World, error) {
-	gcfg := roadnet.DefaultGridConfig()
-	gcfg.Rows, gcfg.Cols = cfg.Rows, cfg.Cols
-	gcfg.Seed = cfg.Seed
-	gcfg.DynamicShare = 0
-	gcfg.CycleMin, gcfg.CycleMax = 80, 140
-	net, err := roadnet.GenerateGrid(gcfg)
+	net, err := roadnet.GenerateGrid(cfg.GridConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/roadnet"
 	"taxilight/internal/trace"
-	"taxilight/internal/trafficsim"
 )
 
 // MegacityConfig parameterises BuildMegacity: a city built from
@@ -59,18 +58,14 @@ func (c MegacityConfig) Validate() error {
 	return nil
 }
 
-// District is one independently simulated slice of the megacity. Its
-// network lives in the city's planar frame (positions already offset,
-// light IDs already global) but keeps district-local node IDs; matched
-// keys are remapped to the merged network's node range by NodeOffset.
+// District is one independently simulated slice of the megacity: the
+// recipe's world on the district's standalone network, which lives in the
+// city's planar frame (positions already offset, light IDs already
+// global) but keeps district-local node IDs; matched keys are remapped to
+// the merged network's node range by NodeOffset.
 type District struct {
+	*World
 	Index int
-	// Net is the district's standalone network, translated into the city
-	// frame and finalized.
-	Net     *roadnet.Network
-	Sim     *trafficsim.Simulator
-	Gen     *trace.Generator
-	Matcher *mapmatch.Matcher
 	// NodeOffset maps district-local node IDs onto the merged network:
 	// local node i is city node NodeOffset+i.
 	NodeOffset roadnet.NodeID
@@ -96,10 +91,13 @@ func BuildMegacity(cfg MegacityConfig) (*Megacity, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	gcfg := roadnet.DefaultGridConfig()
-	gcfg.Rows, gcfg.Cols = cfg.Rows, cfg.Cols
-	gcfg.DynamicShare = cfg.DynamicShare
-	gcfg.CycleMin, gcfg.CycleMax = 80, 140
+	wcfg := WorldConfig{
+		Rows: cfg.Rows, Cols: cfg.Cols,
+		Taxis:        cfg.TaxisPerDistrict,
+		DynamicShare: cfg.DynamicShare,
+		Diurnal:      cfg.Diurnal,
+	}
+	gcfg := wcfg.GridConfig()
 
 	// Districts tile a square super-grid, separated by well over the
 	// map-matching radius so a record can only ever match its own
@@ -113,8 +111,8 @@ func BuildMegacity(cfg MegacityConfig) (*Megacity, error) {
 	m := &Megacity{Cfg: cfg, Net: city}
 	var nodesPer int
 	for i := 0; i < cfg.Districts; i++ {
-		gcfg.Seed = cfg.Seed + int64(i)*1_000_003
-		grid, err := roadnet.GenerateGrid(gcfg)
+		wcfg.Seed = cfg.Seed + int64(i)*1_000_003
+		grid, err := roadnet.GenerateGrid(wcfg.GridConfig())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: district %d grid: %w", i, err)
 		}
@@ -142,34 +140,13 @@ func BuildMegacity(cfg MegacityConfig) (*Megacity, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: district %d append: %w", i, err)
 		}
-
-		scfg := trafficsim.DefaultConfig(dnet)
-		scfg.NumTaxis = cfg.TaxisPerDistrict
-		scfg.Seed = gcfg.Seed
-		sim, err := trafficsim.New(scfg)
+		w, err := NewWorld(dnet, wcfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: district %d sim: %w", i, err)
-		}
-		tcfg := trace.DefaultGenConfig(sim, dnet.Projection())
-		tcfg.Seed = gcfg.Seed
-		tcfg.Epoch = Epoch
-		if !cfg.Diurnal {
-			tcfg.Activity = nil
-		}
-		gen, err := trace.NewGenerator(tcfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: district %d generator: %w", i, err)
-		}
-		matcher, err := mapmatch.New(dnet, Epoch, mapmatch.DefaultConfig())
-		if err != nil {
-			return nil, fmt.Errorf("experiments: district %d matcher: %w", i, err)
+			return nil, fmt.Errorf("experiments: district %d: %w", i, err)
 		}
 		m.Districts = append(m.Districts, &District{
+			World:       w,
 			Index:       i,
-			Net:         dnet,
-			Sim:         sim,
-			Gen:         gen,
-			Matcher:     matcher,
 			NodeOffset:  base,
 			PlatePrefix: fmt.Sprintf("d%02d", i),
 		})

@@ -106,3 +106,43 @@ func TestMegacityMatchedKeysAndDeterminism(t *testing.T) {
 		t.Fatal("no matched records from any district")
 	}
 }
+
+// TestCollectMatchedInChunks collects one district's first 600 s in three
+// calls and a twin district's in one: the chunks must join into the same
+// matched records.
+func TestCollectMatchedInChunks(t *testing.T) {
+	ma, err := BuildMegacity(smallMegacityConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := BuildMegacity(smallMegacityConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := ma.Districts[1]
+	var chunked []mapmatch.Matched
+	for _, until := range []float64{150, 400, 600} {
+		ms, err := d.CollectMatched(until)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunked = append(chunked, ms...)
+	}
+	whole, err := mb.Districts[1].CollectMatched(600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(whole) == 0 || len(chunked) != len(whole) {
+		t.Fatalf("%d matched records in chunks, %d in one call", len(chunked), len(whole))
+	}
+	for i := range whole {
+		a, b := chunked[i], whole[i]
+		if a.Seg.ID != b.Seg.ID {
+			t.Fatalf("record %d: segment %d in chunks, %d in one call", i, a.Seg.ID, b.Seg.ID)
+		}
+		a.Seg = b.Seg // twin networks: equal segments, distinct pointers
+		if a != b {
+			t.Fatalf("record %d: chunked %+v, one call %+v", i, a, b)
+		}
+	}
+}

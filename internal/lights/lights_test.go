@@ -75,18 +75,6 @@ func TestNextGreenAndWait(t *testing.T) {
 	}
 }
 
-func TestChangeTimes(t *testing.T) {
-	s := Schedule{Cycle: 98, Red: 39}
-	r2g, g2r := s.ChangeTimes(50) // cycle [0, 98)
-	if r2g != 39 || g2r != 98 {
-		t.Fatalf("ChangeTimes = %v, %v", r2g, g2r)
-	}
-	r2g, g2r = s.ChangeTimes(100) // cycle [98, 196)
-	if r2g != 137 || g2r != 196 {
-		t.Fatalf("ChangeTimes = %v, %v", r2g, g2r)
-	}
-}
-
 func TestOpposedAntiPhase(t *testing.T) {
 	s := Schedule{Cycle: 98, Red: 39, Offset: 11}
 	o := s.Opposed()

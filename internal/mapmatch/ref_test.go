@@ -73,7 +73,6 @@ func tapeRecords(t testing.TB, rows int, spacing float64, taxis int, until float
 	t.Helper()
 	gcfg := roadnet.DefaultGridConfig()
 	gcfg.Rows, gcfg.Cols, gcfg.Spacing = rows, rows, spacing
-	gcfg.CycleMin, gcfg.CycleMax = 80, 140
 	net, err := roadnet.GenerateGrid(gcfg)
 	if err != nil {
 		t.Fatal(err)

@@ -43,13 +43,15 @@ type GridConfig struct {
 }
 
 // DefaultGridConfig returns a 6x6 city of 800 m blocks resembling the
-// paper's study area.
+// paper's study area, with static cycles of 80-140 s: the range every
+// simulated world draws (internal/experiments' recipe, the grid of
+// roadnet.LoadNetwork, the bench tapes).
 func DefaultGridConfig() GridConfig {
 	return GridConfig{
 		Rows: 6, Cols: 6,
 		Spacing:    800,
 		SpeedLimit: 13.9, // 50 km/h
-		CycleMin:   60, CycleMax: 160,
+		CycleMin:   80, CycleMax: 140,
 		RedFracMin: 0.35, RedFracMax: 0.65,
 		DynamicShare: 0.2,
 		Seed:         1,

@@ -7,7 +7,6 @@ package roadnet
 
 import (
 	"fmt"
-	"math"
 
 	"taxilight/internal/geo"
 	"taxilight/internal/lights"
@@ -226,11 +225,3 @@ func (n *Network) BBox() geo.BBox {
 
 // TravelTime returns the free-flow traversal time of a segment in seconds.
 func (s *Segment) TravelTime() float64 { return s.length / s.SpeedLimit }
-
-// PerpendicularAt reports whether s and o approach the same node from
-// perpendicular roads (one NS, one EW) — the precondition for the paper's
-// intersection-based enhancement.
-func PerpendicularAt(s, o *Segment) bool {
-	d := geo.HeadingDiff(s.Heading(), o.Heading())
-	return math.Abs(d-90) <= 30
-}

@@ -18,20 +18,6 @@ type Route struct {
 	Truncated bool
 }
 
-// Nodes returns the node sequence visited by the route, starting with the
-// route's origin.
-func (r Route) Nodes(net *Network) []NodeID {
-	if len(r.Segments) == 0 {
-		return nil
-	}
-	out := make([]NodeID, 0, len(r.Segments)+1)
-	out = append(out, net.Segment(r.Segments[0]).From)
-	for _, sid := range r.Segments {
-		out = append(out, net.Segment(sid).To)
-	}
-	return out
-}
-
 // EdgeCost maps a segment to its traversal cost. Routing by distance uses
 // Segment.Length; routing by free-flow time uses Segment.TravelTime.
 type EdgeCost func(*Segment) float64

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
 	"taxilight/internal/geo"
 	"taxilight/internal/lights"
@@ -116,6 +117,33 @@ func scheduleToJSON(s lights.Schedule) *scheduleJSON {
 
 func scheduleFromJSON(s scheduleJSON) lights.Schedule {
 	return lights.Schedule{Cycle: s.Cycle, Red: s.Red, Offset: s.Offset}
+}
+
+// LoadNetwork resolves the road network a tool serves or identifies on:
+// the network file netFile (written by WriteNetwork) when it is set, else
+// the OSM extract osmFile, else the DefaultGridConfig grid of rows x cols
+// drawn from seed.
+func LoadNetwork(netFile, osmFile string, rows, cols int, seed int64) (*Network, error) {
+	read := func(path string, parse func(io.Reader) (*Network, error)) (*Network, error) {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		net, err := parse(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return net, err
+	}
+	switch {
+	case netFile != "":
+		return read(netFile, ReadNetwork)
+	case osmFile != "":
+		return read(osmFile, func(r io.Reader) (*Network, error) { return ImportOSM(r, DefaultOSMConfig()) })
+	}
+	cfg := DefaultGridConfig()
+	cfg.Rows, cfg.Cols, cfg.Seed = rows, cols, seed
+	return GenerateGrid(cfg)
 }
 
 // ReadNetwork deserialises a network written by WriteNetwork and

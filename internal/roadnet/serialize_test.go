@@ -2,6 +2,8 @@ package roadnet
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -152,5 +154,60 @@ func TestReadNetworkErrors(t *testing.T) {
 		if _, err := ReadNetwork(strings.NewReader(c.data)); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
+	}
+}
+
+// TestLoadNetworkResolution checks LoadNetwork's order: a network file
+// wins over an OSM extract, an extract over the grid parameters, and the
+// grid is DefaultGridConfig's at rows x cols and seed.
+func TestLoadNetworkResolution(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DefaultGridConfig()
+	cfg.Rows, cfg.Cols, cfg.Seed = 2, 3, 7
+	want, err := GenerateGrid(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantBytes bytes.Buffer
+	if err := WriteNetwork(&wantBytes, want); err != nil {
+		t.Fatal(err)
+	}
+	netPath, osmPath := filepath.Join(dir, "net.txt"), filepath.Join(dir, "city.osm")
+	if err := os.WriteFile(netPath, wantBytes.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(osmPath, []byte(fixtureOSM), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	osmNet, err := ImportOSM(strings.NewReader(fixtureOSM), DefaultOSMConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name             string
+		netFile, osmFile string
+		want             *Network
+	}{
+		{"network file", netPath, osmPath, want},
+		{"osm extract", "", osmPath, osmNet},
+		{"grid", "", "", want},
+	} {
+		got, err := LoadNetwork(tc.netFile, tc.osmFile, cfg.Rows, cfg.Cols, cfg.Seed)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var a, b bytes.Buffer
+		if err := WriteNetwork(&a, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteNetwork(&b, tc.want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("%s: loaded a different network", tc.name)
+		}
+	}
+	if _, err := LoadNetwork(filepath.Join(dir, "missing.txt"), "", 2, 3, 7); err == nil {
+		t.Fatal("a missing network file loaded")
 	}
 }

@@ -52,15 +52,6 @@ func (h *Histogram) AddN(x float64, n int) {
 	}
 }
 
-// Total returns the total number of observations, including out-of-range.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	return h.Min + (float64(i)+0.5)*h.width
@@ -112,30 +103,4 @@ func (e *ECDF) At(x float64) float64 {
 	}
 	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(i) / float64(len(e.sorted))
-}
-
-// Inverse returns the smallest sample value v with P(X <= v) >= p.
-func (e *ECDF) Inverse(p float64) (float64, error) {
-	if len(e.sorted) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 1 {
-		return 0, fmt.Errorf("stats: probability %v out of [0,1]", p)
-	}
-	i := int(math.Ceil(p*float64(len(e.sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return e.sorted[i], nil
-}
-
-// Points returns the (value, probability) support of the ECDF, one entry
-// per sample, useful for emitting plot series.
-func (e *ECDF) Points() (xs, ps []float64) {
-	xs = append([]float64(nil), e.sorted...)
-	ps = make([]float64, len(xs))
-	for i := range xs {
-		ps[i] = float64(i+1) / float64(len(xs))
-	}
-	return xs, ps
 }

@@ -45,34 +45,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the minimum of xs, or an error if xs is empty.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the maximum of xs, or an error if xs is empty.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the numpy default).
 // xs need not be sorted; it is not modified.
@@ -109,15 +81,6 @@ func FitNormal(xs []float64) (NormalFit, error) {
 		return NormalFit{}, ErrEmpty
 	}
 	return NormalFit{Mu: Mean(xs), Sigma: StdDev(xs)}, nil
-}
-
-// PDF evaluates the normal density at x.
-func (f NormalFit) PDF(x float64) float64 {
-	if f.Sigma <= 0 {
-		return math.NaN()
-	}
-	z := (x - f.Mu) / f.Sigma
-	return math.Exp(-z*z/2) / (f.Sigma * math.Sqrt(2*math.Pi))
 }
 
 // CDF evaluates the normal cumulative distribution at x.

@@ -194,9 +194,6 @@ func NewGenerator(cfg GenConfig) (*Generator, error) {
 	return g, nil
 }
 
-// Interval returns the fixed reporting interval assigned to taxi id.
-func (g *Generator) Interval(id int) float64 { return g.intervals[id] }
-
 // Collect advances the simulator until the given sim-time and returns all
 // records emitted in [previous now, until), in chronological order. For
 // day-scale traces prefer Stream, which does not buffer.
@@ -247,12 +244,6 @@ func (g *Generator) record(st trafficsim.State, now float64) Record {
 		Occupied: st.Occupied,
 		Color:    g.colors[st.ID],
 	}
-}
-
-// SimSeconds converts a record timestamp back to simulator seconds
-// relative to the generator's epoch.
-func (g *Generator) SimSeconds(t time.Time) float64 {
-	return t.Sub(g.cfg.Epoch).Seconds()
 }
 
 // streamRing is how many one-second batches a generator owns, and so how

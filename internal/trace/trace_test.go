@@ -134,13 +134,6 @@ func TestReadCSVSkipsBlankReportsBadLine(t *testing.T) {
 	}
 }
 
-func TestSpeedMS(t *testing.T) {
-	r := Record{SpeedKMH: 36}
-	if v := r.SpeedMS(); math.Abs(v-10) > 1e-12 {
-		t.Fatalf("SpeedMS = %v", v)
-	}
-}
-
 func TestCSVRoundTripProperty(t *testing.T) {
 	f := func(dev int64, speed float64, occ bool) bool {
 		r := sampleRecord()

@@ -27,11 +27,13 @@ const (
 	worldTraceDigest = "5d9b5108fadcaa7def97367656e7be6d65aca62ae56784515ba821bed165a32b"
 )
 
-// pinnedFleet is TestFleetStatePinned's world: 120 taxis on a 5x7 grid.
+// pinnedFleet is TestFleetStatePinned's world: 120 taxis on a 5x7 grid
+// of 60-160 s cycles, the range its digest was recorded on.
 func pinnedFleet(t *testing.T) (*trafficsim.Simulator, *roadnet.Network) {
 	t.Helper()
 	gcfg := roadnet.DefaultGridConfig()
 	gcfg.Rows, gcfg.Cols = 5, 7
+	gcfg.CycleMin, gcfg.CycleMax = 60, 160
 	net, err := roadnet.GenerateGrid(gcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -84,22 +86,50 @@ func hashStates(h io.Writer, sim *trafficsim.Simulator) {
 	}
 }
 
-func TestWorldTracePinned(t *testing.T) {
-	w, err := experiments.BuildWorld(experiments.DefaultWorldConfig())
+// streamedWorld is cfg's world from the recipe's streaming constructor:
+// nothing is simulated until the caller streams it.
+func streamedWorld(t *testing.T, cfg experiments.WorldConfig) *experiments.World {
+	t.Helper()
+	net, err := roadnet.GenerateGrid(cfg.GridConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const lines = 50000
-	if len(w.Records) < lines {
-		t.Fatalf("world trace has %d records, want >= %d", len(w.Records), lines)
+	w, err := experiments.NewWorld(net, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return w
+}
+
+// streamDigest hashes the CSV lines w streams up to until, the first
+// limit of them when limit > 0, and counts the lines hashed.
+func streamDigest(t *testing.T, w *experiments.World, until float64, limit int) (string, int) {
+	t.Helper()
 	h := sha256.New()
 	var buf []byte
-	for _, r := range w.Records[:lines] {
+	n := 0
+	if err := w.Gen.Stream(until, func(r trace.Record) error {
+		if limit > 0 && n == limit {
+			return nil
+		}
 		buf = append(r.AppendCSV(buf[:0]), '\n')
 		h.Write(buf)
+		n++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != worldTraceDigest {
+	return hex.EncodeToString(h.Sum(nil)), n
+}
+
+func TestWorldTracePinned(t *testing.T) {
+	cfg := experiments.DefaultWorldConfig()
+	const lines = 50000
+	got, n := streamDigest(t, streamedWorld(t, cfg), cfg.Horizon, lines)
+	if n < lines {
+		t.Fatalf("world trace has %d records, want >= %d", n, lines)
+	}
+	if got != worldTraceDigest {
 		t.Fatalf("world trace digest %s, pinned %s", got, worldTraceDigest)
 	}
 }
@@ -112,7 +142,9 @@ func TestWorldTracePinned(t *testing.T) {
 // the CSV renderer stopped going through strconv's and time's general
 // formatters, by a change that claims every tape byte stays where it was:
 // a mismatch means the generator, the simulator or the renderer moved a
-// byte, and every ledger row measured on those tapes moved with it.
+// byte, and every ledger row measured on those tapes moved with it. The
+// test renders them through experiments.NewWorld, not bench/tape.go's own
+// copy of the recipe, so the recipe is held to the tapes byte for byte.
 var benchTapeDigests = []struct {
 	name    string
 	rows    int
@@ -130,40 +162,15 @@ var benchTapeDigests = []struct {
 func TestBenchTapesPinned(t *testing.T) {
 	for _, tc := range benchTapeDigests {
 		t.Run(tc.name, func(t *testing.T) {
-			gcfg := roadnet.DefaultGridConfig()
-			gcfg.Rows, gcfg.Cols = tc.rows, tc.rows
-			gcfg.Spacing = tc.spacing
-			gcfg.Seed = tc.seed
-			gcfg.CycleMin, gcfg.CycleMax = 80, 140
-			net, err := roadnet.GenerateGrid(gcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scfg := trafficsim.DefaultConfig(net)
-			scfg.NumTaxis = tc.taxis
-			scfg.Seed = tc.seed
-			sim, err := trafficsim.New(scfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tcfg := trace.DefaultGenConfig(sim, net.Projection())
-			tcfg.Seed = tc.seed
-			tcfg.Epoch = experiments.Epoch
-			tcfg.Activity = nil
-			gen, err := trace.NewGenerator(tcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := sha256.New()
-			var buf []byte
-			if err := gen.Stream(900, func(r trace.Record) error {
-				buf = append(r.AppendCSV(buf[:0]), '\n')
-				h.Write(buf)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+			w := streamedWorld(t, experiments.WorldConfig{
+				Rows: tc.rows, Cols: tc.rows,
+				Taxis:        tc.taxis,
+				Seed:         tc.seed,
+				DynamicShare: roadnet.DefaultGridConfig().DynamicShare,
+				GridOverride: func(g *roadnet.GridConfig) { g.Spacing = tc.spacing },
+			})
+			got, _ := streamDigest(t, w, 900, 0)
+			if got != tc.digest {
 				t.Fatalf("tape digest %s, pinned %s", got, tc.digest)
 			}
 		})
@@ -201,6 +208,7 @@ func fleetAndQueueDigest(sim *trafficsim.Simulator, net *roadnet.Network, instan
 func TestFleetStateWithBackgroundPinned(t *testing.T) {
 	gcfg := roadnet.DefaultGridConfig()
 	gcfg.Rows, gcfg.Cols = 5, 7
+	gcfg.CycleMin, gcfg.CycleMax = 60, 160
 	net, err := roadnet.GenerateGrid(gcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -225,6 +233,7 @@ func TestFleetStateWithBackgroundPinned(t *testing.T) {
 func TestFleetStateAcrossPlanChangePinned(t *testing.T) {
 	gcfg := roadnet.DefaultGridConfig()
 	gcfg.Rows, gcfg.Cols = 4, 5
+	gcfg.CycleMin, gcfg.CycleMax = 60, 160
 	gcfg.DynamicShare = 0
 	net, err := roadnet.GenerateGrid(gcfg)
 	if err != nil {
