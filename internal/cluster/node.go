@@ -284,10 +284,6 @@ func (n *Node) Leave() {
 	n.gossipOnce()
 }
 
-// Epoch returns the ownership epoch — it moves on every serving-set
-// change (death, leave, revival, join cutover).
-func (n *Node) Epoch() uint64 { return n.epoch.Load() }
-
 // ringNow returns the current ring (rebuilt when gossip grows the
 // member set).
 func (n *Node) ringNow() *Ring {

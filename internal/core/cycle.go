@@ -10,10 +10,11 @@
 //     from the dominant frequency bin; optionally densify a sparse
 //     approach by mirroring the perpendicular approach's samples around
 //     the intersection mean speed (Eq. 3).
-//   - Red duration (Section VI-A): collect per-taxi stop durations in
-//     front of the light, filter passenger stops and over-cycle stops,
-//     then locate the valid/error border interval in a histogram binned
-//     at the mean sample interval and average within it.
+//   - Red duration (Section VI-A): collect per-taxi stop runs in front
+//     of the light, filter passenger stops and over-cycle stops, then
+//     take the red that maximises the likelihood of every usable run's
+//     report count (the paper's border-interval histogram is
+//     internal/experiments').
 //   - Signal change (Sections VI-B/C): superpose records from many cycles
 //     into a single cycle (index mod cycle length), then slide a window of
 //     one red duration over the folded speed curve; the window with the
@@ -124,6 +125,27 @@ func identifyCycleSc(sc *identifyScratch, samples []dsp.Sample, t0, t1 float64, 
 		return 0, err
 	}
 	return cycleFromSpectrumSc(sc, in, t0, t1, cfg)
+}
+
+// CycleInput is what the cycle estimator sees of samples in [t0, t1]: the
+// windowed, time-ordered, duplicate-merged samples, and their cfg.Interp
+// interpolation onto the 1 Hz grid over the whole window, clamped to the
+// observed range (the DFT transforms this grid, shortened by a second
+// when its length is odd). Both are the caller's own. It fails where
+// IdentifyCycle fails for too little data, so an alternative estimator
+// built on it competes with the DFT on the same input.
+func CycleInput(samples []dsp.Sample, t0, t1 float64, cfg CycleConfig) ([]dsp.Sample, []float64, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	in, err := cycleInputSc(sc, samples, t0, t1, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	grid, err := resampleSc(sc, in, t0, t1, cfg.Interp)
+	if err != nil {
+		return nil, nil, err
+	}
+	return slices.Clone(in), slices.Clone(grid), nil
 }
 
 // cycleInputSc windows, orders and merges the samples into the series the

@@ -222,56 +222,3 @@ func BenchmarkIdentifyCycleEnhanced(b *testing.B) {
 		_, _ = IdentifyCycleEnhanced(primary, perp, 0, 1800, cfg)
 	}
 }
-
-func TestIdentifyCycleACF(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	sched := lights.Schedule{Cycle: 98, Red: 39}
-	samples := syntheticSpeed(rng, sched, 0, 3600, 10)
-	got, err := IdentifyCycleACF(samples, 0, 3600, DefaultCycleConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-98) > 4 {
-		t.Fatalf("ACF cycle = %v, want ~98", got)
-	}
-}
-
-func TestIdentifyCycleACFErrors(t *testing.T) {
-	cfg := DefaultCycleConfig()
-	if _, err := IdentifyCycleACF(nil, 0, 3600, cfg); !errors.Is(err, ErrInsufficientData) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := IdentifyCycleACF(nil, 10, 10, cfg); err == nil {
-		t.Fatal("empty window accepted")
-	}
-	bad := cfg
-	bad.MinCycle = 0
-	if _, err := IdentifyCycleACF(nil, 0, 3600, bad); err == nil {
-		t.Fatal("bad config accepted")
-	}
-	// Window shorter than the minimum cycle band.
-	short := []dsp.Sample{{T: 0, V: 1}, {T: 3, V: 2}, {T: 6, V: 3}, {T: 9, V: 4},
-		{T: 12, V: 5}, {T: 15, V: 6}, {T: 18, V: 7}, {T: 21, V: 8}}
-	if _, err := IdentifyCycleACF(short, 0, 24, cfg); err == nil {
-		t.Fatal("too-short window accepted")
-	}
-}
-
-func TestIdentifyCycleLombScargle(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	sched := lights.Schedule{Cycle: 98, Red: 39}
-	samples := syntheticSpeed(rng, sched, 0, 3600, 15)
-	got, err := IdentifyCycleLombScargle(samples, 0, 3600, DefaultCycleConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-98) > 4 {
-		t.Fatalf("Lomb-Scargle cycle = %v, want ~98", got)
-	}
-	if _, err := IdentifyCycleLombScargle(nil, 0, 3600, DefaultCycleConfig()); !errors.Is(err, ErrInsufficientData) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := IdentifyCycleLombScargle(nil, 5, 5, DefaultCycleConfig()); err == nil {
-		t.Fatal("empty window accepted")
-	}
-}

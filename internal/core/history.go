@@ -59,15 +59,6 @@ type History struct {
 	perSlot int
 }
 
-// NewHistory returns an empty historical prior.
-func NewHistory(cfg HistoryConfig) (*History, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	h := newHistory(cfg, 0)
-	return &h, nil
-}
-
 // newHistory is an empty History for a valid cfg.
 func newHistory(cfg HistoryConfig, perSlot int) History {
 	return History{cfg: cfg, slots: make([][]float64, int(math.Ceil(86400/cfg.SlotSeconds))), perSlot: perSlot}

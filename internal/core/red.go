@@ -82,7 +82,8 @@ func countStopsWithin(stops []StopEvent, cycle float64) int {
 // estimate maximises the likelihood of every usable run's report count
 // over red on a half-second grid, with a share ε of at most 0.95 of
 // unflagged dwells that stop for anything up to the cycle (see
-// stopShape.prob). A run without a cadence (fewer than two records but a
+// stopShape.prob). A run's span counts to the trace format's second (see
+// redShapesSc). A run without a cadence (fewer than two records but a
 // positive duration) is taken at its exact duration. With fewer than
 // cfg.MinStops usable stops it fails with ErrInsufficientData; with that
 // many it returns a red in (0, cycle) for any finite cycle of a second or
@@ -107,10 +108,11 @@ const (
 )
 
 // stopShape is a class of usable runs the likelihood cannot tell apart:
-// the same report count and the same span.
+// the same report count and the same span (to the second, for a run with a
+// cadence; see redShapesSc).
 type stopShape struct {
 	records int     // reports in the run
-	span    float64 // End - Start
+	span    float64 // End - Start, in (0, cycle]
 	perCad  float64 // 1/cadence, (records-1)/span; 0 for exact duration
 	runs    float64 // usable runs of this shape
 	dwell   float64 // the shape's probability as a dwell
@@ -158,25 +160,30 @@ func (s *stopShape) prob(r float64) float64 {
 	return z / (y - 1.5)
 }
 
-// identifyRedSc is IdentifyRed with the run shapes in a scratch buffer.
-func identifyRedSc(sc *identifyScratch, stops []StopEvent, cycle float64, cfg RedConfig) (float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	if !(cycle > 0) {
-		return 0, fmt.Errorf("core: non-positive cycle %v", cycle)
-	}
+// redShapesSc groups the usable runs of stops into shapes, in order of
+// span, in the scratch's buffer, and counts the runs. Usability is
+// decided on the exact duration. A run of two or more reports spans two
+// report timestamps, which the trace format carries to the second, so its
+// span is rounded to a whole second and kept inside (0, cycle]: a feed of
+// fractional timestamps yields at most one shape per second of the cycle
+// and report count, and whole-second spans group exactly as they are. A
+// run without a cadence, which the stop index never yields, keeps its
+// exact duration.
+func redShapesSc(sc *identifyScratch, stops []StopEvent, cycle float64) ([]stopShape, int) {
 	sc.needs(len(stops))
 	shapes := sc.shapes[:0]
 	for _, e := range stops {
-		if e.usableWithin(cycle) {
-			shapes = append(shapes, stopShape{records: e.Records, span: e.Duration(), runs: 1})
+		if !e.usableWithin(cycle) {
+			continue
 		}
+		span := e.Duration()
+		if e.Records >= 2 {
+			span = min(max(math.Round(span), 1), cycle)
+		}
+		shapes = append(shapes, stopShape{records: e.Records, span: span, runs: 1})
 	}
 	sc.shapes = shapes
-	if len(shapes) < cfg.MinStops {
-		return 0, fmt.Errorf("%w: %d usable stops, need %d", ErrInsufficientData, len(shapes), cfg.MinStops)
-	}
+	usable := len(shapes)
 	slices.SortFunc(shapes, compareShapes)
 	n := 0
 	for i := range shapes {
@@ -187,7 +194,21 @@ func identifyRedSc(sc *identifyScratch, stops []StopEvent, cycle float64, cfg Re
 			n++
 		}
 	}
-	shapes = shapes[:n]
+	return shapes[:n], usable
+}
+
+// identifyRedSc is IdentifyRed with the run shapes in a scratch buffer.
+func identifyRedSc(sc *identifyScratch, stops []StopEvent, cycle float64, cfg RedConfig) (float64, error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, err
+	}
+	if !(cycle > 0) {
+		return 0, fmt.Errorf("core: non-positive cycle %v", cycle)
+	}
+	shapes, usable := redShapesSc(sc, stops, cycle)
+	if usable < cfg.MinStops {
+		return 0, fmt.Errorf("%w: %d usable stops, need %d", ErrInsufficientData, usable, cfg.MinStops)
+	}
 	var idleRuns, idleLog float64
 	for i := len(shapes) - 1; i >= 0; i-- {
 		s := &shapes[i]

@@ -170,12 +170,63 @@ func TestIdentifyRedErrors(t *testing.T) {
 	}
 }
 
-func BenchmarkIdentifyRed(b *testing.B) {
-	stops := reporterStops(rand.New(rand.NewSource(1)), 63, 106, 100)
-	for i := 0; i < b.N; i++ {
-		if _, err := IdentifyRed(stops, 106, DefaultRedConfig()); err != nil {
-			b.Fatal(err)
+// fractionalStops is reporterStops with every End moved by up to half a
+// second either way, as a feed of fractional timestamps reports them: no
+// two runs share an exact span.
+func fractionalStops(rng *rand.Rand, red, cycle float64, n int) []StopEvent {
+	stops := reporterStops(rng, red, cycle, n)
+	for i := range stops {
+		stops[i].End += rng.Float64() - 0.5
+	}
+	return stops
+}
+
+// TestIdentifyRedShapesBoundedPerKey feeds 400 runs of fractional spans
+// and three report counts: at the format's 1 s resolution they group into
+// at most one shape per whole second of the cycle and report count, and
+// the key still gets a red.
+func TestIdentifyRedShapesBoundedPerKey(t *testing.T) {
+	const cycle = 106.0
+	rng := rand.New(rand.NewSource(9))
+	var stops []StopEvent
+	for i := 0; i < 400; i++ {
+		start := float64(i) * 1000
+		stops = append(stops, StopEvent{Start: start, End: start + 0.01 + rng.Float64()*(cycle-0.01), Records: 2 + i%3})
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	shapes, usable := redShapesSc(sc, stops, cycle)
+	if usable != len(stops) {
+		t.Fatalf("%d usable runs, want %d", usable, len(stops))
+	}
+	if bound := 3 * int(cycle); len(shapes) > bound {
+		t.Fatalf("%d shapes, want at most %d", len(shapes), bound)
+	}
+	for _, s := range shapes {
+		if !(s.span > 0 && s.span <= cycle) || s.span != math.Round(s.span) {
+			t.Fatalf("shape span %v outside whole seconds of (0, %v]", s.span, cycle)
 		}
+	}
+	if red, err := identifyRedSc(sc, stops, cycle, DefaultRedConfig()); err != nil || !(red > 0 && red < cycle) {
+		t.Fatalf("red %v, err %v", red, err)
+	}
+}
+
+func BenchmarkIdentifyRed(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		stops []StopEvent
+	}{
+		{"reporters100", reporterStops(rand.New(rand.NewSource(1)), 63, 106, 100)},
+		{"fractional400", fractionalStops(rand.New(rand.NewSource(1)), 63, 106, 400)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := IdentifyRed(bc.stops, 106, DefaultRedConfig()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

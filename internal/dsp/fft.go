@@ -1,9 +1,11 @@
-// Package dsp is the numeric/signal-processing substrate for taxilight.
-// The paper's cycle-length identifier needs a DFT over windows whose length
-// is an arbitrary number of seconds (e.g. 1800 or 3600), so the package
-// provides a radix-2 FFT for power-of-two sizes, a Bluestein chirp-z
-// transform for every other size, a naive reference DFT for testing, plus
-// cubic-spline interpolation, convolution and moving averages.
+// Package dsp is the numeric/signal-processing substrate of the paper's
+// cycle-length identifier (§V), which needs a DFT over windows whose
+// length is an arbitrary number of seconds (e.g. 1800 or 3600). The
+// package provides a radix-2 FFT for power-of-two sizes, a Bluestein
+// chirp-z transform for every other size, cubic-spline interpolation onto
+// the 1 Hz grid, and the circular moving average of the change stage. The
+// period estimators the DFT is compared against (autocorrelation,
+// Lomb-Scargle) and the STFT view of Fig. 12 are internal/experiments'.
 package dsp
 
 import (

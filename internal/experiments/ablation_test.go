@@ -196,7 +196,8 @@ func BenchmarkAblationSuperposition(b *testing.B) {
 }
 
 // BenchmarkAblationCycleMethod compares the paper's spectral estimator
-// with the classical autocorrelation baseline on identical sparse input.
+// with the classical autocorrelation and Lomb-Scargle baselines
+// (baselines_test.go) on identical sparse input.
 func BenchmarkAblationCycleMethod(b *testing.B) {
 	samples := fig6Samples(20)
 	b.Run("DFT", func(b *testing.B) {
@@ -211,7 +212,7 @@ func BenchmarkAblationCycleMethod(b *testing.B) {
 		cfg := core.DefaultCycleConfig()
 		var last float64
 		for i := 0; i < b.N; i++ {
-			last, _ = core.IdentifyCycleACF(samples, 0, 3600, cfg)
+			last, _ = identifyCycleACF(samples, 0, 3600, cfg)
 		}
 		b.ReportMetric(math.Abs(last-98), "s-err")
 	})
@@ -219,7 +220,7 @@ func BenchmarkAblationCycleMethod(b *testing.B) {
 		cfg := core.DefaultCycleConfig()
 		var last float64
 		for i := 0; i < b.N; i++ {
-			last, _ = core.IdentifyCycleLombScargle(samples, 0, 3600, cfg)
+			last, _ = identifyCycleLombScargle(samples, 0, 3600, cfg)
 		}
 		b.ReportMetric(math.Abs(last-98), "s-err")
 	})

@@ -304,13 +304,6 @@ func mustNil(t *testing.T, err error) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestEndToEndShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full end-to-end loop")

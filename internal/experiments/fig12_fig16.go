@@ -188,17 +188,21 @@ func Fig12Spectrogram(w io.Writer, cfg Fig12Config) error {
 		return err
 	}
 	samples := core.SpeedSamplesNear(stopIdx.FilterDwellRecords(world.Part[key]), 120)
-	dsp.SortSamples(samples)
-	merged := dsp.MergeDuplicateTimes(samples)
+	// The figure transforms the unclamped spline of the merged samples:
+	// CycleInput's clamped grid would move a frame of the seed-1 track.
+	merged, _, err := core.CycleInput(samples, 0, horizon, core.DefaultCycleConfig())
+	if err != nil {
+		return err
+	}
 	grid, err := dsp.ResampleSpline(merged, 0, horizon)
 	if err != nil {
 		return err
 	}
-	sg, err := dsp.STFT(grid, 4096, 1800)
+	sg, err := stft(grid, 4096, 1800)
 	if err != nil {
 		return err
 	}
-	track, err := sg.DominantPeriodTrack(60, 200)
+	track, err := sg.dominantPeriodTrack(60, 200)
 	if err != nil {
 		return err
 	}
@@ -208,7 +212,7 @@ func Fig12Spectrogram(w io.Writer, cfg Fig12Config) error {
 		if f%4 != 0 {
 			continue
 		}
-		at := float64(sg.FrameStart[f]) + float64(sg.SegLen)/2
+		at := float64(sg.frameStart[f]) + float64(sg.segLen)/2
 		fmt.Fprintf(w, "%5.1f h  %10.1f      %10.1f\n", at/3600, p, dyn.ScheduleAt(at).Cycle)
 	}
 	return nil

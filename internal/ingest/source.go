@@ -141,13 +141,6 @@ func newSource(spec Spec) *Source {
 	}
 }
 
-// State returns the current supervision state.
-func (s *Source) State() State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
-
 // lineHash fingerprints a record by the FNV-1a hash of its canonical CSV
 // rendering, so the frontier distinguishes different records sharing one
 // report second. The caller holds s.mu.

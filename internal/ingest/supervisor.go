@@ -51,10 +51,6 @@ func NewSupervisor(specs []Spec, cfg Config, lenient trace.LenientConfig, consum
 	return sup, nil
 }
 
-// Sources exposes the supervised sources in spec order. The slice is
-// owned by the supervisor; do not mutate it.
-func (sup *Supervisor) Sources() []*Source { return sup.sources }
-
 // Snapshot copies every source's status in spec order.
 func (sup *Supervisor) Snapshot() []SourceStatus {
 	out := make([]SourceStatus, len(sup.sources))

@@ -198,15 +198,6 @@ func (r *Registry) Declare(kind Kind, name, help string, labels ...Label) {
 // to expose a value that lives outside the registry.
 func (r *Registry) Collect(fn func(*Scrape)) { r.collectors = append(r.collectors, fn) }
 
-// Families lists every family in registration order.
-func (r *Registry) Families() []Family {
-	out := make([]Family, len(r.families))
-	for i, f := range r.families {
-		out[i] = f.Family
-	}
-	return out
-}
-
 // Scrape receives the collectors' samples during one Write.
 type Scrape struct {
 	r      *Registry

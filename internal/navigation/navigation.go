@@ -61,15 +61,6 @@ func RouteTime(net *roadnet.Network, route roadnet.Route, depart float64) float6
 	return t - depart
 }
 
-// RouteDistance returns the driven distance of a route in metres.
-func RouteDistance(net *roadnet.Network, route roadnet.Route) float64 {
-	d := 0.0
-	for _, sid := range route.Segments {
-		d += net.Segment(sid).Length()
-	}
-	return d
-}
-
 // Planner produces a route from a node at a given departure time.
 type Planner interface {
 	// Plan returns a route from src to dst departing at time t.

@@ -145,9 +145,6 @@ func (s *Subscriber) Frames() <-chan *Frame { return s.ch }
 // subscriber; select on it alongside Frames.
 func (s *Subscriber) Kicked() <-chan struct{} { return s.kicked }
 
-// EvictReason reports why the subscriber was evicted (zero while live).
-func (s *Subscriber) EvictReason() EvictReason { return EvictReason(s.reason.Load()) }
-
 // Evict marks the subscriber dead with the given reason and wakes its
 // serving goroutine. Safe to call from any goroutine, any number of
 // times; only the first call wins. Publish never blocks on an evicted

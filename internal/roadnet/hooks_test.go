@@ -30,3 +30,42 @@ func (r Route) Nodes(net *Network) []NodeID {
 	}
 	return out
 }
+
+// NearestSegment returns the segment closest to the planar point q within
+// maxDist metres, together with the distance. ok is false when nothing is
+// within range. The network must be finalized.
+func (n *Network) NearestSegment(q geo.XY, maxDist float64) (seg *Segment, dist float64, ok bool) {
+	sn, ok := n.Snap(q, maxDist, nil, nil)
+	return sn.Seg, sn.Dist, ok
+}
+
+// NearestLight returns the signalised node nearest to q within maxDist
+// metres. ok is false when no light is in range.
+func (n *Network) NearestLight(q geo.XY, maxDist float64) (node *Node, dist float64, ok bool) {
+	n.mustFinal()
+	return n.index.nearestLight(q, maxDist)
+}
+
+func (idx *spatialIndex) nearestLight(q geo.XY, maxDist float64) (*Node, float64, bool) {
+	cx, cy := idx.cellOf(q)
+	maxRing := int(maxDist/idx.cell) + 1 // as in snap
+	var best *Node
+	bestD := math.Inf(1)
+	for ring := 0; ring <= maxRing; ring++ {
+		if best != nil && bestD <= float64(ring-1)*idx.cell {
+			break
+		}
+		idx.forRing(cx, cy, ring, func(c int) {
+			for _, nid := range idx.lights[c] {
+				nd := idx.net.nodes[nid]
+				if d := nd.Pos.Sub(q).Norm(); d < bestD {
+					best, bestD = nd, d
+				}
+			}
+		})
+	}
+	if best == nil || bestD > maxDist {
+		return nil, 0, false
+	}
+	return best, bestD, true
+}

@@ -177,30 +177,6 @@ func (idx *spatialIndex) snap(q geo.XY, maxDist float64, cheap func(*Segment) bo
 	return best, true
 }
 
-func (idx *spatialIndex) nearestLight(q geo.XY, maxDist float64) (*Node, float64, bool) {
-	cx, cy := idx.cellOf(q)
-	maxRing := int(maxDist/idx.cell) + 1 // as in snap
-	var best *Node
-	bestD := math.Inf(1)
-	for ring := 0; ring <= maxRing; ring++ {
-		if best != nil && bestD <= float64(ring-1)*idx.cell {
-			break
-		}
-		idx.forRing(cx, cy, ring, func(c int) {
-			for _, nid := range idx.lights[c] {
-				nd := idx.net.nodes[nid]
-				if d := nd.Pos.Sub(q).Norm(); d < bestD {
-					best, bestD = nd, d
-				}
-			}
-		})
-	}
-	if best == nil || bestD > maxDist {
-		return nil, 0, false
-	}
-	return best, bestD, true
-}
-
 // forRing visits every in-bounds cell on the square ring of the given
 // radius (in cells) around (cx, cy). Ring 0 is the centre cell itself.
 func (idx *spatialIndex) forRing(cx, cy, ring int, visit func(cell int)) {

@@ -193,21 +193,6 @@ func (n *Network) Snap(q geo.XY, maxDist float64, cheap func(*Segment) bool, nea
 	return n.index.snap(q, maxDist, cheap, near)
 }
 
-// NearestSegment returns the segment closest to the planar point q within
-// maxDist metres, together with the distance. ok is false when nothing is
-// within range. The network must be finalized.
-func (n *Network) NearestSegment(q geo.XY, maxDist float64) (seg *Segment, dist float64, ok bool) {
-	sn, ok := n.Snap(q, maxDist, nil, nil)
-	return sn.Seg, sn.Dist, ok
-}
-
-// NearestLight returns the signalised node nearest to q within maxDist
-// metres. ok is false when no light is in range.
-func (n *Network) NearestLight(q geo.XY, maxDist float64) (node *Node, dist float64, ok bool) {
-	n.mustFinal()
-	return n.index.nearestLight(q, maxDist)
-}
-
 func (n *Network) mustFinal() {
 	if !n.finalized {
 		panic("roadnet: network not finalized")

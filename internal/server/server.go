@@ -436,10 +436,6 @@ func (s *Server) checkpointNow() {
 	}
 }
 
-// StoreDegraded reports whether the persist writer gave up on the store
-// after exhausting its write-failure budget.
-func (s *Server) StoreDegraded() bool { return s.storeDegraded.Load() }
-
 // ExportState merges every shard's durable state into one engine state
 // (keys are disjoint across shards, so merging is a union; the clock is
 // the newest shard clock).

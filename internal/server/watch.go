@@ -101,10 +101,6 @@ func (s *Server) publishWatch(eng *core.Engine, at float64, published []mapmatch
 	s.hub.Publish(s.watchID(), at, time.Now().UnixNano(), events)
 }
 
-// WatchSubscribers reports the current /v1/watch subscription count
-// (also exposed to the cluster layer for its health section).
-func (s *Server) WatchSubscribers() int { return s.hub.Subscribers() }
-
 // EvictMovedWatchers cuts loose every /v1/watch subscriber holding at
 // least one key the moved predicate accepts, counted under eviction
 // reason "moved". The cluster layer calls it when an ownership change

@@ -25,24 +25,18 @@ func (s *Store) LastSeq() uint64 {
 	return s.nextSeq - 1
 }
 
-// StreamSince writes every retained record with Seq > from to w, oldest
-// first, framed exactly like WAL segment frames (no magic header). It
-// returns the newest sequence written and the record count. Records
-// older than the retention horizon may already be compacted away; the
-// caller is expected to seed itself from a checkpoint first (see
-// EncodeState) so the stream only needs to cover the tail.
-func (s *Store) StreamSince(from uint64, w io.Writer) (last uint64, n int, err error) {
-	return s.StreamSinceFunc(from, nil, w)
-}
-
-// StreamSinceFunc is StreamSince restricted to records keep accepts —
-// the segment-range-by-key-set export behind cluster rebalancing: a
-// joining node bulk-pulls only the history of keys it is about to own,
-// and a repair transfer ships only the under-replicated key set,
-// instead of every peer replaying every segment. A nil keep accepts
-// everything. Filtering happens after decode, per record, so the
-// on-the-wire framing is identical to StreamSince and ReadStream reads
-// both.
+// StreamSinceFunc writes every retained record with Seq > from that keep
+// accepts to w, oldest first, framed exactly like WAL segment frames (no
+// magic header), and returns the newest sequence written and the record
+// count. A nil keep accepts everything. It is the segment-range-by-key-set
+// export behind cluster rebalancing: a joining node bulk-pulls only the
+// history of keys it is about to own, and a repair transfer ships only
+// the under-replicated key set, instead of every peer replaying every
+// segment. Filtering happens after decode, per record, so the framing
+// does not depend on keep and ReadStream reads either. Records older than
+// the retention horizon may already be compacted away; the caller is
+// expected to seed itself from a checkpoint first (see EncodeState) so
+// the stream only needs to cover the tail.
 func (s *Store) StreamSinceFunc(from uint64, keep func(Record) bool, w io.Writer) (last uint64, n int, err error) {
 	s.mu.Lock()
 	if !s.closed {

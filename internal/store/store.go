@@ -40,11 +40,11 @@ type Config struct {
 	// KeepCheckpoints is how many newest checkpoint files compaction
 	// retains (minimum 1).
 	KeepCheckpoints int
-	// ObserveAppend and ObserveFsync, when non-nil, receive the latency
-	// in seconds of every batch append and every fsync — hooks for the
-	// serving daemon's /metrics histograms.
-	ObserveAppend func(seconds float64)
-	ObserveFsync  func(seconds float64)
+	// observeAppend and observeFsync, when non-nil, receive the latency
+	// in seconds of every batch append and every fsync; SetObservers
+	// installs them.
+	observeAppend func(seconds float64)
+	observeFsync  func(seconds float64)
 }
 
 // DefaultConfig is the serving daemon's posture: 8 MiB segments,
@@ -391,8 +391,8 @@ func (s *Store) Append(recs ...Record) error {
 		}
 	}
 	s.appendedTotal.Add(int64(len(recs)))
-	if s.cfg.ObserveAppend != nil {
-		s.cfg.ObserveAppend(time.Since(start).Seconds())
+	if s.cfg.observeAppend != nil {
+		s.cfg.observeAppend(time.Since(start).Seconds())
 	}
 	if s.pending >= s.cfg.SyncEvery {
 		return s.flushLocked(true)
@@ -426,8 +426,8 @@ func (s *Store) flushLocked(sync bool) error {
 		return err
 	}
 	s.fsyncs.Add(1)
-	if s.cfg.ObserveFsync != nil {
-		s.cfg.ObserveFsync(time.Since(start).Seconds())
+	if s.cfg.observeFsync != nil {
+		s.cfg.observeFsync(time.Since(start).Seconds())
 	}
 	s.pending = 0
 	return nil
@@ -703,8 +703,8 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) SetObservers(observeAppend, observeFsync func(seconds float64)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cfg.ObserveAppend = observeAppend
-	s.cfg.ObserveFsync = observeFsync
+	s.cfg.observeAppend = observeAppend
+	s.cfg.observeFsync = observeFsync
 }
 
 // Close flushes, fsyncs, stops the background loops and releases the

@@ -1,9 +1,9 @@
 // Package trace implements the taxi-trace data model of Table I in the
 // paper — the 12-field record every Shenzhen taxi uploads — together with
-// a CSV codec, the synthetic trace generator that samples the traffic
+// a CSV codec and the synthetic trace generator that samples the traffic
 // simulator the way real onboard units sample taxis (fixed per-taxi
-// intervals, GPS noise, packet loss, diurnal activity), and the Fig. 2
-// statistical summaries.
+// intervals, GPS noise, packet loss, diurnal activity). The Fig. 2
+// statistics of a trace are internal/experiments'.
 package trace
 
 import (

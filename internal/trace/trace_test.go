@@ -296,64 +296,12 @@ func TestGeneratorValidation(t *testing.T) {
 	}
 }
 
-func TestSummarizeFig2Shape(t *testing.T) {
-	g, _ := genFixture(t, 150, func(c *GenConfig) { c.DropProb = 0.03 })
-	recs := g.Collect(3600)
-	s := Summarize(recs, 600)
-	if s.Total != len(recs) {
-		t.Fatalf("Total = %d", s.Total)
-	}
-	if len(s.SlotCounts) < 5 {
-		t.Fatalf("slots = %d", len(s.SlotCounts))
-	}
-	sum := 0
-	for _, c := range s.SlotCounts {
-		sum += c
-	}
-	if sum != s.Total {
-		t.Fatalf("slot counts %d != total %d", sum, s.Total)
-	}
-	// Fig. 2(b): mean interval near the mixture mean (~21 s); drops
-	// stretch it slightly.
-	if s.MeanInterval < 15 || s.MeanInterval > 35 {
-		t.Fatalf("mean interval = %v", s.MeanInterval)
-	}
-	// Fig. 2(c): a meaningful share of pairs are stationary.
-	if s.StationaryShare < 0.05 || s.StationaryShare > 0.95 {
-		t.Fatalf("stationary share = %v", s.StationaryShare)
-	}
-	if s.MeanMovingDistance <= StationaryThresholdMeters {
-		t.Fatalf("mean moving distance = %v", s.MeanMovingDistance)
-	}
-	// Fig. 2(d): speed differences roughly zero-mean.
-	if math.Abs(s.SpeedDiffFit.Mu) > 5 {
-		t.Fatalf("speed diff mu = %v", s.SpeedDiffFit.Mu)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil, 600)
-	if s.Total != 0 || s.SlotCounts != nil {
-		t.Fatalf("empty summary: %+v", s)
-	}
-}
-
 func BenchmarkGeneratorCollect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		g, _ := genFixture(b, 100, nil)
 		b.StartTimer()
 		g.Collect(300)
-	}
-}
-
-func BenchmarkSummarize(b *testing.B) {
-	g, _ := genFixture(b, 150, nil)
-	recs := g.Collect(1800)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Summarize(recs, 600)
 	}
 }
 

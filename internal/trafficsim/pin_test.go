@@ -145,6 +145,11 @@ func TestWorldTracePinned(t *testing.T) {
 // byte, and every ledger row measured on those tapes moved with it. The
 // test renders them through experiments.NewWorld, not bench/tape.go's own
 // copy of the recipe, so the recipe is held to the tapes byte for byte.
+//
+// The first 900 s cannot tell a dynamic light from a static one: a
+// dynamic light runs its off-peak plan until 07:00. So plans pins each
+// world's light plans as planDigest hashes them, recorded once at the
+// commit that added it; a world built without its dynamic share moves it.
 var benchTapeDigests = []struct {
 	name    string
 	rows    int
@@ -152,11 +157,30 @@ var benchTapeDigests = []struct {
 	taxis   int
 	seed    int64
 	digest  string
+	plans   string
 }{
-	{"city/seed1", 8, 800, 800, 1, "31bd9addd54d0ff6f34e9c18b4ed2e39118ce87e3a34f1bc688611852efd6fd5"},
-	{"city/seed7", 8, 800, 800, 7, "8479c9e3879f1bb7513d17f2e70ab667c323d53ec7ceaee33506574a717ec3b8"},
-	{"arterial/seed1", 3, 6000, 2000, 1, "ca6ba1bf48f86ae291d52d03b234fe46a00244cff205f2f1e3780aee2ab5862e"},
-	{"arterial/seed7", 3, 6000, 2000, 7, "f9124c6202101d47ed54efd5ae4b8b21721facdab5bfe292a2fb1597989c3fb2"},
+	{"city/seed1", 8, 800, 800, 1, "31bd9addd54d0ff6f34e9c18b4ed2e39118ce87e3a34f1bc688611852efd6fd5", "0e8d8ac31225274b396e76580fed8c44695d2e9ce76a732b99571e10a11aaed7"},
+	{"city/seed7", 8, 800, 800, 7, "8479c9e3879f1bb7513d17f2e70ab667c323d53ec7ceaee33506574a717ec3b8", "257f0ed908e989872544874cf3781c28d91545dd3420c749b4cc05d767368269"},
+	{"arterial/seed1", 3, 6000, 2000, 1, "ca6ba1bf48f86ae291d52d03b234fe46a00244cff205f2f1e3780aee2ab5862e", "7d7a5f042ba7b7f6b99c011541b96b59a1fd5f6f583d6916b9d5997d4d8159cc"},
+	{"arterial/seed7", 3, 6000, 2000, 7, "f9124c6202101d47ed54efd5ae4b8b21721facdab5bfe292a2fb1597989c3fb2", "e003ab1cfac5f1061b120d36e9e1e3e55cee7542f48d63a9d2aec90a6c465e31"},
+}
+
+// planDigest hashes which of net's lights are dynamic and every plan each
+// light runs: a static light's one schedule, a dynamic light's plan table.
+func planDigest(t *testing.T, net *roadnet.Network) string {
+	t.Helper()
+	h := sha256.New()
+	for _, nd := range net.SignalisedNodes() {
+		switch c := nd.Light.Ctrl.(type) {
+		case lights.Static:
+			fmt.Fprintf(h, "static %d %+v\n", nd.ID, c.S)
+		case *lights.Dynamic:
+			fmt.Fprintf(h, "dynamic %d %+v\n", nd.ID, c.Plan)
+		default:
+			t.Fatalf("light %d: controller %T", nd.ID, c)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func TestBenchTapesPinned(t *testing.T) {
@@ -169,6 +193,9 @@ func TestBenchTapesPinned(t *testing.T) {
 				DynamicShare: roadnet.DefaultGridConfig().DynamicShare,
 				GridOverride: func(g *roadnet.GridConfig) { g.Spacing = tc.spacing },
 			})
+			if got := planDigest(t, w.Net); got != tc.plans {
+				t.Errorf("plan digest %s, pinned %s", got, tc.plans)
+			}
 			got, _ := streamDigest(t, w, 900, 0)
 			if got != tc.digest {
 				t.Fatalf("tape digest %s, pinned %s", got, tc.digest)
