@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -126,84 +125,64 @@ func TestPublishAllocs(t *testing.T) {
 	}
 }
 
-// TestAppendPublishedSinceMatchesSnapshotDiff: what the engine hands a
-// durable log from its publish versions is, step for step, what diffing a
-// full snapshot against the newest WindowEnd persisted per key used to
-// give — across rounds that recompute some keys and fail others, idle
-// polls, and primes of older and newer estimates.
-func TestAppendPublishedSinceMatchesSnapshotDiff(t *testing.T) {
-	const nKeys = 9
+// TestPrimeNeverRewindsAnEstimate: rounds and primes publish through one
+// window fence. After a round, a prime of an older window is refused: the
+// served answer and the version stay as they were, and no key is reported
+// published. A prime of the same window publishes again and bumps the
+// version — what a re-prime of an unchanged estimate relies on to
+// invalidate a cached snapshot. A newer one publishes, and a later round's
+// result, from an older window than the primed one, is refused in turn.
+func TestPrimeNeverRewindsAnEstimate(t *testing.T) {
 	eng, err := NewEngine(DefaultRealtimeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lastPersisted := map[mapmatch.Key]float64{}
-	var oldVersion, newVersion uint64
-	var delta []Result
-	byKey := func(a, b Result) int {
-		return cmp.Or(cmp.Compare(a.Key.Light, b.Key.Light), cmp.Compare(a.Key.Approach, b.Key.Approach))
+	var last RoundStats
+	eng.SetRoundObserver(func(st RoundStats) { last = st })
+	k := benchApproachKey(0)
+	const at = 1800.0
+	eng.Ingest(benchRecords(0, 0, at))
+	if err := ignoreChanges(eng.Advance(at)); err != nil {
+		t.Fatal(err)
 	}
-	check := func(step string) {
-		var want []Result
-		if v := eng.Version(); v != oldVersion {
-			snap, v := eng.SnapshotVersioned()
-			for k, est := range snap {
-				if est.WindowEnd > lastPersisted[k] {
-					want = append(want, est.Result)
-					lastPersisted[k] = est.WindowEnd
-				}
-			}
-			oldVersion = v
-		}
-		delta, newVersion = eng.AppendPublishedSince(delta[:0], newVersion)
-		slices.SortFunc(want, byKey)
-		slices.SortFunc(delta, byKey)
-		if len(delta) != len(want) {
-			t.Fatalf("%s: delta of %d estimates, snapshot diff %d", step, len(delta), len(want))
-		}
-		for i := range want {
-			if delta[i].Key != want[i].Key || delta[i].WindowEnd != want[i].WindowEnd || delta[i].Cycle != want[i].Cycle {
-				t.Fatalf("%s: delta[%d] = %v@%v, snapshot diff %v@%v", step, i, delta[i].Key, delta[i].WindowEnd, want[i].Key, want[i].WindowEnd)
-			}
-		}
+	round, ok := eng.EstimateFor(k)
+	if !ok || round.WindowEnd != at {
+		t.Fatalf("round at %v published %+v (ok %v)", at, round.Result, ok)
 	}
-	published := 0
-	for r := 0; r < 8; r++ {
-		at := 1800 + 300*float64(r)
-		for i := 0; i < nKeys; i++ {
-			switch (i + r) % 3 {
-			case 0: // no news: carried
-			case 1:
-				eng.Ingest(benchRecords(i, at-600, at))
-			default: // thin: fails, and keeps failing until quarantined
-				eng.Ingest(benchRecords(i, at-600, at)[:3])
-			}
-		}
-		if r == 0 {
-			for i := 0; i < nKeys; i++ {
-				eng.Ingest(benchRecords(i, 0, 1200))
-			}
-		}
-		check(fmt.Sprintf("before round %d", r))
-		if _, err := eng.Advance(at); err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("round %d", r))
-		published += len(delta)
-		check(fmt.Sprintf("idle poll after round %d", r))
-		if len(delta) != 0 {
-			t.Fatalf("an idle poll after round %d yielded %d estimates", r, len(delta))
-		}
-		if r%3 == 2 {
-			k := benchApproachKey(r % nKeys)
-			again, _ := eng.EstimateFor(benchApproachKey((r + 1) % nKeys)) // re-sent as it stands
-			eng.Prime(primedResult(k, at-900, 97), primedResult(benchApproachKey(nKeys+r), at+60, 101), again.Result)
-			check(fmt.Sprintf("prime after round %d", r))
-			published += len(delta)
-		}
+	v := eng.Version()
+
+	published := prime(eng, primedResult(k, at-900, 97))
+	if est, _ := eng.EstimateFor(k); est.Result != round.Result {
+		t.Fatalf("a prime of window end %v rewound the served estimate to %+v", at-900, est.Result)
 	}
-	if published < 2*nKeys {
-		t.Fatalf("only %d estimates persisted over 8 rounds: the test exercises little", published)
+	if len(published) != 0 || eng.Version() != v {
+		t.Fatalf("refused prime reported %v published and moved the version %d → %d", published, v, eng.Version())
+	}
+
+	equal := primedResult(k, at, 97)
+	if published := prime(eng, equal); len(published) != 1 || published[0] != k {
+		t.Fatalf("equal-window prime reported %v published, want [%v]", published, k)
+	}
+	if est, _ := eng.EstimateFor(k); est.Result != equal {
+		t.Fatalf("equal-window prime serves %+v, want %+v", est.Result, equal)
+	}
+	if eng.Version() != v+1 {
+		t.Fatalf("equal-window prime left the version at %d, want %d", eng.Version(), v+1)
+	}
+
+	newer := primedResult(k, at+600, 101)
+	if published := prime(eng, newer); len(published) != 1 {
+		t.Fatalf("newer prime reported %v published", published)
+	}
+	eng.Ingest(benchRecords(0, at, at+300))
+	if err := ignoreChanges(eng.Advance(at + 300)); err != nil {
+		t.Fatal(err)
+	}
+	if last.At != at+300 || slices.Contains(last.Published, k) {
+		t.Fatalf("round at %v (stats at %v) published %v over a primed window end of %v", at+300, last.At, last.Published, at+600)
+	}
+	if est, _ := eng.EstimateFor(k); est.Result != newer {
+		t.Fatalf("round at %v replaced the primed estimate with %+v", at+300, est.Result)
 	}
 }
 

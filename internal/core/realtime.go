@@ -179,14 +179,11 @@ type approach struct {
 	buf    keyBuffer
 	dirty  bool // on Engine.dirty: unread records, or a failure to retry
 	health approachHealth
-	// est is served once published is set; newest, the latest WindowEnd
-	// ever published, is covered from version advancedAt.
-	est        Result
-	published  bool
-	newest     float64
-	advancedAt uint64
-	history    History // empty until UseHistory corrects a first estimate
-	monitor    Monitor // empty until a first covered estimate feeds it
+	// est is served once published is set.
+	est       Result
+	published bool
+	history   History // empty until UseHistory corrects a first estimate
+	monitor   Monitor // empty until a first covered estimate feeds it
 }
 
 // reported: a has an estimate, or a failure only a success would clear.
@@ -212,9 +209,15 @@ func (e *Engine) markDirtyLocked(a *approach) {
 	}
 }
 
-// publishLocked serves res and clears a's failure ledger. A WindowEnd past
-// every earlier one is new to AppendPublishedSince from the next version.
-func (e *Engine) publishLocked(a *approach, res Result) {
+// publishLocked is the one way an estimate is served: rounds and restores
+// alike come through it. It serves res as a's estimate and clears a's
+// failure ledger, unless a serves an estimate from a newer window already
+// (the window fence: no publish rewinds the served answer). An equal window
+// publishes again. It reports whether res was published.
+func (e *Engine) publishLocked(a *approach, res Result) bool {
+	if a.published && a.est.WindowEnd > res.WindowEnd {
+		return false
+	}
 	if !a.published {
 		a.published = true
 		e.published++
@@ -222,10 +225,7 @@ func (e *Engine) publishLocked(a *approach, res Result) {
 	a.est = res
 	h := &a.health
 	h.consecutiveFailures, h.backoff, h.quarantinedUntil = 0, 0, 0
-	if res.WindowEnd > a.newest {
-		a.newest = res.WindowEnd
-		a.advancedAt = e.version + 1
-	}
+	return true
 }
 
 // keyBuffer holds one approach's buffered records in pages under a
@@ -486,7 +486,7 @@ type RoundStats struct {
 	Snapshot, StopIndex, Identify, Publish time.Duration
 	// Published lists the keys whose estimate was updated by this round —
 	// the delta a push read path fans out to subscribers. Keys whose
-	// identification failed or whose result lost the version fence are
+	// identification failed or whose result lost the window fence are
 	// not in it.
 	Published []mapmatch.Key
 	// Version is the engine version after this round's bump: a snapshot
@@ -645,11 +645,10 @@ func (e *Engine) snapshotLocked(rm *roundMem, t0, at float64) (earliest float64)
 }
 
 // publishRound applies one round's results under e.mu: failure ledger,
-// history correction, estimate publication and monitor feeding, and
-// fills stats.Published and stats.Carried. A result never overwrites an
-// estimate from a newer window (version fencing) — estMu makes
-// overlapping rounds impossible today, but the fence keeps publication
-// safe even if rounds ever race.
+// estimate publication, history correction and monitor feeding, and
+// fills stats.Published and stats.Carried. A result the window fence
+// refuses (a restore published a newer window meanwhile) is dropped
+// before History or the Monitor sees it.
 func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results []Result, covered bool, stats *RoundStats) []KeyedChange {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -671,27 +670,27 @@ func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results []Result,
 			e.markDirtyLocked(a)
 			continue
 		}
-		if a.published && a.est.WindowEnd > res.WindowEnd {
+		if !e.publishLocked(a, res) {
 			continue
 		}
+		stats.Published = append(stats.Published, k)
+		est := &a.est // corrected in place, before e.mu lets a reader see it
 		if e.cfg.UseHistory {
 			if a.history.slots == nil {
 				a.history = newHistory(e.cfg.History, int(math.Ceil(e.cfg.History.SlotSeconds/e.cfg.Interval)))
 			}
-			if v, corrected := a.history.AddAndCorrect(at, res.Cycle); corrected {
-				res.Cycle = v
-				res.Green = v - res.Red
+			if v, corrected := a.history.AddAndCorrect(at, est.Cycle); corrected {
+				est.Cycle = v
+				est.Green = v - est.Red
 			}
 		}
-		e.publishLocked(a, res)
-		stats.Published = append(stats.Published, k)
-		if !covered || res.Quality < e.cfg.MinQuality {
+		if !covered || est.Quality < e.cfg.MinQuality {
 			continue
 		}
 		if a.monitor.cfg.Confirm == 0 { // a valid config confirms after one or more
 			a.monitor = newMonitor(e.cfg.Monitor, int(math.Ceil(seriesHorizon/e.cfg.Interval)))
 		}
-		for _, c := range a.monitor.Feed(CyclePoint{T: at, Cycle: res.Cycle}) {
+		for _, c := range a.monitor.Feed(CyclePoint{T: at, Cycle: est.Cycle}) {
 			out = append(out, KeyedChange{Key: k, Change: c})
 		}
 	}
@@ -773,27 +772,12 @@ func (e *Engine) estimateLocked(a *approach) Estimate {
 	return Estimate{Result: a.est, Age: age, Health: e.healthStateLocked(a, age)}
 }
 
-// AppendPublishedSince appends to dst every estimate whose WindowEnd moved
-// past all of its approach's earlier ones after engine version since, and
-// returns dst and the version covered; passing that next time yields each
-// such estimate once. A durable log is fed from it without a snapshot.
-func (e *Engine) AppendPublishedSince(dst []Result, since uint64) ([]Result, uint64) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for _, a := range e.approaches {
-		// A round publishes before it bumps the version: the next call has it.
-		if a.published && a.advancedAt > since && a.advancedAt <= e.version {
-			dst = append(dst, a.est)
-		}
-	}
-	return dst, e.version
-}
-
 // Version returns a counter that increments whenever the published
 // estimates may have changed: after every estimation pass and every
-// Prime. A consumer holding a snapshot taken at version v knows the
-// engine's content is unchanged while Version still returns v — the
-// basis for cheap ETag-style revalidation without copying the map.
+// RestoreState that publishes. A consumer holding a snapshot taken at
+// version v knows the engine's content is unchanged while Version still
+// returns v — the basis for cheap ETag-style revalidation without copying
+// the map.
 func (e *Engine) Version() uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -825,35 +809,6 @@ func (e *Engine) ApproachHealthFor(key mapmatch.Key) (ApproachHealth, bool) {
 		return ApproachHealth{}, false
 	}
 	return e.approachHealthLocked(a), true
-}
-
-// Prime publishes externally supplied estimates — e.g. persisted by a
-// previous run of a serving daemon — so a freshly started engine answers
-// live queries before its first window fills, exactly as if the pipeline
-// had produced each result at its WindowEnd. Entries with a non-nil Err
-// or a non-positive Cycle are ignored; each accepted entry is keyed by
-// its Result.Key and counts as a success in the failure ledger.
-func (e *Engine) Prime(results ...Result) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	changed := false
-	for _, res := range results {
-		changed = e.primeLocked(res.Key, res) != nil || changed
-	}
-	if changed {
-		e.version++
-	}
-}
-
-// primeLocked publishes res as k's and returns its approach, or nil if unusable.
-func (e *Engine) primeLocked(k mapmatch.Key, res Result) *approach {
-	if res.Err != nil || res.Cycle <= 0 {
-		return nil
-	}
-	res.Key = k
-	a := e.approachLocked(k)
-	e.publishLocked(a, res)
-	return a
 }
 
 // ApproachState is the durable per-approach engine state: the latest
@@ -889,24 +844,32 @@ func (e *Engine) ExportState() EngineState {
 	return st
 }
 
-// RestoreState rehydrates a freshly built engine from a previously
-// exported (possibly persisted) state: estimates are published exactly
-// as Prime would publish them, monitor series are restored without
-// re-emitting already confirmed changes, and the stream clock moves
-// forward to the exported clock so estimate ages stay truthful. Restoring
-// never moves the clock backwards. Entries with a non-nil Err or a
-// non-positive Cycle are skipped, mirroring Prime. It returns the number
-// of approaches restored.
-func (e *Engine) RestoreState(st EngineState) int {
+// RestoreState publishes externally supplied estimates — checkpointed by
+// a previous run of a serving daemon, or replicated from a peer — so an
+// engine answers live queries before its first window fills, exactly as
+// if the pipeline had produced each result at its WindowEnd. Each
+// estimate passes the window fence (see publishLocked) and counts as a
+// success in the failure ledger; entries with a non-nil Err or a
+// non-positive Cycle are skipped. Monitor series are restored without
+// re-emitting already confirmed changes (an empty series leaves the
+// approach's monitor as it is), and the stream clock moves forward to
+// st.Now so estimate ages stay truthful; it never moves backwards, so
+// Now: 0 restores estimates alone. It returns the keys it published.
+func (e *Engine) RestoreState(st EngineState) []mapmatch.Key {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if st.Now > e.now {
 		e.now = st.Now
 	}
-	restored := 0
+	var published []mapmatch.Key
 	for k, as := range st.Approaches {
-		a := e.primeLocked(k, as.Result)
-		if a == nil {
+		res := as.Result
+		if res.Err != nil || res.Cycle <= 0 {
+			continue
+		}
+		res.Key = k
+		a := e.approachLocked(k)
+		if !e.publishLocked(a, res) {
 			continue
 		}
 		// A round of a restored engine feeds the monitor at its own time,
@@ -923,12 +886,12 @@ func (e *Engine) RestoreState(st EngineState) int {
 				a.monitor = *mon
 			}
 		}
-		restored++
+		published = append(published, k)
 	}
-	if restored > 0 {
+	if len(published) > 0 {
 		e.version++
 	}
-	return restored
+	return published
 }
 
 // StateOf answers the headline real-time question — is this approach red

@@ -28,6 +28,16 @@ func primedResult(k mapmatch.Key, windowEnd, cycle float64) Result {
 	}
 }
 
+// prime publishes results as a warm-start or failover prime does:
+// RestoreState with no clock and no monitor series.
+func prime(eng *Engine, results ...Result) []mapmatch.Key {
+	st := EngineState{Approaches: map[mapmatch.Key]ApproachState{}}
+	for _, r := range results {
+		st.Approaches[r.Key] = ApproachState{Result: r}
+	}
+	return eng.RestoreState(st)
+}
+
 // TestPrimePublishSnapshotRoundTrip is the satellite round-trip test:
 // results primed into an engine must come back from Snapshot exactly,
 // and exporting + restoring into a second engine must preserve them.
@@ -40,7 +50,7 @@ func TestPrimePublishSnapshotRoundTrip(t *testing.T) {
 	k2 := stateKey(1, lights.EastWest)
 	r1 := primedResult(k1, 1800, 120)
 	r2 := primedResult(k2, 2100, 90)
-	eng.Prime(r1, r2)
+	prime(eng, r1, r2)
 
 	snap := eng.Snapshot()
 	if len(snap) != 2 {
@@ -60,7 +70,7 @@ func TestPrimePublishSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	if n := eng2.RestoreState(st); n != 2 {
+	if n := len(eng2.RestoreState(st)); n != 2 {
 		t.Fatalf("RestoreState restored %d approaches, want 2", n)
 	}
 	snap2 := eng2.Snapshot()
@@ -83,7 +93,8 @@ func TestPrimePublishSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreStateSkipsBadResults mirrors Prime's contract.
+// TestRestoreStateSkipsBadResults: an entry with no usable schedule is
+// not published.
 func TestRestoreStateSkipsBadResults(t *testing.T) {
 	eng, err := NewEngine(DefaultRealtimeConfig())
 	if err != nil {
@@ -92,7 +103,7 @@ func TestRestoreStateSkipsBadResults(t *testing.T) {
 	k := stateKey(2, lights.NorthSouth)
 	bad := primedResult(k, 1800, 0) // non-positive cycle
 	st := EngineState{Now: 1800, Approaches: map[mapmatch.Key]ApproachState{k: {Result: bad}}}
-	if n := eng.RestoreState(st); n != 0 {
+	if n := len(eng.RestoreState(st)); n != 0 {
 		t.Fatalf("RestoreState accepted %d bad results", n)
 	}
 	if len(eng.Snapshot()) != 0 {
@@ -184,7 +195,7 @@ func TestRestoreStateDropsFutureMonitorPoints(t *testing.T) {
 			Monitor: []CyclePoint{{T: 1200, Cycle: 97}, {T: 900, Cycle: 97}},
 		},
 	}}
-	if n := eng.RestoreState(st); n != 2 {
+	if n := len(eng.RestoreState(st)); n != 2 {
 		t.Fatalf("restored %d approaches, want 2", n)
 	}
 	if got := eng.approaches[ahead].monitor.Series(); len(got) != 3 || got[2].T != 1500 {

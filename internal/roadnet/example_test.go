@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"taxilight/internal/geo"
 	"taxilight/internal/roadnet"
 )
 
@@ -19,22 +18,6 @@ func ExampleGenerateGrid() {
 		net.NumNodes(), net.NumSegments(), len(net.SignalisedNodes()))
 	// Output:
 	// 9 intersections, 24 directed segments, 9 traffic lights
-}
-
-func ExampleNetwork_NearestSegmentHeading() {
-	cfg := roadnet.DefaultGridConfig()
-	cfg.Rows, cfg.Cols = 3, 3
-	net, err := roadnet.GenerateGrid(cfg)
-	if err != nil {
-		panic(err)
-	}
-	// A GPS fix 15 m east of a north-south road, taxi heading north: the
-	// matcher must pick a northbound segment even if an east-west road is
-	// geometrically closer.
-	seg, _, ok := net.NearestSegmentHeading(geo.XY{X: 15, Y: 650}, 120, 0, 30)
-	fmt.Printf("matched: %v, heading %.0f\n", ok, seg.Heading())
-	// Output:
-	// matched: true, heading 0
 }
 
 func ExampleImportOSM() {

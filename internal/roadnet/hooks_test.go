@@ -40,32 +40,18 @@ func (n *Network) NearestSegment(q geo.XY, maxDist float64) (seg *Segment, dist 
 }
 
 // NearestLight returns the signalised node nearest to q within maxDist
-// metres. ok is false when no light is in range.
+// metres, the first in SignalisedNodes order on a tie. ok is false when no
+// light is in range.
 func (n *Network) NearestLight(q geo.XY, maxDist float64) (node *Node, dist float64, ok bool) {
 	n.mustFinal()
-	return n.index.nearestLight(q, maxDist)
-}
-
-func (idx *spatialIndex) nearestLight(q geo.XY, maxDist float64) (*Node, float64, bool) {
-	cx, cy := idx.cellOf(q)
-	maxRing := int(maxDist/idx.cell) + 1 // as in snap
-	var best *Node
-	bestD := math.Inf(1)
-	for ring := 0; ring <= maxRing; ring++ {
-		if best != nil && bestD <= float64(ring-1)*idx.cell {
-			break
+	dist = math.Inf(1)
+	for _, nd := range n.SignalisedNodes() {
+		if d := nd.Pos.Sub(q).Norm(); d < dist {
+			node, dist = nd, d
 		}
-		idx.forRing(cx, cy, ring, func(c int) {
-			for _, nid := range idx.lights[c] {
-				nd := idx.net.nodes[nid]
-				if d := nd.Pos.Sub(q).Norm(); d < bestD {
-					best, bestD = nd, d
-				}
-			}
-		})
 	}
-	if best == nil || bestD > maxDist {
+	if node == nil || dist > maxDist {
 		return nil, 0, false
 	}
-	return best, bestD, true
+	return node, dist, true
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // spatialIndex is a uniform grid over the network bounding box. Cells hold
-// the IDs of segments whose padded bounding boxes intersect the cell, plus
-// the signalised nodes inside the cell. Queries expand ring by ring until
-// a hit is provably nearest, which keeps nearest-neighbour lookups O(1) on
-// the uniformly dense city grids used here.
+// the IDs of segments whose padded bounding boxes intersect the cell.
+// Queries expand ring by ring until a hit is provably nearest, which keeps
+// nearest-neighbour lookups O(1) on the uniformly dense city grids used
+// here.
 //
 // A query of radius under one cell reads rings 0 and 1 only, where a
 // segment is listed in up to nine cells. For that neighbourhood each cell
@@ -23,7 +23,6 @@ type spatialIndex struct {
 	cell   float64
 	nx, ny int
 	segs   [][]SegmentID
-	lights [][]NodeID
 	net    *Network
 	// near and nearOff are every cell's neighbourhood list, as above.
 	near, nearOff []int32
@@ -43,10 +42,9 @@ func buildIndex(net *Network) *spatialIndex {
 	ny := int(math.Ceil(bb.Height()/indexCellSize)) + 1
 	idx := &spatialIndex{
 		bbox: bb, cell: indexCellSize, nx: nx, ny: ny,
-		segs:   make([][]SegmentID, nx*ny),
-		boxes:  make([]geo.BBox, len(net.segments)),
-		lights: make([][]NodeID, nx*ny),
-		net:    net,
+		segs:  make([][]SegmentID, nx*ny),
+		boxes: make([]geo.BBox, len(net.segments)),
+		net:   net,
 	}
 	for _, s := range net.segments {
 		sb := geo.NewBBox(s.geom.A, s.geom.B).Pad(1)
@@ -59,14 +57,6 @@ func buildIndex(net *Network) *spatialIndex {
 				idx.segs[c] = append(idx.segs[c], s.ID)
 			}
 		}
-	}
-	for _, nd := range net.nodes {
-		if !nd.Signalised() {
-			continue
-		}
-		cx, cy := idx.cellOf(nd.Pos)
-		c := cy*nx + cx
-		idx.lights[c] = append(idx.lights[c], nd.ID)
 	}
 	idx.buildNear()
 	return idx

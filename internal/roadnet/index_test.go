@@ -282,71 +282,3 @@ func TestNearListsInFirstVisitOrder(t *testing.T) {
 		}
 	}
 }
-
-// refNearestLight is nearestLight as it stood before its search radius
-// was cut to snap's, kept verbatim as the oracle: one ring more than a
-// light within maxDist can lie in.
-func (idx *spatialIndex) refNearestLight(q geo.XY, maxDist float64) (*Node, float64, bool) {
-	cx, cy := idx.cellOf(q)
-	maxRing := int(maxDist/idx.cell) + 2
-	var best *Node
-	bestD := math.Inf(1)
-	for ring := 0; ring <= maxRing; ring++ {
-		if best != nil && bestD <= float64(ring-1)*idx.cell {
-			break
-		}
-		idx.forRing(cx, cy, ring, func(c int) {
-			for _, nid := range idx.lights[c] {
-				nd := idx.net.nodes[nid]
-				if d := nd.Pos.Sub(q).Norm(); d < bestD {
-					best, bestD = nd, d
-				}
-			}
-		})
-	}
-	if best == nil || bestD > maxDist {
-		return nil, 0, false
-	}
-	return best, bestD, true
-}
-
-// TestNearestLightMatchesReference holds nearestLight to its old body on
-// snap's networks: random points, points at every node and far off the
-// index, radii either side of each cell edge and exactly each light's
-// own distance.
-func TestNearestLightMatchesReference(t *testing.T) {
-	for name, net := range snapNets(t) {
-		idx := net.index
-		rng := rand.New(rand.NewSource(23))
-		bb := net.BBox().Pad(900)
-		var queries []geo.XY
-		for i := 0; i < 400; i++ {
-			queries = append(queries, geo.XY{X: bb.MinX + rng.Float64()*bb.Width(), Y: bb.MinY + rng.Float64()*bb.Height()})
-		}
-		for _, nd := range net.nodes {
-			queries = append(queries, nd.Pos, nd.Pos.Add(geo.XY{X: 249.99, Y: 0.01}))
-		}
-		far := net.BBox().Pad(5000)
-		queries = append(queries, geo.XY{X: far.MinX, Y: far.MinY}, geo.XY{X: far.MaxX, Y: far.MaxY})
-		hits := 0
-		for _, q := range queries {
-			radii := []float64{0, 40, 249.99, 250, 250.01, 499.99, 500, 500.01, 800, 3000}
-			if _, d, ok := idx.refNearestLight(q, 1e4); ok {
-				radii = append(radii, d, math.Nextafter(d, 0))
-			}
-			for _, maxDist := range radii {
-				wantN, wantD, wantOK := idx.refNearestLight(q, maxDist)
-				n, d, ok := idx.nearestLight(q, maxDist)
-				if n != wantN || math.Float64bits(d) != math.Float64bits(wantD) || ok != wantOK {
-					t.Fatalf("%s, q %v, maxDist %v: (%v, %v, %v), reference (%v, %v, %v)", name, q, maxDist, n, d, ok, wantN, wantD, wantOK)
-				}
-				if ok {
-					hits++
-				}
-			}
-		}
-		if hits == 0 {
-			t.Fatalf("%s: no query found a light", name)
-		}
-	}
-}

@@ -182,23 +182,6 @@ func TestNearestSegment(t *testing.T) {
 	}
 }
 
-func TestNearestSegmentHeading(t *testing.T) {
-	net := mustGrid(t, DefaultGridConfig())
-	// Near the bottom-left EW road, but the taxi is driving north: the
-	// matcher must pick a NS segment even though EW is nearer (Fig. 5).
-	q := geo.XY{X: 20, Y: 180}
-	seg, _, ok := net.NearestSegmentHeading(q, 400, 0, 30)
-	if !ok {
-		t.Fatal("no segment found")
-	}
-	if seg.Approach() != lights.NorthSouth {
-		t.Fatalf("matched approach %v, heading %v", seg.Approach(), seg.Heading())
-	}
-	if geo.HeadingDiff(seg.Heading(), 0) > 30 {
-		t.Fatalf("heading constraint violated: %v", seg.Heading())
-	}
-}
-
 func TestNearestLight(t *testing.T) {
 	cfg := DefaultGridConfig()
 	net := mustGrid(t, cfg)
@@ -306,23 +289,6 @@ func TestPerpendicularAt(t *testing.T) {
 	}
 	if PerpendicularAt(ns, ns2) {
 		t.Fatal("NS/NS judged perpendicular")
-	}
-}
-
-func TestOppositeOf(t *testing.T) {
-	net := mustGrid(t, DefaultGridConfig())
-	s0 := net.Segment(0)
-	found := false
-	for _, s := range net.Segments() {
-		if s0.OppositeOf(s) {
-			found = true
-			if s.OppositeOf(s0) != true {
-				t.Fatal("OppositeOf not symmetric")
-			}
-		}
-	}
-	if !found {
-		t.Fatal("two-way road has no reverse twin")
 	}
 }
 

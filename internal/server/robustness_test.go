@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"taxilight/internal/core"
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/trace"
@@ -27,7 +28,7 @@ func TestOverloadShedding(t *testing.T) {
 		cfg.DebugEndpoints = true
 	})
 	key := mapmatch.Key{Light: 3, Approach: lights.NorthSouth}
-	s.shardFor(key).engine.Prime(primedResult(key))
+	s.PrimeResults([]core.Result{primedResult(key)})
 	handler := s.Handler()
 
 	var wg sync.WaitGroup
@@ -89,7 +90,7 @@ func TestOverloadShedding(t *testing.T) {
 func TestPanicRecovery(t *testing.T) {
 	s := newTestServer(t, func(cfg *Config) { cfg.DebugEndpoints = true })
 	key := mapmatch.Key{Light: 1, Approach: lights.EastWest}
-	s.shardFor(key).engine.Prime(primedResult(key))
+	s.PrimeResults([]core.Result{primedResult(key)})
 
 	rec := get(t, s, "/debug/panic", nil)
 	if rec.Code != http.StatusInternalServerError {
@@ -125,7 +126,7 @@ func TestDegradedModeHeader(t *testing.T) {
 	s := newTestServer(t, nil)
 	key := mapmatch.Key{Light: 2, Approach: lights.NorthSouth}
 	res := primedResult(key)
-	s.shardFor(key).engine.Prime(res)
+	s.PrimeResults([]core.Result{res})
 
 	// Fresh answer: no header.
 	rec := get(t, s, "/v1/state/2/NS", nil)
@@ -164,8 +165,8 @@ func TestSnapshotWorstHealthHeader(t *testing.T) {
 	stale := primedResult(old)
 	stale.WindowEnd -= 4 * s.cfg.Realtime.Faults.StaleAfter
 	stale.WindowStart = stale.WindowEnd - 1800
-	s.shardFor(old).engine.Prime(stale)
-	s.shardFor(live).engine.Prime(primedResult(live))
+	s.PrimeResults([]core.Result{stale})
+	s.PrimeResults([]core.Result{primedResult(live)})
 
 	rec := get(t, s, "/v1/snapshot", nil)
 	if rec.Code != http.StatusOK {
@@ -184,7 +185,7 @@ func TestSnapshotWorstHealthHeader(t *testing.T) {
 func TestHealthzFeedTransitions(t *testing.T) {
 	s := newTestServer(t, func(cfg *Config) { cfg.StaleFeedAfter = 2 * time.Minute })
 	key := mapmatch.Key{Light: 0, Approach: lights.NorthSouth}
-	s.shardFor(key).engine.Prime(primedResult(key))
+	s.PrimeResults([]core.Result{primedResult(key)})
 
 	rec := get(t, s, "/healthz", nil)
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"status":"ok"`) {

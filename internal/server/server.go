@@ -209,12 +209,15 @@ type Server struct {
 	sup      *ingest.Supervisor
 	inflight chan struct{}
 
-	// Persistence plumbing (nil/idle without a configured Store): the
-	// shard loops and PrimeResults enqueue newly published estimates, one
-	// writer drains the queue into the WAL, and a timer takes full
-	// checkpoints.
+	// Persistence plumbing (nil/idle without a configured Store): publish
+	// enqueues newly published estimates, one writer drains the queue into
+	// the WAL, and a timer takes full checkpoints. persistCh is open from
+	// Start to StopIngest; publish sends and StopIngest takes it away under
+	// queueMu, so a prime racing the shutdown never sends on a closed
+	// queue.
 	// storeDegraded latches once StoreFailureBudget consecutive appends
 	// fail; the daemon then serves without persisting.
+	queueMu       sync.Mutex
 	persistCh     chan []store.Record
 	persistWG     sync.WaitGroup
 	ckptStop      chan struct{}
@@ -310,8 +313,7 @@ func New(matcher *mapmatch.Matcher, cfg Config) (*Server, error) {
 			s.met.keysCarried.Add(int64(st.Carried))
 			s.met.estimateRounds.Add(1)
 			s.met.estimateWorkers.Set(float64(st.Workers))
-			s.routeEpoch.Add(1)
-			s.publishWatch(eng, st.At, st.Published)
+			s.publish(eng, st.At, st.Published)
 			if fn := s.cfg.OnRound; fn != nil {
 				fn(shardID, st)
 			}
@@ -351,9 +353,12 @@ func (s *Server) Start() {
 	s.started = true
 	if st := s.cfg.Store; st != nil {
 		st.SetObservers(s.met.walAppendLat.Observe, s.met.walFsyncLat.Observe)
-		s.persistCh = make(chan []store.Record, storeQueue)
+		queue := make(chan []store.Record, storeQueue)
+		s.queueMu.Lock()
+		s.persistCh = queue
+		s.queueMu.Unlock()
 		s.persistWG.Add(1)
-		go s.persistLoop()
+		go s.persistLoop(queue)
 		s.ckptStop = make(chan struct{})
 		s.ckptWG.Add(1)
 		go s.checkpointLoop()
@@ -370,10 +375,10 @@ func (s *Server) Start() {
 // StoreFailureBudget consecutive appends fail the writer stops touching
 // the store entirely (serving-only mode): batches keep draining so the
 // queue never stalls, but they are dropped and counted.
-func (s *Server) persistLoop() {
+func (s *Server) persistLoop(queue <-chan []store.Record) {
 	defer s.persistWG.Done()
 	streak := 0
-	for batch := range s.persistCh {
+	for batch := range queue {
 		if s.storeDegraded.Load() {
 			s.met.walDropped.Add(int64(len(batch)))
 			continue
@@ -454,27 +459,37 @@ func (s *Server) ExportState() core.EngineState {
 }
 
 // Restore warm-starts the server from recovered state: each approach is
-// routed to the shard that owns its key and published there exactly as
-// the pre-crash engine had it. The engine version after the restore
-// counts as persisted, so a restart does not re-append them to the WAL.
-// Call before Start. It returns the number of approaches restored.
+// published on the shard that owns its key exactly as the pre-crash
+// engine had it, and every shard's clock moves to st.Now. Call before
+// Start: the store queue is not open yet, so the restored estimates are
+// not re-appended to the WAL. It returns the number of approaches
+// restored.
 func (s *Server) Restore(st core.EngineState) int {
+	n := s.restore(st)
+	s.met.restoredCount.Add(int64(n))
+	return n
+}
+
+// restore is Restore's and PrimeResults' one body: it routes each
+// approach to the shard that owns its key, restores it there through the
+// engine's window fence, and hands each shard's published keys to
+// publish. It returns how many approaches were published.
+func (s *Server) restore(st core.EngineState) int {
 	perShard := make([]core.EngineState, len(s.shards))
 	for i := range perShard {
 		perShard[i] = core.EngineState{Now: st.Now, Approaches: map[mapmatch.Key]core.ApproachState{}}
 	}
 	for k, as := range st.Approaches {
-		idx := shardIndex(k, len(s.shards))
-		perShard[idx].Approaches[k] = as
+		perShard[shardIndex(k, len(s.shards))].Approaches[k] = as
 	}
-	total := 0
+	n := 0
 	for i, sh := range s.shards {
-		total += sh.engine.RestoreState(perShard[i])
-		sh.lastVersion = sh.engine.Version()
+		if keys := sh.engine.RestoreState(perShard[i]); len(keys) > 0 {
+			n += len(keys)
+			s.publish(sh.engine, sh.engine.Now(), keys)
+		}
 	}
-	s.routeEpoch.Add(1)
-	s.met.restoredCount.Add(int64(total))
-	return total
+	return n
 }
 
 // Dispatch routes matched records to their shards, blocking when a
@@ -522,16 +537,19 @@ func (s *Server) StopIngest() {
 		s.ckptWG.Wait()
 		s.ckptStop = nil
 	}
-	if s.persistCh != nil {
-		close(s.persistCh)
+	s.queueMu.Lock()
+	queue := s.persistCh
+	s.persistCh = nil
+	s.queueMu.Unlock()
+	if queue != nil {
+		close(queue)
 		s.persistWG.Wait()
-		s.persistCh = nil
 	}
 	s.checkpointNow()
 }
 
-// Engines exposes the per-shard engines for priming (warm restart) and
-// inspection. The slice is owned by the server; do not mutate it.
+// Engines exposes the per-shard engines for inspection. The slice is
+// owned by the server; do not mutate it.
 func (s *Server) Engines() []*core.Engine {
 	out := make([]*core.Engine, len(s.shards))
 	for i, sh := range s.shards {
@@ -592,42 +610,78 @@ func (s *Server) StreamNow() float64 {
 	return now
 }
 
-// PrimeResults publishes externally supplied results into the owning
-// shards' engines — the cluster failover path promoting replicated
-// estimates. It returns how many results were accepted. The promoted
-// estimates go through the shard's persist diff before it returns, so a
-// new primary also makes them durable locally without waiting for a
-// batch; after StopIngest nothing more is persisted.
+// PrimeResults publishes externally supplied results on the shards that
+// own their keys — the cluster's failover and cutover paths promoting
+// replicated estimates — through the same path as Restore: a result from
+// an older window than the one a key serves is refused, and what is
+// published reaches the WAL and watch subscribers before PrimeResults
+// returns, without waiting for a batch. A key given more than once keeps
+// its last result. It returns how many results were published.
 func (s *Server) PrimeResults(rs []core.Result) int {
-	byShard := make(map[int][]core.Result)
+	st := core.EngineState{Approaches: make(map[mapmatch.Key]core.ApproachState, len(rs))}
 	for _, r := range rs {
-		if r.Err != nil || r.Cycle <= 0 {
+		st.Approaches[r.Key] = core.ApproachState{Result: r}
+	}
+	return s.restore(st)
+}
+
+// publish is the one way an engine's publishes reach the serving side —
+// a round's RoundStats.Published, or the keys a Restore or PrimeResults
+// published. It moves the route prediction-cache fence, sends one WAL
+// batch while the store queue is open (from Start to StopIngest), and
+// fans the estimates out to /v1/watch subscribers. It runs on the shard
+// loop (the round observer), so it never blocks: the queue send drops a
+// batch a full queue cannot take, with a counter, because durability lag
+// must not stall ingest, and the hub's enqueues are non-blocking. With no
+// store and no subscriber it reads no estimate.
+func (s *Server) publish(eng *core.Engine, at float64, keys []mapmatch.Key) {
+	s.routeEpoch.Add(1)
+	wal, watched := s.cfg.Store != nil, s.hub.Subscribers() > 0
+	if len(keys) == 0 || !wal && !watched {
+		return
+	}
+	version := eng.Version()
+	var recs []store.Record
+	var events []pubsub.Event
+	if wal {
+		recs = make([]store.Record, 0, len(keys))
+	}
+	if watched {
+		events = make([]pubsub.Event, 0, len(keys))
+	}
+	for _, k := range keys {
+		est, ok := eng.EstimateFor(k)
+		if !ok {
 			continue
 		}
-		idx := shardIndex(r.Key, len(s.shards))
-		byShard[idx] = append(byShard[idx], r)
-	}
-	n := 0
-	for idx, batch := range byShard {
-		sh := s.shards[idx]
-		sh.engine.Prime(batch...)
-		sh.persist(s)
-		n += len(batch)
-		// Promoted estimates are published to watch subscribers like any
-		// estimation round's: a failover must not leave watchers on the
-		// new primary waiting for the next local round.
-		keys := make([]mapmatch.Key, len(batch))
-		for i, r := range batch {
-			keys[i] = r.Key
+		if wal {
+			if rec, ok := store.FromResult(est.Result); ok {
+				recs = append(recs, rec)
+			}
 		}
-		s.publishWatch(sh.engine, sh.engine.Now(), keys)
+		if watched {
+			events = append(events, pubsub.Event{
+				Key:     k,
+				Est:     est,
+				Health:  s.overrideHealth(k, est.Health.String()),
+				Version: version,
+			})
+		}
 	}
-	if n > 0 {
-		// Fence the route prediction cache after the engines changed: a
-		// plan that cached pre-Prime answers now holds an older epoch.
-		s.routeEpoch.Add(1)
+	if len(recs) > 0 {
+		s.queueMu.Lock()
+		if s.persistCh != nil {
+			select {
+			case s.persistCh <- recs:
+			default:
+				s.met.walDropped.Add(int64(len(recs)))
+			}
+		}
+		s.queueMu.Unlock()
 	}
-	return n
+	if watched {
+		s.hub.Publish(s.watchID(), at, time.Now().UnixNano(), events)
+	}
 }
 
 // SourceStatuses snapshots the supervised ingest sources, or nil before

@@ -102,7 +102,7 @@ func decodeState(t *testing.T, rec *httptest.ResponseRecorder) stateBody {
 func TestStateCountdown(t *testing.T) {
 	s := newTestServer(t, nil)
 	key := mapmatch.Key{Light: 3, Approach: lights.NorthSouth}
-	s.shardFor(key).engine.Prime(primedResult(key))
+	s.PrimeResults([]core.Result{primedResult(key)})
 
 	cases := []struct {
 		t         float64
@@ -152,7 +152,7 @@ func TestStateErrors(t *testing.T) {
 		t.Errorf("bad light: status %d, want 400", rec.Code)
 	}
 	key := mapmatch.Key{Light: 7, Approach: lights.NorthSouth}
-	s.shardFor(key).engine.Prime(primedResult(key))
+	s.PrimeResults([]core.Result{primedResult(key)})
 	if rec := get(t, s, "/v1/state/7/NS?t=notanumber", nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("bad t: status %d, want 400", rec.Code)
 	}
@@ -183,7 +183,7 @@ func TestStateQuarantined(t *testing.T) {
 	})
 	primed := mapmatch.Key{Light: 1, Approach: lights.NorthSouth}
 	bare := mapmatch.Key{Light: 2, Approach: lights.EastWest}
-	s.shardFor(primed).engine.Prime(primedResult(primed))
+	s.PrimeResults([]core.Result{primedResult(primed)})
 
 	for _, key := range []mapmatch.Key{primed, bare} {
 		eng := s.shardFor(key).engine
@@ -235,8 +235,8 @@ func TestSnapshotETag(t *testing.T) {
 	s := newTestServer(t, nil)
 	k1 := mapmatch.Key{Light: 0, Approach: lights.NorthSouth}
 	k2 := mapmatch.Key{Light: 5, Approach: lights.EastWest}
-	s.shardFor(k1).engine.Prime(primedResult(k1))
-	s.shardFor(k2).engine.Prime(primedResult(k2))
+	s.PrimeResults([]core.Result{primedResult(k1)})
+	s.PrimeResults([]core.Result{primedResult(k2)})
 
 	rec := get(t, s, "/v1/snapshot", nil)
 	if rec.Code != http.StatusOK {
@@ -271,7 +271,7 @@ func TestSnapshotETag(t *testing.T) {
 
 	// Publishing anywhere invalidates the tag.
 	k3 := mapmatch.Key{Light: 9, Approach: lights.NorthSouth}
-	s.shardFor(k3).engine.Prime(primedResult(k3))
+	s.PrimeResults([]core.Result{primedResult(k3)})
 	rec = get(t, s, "/v1/snapshot", map[string]string{"If-None-Match": etag})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("after publish: status %d, want 200", rec.Code)
@@ -299,7 +299,7 @@ func TestHealthz(t *testing.T) {
 	key := mapmatch.Key{Light: 4, Approach: lights.NorthSouth}
 	res := primedResult(key)
 	res.WindowEnd = 0 // age 0 against the engine's zero clock
-	s.shardFor(key).engine.Prime(res)
+	s.PrimeResults([]core.Result{res})
 	if rec := get(t, s, "/healthz", nil); rec.Code != http.StatusOK {
 		t.Errorf("fresh estimate: status %d body %s, want 200", rec.Code, rec.Body.String())
 	}
@@ -327,7 +327,7 @@ func TestHealthz(t *testing.T) {
 func TestMetricsExposition(t *testing.T) {
 	s := newTestServer(t, nil)
 	key := mapmatch.Key{Light: 1, Approach: lights.NorthSouth}
-	s.shardFor(key).engine.Prime(primedResult(key))
+	s.PrimeResults([]core.Result{primedResult(key)})
 	get(t, s, "/v1/state/1/NS", nil)
 	get(t, s, "/v1/snapshot", nil)
 
@@ -445,7 +445,7 @@ func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func TestStateServeAllocs(t *testing.T) {
 	s := newTestServer(t, nil)
 	key := mapmatch.Key{Light: 3, Approach: lights.NorthSouth}
-	s.shardFor(key).engine.Prime(primedResult(key))
+	s.PrimeResults([]core.Result{primedResult(key)})
 	h := s.Handler()
 	req := httptest.NewRequest("GET", "/v1/state/3/NS", nil)
 	w := &discardWriter{h: http.Header{}}

@@ -2,13 +2,11 @@ package server
 
 import (
 	"hash/fnv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"taxilight/internal/core"
 	"taxilight/internal/mapmatch"
-	"taxilight/internal/store"
 )
 
 // shard owns one core.Engine and the goroutine that feeds it. Ingest is
@@ -32,17 +30,6 @@ type shard struct {
 	// lastIngestWall is the wall-clock time (unix nanos) of the last
 	// batch, 0 before the first — the liveness signal /healthz reports.
 	lastIngestWall atomic.Int64
-	// Persistence state, guarded by persistMu because both the shard
-	// goroutine and PrimeResults persist (Restore sets lastVersion before
-	// Start): the engine version already persisted, so every newly
-	// published estimate is appended to the WAL exactly once, and the
-	// slice the engine's delta is read into. stopped is set once the
-	// goroutine has persisted for the last time; the store queue may be
-	// closed after that, so nothing more is sent.
-	persistMu   sync.Mutex
-	lastVersion uint64
-	published   []core.Result
-	stopped     bool
 }
 
 // freeBatches is how many spare batch slices a shard keeps: what one
@@ -77,52 +64,17 @@ func shardIndex(k mapmatch.Key, n int) int {
 }
 
 // loop is the shard goroutine, driven by its batches alone: ingest each
-// batch, advance the engine clock to the newest record time and persist
-// what that published, and drain completely before exiting when the
-// channel closes (graceful shutdown). Only a record moves the stream
-// clock, so a paused feed leaves it where it is.
+// batch and advance the engine clock to the newest record time (the round
+// observer hands what a round published on), and drain completely before
+// exiting when the channel closes (graceful shutdown). Only a record
+// moves the stream clock, so a paused feed leaves it where it is.
 func (sh *shard) loop(s *Server) {
 	defer s.shardWG.Done()
 	for batch := range sh.in {
 		sh.ingest(s, batch)
 		sh.advance(s)
-		sh.persist(s)
 	}
 	sh.advance(s)
-	sh.persist(s)
-	sh.persistMu.Lock()
-	sh.stopped = true
-	sh.persistMu.Unlock()
-}
-
-// persist enqueues what the engine published since the last persisted
-// version onto the store queue: each estimate whose window end moved past
-// its approach's earlier ones, read from the engine without copying the
-// rest. The send never blocks: a full queue drops the batch with a
-// counter, because durability lag must not stall the ingest path. The
-// version check makes the common case (a batch between estimation
-// passes) a single read-locked load.
-func (sh *shard) persist(s *Server) {
-	sh.persistMu.Lock()
-	defer sh.persistMu.Unlock()
-	if sh.stopped || s.persistCh == nil || sh.engine.Version() == sh.lastVersion {
-		return
-	}
-	sh.published, sh.lastVersion = sh.engine.AppendPublishedSince(sh.published[:0], sh.lastVersion)
-	recs := make([]store.Record, 0, len(sh.published))
-	for _, res := range sh.published {
-		if rec, ok := store.FromResult(res); ok {
-			recs = append(recs, rec)
-		}
-	}
-	if len(recs) == 0 {
-		return
-	}
-	select {
-	case s.persistCh <- recs:
-	default:
-		s.met.walDropped.Add(int64(len(recs)))
-	}
 }
 
 // ingest feeds one batch to the engine, updates the shard's clocks and

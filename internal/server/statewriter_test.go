@@ -45,7 +45,7 @@ func TestStateAnswersShareOneWriter(t *testing.T) {
 	defer st.Close()
 	live := mapmatch.Key{Light: 1, Approach: lights.NorthSouth}
 	bare := mapmatch.Key{Light: 2, Approach: lights.EastWest}
-	s.shardFor(live).engine.Prime(primedResult(live))
+	s.PrimeResults([]core.Result{primedResult(live)})
 
 	// A time whose encoding/json and strconv 'g' spellings differ
 	// (1.2345675e+06 against 1234567.5): the answer must be AppendState's.
@@ -57,7 +57,7 @@ func TestStateAnswersShareOneWriter(t *testing.T) {
 	// Health-only: known to the failure ledger, never estimated (the
 	// set-up of TestStateQuarantined).
 	s2 := newTestServer(t, func(c *Config) { c.Realtime.Faults.QuarantineAfter = 1 })
-	s2.shardFor(live).engine.Prime(primedResult(live))
+	s2.PrimeResults([]core.Result{primedResult(live)})
 	for _, key := range []mapmatch.Key{live, bare} {
 		eng := s2.shardFor(key).engine
 		eng.Ingest(sparseMatched(key, 3, 100))
@@ -91,7 +91,7 @@ func TestStreamTimeParamsRefuseNonFinite(t *testing.T) {
 	s, st := newStoreServer(t, t.TempDir())
 	defer st.Close()
 	k := mapmatch.Key{Light: 3, Approach: lights.NorthSouth}
-	s.shardFor(k).engine.Prime(primedResult(k))
+	s.PrimeResults([]core.Result{primedResult(k)})
 	rec, _ := store.FromResult(primedResult(k))
 	if err := st.Append(rec); err != nil {
 		t.Fatal(err)

@@ -91,13 +91,6 @@ func TestPrimeResultsPersistsWithoutABatch(t *testing.T) {
 	if n := s.PrimeResults([]core.Result{primedResult(k)}); n != 1 {
 		t.Fatalf("PrimeResults accepted %d, want 1", n)
 	}
-	sh := s.shardFor(k)
-	sh.persistMu.Lock()
-	persisted := sh.lastVersion
-	sh.persistMu.Unlock()
-	if v := sh.engine.Version(); persisted != v {
-		t.Fatalf("PrimeResults returned with version %d persisted, engine at %d", persisted, v)
-	}
 	waitFor(t, "the promoted estimate to reach the WAL", func() bool { return s.met.walAppended.Load() >= 1 })
 
 	late := mapmatch.Key{Light: 5, Approach: lights.EastWest}

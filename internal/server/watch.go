@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"taxilight/internal/core"
 	"taxilight/internal/lights"
 	"taxilight/internal/mapmatch"
 	"taxilight/internal/pubsub"
@@ -74,31 +73,6 @@ func ParseWatchKeys(q string) ([]mapmatch.Key, error) {
 // between, so a resume carrying the current id skips catch-up entirely.
 func (s *Server) watchID() string {
 	return fmt.Sprintf("%016x", fingerprint(s.engineVersions()))
-}
-
-// publishWatch fans one engine's freshly published keys out to watch
-// subscribers. Runs on the shard loop (the round observer), so it must
-// stay cheap and never block: with no subscribers it is one atomic
-// load, and the hub's enqueues are non-blocking by construction.
-func (s *Server) publishWatch(eng *core.Engine, at float64, published []mapmatch.Key) {
-	if len(published) == 0 || s.hub.Subscribers() == 0 {
-		return
-	}
-	version := eng.Version()
-	events := make([]pubsub.Event, 0, len(published))
-	for _, k := range published {
-		est, ok := eng.EstimateFor(k)
-		if !ok {
-			continue
-		}
-		events = append(events, pubsub.Event{
-			Key:     k,
-			Est:     est,
-			Health:  s.overrideHealth(k, est.Health.String()),
-			Version: version,
-		})
-	}
-	s.hub.Publish(s.watchID(), at, time.Now().UnixNano(), events)
 }
 
 // EvictMovedWatchers cuts loose every /v1/watch subscriber holding at

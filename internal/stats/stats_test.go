@@ -43,25 +43,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	got := WeightedMean([]float64{1, 2, 3}, []float64{1, 1, 2})
-	if math.Abs(got-2.25) > 1e-12 {
-		t.Fatalf("WeightedMean = %v, want 2.25", got)
-	}
-	if !math.IsNaN(WeightedMean([]float64{1}, []float64{0})) {
-		t.Fatal("zero-weight mean should be NaN")
-	}
-}
-
-func TestWeightedMeanPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	WeightedMean([]float64{1, 2}, []float64{1})
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	q, err := Quantile(xs, 0.5)

@@ -87,7 +87,7 @@ func (r Record) Result() core.Result {
 // FromResult builds the durable form of one successful result. It
 // returns ok=false for results that carry no persistable schedule
 // (failed identification or non-positive cycle) — the same entries
-// Engine.Prime would reject on the way back in.
+// Engine.RestoreState skips on the way back in.
 func FromResult(res core.Result) (Record, bool) {
 	if res.Err != nil || res.Cycle <= 0 {
 		return Record{}, false
