@@ -6,8 +6,9 @@
 // The stages mirror Sections V-VII of the paper:
 //
 //   - Cycle length (Section V): treat nearby taxi speed as a periodic
-//     signal, spline-interpolate onto a 1 Hz grid, DFT, and read the cycle
-//     from the dominant frequency bin; optionally densify a sparse
+//     signal, spline-interpolate onto a power-of-two grid spanning the
+//     window, DFT, and read the cycle from the dominant frequency bin (bin
+//     k of an L-second window is a cycle of L/k); optionally densify a sparse
 //     approach by mirroring the perpendicular approach's samples around
 //     the intersection mean speed (Eq. 3).
 //   - Red duration (Section VI-A): collect per-taxi stop runs in front
@@ -106,8 +107,8 @@ func (c CycleConfig) Validate() error {
 
 // IdentifyCycle estimates the traffic-light cycle length from speed
 // samples observed near one approach during the window [t0, t1]. Samples
-// outside the window are ignored. The returned length is N/k seconds
-// where k is the dominant DFT bin within the configured band.
+// outside the window are ignored. The returned length is L/k seconds,
+// L = t1 − t0, where k is the dominant DFT bin within the configured band.
 func IdentifyCycle(samples []dsp.Sample, t0, t1 float64, cfg CycleConfig) (float64, error) {
 	sc := getScratch()
 	defer putScratch(sc)
@@ -130,8 +131,8 @@ func identifyCycleSc(sc *identifyScratch, samples []dsp.Sample, t0, t1 float64, 
 // CycleInput is what the cycle estimator sees of samples in [t0, t1]: the
 // windowed, time-ordered, duplicate-merged samples, and their cfg.Interp
 // interpolation onto the 1 Hz grid over the whole window, clamped to the
-// observed range (the DFT transforms this grid, shortened by a second
-// when its length is odd). Both are the caller's own. It fails where
+// observed range (the DFT takes the same interpolant at the next power of
+// two points spanning the window). Both are the caller's own. It fails where
 // IdentifyCycle fails for too little data, so an alternative estimator
 // built on it competes with the DFT on the same input.
 func CycleInput(samples []dsp.Sample, t0, t1 float64, cfg CycleConfig) ([]dsp.Sample, []float64, error) {
@@ -141,7 +142,7 @@ func CycleInput(samples []dsp.Sample, t0, t1 float64, cfg CycleConfig) ([]dsp.Sa
 	if err != nil {
 		return nil, nil, err
 	}
-	grid, err := resampleSc(sc, in, t0, t1, cfg.Interp)
+	grid, err := resampleSc(sc, in, t0, 1, int(t1-t0)+1, cfg.Interp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -159,7 +160,7 @@ func cycleInputSc(sc *identifyScratch, samples []dsp.Sample, t0, t1 float64, cfg
 	}
 	// The window's grid is needed too when the key turns out too thin to
 	// transform: a borrow of thin keys must not drop the round's plan.
-	sc.needs(max(len(samples), int(t1-t0)+1))
+	sc.needs(max(len(samples), spectrumPoints(t1-t0)))
 	buf := appendWindowed(sc.cycIn[:0], samples, t0, t1)
 	sc.cycIn = buf
 	sortSamplesIfNeeded(buf)
@@ -170,45 +171,39 @@ func cycleInputSc(sc *identifyScratch, samples []dsp.Sample, t0, t1 float64, cfg
 	return in, nil
 }
 
+// spectrumPoints is the length of the grid the spectrum of an L-second
+// window is taken of: the smallest power of two ≥ L, so the transform is
+// one radix-2 FFT.
+func spectrumPoints(L float64) int {
+	return dsp.NextPow2(int(math.Ceil(L)))
+}
+
 // cycleFromSpectrumSc reads the cycle off the spectrum of a series
 // cycleInputSc accepted: resample, transform, fold-score the strongest
-// bins, refine.
+// bins, refine. The interpolant is sampled at P = spectrumPoints(L)
+// points L/P apart, so bin k is k cycles per window whatever P is.
 func cycleFromSpectrumSc(sc *identifyScratch, in []dsp.Sample, t0, t1 float64, cfg CycleConfig) (float64, error) {
-	// Shorten an odd-length grid by one second so its length is even: the
-	// packed real-input FFT transforms even lengths with one half-size
-	// complex FFT, and one second out of an 1800 s window is noise. The
-	// dropped second only shrinks the grid; samples near t1 still shape
-	// the interpolation as knots.
-	gridT1 := t1
-	if n := int(t1-t0) + 1; n > 1 && n%2 == 1 {
-		gridT1 = t0 + float64(n-2)
+	L := t1 - t0
+	P := spectrumPoints(L)
+	// Bins within the plausible cycle band: cycle = L/k, so
+	// k in [L/MaxCycle, L/MinCycle].
+	kMin := max(int(math.Ceil(L/cfg.MaxCycle)), 1)
+	kMax := min(int(math.Floor(L/cfg.MinCycle)), P/2)
+	if kMin > kMax {
+		return 0, fmt.Errorf("core: window of %v s too short for cycle band [%v, %v]", L, cfg.MinCycle, cfg.MaxCycle)
 	}
-	grid, err := resampleSc(sc, in, t0, gridT1, cfg.Interp)
+	grid, err := resampleSc(sc, in, t0, L/float64(P), P, cfg.Interp)
 	if err != nil {
 		return 0, err
 	}
-	n := len(grid)
 	dsp.DetrendInPlace(grid)
-	plan, err := sc.plan(n)
+	plan, err := sc.plan(P)
 	if err != nil {
 		return 0, err
 	}
 	mags, err := plan.MagnitudesReal(grid)
 	if err != nil {
 		return 0, err
-	}
-	// Bins within the plausible cycle band: cycle = N/k, so
-	// k in [N/MaxCycle, N/MinCycle].
-	kMin := int(math.Ceil(float64(n) / cfg.MaxCycle))
-	if kMin < 1 {
-		kMin = 1
-	}
-	kMax := int(math.Floor(float64(n) / cfg.MinCycle))
-	if kMax > n/2 {
-		kMax = n / 2
-	}
-	if kMin > kMax {
-		return 0, fmt.Errorf("core: window of %d s too short for cycle band [%v, %v]", n, cfg.MinCycle, cfg.MaxCycle)
 	}
 	if cfg.Candidates == 1 {
 		best, bestMag := kMin, mags[kMin]
@@ -217,7 +212,7 @@ func cycleFromSpectrumSc(sc *identifyScratch, in []dsp.Sample, t0, t1 float64, c
 				best, bestMag = k, mags[k]
 			}
 		}
-		return float64(n) / float64(best), nil
+		return L / float64(best), nil
 	}
 	// Take the strongest bins as candidate cycles and keep the one whose
 	// fold explains the most speed variance. The plain argmax can lock
@@ -245,9 +240,9 @@ func cycleFromSpectrumSc(sc *identifyScratch, in []dsp.Sample, t0, t1 float64, c
 	}
 	cands := sc.cands[:0]
 	mo := momentsOf(in)
-	bestCycle, bestScore := float64(n)/float64(peaks[0].k), math.Inf(-1)
+	bestCycle, bestScore := L/float64(peaks[0].k), math.Inf(-1)
 	for _, p := range peaks {
-		cycle := float64(n) / float64(p.k)
+		cycle := L / float64(p.k)
 		score := foldScoreSc(sc, in, mo, cycle, t0)
 		cands = append(cands, scoredCand{cycle, score})
 		if score > bestScore {
@@ -273,7 +268,7 @@ func cycleFromSpectrumSc(sc *identifyScratch, in []dsp.Sample, t0, t1 float64, c
 			}
 		}
 	}
-	return refineCycleSc(sc, in, mo, bestCycle, t0, float64(n)), nil
+	return refineCycleSc(sc, in, mo, bestCycle, t0, L), nil
 }
 
 // sortSamplesIfNeeded stable-sorts s by time unless it is already
@@ -314,15 +309,14 @@ func refineCycleSc(sc *identifyScratch, in []dsp.Sample, mo foldMoments, cycle, 
 }
 
 // maxIdentifiedCycle bounds every cycle identifyCycleSc can return for the
-// window [t0, t1]: a bin's cycle is at most MaxCycle, refinement adds at
-// most cycle²/n, and the grid is never more than two seconds shorter than
-// the window. +Inf when the window is too short to say.
+// window [t0, t1]: a bin's cycle is at most MaxCycle and refinement adds
+// at most cycle²/L. +Inf when the window is empty.
 func maxIdentifiedCycle(cfg CycleConfig, t0, t1 float64) float64 {
-	n := t1 - t0 - 2
-	if !(n > 0) {
+	L := t1 - t0
+	if !(L > 0) {
 		return math.Inf(1)
 	}
-	return cfg.MaxCycle + cfg.MaxCycle*cfg.MaxCycle/n
+	return cfg.MaxCycle + cfg.MaxCycle*cfg.MaxCycle/L
 }
 
 // foldMoments holds what every fold score of one sample set shares: the
@@ -409,16 +403,16 @@ func foldScoreSc(sc *identifyScratch, samples []dsp.Sample, mo foldMoments, cycl
 	return 1 - (1-r2)*float64(n-1)/float64(n-used)
 }
 
-// resampleSc interpolates in onto the scratch's 1 Hz grid over [t0, t1]
-// by the given method, clamped to the observed range.
-func resampleSc(sc *identifyScratch, in []dsp.Sample, t0, t1 float64, kind InterpKind) (grid []float64, err error) {
+// resampleSc interpolates in by the given method onto the scratch's grid
+// of n points t0 + i·dt, clamped to the observed range.
+func resampleSc(sc *identifyScratch, in []dsp.Sample, t0, dt float64, n int, kind InterpKind) (grid []float64, err error) {
 	switch kind {
 	case InterpLinear:
-		grid, err = sc.resampler.Linear(in, t0, t1)
+		grid, err = sc.resampler.LinearGrid(in, t0, dt, n)
 	case InterpHold:
-		grid, err = sc.resampler.Hold(in, t0, t1)
+		grid, err = sc.resampler.HoldGrid(in, t0, dt, n)
 	default:
-		grid, err = sc.resampler.Spline(in, t0, t1)
+		grid, err = sc.resampler.SplineGrid(in, t0, dt, n)
 	}
 	if err == nil {
 		clampToObserved(grid, in)

@@ -44,6 +44,47 @@ func TestIdentifyCycleExactTone(t *testing.T) {
 	}
 }
 
+// TestCycleBinIsWindowOverK holds the paper's reading of bin k as a
+// cycle of L/k seconds for a window of L seconds, whatever L is: a clean
+// tone of exactly k cycles per window on an odd window and on fractional
+// ones comes back as exactly L/k under the plain argmax, and every plan
+// the identification builds is a power-of-two radix-2 transform.
+func TestCycleBinIsWindowOverK(t *testing.T) {
+	cfg := DefaultCycleConfig()
+	cfg.Candidates = 1
+	for _, w := range []struct {
+		t0, t1 float64
+		k      int
+	}{
+		{0, 1799, 19},
+		{0, 1799.5, 19},
+		{100.25, 1334.75, 13},
+		{0, 1800, 19},
+	} {
+		L := w.t1 - w.t0
+		var samples []dsp.Sample
+		for ts := math.Ceil(w.t0); ts <= w.t1; ts += 2 {
+			samples = append(samples, dsp.Sample{T: ts, V: 20 + 15*math.Sin(2*math.Pi*float64(w.k)*(ts-w.t0)/L)})
+		}
+		sc := newScratch()
+		got, err := identifyCycleSc(sc, samples, w.t0, w.t1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := L / float64(w.k); got != want {
+			t.Errorf("window [%v, %v]: cycle %v, want L/k = %v", w.t0, w.t1, got, want)
+		}
+		if len(sc.plans) != 1 {
+			t.Errorf("window [%v, %v]: %d plans built, want 1", w.t0, w.t1, len(sc.plans))
+		}
+		for n := range sc.plans {
+			if n != spectrumPoints(L) || n&(n-1) != 0 {
+				t.Errorf("window [%v, %v]: a plan of length %d, want the power of two %d", w.t0, w.t1, n, spectrumPoints(L))
+			}
+		}
+	}
+}
+
 func TestIdentifyCycleSparseSampling(t *testing.T) {
 	// Paper-realistic sparsity: ~20 s mean interval, single approach.
 	rng := rand.New(rand.NewSource(2))

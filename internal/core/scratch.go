@@ -9,7 +9,7 @@ import (
 )
 
 // identifyScratch is the per-worker reusable state behind one approach
-// identification: an FFT-plan cache keyed by grid length, the spline/grid
+// identification: an FFT-plan cache keyed by transform length, the spline/grid
 // buffers of a dsp.Resampler, and every intermediate slice the pipeline
 // stages fill (windowed samples, fold bins, folded curves, red-likelihood
 // run shapes). A steady-state estimation tick re-identifies the same window
@@ -21,7 +21,7 @@ import (
 // scratch return either scalars or freshly copied slices, so its buffers
 // never escape.
 type identifyScratch struct {
-	plans     map[int]*dsp.FFTPlan // keyed by grid length
+	plans     map[int]*dsp.FFTPlan // keyed by transform length, a power of two
 	resampler dsp.Resampler
 
 	primary  []dsp.Sample // non-dwell speed samples near the stop line
@@ -213,12 +213,12 @@ func trim[T any](buf []T, n int) []T {
 	return buf
 }
 
-// plan returns the cached FFT plan for grid length n, building it on
+// plan returns the cached FFT plan for transform length n, building it on
 // first use. The estimation tick sees one or two distinct lengths, so the
 // map stays tiny and steady-state lookups allocate nothing. Plan
 // instances are strictly per-scratch (per-worker) because their I/O
-// buffers are mutable; the expensive twiddle/chirp tables behind them
-// are immutable and shared across all workers by dsp's plan-core cache.
+// buffers are mutable; the twiddle tables behind them are immutable and
+// shared across all workers by dsp's plan-core cache.
 func (sc *identifyScratch) plan(n int) (*dsp.FFTPlan, error) {
 	if p := sc.plans[n]; p != nil {
 		return p, nil

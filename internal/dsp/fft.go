@@ -1,11 +1,10 @@
 // Package dsp is the numeric/signal-processing substrate of the paper's
-// cycle-length identifier (§V), which needs a DFT over windows whose
-// length is an arbitrary number of seconds (e.g. 1800 or 3600). The
-// package provides a radix-2 FFT for power-of-two sizes, a Bluestein
-// chirp-z transform for every other size, cubic-spline interpolation onto
-// the 1 Hz grid, and the circular moving average of the change stage. The
-// period estimators the DFT is compared against (autocorrelation,
-// Lomb-Scargle) and the STFT view of Fig. 12 are internal/experiments'.
+// cycle-length identifier (§V): cubic-spline interpolation of irregular
+// samples onto a regular grid, a radix-2 FFT of that grid (a length that
+// is not a power of two is zero-padded up to one), and the circular
+// moving average of the change stage. The period estimators the DFT is
+// compared against (autocorrelation, Lomb-Scargle) and the STFT view of
+// Fig. 12 are internal/experiments'.
 package dsp
 
 import (
@@ -14,31 +13,25 @@ import (
 	"math/cmplx"
 )
 
-// FFT returns the discrete Fourier transform of x:
+// FFT returns the discrete Fourier transform of x zero-padded to P, the
+// smallest power of two ≥ len(x):
 //
-//	X[k] = sum_{n=0}^{N-1} x[n] * exp(-2πi·kn/N)
+//	X[k] = sum_{n=0}^{len(x)-1} x[n] * exp(-2πi·kn/P),  k < P
 //
-// It runs a one-shot transform core for len(x) — radix-2 when that is a
-// power of two, Bluestein's algorithm otherwise; repeated transforms of
-// one length belong on an FFTPlan, which shares the core's tables. The
-// input is not modified. An empty input yields an empty output.
+// Repeated transforms of one length belong on an FFTPlan. The input is
+// not modified. An empty input yields an empty output.
 func FFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
+	if len(x) == 0 {
 		return nil
 	}
-	out := append([]complex128(nil), x...)
-	core := newCplanCore(n)
-	var work []complex128
-	if !core.pow2 {
-		work = make([]complex128, core.m)
-	}
-	core.transform(out, work)
+	out := make([]complex128, NextPow2(len(x)))
+	copy(out, x)
+	fftRadix2(out)
 	return out
 }
 
 // FFTReal transforms a real-valued signal, returning the full complex
-// spectrum of length len(x).
+// spectrum of x zero-padded as FFT pads it.
 func FFTReal(x []float64) []complex128 {
 	cx := make([]complex128, len(x))
 	for i, v := range x {
@@ -48,9 +41,8 @@ func FFTReal(x []float64) []complex128 {
 }
 
 // fftRadix2 computes an in-place iterative Cooley-Tukey FFT. len(x) must be
-// a power of two. If inverse is true the conjugate transform (no 1/N
-// normalisation) is computed.
-func fftRadix2(x []complex128, inverse bool) {
+// a power of two.
+func fftRadix2(x []complex128) {
 	n := len(x)
 	if n <= 1 {
 		return
@@ -63,13 +55,9 @@ func fftRadix2(x []complex128, inverse bool) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
-		ang := sign * 2 * math.Pi / float64(size)
+		ang := -2 * math.Pi / float64(size)
 		wStep := cmplx.Exp(complex(0, ang))
 		for start := 0; start < n; start += size {
 			w := complex(1, 0)
@@ -84,8 +72,8 @@ func fftRadix2(x []complex128, inverse bool) {
 	}
 }
 
-// nextPow2 returns the smallest power of two >= n.
-func nextPow2(n int) int {
+// NextPow2 returns the smallest power of two >= n.
+func NextPow2(n int) int {
 	if n <= 1 {
 		return 1
 	}

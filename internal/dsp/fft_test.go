@@ -30,14 +30,21 @@ func randomSignal(n int, seed int64) []complex128 {
 	return x
 }
 
+// zeroPadded is x followed by zeros up to the next power of two: what
+// every transform in the package takes the DFT of.
+func zeroPadded[T any](x []T) []T {
+	return append(x[:len(x):len(x)], make([]T, NextPow2(len(x))-len(x))...)
+}
+
 func TestFFTMatchesNaiveAllSizes(t *testing.T) {
-	// Cover powers of two (radix-2 path) and awkward sizes (Bluestein).
+	// Powers of two, and awkward sizes against the DFT of their
+	// zero-padded input.
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 30, 37, 60, 64, 97, 100, 128} {
 		x := randomSignal(n, int64(n))
 		fast := FFT(x)
-		slow := DFTNaive(x)
-		if !complexClose(fast, slow, 1e-7*float64(n)) {
-			t.Errorf("n=%d: FFT does not match naive DFT", n)
+		slow := DFTNaive(zeroPadded(x))
+		if len(fast) != NextPow2(n) || !complexClose(fast, slow, 1e-7*float64(n)) {
+			t.Errorf("n=%d: FFT does not match the naive DFT of the padded input", n)
 		}
 	}
 }
@@ -63,16 +70,16 @@ func TestIFFTInvertsFFT(t *testing.T) {
 	for _, n := range []int{1, 2, 8, 15, 64, 90, 128, 1800} {
 		x := randomSignal(n, int64(n)*3)
 		// The inverse transform is the forward one between two
-		// conjugations, scaled by 1/N.
+		// conjugations, scaled by 1/P; it gives back the padded input.
 		spec := FFT(x)
 		for i := range spec {
 			spec[i] = cmplx.Conj(spec[i])
 		}
 		back := FFT(spec)
 		for i := range back {
-			back[i] = cmplx.Conj(back[i]) / complex(float64(n), 0)
+			back[i] = cmplx.Conj(back[i]) / complex(float64(len(back)), 0)
 		}
-		if !complexClose(back, x, 1e-8*float64(n)) {
+		if !complexClose(back, zeroPadded(x), 1e-8*float64(n)) {
 			t.Errorf("n=%d: IFFT(FFT(x)) != x", n)
 		}
 	}
@@ -118,9 +125,10 @@ func TestFFTParsevalProperty(t *testing.T) {
 }
 
 func TestFFTRealPureTone(t *testing.T) {
-	// A 37-cycle tone over a 3600 s window: the Fig. 6 scenario. The
-	// dominant bin must be exactly 37.
-	n := 3600
+	// A 37-cycle tone over a 3600 s window (the Fig. 6 scenario), sampled
+	// as the cycle estimator samples a window: at 4096 points 3600/4096 s
+	// apart. The dominant bin must be exactly 37.
+	n := 4096
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = 20 + 15*math.Sin(2*math.Pi*37*float64(i)/float64(n))
@@ -138,8 +146,8 @@ func TestFFTSpectrumSymmetryForRealInput(t *testing.T) {
 		x[i] = rng.Float64() * 50
 	}
 	X := FFTReal(x)
-	for k := 1; k < len(x)/2; k++ {
-		if cmplx.Abs(X[k]-cmplx.Conj(X[len(x)-k])) > 1e-7 {
+	for k := 1; k < len(X)/2; k++ {
+		if cmplx.Abs(X[k]-cmplx.Conj(X[len(X)-k])) > 1e-7 {
 			t.Fatalf("spectrum not conjugate-symmetric at bin %d", k)
 		}
 	}
@@ -189,31 +197,14 @@ func TestHannWindow(t *testing.T) {
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1000: 1024, 1024: 1024, 1025: 2048}
 	for in, want := range cases {
-		if got := nextPow2(in); got != want {
-			t.Errorf("nextPow2(%d) = %d, want %d", in, got, want)
+		if got := NextPow2(in); got != want {
+			t.Errorf("NextPow2(%d) = %d, want %d", in, got, want)
 		}
 	}
 }
 
 func BenchmarkFFTRadix2_1024(b *testing.B) {
 	x := randomSignal(1024, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		FFT(x)
-	}
-}
-
-func BenchmarkFFTBluestein_1800(b *testing.B) {
-	// 1800 s = 30-minute analysis window at 1 Hz, the paper's suggested input.
-	x := randomSignal(1800, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		FFT(x)
-	}
-}
-
-func BenchmarkFFTBluestein_3600(b *testing.B) {
-	x := randomSignal(3600, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		FFT(x)
@@ -229,13 +220,13 @@ func BenchmarkDFTNaive_1800(b *testing.B) {
 }
 
 func TestFFTPlanMatchesFFTReal(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8, 64, 90, 1800, 1801, 3600} {
+	for _, n := range []int{1, 2, 3, 5, 8, 64, 90, 1800, 1801, 2048, 3600} {
 		plan, err := NewFFTPlan(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan.N() != n {
-			t.Fatalf("N = %d", plan.N())
+		if plan.N() != max(NextPow2(n), 2) {
+			t.Fatalf("n=%d: transform length %d", n, plan.N())
 		}
 		rng := rand.New(rand.NewSource(int64(n)))
 		x := make([]float64, n)
@@ -246,6 +237,9 @@ func TestFFTPlanMatchesFFTReal(t *testing.T) {
 		got, err := plan.MagnitudesReal(x)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n > 1 && len(got) != len(want) {
+			t.Fatalf("n=%d: %d magnitudes, want %d", n, len(got), len(want))
 		}
 		for k := range want {
 			if math.Abs(got[k]-want[k]) > 1e-6*(1+want[k]) {
@@ -278,12 +272,19 @@ func TestFFTPlanErrors(t *testing.T) {
 	}
 }
 
-func BenchmarkFFTPlanned3601(b *testing.B) {
-	plan, err := NewFFTPlan(3601)
+// The estimator transforms an 1800 s window on 2048 points and a 3600 s
+// window on 4096.
+
+func BenchmarkFFTPlanned2048(b *testing.B) { benchmarkPlanned(b, 2048) }
+
+func BenchmarkFFTPlanned4096(b *testing.B) { benchmarkPlanned(b, 4096) }
+
+func benchmarkPlanned(b *testing.B, n int) {
+	plan, err := NewFFTPlan(n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	x := make([]float64, 3601)
+	x := make([]float64, n)
 	for i := range x {
 		x[i] = math.Sin(float64(i) / 15)
 	}
@@ -296,8 +297,8 @@ func BenchmarkFFTPlanned3601(b *testing.B) {
 	}
 }
 
-func BenchmarkFFTUnplanned3601(b *testing.B) {
-	x := make([]float64, 3601)
+func BenchmarkFFTUnplanned2048(b *testing.B) {
+	x := make([]float64, 2048)
 	for i := range x {
 		x[i] = math.Sin(float64(i) / 15)
 	}

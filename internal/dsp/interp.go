@@ -183,10 +183,10 @@ func (s *CubicSpline) At(t float64) float64 {
 
 // ResampleSpline interpolates irregular samples onto a regular 1-unit grid
 // spanning [t0, t1] inclusive using a natural cubic spline, producing the
-// uniformly sampled signal the DFT step requires. The samples must be
-// sorted with strictly increasing times. The paper notes interpolated
-// speeds may go negative; they are deliberately left untouched because
-// only the periodicity matters.
+// uniformly sampled signal a DFT requires. The samples must be sorted
+// with strictly increasing times. The paper notes interpolated speeds may
+// go negative; they are deliberately left untouched because only the
+// periodicity matters.
 func ResampleSpline(pts []Sample, t0, t1 float64) ([]float64, error) {
 	var r Resampler
 	return r.Spline(pts, t0, t1)
@@ -241,38 +241,48 @@ func (r *Resampler) Cap() int {
 // Spline resamples pts onto the 1-unit grid spanning [t0, t1] with a
 // natural cubic spline, under the same contract as ResampleSpline.
 func (r *Resampler) Spline(pts []Sample, t0, t1 float64) ([]float64, error) {
-	if err := r.spline.Fit(pts); err != nil {
-		return nil, err
-	}
-	return r.sampleGrid(r.spline.At, t0, t1)
-}
-
-// Linear resamples pts onto the same grid by linear interpolation, the
-// baseline of the interpolation ablation study.
-func (r *Resampler) Linear(pts []Sample, t0, t1 float64) ([]float64, error) {
-	if len(pts) < 2 {
-		return nil, ErrInsufficientData
-	}
-	return r.sampleGrid(linearAt(pts), t0, t1)
-}
-
-// Hold resamples pts onto the same grid by zero-order hold (last value
-// carried forward), the crudest baseline in the interpolation ablation.
-func (r *Resampler) Hold(pts []Sample, t0, t1 float64) ([]float64, error) {
-	if len(pts) < 1 {
-		return nil, ErrInsufficientData
-	}
-	return r.sampleGrid(holdAt(pts), t0, t1)
-}
-
-func (r *Resampler) sampleGrid(at func(float64) float64, t0, t1 float64) ([]float64, error) {
 	if t1 < t0 {
 		return nil, fmt.Errorf("dsp: inverted grid [%v, %v]", t0, t1)
 	}
-	n := int(t1-t0) + 1
-	r.grid = grow(r.grid, n)
-	for i := 0; i < n; i++ {
-		r.grid[i] = at(t0 + float64(i))
+	return r.SplineGrid(pts, t0, 1, int(t1-t0)+1)
+}
+
+// SplineGrid samples the natural cubic spline through pts at the n times
+// t0 + i·dt, i < n. The samples must be sorted with strictly increasing
+// times.
+func (r *Resampler) SplineGrid(pts []Sample, t0, dt float64, n int) ([]float64, error) {
+	if err := r.spline.Fit(pts); err != nil {
+		return nil, err
 	}
-	return r.grid, nil
+	return r.sample(r.spline.At, t0, dt, n), nil
+}
+
+// LinearGrid samples the piecewise-linear interpolant of pts, held flat
+// past either end, at t0 + i·dt, i < n: the baseline of the interpolation
+// ablation study.
+func (r *Resampler) LinearGrid(pts []Sample, t0, dt float64, n int) ([]float64, error) {
+	if len(pts) < 2 {
+		return nil, ErrInsufficientData
+	}
+	return r.sample(linearAt(pts), t0, dt, n), nil
+}
+
+// HoldGrid samples the zero-order hold of pts (last value carried
+// forward) at t0 + i·dt, i < n: the crudest baseline in the
+// interpolation ablation.
+func (r *Resampler) HoldGrid(pts []Sample, t0, dt float64, n int) ([]float64, error) {
+	if len(pts) < 1 {
+		return nil, ErrInsufficientData
+	}
+	return r.sample(holdAt(pts), t0, dt, n), nil
+}
+
+// sample is every grid the Resampler fills: at evaluated at t0 + i·dt for
+// i < n.
+func (r *Resampler) sample(at func(float64) float64, t0, dt float64, n int) []float64 {
+	r.grid = grow(r.grid, n)
+	for i := range r.grid {
+		r.grid[i] = at(t0 + float64(i)*dt)
+	}
+	return r.grid
 }

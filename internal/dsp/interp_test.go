@@ -116,39 +116,53 @@ func TestResampleSplineGrid(t *testing.T) {
 	if math.Abs(g[0]) > 1e-9 || math.Abs(g[10]-10) > 1e-9 || math.Abs(g[20]) > 1e-9 {
 		t.Fatalf("knot values wrong: %v %v %v", g[0], g[10], g[20])
 	}
-}
-
-func TestResampleLinear(t *testing.T) {
-	pts := []Sample{{0, 0}, {10, 10}}
-	g, err := ResampleLinear(pts, 0, 10)
+	// The same spline on a half-second grid: every other point is the
+	// 1-unit grid's, bit for bit.
+	var r Resampler
+	half, err := r.SplineGrid(pts, 0, 0.5, 41)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range g {
-		if math.Abs(v-float64(i)) > 1e-12 {
+		if half[2*i] != v {
+			t.Fatalf("half-second grid at %d s = %v, 1-unit grid %v", i, half[2*i], v)
+		}
+	}
+}
+
+func TestResampleLinear(t *testing.T) {
+	var r Resampler
+	pts := []Sample{{0, 0}, {10, 10}}
+	g, err := r.LinearGrid(pts, 0, 0.5, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range g {
+		if math.Abs(v-float64(i)/2) > 1e-12 {
 			t.Fatalf("g[%d] = %v", i, v)
 		}
 	}
 	// Extrapolation clamps to endpoints.
-	g2, _ := ResampleLinear(pts, -2, 12)
+	g2, _ := r.LinearGrid(pts, -2, 1, 15)
 	if g2[0] != 0 || g2[len(g2)-1] != 10 {
 		t.Fatalf("clamping wrong: %v ... %v", g2[0], g2[len(g2)-1])
 	}
-	if _, err := ResampleLinear([]Sample{{0, 1}}, 0, 5); err != ErrInsufficientData {
+	if _, err := r.LinearGrid([]Sample{{0, 1}}, 0, 1, 6); err != ErrInsufficientData {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestResampleHold(t *testing.T) {
+	var r Resampler
 	pts := []Sample{{0, 5}, {10, 7}}
-	g, err := ResampleHold(pts, 0, 12)
+	g, err := r.HoldGrid(pts, 0, 1, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g[0] != 5 || g[9] != 5 || g[10] != 7 || g[12] != 7 {
 		t.Fatalf("hold values wrong: %v", g)
 	}
-	if _, err := ResampleHold(nil, 0, 5); err != ErrInsufficientData {
+	if _, err := r.HoldGrid(nil, 0, 1, 6); err != ErrInsufficientData {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -8,92 +8,20 @@ import (
 	"sync/atomic"
 )
 
-// cplanCore is the immutable part of a reusable in-place forward DFT of
-// one fixed complex length: radix-2 when the length is a power of two,
-// Bluestein otherwise. The chirp and its precomputed filter FFT never
-// change after construction, so one core is safely shared by any number
-// of concurrent transforms; the Bluestein convolution scratch is the
-// caller's (see transform).
-type cplanCore struct {
-	n       int
-	pow2    bool
-	chirp   []complex128 // Bluestein chirp for non-power-of-two sizes
-	bfilter []complex128 // precomputed FFT of the chirp filter
-	m       int          // Bluestein convolution length (0 for pow2)
-}
-
-func newCplanCore(n int) *cplanCore {
-	p := &cplanCore{n: n, pow2: n&(n-1) == 0}
-	if !p.pow2 {
-		p.chirp = make([]complex128, n)
-		for k := 0; k < n; k++ {
-			// k² mod 2n keeps the chirp angle exact for large k.
-			k2 := (int64(k) * int64(k)) % int64(2*n)
-			ang := -math.Pi * float64(k2) / float64(n)
-			p.chirp[k] = cmplx.Exp(complex(0, ang))
-		}
-		p.m = nextPow2(2*n - 1)
-		p.bfilter = make([]complex128, p.m)
-		for k := 0; k < n; k++ {
-			p.bfilter[k] = cmplx.Conj(p.chirp[k])
-		}
-		for k := 1; k < n; k++ {
-			p.bfilter[p.m-k] = cmplx.Conj(p.chirp[k])
-		}
-		fftRadix2(p.bfilter, false)
-	}
-	return p
-}
-
-// transform computes the forward DFT of x (length n) in place. work is
-// the caller-owned Bluestein convolution buffer of length m (ignored,
-// and may be nil, for power-of-two sizes); the core itself is never
-// written, so concurrent transforms through one core are safe as long as
-// each brings its own x and work.
-func (p *cplanCore) transform(x, work []complex128) {
-	if p.pow2 {
-		fftRadix2(x, false)
-		return
-	}
-	for i := range work {
-		work[i] = 0
-	}
-	for k := 0; k < p.n; k++ {
-		work[k] = x[k] * p.chirp[k]
-	}
-	fftRadix2(work, false)
-	for i := range work {
-		work[i] *= p.bfilter[i]
-	}
-	fftRadix2(work, true)
-	invM := complex(1/float64(p.m), 0)
-	for k := 0; k < p.n; k++ {
-		x[k] = work[k] * invM * p.chirp[k]
-	}
-}
-
 // planCore is the immutable, shareable part of an FFTPlan: the unpack
-// twiddles of the packed real transform and the inner complex core. One
-// core per transform length serves every worker in the process (see the
-// plan-core cache below); per-call mutable buffers live on FFTPlan.
+// twiddles of the packed real transform of one power-of-two length n. One
+// core per length serves every worker in the process (see the plan-core
+// cache below); per-call mutable buffers live on FFTPlan.
 type planCore struct {
-	n     int
-	tw    []complex128 // unpack twiddles e^{-2πik/n}; nil for odd n
-	inner *cplanCore
+	n  int
+	tw []complex128 // unpack twiddles e^{-2πik/n}, k ≤ n/2
 }
 
 func newPlanCore(n int) *planCore {
-	p := &planCore{n: n}
-	if n%2 == 0 {
-		h := n / 2
-		p.tw = make([]complex128, h+1)
-		for k := 0; k <= h; k++ {
-			ang := -2 * math.Pi * float64(k) / float64(n)
-			p.tw[k] = cmplx.Exp(complex(0, ang))
-		}
-		p.inner = newCplanCore(h)
-	} else {
-		p.inner = newCplanCore(n)
+	p := &planCore{n: n, tw: make([]complex128, n/2+1)}
+	for k := range p.tw {
+		ang := -2 * math.Pi * float64(k) / float64(n)
+		p.tw[k] = cmplx.Exp(complex(0, ang))
 	}
 	return p
 }
@@ -102,17 +30,14 @@ func newPlanCore(n int) *planCore {
 // across the whole process. A parallel estimation round runs one
 // identification worker per CPU, and every worker transforms the same
 // one or two window lengths each round; without sharing, each worker's
-// scratch rebuilds the same twiddle/chirp tables (tens of kilobytes and
-// a few hundred microseconds per length). Reads are the steady state, so
-// the cache is read-mostly: an RWMutex-guarded map with a size cap —
-// lengths beyond the cap (a hostile caller sweeping sizes) are built
-// uncached rather than evicting the hot ones.
+// scratch rebuilds the same twiddle tables. Reads are the steady state, so
+// the cache is read-mostly: an RWMutex-guarded map. Every length is a
+// power of two, so the map never holds more than a few dozen cores.
 var (
-	planCoreMu       sync.RWMutex
-	planCores        = map[int]*planCore{}
-	planCacheHits    atomic.Uint64
-	planCacheMiss    atomic.Uint64
-	planCoreCacheMax = 256
+	planCoreMu    sync.RWMutex
+	planCores     = map[int]*planCore{}
+	planCacheHits atomic.Uint64
+	planCacheMiss atomic.Uint64
 )
 
 func corePlanFor(n int) *planCore {
@@ -128,7 +53,7 @@ func corePlanFor(n int) *planCore {
 	planCoreMu.Lock()
 	if prev := planCores[n]; prev != nil {
 		c = prev // lost the build race; share the published core
-	} else if len(planCores) < planCoreCacheMax {
+	} else {
 		planCores[n] = c
 	}
 	planCoreMu.Unlock()
@@ -147,88 +72,74 @@ func PlanCacheStats() (hits, misses uint64, size int) {
 }
 
 // FFTPlan owns the scratch buffers for repeated transforms of one fixed
-// length, eliminating the per-call allocations of FFT/FFTReal. The
-// continuous-monitoring loop transforms the same 1800- or 3600-sample
-// window every five minutes for every light in the city; with a plan the
-// hot loop allocates nothing.
+// input length, eliminating the per-call allocations of FFT/FFTReal. The
+// continuous-monitoring loop transforms a window of the same length every
+// five minutes for every light in the city; with a plan the hot loop
+// allocates nothing.
 //
-// Even lengths additionally use real-input packing: the length-N real
-// signal is packed into N/2 complex points, transformed by one half-size
-// complex FFT, and unpacked with precomputed twiddles — roughly halving
-// the transform work of the dominant even-window case.
+// The transform length is the input length zero-padded up to a power of
+// two (at least 2). The real input is packed into half as many complex
+// points, transformed by one half-size radix-2 FFT, and unpacked with
+// precomputed twiddles — roughly halving the transform work.
 //
-// The twiddle and chirp tables are immutable and shared between every
-// plan of the same length through a process-wide core cache; only the
-// small input/magnitude/convolution buffers are per-plan. A plan is NOT
-// safe for concurrent use; give each worker its own (cheap, since the
-// tables are shared).
+// The twiddle table is immutable and shared between every plan of the
+// same transform length through a process-wide core cache; only the small
+// input/magnitude buffers are per-plan. A plan is NOT safe for concurrent
+// use; give each worker its own (cheap, since the tables are shared).
 type FFTPlan struct {
 	core *planCore
-	buf  []complex128 // length n (odd) or n/2 (even, packed input)
+	n    int          // input length
+	buf  []complex128 // the packed input, core.n/2 points
 	mags []float64
-	work []complex128 // Bluestein convolution scratch; nil for pow2 inner
 }
 
-// NewFFTPlan prepares a plan for transforms of length n, reusing the
-// shared immutable core for that length when one is already cached.
+// NewFFTPlan prepares a plan for inputs of length n, zero-padded to the
+// next power of two, reusing the shared immutable core for that transform
+// length when one is already cached.
 func NewFFTPlan(n int) (*FFTPlan, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("dsp: plan length %d < 1", n)
 	}
-	core := corePlanFor(n)
-	p := &FFTPlan{core: core, mags: make([]float64, n)}
-	if core.tw != nil {
-		p.buf = make([]complex128, n/2)
-	} else {
-		p.buf = make([]complex128, n)
-	}
-	if !core.inner.pow2 {
-		p.work = make([]complex128, core.inner.m)
-	}
-	return p, nil
+	core := corePlanFor(max(NextPow2(n), 2))
+	return &FFTPlan{core: core, n: n, buf: make([]complex128, core.n/2), mags: make([]float64, core.n)}, nil
 }
 
-// MagnitudesReal transforms the real signal x (len(x) must equal N) and
-// returns the magnitude spectrum. The returned slice is owned by the plan
-// and overwritten by the next call.
+// MagnitudesReal transforms the real signal x (len(x) must equal the
+// plan's input length), zero-padded to the transform length, and returns
+// the magnitude spectrum, one value per bin of the transform length. The
+// returned slice is owned by the plan and overwritten by the next call.
 func (p *FFTPlan) MagnitudesReal(x []float64) ([]float64, error) {
-	n := p.core.n
-	if len(x) != n {
-		return nil, fmt.Errorf("dsp: plan built for %d samples, got %d", n, len(x))
+	if len(x) != p.n {
+		return nil, fmt.Errorf("dsp: plan built for %d samples, got %d", p.n, len(x))
 	}
-	if p.core.tw != nil {
-		// Packed real transform: z[i] = x[2i] + i·x[2i+1], one half-size
-		// complex FFT, then split Z into the spectra of the even/odd
-		// subsequences (E[k] = (Z[k]+conj(Z[h-k]))/2,
-		// O[k] = -i(Z[k]-conj(Z[h-k]))/2) and recombine
-		// X[k] = E[k] + e^{-2πik/n}·O[k]. Real input means the upper half
-		// of the spectrum mirrors the lower, so only magnitudes for
-		// k ≤ n/2 are computed and the rest copied.
-		h := n / 2
-		for i := 0; i < h; i++ {
-			p.buf[i] = complex(x[2*i], x[2*i+1])
-		}
-		p.core.inner.transform(p.buf, p.work)
-		z0 := p.buf[0]
-		p.mags[0] = math.Abs(real(z0) + imag(z0))
-		p.mags[h] = math.Abs(real(z0) - imag(z0))
-		for k := 1; k < h; k++ {
-			zk := p.buf[k]
-			zc := cmplx.Conj(p.buf[h-k])
-			e := (zk + zc) * complex(0.5, 0)
-			o := (zk - zc) * complex(0, -0.5)
-			m := cmplx.Abs(e + p.core.tw[k]*o)
-			p.mags[k] = m
-			p.mags[n-k] = m
-		}
-		return p.mags, nil
+	// Packed real transform: z[i] = x[2i] + i·x[2i+1], one half-size
+	// complex FFT, then split Z into the spectra of the even/odd
+	// subsequences (E[k] = (Z[k]+conj(Z[h-k]))/2,
+	// O[k] = -i(Z[k]-conj(Z[h-k]))/2) and recombine
+	// X[k] = E[k] + e^{-2πik/n}·O[k]. Real input means the upper half
+	// of the spectrum mirrors the lower, so only magnitudes for
+	// k ≤ n/2 are computed and the rest copied.
+	n, h := p.core.n, p.core.n/2
+	pairs := len(x) / 2
+	for i := 0; i < pairs; i++ {
+		p.buf[i] = complex(x[2*i], x[2*i+1])
 	}
-	for i, v := range x {
-		p.buf[i] = complex(v, 0)
+	clear(p.buf[pairs:])
+	if len(x)%2 == 1 {
+		p.buf[pairs] = complex(x[len(x)-1], 0)
 	}
-	p.core.inner.transform(p.buf, p.work)
-	for i, v := range p.buf {
-		p.mags[i] = cmplx.Abs(v)
+	fftRadix2(p.buf)
+	z0 := p.buf[0]
+	p.mags[0] = math.Abs(real(z0) + imag(z0))
+	p.mags[h] = math.Abs(real(z0) - imag(z0))
+	for k := 1; k < h; k++ {
+		zk := p.buf[k]
+		zc := cmplx.Conj(p.buf[h-k])
+		e := (zk + zc) * complex(0.5, 0)
+		o := (zk - zc) * complex(0, -0.5)
+		m := cmplx.Abs(e + p.core.tw[k]*o)
+		p.mags[k] = m
+		p.mags[n-k] = m
 	}
 	return p.mags, nil
 }

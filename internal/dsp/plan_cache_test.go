@@ -6,34 +6,31 @@ import (
 	"testing"
 )
 
-// TestPlanCoreShared verifies that two plans of the same length share one
-// immutable core and that the cache counters move accordingly.
+// TestPlanCoreShared verifies that two plans padded to the same length
+// share one immutable core and that the cache counters move accordingly.
 func TestPlanCoreShared(t *testing.T) {
-	const n = 1802 // even, non-pow2 inner → exercises twiddles + Bluestein
+	const n = 1802 // not a power of two: padded to 2048
 	h0, m0, _ := PlanCacheStats()
 	a, err := NewFFTPlan(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewFFTPlan(n)
+	b, err := NewFFTPlan(2048)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.core != b.core {
-		t.Fatalf("plans of length %d did not share a core", n)
+	if a.core != b.core || a.core.n != 2048 {
+		t.Fatalf("plans of length %d and 2048 did not share one core of 2048", n)
 	}
 	if a.buf == nil || b.buf == nil || &a.buf[0] == &b.buf[0] {
 		t.Fatal("plans share a mutable input buffer")
-	}
-	if a.work != nil && b.work != nil && &a.work[0] == &b.work[0] {
-		t.Fatal("plans share a mutable Bluestein work buffer")
 	}
 	h1, m1, size := PlanCacheStats()
 	if m1 == m0 && h1 == h0 {
 		t.Fatalf("cache counters did not move: hits %d→%d misses %d→%d", h0, h1, m0, m1)
 	}
 	if h1 <= h0 {
-		t.Fatalf("second plan of length %d was not a cache hit (hits %d→%d)", n, h0, h1)
+		t.Fatalf("second plan of length 2048 was not a cache hit (hits %d→%d)", h0, h1)
 	}
 	if size < 1 {
 		t.Fatalf("cache size %d after building plans", size)
@@ -42,10 +39,11 @@ func TestPlanCoreShared(t *testing.T) {
 
 // TestPlanConcurrentSameLength runs many goroutines transforming through
 // plans that share one core, under -race in CI, and checks each result
-// against the naive DFT. Any hidden shared mutable state in the core
-// would corrupt magnitudes or trip the race detector.
+// against the naive DFT of the zero-padded input. Any hidden shared
+// mutable state in the core would corrupt magnitudes or trip the race
+// detector.
 func TestPlanConcurrentSameLength(t *testing.T) {
-	for _, n := range []int{256, 450, 1802, 901} { // pow2, even+Bluestein, odd
+	for _, n := range []int{256, 450, 1802, 901} { // a power of two, padded even and odd
 		n := n
 		want := magsNaive(t, n)
 		var wg sync.WaitGroup
@@ -102,7 +100,7 @@ func magsNaive(t *testing.T, n int) [2][]float64 {
 		for i, s := range sig {
 			in[i] = complex(s, 0)
 		}
-		out[v] = Magnitudes(DFTNaive(in))
+		out[v] = Magnitudes(DFTNaive(zeroPadded(in)))
 	}
 	return out
 }

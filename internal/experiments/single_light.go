@@ -57,7 +57,7 @@ func Fig6(w io.Writer, seed int64) error {
 	}
 	fmt.Fprintf(w, "ground truth cycle: %.0f s\n", truth)
 	fmt.Fprintf(w, "plain DFT argmax (paper's Eq. 2): %.1f s  (bin %d, paper example: 97 s from bin 37)\n",
-		est1, int(math.Round(3601/est1)))
+		est1, int(math.Round(3600/est1)))
 	fmt.Fprintf(w, "with fold verification + sub-bin refinement: %.2f s (error %.2f s)\n",
 		est2, math.Abs(est2-truth))
 	return nil

@@ -18,26 +18,43 @@ import (
 // TestBatchSlicesRecycled: once the engine has copied a batch out, its
 // slice goes back to the shard's free list emptied and zeroed — a parked
 // slice must not pin plate strings — and the next dispatch takes its
-// slices from there.
+// slices from there. A round holds the shard while the batches go out, so
+// none is recycled before the dispatcher has taken a slice for the last.
 func TestBatchSlicesRecycled(t *testing.T) {
-	s := newTestServer(t, func(c *Config) { c.Shards = 1; c.BatchSize = 4 })
+	release, entered := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	s := newTestServer(t, func(c *Config) {
+		c.Shards = 1
+		c.BatchSize = 4
+		c.OnRound = func(int, core.RoundStats) {
+			if held.CompareAndSwap(false, true) {
+				entered <- struct{}{}
+				<-release
+			}
+		}
+	})
 	s.Start()
 	sh := s.shards[0]
 	key := mapmatch.Key{Light: roadnet.NodeID(3), Approach: lights.NorthSouth}
+	// The first record's round holds the shard; its slice is recycled
+	// before the round, so one slice is spare while the shard is held.
+	s.Dispatch(context.Background(), []mapmatch.Matched{{Plate: "A", Light: key.Light, Approach: key.Approach, T: 0.5}})
+	<-entered
 	var ms []mapmatch.Matched
 	for i := 0; i < 10; i++ {
 		ms = append(ms, mapmatch.Matched{
 			Plate:    fmt.Sprintf("B%d", i),
 			Light:    key.Light,
 			Approach: key.Approach,
-			T:        float64(i),
+			T:        float64(i + 1),
 		})
 	}
-	s.Dispatch(context.Background(), ms)
+	s.Dispatch(context.Background(), ms) // three batches: the spare and two new slices
+	close(release)
 	s.StopIngest() // the shard has ingested, and so recycled, every batch
 
-	if got := sh.engine.Health().BufferedRecords; got != len(ms) {
-		t.Fatalf("engine buffered %d records, want %d", got, len(ms))
+	if got := sh.engine.Health().BufferedRecords; got != len(ms)+1 {
+		t.Fatalf("engine buffered %d records, want %d", got, len(ms)+1)
 	}
 	if n := len(sh.free); n != 3 { // 4 + 4 + 2 records
 		t.Fatalf("%d slices on the free list, want 3", n)

@@ -200,7 +200,7 @@ func (s *Server) registerCollectors() {
 	reg.Declare(gauge, "lightd_buffered_records", "Matched records buffered in the engines' windows.")
 	reg.Declare(counter, "lightd_engine_dropped_records_total", "Records the engines dropped as older than the window or over the buffer bound.", metrics.L("reason", "old", "overflow"))
 	reg.Declare(counter, "lightd_fft_plan_cache_total", "FFT plan cache lookups.", metrics.L("outcome", "hit", "miss"))
-	reg.Declare(gauge, "lightd_fft_plan_cache_size", "FFT plans cached.")
+	reg.Declare(gauge, "lightd_fft_plan_cache_size", "FFT plans cached, one per power-of-two transform length.")
 	reg.Declare(gauge, "lightd_watch_subscribers", "Live /v1/watch subscriptions.")
 	reg.Declare(counter, "lightd_watch_events_total", "", metrics.L("outcome", "enqueued", "dropped"))
 	reg.Declare(counter, "lightd_watch_evictions_total", "Watch subscribers evicted for a full queue, a missed write deadline, or a key that moved to another node.", metrics.L("reason", "overflow", "deadline", "moved"))
