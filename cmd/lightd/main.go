@@ -61,7 +61,7 @@ func main() {
 	shards := flag.Int("shards", 0, "engine shards (0 = default)")
 	roundWorkers := flag.Int("round-workers", 0, "worker goroutines per estimation round (0 = GOMAXPROCS)")
 	window := flag.Float64("window", 1800, "trailing estimation window, seconds")
-	interval := flag.Float64("interval", 300, "re-estimation interval, seconds")
+	interval := flag.Float64("interval", 300, "re-estimation interval, seconds; an estimate goes stale after 3 intervals, and a failing approach is quarantined for 2, doubling up to 24")
 	maxBadFrac := flag.Float64("max-bad-frac", 0.05, "abort a source once this fraction of its lines is malformed")
 	readTimeout := flag.Duration("read-timeout", 5*time.Second, "HTTP read timeout")
 	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "HTTP write timeout")

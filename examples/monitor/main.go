@@ -61,10 +61,7 @@ func main() {
 	key := mapmatch.Key{Light: target, Approach: lights.NorthSouth}
 	samples := core.SpeedSamplesNear(stopIdx.FilterDwellRecords(world.Part[key]), 120)
 
-	mon, err := core.NewMonitor(core.DefaultMonitorConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
+	mon := core.NewMonitor()
 	fmt.Println("monitoring the centre light every 5 minutes (trailing 30-minute window):")
 	const window, every = 1800.0, 300.0
 	for t := 4*3600 + window; t <= 13*3600; t += every {

@@ -206,7 +206,6 @@ func e2eServerConfig(st *store.Store) server.Config {
 	cfg.BatchSize = 1
 	cfg.FlushEvery = 20 * time.Millisecond
 	cfg.MaxInFlight = 0
-	cfg.StaleFeedAfter = 0
 	cfg.CheckpointInterval = 0
 	cfg.Store = st
 	cfg.Realtime.Window = 600

@@ -92,7 +92,7 @@ func TestPublishAllocs(t *testing.T) {
 	results := make([]Result, nKeys)
 	for i, k := range keys {
 		a := eng.approaches[k]
-		if !a.published || a.monitor.cfg.Confirm == 0 || a.history.slots[a.history.slotOf(1800)] == nil {
+		if !a.published || a.monitor.series == nil || a.history.slots[a.history.slotOf(1800)] == nil {
 			t.Fatalf("%v: the first round left no estimate, monitor or history slot", k)
 		}
 		results[i] = a.est

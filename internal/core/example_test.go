@@ -78,7 +78,7 @@ func ExampleDetectSchedulingChanges() {
 		}
 		series = append(series, core.CyclePoint{T: t, Cycle: cycle})
 	}
-	changes, err := core.DetectSchedulingChanges(series, core.DefaultMonitorConfig())
+	changes, err := core.DetectSchedulingChanges(series)
 	if err != nil {
 		panic(err)
 	}
@@ -105,10 +105,7 @@ func ExampleHistory() {
 }
 
 func ExampleMonitor() {
-	m, err := core.NewMonitor(core.DefaultMonitorConfig())
-	if err != nil {
-		panic(err)
-	}
+	m := core.NewMonitor()
 	for t := 0.0; t < 7200; t += 300 {
 		cycle := 90.0
 		if t >= 3600 {

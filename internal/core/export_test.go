@@ -9,13 +9,11 @@ import (
 // DetectSchedulingChanges is the batch form of Monitor and the oracle
 // TestMonitorIncrementalMatchesBatch compares Feed against. It scans a
 // chronological cycle-length series for sustained plateau shifts. The
-// series is median-prefiltered, then a change is declared when Confirm
-// consecutive estimates all deviate from the current plateau by more than
-// Tolerance while agreeing with each other within Tolerance.
-func DetectSchedulingChanges(series []CyclePoint, cfg MonitorConfig) ([]SchedulingChange, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// series is median-prefiltered, then a change is declared when
+// monitorConfirm consecutive estimates all deviate from the current
+// plateau by more than monitorTolerance while agreeing with each other
+// within it.
+func DetectSchedulingChanges(series []CyclePoint) ([]SchedulingChange, error) {
 	if len(series) == 0 {
 		return nil, nil
 	}
@@ -28,21 +26,21 @@ func DetectSchedulingChanges(series []CyclePoint, cfg MonitorConfig) ([]Scheduli
 	for i, p := range series {
 		vals[i] = p.Cycle
 	}
-	vals = MedianFilter(vals, cfg.MedianWindow)
+	vals = MedianFilter(vals, monitorMedianWindow)
 
 	var changes []SchedulingChange
 	plateau := vals[0]
 	run := 0       // consecutive deviating estimates
 	runStart := -1 // index of the first estimate of the run
 	for i := 1; i < len(vals); i++ {
-		if math.Abs(vals[i]-plateau) <= cfg.Tolerance {
+		if math.Abs(vals[i]-plateau) <= monitorTolerance {
 			run = 0
 			runStart = -1
 			continue
 		}
 		// Deviating. Does it continue the current run (agree with the
 		// run's first value)?
-		if run > 0 && math.Abs(vals[i]-vals[runStart]) > cfg.Tolerance {
+		if run > 0 && math.Abs(vals[i]-vals[runStart]) > monitorTolerance {
 			// A different deviation: restart the run here.
 			run = 0
 		}
@@ -50,7 +48,7 @@ func DetectSchedulingChanges(series []CyclePoint, cfg MonitorConfig) ([]Scheduli
 			runStart = i
 		}
 		run++
-		if run >= cfg.Confirm {
+		if run >= monitorConfirm {
 			newPlateau := medianOf(vals[runStart : runStart+run])
 			changes = append(changes, SchedulingChange{
 				T:    series[runStart].T,

@@ -18,8 +18,9 @@ const (
 	// Fresh: the latest estimate is recent enough to answer live
 	// red/green queries at full confidence.
 	Fresh HealthState = iota
-	// Stale: the estimate exists but has aged past FaultPolicy.StaleAfter
-	// (or the approach has produced no estimate at all).
+	// Stale: the estimate exists but has aged past staleIntervals
+	// re-estimation intervals (or the approach has produced no estimate
+	// at all).
 	Stale
 	// Quarantined: the approach failed identification repeatedly and is
 	// benched until its backoff expires.
@@ -40,9 +41,10 @@ func (s HealthState) String() string {
 }
 
 // FaultPolicy tunes the engine's failure isolation: how much memory one
-// approach may hold, when repeated failures bench an approach, and when
-// an estimate stops counting as fresh. The zero policy disables caps,
-// quarantine and staleness tracking — the pre-hardening behaviour.
+// approach may hold and when repeated failures bench an approach. The
+// zero policy disables both. When an estimate stops counting as fresh and
+// how long a benched approach sits out follow the re-estimation cadence
+// (staleIntervals, backoffIntervals, backoffMaxIntervals).
 type FaultPolicy struct {
 	// MaxBufferPerKey caps the ingest buffer of one approach, in
 	// records; overflow evicts the oldest quarter. Without a cap a
@@ -53,42 +55,30 @@ type FaultPolicy struct {
 	// failures after which an approach is quarantined. 0 disables
 	// quarantine.
 	QuarantineAfter int
-	// Backoff is the first quarantine duration in seconds; each
-	// consecutive failure after release doubles it up to BackoffMax.
-	Backoff    float64
-	BackoffMax float64
-	// StaleAfter is the estimate age in seconds beyond which health
-	// degrades from Fresh to Stale. 0 means estimates never go stale.
-	StaleAfter float64
 }
 
-// DefaultFaultPolicy matches the default realtime cadence: estimates
-// refresh every 5 minutes, so three missed refreshes mean stale; three
-// straight failures bench an approach for two intervals, doubling to two
-// hours.
+// The policy's durations, in re-estimation intervals: an estimate three
+// missed refreshes old is stale, and a quarantine lasts two intervals,
+// doubling on each further failure after release up to 24. At the paper's
+// 5-minute cadence that is 15 minutes, 10 minutes and two hours; at any
+// other cadence a healthy estimate stays fresh until its next refresh is
+// overdue, and the first quarantine still benches the next round.
+const (
+	staleIntervals      = 3
+	backoffIntervals    = 2
+	backoffMaxIntervals = 24
+)
+
+// DefaultFaultPolicy caps each approach at 20000 buffered records and
+// benches it after three straight failures.
 func DefaultFaultPolicy() FaultPolicy {
-	return FaultPolicy{
-		MaxBufferPerKey: 20000,
-		QuarantineAfter: 3,
-		Backoff:         600,
-		BackoffMax:      7200,
-		StaleAfter:      900,
-	}
+	return FaultPolicy{MaxBufferPerKey: 20000, QuarantineAfter: 3}
 }
 
 // Validate checks the policy.
 func (p FaultPolicy) Validate() error {
 	if p.MaxBufferPerKey < 0 || p.QuarantineAfter < 0 {
 		return fmt.Errorf("core: negative fault-policy count %+v", p)
-	}
-	if p.Backoff < 0 || p.BackoffMax < 0 || p.StaleAfter < 0 {
-		return fmt.Errorf("core: negative fault-policy duration %+v", p)
-	}
-	if p.QuarantineAfter > 0 && p.Backoff <= 0 {
-		return fmt.Errorf("core: quarantine enabled with zero backoff")
-	}
-	if p.BackoffMax > 0 && p.BackoffMax < p.Backoff {
-		return fmt.Errorf("core: BackoffMax %v below Backoff %v", p.BackoffMax, p.Backoff)
 	}
 	return nil
 }
@@ -196,7 +186,7 @@ func (e *Engine) healthStateLocked(a *approach, age float64) HealthState {
 	if a.health.quarantinedUntil > e.now {
 		return Quarantined
 	}
-	if sa := e.cfg.Faults.StaleAfter; math.IsInf(age, 1) || sa > 0 && age > sa {
+	if math.IsInf(age, 1) || age > staleIntervals*e.cfg.Interval {
 		return Stale
 	}
 	return Fresh
@@ -210,14 +200,11 @@ func (e *Engine) recordFailureLocked(a *approach, at float64, err error) {
 	h := &a.health
 	h.consecutiveFailures++
 	h.lastErr = err
-	p := e.cfg.Faults
-	if p.QuarantineAfter <= 0 || h.consecutiveFailures < p.QuarantineAfter {
+	if n := e.cfg.Faults.QuarantineAfter; n <= 0 || h.consecutiveFailures < n {
 		return
 	}
-	h.backoff = max(2*h.backoff, p.Backoff) // Validate keeps BackoffMax >= Backoff
-	if p.BackoffMax > 0 {
-		h.backoff = min(h.backoff, p.BackoffMax)
-	}
+	iv := e.cfg.Interval
+	h.backoff = min(max(2*h.backoff, backoffIntervals*iv), backoffMaxIntervals*iv)
 	h.quarantinedUntil = at + h.backoff
 	h.quarantines++
 }

@@ -27,18 +27,14 @@ func failingRecords(key mapmatch.Key, lo, hi float64) []mapmatch.Matched {
 	return ms
 }
 
-// quarantineConfig is a tight cadence with fast quarantine for tests.
+// quarantineConfig is a tight cadence with fast quarantine for tests: a
+// quarantine lasts 600 s, doubling up to 7200 s, and estimates go stale
+// past 900 s.
 func quarantineConfig() RealtimeConfig {
 	cfg := DefaultRealtimeConfig()
 	cfg.Window = 600
 	cfg.Interval = 300
-	cfg.Faults = FaultPolicy{
-		MaxBufferPerKey: 10000,
-		QuarantineAfter: 2,
-		Backoff:         600,
-		BackoffMax:      1200,
-		StaleAfter:      450,
-	}
+	cfg.Faults = FaultPolicy{MaxBufferPerKey: 10000, QuarantineAfter: 2}
 	return cfg
 }
 
@@ -75,7 +71,7 @@ func TestEngineQuarantinesFailingApproach(t *testing.T) {
 	}
 
 	// On release the approach is retried; another failure doubles the
-	// backoff (capped at BackoffMax).
+	// backoff.
 	eng.Ingest(failingRecords(key, 900, 1200))
 	if _, err := eng.Advance(1200); err != nil {
 		t.Fatal(err)
@@ -202,9 +198,9 @@ func TestSnapshotCarriesAgeAndHealth(t *testing.T) {
 		t.Fatalf("embedded result broken: %+v", est)
 	}
 
-	// Age past StaleAfter flips the state.
+	// Age past three intervals flips the state.
 	eng.mu.Lock()
-	eng.now = 1000 + cfg.Faults.StaleAfter + 1
+	eng.now = 1000 + staleIntervals*cfg.Interval + 1
 	eng.mu.Unlock()
 	if got := eng.Snapshot()[key].Health; got != Stale {
 		t.Fatalf("aged estimate health %v, want stale", got)
@@ -271,9 +267,6 @@ func TestFaultPolicyValidate(t *testing.T) {
 	bad := []FaultPolicy{
 		{MaxBufferPerKey: -1},
 		{QuarantineAfter: -1},
-		{QuarantineAfter: 2}, // quarantine without backoff
-		{QuarantineAfter: 2, Backoff: 100, BackoffMax: 50},
-		{StaleAfter: -1},
 	}
 	for i, p := range bad {
 		if p.Validate() == nil {
@@ -281,9 +274,79 @@ func TestFaultPolicyValidate(t *testing.T) {
 		}
 	}
 	if (FaultPolicy{}).Validate() != nil {
-		t.Fatal("zero policy (all features off) rejected")
+		t.Fatal("zero policy (cap and quarantine off) rejected")
 	}
 	if DefaultFaultPolicy().Validate() != nil {
 		t.Fatal("default policy rejected")
+	}
+}
+
+// TestPolicyFollowsInterval: staleness and quarantine are counted in
+// re-estimation intervals, so a slower cadence neither labels a healthy
+// estimate stale before its refresh is overdue nor releases a benched
+// approach before the round after the one that benched it. At the default
+// 300 s the policy is the fixed 900 s / 600 s / 7200 s it always was.
+func TestPolicyFollowsInterval(t *testing.T) {
+	for _, tc := range []struct {
+		interval float64
+		aged     HealthState // an estimate 1000 s old
+	}{
+		{300, Stale},
+		{1200, Fresh},
+	} {
+		cfg := DefaultRealtimeConfig()
+		cfg.Window, cfg.Interval = tc.interval, tc.interval
+		cfg.Faults.QuarantineAfter = 2
+		iv, n := tc.interval, cfg.Faults.QuarantineAfter
+
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := mapmatch.Key{Light: 3, Approach: lights.NorthSouth}
+		eng.mu.Lock()
+		eng.publishLocked(eng.approachLocked(key), Result{Key: key, Cycle: 100, Red: 40, Green: 60, WindowEnd: 1000})
+		eng.now = 2000
+		eng.mu.Unlock()
+		if got := eng.Snapshot()[key].Health; got != tc.aged {
+			t.Errorf("interval %v: estimate aged 1000 s reads %v, want %v", iv, got, tc.aged)
+		}
+
+		eng, err = NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := mapmatch.Key{Light: 7, Approach: lights.NorthSouth}
+		round := func(r int) ApproachHealth {
+			at := float64(r) * iv
+			eng.Ingest(failingRecords(bad, at-iv, at))
+			if _, err := eng.Advance(at); err != nil {
+				t.Fatal(err)
+			}
+			return eng.Health().Approaches[bad]
+		}
+		for r := 1; r < n; r++ {
+			round(r)
+		}
+		if h := round(n); h.State != Quarantined || h.QuarantinedUntil != float64(n)*iv+2*iv {
+			t.Errorf("interval %v: after %d failures %+v, want quarantined for two intervals", iv, n, h)
+		}
+		if h := round(n + 1); h.State != Quarantined || h.ConsecutiveFailures != n {
+			t.Errorf("interval %v: the round after the bench ran the key: %+v", iv, h)
+		}
+		if h := round(n + 2); h.ConsecutiveFailures != n+1 || h.QuarantinedUntil != float64(n+2)*iv+4*iv {
+			t.Errorf("interval %v: released key's next failure %+v, want benched for four intervals", iv, h)
+		}
+
+		// Each further failure doubles the bench, up to 24 intervals.
+		a := eng.approaches[bad]
+		eng.mu.Lock()
+		for _, want := range []float64{8, 16, 24, 24} {
+			eng.recordFailureLocked(a, 0, nil)
+			if a.health.backoff != want*iv {
+				t.Errorf("interval %v: backoff %v, want %v intervals", iv, a.health.backoff, want)
+			}
+		}
+		eng.mu.Unlock()
 	}
 }

@@ -24,58 +24,38 @@ type SchedulingChange struct {
 	From, To float64
 }
 
-// MonitorConfig tunes the scheduling-change detector.
-type MonitorConfig struct {
-	// Tolerance is the largest cycle-length deviation (seconds) still
-	// considered the same scheduling policy.
-	Tolerance float64
-	// Confirm is how many consecutive deviating estimates are needed to
-	// declare a scheduling change; isolated DFT outliers (the ~7 % gross
-	// errors of Fig. 14) never persist, so they are absorbed.
-	Confirm int
-	// MedianWindow is the size of the running-median prefilter (odd; 1
-	// disables it).
-	MedianWindow int
-}
-
-// DefaultMonitorConfig absorbs isolated estimation outliers while
-// confirming genuine plan switches within 3 estimates (15 minutes at the
-// paper's 5-minute cadence).
-func DefaultMonitorConfig() MonitorConfig {
-	return MonitorConfig{Tolerance: 8, Confirm: 3, MedianWindow: 3}
-}
-
-// Validate checks the configuration.
-func (c MonitorConfig) Validate() error {
-	switch {
-	case c.Tolerance <= 0:
-		return fmt.Errorf("core: non-positive tolerance %v", c.Tolerance)
-	case c.Confirm < 1:
-		return fmt.Errorf("core: Confirm %d < 1", c.Confirm)
-	case c.MedianWindow < 1 || c.MedianWindow%2 == 0:
-		return fmt.Errorf("core: MedianWindow %d must be odd and >= 1", c.MedianWindow)
-	}
-	return nil
-}
+// The scheduling-change detector's tuning. It absorbs isolated estimation
+// outliers while confirming genuine plan switches within three estimates
+// (15 minutes at the paper's 5-minute cadence).
+const (
+	// monitorTolerance is the largest cycle-length deviation (seconds)
+	// still considered the same scheduling policy.
+	monitorTolerance = 8.0
+	// monitorConfirm is how many consecutive deviating estimates declare
+	// a scheduling change; isolated DFT outliers (the ~7 % gross errors
+	// of Fig. 14) never persist, so they are absorbed.
+	monitorConfirm = 3
+	// monitorMedianWindow is the size of the running-median prefilter.
+	monitorMedianWindow = 3
+)
 
 // Monitor detects scheduling changes, sustained plateau shifts in a
 // chronological cycle-length series: feed one estimate at a time (the
 // pipeline produces one per light every 5 minutes) and collect confirmed
 // changes as they happen. The series is median-prefiltered, then a change
-// is declared when Confirm consecutive estimates all deviate from the
-// current plateau by more than Tolerance while agreeing with each other
-// within Tolerance.
+// is declared when monitorConfirm consecutive estimates all deviate from
+// the current plateau by more than monitorTolerance while agreeing with
+// each other within it.
 //
 // It returns exactly what one scan over the whole series would (the tests'
 // DetectSchedulingChanges), without rescanning the series. A filtered
 // value is final once its median window is complete — index i of n points,
-// i+MedianWindow/2 < n — and the detector's state after the last such
-// index never changes again. Only the up to MedianWindow/2 newest points
-// see a truncated window whose median the next point may move, so each
-// Feed advances that state (final) over the indexes that just became final
-// and replays the provisional tail on a copy of it.
+// i+monitorMedianWindow/2 < n — and the detector's state after the last
+// such index never changes again. Only the up to monitorMedianWindow/2
+// newest points see a truncated window whose median the next point may
+// move, so each Feed advances that state (final) over the indexes that
+// just became final and replays the provisional tail on a copy of it.
 type Monitor struct {
-	cfg    MonitorConfig
 	series []CyclePoint
 	// emitted is the number of changes reported so far. A change confirmed
 	// inside the provisional tail can vanish when a later point moves a
@@ -86,8 +66,8 @@ type Monitor struct {
 	next    int // first index the final state has not consumed
 	final   detector
 	nFinal  int       // changes confirmed by the final state
-	tail    []float64 // provisional copy of final.run, cap Confirm
-	medians []float64 // one median window, cap MedianWindow
+	tail    []float64 // provisional copy of final.run, cap monitorConfirm
+	medians []float64 // one median window, cap monitorMedianWindow
 }
 
 // detector is the plateau scan's state between two estimates.
@@ -96,26 +76,26 @@ type detector struct {
 	// run holds the filtered values of the current run of estimates that
 	// deviate from the plateau while agreeing with the run's first; runT is
 	// the time of that first estimate. The run is confirmed, and emptied,
-	// when it reaches Confirm values.
+	// when it reaches monitorConfirm values.
 	run  []float64
 	runT float64
 }
 
 // step consumes the filtered estimate v at time t — one iteration of the
 // whole-series scan — and reports the change it confirms.
-func (d *detector) step(t, v float64, cfg MonitorConfig) (SchedulingChange, bool) {
-	if math.Abs(v-d.plateau) <= cfg.Tolerance {
+func (d *detector) step(t, v float64) (SchedulingChange, bool) {
+	if math.Abs(v-d.plateau) <= monitorTolerance {
 		d.run = d.run[:0]
 		return SchedulingChange{}, false
 	}
-	if len(d.run) > 0 && math.Abs(v-d.run[0]) > cfg.Tolerance {
+	if len(d.run) > 0 && math.Abs(v-d.run[0]) > monitorTolerance {
 		d.run = d.run[:0] // a different deviation: the run restarts here
 	}
 	if len(d.run) == 0 {
 		d.runT = t
 	}
 	d.run = append(d.run, v)
-	if len(d.run) < cfg.Confirm {
+	if len(d.run) < monitorConfirm {
 		return SchedulingChange{}, false
 	}
 	slices.Sort(d.run) // the run is spent; its median is the new plateau
@@ -126,21 +106,17 @@ func (d *detector) step(t, v float64, cfg MonitorConfig) (SchedulingChange, bool
 }
 
 // NewMonitor returns a streaming scheduling-change monitor.
-func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	m := newMonitor(cfg, 0)
-	return &m, nil
+func NewMonitor() *Monitor {
+	m := newMonitor(0)
+	return &m
 }
 
-// newMonitor is an empty Monitor for a valid cfg, with room for seriesCap
-// points. final.run, tail and medians share one array, each capped.
-func newMonitor(cfg MonitorConfig, seriesCap int) Monitor {
-	c, w := cfg.Confirm, cfg.MedianWindow
+// newMonitor is an empty Monitor with room for seriesCap points.
+// final.run, tail and medians share one array, each capped.
+func newMonitor(seriesCap int) Monitor {
+	const c, w = monitorConfirm, monitorMedianWindow
 	buf := make([]float64, 2*c+w)
 	return Monitor{
-		cfg:     cfg,
 		series:  make([]CyclePoint, 0, seriesCap),
 		final:   detector{run: buf[:0:c]},
 		tail:    buf[c : c : 2*c],
@@ -175,7 +151,7 @@ func (m *Monitor) scan() (fresh []SchedulingChange, total int) {
 			d.plateau = v
 			return
 		}
-		if c, ok := d.step(t, v, m.cfg); ok {
+		if c, ok := d.step(t, v); ok {
 			if total >= m.emitted {
 				fresh = append(fresh, c)
 			}
@@ -183,7 +159,7 @@ func (m *Monitor) scan() (fresh []SchedulingChange, total int) {
 		}
 	}
 	total = m.nFinal
-	for half := m.cfg.MedianWindow / 2; m.next+half < len(m.series); m.next++ {
+	for half := monitorMedianWindow / 2; m.next+half < len(m.series); m.next++ {
 		consume(&m.final, m.next)
 	}
 	m.nFinal = total
@@ -196,9 +172,9 @@ func (m *Monitor) scan() (fresh []SchedulingChange, total int) {
 }
 
 // filtered is the median of the series' cycles in the window of
-// MedianWindow centred on i, shrunk at the series' ends.
+// monitorMedianWindow centred on i, shrunk at the series' ends.
 func (m *Monitor) filtered(i int) float64 {
-	half := m.cfg.MedianWindow / 2
+	const half = monitorMedianWindow / 2
 	lo, hi := max(i-half, 0), min(i+half, len(m.series)-1)
 	w := m.medians[:0]
 	for _, p := range m.series[lo : hi+1] {
@@ -217,16 +193,13 @@ func (m *Monitor) Series() []CyclePoint { return append([]CyclePoint(nil), m.ser
 // marked emitted, so a restored monitor only reports changes that happen
 // after the restore point — a restart must not re-announce every
 // historical plan switch.
-func RestoreMonitor(cfg MonitorConfig, series []CyclePoint) (*Monitor, error) {
-	m, err := NewMonitor(cfg)
-	if err != nil {
-		return nil, err
-	}
+func RestoreMonitor(series []CyclePoint) (*Monitor, error) {
 	for i := 1; i < len(series); i++ {
 		if series[i].T < series[i-1].T {
 			return nil, fmt.Errorf("core: restore monitor: series not chronological at %d", i)
 		}
 	}
+	m := NewMonitor()
 	m.series = append([]CyclePoint(nil), series...)
 	_, m.emitted = m.scan()
 	return m, nil

@@ -70,7 +70,7 @@ func TestDetectSchedulingChangesBasic(t *testing.T) {
 	series := seriesFromPlan([]struct{ until, cycle float64 }{
 		{7200, 90}, {14400, 150}, {21600, 90},
 	}, 300)
-	changes, err := DetectSchedulingChanges(series, DefaultMonitorConfig())
+	changes, err := DetectSchedulingChanges(series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestDetectSchedulingChangesIgnoresOutliers(t *testing.T) {
 	// Inject isolated gross errors (the ~7 % DFT failures of Fig. 14).
 	series[5].Cycle = 240
 	series[13].Cycle = 45
-	changes, err := DetectSchedulingChanges(series, DefaultMonitorConfig())
+	changes, err := DetectSchedulingChanges(series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestDetectSchedulingChangesNoisyEstimates(t *testing.T) {
 	for i := range series {
 		series[i].Cycle += float64((i%7)-3) * 1.0
 	}
-	changes, err := DetectSchedulingChanges(series, DefaultMonitorConfig())
+	changes, err := DetectSchedulingChanges(series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,34 +124,20 @@ func TestDetectSchedulingChangesNoisyEstimates(t *testing.T) {
 }
 
 func TestDetectSchedulingChangesValidation(t *testing.T) {
-	bad := []MonitorConfig{
-		{Tolerance: 0, Confirm: 3, MedianWindow: 3},
-		{Tolerance: 5, Confirm: 0, MedianWindow: 3},
-		{Tolerance: 5, Confirm: 3, MedianWindow: 2},
-		{Tolerance: 5, Confirm: 3, MedianWindow: 0},
-	}
-	for i, cfg := range bad {
-		if _, err := DetectSchedulingChanges(nil, cfg); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
 	// Non-chronological series rejected.
 	series := []CyclePoint{{T: 100, Cycle: 90}, {T: 50, Cycle: 90}}
-	if _, err := DetectSchedulingChanges(series, DefaultMonitorConfig()); err == nil {
+	if _, err := DetectSchedulingChanges(series); err == nil {
 		t.Fatal("out-of-order series accepted")
 	}
 	// Empty series is fine.
-	out, err := DetectSchedulingChanges(nil, DefaultMonitorConfig())
+	out, err := DetectSchedulingChanges(nil)
 	if err != nil || out != nil {
 		t.Fatalf("empty series: %v, %v", out, err)
 	}
 }
 
 func TestMonitorStreaming(t *testing.T) {
-	m, err := NewMonitor(DefaultMonitorConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMonitor()
 	var got []SchedulingChange
 	series := seriesFromPlan([]struct{ until, cycle float64 }{
 		{3600, 90}, {7200, 150},
@@ -175,20 +161,13 @@ func TestMonitorStreaming(t *testing.T) {
 	}
 }
 
-func TestNewMonitorRejectsBadConfig(t *testing.T) {
-	if _, err := NewMonitor(MonitorConfig{}); err == nil {
-		t.Fatal("zero config accepted")
-	}
-}
-
 func BenchmarkDetectSchedulingChanges(b *testing.B) {
 	series := seriesFromPlan([]struct{ until, cycle float64 }{
 		{86400, 90}, {2 * 86400, 150}, {3 * 86400, 90},
 	}, 300)
-	cfg := DefaultMonitorConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, _ = DetectSchedulingChanges(series, cfg)
+		_, _ = DetectSchedulingChanges(series)
 	}
 }
 
@@ -223,14 +202,13 @@ func TestSlidingCycleSeries(t *testing.T) {
 // state: every Feed reruns DetectSchedulingChanges over the whole series.
 // It is the oracle the incremental Monitor is held to.
 type batchMonitor struct {
-	cfg     MonitorConfig
 	series  []CyclePoint
 	emitted int
 }
 
 func (m *batchMonitor) Feed(p CyclePoint) []SchedulingChange {
 	m.series = append(m.series, p)
-	all, err := DetectSchedulingChanges(m.series, m.cfg)
+	all, err := DetectSchedulingChanges(m.series)
 	if err != nil {
 		panic(err)
 	}
@@ -242,13 +220,13 @@ func (m *batchMonitor) Feed(p CyclePoint) []SchedulingChange {
 	return fresh
 }
 
-func restoreBatchMonitor(t *testing.T, cfg MonitorConfig, series []CyclePoint) *batchMonitor {
+func restoreBatchMonitor(t *testing.T, series []CyclePoint) *batchMonitor {
 	t.Helper()
-	all, err := DetectSchedulingChanges(series, cfg)
+	all, err := DetectSchedulingChanges(series)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &batchMonitor{cfg: cfg, series: append([]CyclePoint(nil), series...), emitted: len(all)}
+	return &batchMonitor{series: append([]CyclePoint(nil), series...), emitted: len(all)}
 }
 
 // noisyCycleSeries strings together what a light's estimate series is
@@ -306,48 +284,40 @@ func sameChanges(a, b []SchedulingChange) bool {
 func TestMonitorIncrementalMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	reported, vanished := 0, 0
-	for _, window := range []int{1, 3, 5} {
-		for _, confirm := range []int{1, 2, 3, 4} {
-			cfg := MonitorConfig{Tolerance: 8, Confirm: confirm, MedianWindow: window}
-			for trial := 0; trial < 8; trial++ {
-				series := noisyCycleSeries(rng, 20+rng.Intn(40))
-				// follow feeds series[from:] to both and compares every step.
-				follow := func(mon *Monitor, ref *batchMonitor, from int) {
-					for i := from; i < len(series); i++ {
-						got, want := mon.Feed(series[i]), ref.Feed(series[i])
-						if !sameChanges(got, want) || mon.emitted != ref.emitted {
-							t.Fatalf("window %d confirm %d, restored at %d, point %d: Feed = %+v (emitted %d), the batch scan gives %+v (emitted %d)\nseries %+v",
-								window, confirm, from, i, got, mon.emitted, want, ref.emitted, series[:i+1])
-						}
-						if from == 0 {
-							reported += len(want)
-							if all, _ := DetectSchedulingChanges(series[:i+1], cfg); len(all) < ref.emitted {
-								vanished++
-							}
-						}
-					}
+	for trial := 0; trial < 96; trial++ {
+		series := noisyCycleSeries(rng, 20+rng.Intn(40))
+		// follow feeds series[from:] to both and compares every step.
+		follow := func(mon *Monitor, ref *batchMonitor, from int) {
+			for i := from; i < len(series); i++ {
+				got, want := mon.Feed(series[i]), ref.Feed(series[i])
+				if !sameChanges(got, want) || mon.emitted != ref.emitted {
+					t.Fatalf("trial %d, restored at %d, point %d: Feed = %+v (emitted %d), the batch scan gives %+v (emitted %d)\nseries %+v",
+						trial, from, i, got, mon.emitted, want, ref.emitted, series[:i+1])
 				}
-				mon, err := NewMonitor(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				follow(mon, &batchMonitor{cfg: cfg}, 0)
-				if got := mon.Series(); len(got) != len(series) || got[len(got)-1] != series[len(series)-1] {
-					t.Fatalf("Series() has %d points, fed %d", len(got), len(series))
-				}
-				for at := 1; at <= len(series); at++ {
-					restored, err := RestoreMonitor(cfg, series[:at])
-					if err != nil {
-						t.Fatal(err)
+				if from == 0 {
+					reported += len(want)
+					if all, _ := DetectSchedulingChanges(series[:i+1]); len(all) < ref.emitted {
+						vanished++
 					}
-					ref := restoreBatchMonitor(t, cfg, series[:at])
-					if restored.emitted != ref.emitted {
-						t.Fatalf("window %d confirm %d: restored at %d with %d changes emitted, the batch scan finds %d",
-							window, confirm, at, restored.emitted, ref.emitted)
-					}
-					follow(restored, ref, at)
 				}
 			}
+		}
+		mon := NewMonitor()
+		follow(mon, &batchMonitor{}, 0)
+		if got := mon.Series(); len(got) != len(series) || got[len(got)-1] != series[len(series)-1] {
+			t.Fatalf("Series() has %d points, fed %d", len(got), len(series))
+		}
+		for at := 1; at <= len(series); at++ {
+			restored, err := RestoreMonitor(series[:at])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := restoreBatchMonitor(t, series[:at])
+			if restored.emitted != ref.emitted {
+				t.Fatalf("trial %d: restored at %d with %d changes emitted, the batch scan finds %d",
+					trial, at, restored.emitted, ref.emitted)
+			}
+			follow(restored, ref, at)
 		}
 	}
 	if reported < 200 || vanished < 20 {
@@ -356,7 +326,7 @@ func TestMonitorIncrementalMatchesBatch(t *testing.T) {
 }
 
 func TestMonitorFeedRejectsOlderPoint(t *testing.T) {
-	mon, _ := NewMonitor(DefaultMonitorConfig())
+	mon := NewMonitor()
 	mon.Feed(CyclePoint{T: 600, Cycle: 90})
 	mon.Feed(CyclePoint{T: 600, Cycle: 90}) // equal times are in order
 	defer func() {
@@ -371,7 +341,7 @@ func TestMonitorFeedRejectsOlderPoint(t *testing.T) {
 // of every key, every round — allocates nothing once the series has room,
 // however long the series is.
 func TestMonitorFeedAllocs(t *testing.T) {
-	mon, _ := NewMonitor(DefaultMonitorConfig())
+	mon := NewMonitor()
 	at := 0.0
 	feed := func(cycle float64) []SchedulingChange {
 		at += 300

@@ -20,28 +20,20 @@ type RealtimeConfig struct {
 	// paper suggests "the past 30 minutes").
 	Window float64
 	// Interval is the re-estimation period, seconds (paper: 5 minutes).
+	// The fault policy's durations scale with it (see staleIntervals).
 	Interval float64
-	// Monitor configures per-light scheduling-change detection.
-	Monitor MonitorConfig
 	// History, when UseHistory is set, corrects gross one-off estimates
 	// against the per-slot day-over-day median (Section VII).
 	History    HistoryConfig
 	UseHistory bool
-	// MinCoverage is the fraction of the window that must be covered by
-	// data before estimates are trusted enough to feed the
-	// scheduling-change monitors; start-up windows with little data
-	// produce unstable estimates that would otherwise register as
-	// spurious changes.
-	MinCoverage float64
 	// MinQuality gates the scheduling-change monitors on the estimate's
 	// fold score (Result.Quality): approaches whose accepted cycle
 	// barely structures the data flip between harmonics and would
 	// otherwise report phantom changes. Estimates below the gate are
 	// still published in Snapshot.
 	MinQuality float64
-	// Faults is the failure-isolation policy: per-key buffer caps,
-	// quarantine-with-backoff for repeatedly failing approaches, and the
-	// staleness threshold behind the Fresh/Stale health states.
+	// Faults is the failure-isolation policy: per-key buffer caps and
+	// quarantine-with-backoff for repeatedly failing approaches.
 	Faults FaultPolicy
 	// RoundOffset delays the engine's first estimation round by this many
 	// stream seconds past the first Advance, after which rounds keep the
@@ -54,15 +46,13 @@ type RealtimeConfig struct {
 // DefaultRealtimeConfig matches the paper's cadence.
 func DefaultRealtimeConfig() RealtimeConfig {
 	return RealtimeConfig{
-		Pipeline:    DefaultPipelineConfig(),
-		Window:      1800,
-		Interval:    300,
-		Monitor:     DefaultMonitorConfig(),
-		History:     DefaultHistoryConfig(),
-		UseHistory:  true,
-		MinCoverage: 0.8,
-		MinQuality:  0.02,
-		Faults:      DefaultFaultPolicy(),
+		Pipeline:   DefaultPipelineConfig(),
+		Window:     1800,
+		Interval:   300,
+		History:    DefaultHistoryConfig(),
+		UseHistory: true,
+		MinQuality: 0.02,
+		Faults:     DefaultFaultPolicy(),
 	}
 }
 
@@ -74,16 +64,10 @@ func (c RealtimeConfig) Validate() error {
 	if c.Window <= 0 || c.Interval <= 0 || c.Interval > c.Window {
 		return fmt.Errorf("core: bad realtime cadence window=%v interval=%v", c.Window, c.Interval)
 	}
-	if err := c.Monitor.Validate(); err != nil {
-		return err
-	}
 	if c.UseHistory {
 		if err := c.History.Validate(); err != nil {
 			return err
 		}
-	}
-	if c.MinCoverage < 0 || c.MinCoverage > 1 {
-		return fmt.Errorf("core: MinCoverage %v outside [0, 1]", c.MinCoverage)
 	}
 	if c.MinQuality < 0 {
 		return fmt.Errorf("core: negative MinQuality %v", c.MinQuality)
@@ -170,6 +154,12 @@ type Engine struct {
 
 // seriesHorizon is the stream seconds of rounds a new Monitor has room for.
 const seriesHorizon = 3 * 3600
+
+// minCoverage is the fraction of the window a round's data must span
+// before its estimates feed the scheduling-change monitors: start-up
+// windows with little data produce unstable estimates that would
+// otherwise register as spurious changes.
+const minCoverage = 0.8
 
 // approach is everything the engine keeps about one signal approach, made
 // on its first record. History slots (a day's rounds each) and the Monitor
@@ -534,7 +524,7 @@ func (e *Engine) estimateRound(at float64) ([]KeyedChange, RoundStats) {
 	}
 
 	// Monitors only see estimates from sufficiently covered windows.
-	covered := !math.IsInf(earliest, 1) && at-earliest >= e.cfg.MinCoverage*e.cfg.Window
+	covered := !math.IsInf(earliest, 1) && at-earliest >= minCoverage*e.cfg.Window
 
 	// The expensive part, outside every engine lock. Stop extraction is
 	// global (see StopIndex) and shared, read-only, by all workers.
@@ -687,8 +677,8 @@ func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results []Result,
 		if !covered || est.Quality < e.cfg.MinQuality {
 			continue
 		}
-		if a.monitor.cfg.Confirm == 0 { // a valid config confirms after one or more
-			a.monitor = newMonitor(e.cfg.Monitor, int(math.Ceil(seriesHorizon/e.cfg.Interval)))
+		if a.monitor.series == nil {
+			a.monitor = newMonitor(int(math.Ceil(seriesHorizon / e.cfg.Interval)))
 		}
 		for _, c := range a.monitor.Feed(CyclePoint{T: at, Cycle: est.Cycle}) {
 			out = append(out, KeyedChange{Key: k, Change: c})
@@ -882,7 +872,7 @@ func (e *Engine) RestoreState(st EngineState) []mapmatch.Key {
 			series = series[:len(series)-1]
 		}
 		if len(series) > 0 {
-			if mon, err := RestoreMonitor(e.cfg.Monitor, series); err == nil {
+			if mon, err := RestoreMonitor(series); err == nil {
 				a.monitor = *mon
 			}
 		}

@@ -125,11 +125,7 @@ func ignoreChanges(_ []KeyedChange, err error) error { return err }
 // re-announce changes already confirmed before the restart, but still
 // detects changes that happen afterwards.
 func TestRestoreMonitorNoReEmit(t *testing.T) {
-	cfg := DefaultMonitorConfig()
-	mon, err := NewMonitor(cfg)
-	if err != nil {
-		t.Fatalf("NewMonitor: %v", err)
-	}
+	mon := NewMonitor()
 	// Plateau at 100 s, then a confirmed switch to 130 s.
 	var emitted int
 	at := 0.0
@@ -145,7 +141,7 @@ func TestRestoreMonitorNoReEmit(t *testing.T) {
 		t.Fatal("setup: no change confirmed before restore")
 	}
 
-	restored, err := RestoreMonitor(cfg, mon.Series())
+	restored, err := RestoreMonitor(mon.Series())
 	if err != nil {
 		t.Fatalf("RestoreMonitor: %v", err)
 	}
@@ -178,7 +174,6 @@ func TestRestoreMonitorNoReEmit(t *testing.T) {
 // and a series that is not chronological is dropped whole.
 func TestRestoreStateDropsFutureMonitorPoints(t *testing.T) {
 	cfg := DefaultRealtimeConfig()
-	cfg.MinCoverage = 0
 	cfg.MinQuality = 0
 	eng, err := NewEngine(cfg)
 	if err != nil {

@@ -20,13 +20,6 @@ func ExampleAdvise() {
 	// recommend 46 km/h, arriving on green
 }
 
-func ExampleExpectedWait() {
-	// With red == green, a random arrival waits cycle/8 on average.
-	fmt.Printf("%.0f s\n", navigation.ExpectedWait(200, 100))
-	// Output:
-	// 25 s
-}
-
 func ExampleBuildFig15Grid() {
 	cfg := navigation.DefaultFig15Config()
 	cfg.Rows, cfg.Cols = 3, 3

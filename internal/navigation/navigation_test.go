@@ -363,114 +363,6 @@ func geoOrigin() geo.Point { return geo.Point{Lat: 22.543, Lon: 114.06} }
 
 func xy(x, y float64) geo.XY { return geo.XY{X: x, Y: y} }
 
-func TestExpectedWait(t *testing.T) {
-	// red = cycle/2: E[wait] = cycle/8.
-	if w := ExpectedWait(200, 100); math.Abs(w-25) > 1e-9 {
-		t.Fatalf("ExpectedWait = %v, want 25", w)
-	}
-	if w := ExpectedWait(0, 50); w != 0 {
-		t.Fatalf("degenerate cycle wait = %v", w)
-	}
-	if w := ExpectedWait(100, 0); w != 0 {
-		t.Fatalf("zero red wait = %v", w)
-	}
-	// red clamped to cycle.
-	if w := ExpectedWait(100, 150); math.Abs(w-50) > 1e-9 {
-		t.Fatalf("clamped wait = %v, want 50", w)
-	}
-}
-
-func TestExpectedWaitMatchesSimulation(t *testing.T) {
-	// Monte-Carlo check of the closed form on a real schedule.
-	net := fig15(t, 3, 3)
-	nd := net.SignalisedNodes()[0]
-	var seg *roadnet.Segment
-	for _, s := range net.Segments() {
-		if s.To == nd.ID {
-			seg = s
-			break
-		}
-	}
-	sched := nd.Light.ScheduleFor(seg.Approach(), 0)
-	var sum float64
-	n := 20000
-	for i := 0; i < n; i++ {
-		sum += sched.WaitAt(float64(i) * 0.37)
-	}
-	mc := sum / float64(n)
-	closed := ExpectedWait(sched.Cycle, sched.Red)
-	if math.Abs(mc-closed) > closed*0.05 {
-		t.Fatalf("Monte Carlo %v vs closed form %v", mc, closed)
-	}
-}
-
-func TestProbabilisticPlannerBetweenBaselines(t *testing.T) {
-	// Over many random trips, mean realised time must order:
-	// light-aware <= probabilistic (approx) and probabilistic can never
-	// use phase information, so light-aware strictly wins overall.
-	net := fig15(t, 6, 6)
-	base := &ShortestTimePlanner{Net: net}
-	prob := &ProbabilisticPlanner{Net: net}
-	aware := &LightAwarePlanner{Net: net}
-	var sumBase, sumProb, sumAware float64
-	trips := 0
-	for depart := 0.0; depart < 4000; depart += 111 {
-		src := roadnet.NodeID(int(depart) % 6)
-		dst := roadnet.NodeID(35 - int(depart)%6)
-		rb, err := Drive(net, base, src, dst, depart)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, err := Drive(net, prob, src, dst, depart)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ra, err := Drive(net, aware, src, dst, depart)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sumBase += rb.Duration
-		sumProb += rp.Duration
-		sumAware += ra.Duration
-		trips++
-	}
-	if sumAware >= sumProb {
-		t.Fatalf("light-aware (%v) not better than probabilistic (%v)", sumAware/float64(trips), sumProb/float64(trips))
-	}
-	// On the Fig. 15 grid every light has red == green == cycle/2, so
-	// probabilistic expected waits barely differentiate routes; it must
-	// at least not be substantially worse than the blind baseline.
-	if sumProb > sumBase*1.05 {
-		t.Fatalf("probabilistic (%v) much worse than baseline (%v)", sumProb/float64(trips), sumBase/float64(trips))
-	}
-}
-
-func TestProbabilisticPlannerWithIdentifiedSchedules(t *testing.T) {
-	net := fig15(t, 4, 4)
-	// Supply (noisy) identified statistics instead of ground truth.
-	sch := map[roadnet.NodeID]CycleRed{}
-	for _, nd := range net.SignalisedNodes() {
-		s := nd.Light.ScheduleFor(0, 0)
-		sch[nd.ID] = CycleRed{Cycle: s.Cycle + 2, Red: s.Red - 1}
-	}
-	p := &ProbabilisticPlanner{Net: net, Schedules: sch}
-	r, err := p.Plan(0, 15, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Segments) < 6 {
-		t.Fatalf("route too short: %d segments", len(r.Segments))
-	}
-	// Cost includes expected waits: strictly above free-flow drive time.
-	drive := 0.0
-	for _, sid := range r.Segments {
-		drive += net.Segment(sid).TravelTime()
-	}
-	if r.Cost <= drive {
-		t.Fatalf("cost %v does not include expected waits (drive %v)", r.Cost, drive)
-	}
-}
-
 func TestMapSource(t *testing.T) {
 	m := MapSource{}
 	s := lights.Schedule{Cycle: 98, Red: 39, Offset: 5}

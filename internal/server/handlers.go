@@ -555,8 +555,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if doc.Fresh == 0 {
 		code = http.StatusServiceUnavailable
 		doc.Status = "no fresh estimates"
-	} else if max := s.cfg.StaleFeedAfter; max > 0 && doc.LastIngestAgeSeconds >= 0 &&
-		doc.LastIngestAgeSeconds > max.Seconds() {
+	} else if doc.LastIngestAgeSeconds > staleFeedAfter.Seconds() {
 		code = http.StatusServiceUnavailable
 		doc.Status = "feed silent"
 	}

@@ -163,7 +163,7 @@ func TestSnapshotWorstHealthHeader(t *testing.T) {
 	old := mapmatch.Key{Light: 1, Approach: lights.NorthSouth}
 	live := mapmatch.Key{Light: 2, Approach: lights.EastWest}
 	stale := primedResult(old)
-	stale.WindowEnd -= 4 * s.cfg.Realtime.Faults.StaleAfter
+	stale.WindowEnd -= 4 * 3 * s.cfg.Realtime.Interval // four times the stale age
 	stale.WindowStart = stale.WindowEnd - 1800
 	s.PrimeResults([]core.Result{stale})
 	s.PrimeResults([]core.Result{primedResult(live)})
@@ -183,7 +183,7 @@ func TestSnapshotWorstHealthHeader(t *testing.T) {
 // TestHealthzFeedTransitions walks /healthz through fresh → silent feed
 // → recovered.
 func TestHealthzFeedTransitions(t *testing.T) {
-	s := newTestServer(t, func(cfg *Config) { cfg.StaleFeedAfter = 2 * time.Minute })
+	s := newTestServer(t, nil)
 	key := mapmatch.Key{Light: 0, Approach: lights.NorthSouth}
 	s.PrimeResults([]core.Result{primedResult(key)})
 
@@ -192,8 +192,9 @@ func TestHealthzFeedTransitions(t *testing.T) {
 		t.Fatalf("fresh /healthz = %d %s", rec.Code, rec.Body.String())
 	}
 
-	// Pretend the last batch arrived three minutes ago on every shard.
-	silent := time.Now().Add(-3 * time.Minute).UnixNano()
+	// Pretend the last batch arrived longer ago than staleFeedAfter on
+	// every shard.
+	silent := time.Now().Add(-staleFeedAfter - time.Minute).UnixNano()
 	for _, sh := range s.shards {
 		sh.lastIngestWall.Store(silent)
 	}

@@ -60,9 +60,6 @@ type Config struct {
 	ReadTimeout   time.Duration
 	WriteTimeout  time.Duration
 	ShutdownGrace time.Duration
-	// StaleFeedAfter is how long (wall clock) the feed may be silent
-	// before /healthz degrades; 0 disables the liveness check.
-	StaleFeedAfter time.Duration
 	// Store, when non-nil, receives every published estimate
 	// asynchronously and periodic full checkpoints, and backs the
 	// /v1/history and as-of endpoints. The server drives the store but
@@ -71,13 +68,6 @@ type Config struct {
 	// CheckpointInterval is the wall-clock cadence of full checkpoints;
 	// 0 checkpoints only at shutdown. Ignored without a Store.
 	CheckpointInterval time.Duration
-	// StoreFailureBudget is how many consecutive failed WAL appends
-	// (ENOSPC, EIO, a yanked disk) the persist writer tolerates before
-	// dropping to serving-only mode: further batches are discarded with
-	// a counter, checkpoints stop, and /healthz reports "store:
-	// degraded" — the daemon keeps answering instead of crashing or
-	// silently stalling the persist queue. 0 never degrades.
-	StoreFailureBudget int
 	// MaxInFlight bounds concurrently served HTTP requests; excess load
 	// is shed with 429 + Retry-After so a hot scrape loop cannot starve
 	// the daemon. /healthz and /metrics are exempt — operators must see
@@ -123,6 +113,16 @@ const (
 	// estimation rounds and keeps intermediaries from timing the stream
 	// out.
 	watchHeartbeat = 15 * time.Second
+	// staleFeedAfter is how long (wall clock) the feed may be silent
+	// before /healthz degrades.
+	staleFeedAfter = 2 * time.Minute
+	// storeFailureBudget is how many consecutive failed WAL appends
+	// (ENOSPC, EIO, a yanked disk) the persist writer tolerates before
+	// dropping to serving-only mode: further batches are discarded with
+	// a counter, checkpoints stop, and /healthz reports "store:
+	// degraded" — the daemon keeps answering instead of crashing or
+	// silently stalling the persist queue.
+	storeFailureBudget = 8
 )
 
 // DefaultConfig is the posture lightd starts with: four shards, the
@@ -140,8 +140,6 @@ func DefaultConfig() Config {
 		ReadTimeout:        5 * time.Second,
 		WriteTimeout:       10 * time.Second,
 		ShutdownGrace:      5 * time.Second,
-		StaleFeedAfter:     2 * time.Minute,
-		StoreFailureBudget: 8,
 		CheckpointInterval: time.Minute,
 		MaxInFlight:        256,
 		MaxSubscribers:     100_000,
@@ -162,12 +160,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("server: non-positive batch size %d", c.BatchSize)
 	case c.FlushEvery <= 0:
 		return fmt.Errorf("server: non-positive flush cadence %v", c.FlushEvery)
-	case c.ShutdownGrace < 0 || c.StaleFeedAfter < 0:
-		return fmt.Errorf("server: negative timeout (grace %v, stale-feed %v)", c.ShutdownGrace, c.StaleFeedAfter)
+	case c.ShutdownGrace < 0:
+		return fmt.Errorf("server: negative shutdown grace %v", c.ShutdownGrace)
 	case c.CheckpointInterval < 0:
 		return fmt.Errorf("server: negative checkpoint interval %v", c.CheckpointInterval)
-	case c.StoreFailureBudget < 0:
-		return fmt.Errorf("server: negative store failure budget %d", c.StoreFailureBudget)
 	case c.MaxInFlight < 0:
 		return fmt.Errorf("server: negative in-flight limit %d", c.MaxInFlight)
 	case c.MaxSubscribers < 0:
@@ -215,7 +211,7 @@ type Server struct {
 	// Start to StopIngest; publish sends and StopIngest takes it away under
 	// queueMu, so a prime racing the shutdown never sends on a closed
 	// queue.
-	// storeDegraded latches once StoreFailureBudget consecutive appends
+	// storeDegraded latches once storeFailureBudget consecutive appends
 	// fail; the daemon then serves without persisting.
 	queueMu       sync.Mutex
 	persistCh     chan []store.Record
@@ -372,7 +368,7 @@ func (s *Server) Start() {
 // persistLoop is the single store writer: it drains estimate batches
 // from the bounded queue into the WAL. Append errors are counted, not
 // fatal — a sick disk degrades durability, never serving. Once
-// StoreFailureBudget consecutive appends fail the writer stops touching
+// storeFailureBudget consecutive appends fail the writer stops touching
 // the store entirely (serving-only mode): batches keep draining so the
 // queue never stalls, but they are dropped and counted.
 func (s *Server) persistLoop(queue <-chan []store.Record) {
@@ -387,7 +383,7 @@ func (s *Server) persistLoop(queue <-chan []store.Record) {
 			s.met.walErrors.Add(int64(len(batch)))
 			s.met.storeWriteErrors.Add(1)
 			streak++
-			if b := s.cfg.StoreFailureBudget; b > 0 && streak >= b {
+			if streak >= storeFailureBudget {
 				s.storeDegraded.Store(true)
 			}
 			continue

@@ -288,8 +288,8 @@ func TestSnapshotETag(t *testing.T) {
 }
 
 // TestHealthz pins the serving-condition contract: 503 with no fresh
-// estimate, 200 with one, 503 again once everything ages past
-// StaleAfter.
+// estimate, 200 with one, 503 again once everything ages past three
+// re-estimation intervals.
 func TestHealthz(t *testing.T) {
 	s := newTestServer(t, nil)
 	if rec := get(t, s, "/healthz", nil); rec.Code != http.StatusServiceUnavailable {
@@ -304,7 +304,8 @@ func TestHealthz(t *testing.T) {
 		t.Errorf("fresh estimate: status %d body %s, want 200", rec.Code, rec.Body.String())
 	}
 
-	// Age the only estimate past StaleAfter (default 900 s).
+	// Age the only estimate past three intervals (900 s at the default
+	// cadence).
 	if _, err := s.shardFor(key).engine.Advance(1000); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -338,7 +339,7 @@ func TestStoreEndpointsWithoutStore(t *testing.T) {
 }
 
 // TestStoreWriteFailureDegradesToServingOnly pulls the store out from
-// under a running daemon: once StoreFailureBudget consecutive appends
+// under a running daemon: once storeFailureBudget consecutive appends
 // fail the server latches serving-only mode — /healthz says so, the
 // error counter and gauge appear in /metrics, checkpoints stop, and
 // the read path keeps answering.
@@ -354,7 +355,6 @@ func TestStoreWriteFailureDegradesToServingOnly(t *testing.T) {
 	s := newTestServer(t, func(cfg *Config) {
 		cfg.Store = st
 		cfg.CheckpointInterval = 0
-		cfg.StoreFailureBudget = 1
 	})
 	s.Start()
 
@@ -362,8 +362,14 @@ func TestStoreWriteFailureDegradesToServingOnly(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatalf("store close: %v", err)
 	}
+	// Each prime publishes again, and each publish is one failed append.
 	k := mapmatch.Key{Light: 3, Approach: lights.NorthSouth}
-	s.PrimeResults([]core.Result{primedResult(k)})
+	for i := 0; i < storeFailureBudget; i++ {
+		if s.StoreDegraded() {
+			t.Fatalf("store degraded after %d of %d failed appends", i, storeFailureBudget)
+		}
+		s.PrimeResults([]core.Result{primedResult(k)})
+	}
 	waitFor(t, "store to degrade", s.StoreDegraded)
 
 	hz := get(t, s, "/healthz", nil)
@@ -381,7 +387,7 @@ func TestStoreWriteFailureDegradesToServingOnly(t *testing.T) {
 	if !strings.Contains(body, "lightd_store_degraded 1") {
 		t.Fatal("/metrics missing lightd_store_degraded 1")
 	}
-	if !strings.Contains(body, "lightd_store_write_errors_total 1") {
+	if !strings.Contains(body, fmt.Sprintf("lightd_store_write_errors_total %d", storeFailureBudget)) {
 		t.Fatal("/metrics missing lightd_store_write_errors_total")
 	}
 

@@ -611,7 +611,8 @@ func TestStatsCollection(t *testing.T) {
 func TestStatsMeanWaitMatchesExpectedWaitShape(t *testing.T) {
 	// At low arrival rates, the observed mean queue wait conditioned on
 	// joining the queue approximates red/2 + small discharge delay —
-	// the conditional counterpart of navigation.ExpectedWait. Verify the
+	// the conditional counterpart of a random arrival's expected wait,
+	// red²/(2·cycle). Verify the
 	// aggregate sits in a physically sensible band.
 	s := testSim(t, func(c *Config) { c.NumTaxis = 100; c.DwellProb = 0 })
 	b := newBooks(s)
