@@ -120,9 +120,13 @@ func runInfo(args []string) error {
 	})
 	for _, k := range keys {
 		ap := state.Approaches[k]
-		fmt.Printf("  light %-6d %s  cycle %6.1f s  red %5.1f s  window [%.0f, %.0f)  monitor %d pts\n",
+		plateau := "-" // the monitor has no plateau before its second estimate
+		if m := ap.Monitor; m.Held == 2 {
+			plateau = fmt.Sprintf("%.1f s", m.Plateau)
+		}
+		fmt.Printf("  light %-6d %s  cycle %6.1f s  red %5.1f s  window [%.0f, %.0f)  monitor plateau %s\n",
 			int64(k.Light), k.Approach, ap.Result.Cycle, ap.Result.Red,
-			ap.Result.WindowStart, ap.Result.WindowEnd, len(ap.Monitor))
+			ap.Result.WindowStart, ap.Result.WindowEnd, plateau)
 	}
 	return nil
 }

@@ -61,7 +61,8 @@ func main() {
 	key := mapmatch.Key{Light: target, Approach: lights.NorthSouth}
 	samples := core.SpeedSamplesNear(stopIdx.FilterDwellRecords(world.Part[key]), 120)
 
-	mon := core.NewMonitor()
+	var mon core.Monitor
+	var estimates []core.CyclePoint
 	fmt.Println("monitoring the centre light every 5 minutes (trailing 30-minute window):")
 	const window, every = 1800.0, 300.0
 	for t := 4*3600 + window; t <= 13*3600; t += every {
@@ -69,12 +70,13 @@ func main() {
 		if err != nil {
 			continue
 		}
-		for _, ch := range mon.Feed(core.CyclePoint{T: t, Cycle: est}) {
+		p := core.CyclePoint{T: t, Cycle: est}
+		estimates = append(estimates, p)
+		for _, ch := range mon.Feed(p) {
 			fmt.Printf("  %5.2f h: scheduling change detected, %.0f s -> %.0f s (truth switches at 7 h and 10 h)\n",
 				ch.T/3600, ch.From, ch.To)
 		}
 	}
-	series := mon.Series()
 	fmt.Printf("estimates collected: %d; last estimate %.1f s (true cycle now %.0f s)\n",
-		len(series), series[len(series)-1].Cycle, dyn.ScheduleAt(13*3600).Cycle)
+		len(estimates), estimates[len(estimates)-1].Cycle, dyn.ScheduleAt(13*3600).Cycle)
 }

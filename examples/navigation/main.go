@@ -23,7 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 	baseline := &navigation.ShortestTimePlanner{Net: net}
-	aware := &navigation.LightAwarePlanner{Net: net}
+	aware := &navigation.BelievedPlanner{Net: net, Source: navigation.TruthSource{Net: net}}
 
 	fmt.Println("three corner-to-corner trips, departing 90 s apart:")
 	src := roadnet.NodeID(0)

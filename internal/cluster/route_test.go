@@ -96,7 +96,7 @@ func TestClusterRouteServesPeerEstimates(t *testing.T) {
 	// Every node must converge to the offline exact planner's cost with
 	// no degraded edges: proof that each resolved every key it does not
 	// own from its peers.
-	ref, err := (&navigation.LightAwarePlanner{Net: net}).Plan(0, 15, 100)
+	ref, err := (&navigation.BelievedPlanner{Net: net, Source: navigation.TruthSource{Net: net}}).Plan(0, 15, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

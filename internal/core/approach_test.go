@@ -67,9 +67,10 @@ func TestIngestAllocs(t *testing.T) {
 	}
 }
 
-// TestPublishAllocs: publishing for an approach whose History slot and
-// Monitor already exist allocates nothing for either — the slot was made
-// with room for a day's rounds in it, the series with room for hours.
+// TestPublishAllocs: publishing for an approach whose History slot
+// already exists allocates nothing — the slot was made with room for a
+// day's rounds in it — and feeding its fixed-size Monitor allocates
+// nothing either.
 func TestPublishAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -92,7 +93,7 @@ func TestPublishAllocs(t *testing.T) {
 	results := make([]Result, nKeys)
 	for i, k := range keys {
 		a := eng.approaches[k]
-		if !a.published || a.monitor.series == nil || a.history.slots[a.history.slotOf(1800)] == nil {
+		if !a.published || a.monitor.State().Held == 0 || a.history.slots[a.history.slotOf(1800)] == nil {
 			t.Fatalf("%v: the first round left no estimate, monitor or history slot", k)
 		}
 		results[i] = a.est
@@ -119,8 +120,8 @@ func TestPublishAllocs(t *testing.T) {
 		if s := a.history.slots[a.history.slotOf(at)]; len(s) != 3 {
 			t.Fatalf("%v: slot holds %d estimates, want 3", k, len(s))
 		}
-		if n := len(a.monitor.series); n != 3 {
-			t.Fatalf("%v: monitor holds %d points, want 3", k, n)
+		if st := a.monitor.State(); st.Held != 2 || st.Last[1].T != at {
+			t.Fatalf("%v: monitor's newest point %+v, want the round at %v", k, st.Last, at)
 		}
 	}
 }

@@ -105,7 +105,7 @@ func ExampleHistory() {
 }
 
 func ExampleMonitor() {
-	m := core.NewMonitor()
+	var m core.Monitor
 	for t := 0.0; t < 7200; t += 300 {
 		cycle := 90.0
 		if t >= 3600 {

@@ -6,6 +6,10 @@ import (
 	"sort"
 )
 
+// monitorMedianWindow is the size of Monitor's running-median prefilter,
+// which holds the last two points for it.
+const monitorMedianWindow = 3
+
 // DetectSchedulingChanges is the batch form of Monitor and the oracle
 // TestMonitorIncrementalMatchesBatch compares Feed against. It scans a
 // chronological cycle-length series for sustained plateau shifts. The
@@ -22,12 +26,31 @@ func DetectSchedulingChanges(series []CyclePoint) ([]SchedulingChange, error) {
 			return nil, fmt.Errorf("core: series not chronological at %d", i)
 		}
 	}
+	return scanFiltered(series, MedianFilter(cycles(series), monitorMedianWindow)), nil
+}
+
+// finalChanges is what DetectSchedulingChanges confirms before the newest
+// point of a chronological series, whose median window the next point may
+// still move: the changes a Monitor fed the series has confirmed for good.
+func finalChanges(series []CyclePoint) []SchedulingChange {
+	vals := MedianFilter(cycles(series), monitorMedianWindow)
+	return scanFiltered(series, vals[:max(len(vals)-1, 0)])
+}
+
+func cycles(series []CyclePoint) []float64 {
 	vals := make([]float64, len(series))
 	for i, p := range series {
 		vals[i] = p.Cycle
 	}
-	vals = MedianFilter(vals, monitorMedianWindow)
+	return vals
+}
 
+// scanFiltered is the plateau scan over vals, the filtered cycles of the
+// first len(vals) points of series.
+func scanFiltered(series []CyclePoint, vals []float64) []SchedulingChange {
+	if len(vals) == 0 {
+		return nil
+	}
 	var changes []SchedulingChange
 	plateau := vals[0]
 	run := 0       // consecutive deviating estimates
@@ -60,7 +83,7 @@ func DetectSchedulingChanges(series []CyclePoint) ([]SchedulingChange, error) {
 			runStart = -1
 		}
 	}
-	return changes, nil
+	return changes
 }
 
 // MedianFilter returns the running median of xs with the given odd window,

@@ -11,8 +11,8 @@ import (
 // CyclePoint is one timestamped cycle-length estimate in the continuous
 // monitoring series (Fig. 12: one estimate every 5 minutes).
 type CyclePoint struct {
-	T     float64 // estimate time, seconds
-	Cycle float64 // estimated cycle length, seconds
+	T     float64 `json:"t_s"`     // estimate time, seconds
+	Cycle float64 `json:"cycle_s"` // estimated cycle length, seconds
 }
 
 // SchedulingChange is one detected scheduling-policy switch.
@@ -35,174 +35,142 @@ const (
 	// a scheduling change; isolated DFT outliers (the ~7 % gross errors
 	// of Fig. 14) never persist, so they are absorbed.
 	monitorConfirm = 3
-	// monitorMedianWindow is the size of the running-median prefilter.
-	monitorMedianWindow = 3
 )
 
 // Monitor detects scheduling changes, sustained plateau shifts in a
 // chronological cycle-length series: feed one estimate at a time (the
 // pipeline produces one per light every 5 minutes) and collect confirmed
-// changes as they happen. The series is median-prefiltered, then a change
-// is declared when monitorConfirm consecutive estimates all deviate from
-// the current plateau by more than monitorTolerance while agreeing with
-// each other within it.
+// changes as they happen. The series is prefiltered by a running median
+// of three, then a change is declared when monitorConfirm consecutive
+// estimates all deviate from the current plateau by more than
+// monitorTolerance while agreeing with each other within it. A zero
+// Monitor is ready to use.
 //
 // It returns exactly what one scan over the whole series would (the tests'
-// DetectSchedulingChanges), without rescanning the series. A filtered
-// value is final once its median window is complete — index i of n points,
-// i+monitorMedianWindow/2 < n — and the detector's state after the last
-// such index never changes again. Only the up to monitorMedianWindow/2
-// newest points see a truncated window whose median the next point may
-// move, so each Feed advances that state (final) over the indexes that
-// just became final and replays the provisional tail on a copy of it.
+// DetectSchedulingChanges) while keeping no series. A filtered value is
+// final once the point after it completes its median window, and so is
+// the scan's state after it; that state and the last two points are all a
+// Monitor keeps. Each Feed consumes the point before it for good and
+// replays the newest, whose median the next point may still move, on a
+// copy of the scan.
 type Monitor struct {
-	series []CyclePoint
-	// emitted is the number of changes reported so far. A change confirmed
-	// inside the provisional tail can vanish when a later point moves a
-	// median; it stays counted, so the next change at that position in the
-	// batch result is not reported — as when every Feed ran the batch scan.
-	emitted int
-
-	next    int // first index the final state has not consumed
-	final   detector
-	nFinal  int       // changes confirmed by the final state
-	tail    []float64 // provisional copy of final.run, cap monitorConfirm
-	medians []float64 // one median window, cap monitorMedianWindow
+	state MonitorState
 }
 
-// detector is the plateau scan's state between two estimates.
-type detector struct {
-	plateau float64
-	// run holds the filtered values of the current run of estimates that
-	// deviate from the plateau while agreeing with the run's first; runT is
-	// the time of that first estimate. The run is confirmed, and emptied,
-	// when it reaches monitorConfirm values.
-	run  []float64
-	runT float64
+// MonitorState is everything a Monitor keeps, and all a restarted one
+// needs to carry on exactly: a fixed-size value that no number of Feeds
+// makes grow. The zero state is an empty monitor.
+type MonitorState struct {
+	// Held is how many points have been fed, up to two; Last holds them,
+	// the newest in Last[1].
+	Held int
+	Last [2]CyclePoint
+	// Plateau is the scan's plateau, set once Held is 2. Run holds the
+	// RunLen filtered values of the open run of estimates that deviate
+	// from it while agreeing with the run's first, at time RunT; a run of
+	// monitorConfirm values is confirmed, and emptied.
+	Plateau float64
+	Run     [monitorConfirm - 1]float64
+	RunLen  int
+	RunT    float64
+	// Pending: a change confirmed on the newest point's truncated median
+	// was announced, and the scan has confirmed no change for good since.
+	// If the next point moves that median the announcement vanishes, but
+	// it stays counted: the next change the scan confirms is not announced
+	// again, as when every Feed ran the batch scan over the whole series.
+	Pending bool
 }
 
-// step consumes the filtered estimate v at time t — one iteration of the
-// whole-series scan — and reports the change it confirms.
-func (d *detector) step(t, v float64) (SchedulingChange, bool) {
-	if math.Abs(v-d.plateau) <= monitorTolerance {
-		d.run = d.run[:0]
+// step consumes the filtered estimate v at time t, one iteration of the
+// whole-series scan, and reports the change it confirms.
+func (s *MonitorState) step(t, v float64) (SchedulingChange, bool) {
+	if math.Abs(v-s.Plateau) <= monitorTolerance {
+		s.clearRun()
 		return SchedulingChange{}, false
 	}
-	if len(d.run) > 0 && math.Abs(v-d.run[0]) > monitorTolerance {
-		d.run = d.run[:0] // a different deviation: the run restarts here
+	if s.RunLen > 0 && math.Abs(v-s.Run[0]) > monitorTolerance {
+		s.clearRun() // a different deviation: the run restarts here
 	}
-	if len(d.run) == 0 {
-		d.runT = t
+	if s.RunLen == 0 {
+		s.RunT = t
 	}
-	d.run = append(d.run, v)
-	if len(d.run) < monitorConfirm {
+	if s.RunLen < len(s.Run) {
+		s.Run[s.RunLen] = v
+		s.RunLen++
 		return SchedulingChange{}, false
 	}
-	slices.Sort(d.run) // the run is spent; its median is the new plateau
-	c := SchedulingChange{T: d.runT, From: d.plateau, To: d.run[len(d.run)/2]}
-	d.plateau = c.To
-	d.run = d.run[:0]
+	var run [monitorConfirm]float64 // the run is complete; its median is the new plateau
+	run[copy(run[:], s.Run[:])] = v
+	c := SchedulingChange{T: s.RunT, From: s.Plateau, To: median(run[:]...)}
+	s.Plateau = c.To
+	s.clearRun()
 	return c, true
 }
 
-// NewMonitor returns a streaming scheduling-change monitor.
-func NewMonitor() *Monitor {
-	m := newMonitor(0)
-	return &m
-}
-
-// newMonitor is an empty Monitor with room for seriesCap points.
-// final.run, tail and medians share one array, each capped.
-func newMonitor(seriesCap int) Monitor {
-	const c, w = monitorConfirm, monitorMedianWindow
-	buf := make([]float64, 2*c+w)
-	return Monitor{
-		series:  make([]CyclePoint, 0, seriesCap),
-		final:   detector{run: buf[:0:c]},
-		tail:    buf[c : c : 2*c],
-		medians: buf[2*c : 2*c : 2*c+w],
-	}
-}
+func (s *MonitorState) clearRun() { s.Run, s.RunLen, s.RunT = [monitorConfirm - 1]float64{}, 0, 0 }
 
 // Feed appends one estimate and returns any newly confirmed scheduling
 // changes. It panics on an estimate older than the last one: feeding
 // out-of-order points is a caller bug, surfaced loudly rather than by
 // silently dropping data.
 func (m *Monitor) Feed(p CyclePoint) []SchedulingChange {
-	if n := len(m.series); n > 0 && p.T < m.series[n-1].T {
-		panic(fmt.Errorf("core: series not chronological at %d", n))
+	s := &m.state
+	if s.Held > 0 && p.T < s.Last[1].T {
+		panic(fmt.Errorf("core: estimate at %v older than the last, at %v", p.T, s.Last[1].T))
 	}
-	m.series = append(m.series, p)
-	fresh, total := m.scan()
-	if total <= m.emitted {
-		return nil
+	var fresh []SchedulingChange
+	switch s.Held { // p completes the median window of the point before it
+	case 1: // the first filtered value, a window of two, is the plateau
+		s.Plateau = median(s.Last[1].Cycle, p.Cycle)
+	case 2:
+		if c, ok := s.step(s.Last[1].T, median(s.Last[0].Cycle, s.Last[1].Cycle, p.Cycle)); ok {
+			if !s.Pending {
+				fresh = append(fresh, c)
+			}
+			s.Pending = false
+		}
 	}
-	m.emitted = total
+	s.Last[0], s.Last[1], s.Held = s.Last[1], p, min(s.Held+1, 2)
+	if s.Held < 2 {
+		return fresh // a lone point only starts the plateau
+	}
+	prov := *s // p's own window is the last two points until the next one
+	if c, ok := prov.step(p.T, median(s.Last[0].Cycle, p.Cycle)); ok && !s.Pending {
+		fresh = append(fresh, c)
+		s.Pending = true
+	}
 	return fresh
 }
 
-// scan brings the final state up to date with the series and replays the
-// provisional tail. total is the number of changes the batch scan of the
-// whole series finds; fresh lists those from position m.emitted on.
-func (m *Monitor) scan() (fresh []SchedulingChange, total int) {
-	consume := func(d *detector, i int) {
-		t, v := m.series[i].T, m.filtered(i)
-		if i == 0 {
-			d.plateau = v
-			return
-		}
-		if c, ok := d.step(t, v); ok {
-			if total >= m.emitted {
-				fresh = append(fresh, c)
-			}
-			total++
-		}
-	}
-	total = m.nFinal
-	for half := monitorMedianWindow / 2; m.next+half < len(m.series); m.next++ {
-		consume(&m.final, m.next)
-	}
-	m.nFinal = total
-	prov := m.final
-	prov.run = append(m.tail[:0], m.final.run...)
-	for i := m.next; i < len(m.series); i++ {
-		consume(&prov, i)
-	}
-	return fresh, total
+// median sorts v and returns its median; of two values, the larger, as
+// the scan's window of two at either end of the series takes it.
+func median(v ...float64) float64 {
+	slices.Sort(v)
+	return v[len(v)/2]
 }
 
-// filtered is the median of the series' cycles in the window of
-// monitorMedianWindow centred on i, shrunk at the series' ends.
-func (m *Monitor) filtered(i int) float64 {
-	const half = monitorMedianWindow / 2
-	lo, hi := max(i-half, 0), min(i+half, len(m.series)-1)
-	w := m.medians[:0]
-	for _, p := range m.series[lo : hi+1] {
-		w = append(w, p.Cycle)
-	}
-	slices.Sort(w)
-	return w[len(w)/2]
-}
+// State returns the monitor's state, for RestoreMonitor after a restart.
+func (m *Monitor) State() MonitorState { return m.state }
 
-// Series returns the full estimate series fed so far.
-func (m *Monitor) Series() []CyclePoint { return append([]CyclePoint(nil), m.series...) }
-
-// RestoreMonitor rebuilds a streaming monitor from a previously exported
-// series (Monitor.Series of an earlier run, persisted across restarts).
-// Changes already confirmed by the old monitor are re-detected and
-// marked emitted, so a restored monitor only reports changes that happen
-// after the restore point — a restart must not re-announce every
-// historical plan switch.
-func RestoreMonitor(series []CyclePoint) (*Monitor, error) {
-	for i := 1; i < len(series); i++ {
-		if series[i].T < series[i-1].T {
-			return nil, fmt.Errorf("core: restore monitor: series not chronological at %d", i)
+// RestoreMonitor returns a monitor that carries on exactly as the one
+// whose State st is: on every later Feed it reports what that one would
+// have, so a restart neither re-announces a confirmed plan switch nor
+// loses one in progress. It refuses a state no monitor could have: a
+// value that is not finite, a run of monitorConfirm values or more, a run
+// before a plateau, or points and a run out of time order.
+func RestoreMonitor(st MonitorState) (*Monitor, error) {
+	for _, v := range append([]float64{st.Last[0].T, st.Last[0].Cycle, st.Last[1].T, st.Last[1].Cycle, st.Plateau, st.RunT}, st.Run[:]...) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("core: restore monitor: a value of %v", v)
 		}
 	}
-	m := NewMonitor()
-	m.series = append([]CyclePoint(nil), series...)
-	_, m.emitted = m.scan()
-	return m, nil
+	switch {
+	case st.Held < 0 || st.Held > 2 || st.RunLen < 0 || st.RunLen >= monitorConfirm || st.RunLen > 0 && st.Held < 2:
+		return nil, fmt.Errorf("core: restore monitor: %d points held and a run of %d", st.Held, st.RunLen)
+	case st.Held == 2 && st.Last[0].T > st.Last[1].T || st.RunLen > 0 && st.RunT > st.Last[0].T:
+		return nil, fmt.Errorf("core: restore monitor: a run from %v and points %+v out of time order", st.RunT, st.Last)
+	}
+	return &Monitor{state: st}, nil
 }
 
 // SlidingCycleSeries estimates the cycle length on a trailing window that

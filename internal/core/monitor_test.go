@@ -137,7 +137,7 @@ func TestDetectSchedulingChangesValidation(t *testing.T) {
 }
 
 func TestMonitorStreaming(t *testing.T) {
-	m := NewMonitor()
+	var m Monitor
 	var got []SchedulingChange
 	series := seriesFromPlan([]struct{ until, cycle float64 }{
 		{3600, 90}, {7200, 150},
@@ -151,8 +151,8 @@ func TestMonitorStreaming(t *testing.T) {
 	if math.Abs(got[0].T-3600) > 600 {
 		t.Fatalf("change at %v, want ~3600", got[0].T)
 	}
-	if n := len(m.Series()); n != len(series) {
-		t.Fatalf("Series len = %d, want %d", n, len(series))
+	if st := m.State(); st.Held != 2 || st.Last[1] != series[len(series)-1] {
+		t.Fatalf("State holds %d points, the newest %+v, want 2 ending in %+v", st.Held, st.Last[1], series[len(series)-1])
 	}
 	// Feeding more stable points must not re-emit the same change.
 	extra := m.Feed(CyclePoint{T: 7500, Cycle: 150})
@@ -220,15 +220,6 @@ func (m *batchMonitor) Feed(p CyclePoint) []SchedulingChange {
 	return fresh
 }
 
-func restoreBatchMonitor(t *testing.T, series []CyclePoint) *batchMonitor {
-	t.Helper()
-	all, err := DetectSchedulingChanges(series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &batchMonitor{series: append([]CyclePoint(nil), series...), emitted: len(all)}
-}
-
 // noisyCycleSeries strings together what a light's estimate series is
 // made of: plateaus with jitter, isolated gross errors and bursts of them
 // (some as long as a confirmation run), reversals back to the old plan
@@ -279,22 +270,30 @@ func sameChanges(a, b []SchedulingChange) bool {
 // TestMonitorIncrementalMatchesBatch: whatever the series, every Feed of
 // the incremental monitor returns what the batch rescan returns and counts
 // what it counts — the count matters because a change confirmed on a
-// provisional median can vanish, and both must then swallow the next one —
-// and a monitor restored at any prefix carries on the same way.
+// provisional median can vanish, and both must then swallow the next one;
+// the monitor's Pending flag is the batch count less the changes confirmed
+// for good — and a monitor restored from its exported state at any prefix
+// carries on the same way.
 func TestMonitorIncrementalMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	reported, vanished := 0, 0
 	for trial := 0; trial < 96; trial++ {
 		series := noisyCycleSeries(rng, 20+rng.Intn(40))
+		// states[at] and emitted[at] are the monitor's state and the batch
+		// count after the first at points fed without a restart.
+		states := make([]MonitorState, len(series)+1)
+		emitted := make([]int, len(series)+1)
 		// follow feeds series[from:] to both and compares every step.
 		follow := func(mon *Monitor, ref *batchMonitor, from int) {
 			for i := from; i < len(series); i++ {
 				got, want := mon.Feed(series[i]), ref.Feed(series[i])
-				if !sameChanges(got, want) || mon.emitted != ref.emitted {
-					t.Fatalf("trial %d, restored at %d, point %d: Feed = %+v (emitted %d), the batch scan gives %+v (emitted %d)\nseries %+v",
-						trial, from, i, got, mon.emitted, want, ref.emitted, series[:i+1])
+				pending := ref.emitted - len(finalChanges(series[:i+1]))
+				if !sameChanges(got, want) || pending < 0 || pending > 1 || mon.State().Pending != (pending == 1) {
+					t.Fatalf("trial %d, restored at %d, point %d: Feed = %+v (pending %v), the batch scan gives %+v (%d emitted beyond the final changes)\nseries %+v",
+						trial, from, i, got, mon.State().Pending, want, pending, series[:i+1])
 				}
 				if from == 0 {
+					states[i+1], emitted[i+1] = mon.State(), ref.emitted
 					reported += len(want)
 					if all, _ := DetectSchedulingChanges(series[:i+1]); len(all) < ref.emitted {
 						vanished++
@@ -302,21 +301,14 @@ func TestMonitorIncrementalMatchesBatch(t *testing.T) {
 				}
 			}
 		}
-		mon := NewMonitor()
-		follow(mon, &batchMonitor{}, 0)
-		if got := mon.Series(); len(got) != len(series) || got[len(got)-1] != series[len(series)-1] {
-			t.Fatalf("Series() has %d points, fed %d", len(got), len(series))
-		}
+		var mon Monitor
+		follow(&mon, &batchMonitor{}, 0)
 		for at := 1; at <= len(series); at++ {
-			restored, err := RestoreMonitor(series[:at])
+			restored, err := RestoreMonitor(states[at])
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("trial %d: restore at %d: %v", trial, at, err)
 			}
-			ref := restoreBatchMonitor(t, series[:at])
-			if restored.emitted != ref.emitted {
-				t.Fatalf("trial %d: restored at %d with %d changes emitted, the batch scan finds %d",
-					trial, at, restored.emitted, ref.emitted)
-			}
+			ref := &batchMonitor{series: slices.Clone(series[:at]), emitted: emitted[at]}
 			follow(restored, ref, at)
 		}
 	}
@@ -325,8 +317,82 @@ func TestMonitorIncrementalMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestMonitorRestoreIsExact: a monitor restored from the state another
+// exported after any prefix of a series returns, on every later Feed,
+// exactly what the one that never stopped returns — also when a change it
+// announced on a provisional median has vanished since, which a rescan of
+// the series forgets.
+func TestMonitorRestoreIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	restores, pending := 0, 0
+	for trial := 0; trial < 96; trial++ {
+		series := noisyCycleSeries(rng, 20+rng.Intn(40))
+		var mon Monitor
+		states := make([]MonitorState, len(series)+1)
+		want := make([][]SchedulingChange, len(series))
+		for i, p := range series {
+			want[i] = mon.Feed(p)
+			states[i+1] = mon.State()
+		}
+		for at := 1; at < len(series); at++ {
+			restored, err := RestoreMonitor(states[at])
+			if err != nil {
+				t.Fatalf("trial %d: restore at %d: %v", trial, at, err)
+			}
+			for i := at; i < len(series); i++ {
+				if got := restored.Feed(series[i]); !sameChanges(got, want[i]) {
+					t.Fatalf("trial %d, restored at %d, point %d: Feed = %+v, without the restart %+v\nseries %+v",
+						trial, at, i, got, want[i], series[:i+1])
+				}
+			}
+			restores++
+			if states[at].Pending {
+				pending++
+			}
+		}
+	}
+	if restores != 3819 || pending < 400 {
+		t.Fatalf("%d restores, %d with an announcement pending; the series exercise too little", restores, pending)
+	}
+}
+
+// TestRestoreMonitorRefusesImpossibleStates: a state no monitor could
+// have is refused, whatever field makes it so.
+func TestRestoreMonitorRefusesImpossibleStates(t *testing.T) {
+	var mon Monitor
+	for i, c := range []float64{90, 90, 150, 150, 150} {
+		mon.Feed(CyclePoint{T: float64(300 * i), Cycle: c})
+	}
+	good := mon.State()
+	if good.RunLen != 2 || !good.Pending {
+		t.Fatalf("setup: state %+v, want a run of two with an announcement pending", good)
+	}
+	if _, err := RestoreMonitor(good); err != nil {
+		t.Fatal(err)
+	}
+	for name, spoil := range map[string]func(*MonitorState){
+		"held -1":              func(s *MonitorState) { s.Held = -1 },
+		"held 3":               func(s *MonitorState) { s.Held = 3 },
+		"run of 3":             func(s *MonitorState) { s.RunLen = monitorConfirm },
+		"negative run":         func(s *MonitorState) { s.RunLen = -1 },
+		"out of order":         func(s *MonitorState) { s.Last[0].T = s.Last[1].T + 1 },
+		"NaN cycle":            func(s *MonitorState) { s.Last[1].Cycle = math.NaN() },
+		"infinite time":        func(s *MonitorState) { s.Last[1].T = math.Inf(1) },
+		"NaN plateau":          func(s *MonitorState) { s.Plateau = math.NaN() },
+		"NaN run value":        func(s *MonitorState) { s.Run[0] = math.NaN() },
+		"run, one point":       func(s *MonitorState) { s.Held, s.Last[0] = 1, CyclePoint{} },
+		"run after its points": func(s *MonitorState) { s.RunT = s.Last[1].T },
+	} {
+		st := good
+		spoil(&st)
+		if _, err := RestoreMonitor(st); err == nil {
+			t.Errorf("%s: RestoreMonitor accepted %+v", name, st)
+		}
+	}
+}
+
 func TestMonitorFeedRejectsOlderPoint(t *testing.T) {
-	mon := NewMonitor()
+	var mon Monitor
 	mon.Feed(CyclePoint{T: 600, Cycle: 90})
 	mon.Feed(CyclePoint{T: 600, Cycle: 90}) // equal times are in order
 	defer func() {
@@ -338,10 +404,10 @@ func TestMonitorFeedRejectsOlderPoint(t *testing.T) {
 }
 
 // TestMonitorFeedAllocs: a Feed that confirms nothing — the steady state
-// of every key, every round — allocates nothing once the series has room,
-// however long the series is.
+// of every key, every round — allocates nothing, however long the series
+// is.
 func TestMonitorFeedAllocs(t *testing.T) {
-	mon := NewMonitor()
+	var mon Monitor
 	at := 0.0
 	feed := func(cycle float64) []SchedulingChange {
 		at += 300
@@ -350,7 +416,6 @@ func TestMonitorFeedAllocs(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		feed(90 + float64(i%5))
 	}
-	mon.series = slices.Grow(mon.series, 300)
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		// Jitter, and now and then a gross error the median absorbs.

@@ -152,9 +152,6 @@ type Engine struct {
 	droppedOld, droppedOverflow int64 // dropped-record counters (see Health)
 }
 
-// seriesHorizon is the stream seconds of rounds a new Monitor has room for.
-const seriesHorizon = 3 * 3600
-
 // minCoverage is the fraction of the window a round's data must span
 // before its estimates feed the scheduling-change monitors: start-up
 // windows with little data produce unstable estimates that would
@@ -162,8 +159,8 @@ const seriesHorizon = 3 * 3600
 const minCoverage = 0.8
 
 // approach is everything the engine keeps about one signal approach, made
-// on its first record. History slots (a day's rounds each) and the Monitor
-// series (seriesHorizon) are sized once, so neither regrows every round.
+// on its first record. History slots (a day's rounds each) are sized once,
+// so they do not regrow every round, and the Monitor is a fixed-size value.
 type approach struct {
 	key    mapmatch.Key
 	buf    keyBuffer
@@ -677,9 +674,6 @@ func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results []Result,
 		if !covered || est.Quality < e.cfg.MinQuality {
 			continue
 		}
-		if a.monitor.series == nil {
-			a.monitor = newMonitor(int(math.Ceil(seriesHorizon / e.cfg.Interval)))
-		}
 		for _, c := range a.monitor.Feed(CyclePoint{T: at, Cycle: est.Cycle}) {
 			out = append(out, KeyedChange{Key: k, Change: c})
 		}
@@ -802,12 +796,12 @@ func (e *Engine) ApproachHealthFor(key mapmatch.Key) (ApproachHealth, bool) {
 }
 
 // ApproachState is the durable per-approach engine state: the latest
-// published estimate plus the scheduling-change monitor's series. It is
+// published estimate plus the scheduling-change monitor's state. It is
 // what a serving daemon checkpoints so a restart resumes where the old
 // process stopped.
 type ApproachState struct {
 	Result  Result
-	Monitor []CyclePoint
+	Monitor MonitorState
 }
 
 // EngineState is the exported state of one engine (or the merged state
@@ -820,7 +814,7 @@ type EngineState struct {
 }
 
 // ExportState snapshots the engine's durable state: the stream clock,
-// every published estimate and every monitor series, deep-copied so the
+// every published estimate and every monitor's state, copied so the
 // caller may serialize it without holding the engine lock.
 func (e *Engine) ExportState() EngineState {
 	e.mu.RLock()
@@ -828,7 +822,7 @@ func (e *Engine) ExportState() EngineState {
 	st := EngineState{Now: e.now, Approaches: make(map[mapmatch.Key]ApproachState, e.published)}
 	for k, a := range e.approaches {
 		if a.published {
-			st.Approaches[k] = ApproachState{Result: a.est, Monitor: a.monitor.Series()}
+			st.Approaches[k] = ApproachState{Result: a.est, Monitor: a.monitor.State()}
 		}
 	}
 	return st
@@ -840,11 +834,12 @@ func (e *Engine) ExportState() EngineState {
 // if the pipeline had produced each result at its WindowEnd. Each
 // estimate passes the window fence (see publishLocked) and counts as a
 // success in the failure ledger; entries with a non-nil Err or a
-// non-positive Cycle are skipped. Monitor series are restored without
-// re-emitting already confirmed changes (an empty series leaves the
-// approach's monitor as it is), and the stream clock moves forward to
-// st.Now so estimate ages stay truthful; it never moves backwards, so
-// Now: 0 restores estimates alone. It returns the keys it published.
+// non-positive Cycle are skipped. Monitor states are restored exactly, so
+// a restored monitor neither re-emits a confirmed change nor loses one in
+// progress (an empty state leaves the approach's monitor as it is), and
+// the stream clock moves forward to st.Now so estimate ages stay
+// truthful; it never moves backwards, so Now: 0 restores estimates alone.
+// It returns the keys it published.
 func (e *Engine) RestoreState(st EngineState) []mapmatch.Key {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -864,15 +859,12 @@ func (e *Engine) RestoreState(st EngineState) []mapmatch.Key {
 		}
 		// A round of a restored engine feeds the monitor at its own time,
 		// which lies past the clock restored here, and Feed panics on a
-		// point older than the last. So a series running ahead of the
-		// exported clock (a corrupt or forged checkpoint) loses its future
-		// points; one that is not chronological is dropped whole.
-		series := as.Monitor
-		for len(series) > 0 && series[len(series)-1].T > st.Now {
-			series = series[:len(series)-1]
-		}
-		if len(series) > 0 {
-			if mon, err := RestoreMonitor(series); err == nil {
+		// point older than the last. So a state no monitor could have, or
+		// one holding a point after the exported clock (a corrupt or forged
+		// checkpoint), is dropped whole and the monitor starts empty.
+		if as.Monitor != (MonitorState{}) {
+			a.monitor = Monitor{}
+			if mon, err := RestoreMonitor(as.Monitor); err == nil && as.Monitor.Last[1].T <= st.Now {
 				a.monitor = *mon
 			}
 		}

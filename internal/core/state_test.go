@@ -29,7 +29,7 @@ func primedResult(k mapmatch.Key, windowEnd, cycle float64) Result {
 }
 
 // prime publishes results as a warm-start or failover prime does:
-// RestoreState with no clock and no monitor series.
+// RestoreState with no clock and no monitor state.
 func prime(eng *Engine, results ...Result) []mapmatch.Key {
 	st := EngineState{Approaches: map[mapmatch.Key]ApproachState{}}
 	for _, r := range results {
@@ -125,7 +125,7 @@ func ignoreChanges(_ []KeyedChange, err error) error { return err }
 // re-announce changes already confirmed before the restart, but still
 // detects changes that happen afterwards.
 func TestRestoreMonitorNoReEmit(t *testing.T) {
-	mon := NewMonitor()
+	var mon Monitor
 	// Plateau at 100 s, then a confirmed switch to 130 s.
 	var emitted int
 	at := 0.0
@@ -141,7 +141,7 @@ func TestRestoreMonitorNoReEmit(t *testing.T) {
 		t.Fatal("setup: no change confirmed before restore")
 	}
 
-	restored, err := RestoreMonitor(mon.Series())
+	restored, err := RestoreMonitor(mon.State())
 	if err != nil {
 		t.Fatalf("RestoreMonitor: %v", err)
 	}
@@ -167,11 +167,12 @@ func TestRestoreMonitorNoReEmit(t *testing.T) {
 }
 
 // TestRestoreStateDropsFutureMonitorPoints: a checkpoint whose monitor
-// series runs ahead of its own clock (corrupt, or forged) must not arm a
-// panic for the first round — publishRound feeds the monitor at the
+// state holds a point after its own clock (corrupt, or forged) must not
+// arm a panic for the first round — publishRound feeds the monitor at the
 // round's time, under e.mu, and Feed panics on a point older than the
-// last. The future points are dropped, the rest of the series survives,
-// and a series that is not chronological is dropped whole.
+// last. Such a state is dropped whole, as is one that is not
+// chronological, and the approach's monitor starts empty; a valid state
+// is restored as it was, and an empty one leaves the monitor as it is.
 func TestRestoreStateDropsFutureMonitorPoints(t *testing.T) {
 	cfg := DefaultRealtimeConfig()
 	cfg.MinQuality = 0
@@ -179,39 +180,45 @@ func TestRestoreStateDropsFutureMonitorPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ahead, scrambled := benchApproachKey(0), benchApproachKey(1)
+	ahead, scrambled, valid, empty := benchApproachKey(0), benchApproachKey(1), benchApproachKey(2), benchApproachKey(3)
+	var mon Monitor
+	for _, at := range []float64{900, 1200, 1500} {
+		mon.Feed(CyclePoint{T: at, Cycle: 90})
+	}
+	good := mon.State()
+	// Every key's monitor holds good before the restore under test.
+	primed := EngineState{Now: 1500, Approaches: map[mapmatch.Key]ApproachState{}}
+	for _, k := range []mapmatch.Key{ahead, scrambled, valid, empty} {
+		primed.Approaches[k] = ApproachState{Result: primedResult(k, 1200, 90), Monitor: good}
+	}
+	eng.RestoreState(primed)
+	future, outOfOrder := good, good
+	future.Last[1].T = 9000
+	outOfOrder.Last[0].T, outOfOrder.Last[1].T = 1500, 1200
 	st := EngineState{Now: 1500, Approaches: map[mapmatch.Key]ApproachState{
-		ahead: {
-			Result:  primedResult(ahead, 1500, 90),
-			Monitor: []CyclePoint{{T: 900, Cycle: 90}, {T: 1200, Cycle: 90}, {T: 1500, Cycle: 90}, {T: 9000, Cycle: 90}, {T: 1e12, Cycle: 90}},
-		},
-		scrambled: {
-			Result:  primedResult(scrambled, 1500, 97),
-			Monitor: []CyclePoint{{T: 1200, Cycle: 97}, {T: 900, Cycle: 97}},
-		},
+		ahead:     {Result: primedResult(ahead, 1500, 90), Monitor: future},
+		scrambled: {Result: primedResult(scrambled, 1500, 97), Monitor: outOfOrder},
+		valid:     {Result: primedResult(valid, 1500, 90), Monitor: good},
+		empty:     {Result: primedResult(empty, 1500, 90)},
 	}}
-	if n := len(eng.RestoreState(st)); n != 2 {
-		t.Fatalf("restored %d approaches, want 2", n)
+	if n := len(eng.RestoreState(st)); n != 4 {
+		t.Fatalf("restored %d approaches, want 4", n)
 	}
-	if got := eng.approaches[ahead].monitor.Series(); len(got) != 3 || got[2].T != 1500 {
-		t.Fatalf("series ahead of the clock restored as %+v, want its three points up to 1500", got)
+	for k, want := range map[mapmatch.Key]MonitorState{ahead: {}, scrambled: {}, valid: good, empty: good} {
+		if got := eng.approaches[k].monitor.State(); got != want {
+			t.Fatalf("%v: monitor restored as %+v, want %+v", k, got, want)
+		}
 	}
-	if s := eng.approaches[scrambled].monitor.Series(); s != nil {
-		t.Fatalf("non-chronological series restored: %+v", s)
+	// The first round publishes every key and feeds every monitor at 1800.
+	for i := 0; i < 4; i++ {
+		eng.Ingest(benchRecords(i, 0, 1800))
 	}
-	// The first round publishes both keys and feeds both monitors at 1800.
-	eng.Ingest(benchRecords(0, 0, 1800))
-	eng.Ingest(benchRecords(1, 0, 1800))
 	if err := ignoreChanges(eng.Advance(1800)); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []mapmatch.Key{ahead, scrambled} {
-		s := eng.approaches[k].monitor.Series()
-		if len(s) == 0 {
-			t.Fatalf("%v: round fed no monitor", k)
-		}
-		if s[len(s)-1].T != 1800 {
-			t.Fatalf("%v: monitor series ends at %v after the round at 1800", k, s[len(s)-1].T)
+	for _, k := range []mapmatch.Key{ahead, scrambled, valid, empty} {
+		if s := eng.approaches[k].monitor.State(); s.Held == 0 || s.Last[1].T != 1800 {
+			t.Fatalf("%v: monitor's newest point is %+v after the round at 1800", k, s.Last[1])
 		}
 	}
 }

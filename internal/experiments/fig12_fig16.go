@@ -75,7 +75,7 @@ func Fig12(w io.Writer, cfg Fig12Config) error {
 	section(w, "Fig. 12 — continuous cycle-length monitoring")
 	fmt.Fprintf(w, "target light: grid centre, off-peak cycle %v s, peak cycle %v s (07-10 h, 17-20 h)\n",
 		offPeak.Cycle, peak.Cycle)
-	mon := core.NewMonitor()
+	var mon core.Monitor
 	series, err := core.SlidingCycleSeries(samples, 0, horizon, cfg.Window, cfg.EstimateEvery, core.DefaultCycleConfig())
 	if err != nil {
 		return err

@@ -142,7 +142,7 @@ func CompareNavigation(net *roadnet.Network, segMeters float64, cfg CompareConfi
 	baseline := &ShortestTimePlanner{Net: net}
 	var aware Planner
 	if cfg.UseDijkstra {
-		aware = &LightAwarePlanner{Net: net}
+		aware = &BelievedPlanner{Net: net, Source: TruthSource{Net: net}}
 	} else {
 		aware = &EnumeratingPlanner{Net: net, MaxExtraHops: cfg.MaxExtraHops}
 	}

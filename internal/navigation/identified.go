@@ -55,11 +55,13 @@ func (m MapSource) Set(node roadnet.NodeID, approach lights.Approach, s lights.S
 }
 
 // BelievedPlanner is a time-dependent earliest-arrival planner whose
-// light knowledge comes from an arbitrary ScheduleSource instead of
-// ground truth. With Source = TruthSource it equals LightAwarePlanner;
-// with pipeline-identified schedules it measures the *end-to-end* value
-// of the identification system: plans are made with believed schedules,
-// but trips are evaluated against the real lights.
+// light knowledge comes from an arbitrary ScheduleSource. With Source =
+// TruthSource it is light-aware routing with full knowledge of the light
+// schedules (the paper's "real-time traffic light scheduling available"
+// case, computed exactly and in polynomial time); with
+// pipeline-identified schedules it measures the *end-to-end* value of the
+// identification system: plans are made with believed schedules, but
+// trips are evaluated against the real lights.
 type BelievedPlanner struct {
 	Net    *roadnet.Network
 	Source ScheduleSource

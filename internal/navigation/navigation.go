@@ -12,11 +12,11 @@
 //   - ShortestTimePlanner: conventional navigation — free-flow drive
 //     times only (roadnet's ShortestPath); light waits are ignored during
 //     planning and only suffered during evaluation.
-//   - LightAwarePlanner: the drive plus the exact wait under the known
-//     light schedules at the arrival time. Waits are FIFO (arriving
-//     earlier never makes you leave later), so label setting is exact.
-//   - BelievedPlanner: the same under schedules from any ScheduleSource
-//     (e.g. pipeline-identified ones) instead of ground truth.
+//   - BelievedPlanner: the drive plus the wait under the light schedules
+//     a ScheduleSource gives at the arrival time — the exact wait under
+//     ground truth with TruthSource, or under pipeline-identified
+//     schedules. Waits are FIFO (arriving earlier never makes you leave
+//     later), so label setting is exact.
 //   - EnumeratingPlanner: the paper's strategy — enumerate all simple
 //     trajectories within a hop budget, evaluate the exact
 //     time-dependent travel time of each, keep the minimum. Exponential,
@@ -76,25 +76,6 @@ type ShortestTimePlanner struct {
 // Plan implements Planner.
 func (p *ShortestTimePlanner) Plan(src, dst roadnet.NodeID, _ float64) (roadnet.Route, error) {
 	return p.Net.ShortestPath(src, dst, func(s *roadnet.Segment) float64 { return s.TravelTime() })
-}
-
-// LightAwarePlanner is time-dependent earliest-arrival routing with full
-// knowledge of the light schedules (the paper's "real-time traffic light
-// scheduling available" case, computed exactly and in polynomial time).
-type LightAwarePlanner struct {
-	Net *roadnet.Network
-}
-
-// Plan implements Planner.
-func (p *LightAwarePlanner) Plan(src, dst roadnet.NodeID, depart float64) (roadnet.Route, error) {
-	route, _, err := p.Net.EarliestArrival(src, dst, depart, func(seg *roadnet.Segment, t float64) float64 {
-		t += seg.TravelTime()
-		if seg.To == dst {
-			return t // no wait at the destination: the trip ends
-		}
-		return t + WaitAt(p.Net, seg, t)
-	}, nil)
-	return route, err
 }
 
 // EnumeratingPlanner implements the paper's exhaustive strategy: every

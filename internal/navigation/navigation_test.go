@@ -92,7 +92,7 @@ func TestLightAwareNeverWorseThanOwnEvaluation(t *testing.T) {
 	// time (both evaluated from the same departure).
 	net := fig15(t, 5, 5)
 	base := &ShortestTimePlanner{Net: net}
-	aware := &LightAwarePlanner{Net: net}
+	aware := &BelievedPlanner{Net: net, Source: TruthSource{Net: net}}
 	for depart := 0.0; depart < 2000; depart += 173 {
 		src, dst := roadnet.NodeID(0), roadnet.NodeID(24)
 		ra, err := aware.Plan(src, dst, depart)
@@ -118,7 +118,7 @@ func TestEnumeratingMatchesDijkstraOnSmallGrid(t *testing.T) {
 	// cost (the optimum), validating the exhaustive strategy against the
 	// exact algorithm.
 	net := fig15(t, 3, 3)
-	dij := &LightAwarePlanner{Net: net}
+	dij := &BelievedPlanner{Net: net, Source: TruthSource{Net: net}}
 	enum := &EnumeratingPlanner{Net: net, MaxExtraHops: 4}
 	for depart := 0.0; depart < 1500; depart += 311 {
 		a, err := dij.Plan(0, 8, depart)
@@ -238,7 +238,7 @@ func TestLightAwarePlanZeroAllocSteadyState(t *testing.T) {
 	// The pooled scratch keeps steady-state allocations to the route
 	// reconstruction only (two small slices per Plan).
 	net := fig15(t, 8, 8)
-	p := &LightAwarePlanner{Net: net}
+	p := &BelievedPlanner{Net: net, Source: TruthSource{Net: net}}
 	if _, err := p.Plan(0, 63, 0); err != nil { // warm the pool
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestLightAwarePlanZeroAllocSteadyState(t *testing.T) {
 
 func TestDriveReachesDestination(t *testing.T) {
 	net := fig15(t, 5, 5)
-	res, err := Drive(net, &LightAwarePlanner{Net: net}, 0, 24, 500)
+	res, err := Drive(net, &BelievedPlanner{Net: net, Source: TruthSource{Net: net}}, 0, 24, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestDriveReachesDestination(t *testing.T) {
 
 func TestDriveSameNode(t *testing.T) {
 	net := fig15(t, 3, 3)
-	res, err := Drive(net, &LightAwarePlanner{Net: net}, 4, 4, 0)
+	res, err := Drive(net, &BelievedPlanner{Net: net, Source: TruthSource{Net: net}}, 4, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,25 +376,6 @@ func TestMapSource(t *testing.T) {
 	}
 	if _, ok := m.ScheduleFor(9, lights.NorthSouth, 0); ok {
 		t.Fatal("missing node answered")
-	}
-}
-
-func TestBelievedPlannerEqualsLightAwareUnderTruth(t *testing.T) {
-	net := fig15(t, 5, 5)
-	aware := &LightAwarePlanner{Net: net}
-	believed := &BelievedPlanner{Net: net, Source: TruthSource{Net: net}}
-	for depart := 0.0; depart < 2000; depart += 271 {
-		a, err := aware.Plan(0, 24, depart)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := believed.Plan(0, 24, depart)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(a.Cost-b.Cost) > 1e-9 {
-			t.Fatalf("depart %v: aware %v vs believed-truth %v", depart, a.Cost, b.Cost)
-		}
 	}
 }
 

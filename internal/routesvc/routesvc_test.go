@@ -23,7 +23,8 @@ import (
 
 // truthSource answers predictions straight from the network's ground
 // truth schedules — the service's A* must then agree exactly with the
-// offline LightAwarePlanner.
+// offline light-aware planner, navigation.BelievedPlanner under
+// navigation.TruthSource.
 type truthSource struct {
 	net   *roadnet.Network
 	epoch atomic.Uint64
@@ -91,7 +92,7 @@ func service(t testing.TB, net *roadnet.Network) (*Service, *truthSource) {
 func TestPlanMatchesLightAwarePlanner(t *testing.T) {
 	net := grid(t, 6, 6)
 	svc, _ := service(t, net)
-	ref := &navigation.LightAwarePlanner{Net: net}
+	ref := &navigation.BelievedPlanner{Net: net, Source: navigation.TruthSource{Net: net}}
 	for depart := 0.0; depart < 3000; depart += 217 {
 		for _, od := range [][2]roadnet.NodeID{{0, 35}, {5, 30}, {0, 7}, {14, 21}} {
 			got, err := svc.Plan(od[0], od[1], depart, false)

@@ -109,7 +109,7 @@ func TestRouteEndpointServesLivePredictions(t *testing.T) {
 	}
 	// Primed predictions mirror ground truth, so the served duration must
 	// equal the offline exact planner's.
-	ref, err := (&navigation.LightAwarePlanner{Net: net}).Plan(0, 24, 100)
+	ref, err := (&navigation.BelievedPlanner{Net: net, Source: navigation.TruthSource{Net: net}}).Plan(0, 24, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestRouteCacheInvalidatedByPrime(t *testing.T) {
 	if second.Degraded {
 		t.Fatal("primed answer still degraded: cache not invalidated by PrimeResults")
 	}
-	ref, err := (&navigation.LightAwarePlanner{Net: net}).Plan(0, 15, 40)
+	ref, err := (&navigation.BelievedPlanner{Net: net, Source: navigation.TruthSource{Net: net}}).Plan(0, 15, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

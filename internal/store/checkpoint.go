@@ -16,19 +16,20 @@ import (
 )
 
 // A checkpoint is a full snapshot of engine state — every published
-// estimate plus every scheduling-change monitor series — written
-// atomically (temp file + rename) and named by the WAL sequence number
-// it covers:
+// estimate plus every scheduling-change monitor's fixed-size state —
+// written atomically (temp file + rename) and named by the WAL sequence
+// number it covers:
 //
-//	ckpt-%016x.ck  =  | magic "TLCKPT01" | u32 len | u32 CRC-32C | JSON |
+//	ckpt-%016x.ck  =  | magic "TLCKPT02" | u32 len | u32 CRC-32C | JSON |
 //
 // Recovery loads the newest checkpoint whose CRC verifies and replays
-// only WAL records with Seq > checkpoint.LastSeq; corrupt checkpoints
-// are skipped in favour of older ones, so a crash during checkpointing
-// costs nothing but replay time.
+// only WAL records with Seq > checkpoint.LastSeq, for their estimates
+// and the clock; corrupt checkpoints, and those of another format, are
+// skipped in favour of older ones, so a crash during checkpointing costs
+// nothing but replay time.
 
 const (
-	ckptMagic  = "TLCKPT01"
+	ckptMagic  = "TLCKPT02"
 	ckptPrefix = "ckpt-"
 	ckptSuffix = ".ck"
 )
@@ -46,14 +47,20 @@ type checkpointDoc struct {
 
 // checkpointApproach is one approach's durable state in a checkpoint.
 type checkpointApproach struct {
-	Estimate Record        `json:"estimate"`
-	Monitor  []cyclePointJ `json:"monitor,omitempty"`
+	Estimate Record    `json:"estimate"`
+	Monitor  *monitorJ `json:"monitor,omitempty"`
 }
 
-// cyclePointJ mirrors core.CyclePoint with explicit JSON names.
-type cyclePointJ struct {
-	T     float64 `json:"t_s"`
-	Cycle float64 `json:"cycle_s"`
+// monitorJ is core.MonitorState with explicit JSON names; a field added
+// to either fails to build until both have it and ckptMagic moves on.
+type monitorJ struct {
+	Held    int                `json:"held"`
+	Last    [2]core.CyclePoint `json:"last"`
+	Plateau float64            `json:"plateau_s"`
+	Run     [2]float64         `json:"run_s"`
+	RunLen  int                `json:"run_len"`
+	RunT    float64            `json:"run_t_s"`
+	Pending bool               `json:"pending"`
 }
 
 func checkpointPath(dir string, lastSeq uint64) string {
@@ -112,8 +119,8 @@ func docFromState(st core.EngineState, lastSeq uint64) checkpointDoc {
 			continue
 		}
 		ca := checkpointApproach{Estimate: rec}
-		for _, p := range as.Monitor {
-			ca.Monitor = append(ca.Monitor, cyclePointJ{T: p.T, Cycle: p.Cycle})
+		if m := monitorJ(as.Monitor); as.Monitor != (core.MonitorState{}) {
+			ca.Monitor = &m
 		}
 		doc.Approaches = append(doc.Approaches, ca)
 	}
@@ -127,13 +134,17 @@ func docFromState(st core.EngineState, lastSeq uint64) checkpointDoc {
 	return doc
 }
 
-// stateFromDoc converts a checkpoint payload back to engine state.
+// stateFromDoc converts a checkpoint payload back to engine state. An
+// estimate docFromState would not write, one with no cycle, is skipped.
 func stateFromDoc(doc checkpointDoc) core.EngineState {
 	st := core.EngineState{Now: doc.Now, Approaches: map[mapmatch.Key]core.ApproachState{}}
 	for _, ca := range doc.Approaches {
+		if ca.Estimate.Cycle <= 0 {
+			continue
+		}
 		as := core.ApproachState{Result: ca.Estimate.Result()}
-		for _, p := range ca.Monitor {
-			as.Monitor = append(as.Monitor, core.CyclePoint{T: p.T, Cycle: p.Cycle})
+		if ca.Monitor != nil {
+			as.Monitor = core.MonitorState(*ca.Monitor)
 		}
 		st.Approaches[ca.Estimate.Key()] = as
 	}

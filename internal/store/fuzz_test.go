@@ -2,12 +2,19 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
+	"taxilight/internal/core"
+	"taxilight/internal/geo"
 	"taxilight/internal/lights"
+	"taxilight/internal/mapmatch"
 )
 
 // FuzzReadStream feeds ReadStream the bytes a peer's /cluster/v1/wal body
@@ -102,4 +109,107 @@ func sameBits(a, b Record) bool {
 	}
 	return a.Seq == b.Seq && a.Light == b.Light && a.Approach == b.Approach &&
 		a.Enhanced == b.Enhanced && a.Records == b.Records && a.Stops == b.Stops
+}
+
+// FuzzDecodeState feeds DecodeState the bytes a checkpoint file's payload
+// or a peer's /cluster/v1/ckpt body may carry. It never panics; a decoded
+// state re-encodes and decodes to the same state; and an engine that
+// restores it runs a round at a later time without panicking, which holds
+// only because RestoreState drops a monitor state that Feed would choke on.
+func FuzzDecodeState(f *testing.F) {
+	k1, k2 := testKey(3, lights.NorthSouth), testKey(5, lights.EastWest)
+	// A change to 150 s confirmed on the newest point's truncated median,
+	// announced and pending, with a run of two under way.
+	mon := monitorFed(90, 90, 150, 150, 150)
+	if !mon.Pending || mon.RunLen != 2 {
+		f.Fatalf("seed monitor %+v: want a run of two with an announcement pending", mon)
+	}
+	valid, err := EncodeState(core.EngineState{Now: 1800, Approaches: map[mapmatch.Key]core.ApproachState{
+		k1: {Result: rec(k1, 1800, 150).Result(), Monitor: mon},
+		k2: {Result: rec(k2, 1500, 90).Result(), Monitor: monitorFed(90)},
+	}}, 42)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The round reaches both seed monitors: it feeds them at its time.
+	st, _, err := DecodeState(valid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	eng, at := roundAfterRestore(f, st)
+	for k, as := range eng.ExportState().Approaches {
+		if m := as.Monitor; m.Last[1].T != at {
+			f.Fatalf("%v: the round at %v left the monitor at %+v", k, at, m)
+		}
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2]) // a truncated body
+	f.Add(seriesCheckpointPayload(k1))
+	f.Add([]byte(`{"now_s":1800,"approaches":[{"estimate":{"Light":3,"Cycle":90,"WindowEnd":1500},` +
+		`"monitor":{"held":2,"last_t_s":[1500,9000],"last_cycle_s":[90,90],"plateau_s":90}}]}`)) // a point ahead of the clock
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, lastSeq, err := DecodeState(data)
+		if err != nil {
+			return
+		}
+		b, err := EncodeState(st, lastSeq)
+		if err != nil {
+			t.Fatalf("a decoded state does not encode: %v", err)
+		}
+		again, againSeq, err := DecodeState(b)
+		if err != nil || againSeq != lastSeq || !reflect.DeepEqual(again, st) {
+			t.Fatalf("state changed on re-encode (%v):\n%+v\n%+v", err, st, again)
+		}
+		roundAfterRestore(t, st)
+	})
+}
+
+// roundAfterRestore restores st into a new engine and runs one round a
+// re-estimation interval past its clock, with records for the first two
+// keys, and returns the engine and the round's time.
+func roundAfterRestore(t testing.TB, st core.EngineState) (*core.Engine, float64) {
+	cfg := core.DefaultRealtimeConfig()
+	cfg.MinQuality = 0
+	cfg.Pipeline.Workers = 1
+	eng, err := core.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RestoreState(st)
+	at := eng.Now() + cfg.Interval
+	var keys []mapmatch.Key
+	for k := range st.Approaches {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b mapmatch.Key) int {
+		return cmp.Or(cmp.Compare(a.Light, b.Light), cmp.Compare(a.Approach, b.Approach))
+	})
+	for _, k := range keys[:min(len(keys), 2)] {
+		eng.Ingest(signalRecords(k, at-cfg.Window, at))
+	}
+	if _, err := eng.Advance(at); err != nil {
+		t.Fatal(err)
+	}
+	return eng, at
+}
+
+// signalRecords are four taxis of k's own passing its stop line over
+// [t0, t1), reporting every 12 s: stopped at it through each red of a
+// 90 s cycle, moving through each green.
+func signalRecords(k mapmatch.Key, t0, t1 float64) []mapmatch.Matched {
+	var out []mapmatch.Matched
+	for p := 0; p < 4; p++ {
+		plate := fmt.Sprintf("%d%v-%d", k.Light, k.Approach, p)
+		for t := t0 + float64(3*p); t < t1; t += 12 {
+			m := mapmatch.Matched{Plate: plate, Light: k.Light, Approach: k.Approach, T: t, DistToStop: 8, Snapped: geo.XY{X: 8}}
+			if math.Mod(t, 90) >= 36 {
+				m.SpeedKMH = 30 + 15*math.Sin(t/7.3)
+				m.DistToStop = 10 + float64(int(t)*37%100)
+				m.Snapped.X = m.DistToStop
+			}
+			out = append(out, m)
+		}
+	}
+	return out
 }

@@ -144,7 +144,7 @@ func TestEncodeDecodeStateRoundTrip(t *testing.T) {
 	st := core.EngineState{
 		Now: 1234.5,
 		Approaches: map[mapmatch.Key]core.ApproachState{
-			k1: {Result: rec(k1, 600, 100).Result(), Monitor: []core.CyclePoint{{T: 600, Cycle: 100}}},
+			k1: {Result: rec(k1, 600, 100).Result(), Monitor: monitorFed(100, 130)},
 			k2: {Result: rec(k2, 900, 120).Result()},
 		},
 	}
@@ -172,8 +172,8 @@ func TestEncodeDecodeStateRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(gas.Result, want) {
 			t.Fatalf("key %v result diverged:\ngot  %+v\nwant %+v", k, gas.Result, want)
 		}
-		if len(gas.Monitor) != len(as.Monitor) {
-			t.Fatalf("key %v monitor length %d, want %d", k, len(gas.Monitor), len(as.Monitor))
+		if gas.Monitor != as.Monitor {
+			t.Fatalf("key %v monitor %+v, want %+v", k, gas.Monitor, as.Monitor)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bufio"
 	"fmt"
+	"maps"
 	"os"
 	"sort"
 	"sync"
@@ -37,9 +38,6 @@ type Config struct {
 	// CompactEvery is the background compaction cadence; 0 disables the
 	// background loop (Compact may still be called manually).
 	CompactEvery time.Duration
-	// KeepCheckpoints is how many newest checkpoint files compaction
-	// retains (minimum 1).
-	KeepCheckpoints int
 	// observeAppend and observeFsync, when non-nil, receive the latency
 	// in seconds of every batch append and every fsync; SetObservers
 	// installs them.
@@ -48,17 +46,20 @@ type Config struct {
 }
 
 // DefaultConfig is the serving daemon's posture: 8 MiB segments,
-// fsync batched across 64 records or 200 ms (whichever first), two
-// checkpoints kept, compaction every minute, retention unlimited.
+// fsync batched across 64 records or 200 ms (whichever first),
+// compaction every minute, retention unlimited.
 func DefaultConfig() Config {
 	return Config{
 		SegmentMaxBytes: 8 << 20,
 		SyncEvery:       64,
 		SyncInterval:    200 * time.Millisecond,
 		CompactEvery:    time.Minute,
-		KeepCheckpoints: 2,
 	}
 }
+
+// keepCheckpoints is how many newest checkpoint files compaction retains:
+// the newest, and one to fall back on should the newest not verify.
+const keepCheckpoints = 2
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
@@ -73,8 +74,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("store: negative RetentionAge %v", c.RetentionAge)
 	case c.RetentionBytes < 0:
 		return fmt.Errorf("store: negative RetentionBytes %d", c.RetentionBytes)
-	case c.KeepCheckpoints < 1:
-		return fmt.Errorf("store: KeepCheckpoints %d < 1", c.KeepCheckpoints)
 	}
 	return nil
 }
@@ -202,7 +201,7 @@ func (s *Store) recover() error {
 			continue
 		}
 		good, torn, err := walkSegment(sg.path, func(rec Record) error {
-			sg.noteAppendRecovery(rec)
+			sg.noteAppend(rec, 0) // the catalog counted its size already
 			if rec.Seq >= s.nextSeq {
 				s.nextSeq = rec.Seq + 1
 			}
@@ -250,34 +249,16 @@ func (s *Store) recover() error {
 	return s.openActiveLocked()
 }
 
-// noteAppendRecovery is noteAppend without the size bump (the size on
-// disk is already counted by the catalog).
-func (sg *segment) noteAppendRecovery(rec Record) {
-	if sg.count == 0 {
-		sg.minT, sg.maxT = rec.WindowEnd, rec.WindowEnd
-	} else {
-		if rec.WindowEnd < sg.minT {
-			sg.minT = rec.WindowEnd
-		}
-		if rec.WindowEnd > sg.maxT {
-			sg.maxT = rec.WindowEnd
-		}
-	}
-	sg.lastSeq = rec.Seq
-	sg.count++
-}
-
 // applyRecovered folds one replayed tail record into the warm-start
-// state: the estimate wins if newer than the checkpoint's; the monitor
-// series is extended so change detection resumes without a gap.
+// state: the estimate wins if newer than the checkpoint's, and the clock
+// moves up to it. The monitor keeps the checkpoint's state: the WAL also
+// holds estimates the engine never fed its monitor (short coverage, low
+// quality), so replaying them into it would not rebuild that monitor.
 func (s *Store) applyRecovered(rec Record) {
 	k := rec.Key()
 	as := s.recovered.Approaches[k]
 	if rec.WindowEnd >= as.Result.WindowEnd || as.Result.Cycle <= 0 {
 		as.Result = rec.Result()
-	}
-	if n := len(as.Monitor); n == 0 || rec.WindowEnd > as.Monitor[n-1].T {
-		as.Monitor = append(as.Monitor, core.CyclePoint{T: rec.WindowEnd, Cycle: rec.Cycle})
 	}
 	s.recovered.Approaches[k] = as
 	if rec.WindowEnd > s.recovered.Now {
@@ -473,12 +454,7 @@ func (s *Store) Checkpoint(st core.EngineState) error {
 func (s *Store) RecoveredState() (core.EngineState, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := core.EngineState{Now: s.recovered.Now, Approaches: make(map[mapmatch.Key]core.ApproachState, len(s.recovered.Approaches))}
-	for k, v := range s.recovered.Approaches {
-		v.Monitor = append([]core.CyclePoint(nil), v.Monitor...)
-		out.Approaches[k] = v
-	}
-	return out, s.recoveredN
+	return core.EngineState{Now: s.recovered.Now, Approaches: maps.Clone(s.recovered.Approaches)}, s.recoveredN
 }
 
 // History returns the retained estimate records of one approach with
@@ -571,7 +547,7 @@ func (s *Store) snapshotSegments(from, to float64) ([]*segment, error) {
 // Compact applies retention: sealed segments entirely covered by the
 // newest checkpoint are deleted once they age past RetentionAge (stream
 // seconds behind the newest record) or while total size exceeds
-// RetentionBytes; surplus checkpoint files beyond KeepCheckpoints are
+// RetentionBytes; surplus checkpoint files beyond keepCheckpoints are
 // deleted too. The newest state always survives: a segment with records
 // newer than the newest checkpoint is never deleted.
 func (s *Store) Compact() error {
@@ -614,13 +590,13 @@ func (s *Store) Compact() error {
 		s.segsCompacted.Add(1)
 	}
 
-	// Checkpoint retention: keep the newest KeepCheckpoints files.
+	// Checkpoint retention: keep the newest keepCheckpoints files.
 	ckpts, err := listCheckpoints(s.dir)
 	if err != nil {
 		return err
 	}
 	for i, path := range ckpts {
-		if i < s.cfg.KeepCheckpoints {
+		if i < keepCheckpoints {
 			continue
 		}
 		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
@@ -628,12 +604,8 @@ func (s *Store) Compact() error {
 		}
 		s.ckptsCompacted.Add(1)
 	}
-	if n := len(ckpts) - s.cfg.KeepCheckpoints; n > 0 {
-		s.ckptFiles = s.cfg.KeepCheckpoints
-	} else {
-		s.ckptFiles = len(ckpts)
-	}
-	if len(doomed) > 0 || len(ckpts) > s.cfg.KeepCheckpoints {
+	s.ckptFiles = min(len(ckpts), keepCheckpoints)
+	if len(doomed) > 0 || len(ckpts) > keepCheckpoints {
 		return syncDir(s.dir)
 	}
 	return nil

@@ -1,8 +1,13 @@
 package store
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -272,22 +277,31 @@ func TestCrashRecoveryCorruptTail(t *testing.T) {
 	}
 }
 
+// monitorFed is the state of a monitor fed one estimate of each cycle,
+// 300 s apart from t = 300 on.
+func monitorFed(cycles ...float64) core.MonitorState {
+	var mon core.Monitor
+	for i, c := range cycles {
+		mon.Feed(core.CyclePoint{T: float64(300 * (i + 1)), Cycle: c})
+	}
+	return mon.State()
+}
+
 // TestCheckpointTailReplay proves the recovery contract: state equals
-// checkpoint plus only the records appended after it.
+// checkpoint plus only the records appended after it, whose estimates
+// and clock win while the monitor resumes from the checkpoint's state.
 func TestCheckpointTailReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, testConfig())
 	k := testKey(9, lights.NorthSouth)
 	state := core.EngineState{Now: 3600, Approaches: map[mapmatch.Key]core.ApproachState{}}
+	mon := monitorFed(100, 100, 100, 100, 100, 100, 100, 100, 100, 130)
 	for i := 0; i < 4; i++ {
 		r := rec(k, float64(1800+300*i), 100)
 		if err := s.Append(r); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
-		state.Approaches[k] = core.ApproachState{
-			Result:  r.Result(),
-			Monitor: []core.CyclePoint{{T: r.WindowEnd, Cycle: r.Cycle}},
-		}
+		state.Approaches[k] = core.ApproachState{Result: r.Result(), Monitor: mon}
 	}
 	if err := s.Checkpoint(state); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
@@ -310,9 +324,9 @@ func TestCheckpointTailReplay(t *testing.T) {
 	if as.Result.WindowEnd != 3600 || as.Result.Cycle != 130 {
 		t.Fatalf("recovered estimate windowEnd %v cycle %v, want 3600/130 (tail wins)", as.Result.WindowEnd, as.Result.Cycle)
 	}
-	// Monitor series: checkpoint point plus the two replayed points.
-	if len(as.Monitor) != 3 {
-		t.Fatalf("recovered monitor series has %d points, want 3", len(as.Monitor))
+	// The tail feeds no monitor: it is the checkpoint's, exactly.
+	if as.Monitor != mon {
+		t.Fatalf("recovered monitor %+v, want the checkpoint's %+v", as.Monitor, mon)
 	}
 	if st.Now != 3600 {
 		t.Fatalf("recovered Now %v, want 3600", st.Now)
@@ -377,7 +391,6 @@ func TestSegmentRotationAndCompaction(t *testing.T) {
 	// Tiny segments: ~4 records each.
 	cfg.SegmentMaxBytes = int64(len(segMagic) + 4*(frameHeader+encodedRecordSize))
 	cfg.RetentionAge = 1000 // stream seconds
-	cfg.KeepCheckpoints = 1
 	s := mustOpen(t, dir, cfg)
 	defer s.Close()
 	k := testKey(6, lights.NorthSouth)
@@ -515,7 +528,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.SyncInterval = -time.Second },
 		func(c *Config) { c.RetentionAge = -1 },
 		func(c *Config) { c.RetentionBytes = -1 },
-		func(c *Config) { c.KeepCheckpoints = 0 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
@@ -526,5 +538,134 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
+	}
+}
+
+// seriesCheckpointPayload is the JSON a checkpoint of the earlier format
+// carried for one approach: its monitor as the whole estimate series.
+func seriesCheckpointPayload(k mapmatch.Key) []byte {
+	return []byte(fmt.Sprintf(`{"last_seq":1,"now_s":1800,"approaches":[{"estimate":{"Light":%d,"Approach":%d,"Cycle":90,"WindowStart":0,"WindowEnd":1800},`+
+		`"monitor":[{"t_s":1500,"cycle_s":90},{"t_s":1800,"cycle_s":90}]}]}`, k.Light, k.Approach))
+}
+
+// TestSeriesCheckpointRefused: a checkpoint file of the series-carrying
+// format is refused like a corrupt one — Open recovers from an older
+// checkpoint of the current format and Verify lists the file — and a peer
+// body of that format does not decode.
+func TestSeriesCheckpointRefused(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, testConfig())
+	k := testKey(4, lights.EastWest)
+	if err := s.Append(rec(k, 1500, 90)); err != nil {
+		t.Fatal(err)
+	}
+	good := core.EngineState{Now: 1500, Approaches: map[mapmatch.Key]core.ApproachState{
+		k: {Result: rec(k, 1500, 90).Result(), Monitor: monitorFed(90, 90)},
+	}}
+	if err := s.Checkpoint(good); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(rec(k, 1800, 90)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	payload := seriesCheckpointPayload(k)
+	old := []byte("TLCKPT01")
+	old = binary.LittleEndian.AppendUint32(old, uint32(len(payload)))
+	old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(payload, castagnoli))
+	if err := os.WriteFile(checkpointPath(dir, 2), append(old, payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustOpen(t, dir, testConfig())
+	defer s2.Close()
+	st, replayed := s2.RecoveredState()
+	if replayed != 1 || st.Approaches[k].Monitor != good.Approaches[k].Monitor || st.Now != 1800 {
+		t.Fatalf("recovered %+v with %d records replayed; want the older checkpoint's monitor and one record replayed", st, replayed)
+	}
+	rep, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Problems) != 1 || !strings.Contains(rep.Problems[0], filepath.Base(checkpointPath(dir, 2))) {
+		t.Fatalf("Verify problems %q, want the series-format checkpoint listed", rep.Problems)
+	}
+	if _, _, err := DecodeState(payload); err == nil {
+		t.Fatal("a peer body of the series format decoded")
+	}
+}
+
+// TestCompactionKeepsTwoCheckpoints: compaction keeps the two newest
+// checkpoint files and deletes the rest, and a reopen recovers from the
+// newest.
+func TestCompactionKeepsTwoCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, testConfig())
+	k := testKey(2, lights.NorthSouth)
+	var paths []string
+	for i := 1; i <= 3; i++ {
+		r := rec(k, float64(300*i), 90+float64(i))
+		if err := s.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		st := core.EngineState{Now: r.WindowEnd, Approaches: map[mapmatch.Key]core.ApproachState{
+			k: {Result: r.Result(), Monitor: monitorFed(90, 90+float64(i))},
+		}}
+		if err := s.Checkpoint(st); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, checkpointPath(dir, uint64(i)))
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats(); got.CheckpointsCompacted != 1 || got.CheckpointFiles != 2 {
+		t.Fatalf("%d checkpoints compacted, %d on disk; want 1 and 2", got.CheckpointsCompacted, got.CheckpointFiles)
+	}
+	left, err := listCheckpoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(left, []string{paths[2], paths[1]}) {
+		t.Fatalf("checkpoints left %q, want the two newest of %q", left, paths)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir, testConfig())
+	defer s2.Close()
+	st, replayed := s2.RecoveredState()
+	if as := st.Approaches[k]; replayed != 0 || as.Result.Cycle != 93 || as.Monitor != monitorFed(90, 93) {
+		t.Fatalf("reopen recovered %+v with %d records replayed, want the newest checkpoint's", as, replayed)
+	}
+}
+
+// TestCheckpointSizeIndependentOfUptime: a checkpoint carries each
+// monitor's fixed-size state, so a week of 300 s rounds encodes no larger
+// than a few of them.
+func TestCheckpointSizeIndependentOfUptime(t *testing.T) {
+	k := testKey(7, lights.NorthSouth)
+	var mon core.Monitor
+	encoded := func(at float64) int {
+		b, err := EncodeState(core.EngineState{Now: at, Approaches: map[mapmatch.Key]core.ApproachState{
+			k: {Result: rec(k, at, 97.25).Result(), Monitor: mon.State()},
+		}}, uint64(at/300))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(b)
+	}
+	var early int
+	for i := 1; i <= 2016; i++ {
+		at := float64(300 * i)
+		mon.Feed(core.CyclePoint{T: at, Cycle: 97.25 + float64(i%7-3)*0.875})
+		if i == 10 {
+			early = encoded(at)
+		}
+	}
+	if week := encoded(2016 * 300); week > 1024 || week > early+64 {
+		t.Fatalf("a week of rounds encodes to %d bytes, after 10 rounds %d; want at most 1 KiB and 64 B more", week, early)
 	}
 }
