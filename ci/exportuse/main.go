@@ -16,13 +16,23 @@
 //     inside a function body counts too: errors.Is finds Unwrap through
 //     one.
 //
-// Exported struct fields are not scanned: encoding/json reads them.
+// Struct fields are not scanned as names: encoding/json reads them. The
+// fields of lightd's configuration are scanned as settings instead. The
+// tree is server.Config, cluster.Config, store.Config and mapmatch.Config
+// with every struct of internal/ they hold, and a setting is one of its
+// leaf fields. The run lists each setting that no non-test file of either
+// module writes outside its own package's Default*, Validate and
+// withDefaults functions: a value nothing sets is a constant. A write is
+// a field key of a composite literal (or a place in an unkeyed one), the
+// field on the left of an assignment — nested, compound or one of a
+// tuple — an increment, a range variable or a taken address; a read is
+// not.
 //
 // The run fails on every listed name missing from ci/exportuse/allow.txt,
 // and on every line of that file whose name is no longer listed, so the
 // file cannot go stale. A line is "name reason", name as printed here:
 // pkgpath.Name for a func, type, const or var, pkgpath.T.M or
-// pkgpath.(*T).M for a method.
+// pkgpath.(*T).M for a method, pkgpath.T.F for a setting.
 //
 // Run it from the repository root: go run ./ci/exportuse
 package main
@@ -47,8 +57,17 @@ import (
 // allowPath is the allowlist, relative to the repository root.
 const allowPath = "ci/exportuse/allow.txt"
 
+// settingRoots are the configuration types lightd builds; every leaf field
+// under them is a setting.
+var settingRoots = []string{
+	"taxilight/internal/server.Config",
+	"taxilight/internal/cluster.Config",
+	"taxilight/internal/store.Config",
+	"taxilight/internal/mapmatch.Config",
+}
+
 func main() {
-	unused, declared, err := scan(".", "bench")
+	r, err := scan(".", "bench", settingRoots...)
 	if err != nil {
 		fail(err)
 	}
@@ -56,14 +75,14 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if problems := check(unused, declared, allow); len(problems) > 0 {
+	if problems := check(r, allow); len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("exportuse: %d names under internal/, %d without a non-test caller, all allowlisted\n",
-		len(declared), len(unused))
+	fmt.Printf("exportuse: %d names under internal/, %d without a non-test caller; %d settings, %d without a non-test setter; all allowlisted\n",
+		len(r.declared), len(r.unused), len(r.settings), len(r.unset))
 }
 
 func fail(err error) {
@@ -166,25 +185,38 @@ func (l *loader) load(p listedPackage, module bool) error {
 	return nil
 }
 
+// report is what a scan finds.
+type report struct {
+	// declared is every name declared under internal/, and unused, sorted,
+	// those that no non-test file refers to.
+	declared map[string]bool
+	unused   []string
+	// settings is every leaf field of the setting roots, and unset, sorted,
+	// those that no non-test file writes.
+	settings map[string]bool
+	unset    []string
+}
+
 // scan type-checks the module at root and the module at root/second and
-// returns, sorted, the names declared under root/internal that no non-test
-// file of either refers to, beside the set of every name declared there.
-func scan(root, second string) (unused []string, declared map[string]bool, err error) {
-	root, err = filepath.Abs(root)
+// reports the names declared under root/internal that no non-test file of
+// either refers to, and the settings under roots, each "pkgpath.Type",
+// that none of them writes.
+func scan(root, second string, roots ...string) (*report, error) {
+	root, err := filepath.Abs(root)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	l := &loader{fset: token.NewFileSet(), pkgs: map[string]*loaded{}}
 	internal := map[string]bool{} // import paths of the packages under root/internal
 	for _, dir := range []string{root, filepath.Join(root, second)} {
 		pkgs, err := goList(dir)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, p := range pkgs {
 			module := !p.Standard
 			if err := l.load(p, module); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if rel, err := filepath.Rel(root, p.Dir); module && err == nil &&
 				(rel == "internal" || strings.HasPrefix(rel, "internal"+string(filepath.Separator))) {
@@ -212,16 +244,144 @@ func scan(root, second string) (unused []string, declared map[string]bool, err e
 		}
 	}
 	byName := interfaceMethods(l)
-	declared = map[string]bool{}
+	r := &report{declared: map[string]bool{}, settings: map[string]bool{}}
 	for obj, d := range decls {
-		declared[d.name] = true
+		r.declared[d.name] = true
 		if used[obj] || satisfiesInterface(obj, byName) {
 			continue
 		}
-		unused = append(unused, d.name)
+		r.unused = append(r.unused, d.name)
 	}
-	sort.Strings(unused)
-	return unused, declared, nil
+	sort.Strings(r.unused)
+
+	leaves := map[*types.Var]string{}
+	for _, name := range roots {
+		var root types.Object
+		if i := strings.LastIndex(name, "."); i > 0 && l.pkgs[name[:i]] != nil {
+			root = l.pkgs[name[:i]].pkg.Scope().Lookup(name[i+1:])
+		}
+		if root == nil {
+			return nil, fmt.Errorf("setting root %s is not declared", name)
+		}
+		settingLeaves(root.Type(), internal, leaves)
+	}
+	written := map[*types.Var]bool{}
+	for _, p := range l.pkgs {
+		if p.module {
+			for _, f := range p.files {
+				markWrites(f, p.pkg, p.info, written)
+			}
+		}
+	}
+	for v, name := range leaves {
+		r.settings[name] = true
+		if !written[v] {
+			r.unset = append(r.unset, name)
+		}
+	}
+	sort.Strings(r.unset)
+	return r, nil
+}
+
+// settingLeaves adds to leaves every exported leaf field under the struct
+// type t: a field whose type is a struct declared in a package of internal
+// is a node of the tree, any other field a leaf. An unexported field is
+// its package's own state, set through its methods.
+func settingLeaves(t types.Type, internal map[string]bool, leaves map[*types.Var]string) {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return
+	}
+	st, ok := named.Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if !f.Exported() {
+			continue
+		}
+		if ft, ok := f.Type().(*types.Named); ok && ft.Obj().Pkg() != nil && internal[ft.Obj().Pkg().Path()] {
+			if _, isStruct := ft.Underlying().(*types.Struct); isStruct {
+				settingLeaves(ft, internal, leaves)
+				continue
+			}
+		}
+		leaves[f] = named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + f.Name()
+	}
+}
+
+// markWrites adds to written every struct field that f writes, leaving out
+// the writes of pkg's own Default*, Validate and withDefaults functions to
+// pkg's own fields: those fill in defaults and check them.
+func markWrites(f *ast.File, pkg *types.Package, info *types.Info, written map[*types.Var]bool) {
+	var defaulter bool
+	field := func(e ast.Expr) *types.Var {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+			return v
+		}
+		return nil
+	}
+	mark := func(v *types.Var) {
+		if v != nil && !(defaulter && v.Pkg() == pkg) {
+			written[v] = true
+		}
+	}
+	visit := func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				mark(field(lhs))
+			}
+		case *ast.IncDecStmt:
+			mark(field(n.X))
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				for _, e := range []ast.Expr{n.Key, n.Value} {
+					if e != nil {
+						mark(field(e))
+					}
+				}
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				mark(field(n.X))
+			}
+		case *ast.CompositeLit:
+			t := info.Types[n].Type
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+							mark(v)
+						}
+					}
+				} else {
+					mark(st.Field(i)) // an unkeyed literal lists every field in order
+				}
+			}
+		}
+		return true
+	}
+	for _, d := range f.Decls {
+		defaulter = false
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			name := fd.Name.Name
+			defaulter = strings.HasPrefix(name, "Default") || name == "Validate" || name == "withDefaults"
+		}
+		ast.Inspect(d, visit)
+	}
 }
 
 // decl is one package-level declaration and the source it spans.
@@ -401,22 +561,31 @@ func readAllow(path string) (map[string]string, error) {
 	return allow, sc.Err()
 }
 
-// check returns one line per problem: a listed name the allowlist lacks,
-// and an allowlist name that is no longer listed or no longer declared.
-func check(unused []string, declared map[string]bool, allow map[string]string) []string {
+// check returns one line per problem: a listed name or setting the
+// allowlist lacks, and an allowlist line whose name or setting is no
+// longer listed or no longer declared.
+func check(r *report, allow map[string]string) []string {
 	var problems []string
 	listed := map[string]bool{}
-	for _, name := range unused {
+	for _, name := range r.unused {
 		listed[name] = true
 		if _, ok := allow[name]; !ok {
 			problems = append(problems, name+": no non-test caller in either module; delete it, move it into the _test.go file that uses it, or allowlist it with a reason")
 		}
 	}
+	for _, name := range r.unset {
+		listed[name] = true
+		if _, ok := allow[name]; !ok {
+			problems = append(problems, name+": a setting no non-test file sets; make it a constant, or allowlist it with what holds it")
+		}
+	}
 	var stale []string
 	for name := range allow {
 		switch {
-		case !declared[name]:
+		case !r.declared[name] && !r.settings[name]:
 			stale = append(stale, name+": allowlisted but no longer declared under internal/; drop its line")
+		case !listed[name] && r.settings[name]:
+			stale = append(stale, name+": allowlisted but has a non-test setter now; drop its line")
 		case !listed[name]:
 			stale = append(stale, name+": allowlisted but has a non-test caller now; drop its line")
 		}

@@ -37,3 +37,57 @@ func (w Wrapped) Unwrap() error { return w.Err }
 
 // FromSecond is called from the second module alone.
 func FromSecond() int { return 4 }
+
+// Config is the fixture's setting root: each leaf field is a setting, and
+// its name says who writes it.
+type Config struct {
+	Mid Mid
+	// Written is set by cmd/app through a selector assignment.
+	Written int
+	// Keyed is set by cmd/app as a composite-literal key.
+	Keyed int
+	// TupleA and TupleB are set by cmd/app in one tuple assignment.
+	TupleA, TupleB int
+	// Addressed is set by cmd/app through a taken address.
+	Addressed int
+	// DefaultOnly is set by DefaultConfig alone: flagged.
+	DefaultOnly int
+	// Filled is set by withDefaults alone: flagged.
+	Filled int
+	// TestOnly is set by lib_test.go alone: flagged.
+	TestOnly int
+	// ReadOnly is read by cmd/app and set nowhere: flagged.
+	ReadOnly int
+	// hidden is unexported: the package's own state, not a setting.
+	hidden int
+}
+
+// Mid is a node of the tree, not a setting.
+type Mid struct{ Inner Inner }
+
+// Inner holds Deep, set by cmd/app through a nested selector assignment.
+type Inner struct{ Deep int }
+
+// DefaultConfig's writes do not count.
+func DefaultConfig() Config { return Config{DefaultOnly: 1, hidden: 2} }
+
+// Validate's writes do not count.
+func (c *Config) Validate() error {
+	if c.ReadOnly < 0 {
+		c.ReadOnly = 0
+	}
+	return nil
+}
+
+// withDefaults's writes do not count.
+func (c *Config) withDefaults() {
+	if c.Filled == 0 {
+		c.Filled = 3
+	}
+}
+
+// Start is called by cmd/app.
+func Start(c Config) int {
+	c.withDefaults()
+	return c.Filled + c.hidden
+}

@@ -81,8 +81,8 @@ func main() {
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "drop oldest WAL segments while the store exceeds this size (0 = no cap)")
 	nodeID := flag.String("node-id", "", "this node's name in a lightd cluster; empty runs single-node")
 	clusterPeers := flag.String("cluster-peers", "", `seed members as "id=http://host:port,..." including this node; requires -node-id and -store-dir`)
-	replication := flag.Int("replication", 2, "cluster replication factor (primary included)")
-	heartbeat := flag.Duration("heartbeat-interval", 500*time.Millisecond, "cluster gossip cadence; a peer silent for 4x this is declared dead")
+	replication := flag.Int("replication", 2, "cluster replication factor (primary included); 0 = default 2")
+	heartbeat := flag.Duration("heartbeat-interval", 500*time.Millisecond, "cluster gossip cadence; a peer silent for 4x this is declared dead (0 = default 500ms)")
 	join := flag.Bool("join", false, "start as a joining cluster member: bulk-pull the key slice this node will own, then cut over to serving")
 	rebalanceRate := flag.Int64("rebalance-rate", 0, "bytes/second budget for bulk rebalance transfers served by this node (join handoff, replica re-priming); 0 = unthrottled")
 	flag.Parse()
@@ -98,6 +98,9 @@ func main() {
 	}
 	if *maxBadFrac < 0 || *maxBadFrac > 1 {
 		fatal(fmt.Errorf("-max-bad-frac must be within [0, 1], got %g", *maxBadFrac))
+	}
+	if *drainTimeout < 0 {
+		fatal(fmt.Errorf("-drain-timeout must be >= 0 (0 means wait forever), got %v", *drainTimeout))
 	}
 
 	net, err := roadnet.LoadNetwork(*netFile, *osmFile, *rows, *cols, *seed)
@@ -236,7 +239,7 @@ func main() {
 	if node != nil {
 		node.Start()
 		fmt.Fprintf(os.Stderr, "lightd: cluster node %q, %d seed members, replication %d\n",
-			*nodeID, len(strings.Split(*clusterPeers, ",")), *replication)
+			*nodeID, len(strings.Split(*clusterPeers, ",")), node.ReplicationFactor())
 	}
 	fmt.Fprintf(os.Stderr, "lightd: %d shards, network %d nodes / %d segments, serving on %s, ingesting %s\n",
 		cfg.Shards, net.NumNodes(), net.NumSegments(), *listen, *in)

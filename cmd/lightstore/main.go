@@ -168,19 +168,24 @@ func runCompact(args []string) error {
 	cfg := store.DefaultConfig()
 	cfg.RetentionAge = retention.Seconds()
 	cfg.RetentionBytes = *maxBytes
+	// Open compacts under cfg's retention, so what was on disk before is
+	// read without opening the store.
+	before, err := store.Verify(*dir)
+	if err != nil {
+		return err
+	}
 	st, err := store.Open(*dir, cfg)
 	if err != nil {
 		return err
 	}
 	defer st.Close()
-	before := st.Stats()
 	if err := st.Compact(); err != nil {
 		return err
 	}
 	after := st.Stats()
 	fmt.Printf("segments       %d -> %d\n", before.Segments, after.Segments)
-	fmt.Printf("bytes          %d -> %d\n", before.SegmentBytes, after.SegmentBytes)
-	fmt.Printf("checkpoints    %d -> %d\n", before.CheckpointFiles, after.CheckpointFiles)
+	fmt.Printf("bytes          %d -> %d\n", before.Bytes, after.SegmentBytes)
+	fmt.Printf("checkpoints    %d -> %d\n", before.Checkpoints, after.CheckpointFiles)
 	return nil
 }
 

@@ -567,7 +567,6 @@ func TestClusterKillOneNodeE2E(t *testing.T) {
 	for _, id := range ids {
 		scfg := store.DefaultConfig()
 		scfg.SyncEvery = 1
-		scfg.CompactEvery = 0
 		st, err := store.Open(t.TempDir(), scfg)
 		if err != nil {
 			t.Fatal(err)

@@ -241,7 +241,7 @@ func (n *Node) markReplicasForReprime() {
 // and accelerates it.
 func (n *Node) repairLoop() {
 	defer n.wg.Done()
-	t := time.NewTicker(n.cfg.RepairInterval)
+	t := time.NewTicker(repairIntervals * n.cfg.PullInterval)
 	defer t.Stop()
 	for {
 		select {

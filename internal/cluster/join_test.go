@@ -20,14 +20,15 @@ import (
 // hard cap — a dead peer is probed gently, never hammered and never
 // forgotten.
 func TestPullBackoffDelay(t *testing.T) {
-	n := &Node{cfg: Config{PullInterval: 10 * time.Millisecond, PullBackoffMax: 200 * time.Millisecond}}
+	n := &Node{cfg: Config{PullInterval: 10 * time.Millisecond}}
 	if d := n.pullDelay(0); d != 10*time.Millisecond {
 		t.Fatalf("healthy delay = %v, want the pull interval", d)
 	}
+	const ceiling = 200 * time.Millisecond // pullBackoffIntervals pull intervals
 	for fails := 1; fails <= 40; fails++ {
 		want := n.cfg.PullInterval << fails
-		if fails > 16 || want <= 0 || want > n.cfg.PullBackoffMax {
-			want = n.cfg.PullBackoffMax
+		if fails > 16 || want <= 0 || want > ceiling {
+			want = ceiling
 		}
 		for trial := 0; trial < 20; trial++ {
 			d := n.pullDelay(fails)
@@ -54,7 +55,6 @@ func startJoiningNode(t *testing.T, id string, existing map[string]*testNode, ba
 	}
 	scfg := store.DefaultConfig()
 	scfg.SyncEvery = 1
-	scfg.CompactEvery = 0
 	st, err := store.Open(t.TempDir(), scfg)
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)

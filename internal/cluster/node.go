@@ -31,24 +31,19 @@ type Config struct {
 	// never change on disk.
 	Peers map[string]string
 	// ReplicationFactor is how many nodes hold each key's estimates
-	// (primary included). 2 survives any single-node failure.
+	// (primary included); 0 means 2, which survives any single-node
+	// failure.
 	ReplicationFactor int
-	// HeartbeatInterval is the gossip cadence.
+	// HeartbeatInterval is the gossip cadence; 0 means 500 ms.
 	HeartbeatInterval time.Duration
 	// FailAfter is how long a peer may stay silent before it is declared
 	// dead and its keys promote (default 4x heartbeat).
 	FailAfter time.Duration
 	// PullInterval is the replica WAL-pull cadence (default 2x
-	// heartbeat); publish notifications cut the latency below it.
+	// heartbeat); publish notifications cut the latency below it. The
+	// pull backoff and the repair scan follow it (see pullBackoffIntervals
+	// and repairIntervals).
 	PullInterval time.Duration
-	// PullBackoffMax caps the jittered exponential backoff a pull loop
-	// applies after consecutive failures (default 20x PullInterval). A
-	// dead peer must not be hammered at the pull cadence for the whole
-	// FailAfter window.
-	PullBackoffMax time.Duration
-	// RepairInterval is the under-replication scan cadence (default 2x
-	// PullInterval).
-	RepairInterval time.Duration
 	// Join starts this node in the joining state: announced to the
 	// cluster and inserted into the ring, but serving nothing until the
 	// bulk pull completes and the node cuts over to alive.
@@ -71,6 +66,14 @@ const (
 	virtualNodes = 64
 	// httpTimeout bounds every intra-cluster request.
 	httpTimeout = 2 * time.Second
+	// pullBackoffIntervals caps, in PullIntervals, the jittered exponential
+	// backoff a pull loop applies after consecutive failures: a dead peer
+	// must not be hammered at the pull cadence for the whole FailAfter
+	// window.
+	pullBackoffIntervals = 20
+	// repairIntervals is the under-replication scan cadence in
+	// PullIntervals.
+	repairIntervals = 2
 )
 
 // withDefaults validates and fills the zero fields.
@@ -81,13 +84,21 @@ func (c *Config) withDefaults() error {
 	if _, ok := c.Peers[c.NodeID]; !ok {
 		return fmt.Errorf("cluster: node id %q missing from peer set", c.NodeID)
 	}
-	if c.ReplicationFactor <= 0 {
+	switch {
+	case c.ReplicationFactor < 0:
+		return fmt.Errorf("cluster: negative replication factor %d", c.ReplicationFactor)
+	case c.HeartbeatInterval < 0:
+		return fmt.Errorf("cluster: negative heartbeat interval %v", c.HeartbeatInterval)
+	case c.RebalanceBytesPerSec < 0:
+		return fmt.Errorf("cluster: negative rebalance rate %d", c.RebalanceBytesPerSec)
+	}
+	if c.ReplicationFactor == 0 {
 		c.ReplicationFactor = 2
 	}
 	if c.ReplicationFactor > len(c.Peers) {
 		return fmt.Errorf("cluster: replication factor %d exceeds %d peers", c.ReplicationFactor, len(c.Peers))
 	}
-	if c.HeartbeatInterval <= 0 {
+	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = 500 * time.Millisecond
 	}
 	if c.FailAfter <= 0 {
@@ -95,12 +106,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.PullInterval <= 0 {
 		c.PullInterval = 2 * c.HeartbeatInterval
-	}
-	if c.PullBackoffMax <= 0 {
-		c.PullBackoffMax = 20 * c.PullInterval
-	}
-	if c.RepairInterval <= 0 {
-		c.RepairInterval = 2 * c.PullInterval
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -237,6 +242,11 @@ func sortedIDs(peers map[string]string) []string {
 	}
 	return ids // NewRing sorts its points; input order is irrelevant
 }
+
+// ReplicationFactor is how many nodes hold each key's estimates on this
+// node's ring, primary included: Config.ReplicationFactor with its
+// default filled in.
+func (n *Node) ReplicationFactor() int { return n.cfg.ReplicationFactor }
 
 // Start launches the gossip loop, one pull loop per peer, the persist
 // notifier, the repair scanner and — on a joining node — the join
@@ -522,8 +532,8 @@ func (n *Node) promoteOrphans(departed string) {
 // the cursor — the same warm-start contract a local restart uses, over
 // HTTP. Ticks bound the staleness; notify nudges cut it to an RTT.
 // Consecutive failures back off exponentially (with jitter, capped at
-// PullBackoffMax) so an unreachable peer is probed gently; a nudge or a
-// success resets the cadence.
+// pullBackoffIntervals pull intervals) so an unreachable peer is probed
+// gently; a nudge or a success resets the cadence.
 func (n *Node) pullLoop(peerID string, pr *peerReplica) {
 	defer n.wg.Done()
 	fails := 0
@@ -561,8 +571,9 @@ func (n *Node) pullLoop(peerID string, pr *peerReplica) {
 
 // pullDelay computes the next pull wait: the base interval while
 // healthy, or an exponential backoff with full ±50% jitter after fails
-// consecutive errors, capped at PullBackoffMax. Jitter keeps a fleet of
-// replicas from re-probing a recovering peer in lockstep.
+// consecutive errors, capped at pullBackoffIntervals pull intervals.
+// Jitter keeps a fleet of replicas from re-probing a recovering peer in
+// lockstep.
 func (n *Node) pullDelay(fails int) time.Duration {
 	d := n.cfg.PullInterval
 	if fails > 0 {
@@ -571,8 +582,8 @@ func (n *Node) pullDelay(fails int) time.Duration {
 			shift = 16
 		}
 		d = n.cfg.PullInterval << shift
-		if d <= 0 || d > n.cfg.PullBackoffMax {
-			d = n.cfg.PullBackoffMax
+		if ceiling := pullBackoffIntervals * n.cfg.PullInterval; d <= 0 || d > ceiling {
+			d = ceiling
 		}
 		d = time.Duration(float64(d) * (0.5 + rand.Float64()))
 	}

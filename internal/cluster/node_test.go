@@ -53,7 +53,6 @@ func startTestCluster(t *testing.T, ids []string) map[string]*testNode {
 	for _, id := range ids {
 		scfg := store.DefaultConfig()
 		scfg.SyncEvery = 1
-		scfg.CompactEvery = 0
 		st, err := store.Open(t.TempDir(), scfg)
 		if err != nil {
 			t.Fatalf("store.Open: %v", err)
@@ -303,4 +302,45 @@ func (n *Node) replicaSeq(peerID string) uint64 {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	return pr.lastSeq
+}
+
+// TestNewNodeRejectsNegativeSettings: a negative replication factor,
+// heartbeat or rebalance rate is refused instead of silently becoming 2,
+// 500 ms or unthrottled; zero still means the default, and the node
+// reports the replication factor it runs.
+func TestNewNodeRejectsNegativeSettings(t *testing.T) {
+	peers := map[string]string{"a": "http://127.0.0.1:1", "b": "http://127.0.0.1:2"}
+	for _, c := range []struct {
+		name string
+		mut  func(*Config)
+		ok   bool
+	}{
+		{"defaults", func(*Config) {}, true},
+		{"negative replication factor", func(c *Config) { c.ReplicationFactor = -1 }, false},
+		{"negative heartbeat", func(c *Config) { c.HeartbeatInterval = -time.Second }, false},
+		{"negative rebalance rate", func(c *Config) { c.RebalanceBytesPerSec = -1 }, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st, err := store.Open(t.TempDir(), store.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			scfg := server.DefaultConfig()
+			scfg.Store = st
+			srv, err := server.New(nil, scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{NodeID: "a", Peers: peers, Logf: t.Logf}
+			c.mut(&cfg)
+			n, err := NewNode(srv, st, cfg)
+			if (err == nil) != c.ok {
+				t.Fatalf("NewNode = %v, want ok=%v", err, c.ok)
+			}
+			if c.ok && n.ReplicationFactor() != 2 {
+				t.Fatalf("replication factor %d, want the default 2", n.ReplicationFactor())
+			}
+		})
+	}
 }

@@ -167,7 +167,6 @@ func TestClusterKillThenRejoinE2E(t *testing.T) {
 	for _, id := range ids {
 		scfg := store.DefaultConfig()
 		scfg.SyncEvery = 1
-		scfg.CompactEvery = 0
 		st, err := store.Open(t.TempDir(), scfg)
 		if err != nil {
 			t.Fatal(err)
@@ -185,7 +184,6 @@ func TestClusterKillThenRejoinE2E(t *testing.T) {
 			// a paused tape, so this costs wall time, not coverage.
 			FailAfter:            6 * time.Second,
 			PullInterval:         25 * time.Millisecond,
-			RepairInterval:       40 * time.Millisecond,
 			RebalanceBytesPerSec: 512 << 10,
 			Logf:                 t.Logf,
 		})
@@ -353,7 +351,6 @@ func TestClusterKillThenRejoinE2E(t *testing.T) {
 	}
 	dscfg := store.DefaultConfig()
 	dscfg.SyncEvery = 1
-	dscfg.CompactEvery = 0
 	dst, err := store.Open(t.TempDir(), dscfg)
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +366,6 @@ func TestClusterKillThenRejoinE2E(t *testing.T) {
 		HeartbeatInterval: 50 * time.Millisecond,
 		FailAfter:         6 * time.Second,
 		PullInterval:      25 * time.Millisecond,
-		RepairInterval:    40 * time.Millisecond,
 		Join:              true,
 		JoinBarrier:       barrier,
 		Logf:              t.Logf,
@@ -400,7 +396,7 @@ func TestClusterKillThenRejoinE2E(t *testing.T) {
 	// scans must observe under-replication: a key's newest record lands
 	// before its successor's pull cursor acknowledges it. The scan is
 	// driven here directly so the observation doesn't depend on the
-	// RepairInterval phase.
+	// repair ticker's phase.
 	waitUntil(t, "the under-replication gauge to rise during the live tape", 60*time.Second, func() bool {
 		a.node.scanRepair()
 		b.node.scanRepair()

@@ -62,9 +62,6 @@ type CycleConfig struct {
 	MinCycle, MaxCycle float64
 	// MinSamples is the minimum number of merged input samples.
 	MinSamples int
-	// Interp selects the resampling method (spline per the paper;
-	// linear and hold exist for the ablation study).
-	Interp InterpKind
 	// Candidates is the number of top DFT peaks verified by folding;
 	// 1 reproduces the paper's plain argmax, larger values resolve
 	// harmonic and neighbouring-light confusions by checking which
@@ -72,23 +69,10 @@ type CycleConfig struct {
 	Candidates int
 }
 
-// InterpKind selects the irregular-to-regular resampling algorithm.
-type InterpKind int
-
-const (
-	// InterpSpline is natural cubic spline interpolation (the paper's
-	// choice).
-	InterpSpline InterpKind = iota
-	// InterpLinear is piecewise-linear interpolation.
-	InterpLinear
-	// InterpHold is zero-order hold.
-	InterpHold
-)
-
 // DefaultCycleConfig matches urban signal practice: cycles between 40 s
 // and 300 s.
 func DefaultCycleConfig() CycleConfig {
-	return CycleConfig{MinCycle: 40, MaxCycle: 300, MinSamples: 8, Interp: InterpSpline, Candidates: 6}
+	return CycleConfig{MinCycle: 40, MaxCycle: 300, MinSamples: 8, Candidates: 6}
 }
 
 // Validate checks the configuration.
@@ -129,10 +113,10 @@ func identifyCycleSc(sc *identifyScratch, samples []dsp.Sample, t0, t1 float64, 
 }
 
 // CycleInput is what the cycle estimator sees of samples in [t0, t1]: the
-// windowed, time-ordered, duplicate-merged samples, and their cfg.Interp
-// interpolation onto the 1 Hz grid over the whole window, clamped to the
-// observed range (the DFT takes the same interpolant at the next power of
-// two points spanning the window). Both are the caller's own. It fails where
+// windowed, time-ordered, duplicate-merged samples, and their natural
+// cubic spline interpolation onto the 1 Hz grid over the whole window,
+// clamped to the observed range (the DFT takes the same interpolant at the
+// next power of two points spanning the window). Both are the caller's own. It fails where
 // IdentifyCycle fails for too little data, so an alternative estimator
 // built on it competes with the DFT on the same input.
 func CycleInput(samples []dsp.Sample, t0, t1 float64, cfg CycleConfig) ([]dsp.Sample, []float64, error) {
@@ -142,7 +126,7 @@ func CycleInput(samples []dsp.Sample, t0, t1 float64, cfg CycleConfig) ([]dsp.Sa
 	if err != nil {
 		return nil, nil, err
 	}
-	grid, err := resampleSc(sc, in, t0, 1, int(t1-t0)+1, cfg.Interp)
+	grid, err := resampleSc(sc, in, t0, 1, int(t1-t0)+1)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -192,7 +176,7 @@ func cycleFromSpectrumSc(sc *identifyScratch, in []dsp.Sample, t0, t1 float64, c
 	if kMin > kMax {
 		return 0, fmt.Errorf("core: window of %v s too short for cycle band [%v, %v]", L, cfg.MinCycle, cfg.MaxCycle)
 	}
-	grid, err := resampleSc(sc, in, t0, L/float64(P), P, cfg.Interp)
+	grid, err := resampleSc(sc, in, t0, L/float64(P), P)
 	if err != nil {
 		return 0, err
 	}
@@ -403,17 +387,10 @@ func foldScoreSc(sc *identifyScratch, samples []dsp.Sample, mo foldMoments, cycl
 	return 1 - (1-r2)*float64(n-1)/float64(n-used)
 }
 
-// resampleSc interpolates in by the given method onto the scratch's grid
-// of n points t0 + i·dt, clamped to the observed range.
-func resampleSc(sc *identifyScratch, in []dsp.Sample, t0, dt float64, n int, kind InterpKind) (grid []float64, err error) {
-	switch kind {
-	case InterpLinear:
-		grid, err = sc.resampler.LinearGrid(in, t0, dt, n)
-	case InterpHold:
-		grid, err = sc.resampler.HoldGrid(in, t0, dt, n)
-	default:
-		grid, err = sc.resampler.SplineGrid(in, t0, dt, n)
-	}
+// resampleSc interpolates in by the paper's natural cubic spline onto the
+// scratch's grid of n points t0 + i·dt, clamped to the observed range.
+func resampleSc(sc *identifyScratch, in []dsp.Sample, t0, dt float64, n int) ([]float64, error) {
+	grid, err := sc.resampler.SplineGrid(in, t0, dt, n)
 	if err == nil {
 		clampToObserved(grid, in)
 	}

@@ -141,23 +141,6 @@ func TestIdentifyCycleErrors(t *testing.T) {
 	}
 }
 
-func TestIdentifyCycleInterpolationVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	sched := lights.Schedule{Cycle: 120, Red: 60}
-	samples := syntheticSpeed(rng, sched, 0, 3600, 10)
-	for _, kind := range []InterpKind{InterpSpline, InterpLinear, InterpHold} {
-		cfg := DefaultCycleConfig()
-		cfg.Interp = kind
-		got, err := IdentifyCycle(samples, 0, 3600, cfg)
-		if err != nil {
-			t.Fatalf("interp %v: %v", kind, err)
-		}
-		if math.Abs(got-120) > 8 {
-			t.Errorf("interp %v: cycle = %v, want ~120", kind, got)
-		}
-	}
-}
-
 func TestEnhanceMirrorsPerpendicular(t *testing.T) {
 	// Primary has data only at even 40 s marks; perpendicular covers the
 	// 20 s marks. After enhancement every mark must be present, and the

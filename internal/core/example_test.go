@@ -90,10 +90,7 @@ func ExampleDetectSchedulingChanges() {
 }
 
 func ExampleHistory() {
-	h, err := core.NewHistory(core.DefaultHistoryConfig())
-	if err != nil {
-		panic(err)
-	}
+	h := core.NewHistory()
 	// Three days of clean estimates at 09:00, then a gross DFT error.
 	for day := 0; day < 3; day++ {
 		h.Add(float64(day)*86400+9*3600, 98)

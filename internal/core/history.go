@@ -1,57 +1,38 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
 	"taxilight/internal/dsp"
 )
 
-// HistoryConfig tunes the historical corrector of Section VII: "this
-// traffic light uses similar scheduling policy at the same time of
-// different day. This observation provides us insight to utilize
-// historical traffic light scheduling to correct the identification of
-// current scheduling."
-type HistoryConfig struct {
-	// SlotSeconds is the width of the time-of-day slots the history is
-	// aggregated into.
-	SlotSeconds float64
-	// MinSamples is the number of historical estimates a slot needs
+// The historical corrector of Section VII: "this traffic light uses
+// similar scheduling policy at the same time of different day. This
+// observation provides us insight to utilize historical traffic light
+// scheduling to correct the identification of current scheduling." Its
+// tuning is fixed.
+const (
+	// historySlotSeconds is the width of the time-of-day slots the history
+	// is aggregated into: 30 minutes.
+	historySlotSeconds = 1800
+	// historyMinSamples is the number of historical estimates a slot needs
 	// before it can correct anything.
-	MinSamples int
-	// Tolerance is the largest deviation (seconds) from the historical
-	// slot median that is accepted as-is; estimates further away are
-	// replaced by the median (they are almost surely gross DFT errors —
-	// Fig. 14 shows the estimator is bimodal).
-	Tolerance float64
-}
-
-// DefaultHistoryConfig aggregates into 30-minute slots and corrects
-// estimates more than 10 s from the slot's historical median.
-func DefaultHistoryConfig() HistoryConfig {
-	return HistoryConfig{SlotSeconds: 1800, MinSamples: 3, Tolerance: 10}
-}
-
-// Validate checks the configuration.
-func (c HistoryConfig) Validate() error {
-	switch {
-	case c.SlotSeconds <= 0 || c.SlotSeconds > 86400:
-		return fmt.Errorf("core: slot width %v outside (0, 86400]", c.SlotSeconds)
-	case c.MinSamples < 1:
-		return fmt.Errorf("core: MinSamples %d < 1", c.MinSamples)
-	case c.Tolerance <= 0:
-		return fmt.Errorf("core: non-positive tolerance %v", c.Tolerance)
-	}
-	return nil
-}
+	historyMinSamples = 3
+	// historyTolerance is the largest deviation (seconds) from the
+	// historical slot median that is accepted as-is; estimates further
+	// away are replaced by the median (they are almost surely gross DFT
+	// errors — Fig. 14 shows the estimator is bimodal).
+	historyTolerance = 10
+	// historySlots is the number of slots in a day.
+	historySlots = 86400 / historySlotSeconds
+)
 
 // History accumulates cycle-length estimates per time-of-day slot across
 // days and corrects new estimates against the slot's running median.
 // It is the "historical scheduling" prior of Section VII, built per
 // light.
 type History struct {
-	cfg HistoryConfig
 	// slots[i] holds slot i's estimates in ascending order (NaN first, as
 	// sort.Float64s has it), so the median is an index, not a sort. A slot
 	// is made on first use with room for perSlot estimates.
@@ -59,9 +40,9 @@ type History struct {
 	perSlot int
 }
 
-// newHistory is an empty History for a valid cfg.
-func newHistory(cfg HistoryConfig, perSlot int) History {
-	return History{cfg: cfg, slots: make([][]float64, int(math.Ceil(86400/cfg.SlotSeconds))), perSlot: perSlot}
+// newHistory is an empty History.
+func newHistory(perSlot int) History {
+	return History{slots: make([][]float64, historySlots), perSlot: perSlot}
 }
 
 func (h *History) slotOf(t float64) int {
@@ -69,11 +50,7 @@ func (h *History) slotOf(t float64) int {
 	if day < 0 {
 		day += 86400
 	}
-	i := int(day / h.cfg.SlotSeconds)
-	if i >= len(h.slots) {
-		i = len(h.slots) - 1
-	}
-	return i
+	return min(int(day/historySlotSeconds), historySlots-1)
 }
 
 // Add records one estimate at absolute time t (seconds since an epoch
@@ -110,10 +87,10 @@ func (h *History) SlotMedian(t float64) (float64, int) {
 // history. corrected reports whether the value was replaced.
 func (h *History) Correct(t, cycle float64) (value float64, corrected bool) {
 	med, n := h.SlotMedian(t)
-	if n < h.cfg.MinSamples || math.IsNaN(med) {
+	if n < historyMinSamples || math.IsNaN(med) {
 		return cycle, false
 	}
-	if math.Abs(cycle-med) <= h.cfg.Tolerance {
+	if math.Abs(cycle-med) <= historyTolerance {
 		return cycle, false
 	}
 	return med, true

@@ -8,25 +8,8 @@ import (
 	"testing"
 )
 
-func TestHistoryConfigValidate(t *testing.T) {
-	bad := []HistoryConfig{
-		{SlotSeconds: 0, MinSamples: 3, Tolerance: 10},
-		{SlotSeconds: 90000, MinSamples: 3, Tolerance: 10},
-		{SlotSeconds: 1800, MinSamples: 0, Tolerance: 10},
-		{SlotSeconds: 1800, MinSamples: 3, Tolerance: 0},
-	}
-	for i, cfg := range bad {
-		if _, err := NewHistory(cfg); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-}
-
 func TestHistoryCorrectsGrossOutlier(t *testing.T) {
-	h, err := NewHistory(DefaultHistoryConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := NewHistory()
 	// Three days of clean 98 s estimates at 09:00.
 	nine := 9.0 * 3600
 	for day := 0; day < 3; day++ {
@@ -45,7 +28,7 @@ func TestHistoryCorrectsGrossOutlier(t *testing.T) {
 }
 
 func TestHistoryThinSlotsPassThrough(t *testing.T) {
-	h, _ := NewHistory(DefaultHistoryConfig())
+	h := NewHistory()
 	h.Add(9*3600, 98)
 	h.Add(86400+9*3600, 98) // only two samples, MinSamples = 3
 	v, corrected := h.Correct(2*86400+9*3600, 277)
@@ -59,7 +42,7 @@ func TestHistoryThinSlotsPassThrough(t *testing.T) {
 }
 
 func TestHistorySlotsRespectTimeOfDay(t *testing.T) {
-	h, _ := NewHistory(DefaultHistoryConfig())
+	h := NewHistory()
 	// Peak slot (08:00) runs 150 s; off-peak slot (13:00) runs 90 s.
 	for day := 0; day < 4; day++ {
 		base := float64(day) * 86400
@@ -81,9 +64,7 @@ func TestHistorySlotsRespectTimeOfDay(t *testing.T) {
 }
 
 func TestHistoryAddAndCorrectAdaptsToPlanChange(t *testing.T) {
-	cfg := DefaultHistoryConfig()
-	cfg.MinSamples = 3
-	h, _ := NewHistory(cfg)
+	h := NewHistory()
 	nine := 9.0 * 3600
 	// Three days at 98 s, then the city re-programs the light to 120 s.
 	day := 0
@@ -108,7 +89,7 @@ func TestHistoryAddAndCorrectAdaptsToPlanChange(t *testing.T) {
 }
 
 func TestHistoryNegativeTimeWraps(t *testing.T) {
-	h, _ := NewHistory(DefaultHistoryConfig())
+	h := NewHistory()
 	h.Add(-3600, 98) // 23:00 the day before epoch
 	if med, n := h.SlotMedian(23 * 3600); n != 1 || med != 98 {
 		t.Fatalf("negative-time slot: %v, %d", med, n)
@@ -119,11 +100,7 @@ func TestHistoryNegativeTimeWraps(t *testing.T) {
 // replaced: a copy of everything the slot was given, sorted, its middle
 // element — NaN and repeated estimates included.
 func TestHistorySortedSlots(t *testing.T) {
-	cfg := DefaultHistoryConfig()
-	h, err := NewHistory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := NewHistory()
 	rng := rand.New(rand.NewSource(5))
 	given := make([][]float64, len(h.slots))
 	for step := 0; step < 6000; step++ {
@@ -152,7 +129,7 @@ func TestHistorySortedSlots(t *testing.T) {
 			t.Fatalf("step %d: SlotMedian = %v of %d, copy-and-sort gives %v of %d", step, med, n, wantMed, wantN)
 		}
 		wantV, wantCorrected := cycle, false
-		if wantN >= cfg.MinSamples && !math.IsNaN(wantMed) && !(math.Abs(cycle-wantMed) <= cfg.Tolerance) {
+		if wantN >= historyMinSamples && !math.IsNaN(wantMed) && !(math.Abs(cycle-wantMed) <= historyTolerance) {
 			wantV, wantCorrected = wantMed, true
 		}
 		if v, corrected := h.AddAndCorrect(at, cycle); corrected != wantCorrected || !sameBits(v, wantV) {
@@ -165,7 +142,7 @@ func TestHistorySortedSlots(t *testing.T) {
 // TestHistoryAddAndCorrectAllocs: once a slot has room, absorbing an
 // estimate allocates nothing — the median is read, not computed.
 func TestHistoryAddAndCorrectAllocs(t *testing.T) {
-	h, _ := NewHistory(DefaultHistoryConfig())
+	h := NewHistory()
 	const nine = 9 * 3600
 	for day := 0; day < 40; day++ {
 		h.AddAndCorrect(float64(day)*86400+nine, 90+float64(day%7))

@@ -4,10 +4,7 @@ package core
 // of them while testing other behaviour, so it lives beside them.
 
 // NewHistory returns an empty historical prior.
-func NewHistory(cfg HistoryConfig) (*History, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	h := newHistory(cfg, 0)
-	return &h, nil
+func NewHistory() *History {
+	h := newHistory(0)
+	return &h
 }

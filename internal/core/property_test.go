@@ -191,10 +191,7 @@ func TestMedianFilterProperties(t *testing.T) {
 func TestHistoryCorrectProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h, err := NewHistory(DefaultHistoryConfig())
-		if err != nil {
-			return false
-		}
+		h := NewHistory()
 		var added []float64
 		tBase := rng.Float64() * 86400
 		for i := 0; i < 1+rng.Intn(10); i++ {

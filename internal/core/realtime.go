@@ -22,16 +22,9 @@ type RealtimeConfig struct {
 	// Interval is the re-estimation period, seconds (paper: 5 minutes).
 	// The fault policy's durations scale with it (see staleIntervals).
 	Interval float64
-	// History, when UseHistory is set, corrects gross one-off estimates
-	// against the per-slot day-over-day median (Section VII).
-	History    HistoryConfig
+	// UseHistory corrects gross one-off estimates against the per-slot
+	// day-over-day median (Section VII; see History).
 	UseHistory bool
-	// MinQuality gates the scheduling-change monitors on the estimate's
-	// fold score (Result.Quality): approaches whose accepted cycle
-	// barely structures the data flip between harmonics and would
-	// otherwise report phantom changes. Estimates below the gate are
-	// still published in Snapshot.
-	MinQuality float64
 	// Faults is the failure-isolation policy: per-key buffer caps and
 	// quarantine-with-backoff for repeatedly failing approaches.
 	Faults FaultPolicy
@@ -49,9 +42,7 @@ func DefaultRealtimeConfig() RealtimeConfig {
 		Pipeline:   DefaultPipelineConfig(),
 		Window:     1800,
 		Interval:   300,
-		History:    DefaultHistoryConfig(),
 		UseHistory: true,
-		MinQuality: 0.02,
 		Faults:     DefaultFaultPolicy(),
 	}
 }
@@ -63,14 +54,6 @@ func (c RealtimeConfig) Validate() error {
 	}
 	if c.Window <= 0 || c.Interval <= 0 || c.Interval > c.Window {
 		return fmt.Errorf("core: bad realtime cadence window=%v interval=%v", c.Window, c.Interval)
-	}
-	if c.UseHistory {
-		if err := c.History.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.MinQuality < 0 {
-		return fmt.Errorf("core: negative MinQuality %v", c.MinQuality)
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -157,6 +140,12 @@ type Engine struct {
 // windows with little data produce unstable estimates that would
 // otherwise register as spurious changes.
 const minCoverage = 0.8
+
+// minQuality gates the scheduling-change monitors on the estimate's fold
+// score (Result.Quality): approaches whose accepted cycle barely structures
+// the data flip between harmonics and would otherwise report phantom
+// changes. Estimates below the gate are still published in Snapshot.
+const minQuality = 0.02
 
 // approach is everything the engine keeps about one signal approach, made
 // on its first record. History slots (a day's rounds each) are sized once,
@@ -664,14 +653,14 @@ func (e *Engine) publishRound(at float64, keys []mapmatch.Key, results []Result,
 		est := &a.est // corrected in place, before e.mu lets a reader see it
 		if e.cfg.UseHistory {
 			if a.history.slots == nil {
-				a.history = newHistory(e.cfg.History, int(math.Ceil(e.cfg.History.SlotSeconds/e.cfg.Interval)))
+				a.history = newHistory(int(math.Ceil(historySlotSeconds / e.cfg.Interval)))
 			}
 			if v, corrected := a.history.AddAndCorrect(at, est.Cycle); corrected {
 				est.Cycle = v
 				est.Green = v - est.Red
 			}
 		}
-		if !covered || est.Quality < e.cfg.MinQuality {
+		if !covered || est.Quality < minQuality {
 			continue
 		}
 		for _, c := range a.monitor.Feed(CyclePoint{T: at, Cycle: est.Cycle}) {

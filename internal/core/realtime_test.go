@@ -22,7 +22,6 @@ func TestRealtimeConfigValidate(t *testing.T) {
 		func(c *RealtimeConfig) { c.Interval = 0 },
 		func(c *RealtimeConfig) { c.Interval = c.Window + 1 },
 		func(c *RealtimeConfig) { c.RoundOffset = c.Interval },
-		func(c *RealtimeConfig) { c.History.Tolerance = 0 },
 		func(c *RealtimeConfig) { c.Pipeline.Workers = -1 },
 	}
 	for i, mut := range bad {

@@ -174,9 +174,7 @@ func TestRestoreMonitorNoReEmit(t *testing.T) {
 // chronological, and the approach's monitor starts empty; a valid state
 // is restored as it was, and an empty one leaves the monitor as it is.
 func TestRestoreStateDropsFutureMonitorPoints(t *testing.T) {
-	cfg := DefaultRealtimeConfig()
-	cfg.MinQuality = 0
-	eng, err := NewEngine(cfg)
+	eng, err := NewEngine(DefaultRealtimeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

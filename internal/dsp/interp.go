@@ -192,34 +192,6 @@ func ResampleSpline(pts []Sample, t0, t1 float64) ([]float64, error) {
 	return r.Spline(pts, t0, t1)
 }
 
-func linearAt(pts []Sample) func(float64) float64 {
-	return func(t float64) float64 {
-		i := sort.Search(len(pts), func(i int) bool { return pts[i].T >= t })
-		switch {
-		case i == 0:
-			return pts[0].V
-		case i == len(pts):
-			return pts[len(pts)-1].V
-		}
-		a, b := pts[i-1], pts[i]
-		if b.T == a.T {
-			return a.V
-		}
-		f := (t - a.T) / (b.T - a.T)
-		return a.V + f*(b.V-a.V)
-	}
-}
-
-func holdAt(pts []Sample) func(float64) float64 {
-	return func(t float64) float64 {
-		i := sort.Search(len(pts), func(i int) bool { return pts[i].T > t })
-		if i == 0 {
-			return pts[0].V
-		}
-		return pts[i-1].V
-	}
-}
-
 // Resampler owns the grid and spline-fit buffers for repeated
 // irregular-to-regular resampling rounds, so a steady-state estimation
 // tick reuses one allocation set per worker instead of re-allocating per
@@ -254,35 +226,9 @@ func (r *Resampler) SplineGrid(pts []Sample, t0, dt float64, n int) ([]float64, 
 	if err := r.spline.Fit(pts); err != nil {
 		return nil, err
 	}
-	return r.sample(r.spline.At, t0, dt, n), nil
-}
-
-// LinearGrid samples the piecewise-linear interpolant of pts, held flat
-// past either end, at t0 + i·dt, i < n: the baseline of the interpolation
-// ablation study.
-func (r *Resampler) LinearGrid(pts []Sample, t0, dt float64, n int) ([]float64, error) {
-	if len(pts) < 2 {
-		return nil, ErrInsufficientData
-	}
-	return r.sample(linearAt(pts), t0, dt, n), nil
-}
-
-// HoldGrid samples the zero-order hold of pts (last value carried
-// forward) at t0 + i·dt, i < n: the crudest baseline in the
-// interpolation ablation.
-func (r *Resampler) HoldGrid(pts []Sample, t0, dt float64, n int) ([]float64, error) {
-	if len(pts) < 1 {
-		return nil, ErrInsufficientData
-	}
-	return r.sample(holdAt(pts), t0, dt, n), nil
-}
-
-// sample is every grid the Resampler fills: at evaluated at t0 + i·dt for
-// i < n.
-func (r *Resampler) sample(at func(float64) float64, t0, dt float64, n int) []float64 {
 	r.grid = grow(r.grid, n)
 	for i := range r.grid {
-		r.grid[i] = at(t0 + float64(i)*dt)
+		r.grid[i] = r.spline.At(t0 + float64(i)*dt)
 	}
-	return r.grid
+	return r.grid, nil
 }

@@ -130,43 +130,6 @@ func TestResampleSplineGrid(t *testing.T) {
 	}
 }
 
-func TestResampleLinear(t *testing.T) {
-	var r Resampler
-	pts := []Sample{{0, 0}, {10, 10}}
-	g, err := r.LinearGrid(pts, 0, 0.5, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range g {
-		if math.Abs(v-float64(i)/2) > 1e-12 {
-			t.Fatalf("g[%d] = %v", i, v)
-		}
-	}
-	// Extrapolation clamps to endpoints.
-	g2, _ := r.LinearGrid(pts, -2, 1, 15)
-	if g2[0] != 0 || g2[len(g2)-1] != 10 {
-		t.Fatalf("clamping wrong: %v ... %v", g2[0], g2[len(g2)-1])
-	}
-	if _, err := r.LinearGrid([]Sample{{0, 1}}, 0, 1, 6); err != ErrInsufficientData {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestResampleHold(t *testing.T) {
-	var r Resampler
-	pts := []Sample{{0, 5}, {10, 7}}
-	g, err := r.HoldGrid(pts, 0, 1, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g[0] != 5 || g[9] != 5 || g[10] != 7 || g[12] != 7 {
-		t.Fatalf("hold values wrong: %v", g)
-	}
-	if _, err := r.HoldGrid(nil, 0, 1, 6); err != ErrInsufficientData {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestResampleInvertedGrid(t *testing.T) {
 	pts := []Sample{{0, 0}, {10, 10}}
 	if _, err := ResampleSpline(pts, 10, 0); err == nil {

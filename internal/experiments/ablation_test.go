@@ -80,30 +80,6 @@ func fig9Stops(n int) []core.StopEvent {
 	return out
 }
 
-// BenchmarkAblationInterp compares the three resampling strategies for
-// cycle identification; the s-err metric shows the accuracy cost.
-func BenchmarkAblationInterp(b *testing.B) {
-	samples := fig6Samples(25)
-	for _, v := range []struct {
-		name string
-		kind core.InterpKind
-	}{
-		{"Spline", core.InterpSpline},
-		{"Linear", core.InterpLinear},
-		{"Hold", core.InterpHold},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			cfg := core.DefaultCycleConfig()
-			cfg.Interp = v.kind
-			var last float64
-			for i := 0; i < b.N; i++ {
-				last, _ = core.IdentifyCycle(samples, 0, 3600, cfg)
-			}
-			b.ReportMetric(math.Abs(last-98), "s-err")
-		})
-	}
-}
-
 // BenchmarkAblationCandidates compares the paper's plain DFT argmax
 // (Candidates=1) against fold-verified candidate selection.
 func BenchmarkAblationCandidates(b *testing.B) {

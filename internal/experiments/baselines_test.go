@@ -1,6 +1,8 @@
 // The two classical baselines BenchmarkAblationCycleMethod holds the
-// paper's interpolate-then-DFT cycle estimator against (§V), with their
-// tests. Nothing outside the benchmark runs them, so they live here.
+// paper's interpolate-then-DFT cycle estimator against (§V), and the two
+// interpolants BenchmarkAblationInterp holds its natural cubic spline
+// against, with their tests. Nothing outside the benchmarks runs them, so
+// they live here.
 package experiments_test
 
 import (
@@ -10,6 +12,7 @@ import (
 	"math/bits"
 	"math/cmplx"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"taxilight/internal/core"
@@ -51,6 +54,84 @@ func identifyCycleLombScargle(samples []dsp.Sample, t0, t1 float64, cfg core.Cyc
 	// Scan at roughly the DFT's resolution over the same window length.
 	step := min(max(cfg.MinCycle*cfg.MinCycle/(t1-t0), 0.25), 2)
 	return lombScarglePeriod(in, cfg.MinCycle, cfg.MaxCycle, step)
+}
+
+// interpolant builds a function of time through time-ordered samples with
+// distinct times.
+type interpolant func(pts []dsp.Sample) func(t float64) float64
+
+// splineAt is the paper's natural cubic spline (§IV).
+func splineAt(pts []dsp.Sample) func(float64) float64 {
+	var s dsp.CubicSpline
+	if err := s.Fit(pts); err != nil {
+		panic(err) // CycleInput hands over at least MinSamples distinct times
+	}
+	return s.At
+}
+
+// linearAt is the piecewise-linear interpolant, held flat past either end.
+func linearAt(pts []dsp.Sample) func(float64) float64 {
+	return func(t float64) float64 {
+		i := sort.Search(len(pts), func(i int) bool { return pts[i].T >= t })
+		switch {
+		case i == 0:
+			return pts[0].V
+		case i == len(pts):
+			return pts[len(pts)-1].V
+		}
+		a, b := pts[i-1], pts[i]
+		return a.V + (t-a.T)/(b.T-a.T)*(b.V-a.V)
+	}
+}
+
+// holdAt is the zero-order hold: the last value carried forward, and the
+// first one before it.
+func holdAt(pts []dsp.Sample) func(float64) float64 {
+	return func(t float64) float64 {
+		i := sort.Search(len(pts), func(i int) bool { return pts[i].T > t })
+		return pts[max(i-1, 0)].V
+	}
+}
+
+// identifyCycleInterp is the interpolate-then-DFT estimator with the
+// interpolant as its one free part: interp through core.CycleInput's merged
+// samples, sampled at the power-of-two number of points spanning the
+// window, detrended, and the strongest DFT bin k inside the cycle band read
+// as the cycle L/k. It has none of IdentifyCycle's clamping, candidate
+// folding or refinement, so what the interpolant costs shows undiluted.
+func identifyCycleInterp(samples []dsp.Sample, t0, t1 float64, cfg core.CycleConfig, interp interpolant) (float64, error) {
+	in, _, err := core.CycleInput(samples, t0, t1, cfg)
+	if err != nil {
+		return 0, err
+	}
+	L := t1 - t0
+	P := dsp.NextPow2(int(math.Ceil(L)))
+	kMin := max(int(math.Ceil(L/cfg.MaxCycle)), 1)
+	kMax := min(int(math.Floor(L/cfg.MinCycle)), P/2)
+	if kMin > kMax {
+		return 0, fmt.Errorf("window of %v s too short for cycle band [%v, %v]", L, cfg.MinCycle, cfg.MaxCycle)
+	}
+	at := interp(in)
+	grid := make([]float64, P)
+	for i := range grid {
+		grid[i] = at(t0 + float64(i)*L/float64(P))
+	}
+	dsp.DetrendInPlace(grid)
+	plan, err := dsp.NewFFTPlan(P)
+	if err != nil {
+		return 0, err
+	}
+	mags, err := plan.MagnitudesReal(grid)
+	if err != nil {
+		return 0, err
+	}
+	best := kMin
+	for k := kMin + 1; k <= kMax; k++ {
+		if mags[k] > mags[best] {
+			best = k
+		}
+	}
+	return L / float64(best), nil
 }
 
 // autocorrelation returns the biased sample autocorrelation of x for lags
@@ -477,5 +558,71 @@ func BenchmarkLombScargleScan(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, _ = lombScarglePeriod(samples, 40, 300, 1)
+	}
+}
+
+var interpolants = []struct {
+	name   string
+	interp interpolant
+}{
+	{"Spline", splineAt},
+	{"Linear", linearAt},
+	{"Hold", holdAt},
+}
+
+func TestLinearAt(t *testing.T) {
+	at := linearAt([]dsp.Sample{{T: 0, V: 0}, {T: 10, V: 10}})
+	for i := 0; i <= 20; i++ {
+		if v := at(float64(i) / 2); math.Abs(v-float64(i)/2) > 1e-12 {
+			t.Fatalf("at(%v) = %v", float64(i)/2, v)
+		}
+	}
+	// Past either end the interpolant holds the end value.
+	if at(-2) != 0 || at(12) != 10 {
+		t.Fatalf("at(-2), at(12) = %v, %v, want 0, 10", at(-2), at(12))
+	}
+}
+
+func TestHoldAt(t *testing.T) {
+	at := holdAt([]dsp.Sample{{T: 0, V: 5}, {T: 10, V: 7}})
+	for _, c := range []struct{ t, want float64 }{{-1, 5}, {0, 5}, {9, 5}, {10, 7}, {12, 7}} {
+		if v := at(c.t); v != c.want {
+			t.Errorf("at(%v) = %v, want %v", c.t, v, c.want)
+		}
+	}
+}
+
+func TestIdentifyCycleInterpolationVariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	sched := lights.Schedule{Cycle: 120, Red: 60}
+	samples := syntheticSpeed(rng, sched, 0, 3600, 10)
+	for _, v := range interpolants {
+		got, err := identifyCycleInterp(samples, 0, 3600, core.DefaultCycleConfig(), v.interp)
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		if math.Abs(got-120) > 8 {
+			t.Errorf("%s: cycle = %v, want ~120", v.name, got)
+		}
+	}
+	if _, err := identifyCycleInterp(nil, 0, 3600, core.DefaultCycleConfig(), linearAt); !errors.Is(err, core.ErrInsufficientData) {
+		t.Fatalf("no samples: err = %v", err)
+	}
+}
+
+// BenchmarkAblationInterp compares the three resampling strategies for
+// cycle identification through one estimator on the same merged samples;
+// the s-err metric shows the accuracy cost.
+func BenchmarkAblationInterp(b *testing.B) {
+	samples := fig6Samples(25)
+	for _, v := range interpolants {
+		b.Run(v.name, func(b *testing.B) {
+			cfg := core.DefaultCycleConfig()
+			var last float64
+			for i := 0; i < b.N; i++ {
+				last, _ = identifyCycleInterp(samples, 0, 3600, cfg, v.interp)
+			}
+			b.ReportMetric(math.Abs(last-98), "s-err")
+		})
 	}
 }

@@ -93,7 +93,7 @@ func TestPartialBlockNotHeld(t *testing.T) {
 	t.Run("ScannerErrorMidBlock", func(t *testing.T) {
 		// Three good lines then one bad: 1 of 4 blows a 20 % budget while
 		// the block holds three records.
-		s := newServer(trace.LenientConfig{MaxBadFraction: 0.2, MinLines: 4, Validate: true})
+		s := newServer(trace.LenientConfig{MaxBadFraction: 0.2, MinLines: 4})
 		err := s.ingestReader(context.Background(), strings.NewReader(lines+"garbage\n"+lines))
 		if !errors.Is(err, trace.ErrBadLineBudget) {
 			t.Fatalf("ingest returned %v, want ErrBadLineBudget", err)

@@ -72,7 +72,6 @@ func sortPublished(ps []published) []published {
 func TestEveryPublishPersistedAndWatchedOnce(t *testing.T) {
 	dir := t.TempDir()
 	scfg := store.DefaultConfig()
-	scfg.CompactEvery = 0
 	st, err := store.Open(dir, scfg)
 	if err != nil {
 		t.Fatal(err)

@@ -55,8 +55,8 @@ type Config struct {
 	// Realtime configures each shard's engine.
 	Realtime core.RealtimeConfig
 	// ReadTimeout/WriteTimeout harden the HTTP listener (with the fixed
-	// idleTimeout); ShutdownGrace bounds how long graceful shutdown waits
-	// for in-flight requests.
+	// idleTimeout); 0 means none, as in http.Server. ShutdownGrace bounds
+	// how long graceful shutdown waits for in-flight requests.
 	ReadTimeout   time.Duration
 	WriteTimeout  time.Duration
 	ShutdownGrace time.Duration
@@ -160,6 +160,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("server: non-positive batch size %d", c.BatchSize)
 	case c.FlushEvery <= 0:
 		return fmt.Errorf("server: non-positive flush cadence %v", c.FlushEvery)
+	case c.ReadTimeout < 0 || c.WriteTimeout < 0:
+		return fmt.Errorf("server: negative HTTP timeout (read %v, write %v)", c.ReadTimeout, c.WriteTimeout)
 	case c.ShutdownGrace < 0:
 		return fmt.Errorf("server: negative shutdown grace %v", c.ShutdownGrace)
 	case c.CheckpointInterval < 0:

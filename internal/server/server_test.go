@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"taxilight/internal/core"
 	"taxilight/internal/experiments"
@@ -468,4 +469,31 @@ func TestStateServeAllocs(t *testing.T) {
 // supervision or dedup.
 func (s *Server) ingestReader(ctx context.Context, r io.Reader) error {
 	return s.ingestScanner(ctx, trace.NewLenientScanner(r, s.cfg.Lenient), nil)
+}
+
+// TestConfigValidate: a nonsense setting is refused, not rewritten. A
+// negative HTTP timeout would otherwise run the listener with no timeout
+// at all; zero is http.Server's "none" and stays accepted.
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mut  func(*Config)
+		ok   bool
+	}{
+		{"default", func(*Config) {}, true},
+		{"no HTTP timeouts", func(c *Config) { c.ReadTimeout, c.WriteTimeout = 0, 0 }, true},
+		{"negative read timeout", func(c *Config) { c.ReadTimeout = -time.Second }, false},
+		{"negative write timeout", func(c *Config) { c.WriteTimeout = -time.Second }, false},
+		{"negative shutdown grace", func(c *Config) { c.ShutdownGrace = -time.Second }, false},
+		{"negative watch write timeout", func(c *Config) { c.WatchWriteTimeout = -time.Second }, false},
+	} {
+		cfg := DefaultConfig()
+		c.mut(&cfg)
+		if err := cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		}
+		if _, err := New(nil, cfg); (err == nil) != c.ok {
+			t.Errorf("%s: New = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
 }

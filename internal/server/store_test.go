@@ -21,7 +21,6 @@ func newStoreServer(t *testing.T, dir string) (*Server, *store.Store) {
 	t.Helper()
 	scfg := store.DefaultConfig()
 	scfg.SyncEvery = 1
-	scfg.CompactEvery = 0
 	st, err := store.Open(dir, scfg)
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
@@ -347,7 +346,6 @@ func TestStoreWriteFailureDegradesToServingOnly(t *testing.T) {
 	dir := t.TempDir()
 	scfg := store.DefaultConfig()
 	scfg.SyncEvery = 1
-	scfg.CompactEvery = 0
 	st, err := store.Open(dir, scfg)
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
@@ -446,7 +444,6 @@ func BenchmarkHistoryQuery(b *testing.B) {
 	cfg.SegmentMaxBytes = 64 << 10 // force a many-segment store
 	cfg.SyncEvery = 1 << 20
 	cfg.SyncInterval = 0
-	cfg.CompactEvery = 0
 	st, err := store.Open(b.TempDir(), cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -170,7 +170,6 @@ func FuzzDecodeState(f *testing.F) {
 // keys, and returns the engine and the round's time.
 func roundAfterRestore(t testing.TB, st core.EngineState) (*core.Engine, float64) {
 	cfg := core.DefaultRealtimeConfig()
-	cfg.MinQuality = 0
 	cfg.Pipeline.Workers = 1
 	eng, err := core.NewEngine(cfg)
 	if err != nil {

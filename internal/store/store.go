@@ -34,10 +34,11 @@ type Config struct {
 	RetentionAge float64
 	// RetentionBytes caps total segment bytes, dropping oldest
 	// checkpoint-covered segments first; 0 means unlimited.
+	//
+	// Retention is applied by compaction, which runs at Open, after every
+	// Checkpoint and after every segment rotation: the events after which
+	// it can delete something it could not before.
 	RetentionBytes int64
-	// CompactEvery is the background compaction cadence; 0 disables the
-	// background loop (Compact may still be called manually).
-	CompactEvery time.Duration
 	// observeAppend and observeFsync, when non-nil, receive the latency
 	// in seconds of every batch append and every fsync; SetObservers
 	// installs them.
@@ -47,13 +48,12 @@ type Config struct {
 
 // DefaultConfig is the serving daemon's posture: 8 MiB segments,
 // fsync batched across 64 records or 200 ms (whichever first),
-// compaction every minute, retention unlimited.
+// retention unlimited.
 func DefaultConfig() Config {
 	return Config{
 		SegmentMaxBytes: 8 << 20,
 		SyncEvery:       64,
 		SyncInterval:    200 * time.Millisecond,
-		CompactEvery:    time.Minute,
 	}
 }
 
@@ -68,8 +68,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("store: SegmentMaxBytes %d cannot hold one record", c.SegmentMaxBytes)
 	case c.SyncEvery <= 0:
 		return fmt.Errorf("store: non-positive SyncEvery %d", c.SyncEvery)
-	case c.SyncInterval < 0 || c.CompactEvery < 0:
-		return fmt.Errorf("store: negative cadence (sync %v, compact %v)", c.SyncInterval, c.CompactEvery)
+	case c.SyncInterval < 0:
+		return fmt.Errorf("store: negative SyncInterval %v", c.SyncInterval)
 	case c.RetentionAge < 0:
 		return fmt.Errorf("store: negative RetentionAge %v", c.RetentionAge)
 	case c.RetentionBytes < 0:
@@ -108,7 +108,7 @@ type Stats struct {
 // Store is the durable estimate store: one directory holding WAL
 // segments plus checkpoint files. All methods are safe for concurrent
 // use. Construct with Open, which performs crash recovery; Close flushes
-// and stops the background loops.
+// and stops the background fsync loop.
 type Store struct {
 	dir string
 	cfg Config
@@ -142,7 +142,8 @@ type Store struct {
 // Open opens (creating if needed) the store in dir and performs crash
 // recovery: it loads the newest checkpoint whose CRC verifies, replays
 // only the WAL records appended after it, truncates any torn tail frame
-// and resumes appending where the last intact record left off.
+// and resumes appending where the last intact record left off. It then
+// compacts what the recovered checkpoint covers.
 func Open(dir string, cfg Config) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -159,7 +160,10 @@ func Open(dir string, cfg Config) (*Store, error) {
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
-	if cfg.SyncInterval > 0 || cfg.CompactEvery > 0 {
+	// The store is whole whether or not compaction can delete; a failure
+	// is retried, and reported, by the next Checkpoint.
+	_ = s.Compact()
+	if cfg.SyncInterval > 0 {
 		s.bg.Add(1)
 		go s.background()
 	}
@@ -369,6 +373,10 @@ func (s *Store) Append(recs ...Record) error {
 			if err := s.rotateLocked(); err != nil {
 				return err
 			}
+			// The records are appended whether or not compaction can
+			// delete; a failure is retried, and reported, by the next
+			// Checkpoint.
+			_ = s.compactLocked()
 		}
 	}
 	s.appendedTotal.Add(int64(len(recs)))
@@ -415,7 +423,8 @@ func (s *Store) flushLocked(sync bool) error {
 }
 
 // Checkpoint writes a full snapshot of st, fsyncing the WAL first so
-// the checkpoint's LastSeq covers everything already appended.
+// the checkpoint's LastSeq covers everything already appended, then
+// compacts what the new checkpoint covers.
 func (s *Store) Checkpoint(st core.EngineState) error {
 	s.mu.Lock()
 	if s.closed {
@@ -435,16 +444,15 @@ func (s *Store) Checkpoint(st core.EngineState) error {
 	if _, err := writeCheckpoint(s.dir, doc); err != nil {
 		return err
 	}
+	s.ckptsWritten.Add(1)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if lastSeq > s.lastCkpt {
 		s.lastCkpt = lastSeq
 	}
-	ckpts, err := listCheckpoints(s.dir)
-	if err == nil {
-		s.ckptFiles = len(ckpts)
+	if err := s.compactLocked(); err != nil {
+		return fmt.Errorf("store: compaction after checkpoint: %w", err)
 	}
-	s.mu.Unlock()
-	s.ckptsWritten.Add(1)
 	return nil
 }
 
@@ -549,10 +557,16 @@ func (s *Store) snapshotSegments(from, to float64) ([]*segment, error) {
 // seconds behind the newest record) or while total size exceeds
 // RetentionBytes; surplus checkpoint files beyond keepCheckpoints are
 // deleted too. The newest state always survives: a segment with records
-// newer than the newest checkpoint is never deleted.
+// newer than the newest checkpoint is never deleted. Open, Checkpoint and
+// segment rotation run it; a caller need not.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.compactLocked()
+}
+
+// compactLocked is Compact with s.mu held.
+func (s *Store) compactLocked() error {
 	s.compactRuns.Add(1)
 
 	var doomed []*segment
@@ -611,34 +625,18 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// background is the maintenance goroutine: batched-fsync deadline and
-// periodic compaction.
+// background is the batched-fsync deadline: no appended record waits
+// longer than SyncInterval for its fsync.
 func (s *Store) background() {
 	defer s.bg.Done()
-	syncEvery := s.cfg.SyncInterval
-	if syncEvery <= 0 {
-		syncEvery = time.Hour // effectively off; select still needs a case
-	}
-	compactEvery := s.cfg.CompactEvery
-	if compactEvery <= 0 {
-		compactEvery = 365 * 24 * time.Hour
-	}
-	syncT := time.NewTicker(syncEvery)
-	compactT := time.NewTicker(compactEvery)
-	defer syncT.Stop()
-	defer compactT.Stop()
+	t := time.NewTicker(s.cfg.SyncInterval)
+	defer t.Stop()
 	for {
 		select {
 		case <-s.stopBG:
 			return
-		case <-syncT.C:
-			if s.cfg.SyncInterval > 0 {
-				_ = s.Sync()
-			}
-		case <-compactT.C:
-			if s.cfg.CompactEvery > 0 {
-				_ = s.Compact()
-			}
+		case <-t.C:
+			_ = s.Sync() // an fsync error recurs at the next Append, Checkpoint or Close
 		}
 	}
 }
@@ -679,7 +677,7 @@ func (s *Store) SetObservers(observeAppend, observeFsync func(seconds float64)) 
 	s.cfg.observeFsync = observeFsync
 }
 
-// Close flushes, fsyncs, stops the background loops and releases the
+// Close flushes, fsyncs, stops the background fsync loop and releases the
 // active segment. The store is unusable afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()

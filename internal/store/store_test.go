@@ -23,7 +23,6 @@ func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.SyncEvery = 4
 	cfg.SyncInterval = 0 // no background flusher: tests control fsync
-	cfg.CompactEvery = 0 // no background compaction
 	return cfg
 }
 
@@ -668,4 +667,115 @@ func TestCheckpointSizeIndependentOfUptime(t *testing.T) {
 	if week := encoded(2016 * 300); week > 1024 || week > early+64 {
 		t.Fatalf("a week of rounds encodes to %d bytes, after 10 rounds %d; want at most 1 KiB and 64 B more", week, early)
 	}
+}
+
+// TestCheckpointCompacts: with no Compact call, a Checkpoint deletes every
+// sealed segment it covers that is past RetentionAge or over
+// RetentionBytes, and every checkpoint file past the newest
+// keepCheckpoints; Open compacts what its recovered checkpoint covers; and
+// a segment holding records newer than the newest checkpoint survives any
+// pressure, rotations included (DESIGN §9's invariant (a)).
+func TestCheckpointCompacts(t *testing.T) {
+	k := testKey(4, lights.EastWest)
+	// Four records fill a segment, so records 1..20 seal segments 1..5,
+	// record i carrying stream time 300·(i−1).
+	cfg := testConfig()
+	cfg.SegmentMaxBytes = int64(len(segMagic) + 4*(frameHeader+encodedRecordSize))
+	appendRecs := func(t *testing.T, s *Store, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := s.Append(rec(k, float64(300*i), 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkpoint := func(t *testing.T, s *Store, now float64) {
+		t.Helper()
+		st := core.EngineState{Now: now, Approaches: map[mapmatch.Key]core.ApproachState{k: {Result: rec(k, now, 100).Result()}}}
+		if err := s.Checkpoint(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// kept is the first record still in the WAL (−1 for none) and the
+	// number of records from it on.
+	kept := func(t *testing.T, s *Store) (first float64, n int) {
+		t.Helper()
+		hist, err := s.History(k, 0, 1e9, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hist) == 0 {
+			return -1, 0
+		}
+		return hist[0].WindowEnd, len(hist)
+	}
+	for _, c := range []struct {
+		name   string
+		retain func(*Config)
+		// first is the oldest record the checkpoint at record 20 leaves
+		// (−1 for none), left how many it leaves.
+		first float64
+		left  int
+	}{
+		// Segments 1..4 end before 5700−300; segment 5 (4800..5700) does not.
+		{"age", func(c *Config) { c.RetentionAge = 300 }, 4800, 4},
+		// Every covered sealed segment is over a one-byte cap.
+		{"bytes", func(c *Config) { c.RetentionBytes = 1 }, -1, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := cfg
+			c.retain(&cfg)
+			s := mustOpen(t, t.TempDir(), cfg)
+			defer s.Close()
+			appendRecs(t, s, 0, 16)
+			if first, n := kept(t, s); first != 0 || n != 16 {
+				t.Fatalf("before any checkpoint the WAL starts at %v with %d records; want all 16", first, n)
+			}
+			// A checkpoint after each of records 17..20.
+			for i := 16; i < 20; i++ {
+				appendRecs(t, s, i, i+1)
+				checkpoint(t, s, float64(300*i))
+			}
+			if st := s.Stats(); st.CheckpointFiles != keepCheckpoints || st.CheckpointsCompacted != 2 {
+				t.Fatalf("%d checkpoint files, %d compacted; want %d and 2", st.CheckpointFiles, st.CheckpointsCompacted, keepCheckpoints)
+			}
+			if ckpts, err := listCheckpoints(s.Dir()); err != nil || len(ckpts) != keepCheckpoints {
+				t.Fatalf("%d checkpoint files on disk (%v), want %d", len(ckpts), err, keepCheckpoints)
+			}
+			if first, n := kept(t, s); first != c.first || n != c.left {
+				t.Fatalf("after the checkpoints the WAL starts at %v with %d records; want %v with %d", first, n, c.first, c.left)
+			}
+			// Twenty more records under the same pressure, none covered: the
+			// rotations compact (segment 5 ages out under RetentionAge) and
+			// delete none of them.
+			appendRecs(t, s, 20, 40)
+			if first, n := kept(t, s); first != 6000 || n != 20 {
+				t.Fatalf("WAL starts at %v with %d records; want 6000 and the 20 uncovered", first, n)
+			}
+			if rep, _ := Verify(s.Dir()); !rep.OK() {
+				t.Fatalf("verify: %v", rep.Problems)
+			}
+		})
+	}
+
+	t.Run("open", func(t *testing.T) {
+		dir := t.TempDir()
+		s := mustOpen(t, dir, cfg)
+		appendRecs(t, s, 0, 20)
+		checkpoint(t, s, 300*19)
+		appendRecs(t, s, 20, 24) // newer than the checkpoint
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		pressed := cfg
+		pressed.RetentionBytes = 1
+		s2 := mustOpen(t, dir, pressed)
+		defer s2.Close()
+		if st := s2.Stats(); st.SegmentsCompacted != 5 {
+			t.Fatalf("Open compacted %d segments, want the 5 the checkpoint covers", st.SegmentsCompacted)
+		}
+		if first, n := kept(t, s2); first != 6000 || n != 4 {
+			t.Fatalf("WAL starts at %v with %d records after Open; want the 4 after the checkpoint", first, n)
+		}
+	})
 }

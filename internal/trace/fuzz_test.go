@@ -195,7 +195,7 @@ func refScan(r io.Reader, lenient bool, cfg LenientConfig) (recs []Record, lines
 		lines++
 		var rec Record
 		err := refUnmarshalCSV(&rec, line)
-		if err == nil && lenient && cfg.Validate {
+		if err == nil && lenient {
 			err = rec.Validate()
 		}
 		if err == nil {
@@ -266,7 +266,7 @@ func FuzzScanner(f *testing.F) {
 			}
 			return &chunkReader{data: input, n: int(chunk)}
 		}
-		cfg := LenientConfig{MaxBadFraction: 0.5, MinLines: 4, Validate: true}
+		cfg := LenientConfig{MaxBadFraction: 0.5, MinLines: 4}
 		checkScan(t, open, false, cfg)
 		checkScan(t, open, true, cfg)
 	})

@@ -147,7 +147,7 @@ func TestLineReader(t *testing.T) {
 		"data with eof": iotest.DataErrReader,
 		"error after":   func(r io.Reader) io.Reader { return io.MultiReader(r, iotest.ErrReader(errBroken)) },
 	}
-	cfg := LenientConfig{MaxBadFraction: 0.9, MinLines: 2, Validate: true}
+	cfg := LenientConfig{MaxBadFraction: 0.9, MinLines: 2}
 	for iname, input := range inputs {
 		for rname, wrap := range readers {
 			if rname == "one byte" && len(input) > 1<<20 {

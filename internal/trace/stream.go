@@ -20,7 +20,9 @@ import (
 // one bad byte must not take down the pipeline. The budget still bounds
 // the damage: a feed that is mostly garbage is a systemic failure
 // (wrong file, wrong format, upstream outage) that must surface as an
-// error, not be silently eaten.
+// error, not be silently eaten. A lenient scanner also drops lines that
+// parse but fail Record.Validate (class "invalid") — e.g. a digit flip
+// that moved a coordinate out of range.
 type LenientConfig struct {
 	// MaxBadFraction is the malformed-line budget: scanning fails with
 	// ErrBadLineBudget once skipped/total exceeds it. 0.05 tolerates a
@@ -30,16 +32,12 @@ type LenientConfig struct {
 	// have been seen, so one bad line at the top of a file cannot trip a
 	// fractional budget.
 	MinLines int
-	// Validate additionally drops lines that parse but fail
-	// Record.Validate (class "invalid") — e.g. a digit flip that moved a
-	// coordinate out of range.
-	Validate bool
 }
 
 // DefaultLenientConfig is the production ingestion posture: skip and
 // count, fail beyond 5 % malformed after the first 100 lines.
 func DefaultLenientConfig() LenientConfig {
-	return LenientConfig{MaxBadFraction: 0.05, MinLines: 100, Validate: true}
+	return LenientConfig{MaxBadFraction: 0.05, MinLines: 100}
 }
 
 // ErrBadLineBudget reports that the malformed-line fraction exceeded the
@@ -176,7 +174,7 @@ func (s *Scanner) scan(mayRead bool) bool {
 		}
 		lines := s.lines.Add(1)
 		err := parseRecord(&s.rec, line, s.text)
-		if err == nil && s.lenient && s.lcfg.Validate {
+		if err == nil && s.lenient {
 			if verr := s.rec.Validate(); verr != nil {
 				err = &ParseError{Class: ClassInvalid, Err: verr}
 			}
